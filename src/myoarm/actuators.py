@@ -4,6 +4,12 @@ Four interchangeable controller families share one interface: an
 antagonistic muscle pair per joint, an ideal torque source, a PD position
 controller in front of the torque source, and a low-pass filtered torque
 source. All internal actuator states advance at the physics timestep.
+
+Each controller declares n_controls, its control box [lo, hi] and
+n_internal, the width of the internal row a rollout records per step:
+four muscle activities, two filtered low-pass commands, or nothing (0) for
+the torque and PD families. A controller with internal state exposes that
+row as `internal`.
 """
 
 import logging
@@ -45,6 +51,16 @@ def fiber_kinematics(phi: float, dphi: float, m: float, l_ref: float):
     return m * phi + l_ref, m * dphi
 
 
+def _clamp_excitation(u: float) -> float:
+    """Nearest end of [0, 1] for an excitation outside it, with a warning.
+
+    NaN maps to 1.0; zoh_control rejects non-finite decision vectors before
+    they reach a controller.
+    """
+    log.warning("excitation %.6g outside [0, 1]; clamped", u)
+    return 0.0 if u < 0.0 else 1.0
+
+
 def activation_step(a: float, u: float, dt: float, tau_act: float) -> float:
     """First-order activation toward the excitation u with time constant tau_act.
 
@@ -52,8 +68,7 @@ def activation_step(a: float, u: float, dt: float, tau_act: float) -> float:
     step; result stays in [0, 1] for u in [0, 1].
     """
     if not 0.0 <= u <= 1.0:
-        log.warning("excitation %.6g outside [0, 1]; clamped", u)
-        u = 0.0 if u < 0.0 else 1.0
+        u = _clamp_excitation(u)
     a = u + (a - u) * math.exp(-dt / tau_act)
     if a < 0.0:
         return 0.0
@@ -87,8 +102,7 @@ def hatze_activation_step(gamma: float, u: float, l_ce: float, dt: float,
     if not (math.isfinite(gamma) and math.isfinite(u) and math.isfinite(l_ce)):
         raise ValueError("non-finite input to the activation update")
     if not 0.0 <= u <= 1.0:
-        log.warning("excitation %.6g outside [0, 1]; clamped", u)
-        u = 0.0 if u < 0.0 else 1.0
+        u = _clamp_excitation(u)
     gamma = gamma + dt * params.m_h * (u - gamma)
     if gamma < 0.0:
         gamma = 0.0
@@ -187,22 +201,50 @@ class AblationFlags:
         return flags
 
 
-def muscle_force(l: float, dl: float, a: float, mp: MuscleParams,
-                 flags: AblationFlags | None = None) -> float:
-    """Normalized-to-f_max muscle force: (FL * FV * a + FP) * f_max."""
-    fl = 1.0 if (flags and flags.disable_fl) else force_length(l)
-    fv = 1.0 if (flags and flags.disable_fv) else force_velocity(mp.v_scale * dl)
-    return (fl * fv * a + force_passive(l)) * mp.f_max
-
-
 def muscle_joint_torque(phi: float, dphi: float, a1: float, a2: float,
                         mp: MuscleParams, flags: AblationFlags | None = None) -> float:
-    """Joint torque of the pair: tau = -(m1*F1 + m2*F2)."""
-    l1, dl1 = fiber_kinematics(phi, dphi, mp.m1, mp.l_ref1)
-    l2, dl2 = fiber_kinematics(phi, dphi, mp.m2, mp.l_ref2)
-    f1 = muscle_force(l1, dl1, a1, mp, flags)
-    f2 = muscle_force(l2, dl2, a2, mp, flags)
-    return -(mp.m1 * f1 + mp.m2 * f2)
+    """Joint torque of the pair at activities a1, a2: tau = -(m1*F1 + m2*F2).
+
+    Each fiber force is F = (FL * FV * a + FP) * f_max at the fiber state of
+    fiber_kinematics, with FV read at v_scale times the fiber velocity. This
+    is the per-step force arithmetic of MuscleController.torques. The curves
+    are written out operation for operation as force_length, force_velocity
+    and force_passive, so the result is bit-identical to composing them
+    without the dozen calls that would cost.
+    """
+    no_fl = flags is not None and flags.disable_fl
+    no_fv = flags is not None and flags.disable_fv
+    m1, m2, v_scale, f_max = mp.m1, mp.m2, mp.v_scale, mp.f_max
+    f1 = _fiber_force(m1 * phi + mp.l_ref1, v_scale * (m1 * dphi), a1, f_max,
+                      no_fl, no_fv)
+    f2 = _fiber_force(m2 * phi + mp.l_ref2, v_scale * (m2 * dphi), a2, f_max,
+                      no_fl, no_fv)
+    return -(m1 * f1 + m2 * f2)
+
+
+def _fiber_force(l, v, a, f_max, no_fl, no_fv):
+    """(FL * FV * a + FP) * f_max at fiber length l and scaled velocity v."""
+    if no_fl:
+        fl = 1.0
+    else:
+        x = (l - 1.0) / 0.5
+        y = 1.0 - x * x
+        fl = 0.0 if y <= 0.0 else y * y
+    if no_fv:
+        fv = 1.0
+    elif v <= -1.0:
+        fv = 0.0
+    elif v <= 0.0:
+        fv = (1.0 + v) / (1.0 - v / _FV_KNEE)
+    else:
+        r = _FV_KNEE_ECC / (_FV_KNEE_ECC + v)
+        fv = FV_MAX - (FV_MAX - 1.0) * r * r
+    if l <= 1.0:
+        fp = 0.0
+    else:
+        x = (l - 1.0) / 0.6
+        fp = 1.3 * x * x
+    return (fl * fv * a + fp) * f_max
 
 
 def torque_actuator(u: float, tau_max: float) -> float:
@@ -233,6 +275,7 @@ class MuscleController:
     """
 
     n_controls = 4
+    n_internal = 4      # width of `internal`, the row a rollout records
     lo = 0.0
     hi = 1.0
 
@@ -261,32 +304,46 @@ class MuscleController:
         self.activities = list(snap[0])
         self.gammas = list(snap[1])
 
-    def _advance_activity(self, i, u, l_ce, dt, tau_act):
-        if self.flags.disable_activation:
-            if u < 0.0:
-                u = 0.0
-            elif u > 1.0:
-                u = 1.0
-            self.activities[i] = u
-        elif self.activation_model == "hatze":
-            self.gammas[i], self.activities[i] = hatze_activation_step(
-                self.gammas[i], u, l_ce, dt, self.hatze)
-        else:
-            self.activities[i] = activation_step(self.activities[i], u, dt, tau_act)
+    @property
+    def internal(self):
+        """The four current activities."""
+        return self.activities
 
     def torques(self, th1, th2, w1, w2, u, dt):
-        taus = []
-        for j, (mp, phi, dphi) in enumerate(((self.shoulder, th1, w1),
-                                             (self.elbow, th2, w2))):
-            i1 = 2 * j
-            la, dla = fiber_kinematics(phi, dphi, mp.m1, mp.l_ref1)
-            lb, dlb = fiber_kinematics(phi, dphi, mp.m2, mp.l_ref2)
-            self._advance_activity(i1, u[i1], la, dt, mp.tau_act)
-            self._advance_activity(i1 + 1, u[i1 + 1], lb, dt, mp.tau_act)
-            fa = muscle_force(la, dla, self.activities[i1], mp, self.flags)
-            fb = muscle_force(lb, dlb, self.activities[i1 + 1], mp, self.flags)
-            taus.append(-(mp.m1 * fa + mp.m2 * fb))
-        return taus[0], taus[1]
+        """Advance the four activities one step; return the joint torques.
+
+        One kernel for every AblationFlags combination and both activation
+        models. The first-order update repeats activation_step operation
+        for operation, with exp(-dt/tau_act) taken once per joint, so the
+        numbers are bit-identical to composing the public step functions.
+        """
+        flags = self.flags
+        shoulder, elbow = self.shoulder, self.elbow
+        if flags.disable_activation:
+            acts = [0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in u]
+        elif self.activation_model == "hatze":
+            lengths = (shoulder.m1 * th1 + shoulder.l_ref1,
+                       shoulder.m2 * th1 + shoulder.l_ref2,
+                       elbow.m1 * th2 + elbow.l_ref1,
+                       elbow.m2 * th2 + elbow.l_ref2)
+            gammas, acts = [], []
+            for v, g, l in zip(u, self.gammas, lengths):
+                g, a = hatze_activation_step(g, v, l, dt, self.hatze)
+                gammas.append(g)
+                acts.append(a)
+            self.gammas = gammas
+        else:
+            e_sh = math.exp(-dt / shoulder.tau_act)
+            e_el = math.exp(-dt / elbow.tau_act)
+            acts = []
+            for v, a, e in zip(u, self.activities, (e_sh, e_sh, e_el, e_el)):
+                if not 0.0 <= v <= 1.0:
+                    v = _clamp_excitation(v)
+                a = v + (a - v) * e
+                acts.append(0.0 if a < 0.0 else 1.0 if a > 1.0 else a)
+        self.activities = acts
+        return (muscle_joint_torque(th1, w1, acts[0], acts[1], shoulder, flags),
+                muscle_joint_torque(th2, w2, acts[2], acts[3], elbow, flags))
 
 
 def _valid_tau_max(tau_max):
@@ -300,6 +357,7 @@ class TorqueController:
     """Direct torque commands in [-1, 1] per joint."""
 
     n_controls = 2
+    n_internal = 0
     lo = -1.0
     hi = 1.0
 
@@ -328,6 +386,7 @@ class PDController:
     """
 
     n_controls = 2
+    n_internal = 0
     lo = -1.0
     hi = 1.0
 
@@ -356,6 +415,7 @@ class LowPassController:
     """Torque commands passed through a first-order filter before the torque source."""
 
     n_controls = 2
+    n_internal = 2
     lo = -1.0
     hi = 1.0
 
@@ -374,6 +434,11 @@ class LowPassController:
 
     def restore(self, snap):
         self.filtered = list(snap)
+
+    @property
+    def internal(self):
+        """The two filtered commands."""
+        return self.filtered
 
     def torques(self, th1, th2, w1, w2, u, dt):
         out = []

@@ -10,7 +10,11 @@ both joints a negative initial acceleration.
 
 The hot-path kernels work on plain floats on purpose: per-step state is a
 handful of scalars and array round-trips would dominate the cost of the
-millions of steps an optimization run takes.
+millions of steps an optimization run takes. For the same reason
+_symp_step inlines _mass_matrix and _bias, keeping their floating-point
+association so its results stay bit-identical to the composed form, and
+control.rollout appends each step's scalars to flat lists that become
+arrays once per episode.
 """
 
 import math
@@ -266,10 +270,23 @@ def _symp_step(c: _Coeffs, th1, th2, w1, w2, tau1, tau2, dt):
     Returns (th1', th2', w1', w2', a1, a2) where a1, a2 are the instantaneous
     joint accelerations at the pre-step state (what an accelerometer would
     read; used for jerk measures).
+
+    _mass_matrix and _bias are inlined, each trigonometric term computed
+    once. Every expression keeps their exact floating-point association
+    (b1 is not regrouped to reuse v1g, for instance), so the result is
+    bit-identical to composing them.
     """
-    m11, m12, m22 = _mass_matrix(c, th2)
+    m11_0, cross, qb, kg1, kg2 = c.m11_0, c.cross, c.qb, c.kg1, c.kg2
+    c2 = math.cos(th2)
+    m11 = m11_0 + 2.0 * cross * c2
+    m12 = -(qb + cross * c2)
+    m22 = qb
     det = m11 * m22 - m12 * m12
-    b1, b2 = _bias(c, th1, th2, w1, w2)
+    hs = cross * math.sin(th2)
+    cos1 = math.cos(th1)
+    c12 = math.cos(th1 - th2)
+    b1 = -hs * w2 * (2.0 * w1 - w2) + kg1 * cos1 + kg2 * c12
+    b2 = hs * w1 * w1 - kg2 * c12
     r1 = tau1 - b1
     r2 = tau2 - b2
     a1 = (m22 * r1 - m12 * r2) / det
@@ -277,10 +294,8 @@ def _symp_step(c: _Coeffs, th1, th2, w1, w2, tau1, tau2, dt):
     # generalized momenta
     p1 = m11 * w1 + m12 * w2
     p2 = m12 * w1 + m22 * w2
-    c12 = math.cos(th1 - th2)
-    v1g = c.kg1 * math.cos(th1) + c.kg2 * c12   # dV/dth1
-    v2g = -c.kg2 * c12                          # dV/dth2
-    hs = c.cross * math.sin(th2)
+    v1g = kg1 * cos1 + kg2 * c12                # dV/dth1
+    v2g = -kg2 * c12                            # dV/dth2
     # dH/dth1 has no velocity dependence (the mass matrix only sees th2),
     # so the first momentum update is explicit; the second converges in a
     # few fixed-point passes because dt times the coupling is tiny.
@@ -294,7 +309,10 @@ def _symp_step(c: _Coeffs, th1, th2, w1, w2, tau1, tau2, dt):
     u2 = (m11 * q2 - m12 * q1) / det
     th1n = th1 + dt * u1
     th2n = th2 + dt * u2
-    n11, n12, n22 = _mass_matrix(c, th2n)
+    c2n = math.cos(th2n)
+    n11 = m11_0 + 2.0 * cross * c2n
+    n12 = -(qb + cross * c2n)
+    n22 = qb
     ndet = n11 * n22 - n12 * n12
     w1n = (n22 * q1 - n12 * q2) / ndet
     w2n = (n11 * q2 - n12 * q1) / ndet

@@ -35,13 +35,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _controller_setup(args):
-    """(morphology, overrides) from --morphology/--ablate flags."""
+    """(morphology, overrides, label) from --morphology/--ablate flags.
+
+    The label names the run in trace rows the way the harness does: each
+    ablation adds a '-noX' suffix, so `--ablate fl` runs are 'muscle-nofl'.
+    """
     names = getattr(args, "ablate", None) or []
     if not names:
-        return args.morphology, {}
+        return args.morphology, {}, args.morphology
     if args.morphology != "muscle":
         raise ValueError("--ablate only applies to the muscle morphology")
-    return "muscle", {"flags": AblationFlags.from_names(names)}
+    label = "muscle" + "".join(f"-no{n}" for n in dict.fromkeys(names))
+    return "muscle", {"flags": AblationFlags.from_names(names)}, label
 
 
 def _perturbation(args):
@@ -59,7 +64,7 @@ def _ensure_dir(path):
 def cmd_simulate(args):
     """Roll out a seeded random piecewise-constant policy and dump the CSV."""
     task = make_task(args.task, seed=args.seed)
-    morph, overrides = _controller_setup(args)
+    morph, overrides, _ = _controller_setup(args)
     ctrl = make_controller(morph, **overrides)
     par = parameterization_for(task, ctrl, args.c)
     rng = np.random.default_rng(args.seed)
@@ -74,13 +79,13 @@ def cmd_simulate(args):
 
 def cmd_optimize(args):
     task = make_task(args.task, seed=args.seed)
-    morph, overrides = _controller_setup(args)
+    morph, overrides, label = _controller_setup(args)
     cma = CmaConfig(population=args.population, generations=args.generations,
                     sigma0=args.sigma, seed=args.seed)
     x, best, trace, par = open_loop_optimize(task, morph, args.c, cma,
                                              controller_overrides=overrides)
     out = _ensure_dir(args.out)
-    rows = [["optimize", args.task, args.morphology, args.c, args.sigma, "",
+    rows = [["optimize", args.task, label, args.c, args.sigma, "",
              args.seed, g, trace.best_so_far[g], trace.evals[g],
              int(trace.best_so_far[g] >= SENTINEL_COST)]
             for g in range(len(trace.best_so_far))]
@@ -95,7 +100,7 @@ def cmd_optimize(args):
 
 def cmd_mpc(args):
     task = make_task(args.task, seed=args.seed)
-    morph, overrides = _controller_setup(args)
+    morph, overrides, label = _controller_setup(args)
     cfg = MpcConfig(t_pred=args.tpred, resolution=args.resolution,
                     warm_population=args.population,
                     warm_generations=args.warm_generations,
@@ -105,7 +110,7 @@ def cmd_mpc(args):
     out = _ensure_dir(args.out)
     traj_path = os.path.join(out, "trajectory.csv")
     write_trajectory_csv(traj_path, res.executed)
-    rows = [["mpc", args.task, args.morphology, args.resolution, "",
+    rows = [["mpc", args.task, label, args.resolution, "",
              args.tpred, args.seed, k, float(res.step_costs[k]),
              args.population * args.warm_generations + k * args.refine_budget,
              int(res.diverged)]

@@ -31,7 +31,10 @@ class RolloutResult:
     th/dth/ddth have one row per sample (n_steps + 1); controls, torques and
     activities have one row per step. ddth[k] is the acceleration used to
     advance sample k; the final row repeats the last applied torque's
-    acceleration at the terminal state.
+    acceleration at the terminal state. activities holds the controller's
+    internal row (n_internal wide: muscle activities or filtered low-pass
+    commands) and is None for controllers without internal state. rollout
+    builds each array once, after the episode, from a flat list of floats.
     """
 
     dt: float
@@ -65,7 +68,10 @@ def zoh_control(theta, parameterization: ControlParameterization, dt: float):
     """Step-indexed zero-order-hold lookup for the rollout loop.
 
     The control resolution must be an integer multiple of dt so segment
-    boundaries land exactly on physics steps.
+    boundaries land exactly on physics steps. A decision vector with a
+    non-finite entry is rejected here, once, before it can reach a
+    controller (where NaN would read as full muscle activation or a NaN
+    torque).
     """
     steps_per_seg = round(parameterization.resolution / dt)
     if steps_per_seg < 1 or abs(steps_per_seg * dt - parameterization.resolution) > 1e-9:
@@ -77,8 +83,10 @@ def zoh_control(theta, parameterization: ControlParameterization, dt: float):
     na = parameterization.n_actuators
     if theta.size != n_seg * na:
         raise ValueError(f"decision vector has size {theta.size}, expected {n_seg * na}")
+    if not np.isfinite(theta).all():
+        raise ValueError("decision vector contains a non-finite value")
     table = np.clip(theta.reshape(n_seg, na), parameterization.lo, parameterization.hi)
-    rows = [tuple(float(v) for v in row) for row in table]
+    rows = list(map(tuple, table.tolist()))
     last = n_seg - 1
 
     def fn(step_index, t):
@@ -97,50 +105,9 @@ def constant_control(values):
     return fn
 
 
-class _Recorder:
-    """Preallocated per-step storage for one simulation segment."""
-
-    def __init__(self, n_steps, n_controls, n_internal, has_ball, has_pend):
-        n = n_steps
-        self.th = np.empty((n + 1, 2))
-        self.dth = np.empty((n + 1, 2))
-        self.ddth = np.empty((n + 1, 2))
-        self.controls = np.empty((n, n_controls))
-        self.torques = np.empty((n, 2))
-        self.activities = np.empty((n, n_internal)) if n_internal else None
-        self.ball = np.empty((n + 1, 4)) if has_ball else None
-        self.pend = np.empty((n + 1, 2)) if has_pend else None
-
-    def truncate(self, steps):
-        self.th = self.th[:steps + 1]
-        self.dth = self.dth[:steps + 1]
-        self.ddth = self.ddth[:steps + 1]
-        self.controls = self.controls[:steps]
-        self.torques = self.torques[:steps]
-        if self.activities is not None:
-            self.activities = self.activities[:steps]
-        if self.ball is not None:
-            self.ball = self.ball[:steps + 1]
-        if self.pend is not None:
-            self.pend = self.pend[:steps + 1]
-
-
-def _internal_width(controller):
-    snap = controller.snapshot()
-    if snap is None:
-        return 0
-    if isinstance(snap, tuple):          # muscle: (activities, gammas)
-        return len(snap[0])
-    return len(snap)                     # low-pass: filtered commands
-
-
-def _internal_row(controller):
-    snap = controller.snapshot()
-    if snap is None:
-        return None
-    if isinstance(snap, tuple):
-        return snap[0]
-    return snap
+def _rows(flat, n):
+    """A flat list of per-step floats as an array of n rows."""
+    return np.array(flat, dtype=float).reshape(n, -1)
 
 
 def rollout(task, controller, control_fn, params: ArmParams | None = None,
@@ -154,6 +121,11 @@ def rollout(task, controller, control_fn, params: ArmParams | None = None,
     step. Mass-type perturbations are folded into the plant parameters; a
     pendulum perturbation is co-simulated and coupled through cable tension.
     A non-finite state marks the rollout diverged with the sentinel cost.
+
+    Each step appends its values to one flat list of floats per field, and
+    every RolloutResult array is built from its list once the episode ends.
+    When the controller's n_internal is non-zero, its `internal` row is
+    recorded as the activities.
     """
     t_start = time.perf_counter()
     params = params or ArmParams()
@@ -178,32 +150,32 @@ def rollout(task, controller, control_fn, params: ArmParams | None = None,
     else:
         controller.restore(controller_state)
 
-    has_ball = bool(getattr(task, "has_ball", False))
     ball = None
-    if has_ball:
+    if getattr(task, "has_ball", False):
         b = ball0 if ball0 is not None else task.initial_ball()
         ball = BallState(**vars(b))
         contact_radius = getattr(task, "contact_radius", contact_radius)
 
-    rec = _Recorder(n, controller.n_controls, _internal_width(controller),
-                    has_ball, pend_pert is not None)
-    rec.th[0] = (th1, th2)
-    rec.dth[0] = (w1, w2)
-    if ball is not None:
-        rec.ball[0] = (ball.x, ball.z, ball.dx, ball.dz)
-    if rec.pend is not None:
-        rec.pend[0] = (phi_p, dphi_p)
+    # one flat list of floats per field; numpy converts a flat list about
+    # ten times faster than a list of row tuples
+    th, dth, ddth, controls, torques = [th1, th2], [w1, w2], [], [], []
+    internal = [] if controller.n_internal else None
+    pend = [phi_p, dphi_p] if pend_pert is not None else None
+    balls = [ball.x, ball.z, ball.dx, ball.dz] if ball is not None else None
 
-    terminates = getattr(task, "terminal_threshold", None) is not None
+    torques_of = controller.torques
+    symp_step = _symp_step
+    isfinite = math.isfinite
+    is_done = (task.is_done if getattr(task, "terminal_threshold", None) is not None
+               else None)
     diverged = False
     termination = "horizon"
     steps = 0
     tau1 = tau2 = 0.0
 
     for k in range(n):
-        t = t0 + k * dt
-        u = control_fn(k, t)
-        tau1, tau2 = controller.torques(th1, th2, w1, w2, u, dt)
+        u = control_fn(k, t0 + k * dt)
+        tau1, tau2 = torques_of(th1, th2, w1, w2, u, dt)
         t1, t2 = tau1, tau2
         if pend_pert is not None:
             fx, fz, ddphi, _, _ = _pendulum_forces(
@@ -213,52 +185,51 @@ def rollout(task, controller, control_fn, params: ArmParams | None = None,
             t2 += j12 * fx + j22 * fz
             dphi_p = dphi_p + dt * ddphi
             phi_p = phi_p + dt * dphi_p
-        th1n, th2n, w1n, w2n, a1, a2 = _symp_step(
-            coeffs, th1, th2, w1, w2, t1, t2, dt)
-        rec.ddth[k] = (a1, a2)
-        rec.controls[k] = u
-        rec.torques[k] = (tau1, tau2)
-        if rec.activities is not None:
-            rec.activities[k] = _internal_row(controller)
-        th1, th2, w1, w2 = th1n, th2n, w1n, w2n
+        th1, th2, w1, w2, a1, a2 = symp_step(coeffs, th1, th2, w1, w2, t1, t2, dt)
+        ddth += (a1, a2)
+        controls += u
+        torques += (tau1, tau2)
+        if internal is not None:
+            internal += controller.internal
         steps = k + 1
-        rec.th[steps] = (th1, th2)
-        rec.dth[steps] = (w1, w2)
-        if rec.pend is not None:
-            rec.pend[steps] = (phi_p, dphi_p)
+        th += (th1, th2)
+        dth += (w1, w2)
+        if pend is not None:
+            pend += (phi_p, dphi_p)
         if ball is not None:
             hx, hz, hvx, hvz = _hand(coeffs, th1, th2, w1, w2)
             ball = ball_step(ball, (hx, hz), (hvx, hvz), dt, g=p_eff.g,
                              contact_radius=contact_radius)
-            rec.ball[steps] = (ball.x, ball.z, ball.dx, ball.dz)
-        if not (math.isfinite(th1) and math.isfinite(th2)
-                and math.isfinite(w1) and math.isfinite(w2)):
+            balls += (ball.x, ball.z, ball.dx, ball.dz)
+        if not (isfinite(th1) and isfinite(th2) and isfinite(w1) and isfinite(w2)):
             diverged = True
             termination = "diverged"
             break
-        if terminates and task.is_done(
+        if is_done is not None and is_done(
                 ArmState(th1=th1, th2=th2, dth1=w1, dth2=w2, t=t0 + steps * dt),
                 params):
             termination = "goal"
             break
 
-    rec.truncate(steps)
     if diverged:
-        rec.ddth[steps] = rec.ddth[steps - 1] if steps else (0.0, 0.0)
+        ddth += ddth[-2:]
     else:
         if pend_pert is not None:
             _, _, _, a1, a2 = _pendulum_forces(
                 coeffs, th1, th2, w1, w2, tau1, tau2, pend_pert, phi_p, dphi_p)
         else:
             a1, a2 = _accel(coeffs, th1, th2, w1, w2, tau1, tau2)
-        rec.ddth[steps] = (a1, a2)
+        ddth += (a1, a2)
 
     result = RolloutResult(
         dt=dt,
         t=t0 + dt * np.arange(steps + 1),
-        th=rec.th, dth=rec.dth, ddth=rec.ddth,
-        controls=rec.controls, torques=rec.torques,
-        activities=rec.activities, ball=rec.ball, pend=rec.pend,
+        th=_rows(th, steps + 1), dth=_rows(dth, steps + 1),
+        ddth=_rows(ddth, steps + 1),
+        controls=_rows(controls, steps), torques=_rows(torques, steps),
+        activities=_rows(internal, steps) if internal is not None else None,
+        ball=_rows(balls, steps + 1) if balls is not None else None,
+        pend=_rows(pend, steps + 1) if pend is not None else None,
         cost=SENTINEL_COST, diverged=diverged, termination=termination,
         steps=steps)
     if not diverged:
@@ -354,6 +325,7 @@ def mpc_run(task, morphology: str, mpc: MpcConfig,
     the first planned segment is applied, the plan is shifted (last segment
     duplicated), and a pattern search with a fixed evaluation budget refines
     it against the prediction model from the latest plant snapshot.
+    MpcResult.evals counts the evaluations actually spent.
     """
     params = params or ArmParams()
     overrides = controller_overrides or {}
@@ -436,9 +408,10 @@ def mpc_run(task, morphology: str, mpc: MpcConfig,
                 _first.append(v)   # pattern search evaluates its start first
             return v
 
-        plan, f_plan = local_refine(probed, plan, mpc.refine_radius,
-                                    mpc.refine_budget, lo=par.lo, hi=par.hi)
-        evals += mpc.refine_budget
+        plan, f_plan, refine_evals = local_refine(
+            probed, plan, mpc.refine_radius, mpc.refine_budget,
+            lo=par.lo, hi=par.hi)
+        evals += refine_evals
         shift_costs.append(first_eval[0])
         plan_costs.append(f_plan)
 

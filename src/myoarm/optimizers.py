@@ -2,7 +2,8 @@
 
 cma_es is a standard (mu/mu_w, lambda) evolution strategy with rank-one and
 rank-mu covariance updates and cumulative step-size adaptation; local_refine
-is a bounded coordinate pattern search with an exact evaluation budget.
+is a bounded coordinate pattern search that spends at most its evaluation
+budget and reports what it spent.
 """
 
 import math
@@ -195,8 +196,12 @@ def local_refine(objective, x0, radius0: float, budget: int,
 
     Probes +/- radius per coordinate in index order, accepts improvements
     immediately, and halves the radius after a full sweep without progress
-    (floored at radius_min). Spends exactly `budget` evaluations (the first
-    goes to x0) and never returns a point worse than x0.
+    (floored at radius_min). Returns (x, f, evals) and never returns a point
+    worse than x0. The first evaluation goes to x0 and at most `budget` are
+    spent: all of them, unless a whole sweep has no probe to make because
+    every probe lands on x itself (lo == hi in every coordinate, or a radius
+    too small to move x). The search then stops early, and evals says how
+    many it made.
     """
     x = np.asarray(x0, dtype=float).copy()
     lo_arr = None if lo is None else np.broadcast_to(np.asarray(lo, dtype=float), x.shape)
@@ -217,7 +222,7 @@ def local_refine(objective, x0, radius0: float, budget: int,
         for i in range(n):
             for sgn in (1.0, -1.0):
                 if evals >= budget:
-                    return x, f
+                    return x, f, evals
                 xi = x[i] + sgn * radius
                 if lo_arr is not None and xi < lo_arr[i]:
                     xi = lo_arr[i]
@@ -237,4 +242,4 @@ def local_refine(objective, x0, radius0: float, budget: int,
             break   # every probe was clipped onto x itself; nothing to try
         if not improved:
             radius = max(radius * 0.5, radius_min)
-    return x, f
+    return x, f, evals

@@ -122,7 +122,25 @@ class TestOptimize:
             all(b <= a + 1e-12 for a, b in zip(costs, costs[1:]))
 
 
+    def test_ablation_is_named_in_trace_rows(self, tmp_path):
+        out = tmp_path / "opt"
+        assert run_cli("optimize", "--ablate", "fl", "--population", "4",
+                       "--generations", "1", "--out", str(out)) == 0
+        header, rows = read_csv(out / "trace.csv")
+        col = header.index("morphology")
+        assert [r[col] for r in rows] == ["muscle-nofl"]
+
+
 class TestMpc:
+    def test_ablation_is_named_in_trace_rows(self, tmp_path):
+        out = tmp_path / "mpc"
+        assert run_cli("mpc", "--ablate", "fl", "--tpred", "0.02",
+                       "--population", "4", "--warm-generations", "1",
+                       "--refine-budget", "1", "--out", str(out)) == 0
+        header, rows = read_csv(out / "costs.csv")
+        col = header.index("morphology")
+        assert {r[col] for r in rows} == {"muscle-nofl"}
+
     def test_outputs(self, tmp_path, capsys):
         out = tmp_path / "mpc"
         assert run_cli("mpc", "--tpred", "0.02", "--population", "4",

@@ -178,6 +178,18 @@ class TestRollout:
         with pytest.raises(ValueError):
             zoh_control(np.zeros(par.dim + 1), par, DT_SIM)
 
+    def test_non_finite_decision_vector_rejected(self):
+        # NaN used to read as full activation in the muscle controller and
+        # as a NaN torque, hence a diverged run, in the torque family
+        task = SmoothReaching()
+        for ctrl in (MuscleController(), TorqueController()):
+            par = parameterization_for(task, ctrl, 0.3)
+            for bad in (math.nan, math.inf, -math.inf):
+                theta = np.full(par.dim, 0.5)
+                theta[1] = bad
+                with pytest.raises(ValueError, match="non-finite"):
+                    zoh_control(theta, par, DT_SIM)
+
     def test_resolution_must_align_with_dt(self):
         task = SmoothReaching()
         par = parameterization_for(task, TorqueController(), 0.3)
@@ -291,6 +303,23 @@ class TestMpc:
         expect = (cfg.warm_population * cfg.warm_generations
                   + (n_ctrl - 1) * cfg.refine_budget)
         assert res.evals == expect
+
+    def test_evals_count_what_refinement_spent(self, monkeypatch):
+        # a refinement that stops short of its budget is charged the
+        # evaluations it made, not the budget
+        import myoarm.control as control
+        real = control.local_refine
+
+        def one_eval(objective, x0, radius0, budget, lo=None, hi=None):
+            return real(objective, x0, radius0, 1, lo=lo, hi=hi)
+
+        monkeypatch.setattr(control, "local_refine", one_eval)
+        task = SmoothReaching()
+        cfg = tiny_mpc(seed=6)
+        res = mpc_run(task, "torque", cfg)
+        n_ctrl = round(task.duration / cfg.resolution)
+        assert res.evals == (cfg.warm_population * cfg.warm_generations
+                             + (n_ctrl - 1))
 
     def test_budget_parity(self):
         task = SmoothReaching()

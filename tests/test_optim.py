@@ -220,8 +220,8 @@ class TestLocalRefine:
         def f(x):
             return float(np.sum((x - opt) ** 2))
 
-        x, fx = local_refine(f, opt + 0.05, 0.1, 5000, lo=-1.0, hi=1.0,
-                             radius_min=1e-9)
+        x, fx, _ = local_refine(f, opt + 0.05, 0.1, 5000, lo=-1.0, hi=1.0,
+                                radius_min=1e-9)
         assert np.linalg.norm(x - opt) < 1e-6
         assert fx < 1e-12
 
@@ -238,14 +238,30 @@ class TestLocalRefine:
 
             x0 = rng.uniform(-1.0, 1.0, size=n)
             budget = int(rng.integers(1, 60))
-            x, fx = local_refine(f, x0, 0.2, budget, lo=-2.0, hi=2.0)
+            x, fx, _ = local_refine(f, x0, 0.2, budget, lo=-2.0, hi=2.0)
             assert fx <= f(x0) + 1e-15
 
     def test_budget_one_returns_start(self):
         x0 = np.array([0.4, -0.3])
-        x, fx = local_refine(sphere, x0, 0.1, 1, lo=-1.0, hi=1.0)
+        x, fx, evals = local_refine(sphere, x0, 0.1, 1, lo=-1.0, hi=1.0)
         assert np.array_equal(x, x0)
         assert fx == sphere(x0)
+        assert evals == 1
+
+    def test_pinned_coordinates_report_the_evaluations_made(self):
+        # lo == hi leaves no probe to make, so the search stops after the
+        # start point instead of spending the budget it was given
+        calls = [0]
+
+        def counted(x):
+            calls[0] += 1
+            return sphere(x)
+
+        x, fx, evals = local_refine(counted, np.full(3, 0.5), 0.1, 10,
+                                    lo=0.25, hi=0.25)
+        assert evals == 1 and calls[0] == 1
+        assert np.array_equal(x, np.full(3, 0.25))
+        assert fx == sphere(x)
 
     def test_budget_validated(self):
         with pytest.raises(ValueError):
@@ -258,14 +274,16 @@ class TestLocalRefine:
             calls[0] += 1
             return sphere(x)
 
-        local_refine(counted, np.full(3, 0.5), 0.1, 137, lo=0.0, hi=1.0)
+        _, _, evals = local_refine(counted, np.full(3, 0.5), 0.1, 137,
+                                   lo=0.0, hi=1.0)
         assert calls[0] == 137
+        assert evals == 137
 
     def test_respects_bounds(self):
         def f(x):
             return -float(np.sum(x))        # pushes toward the upper bound
 
-        x, _ = local_refine(f, np.full(4, 0.9), 0.3, 200, lo=0.0, hi=1.0)
+        x, _, _ = local_refine(f, np.full(4, 0.9), 0.3, 200, lo=0.0, hi=1.0)
         assert np.all(x <= 1.0)
         assert np.all(x >= 0.0)
         assert np.allclose(x, 1.0)
@@ -275,6 +293,6 @@ class TestLocalRefine:
         def f(x):
             return float(np.sum(x * x))
 
-        x, fx = local_refine(f, np.array([1e-3]), 1.0, 400, lo=-1.0, hi=1.0,
-                             radius_min=1e-4)
+        x, fx, _ = local_refine(f, np.array([1e-3]), 1.0, 400, lo=-1.0, hi=1.0,
+                                radius_min=1e-4)
         assert abs(x[0]) <= 1.01e-4
