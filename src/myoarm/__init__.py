@@ -11,7 +11,7 @@ from .objectives import (ObjectiveWeights, ReachTarget, make_task)
 from .optimizers import (CmaConfig, ControlParameterization, cma_es,
                          local_refine)
 from .control import (MpcConfig, RolloutResult, calibrate_torque_limits,
-                      mpc_run, open_loop_optimize, rollout)
+                      mpc_run, open_loop_optimize, rollout, rollout_batch)
 from .config import ExperimentConfig, load_config
 from .harness import robustness_sweep, run_experiment, summarize
 
@@ -21,7 +21,8 @@ __all__ = [
     "MuscleParams", "HatzeParams", "AblationFlags", "make_controller",
     "ReachTarget", "ObjectiveWeights", "make_task",
     "ControlParameterization", "CmaConfig", "cma_es", "local_refine",
-    "RolloutResult", "MpcConfig", "rollout", "open_loop_optimize",
+    "RolloutResult", "MpcConfig", "rollout", "rollout_batch",
+    "open_loop_optimize",
     "mpc_run", "calibrate_torque_limits",
     "ExperimentConfig", "load_config",
     "run_experiment", "robustness_sweep", "summarize",

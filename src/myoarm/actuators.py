@@ -10,11 +10,22 @@ n_internal, the width of the internal row a rollout records per step:
 four muscle activities, two filtered low-pass commands, or nothing (0) for
 the torque and PD families. A controller with internal state exposes that
 row as `internal`.
+
+Each controller also has an array form of `torques`, made by
+batch_torques(dt), for control.rollout_batch: it advances a whole
+population in lockstep, with each candidate's internal row a column of an
+(n_internal, population) array. Branches become np.maximum/np.minimum/
+np.where forms over the same operations, so every candidate's torques
+equal, bit for bit, what `torques` gives it. The Hatze activation model has
+no array form (np.power and ** differ in the last bit); rollout_batch runs
+it through the scalar rollout instead.
 """
 
 import logging
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -247,6 +258,38 @@ def _fiber_force(l, v, a, f_max, no_fl, no_fv):
     return (fl * fv * a + fp) * f_max
 
 
+def _fiber_force_array(l, v, a, f_max, no_fl, no_fv):
+    """_fiber_force over arrays of fibers, branch by branch the same bits.
+
+    FL is max(y, 0)^2 and FP (max(l - 1, 0) / 0.6)^2 * 1.3, which equal the
+    scalar branches on every input, NaN included; FV evaluates both of its
+    curves and picks one with np.where. The unpicked curve may divide by
+    zero, so callers run this under np.errstate.
+    """
+    stretch = l - 1.0
+    if no_fl:
+        fl = 1.0
+    else:
+        x = stretch / 0.5
+        y = np.maximum(1.0 - x * x, 0.0)
+        fl = y * y
+    if no_fv:
+        fv = 1.0
+    else:
+        shortening = (1.0 + v) / (1.0 - v / _FV_KNEE)
+        r = _FV_KNEE_ECC / (_FV_KNEE_ECC + v)
+        lengthening = FV_MAX - (FV_MAX - 1.0) * r * r
+        fv = np.where(v <= -1.0, 0.0, np.where(v <= 0.0, shortening, lengthening))
+    x = np.maximum(stretch, 0.0) / 0.6
+    fp = 1.3 * x * x
+    return (fl * fv * a + fp) * f_max
+
+
+def _unit_clip(x, lo):
+    """x clamped to [lo, 1] as the scalar `lo if x < lo else 1 if x > 1 else x`."""
+    return np.minimum(np.maximum(x, lo), 1.0)
+
+
 def torque_actuator(u: float, tau_max: float) -> float:
     """Ideal torque source: tau = tau_max * u, u in [-1, 1]."""
     if u < -1.0:
@@ -345,6 +388,46 @@ class MuscleController:
         return (muscle_joint_torque(th1, w1, acts[0], acts[1], shoulder, flags),
                 muscle_joint_torque(th2, w2, acts[2], acts[3], elbow, flags))
 
+    def batch_torques(self, dt):
+        """Array form of torques: step(acts, th1, th2, w1, w2, u) -> (tau1, tau2).
+
+        acts is the (4, population) activity array, advanced in place; u is
+        the (4, population) excitation block, already clipped to [0, 1] by
+        the batch decode, so the scalar form's clamp has nothing to do. The
+        four muscles are stacked in control order and every parameter is
+        read once, here. First-order activation and every AblationFlags
+        case only: the Hatze model goes through the scalar rollout.
+        """
+        if self.activation_model == "hatze":
+            raise ValueError("the Hatze activation model has no array form")
+        sh, el = self.shoulder, self.elbow
+
+        def column(a, b, c, d):
+            return np.array([[a], [b], [c], [d]])
+
+        m = column(sh.m1, sh.m2, el.m1, el.m2)
+        l_ref = column(sh.l_ref1, sh.l_ref2, el.l_ref1, el.l_ref2)
+        v_scale = column(sh.v_scale, sh.v_scale, el.v_scale, el.v_scale)
+        f_max = column(sh.f_max, sh.f_max, el.f_max, el.f_max)
+        e_sh = math.exp(-dt / sh.tau_act)
+        e_el = math.exp(-dt / el.tau_act)
+        decay = column(e_sh, e_sh, e_el, e_el)
+        no_act = self.flags.disable_activation
+        no_fl, no_fv = self.flags.disable_fl, self.flags.disable_fv
+
+        def step(acts, th1, th2, w1, w2, u):
+            if no_act:
+                acts[:] = _unit_clip(u, 0.0)
+            else:
+                acts[:] = _unit_clip(u + (acts - u) * decay, 0.0)
+            phi = np.array((th1, th1, th2, th2))
+            dphi = np.array((w1, w1, w2, w2))
+            mf = m * _fiber_force_array(m * phi + l_ref, v_scale * (m * dphi),
+                                        acts, f_max, no_fl, no_fv)
+            return -(mf[0] + mf[1]), -(mf[2] + mf[3])
+
+        return step
+
 
 def _valid_tau_max(tau_max):
     pair = tuple(float(v) for v in tau_max)
@@ -376,6 +459,15 @@ class TorqueController:
     def torques(self, th1, th2, w1, w2, u, dt):
         return (torque_actuator(u[0], self.tau_max[0]),
                 torque_actuator(u[1], self.tau_max[1]))
+
+    def batch_torques(self, dt):
+        """Array form of torques; u is the clipped (2, population) block."""
+        t1, t2 = self.tau_max
+
+        def step(state, th1, th2, w1, w2, u):
+            return t1 * u[0], t2 * u[1]
+
+        return step
 
 
 class PDController:
@@ -409,6 +501,19 @@ class PDController:
         u1 = pd_control(th1, w1, u[0] * self.target_scale, self.kp, self.kd)
         u2 = pd_control(th2, w2, u[1] * self.target_scale, self.kp, self.kd)
         return (self.tau_max[0] * u1, self.tau_max[1] * u2)
+
+    def batch_torques(self, dt):
+        """Array form of torques, pd_control's arithmetic and clamp per joint."""
+        kp, kd, scale = self.kp, self.kd, self.target_scale
+        t1, t2 = self.tau_max
+
+        def servo(q, dq, target):
+            return _unit_clip(kp * (target * scale - q) + kd * (0.0 - dq), -1.0)
+
+        def step(state, th1, th2, w1, w2, u):
+            return t1 * servo(th1, w1, u[0]), t2 * servo(th2, w2, u[1])
+
+        return step
 
 
 class LowPassController:
@@ -451,6 +556,18 @@ class LowPassController:
             self.filtered[i] = lowpass_step(self.filtered[i], ui, dt, self.dt_filter)
             out.append(self.tau_max[i] * self.filtered[i])
         return out[0], out[1]
+
+    def batch_torques(self, dt):
+        """Array form of torques; filtered is the (2, population) state array,
+        advanced in place by lowpass_step's update."""
+        gain = dt / self.dt_filter
+        t1, t2 = self.tau_max
+
+        def step(filtered, th1, th2, w1, w2, u):
+            filtered += gain * (u - filtered)
+            return t1 * filtered[0], t2 * filtered[1]
+
+        return step
 
 
 MORPHOLOGIES = ("muscle", "torque", "pd", "lowpass-fast", "lowpass-slow")

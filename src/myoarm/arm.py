@@ -15,6 +15,11 @@ _symp_step inlines _mass_matrix and _bias, keeping their floating-point
 association so its results stay bit-identical to the composed form, and
 control.rollout appends each step's scalars to flat lists that become
 arrays once per episode.
+
+_symp_step is also the one step of control.rollout_batch, which advances a
+whole CMA-ES population in lockstep: given NumPy arrays and np.cos/np.sin
+for its cos/sin arguments, the same body computes every candidate's step
+with the same operations in the same order.
 """
 
 import math
@@ -258,7 +263,8 @@ def _pendulum_forces(c: _Coeffs, th1, th2, w1, w2, tau1, tau2, pert: Perturbatio
     return fx, fz, ddphi, a1, a2
 
 
-def _symp_step(c: _Coeffs, th1, th2, w1, w2, tau1, tau2, dt):
+def _symp_step(c: _Coeffs, th1, th2, w1, w2, tau1, tau2, dt,
+               cos=math.cos, sin=math.sin):
     """One semi-implicit Euler step in momentum form.
 
     Momenta are updated first (implicitly, by a short fixed-point loop, since
@@ -271,22 +277,29 @@ def _symp_step(c: _Coeffs, th1, th2, w1, w2, tau1, tau2, dt):
     joint accelerations at the pre-step state (what an accelerometer would
     read; used for jerk measures).
 
-    _mass_matrix and _bias are inlined, each trigonometric term computed
-    once. Every expression keeps their exact floating-point association
-    (b1 is not regrouped to reuse v1g, for instance), so the result is
-    bit-identical to composing them.
+    _mass_matrix and _bias are inlined, each trigonometric term and each
+    product that recurs (the gravity terms, m22*q1 and m12*q1 in the
+    fixed-point loop) computed once. Every expression keeps their exact
+    floating-point association (b1 is not regrouped to reuse v1g, for
+    instance), so the result is bit-identical to composing them.
+
+    The body uses only + - * / and the cos/sin it is given, so it runs
+    unchanged on arrays of candidates (one element each) with cos=np.cos,
+    sin=np.sin; rollout_batch calls it that way. Element for element the
+    array result equals the float one wherever np.cos and np.sin equal
+    math.cos and math.sin.
     """
     m11_0, cross, qb, kg1, kg2 = c.m11_0, c.cross, c.qb, c.kg1, c.kg2
-    c2 = math.cos(th2)
+    c2 = cos(th2)
     m11 = m11_0 + 2.0 * cross * c2
     m12 = -(qb + cross * c2)
     m22 = qb
     det = m11 * m22 - m12 * m12
-    hs = cross * math.sin(th2)
-    cos1 = math.cos(th1)
-    c12 = math.cos(th1 - th2)
-    b1 = -hs * w2 * (2.0 * w1 - w2) + kg1 * cos1 + kg2 * c12
-    b2 = hs * w1 * w1 - kg2 * c12
+    hs = cross * sin(th2)
+    g1 = kg1 * cos(th1)
+    g2 = kg2 * cos(th1 - th2)
+    b1 = -hs * w2 * (2.0 * w1 - w2) + g1 + g2
+    b2 = hs * w1 * w1 - g2
     r1 = tau1 - b1
     r2 = tau2 - b2
     a1 = (m22 * r1 - m12 * r2) / det
@@ -294,27 +307,28 @@ def _symp_step(c: _Coeffs, th1, th2, w1, w2, tau1, tau2, dt):
     # generalized momenta
     p1 = m11 * w1 + m12 * w2
     p2 = m12 * w1 + m22 * w2
-    v1g = kg1 * cos1 + kg2 * c12                # dV/dth1
-    v2g = -kg2 * c12                            # dV/dth2
+    v1g = g1 + g2                               # dV/dth1
+    v2g = -g2                                   # dV/dth2, = -kg2 * c12
     # dH/dth1 has no velocity dependence (the mass matrix only sees th2),
     # so the first momentum update is explicit; the second converges in a
     # few fixed-point passes because dt times the coupling is tiny.
     q1 = p1 + dt * (tau1 - v1g)
+    m22q1 = m22 * q1
+    m12q1 = m12 * q1
     q2 = p2
     for _ in range(3):
-        u1 = (m22 * q1 - m12 * q2) / det
-        u2 = (m11 * q2 - m12 * q1) / det
+        u1 = (m22q1 - m12 * q2) / det
+        u2 = (m11 * q2 - m12q1) / det
         q2 = p2 + dt * (tau2 - (hs * u1 * (u1 - u2) + v2g))
-    u1 = (m22 * q1 - m12 * q2) / det
-    u2 = (m11 * q2 - m12 * q1) / det
+    u1 = (m22q1 - m12 * q2) / det
+    u2 = (m11 * q2 - m12q1) / det
     th1n = th1 + dt * u1
     th2n = th2 + dt * u2
-    c2n = math.cos(th2n)
+    c2n = cos(th2n)
     n11 = m11_0 + 2.0 * cross * c2n
     n12 = -(qb + cross * c2n)
-    n22 = qb
-    ndet = n11 * n22 - n12 * n12
-    w1n = (n22 * q1 - n12 * q2) / ndet
+    ndet = n11 * qb - n12 * n12
+    w1n = (m22q1 - n12 * q2) / ndet             # m22 = n22 = qb
     w2n = (n11 * q2 - n12 * q1) / ndet
     return th1n, th2n, w1n, w2n, a1, a2
 

@@ -11,14 +11,14 @@ import sys
 import numpy as np
 
 from .actuators import MORPHOLOGIES, AblationFlags, make_controller
-from .arm import Perturbation
+from .arm import ArmParams, Perturbation
 from .config import ExperimentConfig
-from .control import (MpcConfig, SENTINEL_COST, calibrate_torque_limits,
+from .control import (MpcConfig, calibrate_torque_limits,
                       mpc_run, open_loop_optimize, parameterization_for,
                       rollout, zoh_control, DT_SIM)
-from .harness import (TRACE_HEADER, default_jobs, fmt, read_csv,
-                      run_experiment, summarize, write_csv,
-                      write_trajectory_csv)
+from .harness import (TRACE_HEADER, default_jobs, fmt, mpc_trace_rows,
+                      oc_trace_rows, read_csv, run_experiment, summarize,
+                      write_csv, write_trajectory_csv)
 from .objectives import make_task
 from .optimizers import CmaConfig
 
@@ -63,13 +63,14 @@ def _ensure_dir(path):
 
 def cmd_simulate(args):
     """Roll out a seeded random piecewise-constant policy and dump the CSV."""
-    task = make_task(args.task, seed=args.seed)
+    params = ArmParams()
+    task = make_task(args.task, seed=args.seed, params=params)
     morph, overrides, _ = _controller_setup(args)
     ctrl = make_controller(morph, **overrides)
     par = parameterization_for(task, ctrl, args.c)
     rng = np.random.default_rng(args.seed)
     theta = rng.uniform(par.lo, par.hi, par.dim)
-    res = rollout(task, ctrl, zoh_control(theta, par, DT_SIM),
+    res = rollout(task, ctrl, zoh_control(theta, par, DT_SIM), params=params,
                   perturbation=_perturbation(args))
     write_trajectory_csv(args.out, res)
     print(f"wrote {args.out} cost={fmt(res.cost)} "
@@ -78,17 +79,17 @@ def cmd_simulate(args):
 
 
 def cmd_optimize(args):
-    task = make_task(args.task, seed=args.seed)
+    params = ArmParams()
+    task = make_task(args.task, seed=args.seed, params=params)
     morph, overrides, label = _controller_setup(args)
     cma = CmaConfig(population=args.population, generations=args.generations,
                     sigma0=args.sigma, seed=args.seed)
     x, best, trace, par = open_loop_optimize(task, morph, args.c, cma,
+                                             params=params,
                                              controller_overrides=overrides)
     out = _ensure_dir(args.out)
-    rows = [["optimize", args.task, label, args.c, args.sigma, "",
-             args.seed, g, trace.best_so_far[g], trace.evals[g],
-             int(trace.best_so_far[g] >= SENTINEL_COST)]
-            for g in range(len(trace.best_so_far))]
+    rows = oc_trace_rows("optimize", args.task, label, args.c, args.sigma,
+                         args.seed, trace)
     trace_path = os.path.join(out, "trace.csv")
     write_csv(trace_path, TRACE_HEADER, rows)
     best_path = os.path.join(out, "best.csv")
@@ -99,22 +100,21 @@ def cmd_optimize(args):
 
 
 def cmd_mpc(args):
-    task = make_task(args.task, seed=args.seed)
+    params = ArmParams()
+    task = make_task(args.task, seed=args.seed, params=params)
     morph, overrides, label = _controller_setup(args)
     cfg = MpcConfig(t_pred=args.tpred, resolution=args.resolution,
                     warm_population=args.population,
                     warm_generations=args.warm_generations,
                     refine_budget=args.refine_budget, seed=args.seed)
-    res = mpc_run(task, morph, cfg, perturbation=_perturbation(args),
+    res = mpc_run(task, morph, cfg, params=params,
+                  perturbation=_perturbation(args),
                   controller_overrides=overrides)
     out = _ensure_dir(args.out)
     traj_path = os.path.join(out, "trajectory.csv")
     write_trajectory_csv(traj_path, res.executed)
-    rows = [["mpc", args.task, label, args.resolution, "",
-             args.tpred, args.seed, k, float(res.step_costs[k]),
-             args.population * args.warm_generations + k * args.refine_budget,
-             int(res.diverged)]
-            for k in range(res.step_costs.size)]
+    rows = mpc_trace_rows("mpc", args.task, label, args.resolution,
+                          args.tpred, args.seed, res)
     costs_path = os.path.join(out, "costs.csv")
     write_csv(costs_path, TRACE_HEADER, rows)
     print(f"wrote {traj_path} and {costs_path} cost={fmt(res.cost)} "

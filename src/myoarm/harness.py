@@ -89,7 +89,25 @@ def _task_for(config: ExperimentConfig, seed: int):
     overrides = {}
     if config.weight_overrides:
         overrides["weights"] = ObjectiveWeights(**config.weight_overrides)
-    return make_task(config.task, seed=seed, **overrides)
+    return make_task(config.task, seed=seed, params=_arm_params(config),
+                     **overrides)
+
+
+def oc_trace_rows(experiment, task, morphology, c, sigma, seed, trace):
+    """Trace rows of one trajectory-optimization run: one per generation,
+    with the running best cost and the evaluations spent so far."""
+    return [[experiment, task, morphology, c, sigma, "", seed, g, cost,
+             trace.evals[g], int(cost >= SENTINEL_COST)]
+            for g, cost in enumerate(trace.best_so_far)]
+
+
+def mpc_trace_rows(experiment, task, morphology, resolution, tpred, seed, res):
+    """Trace rows of one receding-horizon run: one per executed control
+    step, with its stage cost and the evaluations spent before it
+    (MpcResult.step_evals)."""
+    return [[experiment, task, morphology, resolution, "", tpred, seed, k,
+             float(cost), int(res.step_evals[k]), int(cost >= SENTINEL_COST)]
+            for k, cost in enumerate(res.step_costs)]
 
 
 TORQUE_FAMILY = ("torque", "pd", "lowpass-fast", "lowpass-slow")
@@ -116,12 +134,8 @@ def _oc_run(config_dict, morphology, c, sigma, seed, tau_max=None):
                     generations=config.generations, sigma0=sigma, seed=seed)
     _, best, trace, _ = open_loop_optimize(task, base, c, cma, params=params,
                                            controller_overrides=overrides)
-    rows = []
-    for g in range(len(trace.best_so_far)):
-        cost = trace.best_so_far[g]
-        rows.append([config.kind, config.task, morphology, c, sigma, "",
-                     seed, g, cost, trace.evals[g],
-                     int(cost >= SENTINEL_COST)])
+    rows = oc_trace_rows(config.kind, config.task, morphology, c, sigma, seed,
+                         trace)
     peaks = np.abs(best.torques).max(axis=0)
     return rows, (float(peaks[0]), float(peaks[1]))
 
@@ -142,13 +156,8 @@ def _mpc_run(config_dict, morphology, tpred, seed, mass=None, tau_max=None):
                     refine_budget=config.refine_budget, seed=seed)
     res = mpc_run(task, base, mpc, params=params, perturbation=pert,
                   controller_overrides=overrides)
-    rows = []
-    evals_per = [mpc.warm_population * mpc.warm_generations
-                 + k * mpc.refine_budget for k in range(res.step_costs.size)]
-    for k, cost in enumerate(res.step_costs):
-        rows.append([config.kind, config.task, morphology,
-                     config.mpc_resolution, "", tpred, seed, k, float(cost),
-                     evals_per[k], int(cost >= SENTINEL_COST)])
+    rows = mpc_trace_rows(config.kind, config.task, morphology,
+                          config.mpc_resolution, tpred, seed, res)
     return rows, res
 
 

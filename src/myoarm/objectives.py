@@ -3,7 +3,7 @@ reward, plus the task descriptions (initial state, horizon, terminal rule)
 that the rollout and optimization layers consume."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -191,7 +191,11 @@ class SmoothReaching:
 
 @dataclass
 class PreciseReaching:
-    """Hold the hand on a sampled goal point; reward evaluated per control step."""
+    """Hold the hand on a sampled goal point; reward evaluated per control step.
+
+    Without a goal in `target`, one is drawn from target.rect with the task
+    seed, inside the reach of `params` (the default arm when None).
+    """
 
     name = "precise-reach"
     duration: float = 10.0
@@ -200,12 +204,14 @@ class PreciseReaching:
     target: ReachTarget = field(default_factory=ReachTarget)
     seed: int = 0
     terminal_threshold: float | None = None   # set for the fast variant
+    params: InitVar[ArmParams | None] = None  # the arm goals are drawn for
     has_ball = False
 
-    def __post_init__(self):
+    def __post_init__(self, params):
         if self.target.goal_xz is None:
             rng = np.random.Generator(np.random.PCG64(self.seed))
-            self.target.goal_xz = self.target.sample_goal(rng, ArmParams())
+            self.target.goal_xz = self.target.sample_goal(
+                rng, params if params is not None else ArmParams())
 
     def initial_state(self) -> ArmState:
         return ArmState(th1=-0.5 * math.pi, th2=0.0)
@@ -288,14 +294,16 @@ class BallServe:
 TASKS = ("smooth-reach", "precise-reach", "fast-reach", "ball-serve")
 
 
-def make_task(name: str, seed: int = 0, **overrides):
-    """Task factory; seed only affects tasks with sampled goals."""
+def make_task(name: str, seed: int = 0, params: ArmParams | None = None,
+              **overrides):
+    """Task factory; seed and params (the arm the task runs on) only affect
+    tasks with sampled goals, whose goals must lie within that arm's reach."""
     if name == "smooth-reach":
         return SmoothReaching(**overrides)
     if name == "precise-reach":
-        return PreciseReaching(seed=seed, **overrides)
+        return PreciseReaching(seed=seed, params=params, **overrides)
     if name == "fast-reach":
-        return fast_reaching_task(seed=seed, **overrides)
+        return fast_reaching_task(seed=seed, params=params, **overrides)
     if name == "ball-serve":
         return BallServe(**overrides)
     raise ValueError(f"unknown task {name!r}; expected one of {TASKS}")

@@ -1,9 +1,12 @@
 """Derivative-free optimizers and the piecewise-constant control encoding.
 
 cma_es is a standard (mu/mu_w, lambda) evolution strategy with rank-one and
-rank-mu covariance updates and cumulative step-size adaptation; local_refine
-is a bounded coordinate pattern search that spends at most its evaluation
-budget and reports what it spent.
+rank-mu covariance updates and cumulative step-size adaptation. It hands its
+objective one generation at a time, as a (lambda, dim) array of candidates
+whose rows are independent, and takes back lambda costs; the rollout layer
+scores such a population in lockstep (control.rollout_batch). local_refine
+is a bounded coordinate pattern search over a scalar objective that spends
+at most its evaluation budget and reports what it spent.
 """
 
 import math
@@ -110,12 +113,14 @@ class OptimizationTrace:
         return self.evals[-1] if self.evals else 0
 
 
-def cma_es(objective, dim: int, config: CmaConfig, map_fn=map):
-    """Minimize objective over R^dim; returns (best_x, best_f, trace).
+def cma_es(objective, dim: int, config: CmaConfig):
+    """Minimize over R^dim; returns (best_x, best_f, trace).
 
-    Exactly population * generations evaluations are spent. Non-finite
-    objective values are replaced by a sentinel so they rank worst without
-    poisoning the distribution update. map_fn, if given, must preserve order.
+    objective(x) gets one generation, x of shape (population, dim), and
+    returns one cost per row, in row order. Exactly population *
+    generations evaluations are spent, in `generations` objective calls.
+    Non-finite objective values are replaced by a sentinel so they rank
+    worst without poisoning the distribution update.
     """
     lam = int(config.population)
     if lam < 4:
@@ -157,7 +162,10 @@ def cma_es(objective, dim: int, config: CmaConfig, map_fn=map):
         z = rng.standard_normal((lam, n))
         y = z @ (basis * d).T                      # y_k = B D z_k
         x = mean + sigma * y
-        f = np.fromiter(map_fn(objective, x), dtype=float, count=lam)
+        f = np.asarray(objective(x), dtype=float)
+        if f.shape != (lam,):
+            raise ValueError(f"objective returned shape {f.shape} for a "
+                             f"population of {lam}, expected ({lam},)")
         evals += lam
         bad = ~np.isfinite(f)
         if bad.any():

@@ -153,6 +153,28 @@ class TestMpc:
         assert "evals=" in capsys.readouterr().out
 
 
+    def test_costs_csv_counts_the_evaluations_spent(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # a refinement cut short after one evaluation: the last row's evals
+        # is what the run spent (and prints), not warm + k * budget
+        import myoarm.control as control
+        real = control.local_refine
+
+        def one_eval(objective, x0, radius0, budget, lo=None, hi=None):
+            return real(objective, x0, radius0, 1, lo=lo, hi=hi)
+
+        monkeypatch.setattr(control, "local_refine", one_eval)
+        out = tmp_path / "mpc"
+        assert run_cli("mpc", "--tpred", "0.02", "--population", "4",
+                       "--warm-generations", "1", "--refine-budget", "3",
+                       "--out", str(out)) == 0
+        header, rows = read_csv(out / "costs.csv")
+        col = header.index("evals")
+        n_ctrl = round(0.9 / 0.01)
+        assert [int(r[col]) for r in rows] == [4 + k for k in range(n_ctrl)]
+        assert f"evals={4 + n_ctrl - 1}" in capsys.readouterr().out
+
+
 class TestExperimentAndSummarize:
     def test_experiment_then_summarize_matches_aggregate(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

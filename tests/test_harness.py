@@ -11,7 +11,7 @@ from myoarm.config import ExperimentConfig
 from myoarm.control import SENTINEL_COST
 from myoarm.harness import (AGG_HEADER, ROBUST_HEADER, TRACE_HEADER,
                             _check_invariants, _pool_aggregates, _run_points,
-                            _trace_name, aggregate_rows, default_jobs, fmt,
+                            _task_for, _trace_name, aggregate_rows, default_jobs, fmt,
                             overshoot_past_target, read_csv, run_experiment,
                             robustness_sweep, summarize, trajectory_header,
                             write_csv, write_trajectory_csv)
@@ -218,6 +218,15 @@ class TestRunExperiment:
             run_experiment(config)
 
 
+class TestTaskForConfig:
+    def test_goals_are_sampled_within_the_configured_arm(self):
+        config = ExperimentConfig(task="precise-reach",
+                                  arm_overrides={"l1": 0.1, "l2": 0.1})
+        for seed in range(50):
+            gx, gz = _task_for(config, seed).target.goal_xz
+            assert math.hypot(gx, gz) <= 0.2 - 0.01
+
+
 class TestRobustnessSweep:
     def test_outputs_and_trajectory_schema(self, tmp_path):
         config = tiny_mpc_config(tmp_path)
@@ -254,6 +263,32 @@ class TestRobustnessSweep:
         assert len(rows) == 2
         assert {r[3] for r in rows} == {"0.0", "1.0"}
         assert rows[0][2] == "muscle" and rows[0][7] == "0"
+
+    def test_trace_evals_are_what_each_run_spent(self, tmp_path, monkeypatch):
+        # every refinement cut short after one evaluation: the trace's last
+        # evals equals MpcResult.evals, not warm + k * refine_budget
+        import myoarm.control as control
+        import myoarm.harness as harness
+        real_refine, real_run = control.local_refine, harness.mpc_run
+        results = []
+
+        def one_eval(objective, x0, radius0, budget, lo=None, hi=None):
+            return real_refine(objective, x0, radius0, 1, lo=lo, hi=hi)
+
+        def kept_run(*args, **kwargs):
+            results.append(real_run(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(control, "local_refine", one_eval)
+        monkeypatch.setattr(harness, "mpc_run", kept_run)
+        config = tiny_mpc_config(tmp_path)       # runs mass 0.0 first
+        config.refine_budget = 3
+        robustness_sweep(config)
+        header, rows = read_csv(tmp_path / "robust_muscle_m0.0_seed0_trace.csv")
+        evals = [int(r[header.index("evals")]) for r in rows]
+        n_ctrl = round(0.9 / 0.01)
+        assert evals == [4 + k for k in range(n_ctrl)]
+        assert evals[-1] == results[0].evals
 
 
 class TestSummarize:

@@ -190,6 +190,17 @@ class TestRollout:
                 with pytest.raises(ValueError, match="non-finite"):
                     zoh_control(theta, par, DT_SIM)
 
+    def test_constant_control_rejects_non_finite_excitations(self):
+        # NaN used to reach the muscle controller and read as activity 1.0
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                constant_control([0.5, bad, 0.5, 0.5])
+
+    def test_constant_control_rejects_non_finite_torques(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                constant_control([bad, 0.0])
+
     def test_resolution_must_align_with_dt(self):
         task = SmoothReaching()
         par = parameterization_for(task, TorqueController(), 0.3)
@@ -303,6 +314,9 @@ class TestMpc:
         expect = (cfg.warm_population * cfg.warm_generations
                   + (n_ctrl - 1) * cfg.refine_budget)
         assert res.evals == expect
+        assert res.step_evals.tolist() == [
+            cfg.warm_population * cfg.warm_generations + k * cfg.refine_budget
+            for k in range(n_ctrl)]
 
     def test_evals_count_what_refinement_spent(self, monkeypatch):
         # a refinement that stops short of its budget is charged the
@@ -320,6 +334,9 @@ class TestMpc:
         n_ctrl = round(task.duration / cfg.resolution)
         assert res.evals == (cfg.warm_population * cfg.warm_generations
                              + (n_ctrl - 1))
+        assert res.step_evals.tolist() == [
+            cfg.warm_population * cfg.warm_generations + k
+            for k in range(n_ctrl)]
 
     def test_budget_parity(self):
         task = SmoothReaching()

@@ -17,6 +17,11 @@ def rosenbrock(x):
     return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
 
 
+def rows(f):
+    """A scalar objective in cma_es's contract: one cost per population row."""
+    return lambda x: np.array([f(xi) for xi in x])
+
+
 class TestParameterization:
     def test_dimension_arithmetic(self):
         par = ControlParameterization(horizon=0.9, resolution=0.3,
@@ -125,7 +130,7 @@ class TestCmaEs:
         for seed in range(5):
             cfg = CmaConfig(population=36, generations=100, sigma0=0.3,
                             seed=seed)
-            _, best_f, _ = cma_es(sphere, 10, cfg)
+            _, best_f, _ = cma_es(rows(sphere), 10, cfg)
             assert best_f < 1e-10
 
     def test_translated_sphere_recovers_optimum(self):
@@ -135,7 +140,7 @@ class TestCmaEs:
             return float(np.sum((x - opt) ** 2))
 
         cfg = CmaConfig(population=36, generations=150, sigma0=0.3, seed=1)
-        best_x, _, _ = cma_es(f, 5, cfg)
+        best_x, _, _ = cma_es(rows(f), 5, cfg)
         assert np.abs(best_x - opt).max() < 1e-4
 
     def test_rosenbrock_most_seeds(self):
@@ -143,14 +148,14 @@ class TestCmaEs:
         for seed in range(5):
             cfg = CmaConfig(population=36, generations=300, sigma0=0.3,
                             seed=seed)
-            _, best_f, _ = cma_es(rosenbrock, 5, cfg)
+            _, best_f, _ = cma_es(rows(rosenbrock), 5, cfg)
             hits += best_f < 1e-6
         assert hits >= 4
 
     def test_seeded_reproducibility(self):
         cfg = CmaConfig(population=12, generations=30, sigma0=0.5, seed=42)
-        xa, fa, ta = cma_es(sphere, 6, cfg)
-        xb, fb, tb = cma_es(sphere, 6, cfg)
+        xa, fa, ta = cma_es(rows(sphere), 6, cfg)
+        xb, fb, tb = cma_es(rows(sphere), 6, cfg)
         assert np.array_equal(xa, xb)
         assert fa == fb
         assert ta.best_so_far == tb.best_so_far
@@ -158,21 +163,24 @@ class TestCmaEs:
 
     def test_best_so_far_monotone(self):
         cfg = CmaConfig(population=8, generations=60, sigma0=1.0, seed=7)
-        _, _, trace = cma_es(rosenbrock, 4, cfg)
+        _, _, trace = cma_es(rows(rosenbrock), 4, cfg)
         bsf = np.asarray(trace.best_so_far)
         assert np.all(np.diff(bsf) <= 0.0)
         assert np.all(np.asarray(trace.gen_best) >= bsf)
 
     def test_exact_evaluation_count(self):
         calls = [0]
+        evaluated = [0]
 
         def counted(x):
             calls[0] += 1
-            return sphere(x)
+            evaluated[0] += len(x)
+            return rows(sphere)(x)
 
         cfg = CmaConfig(population=10, generations=25, sigma0=0.3, seed=0)
         _, _, trace = cma_es(counted, 3, cfg)
-        assert calls[0] == 250
+        assert calls[0] == 25               # one call per generation
+        assert evaluated[0] == 250
         assert trace.total_evals == 250
         assert trace.evals == list(range(10, 251, 10))
 
@@ -183,7 +191,7 @@ class TestCmaEs:
             return sphere(x)
 
         cfg = CmaConfig(population=16, generations=80, sigma0=0.4, seed=3)
-        best_x, best_f, trace = cma_es(holey, 4, cfg)
+        best_x, best_f, trace = cma_es(rows(holey), 4, cfg)
         assert math.isfinite(best_f)
         assert best_f < 1e-6
         assert trace.total_evals == 16 * 80
@@ -191,8 +199,8 @@ class TestCmaEs:
 
     def test_offset_objective_identical_iterates(self):
         cfg = CmaConfig(population=14, generations=40, sigma0=0.6, seed=5)
-        xa, fa, ta = cma_es(sphere, 5, cfg)
-        xb, fb, tb = cma_es(lambda x: sphere(x) + 10.0, 5, cfg)
+        xa, fa, ta = cma_es(rows(sphere), 5, cfg)
+        xb, fb, tb = cma_es(rows(lambda x: sphere(x) + 10.0), 5, cfg)
         assert np.array_equal(xa, xb)
         assert abs((fb - fa) - 10.0) < 1e-9
         for ga, gb in zip(ta.gen_best, tb.gen_best):
@@ -201,16 +209,23 @@ class TestCmaEs:
     def test_x0_respected_and_checked(self):
         cfg = CmaConfig(population=8, generations=5, sigma0=0.1, seed=0,
                         x0=np.full(3, 2.0))
-        _, best_f, _ = cma_es(sphere, 3, cfg)
+        _, best_f, _ = cma_es(rows(sphere), 3, cfg)
         assert best_f < 12.5                 # started near f=12, improved
         bad = CmaConfig(population=8, generations=5, sigma0=0.1, seed=0,
                         x0=np.zeros(2))
         with pytest.raises(ValueError):
-            cma_es(sphere, 3, bad)
+            cma_es(rows(sphere), 3, bad)
 
     def test_dim_validated(self):
         with pytest.raises(ValueError):
-            cma_es(sphere, 0, CmaConfig(population=8, generations=5))
+            cma_es(rows(sphere), 0, CmaConfig(population=8, generations=5))
+
+    def test_objective_must_return_one_cost_per_row(self):
+        cfg = CmaConfig(population=8, generations=2, seed=0)
+        with pytest.raises(ValueError, match="shape"):
+            cma_es(lambda x: np.sum(x * x), 3, cfg)
+        with pytest.raises(ValueError, match="shape"):
+            cma_es(lambda x: np.sum(x * x, axis=1)[:-1], 3, cfg)
 
 
 class TestLocalRefine:

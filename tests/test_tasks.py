@@ -279,6 +279,20 @@ class TestTaskFactory:
         with pytest.raises(ValueError):
             make_task("backflip")
 
+    def test_goals_are_sampled_within_the_given_arm(self):
+        # against the default arm, 49 of these 50 goals were out of reach
+        arm = ArmParams(l1=0.1, l2=0.1)
+        for name in ("precise-reach", "fast-reach"):
+            for seed in range(50):
+                gx, gz = make_task(name, seed=seed, params=arm).target.goal_xz
+                assert math.hypot(gx, gz) <= arm.l1 + arm.l2 - 0.01
+
+    def test_default_goal_unchanged_by_passing_the_default_arm(self):
+        for seed in range(5):
+            assert (make_task("precise-reach", seed=seed).target.goal_xz
+                    == make_task("precise-reach", seed=seed,
+                                 params=ArmParams()).target.goal_xz)
+
     def test_smooth_defaults(self):
         task = make_task("smooth-reach")
         assert task.duration == 0.9
