@@ -155,11 +155,6 @@ def force_passive(l: float) -> float:
     return 1.3 * x * x
 
 
-def flv_curves(l: float, v: float):
-    """Convenience bundle (FL, FV, FP) at one fiber state."""
-    return force_length(l), force_velocity(v), force_passive(l)
-
-
 @dataclass
 class MuscleParams:
     """Antagonistic muscle pair acting on one joint.
@@ -196,19 +191,18 @@ class AblationFlags:
     disable_fv: bool = False
     disable_activation: bool = False
 
+    NAMES = {"fl": "disable_fl", "fv": "disable_fv",
+             "actdyn": "disable_activation"}
+
     @classmethod
     def from_names(cls, names):
-        """Build from strings in {'fl', 'fv', 'actdyn'} (repeats are fine)."""
+        """Build from strings in NAMES (repeats are fine)."""
         flags = cls()
         for n in names:
-            if n == "fl":
-                flags.disable_fl = True
-            elif n == "fv":
-                flags.disable_fv = True
-            elif n == "actdyn":
-                flags.disable_activation = True
-            else:
-                raise ValueError(f"unknown ablation {n!r}")
+            if n not in cls.NAMES:
+                raise ValueError(f"unknown ablation {n!r}; expected one of "
+                                 f"{tuple(cls.NAMES)}")
+            setattr(flags, cls.NAMES[n], True)
         return flags
 
 
@@ -571,6 +565,26 @@ class LowPassController:
 
 
 MORPHOLOGIES = ("muscle", "torque", "pd", "lowpass-fast", "lowpass-slow")
+
+
+def parse_morphology(label: str):
+    """(morphology, controller overrides) of a run label.
+
+    A label is one of MORPHOLOGIES, or 'muscle' followed by one '-noX' per
+    ablated property X in AblationFlags.NAMES, as in 'muscle-nofl-nofv'.
+    Sweeps name ablation runs this way and the CLI labels `--ablate` runs
+    the same way, so both read them back through this one parser.
+    """
+    base, *ablated = label.split("-no")
+    if base not in MORPHOLOGIES:
+        raise ValueError(f"unknown morphology {label!r}; expected one of "
+                         f"{MORPHOLOGIES}, optionally muscle-noX")
+    if not ablated:
+        return base, {}
+    if base != "muscle":
+        raise ValueError(f"ablations apply only to the muscle morphology, "
+                         f"not {base!r}")
+    return base, {"flags": AblationFlags.from_names(ablated)}
 
 
 def make_controller(morphology: str, **overrides):

@@ -195,6 +195,17 @@ def _jacobian(c: _Coeffs, th1, th2):
     return j11, j12, j21, j22
 
 
+def hand_position(th1, th2, params, cos=math.cos, sin=math.sin):
+    """Hand (x, z) at joint angles th1, th2 of an arm with params.l1, .l2.
+
+    The one forward-kinematics formula of the reaching tasks: it runs on
+    floats, or on arrays of samples with cos=np.cos, sin=np.sin.
+    """
+    fore = th1 - th2
+    return (params.l1 * cos(th1) + params.l2 * cos(fore),
+            params.l1 * sin(th1) + params.l2 * sin(fore))
+
+
 def _hand(c: _Coeffs, th1, th2, w1, w2):
     s1 = math.sin(th1)
     c1 = math.cos(th1)
@@ -261,6 +272,22 @@ def _pendulum_forces(c: _Coeffs, th1, th2, w1, w2, tau1, tau2, pert: Perturbatio
     tz = math.sin(phi)
     ddphi = (-c.g * tz - (ahx * tx + ahz * tz)) / l
     return fx, fz, ddphi, a1, a2
+
+
+def _pendulum_step(c: _Coeffs, th1, th2, w1, w2, tau1, tau2, pert: Perturbation,
+                   phi, dphi, dt):
+    """Couple a pendulum load into one step: (tau1', tau2', phi', dphi').
+
+    The joint torques gain the cable force at the hand, mapped through the
+    Jacobian transpose, and the bob advances by semi-implicit Euler. Both
+    step and control.rollout advance a pendulum load through this.
+    """
+    fx, fz, ddphi, _, _ = _pendulum_forces(c, th1, th2, w1, w2, tau1, tau2,
+                                           pert, phi, dphi)
+    j11, j12, j21, j22 = _jacobian(c, th1, th2)
+    dphi = dphi + dt * ddphi
+    return (tau1 + (j11 * fx + j21 * fz), tau2 + (j12 * fx + j22 * fz),
+            phi + dt * dphi, dphi)
 
 
 def _symp_step(c: _Coeffs, th1, th2, w1, w2, tau1, tau2, dt,
@@ -376,18 +403,11 @@ def step(state: ArmState, tau, dt: float = 0.005, params: ArmParams | None = Non
     p = params if perturbation is None else perturbation.apply_to(params)
     c = _Coeffs(p)
     t1, t2 = tau[0], tau[1]
+    pend_angle, pend_vel = state.pend_angle, state.pend_vel
     if perturbation is not None and perturbation.kind == "chaotic_pendulum":
-        fx, fz, ddphi, _, _ = _pendulum_forces(
+        t1, t2, pend_angle, pend_vel = _pendulum_step(
             c, state.th1, state.th2, state.dth1, state.dth2, t1, t2,
-            perturbation, state.pend_angle, state.pend_vel)
-        j11, j12, j21, j22 = _jacobian(c, state.th1, state.th2)
-        t1 += j11 * fx + j21 * fz
-        t2 += j12 * fx + j22 * fz
-        pend_vel = state.pend_vel + dt * ddphi
-        pend_angle = state.pend_angle + dt * pend_vel
-    else:
-        pend_vel = state.pend_vel
-        pend_angle = state.pend_angle
+            perturbation, pend_angle, pend_vel, dt)
     th1, th2, dth1, dth2, _, _ = _symp_step(
         c, state.th1, state.th2, state.dth1, state.dth2, t1, t2, dt)
     return ArmState(

@@ -10,7 +10,8 @@ import sys
 
 import numpy as np
 
-from .actuators import MORPHOLOGIES, AblationFlags, make_controller
+from .actuators import (MORPHOLOGIES, AblationFlags, make_controller,
+                        parse_morphology)
 from .arm import ArmParams, Perturbation
 from .config import ExperimentConfig
 from .control import (MpcConfig, calibrate_torque_limits,
@@ -21,9 +22,6 @@ from .harness import (TRACE_HEADER, default_jobs, fmt, mpc_trace_rows,
                       write_csv, write_trajectory_csv)
 from .objectives import make_task
 from .optimizers import CmaConfig
-
-PERTURBATIONS = ("none", "lower_arm_mass", "hand_mass", "chaotic_pendulum")
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse variant that treats every usage problem as exit code 1."""
@@ -39,14 +37,12 @@ def _controller_setup(args):
 
     The label names the run in trace rows the way the harness does: each
     ablation adds a '-noX' suffix, so `--ablate fl` runs are 'muscle-nofl'.
+    The controller is read back from the label by parse_morphology, as
+    the harness reads its sweep labels.
     """
-    names = getattr(args, "ablate", None) or []
-    if not names:
-        return args.morphology, {}, args.morphology
-    if args.morphology != "muscle":
-        raise ValueError("--ablate only applies to the muscle morphology")
-    label = "muscle" + "".join(f"-no{n}" for n in dict.fromkeys(names))
-    return "muscle", {"flags": AblationFlags.from_names(names)}, label
+    label = args.morphology + "".join(
+        f"-no{n}" for n in dict.fromkeys(args.ablate or []))
+    return (*parse_morphology(label), label)
 
 
 def _perturbation(args):
@@ -160,7 +156,7 @@ def _add_run_flags(p, c_default=0.3):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--c", type=float, default=c_default,
                    help="control resolution in seconds")
-    p.add_argument("--ablate", action="append", choices=("fl", "fv", "actdyn"),
+    p.add_argument("--ablate", action="append", choices=AblationFlags.NAMES,
                    help="disable a muscle property (repeatable)")
 
 
@@ -172,7 +168,7 @@ def build_parser():
     p = sub.add_parser("simulate", help="single rollout of a random policy")
     _add_run_flags(p)
     p.add_argument("--out", default="trajectory.csv")
-    p.add_argument("--perturb", default="none", choices=PERTURBATIONS)
+    p.add_argument("--perturb", default="none", choices=Perturbation.KINDS)
     p.add_argument("--mass", type=float, default=1.0)
     p.add_argument("--visible", action="store_true",
                    help="let prediction models see the perturbation")
@@ -194,7 +190,7 @@ def build_parser():
     p.add_argument("--warm-generations", type=int, default=20)
     p.add_argument("--refine-budget", type=int, default=50)
     p.add_argument("--out", default="results")
-    p.add_argument("--perturb", default="none", choices=PERTURBATIONS)
+    p.add_argument("--perturb", default="none", choices=Perturbation.KINDS)
     p.add_argument("--mass", type=float, default=1.0)
     p.add_argument("--visible", action="store_true")
     p.set_defaults(func=cmd_mpc)

@@ -3,6 +3,9 @@
 The file format is one `section.key = value` assignment per line, with `#`
 comments and blank lines ignored. Values are parsed as int, float, bool, or
 string; comma-separated values become lists. Keys are case-insensitive.
+ExperimentConfig.from_mapping rejects a key it does not know, and the
+config rejects unknown task, morphology and ablation names, so a typo stops
+the run before it starts instead of being ignored.
 
 Example::
 
@@ -15,7 +18,11 @@ Example::
     arm.l1 = 0.3
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+
+from .actuators import AblationFlags, parse_morphology
+from .arm import ArmParams
+from .objectives import TASKS, ObjectiveWeights
 
 EXPERIMENT_KINDS = ("data_efficiency", "sigma_sweep", "tpred_sweep",
                     "robustness_weights", "ablation", "ball_serve",
@@ -73,10 +80,10 @@ def section(mapping: dict, name: str) -> dict:
             if k.startswith(prefix)}
 
 
-def _as_list(value):
-    if value is None:
-        return None
-    return list(value) if isinstance(value, list) else [value]
+def _list_of(convert):
+    """Conversion of a list value; a single value is a one-element list."""
+    return lambda value: [convert(v) for v in
+                          (value if isinstance(value, list) else [value])]
 
 
 def _seed_list(value):
@@ -89,6 +96,32 @@ def _seed_list(value):
     if not seeds:
         raise ValueError("need at least one seed")
     return seeds
+
+
+# config file key -> (ExperimentConfig field, conversion); arm.* and
+# weights.* keys go to arm_overrides and weight_overrides instead
+_KEYS = {
+    "experiment.kind": ("kind", str),
+    "experiment.task": ("task", str),
+    "experiment.morphologies": ("morphologies", _list_of(str)),
+    "experiment.seeds": ("seeds", _seed_list),
+    "experiment.out_dir": ("out_dir", str),
+    "experiment.ablations": ("ablations", _list_of(str)),
+    "grid.c": ("c_grid", _list_of(float)),
+    "grid.sigma": ("sigma_grid", _list_of(float)),
+    "grid.tpred": ("tpred_grid", _list_of(float)),
+    "grid.masses": ("masses", _list_of(float)),
+    "optimizer.population": ("population", int),
+    "optimizer.generations": ("generations", int),
+    "optimizer.sigma": ("sigma", float),
+    "optimizer.c": ("c", float),
+    "mpc.tpred": ("tpred", float),
+    "mpc.resolution": ("mpc_resolution", float),
+    "mpc.warm_generations": ("warm_generations", int),
+    "mpc.refine_budget": ("refine_budget", int),
+}
+_OVERRIDES = {"arm": ("arm_overrides", ArmParams),
+              "weights": ("weight_overrides", ObjectiveWeights)}
 
 
 @dataclass
@@ -121,8 +154,21 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown experiment kind {self.kind!r}; expected one of "
                 f"{EXPERIMENT_KINDS}")
+        if self.task not in TASKS:
+            raise ValueError(f"unknown task {self.task!r}; expected one of {TASKS}")
         if not self.morphologies:
             raise ValueError("morphology list is empty")
+        for morphology in self.morphologies:
+            parse_morphology(morphology)
+        for name in self.ablations:
+            if name != "none":
+                AblationFlags.from_names([name])
+        for prefix, (attr, cls) in _OVERRIDES.items():
+            known = {f.name for f in fields(cls)}
+            for key in getattr(self, attr):
+                if key not in known:
+                    raise ValueError(f"unknown config key {prefix}.{key}; "
+                                     f"{prefix}. takes {sorted(known)}")
         for name, grid in (("c", self.c_grid), ("sigma", self.sigma_grid),
                            ("tpred", self.tpred_grid), ("masses", self.masses)):
             if not grid:
@@ -140,51 +186,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
-        exp = section(mapping, "experiment")
-        grid = section(mapping, "grid")
-        opt = section(mapping, "optimizer")
-        mpc = section(mapping, "mpc")
-        kw = {}
-        if "kind" in exp:
-            kw["kind"] = str(exp["kind"])
-        if "task" in exp:
-            kw["task"] = str(exp["task"])
-        elif kw.get("kind") == "ball_serve":
-            kw["task"] = "ball-serve"
-        if "morphologies" in exp:
-            kw["morphologies"] = [str(m) for m in _as_list(exp["morphologies"])]
-        if "seeds" in exp:
-            kw["seeds"] = _seed_list(exp["seeds"])
-        if "out_dir" in exp:
-            kw["out_dir"] = str(exp["out_dir"])
-        if "ablations" in exp:
-            kw["ablations"] = [str(a) for a in _as_list(exp["ablations"])]
-        if "c" in grid:
-            kw["c_grid"] = [float(v) for v in _as_list(grid["c"])]
-        if "sigma" in grid:
-            kw["sigma_grid"] = [float(v) for v in _as_list(grid["sigma"])]
-        if "tpred" in grid:
-            kw["tpred_grid"] = [float(v) for v in _as_list(grid["tpred"])]
-        if "masses" in grid:
-            kw["masses"] = [float(v) for v in _as_list(grid["masses"])]
-        if "population" in opt:
-            kw["population"] = int(opt["population"])
-        if "generations" in opt:
-            kw["generations"] = int(opt["generations"])
-        if "sigma" in opt:
-            kw["sigma"] = float(opt["sigma"])
-        if "c" in opt:
-            kw["c"] = float(opt["c"])
-        if "tpred" in mpc:
-            kw["tpred"] = float(mpc["tpred"])
-        if "resolution" in mpc:
-            kw["mpc_resolution"] = float(mpc["resolution"])
-        if "warm_generations" in mpc:
-            kw["warm_generations"] = int(mpc["warm_generations"])
-        if "refine_budget" in mpc:
-            kw["refine_budget"] = int(mpc["refine_budget"])
-        kw["arm_overrides"] = section(mapping, "arm")
-        kw["weight_overrides"] = section(mapping, "weights")
+        kw = {attr: section(mapping, prefix)
+              for prefix, (attr, _) in _OVERRIDES.items()}
+        for key, value in mapping.items():
+            prefix, dot, _ = key.partition(".")
+            if dot and prefix in _OVERRIDES:
+                continue
+            if key not in _KEYS:
+                raise ValueError(f"unknown config key {key!r}; expected one "
+                                 f"of {sorted(_KEYS)}, arm.* or weights.*")
+            name, convert = _KEYS[key]
+            try:
+                kw[name] = convert(value)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
+        if kw.get("kind") == "ball_serve":
+            kw.setdefault("task", "ball-serve")
         return cls(**kw)
 
     @classmethod

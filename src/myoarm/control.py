@@ -23,14 +23,13 @@ import numpy as np
 
 from .actuators import make_controller
 from .arm import (ArmParams, ArmState, BallState, Perturbation, _accel,
-                  _Coeffs, _hand, _jacobian, _pendulum_forces, _symp_step,
+                  _Coeffs, _hand, _pendulum_forces, _pendulum_step, _symp_step,
                   ball_step)
 from .optimizers import (CmaConfig, ControlParameterization, cma_es,
                          local_refine)
 
 DT_SIM = 0.005                 # physics timestep, seconds
 SENTINEL_COST = 1e9            # diverged run, minimization convention
-SENTINEL_REWARD = -1e9         # diverged run, maximization convention
 
 # rollout_batch's step: _symp_step under a name of its own, so a span that
 # wraps control._symp_step (perfbench/spans.py) times scalar steps only
@@ -71,7 +70,7 @@ class RolloutResult:
     @property
     def final_state(self) -> ArmState:
         k = self.steps
-        pend = self.pend if self.pend is not None else None
+        pend = self.pend
         return ArmState(th1=float(self.th[k, 0]), th2=float(self.th[k, 1]),
                         dth1=float(self.dth[k, 0]), dth2=float(self.dth[k, 1]),
                         t=float(self.t[k]),
@@ -79,21 +78,29 @@ class RolloutResult:
                         pend_vel=float(pend[k, 1]) if pend is not None else 0.0)
 
 
+def _steps_per_segment(resolution: float, dt: float) -> int:
+    """Physics steps per control segment.
+
+    The control resolution must be an integer multiple of dt so segment
+    boundaries land exactly on physics steps.
+    """
+    steps = round(resolution / dt)
+    if steps < 1 or abs(steps * dt - resolution) > 1e-9:
+        raise ValueError(f"control resolution {resolution} is not an "
+                         f"integer multiple of dt={dt}")
+    return steps
+
+
 def _zoh_table(thetas, parameterization: ControlParameterization, dt: float):
     """Validate and decode (rows, dim) decision vectors for a rollout.
 
-    The control resolution must be an integer multiple of dt so segment
-    boundaries land exactly on physics steps. A decision vector with a
-    non-finite entry is rejected here, once, before it can reach a
-    controller (where NaN would read as full muscle activation or a NaN
-    torque). Returns (steps_per_segment, table) with the table of shape
-    (rows, n_segments, n_actuators), clipped to the control box.
+    A decision vector with a non-finite entry is rejected here, once,
+    before it can reach a controller (where NaN would read as full muscle
+    activation or a NaN torque). Returns (steps_per_segment, table) with the
+    table of shape (rows, n_segments, n_actuators), clipped to the control
+    box.
     """
-    steps_per_seg = round(parameterization.resolution / dt)
-    if steps_per_seg < 1 or abs(steps_per_seg * dt - parameterization.resolution) > 1e-9:
-        raise ValueError(
-            f"control resolution {parameterization.resolution} is not an "
-            f"integer multiple of dt={dt}")
+    steps_per_seg = _steps_per_segment(parameterization.resolution, dt)
     thetas = np.asarray(thetas, dtype=float)
     n_seg = parameterization.n_segments
     na = parameterization.n_actuators
@@ -152,8 +159,7 @@ def _score(task, result: RolloutResult, params, duration) -> float:
     """The cost of a finished, non-diverged episode."""
     # a caller-shortened horizon is an MPC prediction window; score it
     # with the task's length-agnostic variant of the same functional
-    windowed = (duration is not None and duration < task.duration - 1e-9
-                and hasattr(task, "window_cost"))
+    windowed = duration is not None and duration < task.duration - 1e-9
     cost_fn = task.window_cost if windowed else task.cost
     return float(cost_fn(result, params))
 
@@ -222,13 +228,8 @@ def rollout(task, controller, control_fn, params: ArmParams | None = None,
         tau1, tau2 = torques_of(th1, th2, w1, w2, u, dt)
         t1, t2 = tau1, tau2
         if pend_pert is not None:
-            fx, fz, ddphi, _, _ = _pendulum_forces(
-                coeffs, th1, th2, w1, w2, tau1, tau2, pend_pert, phi_p, dphi_p)
-            j11, j12, j21, j22 = _jacobian(coeffs, th1, th2)
-            t1 += j11 * fx + j21 * fz
-            t2 += j12 * fx + j22 * fz
-            dphi_p = dphi_p + dt * ddphi
-            phi_p = phi_p + dt * dphi_p
+            t1, t2, phi_p, dphi_p = _pendulum_step(
+                coeffs, th1, th2, w1, w2, t1, t2, pend_pert, phi_p, dphi_p, dt)
         th1, th2, w1, w2, a1, a2 = symp_step(coeffs, th1, th2, w1, w2, t1, t2, dt)
         ddth += (a1, a2)
         controls += u
@@ -481,9 +482,7 @@ def mpc_run(task, morphology: str, mpc: MpcConfig,
     par = ControlParameterization(horizon=mpc.t_pred, resolution=mpc.resolution,
                                   n_actuators=plant_ctrl.n_controls,
                                   lo=plant_ctrl.lo, hi=plant_ctrl.hi)
-    steps_per_ctrl = round(mpc.resolution / dt)
-    if steps_per_ctrl < 1 or abs(steps_per_ctrl * dt - mpc.resolution) > 1e-9:
-        raise ValueError("control resolution must be an integer multiple of dt")
+    steps_per_ctrl = _steps_per_segment(mpc.resolution, dt)
     n_ctrl = round(task.duration / mpc.resolution)
 
     state = task.initial_state()

@@ -13,10 +13,11 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .actuators import AblationFlags
+from .actuators import parse_morphology
 from .arm import ArmParams, Perturbation
 from .config import ExperimentConfig
-from .control import (MpcConfig, SENTINEL_COST, mpc_run, open_loop_optimize)
+from .control import (MpcConfig, SENTINEL_COST, calibrate_torque_limits,
+                      mpc_run, open_loop_optimize)
 from .objectives import ObjectiveWeights, make_task
 from .optimizers import CmaConfig
 
@@ -110,22 +111,17 @@ def mpc_trace_rows(experiment, task, morphology, resolution, tpred, seed, res):
             for k, cost in enumerate(res.step_costs)]
 
 
-TORQUE_FAMILY = ("torque", "pd", "lowpass-fast", "lowpass-slow")
-
-
 def _controller_overrides(morphology: str, tau_max=None):
-    """Split an optional '-noX' ablation suffix off a muscle morphology name
-    and apply a calibrated torque ceiling to the torque-family controllers."""
-    if morphology.startswith("muscle-no"):
-        return "muscle", {"flags": AblationFlags.from_names({morphology[9:]})}
-    overrides = {}
-    if tau_max is not None and morphology in TORQUE_FAMILY:
+    """The controller a run label names (parse_morphology), with a
+    calibrated torque ceiling for the torque-family morphologies."""
+    base, overrides = parse_morphology(morphology)
+    if tau_max is not None and base != "muscle":
         overrides["tau_max"] = tuple(float(v) for v in tau_max)
-    return morphology, overrides
+    return base, overrides
 
 
 def _oc_run(config_dict, morphology, c, sigma, seed, tau_max=None):
-    """One trajectory-optimization run: (trace rows, peak |torque| per joint)."""
+    """One trajectory-optimization run: (trace rows, best rollout)."""
     config = ExperimentConfig(**config_dict)
     task = _task_for(config, seed)
     params = _arm_params(config)
@@ -136,8 +132,7 @@ def _oc_run(config_dict, morphology, c, sigma, seed, tau_max=None):
                                            controller_overrides=overrides)
     rows = oc_trace_rows(config.kind, config.task, morphology, c, sigma, seed,
                          trace)
-    peaks = np.abs(best.torques).max(axis=0)
-    return rows, (float(peaks[0]), float(peaks[1]))
+    return rows, best
 
 
 def _mpc_run(config_dict, morphology, tpred, seed, mass=None, tau_max=None):
@@ -162,37 +157,36 @@ def _mpc_run(config_dict, morphology, tpred, seed, mass=None, tau_max=None):
 
 
 def _run_points(config: ExperimentConfig):
-    """The (morphology, c, sigma, tpred, seed) grid for this experiment kind."""
-    points = []
-    if config.kind == "data_efficiency":
-        for morph in config.morphologies:
-            for c in config.c_grid:
-                for seed in config.seeds:
-                    points.append((morph, c, config.sigma, None, seed))
-    elif config.kind == "sigma_sweep":
-        for morph in config.morphologies:
-            for sigma in config.sigma_grid:
-                for seed in config.seeds:
-                    points.append((morph, config.c, sigma, None, seed))
-    elif config.kind == "ablation":
-        for name in config.ablations:
-            morph = "muscle" if name == "none" else f"muscle-no{name}"
-            for seed in config.seeds:
-                points.append((morph, config.c, config.sigma, None, seed))
-    elif config.kind in ("ball_serve", "pd_baseline", "lowpass_baseline"):
-        forced = {"ball_serve": None, "pd_baseline": ["pd"],
-                  "lowpass_baseline": ["lowpass-fast", "lowpass-slow"]}[config.kind]
-        for morph in (forced or config.morphologies):
-            for seed in config.seeds:
-                points.append((morph, config.c, config.sigma, None, seed))
-    elif config.kind == "tpred_sweep":
-        for morph in config.morphologies:
-            for tpred in config.tpred_grid:
-                for seed in config.seeds:
-                    points.append((morph, None, None, tpred, seed))
+    """The (morphology, c, sigma, tpred, seed, mass) grid of this experiment
+    kind, seeds innermost. OC points have tpred None; mass is set for the
+    robustness sweep only, whose grid always includes the unloaded mass 0."""
+    kind, morphs = config.kind, config.morphologies
+    if kind == "data_efficiency":
+        grid = [(m, c, config.sigma, None, None)
+                for m in morphs for c in config.c_grid]
+    elif kind == "sigma_sweep":
+        grid = [(m, config.c, sigma, None, None)
+                for m in morphs for sigma in config.sigma_grid]
+    elif kind == "ablation":
+        grid = [("muscle" if a == "none" else f"muscle-no{a}", config.c,
+                 config.sigma, None, None) for a in config.ablations]
+    elif kind in ("ball_serve", "pd_baseline", "lowpass_baseline"):
+        forced = {"ball_serve": morphs, "pd_baseline": ["pd"],
+                  "lowpass_baseline": ["lowpass-fast", "lowpass-slow"]}[kind]
+        grid = [(m, config.c, config.sigma, None, None) for m in forced]
+    elif kind == "tpred_sweep":
+        grid = [(m, None, None, tpred, None)
+                for m in morphs for tpred in config.tpred_grid]
+    elif kind == "robustness_weights":
+        masses = [float(m) for m in config.masses]
+        if 0.0 not in masses:
+            masses = [0.0, *masses]
+        grid = [(m, None, None, config.tpred, mass)
+                for m in morphs for mass in masses]
     else:
         raise ValueError(f"no run grid for kind {config.kind!r}")
-    return points
+    return [(m, c, sigma, tpred, seed, mass)
+            for m, c, sigma, tpred, mass in grid for seed in config.seeds]
 
 
 def _trace_name(morph, c, sigma, tpred, seed):
@@ -208,13 +202,15 @@ def _trace_name(morph, c, sigma, tpred, seed):
 
 
 def _point_worker(args):
-    config_dict, point, tau_max = args
-    morph, c, sigma, tpred, seed = point
+    """One sweep point: (trace rows, peak |torque| per joint, MpcResult or
+    None). It makes exactly one _oc_run or _mpc_run call."""
+    config_dict, (morph, c, sigma, tpred, seed, mass), tau_max = args
     if tpred is None:
-        return _oc_run(config_dict, morph, c, sigma, seed, tau_max=tau_max)
-    rows, res = _mpc_run(config_dict, morph, tpred, seed, tau_max=tau_max)
-    peaks = np.abs(res.executed.torques).max(axis=0)
-    return rows, (float(peaks[0]), float(peaks[1]))
+        rows, best = _oc_run(config_dict, morph, c, sigma, seed, tau_max=tau_max)
+        return rows, calibrate_torque_limits([best]), None
+    rows, res = _mpc_run(config_dict, morph, tpred, seed, mass=mass,
+                         tau_max=tau_max)
+    return rows, calibrate_torque_limits([res.executed]), res
 
 
 def _prepare_out_dir(out_dir):
@@ -258,6 +254,41 @@ def _run_phase(config_dict, points, tau_max, jobs):
     return [_point_worker(w) for w in work]
 
 
+def _sweep(config: ExperimentConfig, jobs: int, write_point):
+    """The sweep runner every experiment kind shares.
+
+    Runs the _run_points grid, muscle points first. When the sweep also
+    holds torque-family morphologies, their torque ceilings are the
+    per-joint peak |torque| the muscle runs executed, written to
+    calibration.csv. write_point(point, result) writes one point's files
+    and returns their paths, in grid order; result is _point_worker's.
+    The run invariants are checked over all trace rows before calibration
+    is written. Returns (paths, all trace rows).
+    """
+    _prepare_out_dir(config.out_dir)
+    points = _run_points(config)
+    config_dict = vars(config).copy()
+    muscle = [p for p in points if p[0].startswith("muscle")]
+    other = [p for p in points if not p[0].startswith("muscle")]
+    results = dict(zip(muscle, _run_phase(config_dict, muscle, None, jobs)))
+    tau_max = None
+    if muscle and other:
+        tau_max = calibrate_torque_limits(
+            [np.asarray([results[p][1] for p in muscle])])
+    results.update(zip(other, _run_phase(config_dict, other, tau_max, jobs)))
+
+    paths = []
+    all_rows = []
+    for point in points:
+        paths += write_point(point, results[point])
+        all_rows += results[point][0]
+    _check_invariants(all_rows)
+    if tau_max is not None:
+        paths.append(write_csv(os.path.join(config.out_dir, "calibration.csv"),
+                               ["tau1_max", "tau2_max"], [list(tau_max)]))
+    return paths, all_rows
+
+
 def run_experiment(config: ExperimentConfig, jobs: int = 1):
     """Execute the configured sweep; returns the list of written CSV paths.
 
@@ -268,40 +299,20 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1):
     a diverged run; such rows carry the sentinel cost and a diverged flag,
     and the aggregate excludes them while reporting their count.
     """
-    _prepare_out_dir(config.out_dir)
     if config.kind == "robustness_weights":
-        return robustness_sweep(config, jobs=jobs)
-    points = _run_points(config)
-    config_dict = vars(config).copy()
-    muscle_pts = [p for p in points if p[0].startswith("muscle")]
-    other_pts = [p for p in points if not p[0].startswith("muscle")]
+        return robustness_sweep(config)
 
-    results = dict(zip(muscle_pts, _run_phase(config_dict, muscle_pts, None, jobs)))
-    tau_max = None
-    if muscle_pts and other_pts:
-        peaks = np.asarray([results[p][1] for p in muscle_pts])
-        tau_max = (float(peaks[:, 0].max()), float(peaks[:, 1].max()))
-    results.update(zip(other_pts, _run_phase(config_dict, other_pts, tau_max, jobs)))
+    def write_point(point, result):
+        path = os.path.join(config.out_dir, _trace_name(*point[:5]))
+        return [write_csv(path, TRACE_HEADER, result[0])]
 
-    paths = []
-    all_rows = []
-    for point in points:
-        rows = results[point][0]
-        name = _trace_name(*point)
-        paths.append(write_csv(os.path.join(config.out_dir, name),
-                               TRACE_HEADER, rows))
-        all_rows.extend(rows)
-    _check_invariants(all_rows)
-    if tau_max is not None:
-        paths.append(write_csv(os.path.join(config.out_dir, "calibration.csv"),
-                               ["tau1_max", "tau2_max"], [list(tau_max)]))
-    agg_rows = aggregate_rows(all_rows)
+    paths, all_rows = _sweep(config, jobs, write_point)
     paths.append(write_csv(os.path.join(config.out_dir, "aggregate.csv"),
-                           AGG_HEADER, agg_rows))
+                           AGG_HEADER, aggregate_rows(all_rows)))
     return paths
 
 
-def robustness_sweep(config: ExperimentConfig, jobs: int = 1, masses=None):
+def robustness_sweep(config: ExperimentConfig):
     """Receding-horizon smooth reaching under unknown forearm loads.
 
     Writes one trajectory CSV and one cost-over-time trace per run plus a
@@ -310,50 +321,33 @@ def robustness_sweep(config: ExperimentConfig, jobs: int = 1, masses=None):
     loads so perturbed and clean costs can be compared. Muscle runs execute
     first and calibrate the torque ceilings of any torque-family
     morphologies in the sweep.
+
+    The sweep runs in one process whatever jobs run_experiment was given.
+    The benchmark's peak_rss_mb adds the largest worker's peak RSS to the
+    parent's, so a process pool would about double it on this workload
+    (about 42 to 84 MB) against that metric's 10 % bound. Running it in
+    parallel needs that metric changed first.
     """
-    _prepare_out_dir(config.out_dir)
-    masses = list(config.masses if masses is None else masses)
-    if not any(float(m) == 0.0 for m in masses):
-        masses = [0.0, *masses]
-    config_dict = vars(config).copy()
-    points = [(morph, mass, seed) for morph in config.morphologies
-              for mass in masses for seed in config.seeds]
-    muscle_pts = [p for p in points if p[0].startswith("muscle")]
-
-    tau_max = None
-    results = {}
-    for phase in (muscle_pts, [p for p in points if p not in muscle_pts]):
-        for morph, mass, seed in phase:
-            results[(morph, mass, seed)] = _mpc_run(
-                config_dict, morph, config.tpred, seed, mass=mass,
-                tau_max=tau_max)
-        if phase is muscle_pts and muscle_pts and len(points) > len(muscle_pts):
-            peaks = np.asarray([np.abs(results[p][1].executed.torques).max(axis=0)
-                                for p in muscle_pts])
-            tau_max = (float(peaks[:, 0].max()), float(peaks[:, 1].max()))
-
+    if config.kind != "robustness_weights":
+        raise ValueError(f"robustness_sweep needs kind robustness_weights, "
+                         f"not {config.kind!r}")
     summary = []
-    paths = []
-    all_rows = []
-    for morph, mass, seed in points:
-        rows, res = results[(morph, mass, seed)]
-        tag = f"{morph}_m{fmt(float(mass))}_seed{seed}"
-        paths.append(write_trajectory_csv(
-            os.path.join(config.out_dir, f"robust_{tag}.csv"),
-            res.executed))
-        paths.append(write_csv(
-            os.path.join(config.out_dir, f"robust_{tag}_trace.csv"),
-            TRACE_HEADER, rows))
-        all_rows.extend(rows)
+
+    def write_point(point, result):
+        morph, _, _, _, seed, mass = point
+        rows, _, res = result
+        tag = f"{morph}_m{fmt(mass)}_seed{seed}"
         task = _task_for(config, seed)
-        summary.append([config.kind, config.task, morph, float(mass),
-                        seed, res.cost,
+        summary.append([config.kind, config.task, morph, mass, seed, res.cost,
                         overshoot_past_target(res.executed.th, task.target),
                         int(res.diverged)])
-    _check_invariants(all_rows)
-    if tau_max is not None:
-        paths.append(write_csv(os.path.join(config.out_dir, "calibration.csv"),
-                               ["tau1_max", "tau2_max"], [list(tau_max)]))
+        return [write_trajectory_csv(
+                    os.path.join(config.out_dir, f"robust_{tag}.csv"),
+                    res.executed),
+                write_csv(os.path.join(config.out_dir, f"robust_{tag}_trace.csv"),
+                          TRACE_HEADER, rows)]
+
+    paths, _ = _sweep(config, 1, write_point)   # jobs=1: see the docstring
     paths.append(write_csv(os.path.join(config.out_dir, "robustness.csv"),
                            ROBUST_HEADER, summary))
     return paths

@@ -1,13 +1,13 @@
-"""Task objectives: reaching costs, the ball-serve criterion, and a hopping
-reward, plus the task descriptions (initial state, horizon, terminal rule)
-that the rollout and optimization layers consume."""
+"""Task objectives: reaching costs and the ball-serve criterion, plus the
+task descriptions (initial state, horizon, terminal rule) that the rollout
+and optimization layers consume."""
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
-from .arm import ArmParams, ArmState, BallState, end_effector
+from .arm import ArmParams, ArmState, BallState, hand_position
 
 
 @dataclass
@@ -16,8 +16,7 @@ class ObjectiveWeights:
 
     s_* are per-joint normalization scales (shoulder, elbow); w_* the
     corresponding weights and jerk_gain the multiplier on the discrete jerk
-    measure. lam1/lam2/eps parameterize the precise-reaching reward, hop_*
-    the hopping regularizers.
+    measure. lam1/lam2/eps parameterize the precise-reaching reward.
     """
 
     s_th: tuple = (2.45, 2.45)
@@ -28,8 +27,6 @@ class ObjectiveWeights:
     lam1: float = 0.1
     lam2: float = 1e-4
     eps: float = 1e-4
-    hop_lam1: float = 1e-4
-    hop_lam2: float = 1e-3
 
 
 @dataclass
@@ -132,28 +129,6 @@ def ball_serve_cost(dz_series) -> float:
     return -float(dz.max())
 
 
-def hopping_reward(v_com_z: float, actions, q, q_limits, alive: bool,
-                   weights: ObjectiveWeights) -> float:
-    """Exponential upward-velocity reward with alive bonus and regularizers.
-
-    r = exp(min(10, 100*max(0, v))) - 1 + alive - hop_lam1*sum(a^2)/N
-        - hop_lam2*sum(r_joint), where r_joint_i = -1 when q_i is within 0.1
-        of either limit and 0 otherwise.
-    """
-    v = max(0.0, v_com_z)
-    r = math.exp(min(10.0, 100.0 * v)) - 1.0
-    if alive:
-        r += 1.0
-    a = np.asarray(actions, dtype=float)
-    if a.size:
-        r -= weights.hop_lam1 * float(np.sum(a * a)) / a.size
-    q = np.asarray(q, dtype=float)
-    q_min, q_max = (np.asarray(lim, dtype=float) for lim in q_limits)
-    r_joint = np.where((np.abs(q_max - q) < 0.1) | (np.abs(q_min - q) < 0.1), -1.0, 0.0)
-    r -= weights.hop_lam2 * float(r_joint.sum())
-    return r
-
-
 # --------------------------------------------------------------------------
 # Task descriptions
 
@@ -185,16 +160,15 @@ class SmoothReaching:
         jerk = jerk_from_accel(traj.ddth)
         return smooth_reaching_stage(traj.th, traj.dth, jerk, self.weights, self.target)
 
-    def is_done(self, state: ArmState, params: ArmParams) -> bool:
-        return False
-
 
 @dataclass
 class PreciseReaching:
     """Hold the hand on a sampled goal point; reward evaluated per control step.
 
     Without a goal in `target`, one is drawn from target.rect with the task
-    seed, inside the reach of `params` (the default arm when None).
+    seed, inside the reach of `params` (the default arm when None). The
+    drawn goal goes into a copy of `target`, never into the given object,
+    so tasks built from one target each keep their own seed's goal.
     """
 
     name = "precise-reach"
@@ -210,38 +184,37 @@ class PreciseReaching:
     def __post_init__(self, params):
         if self.target.goal_xz is None:
             rng = np.random.Generator(np.random.PCG64(self.seed))
-            self.target.goal_xz = self.target.sample_goal(
-                rng, params if params is not None else ArmParams())
+            self.target = replace(self.target, goal_xz=self.target.sample_goal(
+                rng, params if params is not None else ArmParams()))
 
     def initial_state(self) -> ArmState:
         return ArmState(th1=-0.5 * math.pi, th2=0.0)
 
     def _distances(self, traj, params):
         gx, gz = self.target.goal_xz
-        fore = traj.th[:, 0] - traj.th[:, 1]
-        hx = params.l1 * np.cos(traj.th[:, 0]) + params.l2 * np.cos(fore)
-        hz = params.l1 * np.sin(traj.th[:, 0]) + params.l2 * np.sin(fore)
+        hx, hz = hand_position(traj.th[:, 0], traj.th[:, 1], params,
+                               cos=np.cos, sin=np.sin)
         return np.hypot(hx - gx, hz - gz)
+
+    def _rewards(self, traj, params):
+        """The reward at each control boundary, by sample index."""
+        stride = max(1, round(self.control_resolution / traj.dt))
+        d = self._distances(traj, params)
+        controls = traj.controls
+        return {k: precise_reaching_reward(
+                    d[k], () if controls is None
+                    else controls[min(k, controls.shape[0] - 1)], self.weights)
+                for k in range(0, d.size, stride)}
 
     def stage_series(self, traj, params: ArmParams) -> np.ndarray:
         # negative reward at each control boundary so lower is better
-        stride = max(1, round(self.control_resolution / traj.dt))
-        d = self._distances(traj, params)
-        idx = np.arange(0, d.size, stride)
-        out = np.zeros(d.size)
-        for k in idx:
-            u = traj.controls[min(k, traj.controls.shape[0] - 1)] if traj.controls is not None else ()
-            out[k] = -precise_reaching_reward(d[k], u, self.weights)
+        out = np.zeros(traj.th.shape[0])
+        for k, r in self._rewards(traj, params).items():
+            out[k] = -r
         return out
 
     def cost(self, traj, params: ArmParams) -> float:
-        stride = max(1, round(self.control_resolution / traj.dt))
-        d = self._distances(traj, params)
-        rewards = []
-        for k in range(0, d.size, stride):
-            u = traj.controls[min(k, traj.controls.shape[0] - 1)] if traj.controls is not None else ()
-            rewards.append(precise_reaching_reward(d[k], u, self.weights))
-        return -float(np.mean(rewards))
+        return -float(np.mean(list(self._rewards(traj, params).values())))
 
     def window_cost(self, traj, params: ArmParams) -> float:
         return self.cost(traj, params)
@@ -249,13 +222,16 @@ class PreciseReaching:
     def is_done(self, state: ArmState, params: ArmParams) -> bool:
         if self.terminal_threshold is None:
             return False
-        (x, z), _ = end_effector(state, params)
+        x, z = hand_position(state.th1, state.th2, params)
         gx, gz = self.target.goal_xz
         return fast_reaching_done(math.hypot(x - gx, z - gz), self.terminal_threshold)
 
 
 def fast_reaching_task(seed: int = 0, **kw) -> PreciseReaching:
-    task = PreciseReaching(seed=seed, terminal_threshold=0.05, duration=2.0, **kw)
+    """Precise reaching that ends once the hand is within 5 cm of the goal;
+    the horizon defaults to 2 s."""
+    kw.setdefault("duration", 2.0)
+    task = PreciseReaching(seed=seed, terminal_threshold=0.05, **kw)
     task.name = "fast-reach"
     return task
 
@@ -286,9 +262,6 @@ class BallServe:
     def stage_series(self, traj, params: ArmParams) -> np.ndarray:
         # running negative best upward speed; the final entry equals the cost
         return -np.maximum.accumulate(traj.ball[:, 3])
-
-    def is_done(self, state: ArmState, params: ArmParams) -> bool:
-        return False
 
 
 TASKS = ("smooth-reach", "precise-reach", "fast-reach", "ball-serve")

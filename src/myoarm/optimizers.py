@@ -22,7 +22,8 @@ class ControlParameterization:
     """Zero-order-hold control signal: n_actuators values per segment.
 
     The decision vector stacks segments in time order; segment k spans
-    [k*resolution, (k+1)*resolution). Decoded values are clamped to [lo, hi].
+    [k*resolution, (k+1)*resolution). control.zoh_control decodes it, with
+    values clamped to [lo, hi].
     """
 
     horizon: float
@@ -49,31 +50,11 @@ class ControlParameterization:
     def dim(self) -> int:
         return self.n_actuators * self.n_segments
 
-    def segment_index(self, t: float) -> int:
-        if t < 0.0 or t >= self.horizon:
-            raise ValueError(f"t={t} outside [0, {self.horizon})")
-        return min(int(t // self.resolution), self.n_segments - 1)
-
-    def decode_segment(self, theta, k: int) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        if theta.size != self.dim:
-            raise ValueError(f"decision vector has size {theta.size}, expected {self.dim}")
-        seg = theta[k * self.n_actuators:(k + 1) * self.n_actuators]
-        return np.clip(seg, self.lo, self.hi)
-
-    def decode(self, theta, t: float) -> np.ndarray:
-        return self.decode_segment(theta, self.segment_index(t))
-
     def shift(self, theta) -> np.ndarray:
         """Drop the first segment and duplicate the last (receding-horizon shift)."""
         theta = np.asarray(theta, dtype=float)
         na = self.n_actuators
         return np.concatenate([theta[na:], theta[-na:]])
-
-
-def decode_controls(theta, parameterization: ControlParameterization, t: float) -> np.ndarray:
-    """Control vector active at time t under the zero-order-hold encoding."""
-    return parameterization.decode(theta, t)
 
 
 @dataclass

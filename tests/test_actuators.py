@@ -9,7 +9,7 @@ from myoarm.actuators import (AblationFlags, FV_MAX, HatzeParams,
                               LowPassController, MuscleController,
                               MuscleParams, PDController, TorqueController,
                               activation_step, derive_linear_map,
-                              fiber_kinematics, flv_curves, force_length,
+                              fiber_kinematics, force_length,
                               force_passive, force_velocity,
                               hatze_activation_step, lowpass_step,
                               make_controller, muscle_joint_torque, pd_control,
@@ -135,10 +135,9 @@ def test_hatze_activity_monotone_in_calcium_and_bounded():
 
 
 def test_curve_anchor_points():
-    fl, fv, fp = flv_curves(1.0, 0.0)
-    assert fl == 1.0
-    assert fv == 1.0
-    assert fp == 0.0
+    assert force_length(1.0) == 1.0
+    assert force_velocity(0.0) == 1.0
+    assert force_passive(1.0) == 0.0
     assert force_passive(0.9) == 0.0
     assert force_velocity(-1.0) == 0.0
     assert force_velocity(-2.5) == 0.0

@@ -49,6 +49,15 @@ class TestUsageErrors:
         assert run_cli("experiment", "--config",
                        str(tmp_path / "absent.cfg")) == 1
 
+    def test_bad_config_key_is_a_clean_error(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY_CONFIG + "arm.bogus = 1\n")
+        assert run_cli("experiment", "--config", str(cfg),
+                       "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert "myoarm: error:" in err and "arm.bogus" in err
+        assert "Traceback" not in err
+
     def test_help_exits_zero(self, capsys):
         assert run_cli("--help") == 0
         assert "simulate" in capsys.readouterr().out

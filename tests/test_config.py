@@ -134,6 +134,32 @@ class TestExperimentConfig:
         cfg = ExperimentConfig.from_mapping({"experiment.morphologies": "muscle"})
         assert cfg.morphologies == ["muscle"]
 
+    @pytest.mark.parametrize("line", [
+        "optimizer.generaitons = 5",        # misspelt key
+        "experiment.morphologies = musle",
+        "experiment.morphologies = torque-nofl",   # ablations are muscle-only
+        "weights.bogus = 1",
+        "weights.hop_lam1 = 1e-4",          # the hopping reward is gone
+        "arm.bogus = 1",
+        "experiment.ablations = xyz",
+        "experiment.task = juggling",
+        "optimizer.population = 4, 5",      # a list where a number belongs
+        "arm = 0.3",
+    ])
+    def test_bad_config_rejected(self, line):
+        with pytest.raises(ValueError):
+            ExperimentConfig.from_mapping(parse_config_text(line))
+
+    def test_labels_and_overrides_accepted(self):
+        cfg = ExperimentConfig.from_mapping(parse_config_text(
+            "experiment.morphologies = muscle-nofl-nofv, lowpass-fast\n"
+            "experiment.ablations = none, actdyn\n"
+            "arm.l1 = 0.35\nweights.lam1 = 0.2\n"))
+        assert cfg.morphologies == ["muscle-nofl-nofv", "lowpass-fast"]
+        assert cfg.ablations == ["none", "actdyn"]
+        assert cfg.arm_overrides == {"l1": 0.35}
+        assert cfg.weight_overrides == {"lam1": 0.2}
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("experiment.kind = ablation\n"

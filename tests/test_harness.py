@@ -9,8 +9,10 @@ import pytest
 
 from myoarm.config import ExperimentConfig
 from myoarm.control import SENTINEL_COST
+from myoarm.actuators import AblationFlags
 from myoarm.harness import (AGG_HEADER, ROBUST_HEADER, TRACE_HEADER,
-                            _check_invariants, _pool_aggregates, _run_points,
+                            _check_invariants, _controller_overrides,
+                            _pool_aggregates, _run_points,
                             _task_for, _trace_name, aggregate_rows, default_jobs, fmt,
                             overshoot_past_target, read_csv, run_experiment,
                             robustness_sweep, summarize, trajectory_header,
@@ -159,6 +161,43 @@ class TestRunPoints:
         with pytest.raises(ValueError):
             _run_points(config)
 
+    def test_robustness_grid_adds_the_unloaded_baseline(self):
+        config = ExperimentConfig(kind="robustness_weights", seeds=[0, 1],
+                                  morphologies=["muscle"], masses=[2, 1.0])
+        assert [(p[5], p[4]) for p in _run_points(config)] == [
+            (0.0, 0), (0.0, 1), (2.0, 0), (2.0, 1), (1.0, 0), (1.0, 1)]
+
+
+class TestMorphologyLabels:
+    def test_cli_ablation_label_parses_to_the_cli_flags(self):
+        from myoarm.cli import _controller_setup, build_parser
+        args = build_parser().parse_args(["optimize", "--ablate", "fl",
+                                          "--ablate", "fv"])
+        morph, overrides, label = _controller_setup(args)
+        assert label == "muscle-nofl-nofv"
+        assert _controller_overrides(label) == (morph, overrides)
+        assert overrides["flags"] == AblationFlags(disable_fl=True,
+                                                   disable_fv=True)
+
+    def test_sweep_and_cli_runs_of_one_label_agree(self, tmp_path):
+        from myoarm.cli import main
+        config = tiny_oc_config(tmp_path / "sweep", ("muscle-nofl-nofv",), (0,))
+        run_experiment(config)
+        assert main(["optimize", "--ablate", "fl", "--ablate", "fv",
+                     "--population", "4", "--generations", "2",
+                     "--out", str(tmp_path / "cli")]) == 0
+        header, sweep = read_csv(tmp_path / "sweep" /
+                                 "trace_muscle-nofl-nofv_c0.3_s0.2_seed0.csv")
+        _, cli = read_csv(tmp_path / "cli" / "trace.csv")
+        assert [r[2:] for r in sweep] == [r[2:] for r in cli]
+
+    def test_ceiling_reaches_the_torque_family_only(self):
+        assert _controller_overrides("torque", (3, 4)) == (
+            "torque", {"tau_max": (3.0, 4.0)})
+        assert _controller_overrides("muscle", (3, 4)) == ("muscle", {})
+        with pytest.raises(ValueError, match="muscle"):
+            _controller_overrides("torque-nofl")
+
 
 class TestRunExperiment:
     def test_writes_trace_per_point_plus_aggregate(self, tmp_path):
@@ -263,6 +302,24 @@ class TestRobustnessSweep:
         assert len(rows) == 2
         assert {r[3] for r in rows} == {"0.0", "1.0"}
         assert rows[0][2] == "muscle" and rows[0][7] == "0"
+
+    def test_other_kinds_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="robustness_weights"):
+            robustness_sweep(tiny_oc_config(tmp_path))
+        assert not os.path.exists(tmp_path / "aggregate.csv")
+
+    def test_calibration_is_the_muscle_runs_peak_torque(self, tmp_path):
+        config = tiny_mpc_config(tmp_path, morphologies=("muscle", "torque"))
+        paths = robustness_sweep(config)
+        peaks = []
+        for mass in ("0.0", "1.0"):
+            header, rows = read_csv(tmp_path / f"robust_muscle_m{mass}_seed0.csv")
+            i1, i2 = header.index("tau1"), header.index("tau2")
+            peaks.append([max(abs(float(r[i])) for r in rows) for i in (i1, i2)])
+        header, rows = read_csv(tmp_path / "calibration.csv")
+        assert header == ["tau1_max", "tau2_max"]
+        assert [float(v) for v in rows[0]] == list(np.max(peaks, axis=0))
+        assert str(tmp_path / "calibration.csv") in map(str, paths)
 
     def test_trace_evals_are_what_each_run_spent(self, tmp_path, monkeypatch):
         # every refinement cut short after one evaluation: the trace's last

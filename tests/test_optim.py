@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from myoarm.control import zoh_control
 from myoarm.optimizers import (CmaConfig, ControlParameterization,
-                               cma_es, decode_controls, local_refine)
+                               cma_es, local_refine)
+
+DT = 0.005
 
 
 def sphere(x):
@@ -40,52 +43,54 @@ class TestParameterization:
         assert par.n_segments == 4
 
     def test_segment_lookup(self):
+        # 60 physics steps per 0.3 s segment; steps past the horizon hold
+        # the last segment
         par = ControlParameterization(horizon=0.9, resolution=0.3,
                                       n_actuators=2, lo=-1.0, hi=1.0)
         theta = np.arange(6, dtype=float) / 10.0
-        assert par.segment_index(0.31) == 1
-        assert np.array_equal(decode_controls(theta, par, 0.31),
-                              theta[2:4])
-        assert par.segment_index(0.0) == 0
-        assert par.segment_index(0.89999) == 2
-        with pytest.raises(ValueError):
-            par.segment_index(0.9)
-        with pytest.raises(ValueError):
-            par.segment_index(-0.001)
+        fn = zoh_control(theta, par, DT)
+        assert np.array_equal(fn(62, 62 * DT), theta[2:4])
+        assert np.array_equal(fn(0, 0.0), theta[0:2])
+        assert np.array_equal(fn(59, 59 * DT), theta[0:2])
+        assert np.array_equal(fn(60, 60 * DT), theta[2:4])
+        assert np.array_equal(fn(179, 179 * DT), theta[4:6])
+        assert np.array_equal(fn(180, 180 * DT), theta[4:6])
 
     def test_constant_vector_constant_signal(self):
         par = ControlParameterization(horizon=0.9, resolution=0.15,
                                       n_actuators=3, lo=0.0, hi=1.0)
         theta = np.tile([0.2, 0.7, 0.5], par.n_segments)
-        for t in np.linspace(0.0, 0.899, 40):
-            assert np.array_equal(decode_controls(theta, par, t),
-                                  [0.2, 0.7, 0.5])
+        fn = zoh_control(theta, par, DT)
+        for k in range(180):
+            assert np.array_equal(fn(k, k * DT), [0.2, 0.7, 0.5])
 
     def test_indicator_recovery(self):
-        # sampling the decoded signal inside each segment's support recovers
-        # that segment of the decision vector exactly
+        # every physics step inside a segment's support recovers that
+        # segment of the decision vector exactly
         par = ControlParameterization(horizon=0.9, resolution=0.3,
                                       n_actuators=2, lo=-1.0, hi=1.0)
         rng = np.random.default_rng(2)
         theta = rng.uniform(-1.0, 1.0, size=par.dim)
+        fn = zoh_control(theta, par, DT)
         for k in range(par.n_segments):
-            for t in np.linspace(k * 0.3 + 1e-9, (k + 1) * 0.3 - 1e-9, 25):
-                assert np.array_equal(decode_controls(theta, par, t),
+            for step in range(60 * k, 60 * (k + 1)):
+                assert np.array_equal(fn(step, step * DT),
                                       theta[2 * k:2 * k + 2])
 
     def test_bounds_always_enforced(self):
         par = ControlParameterization(horizon=0.6, resolution=0.2,
                                       n_actuators=2, lo=0.0, hi=1.0)
         theta = np.array([-50.0, 2.0, 0.5, 1e9, -1e-9, 0.99])
-        for t in np.linspace(0.0, 0.599, 30):
-            u = decode_controls(theta, par, t)
+        fn = zoh_control(theta, par, DT)
+        for step in range(120):
+            u = np.asarray(fn(step, step * DT))
             assert np.all(u >= 0.0) and np.all(u <= 1.0)
 
     def test_length_mismatch_rejected(self):
         par = ControlParameterization(horizon=0.9, resolution=0.3,
                                       n_actuators=2, lo=-1.0, hi=1.0)
         with pytest.raises(ValueError):
-            decode_controls(np.zeros(5), par, 0.1)
+            zoh_control(np.zeros(5), par, DT)
 
     def test_validation(self):
         good = dict(n_actuators=2, lo=0.0, hi=1.0)

@@ -1,4 +1,4 @@
-"""Tests for the task objectives: reaching costs, serve cost, hopping reward."""
+"""Tests for the task objectives: reaching costs and the serve cost."""
 
 import math
 from types import SimpleNamespace
@@ -9,7 +9,7 @@ import pytest
 from myoarm.arm import ArmParams
 from myoarm.objectives import (BallServe, ObjectiveWeights, PreciseReaching,
                                ReachTarget, SmoothReaching, ball_serve_cost,
-                               fast_reaching_done, hopping_reward,
+                               fast_reaching_done, fast_reaching_task,
                                jerk_from_accel, make_task,
                                precise_reaching_reward, smooth_reaching_cost,
                                smooth_reaching_stage)
@@ -169,6 +169,38 @@ class TestPreciseReaching:
         c = PreciseReaching(seed=4)
         assert c.target.goal_xz != a.target.goal_xz
 
+    def test_shared_target_keeps_each_seeds_goal(self):
+        # the drawn goal goes into a copy: the given target stays goal-less
+        # and each task holds the goal make_task gives its seed
+        t = ReachTarget()
+        a = PreciseReaching(seed=1, target=t)
+        b = PreciseReaching(seed=2, target=t)
+        assert t.goal_xz is None
+        assert a.target.goal_xz == make_task("precise-reach", seed=1).target.goal_xz
+        assert b.target.goal_xz == make_task("precise-reach", seed=2).target.goal_xz
+        assert a.target.goal_xz != b.target.goal_xz
+
+    def test_cost_and_stage_series_match_a_per_boundary_loop(self):
+        from myoarm.arm import ArmState, end_effector
+        task = PreciseReaching(seed=5, control_resolution=0.015)
+        params = ArmParams()
+        rng = np.random.default_rng(4)
+        th = rng.uniform(-np.pi, np.pi, size=(31, 2))
+        traj = fake_traj(th, np.zeros_like(th), np.zeros_like(th))
+        traj.controls = rng.uniform(0.0, 1.0, size=(30, 4))
+        gx, gz = task.target.goal_xz
+        want = np.zeros(31)
+        rewards = []
+        for k in range(0, 31, 3):
+            (x, z), _ = end_effector(ArmState(th[k, 0], th[k, 1]), params)
+            rewards.append(precise_reaching_reward(
+                math.hypot(x - gx, z - gz), traj.controls[min(k, 29)], W))
+            want[k] = -rewards[-1]
+        assert np.allclose(task.stage_series(traj, params), want,
+                           rtol=0, atol=1e-12)
+        assert task.cost(traj, params) == pytest.approx(-np.mean(rewards),
+                                                        rel=0, abs=1e-12)
+
     def test_out_of_reach_rectangle_rejected(self):
         bad = ReachTarget(rect=((2.0, 3.0), (2.0, 3.0)))
         with pytest.raises(ValueError):
@@ -193,6 +225,27 @@ class TestFastReaching:
         assert fast_reaching_done(0.049)
         assert not fast_reaching_done(0.05)
         assert fast_reaching_done(0.0)
+
+    def test_duration_can_be_set(self):
+        assert fast_reaching_task(seed=1).duration == 2.0
+        short = fast_reaching_task(seed=1, duration=0.5)
+        assert short.duration == 0.5 and short.terminal_threshold == 0.05
+        assert make_task("fast-reach", seed=1, duration=0.5).duration == 0.5
+
+    def test_is_done_matches_forward_kinematics(self):
+        from myoarm.arm import ArmState, end_effector
+        task = fast_reaching_task(seed=2)
+        params = ArmParams(l1=0.35)
+        gx, gz = task.target.goal_xz
+        rng = np.random.default_rng(8)
+        hits = 0
+        for th1, th2 in rng.uniform(-np.pi, np.pi, size=(2000, 2)):
+            state = ArmState(float(th1), float(th2))
+            (x, z), _ = end_effector(state, params)
+            done = math.hypot(x - gx, z - gz) < 0.05
+            assert task.is_done(state, params) == done
+            hits += done
+        assert hits > 0
 
 
 class TestBallServe:
@@ -221,48 +274,6 @@ class TestBallServe:
         assert (ball.x, ball.z) == task.drop_xz
         assert ball.dx == 0.0 and ball.dz == 0.0
         assert ball.mass == 0.25
-
-
-MID_LIMITS = (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-
-
-class TestHopping:
-    def test_alive_at_rest(self):
-        r = hopping_reward(0.0, (), np.zeros(2), MID_LIMITS, True, W)
-        assert r == 1.0
-
-    def test_velocity_saturation(self):
-        for v in (0.1, 0.5, 2.0):
-            r = hopping_reward(v, (), np.zeros(2), MID_LIMITS, False, W)
-            assert r == math.exp(10.0) - 1.0
-        assert abs((math.exp(10.0) - 1.0) - 22025.4658) < 1e-2
-
-    def test_joint_limit_term_sign(self):
-        # two joints within 0.1 of the upper limit: each scores -1, and the
-        # -lam2 * sum prefactor turns that into a positive contribution
-        q = np.array([0.95, 0.91])
-        r = hopping_reward(0.0, (), q, MID_LIMITS, False, W)
-        assert abs(r - (-W.hop_lam2 * (-1.0 * 2))) < 1e-15
-
-    def test_velocity_term_zero_for_descent(self):
-        for v in (-5.0, -0.001, 0.0):
-            assert hopping_reward(v, (), np.zeros(2), MID_LIMITS, False, W) == 0.0
-
-    def test_velocity_term_monotone(self):
-        v = np.linspace(-1.0, 0.2, 400)
-        r = np.array([hopping_reward(x, (), np.zeros(2), MID_LIMITS, False, W)
-                      for x in v])
-        assert np.all(np.diff(r) >= 0.0)
-
-    def test_action_penalty_averages(self):
-        a = np.array([0.5, -0.5, 1.0])
-        r = hopping_reward(0.0, a, np.zeros(2), MID_LIMITS, True, W)
-        assert abs(r - (1.0 - W.hop_lam1 * float(np.mean(a * a)))) < 1e-15
-
-    def test_pure_function(self):
-        args = (0.03, np.array([0.2, 0.1]), np.array([0.4, -0.2]), MID_LIMITS,
-                True, W)
-        assert hopping_reward(*args) == hopping_reward(*args)
 
 
 class TestTaskFactory:
