@@ -5,20 +5,23 @@ antagonistic muscle pair per joint, an ideal torque source, a PD position
 controller in front of the torque source, and a low-pass filtered torque
 source. All internal actuator states advance at the physics timestep.
 
-Each controller declares n_controls, its control box [lo, hi] and
-n_internal, the width of the internal row a rollout records per step:
-four muscle activities, two filtered low-pass commands, or nothing (0) for
-the torque and PD families. A controller with internal state exposes that
-row as `internal`.
+A controller is a plain parameter object: it declares n_controls, its
+control box [lo, hi] and state0, and holds no state of its own. Actuator
+state is one tuple of floats, the state row, which a rollout carries from
+step to step: torques(state, th1, th2, w1, w2, u, dt) returns
+(tau1, tau2, next_state). state0 is the row at rest: four zeros for the
+muscle pair (the activities under first-order activation, the free-calcium
+states under the Hatze model), the two filtered commands (0.0, 0.0) for the
+low-pass family, and () for the torque and PD families.
 
 Each controller also has an array form of `torques`, made by
 batch_torques(dt), for control.rollout_batch: it advances a whole
-population in lockstep, with each candidate's internal row a column of an
-(n_internal, population) array. Branches become np.maximum/np.minimum/
-np.where forms over the same operations, so every candidate's torques
-equal, bit for bit, what `torques` gives it. The Hatze activation model has
-no array form (np.power and ** differ in the last bit); rollout_batch runs
-it through the scalar rollout instead.
+population in lockstep, with the state rows as the columns of a
+(len(state0), population) array that the step updates in place. Branches
+become np.maximum/np.minimum/np.where forms over the same operations, so
+every candidate's torques equal, bit for bit, what `torques` gives it. The
+Hatze activation model has no array form (np.power and ** differ in the
+last bit); rollout_batch runs it through the scalar rollout instead.
 """
 
 import logging
@@ -312,7 +315,7 @@ class MuscleController:
     """
 
     n_controls = 4
-    n_internal = 4      # width of `internal`, the row a rollout records
+    state0 = (0.0, 0.0, 0.0, 0.0)
     lo = 0.0
     hi = 1.0
 
@@ -328,27 +331,13 @@ class MuscleController:
             raise ValueError(f"unknown activation model {activation_model!r}")
         self.activation_model = activation_model
         self.hatze = hatze or HatzeParams()
-        self.reset()
 
-    def reset(self):
-        self.activities = [0.0, 0.0, 0.0, 0.0]
-        self.gammas = [0.0, 0.0, 0.0, 0.0]
+    def torques(self, state, th1, th2, w1, w2, u, dt):
+        """Advance the state row one step: (tau1, tau2, next state row).
 
-    def snapshot(self):
-        return (list(self.activities), list(self.gammas))
-
-    def restore(self, snap):
-        self.activities = list(snap[0])
-        self.gammas = list(snap[1])
-
-    @property
-    def internal(self):
-        """The four current activities."""
-        return self.activities
-
-    def torques(self, th1, th2, w1, w2, u, dt):
-        """Advance the four activities one step; return the joint torques.
-
+        The row holds the four activities under first-order activation (and
+        with activation dynamics ablated, where it is the clipped
+        excitations) and the four free-calcium states under the Hatze model.
         One kernel for every AblationFlags combination and both activation
         models. The first-order update repeats activation_step operation
         for operation, with exp(-dt/tau_act) taken once per joint, so the
@@ -357,40 +346,38 @@ class MuscleController:
         flags = self.flags
         shoulder, elbow = self.shoulder, self.elbow
         if flags.disable_activation:
-            acts = [0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in u]
+            acts = state = tuple([0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in u])
         elif self.activation_model == "hatze":
             lengths = (shoulder.m1 * th1 + shoulder.l_ref1,
                        shoulder.m2 * th1 + shoulder.l_ref2,
                        elbow.m1 * th2 + elbow.l_ref1,
                        elbow.m2 * th2 + elbow.l_ref2)
-            gammas, acts = [], []
-            for v, g, l in zip(u, self.gammas, lengths):
-                g, a = hatze_activation_step(g, v, l, dt, self.hatze)
-                gammas.append(g)
-                acts.append(a)
-            self.gammas = gammas
+            state, acts = zip(*[hatze_activation_step(g, v, l, dt, self.hatze)
+                                for v, g, l in zip(u, state, lengths)])
         else:
             e_sh = math.exp(-dt / shoulder.tau_act)
             e_el = math.exp(-dt / elbow.tau_act)
             acts = []
-            for v, a, e in zip(u, self.activities, (e_sh, e_sh, e_el, e_el)):
+            for v, a, e in zip(u, state, (e_sh, e_sh, e_el, e_el)):
                 if not 0.0 <= v <= 1.0:
                     v = _clamp_excitation(v)
                 a = v + (a - v) * e
                 acts.append(0.0 if a < 0.0 else 1.0 if a > 1.0 else a)
-        self.activities = acts
+            acts = state = tuple(acts)
         return (muscle_joint_torque(th1, w1, acts[0], acts[1], shoulder, flags),
-                muscle_joint_torque(th2, w2, acts[2], acts[3], elbow, flags))
+                muscle_joint_torque(th2, w2, acts[2], acts[3], elbow, flags),
+                state)
 
     def batch_torques(self, dt):
         """Array form of torques: step(acts, th1, th2, w1, w2, u) -> (tau1, tau2).
 
-        acts is the (4, population) activity array, advanced in place; u is
-        the (4, population) excitation block, already clipped to [0, 1] by
-        the batch decode, so the scalar form's clamp has nothing to do. The
-        four muscles are stacked in control order and every parameter is
-        read once, here. First-order activation and every AblationFlags
-        case only: the Hatze model goes through the scalar rollout.
+        acts is the (4, population) array of state rows, advanced in place;
+        u is the (4, population) excitation block, already clipped to
+        [0, 1] by the batch decode, so the scalar form's clamp has nothing
+        to do. The four muscles are stacked in control order and every
+        parameter is read once, here. First-order activation and every
+        AblationFlags case only: the Hatze model goes through the scalar
+        rollout.
         """
         if self.activation_model == "hatze":
             raise ValueError("the Hatze activation model has no array form")
@@ -434,25 +421,16 @@ class TorqueController:
     """Direct torque commands in [-1, 1] per joint."""
 
     n_controls = 2
-    n_internal = 0
+    state0 = ()
     lo = -1.0
     hi = 1.0
 
     def __init__(self, tau_max=(30.0, 30.0)):
         self.tau_max = _valid_tau_max(tau_max)
 
-    def reset(self):
-        pass
-
-    def snapshot(self):
-        return None
-
-    def restore(self, snap):
-        pass
-
-    def torques(self, th1, th2, w1, w2, u, dt):
+    def torques(self, state, th1, th2, w1, w2, u, dt):
         return (torque_actuator(u[0], self.tau_max[0]),
-                torque_actuator(u[1], self.tau_max[1]))
+                torque_actuator(u[1], self.tau_max[1]), state)
 
     def batch_torques(self, dt):
         """Array form of torques; u is the clipped (2, population) block."""
@@ -472,7 +450,7 @@ class PDController:
     """
 
     n_controls = 2
-    n_internal = 0
+    state0 = ()
     lo = -1.0
     hi = 1.0
 
@@ -482,19 +460,10 @@ class PDController:
         self.tau_max = _valid_tau_max(tau_max)
         self.target_scale = target_scale
 
-    def reset(self):
-        pass
-
-    def snapshot(self):
-        return None
-
-    def restore(self, snap):
-        pass
-
-    def torques(self, th1, th2, w1, w2, u, dt):
+    def torques(self, state, th1, th2, w1, w2, u, dt):
         u1 = pd_control(th1, w1, u[0] * self.target_scale, self.kp, self.kd)
         u2 = pd_control(th2, w2, u[1] * self.target_scale, self.kp, self.kd)
-        return (self.tau_max[0] * u1, self.tau_max[1] * u2)
+        return self.tau_max[0] * u1, self.tau_max[1] * u2, state
 
     def batch_torques(self, dt):
         """Array form of torques, pd_control's arithmetic and clamp per joint."""
@@ -514,7 +483,7 @@ class LowPassController:
     """Torque commands passed through a first-order filter before the torque source."""
 
     n_controls = 2
-    n_internal = 2
+    state0 = (0.0, 0.0)     # the filtered commands
     lo = -1.0
     hi = 1.0
 
@@ -523,37 +492,21 @@ class LowPassController:
             raise ValueError("dt_filter must be positive")
         self.dt_filter = dt_filter
         self.tau_max = _valid_tau_max(tau_max)
-        self.reset()
 
-    def reset(self):
-        self.filtered = [0.0, 0.0]
-
-    def snapshot(self):
-        return list(self.filtered)
-
-    def restore(self, snap):
-        self.filtered = list(snap)
-
-    @property
-    def internal(self):
-        """The two filtered commands."""
-        return self.filtered
-
-    def torques(self, th1, th2, w1, w2, u, dt):
-        out = []
-        for i in (0, 1):
-            ui = u[i]
+    def torques(self, state, th1, th2, w1, w2, u, dt):
+        filtered = []
+        for ui, fi in zip(u, state):
             if ui < -1.0:
                 ui = -1.0
             elif ui > 1.0:
                 ui = 1.0
-            self.filtered[i] = lowpass_step(self.filtered[i], ui, dt, self.dt_filter)
-            out.append(self.tau_max[i] * self.filtered[i])
-        return out[0], out[1]
+            filtered.append(lowpass_step(fi, ui, dt, self.dt_filter))
+        f1, f2 = filtered
+        return self.tau_max[0] * f1, self.tau_max[1] * f2, (f1, f2)
 
     def batch_torques(self, dt):
-        """Array form of torques; filtered is the (2, population) state array,
-        advanced in place by lowpass_step's update."""
+        """Array form of torques; filtered is the (2, population) array of
+        state rows, advanced in place by lowpass_step's update."""
         gain = dt / self.dt_filter
         t1, t2 = self.tau_max
 

@@ -120,8 +120,6 @@ class BallState:
     dx: float = 0.0
     dz: float = 0.0
     mass: float = 0.25
-    max_dz: float = 0.0
-    in_flight: bool = True
 
     def __post_init__(self):
         if self.mass <= 0.0:
@@ -509,5 +507,4 @@ def ball_step(ball: BallState, hand_pos, hand_vel, dt: float, g: float = 9.81,
         if rel < 0.0:  # approaching
             dx -= (1.0 + restitution) * rel * nx
             dz -= (1.0 + restitution) * rel * nz
-    return BallState(x=x, z=z, dx=dx, dz=dz, mass=ball.mass,
-                     max_dz=max(ball.max_dz, dz), in_flight=ball.in_flight)
+    return BallState(x=x, z=z, dx=dx, dz=dz, mass=ball.mass)

@@ -3,9 +3,14 @@
 The file format is one `section.key = value` assignment per line, with `#`
 comments and blank lines ignored. Values are parsed as int, float, bool, or
 string; comma-separated values become lists. Keys are case-insensitive.
-ExperimentConfig.from_mapping rejects a key it does not know, and the
-config rejects unknown task, morphology and ablation names, so a typo stops
-the run before it starts instead of being ignored.
+ExperimentConfig.from_mapping rejects a key it does not know and an integer
+key whose value has a fractional part, and the config rejects unknown task,
+morphology and ablation names, `arm.`/`weights.` values that are not finite
+numbers or that ArmParams refuses, and an mpc.resolution, warm_generations
+or refine_budget that the MPC runs would refuse. So a typo or a bad value
+stops the run with a ValueError before it starts (and before the output
+directory is made), instead of being ignored or failing inside the first
+sweep point.
 
 Example::
 
@@ -18,10 +23,12 @@ Example::
     arm.l1 = 0.3
 """
 
+import math
 from dataclasses import dataclass, field, fields
 
 from .actuators import AblationFlags, parse_morphology
 from .arm import ArmParams
+from .control import DT_SIM, _steps_per_segment
 from .objectives import TASKS, ObjectiveWeights
 
 EXPERIMENT_KINDS = ("data_efficiency", "sigma_sweep", "tpred_sweep",
@@ -86,13 +93,26 @@ def _list_of(convert):
                           (value if isinstance(value, list) else [value])]
 
 
+def _integer(value):
+    """An int, or a float with no fractional part: 4.7 is an error, not 4."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _finite_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _seed_list(value):
     """An int n means seeds 0..n-1; a list is taken verbatim."""
     if isinstance(value, list):
-        seeds = [int(v) for v in value]
+        seeds = [_integer(v) for v in value]
     else:
-        n = int(value)
-        seeds = list(range(n))
+        seeds = list(range(_integer(value)))
     if not seeds:
         raise ValueError("need at least one seed")
     return seeds
@@ -111,14 +131,14 @@ _KEYS = {
     "grid.sigma": ("sigma_grid", _list_of(float)),
     "grid.tpred": ("tpred_grid", _list_of(float)),
     "grid.masses": ("masses", _list_of(float)),
-    "optimizer.population": ("population", int),
-    "optimizer.generations": ("generations", int),
+    "optimizer.population": ("population", _integer),
+    "optimizer.generations": ("generations", _integer),
     "optimizer.sigma": ("sigma", float),
     "optimizer.c": ("c", float),
     "mpc.tpred": ("tpred", float),
     "mpc.resolution": ("mpc_resolution", float),
-    "mpc.warm_generations": ("warm_generations", int),
-    "mpc.refine_budget": ("refine_budget", int),
+    "mpc.warm_generations": ("warm_generations", _integer),
+    "mpc.refine_budget": ("refine_budget", _integer),
 }
 _OVERRIDES = {"arm": ("arm_overrides", ArmParams),
               "weights": ("weight_overrides", ObjectiveWeights)}
@@ -164,11 +184,18 @@ class ExperimentConfig:
             if name != "none":
                 AblationFlags.from_names([name])
         for prefix, (attr, cls) in _OVERRIDES.items():
-            known = {f.name for f in fields(cls)}
-            for key in getattr(self, attr):
-                if key not in known:
+            defaults = {f.name: f.default for f in fields(cls)}
+            overrides = getattr(self, attr)
+            for key, value in overrides.items():
+                if key not in defaults:
                     raise ValueError(f"unknown config key {prefix}.{key}; "
-                                     f"{prefix}. takes {sorted(known)}")
+                                     f"{prefix}. takes {sorted(defaults)}")
+                # a pair-valued field (ObjectiveWeights.s_th, ...) takes a list
+                pair = isinstance(value, list) and isinstance(defaults[key], tuple)
+                if not all(map(_finite_number, value if pair else [value])):
+                    raise ValueError(f"config key {prefix}.{key} = {value!r}: "
+                                     f"expected a finite number")
+            cls(**overrides)          # the class's own range checks
         for name, grid in (("c", self.c_grid), ("sigma", self.sigma_grid),
                            ("tpred", self.tpred_grid), ("masses", self.masses)):
             if not grid:
@@ -183,6 +210,10 @@ class ExperimentConfig:
             raise ValueError("optimizer budget too small")
         if self.sigma <= 0 or self.c <= 0 or self.tpred <= 0:
             raise ValueError("sigma, c, and tpred must be positive")
+        if self.warm_generations < 1 or self.refine_budget < 1:
+            raise ValueError("mpc.warm_generations and mpc.refine_budget "
+                             "must be at least 1")
+        _steps_per_segment(self.mpc_resolution, DT_SIM)
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":

@@ -1,9 +1,17 @@
 """Rollouts, open-loop trajectory optimization, and sampling-based MPC.
 
-A rollout advances the arm at a fixed physics timestep while the controller's
-internal actuator state advances in lockstep; controls come from a
-zero-order-hold decision vector. MPC re-plans against a prediction model
-that only sees perturbations flagged as visible.
+A rollout advances the arm at a fixed physics timestep while the actuator
+state advances in lockstep; controls come from a zero-order-hold decision
+vector. MPC re-plans against a prediction model that only sees
+perturbations flagged as visible.
+
+Actuator state is the controller's state row (see actuators): a rollout
+starts from `controller_state` (the controller's state0 when None), passes
+the row through controller.torques at every step, and returns the row
+after its last step as RolloutResult.controller_state. Controllers hold
+parameters only, so one controller serves any number of rollouts, and MPC
+carries the plant's actuator state from one segment to the next as that
+row, next to the arm state.
 
 Two rollout paths share one step function (arm._symp_step) and one
 scoring rule. `rollout` runs one episode on floats and is the reference.
@@ -40,15 +48,14 @@ _batch_step = _symp_step
 class RolloutResult:
     """Fixed-rate trajectory of one episode plus its scalar cost.
 
-    th/dth/ddth have one row per sample (n_steps + 1); controls, torques and
-    activities have one row per step. ddth[k] is the acceleration used to
-    advance sample k; the final row repeats the last applied torque's
-    acceleration at the terminal state. activities holds the controller's
-    internal row (n_internal wide: muscle activities or filtered low-pass
-    commands) and is None for controllers without internal state. rollout
+    th/dth/ddth have one row per sample (n_steps + 1); controls and torques
+    have one row per step. ddth[k] is the acceleration used to advance
+    sample k; the final row repeats the last applied torque's acceleration
+    at the terminal state. controller_state is the controller's state row
+    after the last step, the row a follow-on rollout starts from. rollout
     builds each array once, after the episode, from a flat list of floats.
-    The results rollout_batch scores leave torques and activities None:
-    no task cost reads them.
+    The results rollout_batch scores leave torques and controller_state
+    None: no task cost reads them.
     """
 
     dt: float
@@ -58,7 +65,7 @@ class RolloutResult:
     ddth: np.ndarray
     controls: np.ndarray
     torques: np.ndarray
-    activities: np.ndarray | None
+    controller_state: tuple | None
     ball: np.ndarray | None
     pend: np.ndarray | None
     cost: float
@@ -167,8 +174,8 @@ def _score(task, result: RolloutResult, params, duration) -> float:
 def rollout(task, controller, control_fn, params: ArmParams | None = None,
             perturbation: Perturbation | None = None, dt: float = DT_SIM,
             initial_state: ArmState | None = None, controller_state=None,
-            ball0: BallState | None = None, duration: float | None = None,
-            contact_radius: float = 0.05) -> RolloutResult:
+            ball0: BallState | None = None,
+            duration: float | None = None) -> RolloutResult:
     """Simulate one episode of `task` under `controller` and `control_fn`.
 
     control_fn(step_index, t) returns the raw control vector for that physics
@@ -176,10 +183,11 @@ def rollout(task, controller, control_fn, params: ArmParams | None = None,
     pendulum perturbation is co-simulated and coupled through cable tension.
     A non-finite state marks the rollout diverged with the sentinel cost.
 
-    Each step appends its values to one flat list of floats per field, and
-    every RolloutResult array is built from its list once the episode ends.
-    When the controller's n_internal is non-zero, its `internal` row is
-    recorded as the activities.
+    The actuator state starts as controller_state (a state row, the
+    controller's state0 when None) and ends as the result's
+    controller_state. Each step appends its values to one flat list of
+    floats per field, and every RolloutResult array is built from its list
+    once the episode ends.
     """
     t_start = time.perf_counter()
     params = params or ArmParams()
@@ -194,22 +202,17 @@ def rollout(task, controller, control_fn, params: ArmParams | None = None,
     w1, w2 = state.dth1, state.dth2
     phi_p, dphi_p = state.pend_angle, state.pend_vel
     t0 = state.t
-
-    if controller_state is None:
-        controller.reset()
-    else:
-        controller.restore(controller_state)
+    cstate = _state_row(controller, controller_state)
 
     ball = None
     if getattr(task, "has_ball", False):
         b = ball0 if ball0 is not None else task.initial_ball()
         ball = BallState(**vars(b))
-        contact_radius = getattr(task, "contact_radius", contact_radius)
+        contact_radius = task.contact_radius
 
     # one flat list of floats per field; numpy converts a flat list about
     # ten times faster than a list of row tuples
     th, dth, ddth, controls, torques = [th1, th2], [w1, w2], [], [], []
-    internal = [] if controller.n_internal else None
     pend = [phi_p, dphi_p] if pend_pert is not None else None
     balls = [ball.x, ball.z, ball.dx, ball.dz] if ball is not None else None
 
@@ -225,7 +228,7 @@ def rollout(task, controller, control_fn, params: ArmParams | None = None,
 
     for k in range(n):
         u = control_fn(k, t0 + k * dt)
-        tau1, tau2 = torques_of(th1, th2, w1, w2, u, dt)
+        tau1, tau2, cstate = torques_of(cstate, th1, th2, w1, w2, u, dt)
         t1, t2 = tau1, tau2
         if pend_pert is not None:
             t1, t2, phi_p, dphi_p = _pendulum_step(
@@ -234,8 +237,6 @@ def rollout(task, controller, control_fn, params: ArmParams | None = None,
         ddth += (a1, a2)
         controls += u
         torques += (tau1, tau2)
-        if internal is not None:
-            internal += controller.internal
         steps = k + 1
         th += (th1, th2)
         dth += (w1, w2)
@@ -272,7 +273,7 @@ def rollout(task, controller, control_fn, params: ArmParams | None = None,
         th=_rows(th, steps + 1), dth=_rows(dth, steps + 1),
         ddth=_rows(ddth, steps + 1),
         controls=_rows(controls, steps), torques=_rows(torques, steps),
-        activities=_rows(internal, steps) if internal is not None else None,
+        controller_state=cstate,
         ball=_rows(balls, steps + 1) if balls is not None else None,
         pend=_rows(pend, steps + 1) if pend is not None else None,
         cost=SENTINEL_COST, diverged=diverged, termination=termination,
@@ -281,6 +282,17 @@ def rollout(task, controller, control_fn, params: ArmParams | None = None,
         result.cost = _score(task, result, params, duration)
     result.wall_time = time.perf_counter() - t_start
     return result
+
+
+def _state_row(controller, controller_state) -> tuple:
+    """The state row a rollout starts from: controller_state, or the
+    controller's state0 when it is None."""
+    if controller_state is None:
+        return controller.state0
+    row = tuple(map(float, controller_state))
+    if len(row) != len(controller.state0):
+        raise ValueError(f"controller state {row} is not {len(controller.state0)} wide")
+    return row
 
 
 def _scalar_only(task, controller, perturbation) -> bool:
@@ -317,7 +329,9 @@ def rollout_batch(task, controller, thetas, parameterization: ControlParameteriz
     row with a non-finite angle or velocity sample is diverged and scores
     SENTINEL_COST; every other row is scored by the task's own cost (or
     window cost) on a RolloutResult of its own, with th, dth, ddth and
-    controls filled in and torques and activities left None. The cases in
+    controls filled in and torques and controller_state left None. Every
+    row starts from the same state row, controller_state (state0 when
+    None), as column i of the array the batch step advances. The cases in
     _scalar_only run through `rollout` row by row instead.
     """
     steps_per_seg, table = _zoh_table(thetas, parameterization, dt)
@@ -336,12 +350,8 @@ def rollout_batch(task, controller, thetas, parameterization: ControlParameteriz
     n = _horizon_steps(task, duration, dt)
     state = initial_state if initial_state is not None else task.initial_state()
     lam = table.shape[0]
-    if controller_state is None:
-        controller.reset()
-    else:
-        controller.restore(controller_state)
-    internal = (np.repeat(np.array(controller.internal, dtype=float)[:, None],
-                          lam, axis=1) if controller.n_internal else None)
+    cstate = np.tile(np.reshape(_state_row(controller, controller_state),
+                                (-1, 1)), lam)
     torques_of = controller.batch_torques(dt)
 
     # per segment, an (n_actuators, population) block of controls
@@ -359,7 +369,7 @@ def rollout_batch(task, controller, thetas, parameterization: ControlParameteriz
     cos, sin = np.cos, np.sin
     with np.errstate(all="ignore"):          # diverging rows overflow
         for k, s in enumerate(segment.tolist()):
-            tau1, tau2 = torques_of(internal, th1, th2, w1, w2, blocks[s])
+            tau1, tau2 = torques_of(cstate, th1, th2, w1, w2, blocks[s])
             th1, th2, w1, w2, a1, a2 = _batch_step(
                 coeffs, th1, th2, w1, w2, tau1, tau2, dt, cos=cos, sin=sin)
             th[:, k + 1, 0] = th1
@@ -381,7 +391,7 @@ def rollout_batch(task, controller, thetas, parameterization: ControlParameteriz
     for i in np.flatnonzero(finite).tolist():
         result = RolloutResult(
             dt=dt, t=t, th=th[i], dth=dth[i], ddth=ddth[i],
-            controls=table[i][segment], torques=None, activities=None,
+            controls=table[i][segment], torques=None, controller_state=None,
             ball=None, pend=None, cost=SENTINEL_COST, diverged=False,
             termination="horizon", steps=n)
         costs[i] = _score(task, result, params, duration)
@@ -463,7 +473,9 @@ def mpc_run(task, morphology: str, mpc: MpcConfig,
     it when perturbation.visible_to_prediction is set. At each control step
     the first planned segment is applied, the plan is shifted (last segment
     duplicated), and a pattern search with a fixed evaluation budget refines
-    it against the prediction model from the latest plant snapshot. The
+    it against the prediction model from the latest plant snapshot: the arm
+    state and the actuator state row the executed segment ended in. Plant
+    and prediction share one controller, which holds parameters only. The
     warm start scores each CMA-ES generation with rollout_batch; the
     refinement and the plant segments use the scalar rollout.
     MpcResult.evals counts the evaluations actually spent, and
@@ -471,27 +483,25 @@ def mpc_run(task, morphology: str, mpc: MpcConfig,
     executed (its last entry equals evals).
     """
     params = params or ArmParams()
-    overrides = controller_overrides or {}
-    plant_ctrl = make_controller(morphology, **overrides)
-    pred_ctrl = make_controller(morphology, **overrides)
-    plant_ctrl.reset()
+    controller = make_controller(morphology, **(controller_overrides or {}))
 
     visible = perturbation is not None and perturbation.visible_to_prediction
     pred_pert = perturbation if visible else None
 
     par = ControlParameterization(horizon=mpc.t_pred, resolution=mpc.resolution,
-                                  n_actuators=plant_ctrl.n_controls,
-                                  lo=plant_ctrl.lo, hi=plant_ctrl.hi)
+                                  n_actuators=controller.n_controls,
+                                  lo=controller.lo, hi=controller.hi)
     steps_per_ctrl = _steps_per_segment(mpc.resolution, dt)
     n_ctrl = round(task.duration / mpc.resolution)
 
     state = task.initial_state()
+    ctrl_state = controller.state0
     ball = task.initial_ball() if getattr(task, "has_ball", False) else None
 
     def window_objective(snap_state, snap_ctrl, snap_ball):
         def objective(theta):
             fn = zoh_control(theta, par, dt)
-            res = rollout(task, pred_ctrl, fn, params=params,
+            res = rollout(task, controller, fn, params=params,
                           perturbation=pred_pert, dt=dt,
                           initial_state=snap_state, controller_state=snap_ctrl,
                           ball0=snap_ball, duration=mpc.t_pred)
@@ -499,17 +509,16 @@ def mpc_run(task, morphology: str, mpc: MpcConfig,
         return objective
 
     # warm start from the initial snapshot
-    mid = 0.5 * (plant_ctrl.lo + plant_ctrl.hi)
+    mid = 0.5 * (controller.lo + controller.hi)
     warm_cfg = CmaConfig(population=mpc.warm_population,
                          generations=mpc.warm_generations,
                          sigma0=mpc.warm_sigma0, seed=mpc.seed,
                          x0=np.full(par.dim, mid))
-    snap = plant_ctrl.snapshot()
 
     def warm_objective(thetas):
-        return rollout_batch(task, pred_ctrl, thetas, par, params=params,
+        return rollout_batch(task, controller, thetas, par, params=params,
                              perturbation=pred_pert, dt=dt, initial_state=state,
-                             controller_state=snap, ball0=ball,
+                             controller_state=ctrl_state, ball0=ball,
                              duration=mpc.t_pred)
 
     plan, _, warm_trace = cma_es(warm_objective, par.dim, warm_cfg)
@@ -527,17 +536,16 @@ def mpc_run(task, morphology: str, mpc: MpcConfig,
         plans.append(plan.copy())
         step_evals.append(evals)
         u0 = np.clip(plan[:par.n_actuators], par.lo, par.hi)
-        seg = rollout(task, plant_ctrl, constant_control(u0), params=params,
+        seg = rollout(task, controller, constant_control(u0), params=params,
                       perturbation=perturbation, dt=dt, initial_state=state,
-                      controller_state=plant_ctrl.snapshot(), ball0=ball,
+                      controller_state=ctrl_state, ball0=ball,
                       duration=mpc.resolution)
         exec_parts.append(seg)
-        state = seg.final_state
+        state, ctrl_state = seg.final_state, seg.controller_state
         if ball is not None:
             bx, bz, bdx, bdz = seg.ball[-1]
             ball = BallState(x=float(bx), z=float(bz), dx=float(bdx),
-                             dz=float(bdz), mass=ball.mass,
-                             max_dz=max(ball.max_dz, float(seg.ball[:, 3].max())))
+                             dz=float(bdz), mass=ball.mass)
         if seg.diverged:
             diverged = True
             termination = "diverged"
@@ -548,7 +556,7 @@ def mpc_run(task, morphology: str, mpc: MpcConfig,
         if k == n_ctrl - 1:
             break
         plan = par.shift(plan)
-        objective = window_objective(state, plant_ctrl.snapshot(), ball)
+        objective = window_objective(state, ctrl_state, ball)
         first_eval = []
 
         def probed(theta, _obj=objective, _first=first_eval):
@@ -581,27 +589,31 @@ def mpc_run(task, morphology: str, mpc: MpcConfig,
 
 
 def _concat_rollouts(parts, task, params, dt, diverged, termination) -> RolloutResult:
-    """Stitch per-control-step segments into one trajectory (samples deduped)."""
+    """Stitch per-control-step segments into one trajectory.
+
+    Each segment gives its samples up to its end, and the last segment its
+    end too; a segment's end is the next segment's start. So every sample
+    keeps the acceleration that advanced it (a segment's terminal ddth,
+    taken under its last torques, is not one), and the result equals one
+    rollout of the executed controls from the first segment's start. The
+    time grid is rebuilt as t0 + k * dt, as such a rollout has it.
+    """
     if not parts:
         raise ValueError("no executed segments")
 
-    def cat_samples(name):
-        arrs = [getattr(parts[0], name)] + [getattr(p, name)[1:] for p in parts[1:]]
-        return np.concatenate(arrs) if arrs[0] is not None else None
+    def cat(name, end=-1):
+        arrs = [getattr(p, name) for p in parts]
+        if arrs[0] is None:
+            return None
+        return np.concatenate([a[:end] for a in arrs[:-1]] + arrs[-1:])
 
-    def cat_steps(name):
-        arrs = [getattr(p, name) for p in parts if getattr(p, name) is not None]
-        return np.concatenate(arrs) if arrs else None
-
-    th = cat_samples("th")
-    ddth = cat_samples("ddth")
-    # interior seams carry the follow-on segment's fresh acceleration
+    th = cat("th")
     result = RolloutResult(
-        dt=dt, t=cat_samples("t"), th=th, dth=cat_samples("dth"), ddth=ddth,
-        controls=cat_steps("controls"), torques=cat_steps("torques"),
-        activities=cat_steps("activities"),
-        ball=cat_samples("ball") if parts[0].ball is not None else None,
-        pend=cat_samples("pend") if parts[0].pend is not None else None,
+        dt=dt, t=parts[0].t[0] + dt * np.arange(th.shape[0]), th=th,
+        dth=cat("dth"), ddth=cat("ddth"), controls=cat("controls", None),
+        torques=cat("torques", None),
+        controller_state=parts[-1].controller_state,
+        ball=cat("ball"), pend=cat("pend"),
         cost=SENTINEL_COST, diverged=diverged, termination=termination,
         steps=th.shape[0] - 1)
     if not diverged:

@@ -202,8 +202,7 @@ def test_fully_ablated_pair_is_a_linear_torque_source():
         phi = rng.uniform(-1.0, 1.0)
         dphi = rng.uniform(-5.0, 5.0)
         u = rng.uniform(0.0, 1.0, 4)
-        ctrl.reset()
-        tau1, tau2 = ctrl.torques(phi, phi, dphi, dphi, u, 0.005)
+        tau1, tau2, _ = ctrl.torques(ctrl.state0, phi, phi, dphi, dphi, u, 0.005)
         want1 = -mp.f_max * (mp.m1 * u[0] + mp.m2 * u[1])
         want2 = -mp.f_max * (mp.m1 * u[2] + mp.m2 * u[3])
         assert tau1 == pytest.approx(want1, rel=1e-14)
@@ -324,37 +323,47 @@ def test_controller_factory_and_control_dimensions():
 
 
 def test_muscle_controller_state_snapshot_roundtrip():
+    # the state row is the whole actuator state: a step taken twice from
+    # the same row gives the same torques and the same next row
     ctrl = MuscleController()
     u = (0.8, 0.1, 0.3, 0.9)
+    state = ctrl.state0
     for _ in range(20):
-        ctrl.torques(0.2, -0.1, 0.5, 0.0, u, 0.005)
-    snap = ctrl.snapshot()
-    tau_a = ctrl.torques(0.2, -0.1, 0.5, 0.0, u, 0.005)
-    ctrl.restore(snap)
-    tau_b = ctrl.torques(0.2, -0.1, 0.5, 0.0, u, 0.005)
-    assert tau_a == tau_b
-    ctrl.reset()
-    assert ctrl.activities == [0.0, 0.0, 0.0, 0.0]
+        _, _, state = ctrl.torques(state, 0.2, -0.1, 0.5, 0.0, u, 0.005)
+    step_a = ctrl.torques(state, 0.2, -0.1, 0.5, 0.0, u, 0.005)
+    step_b = ctrl.torques(state, 0.2, -0.1, 0.5, 0.0, u, 0.005)
+    assert step_a == step_b and step_a[2] != state
+    assert ctrl.state0 == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_muscle_activities_lag_the_excitation():
     ctrl = MuscleController()
-    ctrl.torques(0.0, 0.0, 0.0, 0.0, (1.0, 0.0, 0.0, 0.0), 0.005)
-    a_after_one = ctrl.activities[0]
-    assert 0.0 < a_after_one < 1.0
+    _, _, acts = ctrl.torques(ctrl.state0, 0.0, 0.0, 0.0, 0.0,
+                              (1.0, 0.0, 0.0, 0.0), 0.005)
+    assert 0.0 < acts[0] < 1.0
     # ablating activation dynamics makes the response instantaneous
     fast = MuscleController(flags=AblationFlags(disable_activation=True))
-    fast.torques(0.0, 0.0, 0.0, 0.0, (1.0, 0.0, 0.0, 0.0), 0.005)
-    assert fast.activities[0] == 1.0
+    _, _, acts = fast.torques(fast.state0, 0.0, 0.0, 0.0, 0.0,
+                              (1.0, 0.0, 0.0, 0.0), 0.005)
+    assert acts[0] == 1.0
 
 
 def test_hatze_variant_runs_and_respects_bounds():
+    # under the Hatze model the state row holds the four calcium states;
+    # the activities are the static map of each step's new state
     ctrl = MuscleController(activation_model="hatze")
+    u = (1.0, 0.2, 0.6, 0.0)
+    sh, el = ctrl.shoulder, ctrl.elbow
+    lengths = (sh.m1 * 0.1 + sh.l_ref1, sh.m2 * 0.1 + sh.l_ref2,
+               el.m1 * 0.1 + el.l_ref1, el.m2 * 0.1 + el.l_ref2)
+    state = ctrl.state0
     for _ in range(100):
-        ctrl.torques(0.1, 0.1, 0.0, 0.0, (1.0, 0.2, 0.6, 0.0), 0.005)
-        assert all(0.0 <= a <= 1.0 for a in ctrl.activities)
-        assert all(0.0 <= g <= 1.0 for g in ctrl.gammas)
-    assert ctrl.activities[0] > 0.9
+        acts = [hatze_activation_step(g, v, l, 0.005, ctrl.hatze)[1]
+                for g, v, l in zip(state, u, lengths)]
+        _, _, state = ctrl.torques(state, 0.1, 0.1, 0.0, 0.0, u, 0.005)
+        assert all(0.0 <= a <= 1.0 for a in acts)
+        assert all(0.0 <= g <= 1.0 for g in state)
+    assert acts[0] > 0.9
 
 
 def test_ablation_flags_from_names():

@@ -218,7 +218,6 @@ def test_ball_free_fall_matches_analytic_velocity():
         ball = ball_step(ball, far_hand[0], far_hand[1], DT)
         assert abs(ball.dz - (-9.81 * k * DT)) < 1e-9
     assert ball.dx == 0.0
-    assert ball.max_dz == 0.0
 
 
 def test_ball_reflects_elastically_off_stationary_hand():
@@ -226,7 +225,6 @@ def test_ball_reflects_elastically_off_stationary_hand():
     out = ball_step(ball, (0.0, 0.0), (0.0, 0.0), 1e-4)
     # gravity first steepens the fall, then the bounce mirrors it exactly
     assert out.dz == pytest.approx(1.0 + 9.81e-4, abs=1e-12)
-    assert out.max_dz == out.dz
 
 
 def test_moving_hand_adds_twice_its_normal_speed():

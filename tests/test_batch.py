@@ -61,13 +61,10 @@ def population(seed, rows, par, spill=0.3):
                        (rows, par.dim))
 
 
-def controller_snapshot(ctrl, rng):
-    """A non-default internal state in the controller's own snapshot form."""
-    if ctrl.n_internal == 0:
-        return None
-    if ctrl.n_internal == 4:                   # muscle: (activities, gammas)
-        return (rng.uniform(0.0, 1.0, 4).tolist(), [0.0] * 4)
-    return rng.uniform(-1.0, 1.0, 2).tolist()  # low-pass: filtered commands
+def controller_row(ctrl, rng):
+    """A non-default state row: activities in [0, 1] for the muscle pair,
+    filtered commands in [-1, 1] for the low-pass family, () otherwise."""
+    return tuple(rng.uniform(ctrl.lo, ctrl.hi, len(ctrl.state0)).tolist())
 
 
 def make_family(family, flags):
@@ -103,7 +100,7 @@ def test_each_row_costs_what_the_scalar_rollout_gives_it(
             th1=float(rng.uniform(-2.0, 2.0)), th2=float(rng.uniform(-1.0, 1.0)),
             dth1=float(rng.uniform(-3.0, 3.0)), dth2=float(rng.uniform(-3.0, 3.0)),
             t=float(rng.uniform(0.0, 1.0)))
-        kw["controller_state"] = controller_snapshot(ctrl, rng)
+        kw["controller_state"] = controller_row(ctrl, rng)
     if window:  # an MPC prediction window, scored by window_cost
         kw["duration"] = 0.1
         par = ControlParameterization(horizon=0.1, resolution=c,

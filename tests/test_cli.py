@@ -56,6 +56,17 @@ class TestUsageErrors:
                        "--out", str(tmp_path / "out")) == 1
         err = capsys.readouterr().err
         assert "myoarm: error:" in err and "arm.bogus" in err
+
+    def test_bad_config_value_is_a_clean_error(self, tmp_path, capsys):
+        # a non-numeric arm value used to pass the config and raise a
+        # TypeError traceback inside the first sweep point
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY_CONFIG + "arm.l1 = abc\n")
+        assert run_cli("experiment", "--config", str(cfg),
+                       "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert "myoarm: error:" in err and "arm.l1" in err
+        assert not (tmp_path / "out").exists()
         assert "Traceback" not in err
 
     def test_help_exits_zero(self, capsys):

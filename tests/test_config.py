@@ -145,6 +145,14 @@ class TestExperimentConfig:
         "experiment.task = juggling",
         "optimizer.population = 4, 5",      # a list where a number belongs
         "arm = 0.3",
+        # values, checked before any run starts
+        "arm.l1 = abc",
+        "arm.l1 = nan",
+        "weights.jerk_gain = high",
+        "optimizer.population = 4.7",       # not silently truncated to 4
+        "mpc.resolution = 0.007",           # not a multiple of the 5 ms step
+        "mpc.warm_generations = 0",
+        "mpc.refine_budget = 0",
     ])
     def test_bad_config_rejected(self, line):
         with pytest.raises(ValueError):
@@ -159,6 +167,12 @@ class TestExperimentConfig:
         assert cfg.ablations == ["none", "actdyn"]
         assert cfg.arm_overrides == {"l1": 0.35}
         assert cfg.weight_overrides == {"lam1": 0.2}
+
+    def test_integral_float_is_an_integer(self):
+        cfg = ExperimentConfig.from_mapping(parse_config_text(
+            "optimizer.population = 8.0\nweights.s_th = 2.0, 3.0\n"))
+        assert cfg.population == 8 and isinstance(cfg.population, int)
+        assert cfg.weight_overrides == {"s_th": [2.0, 3.0]}
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "exp.cfg"

@@ -161,11 +161,15 @@ def test_muscle_kernel_equals_the_composed_step_functions(
     ctrl = MuscleController(shoulder=shoulder, elbow=elbow, flags=flags,
                             activation_model=model, hatze=hatze)
     acts, gammas = [0.0] * 4, [0.0] * 4
+    # the state row is the calcium states under Hatze activation and the
+    # activities otherwise (with activation ablated, the clipped excitations)
+    hatze_row = model == "hatze" and not flags.disable_activation
+    state = ctrl.state0
     for th1, th2, w1, w2, u in steps:
         want = torques_reference(ctrl, acts, gammas, th1, th2, w1, w2, u, dt)
-        assert ctrl.torques(th1, th2, w1, w2, u, dt) == want
-        assert ctrl.activities == acts
-        assert ctrl.gammas == gammas
+        tau1, tau2, state = ctrl.torques(state, th1, th2, w1, w2, u, dt)
+        assert (tau1, tau2) == want
+        assert state == tuple(gammas if hatze_row else acts)
 
 
 @EXACT
@@ -192,9 +196,9 @@ def rollout_reference(task, controller, control_fn, params=None,
     th1, th2, w1, w2 = s.th1, s.th2, s.dth1, s.dth2
     phi, dphi = s.pend_angle, s.pend_vel
     ball = task.initial_ball() if getattr(task, "has_ball", False) else None
-    controller.reset()
+    row = controller.state0
     out = {name: [] for name in ("th", "dth", "ddth", "controls", "torques",
-                                 "activities", "pend", "ball")}
+                                 "pend", "ball")}
     out["th"].append([th1, th2])
     out["dth"].append([w1, w2])
     out["pend"].append([phi, dphi])
@@ -205,7 +209,7 @@ def rollout_reference(task, controller, control_fn, params=None,
     tau = (0.0, 0.0)
     for k in range(round(task.duration / dt)):
         u = control_fn(k, s.t + k * dt)
-        tau = controller.torques(th1, th2, w1, w2, u, dt)
+        *tau, row = controller.torques(row, th1, th2, w1, w2, u, dt)
         t1, t2 = tau
         if pend is not None:
             fx, fz, ddphi, _, _ = _pendulum_forces(c, th1, th2, w1, w2, *tau,
@@ -220,10 +224,6 @@ def rollout_reference(task, controller, control_fn, params=None,
         out["ddth"].append([a1, a2])
         out["controls"].append(list(u))
         out["torques"].append(list(tau))
-        if controller.n_internal:
-            snap = controller.snapshot()
-            out["activities"].append(list(snap[0] if isinstance(snap, tuple)
-                                          else snap))
         out["th"].append([th1, th2])
         out["dth"].append([w1, w2])
         out["pend"].append([phi, dphi])
@@ -250,12 +250,13 @@ def rollout_reference(task, controller, control_fn, params=None,
               for name, rows in out.items()}
     if pend is None:
         arrays["pend"] = None
-    return arrays, diverged, termination
+    return arrays, diverged, termination, row
 
 
 def assert_rollout_matches(res, ref):
-    arrays, diverged, termination = ref
+    arrays, diverged, termination, row = ref
     assert (res.diverged, res.termination) == (diverged, termination)
+    assert res.controller_state == row
     assert res.steps == arrays["torques"].shape[0]
     for name, want in arrays.items():
         got = getattr(res, name)

@@ -63,7 +63,9 @@ class TestRollout:
             l_b = mp.m2 * res.th[:, col] + mp.l_ref2
             assert l_a.max() <= 1.0 and l_b.max() <= 1.0
         assert np.all(res.torques == 0.0)
-        assert np.all(res.activities == 0.0)
+        # under zero excitation an activity only decays (a' = a * decay),
+        # so a zero final row means every step's activities were zero
+        assert res.controller_state == (0.0, 0.0, 0.0, 0.0)
         # the arm itself falls; only the actuation is silent
         assert res.th[-1, 0] < -0.05
 
@@ -105,7 +107,7 @@ class TestRollout:
         assert res.ddth.shape == (n + 1, 2)
         assert res.controls.shape == (n, 4)
         assert res.torques.shape == (n, 2)
-        assert res.activities.shape == (n, 4)
+        assert len(res.controller_state) == 4
         assert np.allclose(np.diff(res.t), DT_SIM)
         assert res.termination == "horizon"
 
@@ -124,12 +126,12 @@ class TestRollout:
             res = rollout(task, roll_ctrl, fn, perturbation=pert)
 
             ctrl = make_controller(morph)
-            ctrl.reset()
+            row = ctrl.state0
             state = task.initial_state()
             for k in range(res.steps):
                 u = fn(k, state.t)
-                tau = ctrl.torques(state.th1, state.th2, state.dth1,
-                                   state.dth2, u, DT_SIM)
+                *tau, row = ctrl.torques(row, state.th1, state.th2,
+                                         state.dth1, state.dth2, u, DT_SIM)
                 assert tau[0] == res.torques[k, 0]
                 assert tau[1] == res.torques[k, 1]
                 state = step(state, tau, DT_SIM, PARAMS, pert)
@@ -139,6 +141,7 @@ class TestRollout:
                 assert state.dth2 == res.dth[k + 1, 1]
                 assert state.pend_angle == res.pend[k + 1, 0]
                 assert state.pend_vel == res.pend[k + 1, 1]
+            assert row == res.controller_state
 
     def test_divergence_marked_with_sentinel(self):
         task = SmoothReaching()
@@ -280,6 +283,29 @@ class TestMpc:
         assert res.cost == res.executed.cost
         assert math.isfinite(res.cost)
         assert res.step_costs.size == round(task.duration / 0.05)
+
+    @pytest.mark.parametrize("morph, pert", [
+        ("muscle", None), ("torque", None), ("lowpass-slow", None),
+        ("muscle", Perturbation(kind="chaotic_pendulum", mass=1.0,
+                                cable_length=0.25)),
+        ("torque", Perturbation(kind="lower_arm_mass", mass=2.0,
+                                visible_to_prediction=False))])
+    def test_executed_trajectory_is_one_rollout_of_its_controls(self, morph, pert):
+        # the stitched segments are the trajectory one rollout of the
+        # executed controls walks from the initial state, sample for sample
+        # (each seam keeps the acceleration that advanced it), and the MPC
+        # cost is that rollout's cost
+        task = SmoothReaching(duration=0.3)
+        res = mpc_run(task, morph, tiny_mpc(seed=4, warm_generations=2,
+                                            refine_budget=4), perturbation=pert)
+        controls = [tuple(row) for row in res.executed.controls.tolist()]
+        ref = rollout(task, make_controller(morph), lambda k, t: controls[k],
+                      perturbation=pert)
+        for name in ("t", "th", "dth", "ddth", "controls", "torques", "pend"):
+            got, want = getattr(res.executed, name), getattr(ref, name)
+            assert (got is None and want is None) or np.array_equal(got, want), name
+        assert res.executed.controller_state == ref.controller_state
+        assert res.cost == ref.cost
 
     def test_not_worse_than_open_loop_at_equal_budget(self):
         # re-planning from the true state should pay off against a one-shot
