@@ -60,11 +60,6 @@ def derive_linear_map(phi_min: float, phi_max: float, l_min: float, l_max: float
     return m1, l_ref1, m2, l_ref2
 
 
-def fiber_kinematics(phi: float, dphi: float, m: float, l_ref: float):
-    """Fiber length and velocity of a linearly routed muscle: l = m*phi + l_ref."""
-    return m * phi + l_ref, m * dphi
-
-
 def _clamp_excitation(u: float) -> float:
     """Nearest end of [0, 1] for an excitation outside it, with a warning.
 
@@ -73,22 +68,6 @@ def _clamp_excitation(u: float) -> float:
     """
     log.warning("excitation %.6g outside [0, 1]; clamped", u)
     return 0.0 if u < 0.0 else 1.0
-
-
-def activation_step(a: float, u: float, dt: float, tau_act: float) -> float:
-    """First-order activation toward the excitation u with time constant tau_act.
-
-    Exact discrete solution of da/dt = (u - a)/tau_act for constant u over the
-    step; result stays in [0, 1] for u in [0, 1].
-    """
-    if not 0.0 <= u <= 1.0:
-        u = _clamp_excitation(u)
-    a = u + (a - u) * math.exp(-dt / tau_act)
-    if a < 0.0:
-        return 0.0
-    if a > 1.0:
-        return 1.0
-    return a
 
 
 def lowpass_step(a: float, u: float, dt: float, dt_filter: float) -> float:
@@ -125,37 +104,6 @@ def hatze_activation_step(gamma: float, u: float, l_ce: float, dt: float,
     w = (gamma * params.rho_scale * l_ce) ** params.nu
     a = (params.a0 + w) / (1.0 + w)
     return gamma, a
-
-
-def force_length(l: float) -> float:
-    """Bell-shaped active force-length factor, peak 1 at l = 1, support [0.5, 1.5]."""
-    x = (l - 1.0) / 0.5
-    y = 1.0 - x * x
-    if y <= 0.0:
-        return 0.0
-    return y * y
-
-
-def force_velocity(v: float) -> float:
-    """Hill-type force-velocity factor.
-
-    Zero at and below v = -1 (fast shortening), 1 at v = 0, saturating toward
-    FV_MAX for lengthening; monotone non-decreasing everywhere.
-    """
-    if v <= -1.0:
-        return 0.0
-    if v <= 0.0:
-        return (1.0 + v) / (1.0 - v / _FV_KNEE)
-    r = _FV_KNEE_ECC / (_FV_KNEE_ECC + v)
-    return FV_MAX - (FV_MAX - 1.0) * r * r
-
-
-def force_passive(l: float) -> float:
-    """Parallel-elastic factor: zero at or below optimal length, quadratic above."""
-    if l <= 1.0:
-        return 0.0
-    x = (l - 1.0) / 0.6
-    return 1.3 * x * x
 
 
 @dataclass
@@ -213,12 +161,11 @@ def muscle_joint_torque(phi: float, dphi: float, a1: float, a2: float,
                         mp: MuscleParams, flags: AblationFlags | None = None) -> float:
     """Joint torque of the pair at activities a1, a2: tau = -(m1*F1 + m2*F2).
 
-    Each fiber force is F = (FL * FV * a + FP) * f_max at the fiber state of
-    fiber_kinematics, with FV read at v_scale times the fiber velocity. This
-    is the per-step force arithmetic of MuscleController.torques. The curves
-    are written out operation for operation as force_length, force_velocity
-    and force_passive, so the result is bit-identical to composing them
-    without the dozen calls that would cost.
+    Each fiber force is F = (FL * FV * a + FP) * f_max at the fiber length
+    l = m*phi + l_ref, with FV read at v_scale times the fiber velocity
+    m*dphi. This is the per-step force arithmetic of
+    MuscleController.torques, the curves written out inline (_fiber_force)
+    rather than composed from a dozen calls.
     """
     no_fl = flags is not None and flags.disable_fl
     no_fv = flags is not None and flags.disable_fv
@@ -231,7 +178,14 @@ def muscle_joint_torque(phi: float, dphi: float, a1: float, a2: float,
 
 
 def _fiber_force(l, v, a, f_max, no_fl, no_fv):
-    """(FL * FV * a + FP) * f_max at fiber length l and scaled velocity v."""
+    """(FL * FV * a + FP) * f_max at fiber length l and scaled velocity v.
+
+    FL is the bell-shaped active force-length factor, peak 1 at l = 1 and
+    support [0.5, 1.5]. FV is the Hill-type force-velocity factor: zero at
+    and below v = -1 (fast shortening), 1 at v = 0, saturating toward FV_MAX
+    when lengthening, monotone non-decreasing. FP is the parallel-elastic
+    factor, zero up to the optimal length and quadratic above it.
+    """
     if no_fl:
         fl = 1.0
     else:
@@ -339,9 +293,10 @@ class MuscleController:
         with activation dynamics ablated, where it is the clipped
         excitations) and the four free-calcium states under the Hatze model.
         One kernel for every AblationFlags combination and both activation
-        models. The first-order update repeats activation_step operation
-        for operation, with exp(-dt/tau_act) taken once per joint, so the
-        numbers are bit-identical to composing the public step functions.
+        models. The first-order update is the exact discrete solution of
+        da/dt = (u - a)/tau_act for the step's constant excitation (u
+        clamped to [0, 1], a clipped to it), with exp(-dt/tau_act) taken
+        once per joint.
         """
         flags = self.flags
         shoulder, elbow = self.shoulder, self.elbow
@@ -493,7 +448,14 @@ class LowPassController:
         self.dt_filter = dt_filter
         self.tau_max = _valid_tau_max(tau_max)
 
+    def _check_step(self, dt):
+        """Forward Euler is stable for gains dt/dt_filter up to 2."""
+        if self.dt_filter < 0.5 * dt:
+            raise ValueError(f"dt_filter {self.dt_filter} is below half the "
+                             f"step dt = {dt}; the filter would diverge")
+
     def torques(self, state, th1, th2, w1, w2, u, dt):
+        self._check_step(dt)
         filtered = []
         for ui, fi in zip(u, state):
             if ui < -1.0:
@@ -507,6 +469,7 @@ class LowPassController:
     def batch_torques(self, dt):
         """Array form of torques; filtered is the (2, population) array of
         state rows, advanced in place by lowpass_step's update."""
+        self._check_step(dt)
         gain = dt / self.dt_filter
         t1, t2 = self.tau_max
 

@@ -25,8 +25,6 @@ with the same operations in the same order.
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 
 @dataclass
 class ArmParams:
@@ -69,9 +67,6 @@ class ArmState:
     t: float = 0.0
     pend_angle: float = 0.0   # cable angle from straight down
     pend_vel: float = 0.0
-
-    def as_tuple(self):
-        return (self.th1, self.th2, self.dth1, self.dth2)
 
 
 @dataclass
@@ -372,19 +367,6 @@ def forward_dynamics(state: ArmState, tau, params: ArmParams):
     return _accel(c, state.th1, state.th2, state.dth1, state.dth2, tau[0], tau[1])
 
 
-def mass_matrix(state: ArmState, params: ArmParams):
-    """Symmetric joint-space mass matrix [[m11, m12], [m12, m22]]."""
-    m11, m12, m22 = _mass_matrix(_Coeffs(params), state.th2)
-    return ((m11, m12), (m12, m22))
-
-
-def gravity_torque(state: ArmState, params: ArmParams):
-    """Generalized gravity forces (the torque needed to hold still is +G)."""
-    c = _Coeffs(params)
-    c12 = math.cos(state.th1 - state.th2)
-    return (c.kg1 * math.cos(state.th1) + c.kg2 * c12, -c.kg2 * c12)
-
-
 def step(state: ArmState, tau, dt: float = 0.005, params: ArmParams | None = None,
          perturbation: Perturbation | None = None) -> ArmState:
     """One semi-implicit Euler step: momenta first, then positions.
@@ -419,69 +401,11 @@ def step(state: ArmState, tau, dt: float = 0.005, params: ArmParams | None = Non
     )
 
 
-def rk4_step(state: ArmState, tau, dt: float, params: ArmParams) -> ArmState:
-    """Classic fourth-order Runge-Kutta step (reference integrator for tests).
-
-    No perturbation support; constant torque over the step.
-    """
-    c = _Coeffs(params)
-    t1, t2 = tau[0], tau[1]
-
-    def f(y):
-        th1, th2, w1, w2 = y
-        a1, a2 = _accel(c, th1, th2, w1, w2, t1, t2)
-        return (w1, w2, a1, a2)
-
-    y0 = state.as_tuple()
-    k1 = f(y0)
-    k2 = f(tuple(y0[i] + 0.5 * dt * k1[i] for i in range(4)))
-    k3 = f(tuple(y0[i] + 0.5 * dt * k2[i] for i in range(4)))
-    k4 = f(tuple(y0[i] + dt * k3[i] for i in range(4)))
-    y = tuple(y0[i] + dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) for i in range(4))
-    return ArmState(th1=y[0], th2=y[1], dth1=y[2], dth2=y[3], t=state.t + dt)
-
-
 def end_effector(state: ArmState, params: ArmParams):
     """Hand position (x, z) and velocity (vx, vz)."""
     c = _Coeffs(params)
     x, z, vx, vz = _hand(c, state.th1, state.th2, state.dth1, state.dth2)
     return (x, z), (vx, vz)
-
-
-def kinetic_energy(state: ArmState, params: ArmParams) -> float:
-    c = _Coeffs(params)
-    m11, m12, m22 = _mass_matrix(c, state.th2)
-    w1, w2 = state.dth1, state.dth2
-    return 0.5 * (m11 * w1 * w1 + 2.0 * m12 * w1 * w2 + m22 * w2 * w2)
-
-
-def potential_energy(state: ArmState, params: ArmParams) -> float:
-    c = _Coeffs(params)
-    return c.kg1 * math.sin(state.th1) + c.kg2 * math.sin(state.th1 - state.th2)
-
-
-def total_energy(state: ArmState, params: ArmParams) -> float:
-    return kinetic_energy(state, params) + potential_energy(state, params)
-
-
-def lagrangian(th1, th2, w1, w2, params: ArmParams):
-    """L = T - V as a plain function of scalars (oracle-friendly form).
-
-    Accepts any numeric type numpy can broadcast (e.g. longdouble), so tests
-    can difference it in extended precision.
-    """
-    p = params
-    mb = p.m2 + p.m_hand + p.m_extra
-    sb = p.m2 * p.r2 + p.m_hand * p.l2 + p.m_extra * p.r2
-    qb = p.i2 + p.m2 * p.r2 * p.r2 + p.m_hand * p.l2 * p.l2 + p.m_extra * p.r2 * p.r2
-    a1 = p.i1 + p.m1 * p.r1 * p.r1
-    c2 = np.cos(th2)
-    m11 = a1 + qb + mb * p.l1 * p.l1 + 2.0 * p.l1 * sb * c2
-    m12 = -(qb + p.l1 * sb * c2)
-    m22 = qb
-    t = 0.5 * (m11 * w1 * w1 + 2.0 * m12 * w1 * w2 + m22 * w2 * w2)
-    v = p.g * ((p.m1 * p.r1 + mb * p.l1) * np.sin(th1) + sb * np.sin(th1 - th2))
-    return t - v
 
 
 def ball_step(ball: BallState, hand_pos, hand_vel, dt: float, g: float = 9.81,

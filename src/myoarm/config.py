@@ -2,15 +2,17 @@
 
 The file format is one `section.key = value` assignment per line, with `#`
 comments and blank lines ignored. Values are parsed as int, float, bool, or
-string; comma-separated values become lists. Keys are case-insensitive.
+string (names and paths stay strings); comma-separated values become lists.
+Keys are case-insensitive.
 ExperimentConfig.from_mapping rejects a key it does not know and an integer
 key whose value has a fractional part, and the config rejects unknown task,
 morphology and ablation names, `arm.`/`weights.` values that are not finite
-numbers or that ArmParams refuses, and an mpc.resolution, warm_generations
-or refine_budget that the MPC runs would refuse. So a typo or a bad value
-stops the run with a ValueError before it starts (and before the output
-directory is made), instead of being ignored or failing inside the first
-sweep point.
+numbers or that ArmParams refuses, an mpc.resolution, warm_generations
+or refine_budget that the MPC runs would refuse, and a prediction horizon
+shorter than one mpc.resolution segment (mpc.tpred of robustness_weights,
+any grid.tpred value of tpred_sweep). So a typo or a bad value stops the
+run with a ValueError before it starts (and before the output directory is
+made), instead of being ignored or failing inside the first sweep point.
 
 Example::
 
@@ -30,6 +32,7 @@ from .actuators import AblationFlags, parse_morphology
 from .arm import ArmParams
 from .control import DT_SIM, _steps_per_segment
 from .objectives import TASKS, ObjectiveWeights
+from .optimizers import ControlParameterization
 
 EXPERIMENT_KINDS = ("data_efficiency", "sigma_sweep", "tpred_sweep",
                     "robustness_weights", "ablation", "ball_serve",
@@ -55,7 +58,11 @@ def _parse_scalar(text: str):
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse `key = value` lines into a flat dict of typed values."""
+    """Parse `key = value` lines into a flat dict of typed values.
+
+    The values of the name and path keys (_TEXT_KEYS) stay text as written,
+    so an out_dir `007` or `yes` is not read as the number 7 or True.
+    """
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -68,10 +75,11 @@ def parse_config_text(text: str) -> dict:
         if not key:
             raise ValueError(f"line {lineno}: empty key")
         value = value.strip()
+        parse = str.strip if key in _TEXT_KEYS else _parse_scalar
         if "," in value:
-            out[key] = [_parse_scalar(v) for v in value.split(",") if v.strip()]
+            out[key] = [parse(v) for v in value.split(",") if v.strip()]
         else:
-            out[key] = _parse_scalar(value)
+            out[key] = parse(value)
     return out
 
 
@@ -118,15 +126,17 @@ def _seed_list(value):
     return seeds
 
 
+_names = _list_of(str)
+
 # config file key -> (ExperimentConfig field, conversion); arm.* and
 # weights.* keys go to arm_overrides and weight_overrides instead
 _KEYS = {
     "experiment.kind": ("kind", str),
     "experiment.task": ("task", str),
-    "experiment.morphologies": ("morphologies", _list_of(str)),
+    "experiment.morphologies": ("morphologies", _names),
     "experiment.seeds": ("seeds", _seed_list),
     "experiment.out_dir": ("out_dir", str),
-    "experiment.ablations": ("ablations", _list_of(str)),
+    "experiment.ablations": ("ablations", _names),
     "grid.c": ("c_grid", _list_of(float)),
     "grid.sigma": ("sigma_grid", _list_of(float)),
     "grid.tpred": ("tpred_grid", _list_of(float)),
@@ -140,6 +150,7 @@ _KEYS = {
     "mpc.warm_generations": ("warm_generations", _integer),
     "mpc.refine_budget": ("refine_budget", _integer),
 }
+_TEXT_KEYS = {key for key, (_, convert) in _KEYS.items() if convert in (str, _names)}
 _OVERRIDES = {"arm": ("arm_overrides", ArmParams),
               "weights": ("weight_overrides", ObjectiveWeights)}
 
@@ -214,6 +225,15 @@ class ExperimentConfig:
             raise ValueError("mpc.warm_generations and mpc.refine_budget "
                              "must be at least 1")
         _steps_per_segment(self.mpc_resolution, DT_SIM)
+        horizons = {"tpred_sweep": ("grid.tpred", self.tpred_grid),
+                    "robustness_weights": ("mpc.tpred", [self.tpred])}
+        key, values = horizons.get(self.kind, (None, []))
+        for tpred in values:          # the MPC window's own rule
+            try:
+                ControlParameterization(tpred, self.mpc_resolution, 1, 0.0, 1.0)
+            except ValueError as exc:
+                raise ValueError(f"{key} = {tpred} with mpc.resolution = "
+                                 f"{self.mpc_resolution}: {exc}") from None
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":

@@ -24,7 +24,6 @@ plant segments and the best-plan rollouts use `rollout`.
 """
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +71,6 @@ class RolloutResult:
     diverged: bool
     termination: str            # 'horizon', 'goal', or 'diverged'
     steps: int
-    wall_time: float = 0.0
 
     @property
     def final_state(self) -> ArmState:
@@ -189,7 +187,6 @@ def rollout(task, controller, control_fn, params: ArmParams | None = None,
     floats per field, and every RolloutResult array is built from its list
     once the episode ends.
     """
-    t_start = time.perf_counter()
     params = params or ArmParams()
     p_eff = perturbation.apply_to(params) if perturbation is not None else params
     coeffs = _Coeffs(p_eff)
@@ -280,7 +277,6 @@ def rollout(task, controller, control_fn, params: ArmParams | None = None,
         steps=steps)
     if not diverged:
         result.cost = _score(task, result, params, duration)
-    result.wall_time = time.perf_counter() - t_start
     return result
 
 
@@ -453,12 +449,9 @@ class MpcConfig:
 class MpcResult:
     executed: RolloutResult
     step_costs: np.ndarray        # executed stage cost averaged per control step
-    plan_costs: np.ndarray        # predicted window cost after each refinement
-    shift_costs: np.ndarray       # shifted-plan window cost before refinement
     cost: float                   # executed-trajectory cost (same functional as OC)
     evals: int
     step_evals: np.ndarray        # evaluations spent before each executed step
-    first_plan: np.ndarray        # warm-start plan before any execution
     plans: np.ndarray             # plan in force at each executed control step
     diverged: bool = False
 
@@ -523,13 +516,10 @@ def mpc_run(task, morphology: str, mpc: MpcConfig,
 
     plan, _, warm_trace = cma_es(warm_objective, par.dim, warm_cfg)
     evals = warm_trace.total_evals
-    first_plan = plan.copy()
 
     exec_parts = []
     plans = []
     step_evals = []
-    plan_costs = []
-    shift_costs = []
     diverged = False
     termination = "horizon"
     for k in range(n_ctrl):
@@ -556,21 +546,10 @@ def mpc_run(task, morphology: str, mpc: MpcConfig,
         if k == n_ctrl - 1:
             break
         plan = par.shift(plan)
-        objective = window_objective(state, ctrl_state, ball)
-        first_eval = []
-
-        def probed(theta, _obj=objective, _first=first_eval):
-            v = _obj(theta)
-            if not _first:
-                _first.append(v)   # pattern search evaluates its start first
-            return v
-
-        plan, f_plan, refine_evals = local_refine(
-            probed, plan, mpc.refine_radius, mpc.refine_budget,
-            lo=par.lo, hi=par.hi)
+        plan, _, refine_evals = local_refine(
+            window_objective(state, ctrl_state, ball), plan,
+            mpc.refine_radius, mpc.refine_budget, lo=par.lo, hi=par.hi)
         evals += refine_evals
-        shift_costs.append(first_eval[0])
-        plan_costs.append(f_plan)
 
     executed = _concat_rollouts(exec_parts, task, params, dt,
                                 diverged, termination)
@@ -581,10 +560,8 @@ def mpc_run(task, morphology: str, mpc: MpcConfig,
     else:
         per_step = [SENTINEL_COST] * len(exec_parts)
     return MpcResult(executed=executed, step_costs=np.asarray(per_step),
-                     plan_costs=np.asarray(plan_costs),
-                     shift_costs=np.asarray(shift_costs), cost=executed.cost,
-                     evals=evals, step_evals=np.asarray(step_evals),
-                     first_plan=first_plan,
+                     cost=executed.cost, evals=evals,
+                     step_evals=np.asarray(step_evals),
                      plans=np.asarray(plans), diverged=diverged)
 
 

@@ -78,16 +78,12 @@ class CmaConfig:
 class OptimizationTrace:
     """Per-generation learning curve of one optimization run."""
 
-    gen_best: list = field(default_factory=list)     # best cost of the generation
     best_so_far: list = field(default_factory=list)  # monotone running best
     evals: list = field(default_factory=list)        # cumulative evaluations
-    diverged: list = field(default_factory=list)     # any sentinel cost this gen
 
-    def record(self, gen_best, best_so_far, evals, diverged):
-        self.gen_best.append(float(gen_best))
+    def record(self, best_so_far, evals):
         self.best_so_far.append(float(best_so_far))
         self.evals.append(int(evals))
-        self.diverged.append(bool(diverged))
 
     @property
     def total_evals(self) -> int:
@@ -152,9 +148,9 @@ def cma_es(objective, dim: int, config: CmaConfig):
         if bad.any():
             f = np.where(bad, NAN_SENTINEL, f)
         order = np.argsort(f, kind="stable")
-        gen_best = float(f[order[0]])
-        if gen_best < best_f:
-            best_f = gen_best
+        gen_min = float(f[order[0]])
+        if gen_min < best_f:
+            best_f = gen_min
             best_x = x[order[0]].copy()
 
         sel = order[:mu]
@@ -174,7 +170,7 @@ def cma_es(objective, dim: int, config: CmaConfig):
         cov = (cov + cov.T) / 2.0                  # guard symmetry drift
         sigma *= math.exp(min(1.0, (cs / ds) * (ps_norm / chi_n - 1.0)))
 
-        trace.record(gen_best, best_f, evals, bool(bad.any()))
+        trace.record(best_f, evals)
 
     return best_x, best_f, trace
 

@@ -1,15 +1,125 @@
 """Independent reference computations shared by the test modules.
 
-Everything here is derived from first principles (finite differences of the
-Lagrangian, a Runge-Kutta reference integrator, closed-form curves) rather
-than from the code under test, so agreement is meaningful.
+Everything here is derived from first principles (the arm's Lagrangian and
+its finite differences, a Runge-Kutta reference integrator, closed-form
+curves) rather than from the code under test, so agreement is meaningful.
+From myoarm the oracles import only the ArmParams and ArmState records of
+myoarm.arm: the mass matrix, potential, generalized forces and
+accelerations below are written out from the link geometry, not taken from
+myoarm.arm's kernels. The muscle curves and the first-order activation
+step are written out here too, one function each, and import nothing.
 """
 
 import math
 
 import numpy as np
 
-from myoarm.arm import ArmParams, ArmState, lagrangian, rk4_step
+from myoarm.arm import ArmParams, ArmState
+
+
+def _body_sums(p: ArmParams):
+    """Inertial sums of the arm: the upper arm's inertia about the shoulder,
+    then the mass, first moment and inertia about the elbow of everything
+    the forearm carries (its rod, the hand mass and the extra mass)."""
+    upper = p.i1 + p.m1 * p.r1 ** 2
+    mass = p.m2 + p.m_hand + p.m_extra
+    moment = p.m2 * p.r2 + p.m_hand * p.l2 + p.m_extra * p.r2
+    inertia = p.i2 + p.m2 * p.r2 ** 2 + p.m_hand * p.l2 ** 2 + p.m_extra * p.r2 ** 2
+    return upper, mass, moment, inertia
+
+
+def _mass_terms(th2, p: ArmParams, cos=math.cos):
+    """(m11, m12, m22) of T = 1/2 w^T M w; the forearm's absolute angle is
+    th1 - th2, so the coupling term m12 is negative."""
+    upper, mass, moment, inertia = _body_sums(p)
+    c2 = cos(th2)
+    m11 = upper + inertia + mass * p.l1 ** 2 + 2.0 * p.l1 * moment * c2
+    m12 = -(inertia + p.l1 * moment * c2)
+    return m11, m12, inertia
+
+
+def _potential(th1, th2, p: ArmParams, sin=math.sin):
+    _, mass, moment, _ = _body_sums(p)
+    return p.g * ((p.m1 * p.r1 + mass * p.l1) * sin(th1) + moment * sin(th1 - th2))
+
+
+def lagrangian(th1, th2, w1, w2, params: ArmParams):
+    """L = T - V as a plain function of scalars.
+
+    Accepts any numeric type numpy can broadcast (e.g. longdouble), so tests
+    can difference it in extended precision.
+    """
+    m11, m12, m22 = _mass_terms(th2, params, cos=np.cos)
+    t = 0.5 * (m11 * w1 * w1 + 2.0 * m12 * w1 * w2 + m22 * w2 * w2)
+    return t - _potential(th1, th2, params, sin=np.sin)
+
+
+def mass_matrix(state: ArmState, params: ArmParams):
+    """Symmetric joint-space mass matrix [[m11, m12], [m12, m22]]."""
+    m11, m12, m22 = _mass_terms(state.th2, params)
+    return ((m11, m12), (m12, m22))
+
+
+def _gravity(th1, th2, p: ArmParams):
+    """dV/dtheta, the derivative of _potential."""
+    _, mass, moment, _ = _body_sums(p)
+    fore = p.g * moment * math.cos(th1 - th2)
+    return p.g * (p.m1 * p.r1 + mass * p.l1) * math.cos(th1) + fore, -fore
+
+
+def gravity_torque(state: ArmState, params: ArmParams):
+    """Generalized gravity forces (the torque needed to hold still is +G)."""
+    return _gravity(state.th1, state.th2, params)
+
+
+def kinetic_energy(state: ArmState, params: ArmParams) -> float:
+    m11, m12, m22 = _mass_terms(state.th2, params)
+    w1, w2 = state.dth1, state.dth2
+    return 0.5 * (m11 * w1 * w1 + 2.0 * m12 * w1 * w2 + m22 * w2 * w2)
+
+
+def potential_energy(state: ArmState, params: ArmParams) -> float:
+    return _potential(state.th1, state.th2, params)
+
+
+def total_energy(state: ArmState, params: ArmParams) -> float:
+    return kinetic_energy(state, params) + potential_energy(state, params)
+
+
+def lagrange_accel(th1, th2, w1, w2, tau, params: ArmParams):
+    """Joint accelerations from the Euler-Lagrange equations.
+
+    M(q) a + h(q, w) + dV/dq = tau, with the velocity terms
+    h_i = sum_jk (dM_ij/dq_k - 1/2 dM_jk/dq_i) w_j w_k. M depends on th2
+    alone, through dm11/dth2 = -2 l1 s sin(th2) and
+    dm12/dth2 = l1 s sin(th2), s being the forearm's first moment.
+    """
+    m11, m12, m22 = _mass_terms(th2, params)
+    ls = params.l1 * _body_sums(params)[2] * math.sin(th2)
+    d11, d12 = -2.0 * ls, ls                     # dM/dth2; dm22/dth2 = 0
+    h1 = d11 * w1 * w2 + d12 * w2 * w2
+    h2 = d12 * w1 * w2 - 0.5 * (d11 * w1 * w1 + 2.0 * d12 * w1 * w2)
+    g1, g2 = _gravity(th1, th2, params)
+    r1 = tau[0] - h1 - g1
+    r2 = tau[1] - h2 - g2
+    det = m11 * m22 - m12 * m12
+    return (m22 * r1 - m12 * r2) / det, (m11 * r2 - m12 * r1) / det
+
+
+def rk4_step(state: ArmState, tau, dt: float, params: ArmParams) -> ArmState:
+    """Classic fourth-order Runge-Kutta step under a constant torque, with
+    lagrange_accel's accelerations; no perturbation."""
+    def f(y):
+        return (y[2], y[3], *lagrange_accel(*y, tau, params))
+
+    y0 = (state.th1, state.th2, state.dth1, state.dth2)
+    k1 = f(y0)
+    k2 = f(tuple(y0[i] + 0.5 * dt * k1[i] for i in range(4)))
+    k3 = f(tuple(y0[i] + 0.5 * dt * k2[i] for i in range(4)))
+    k4 = f(tuple(y0[i] + dt * k3[i] for i in range(4)))
+    y = tuple(y0[i] + dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
+              for i in range(4))
+    return ArmState(th1=y[0], th2=y[1], dth1=y[2], dth2=y[3], t=state.t + dt)
 
 
 def fd_lagrangian_accel(th, w, tau, params: ArmParams, h=1e-6):
@@ -70,3 +180,57 @@ def energy_drift_rate(energies, dt: float):
 def activation_exact(a0: float, u: float, t: float, tau_act: float) -> float:
     """Closed-form response of da/dt = (u - a)/tau_act."""
     return u + (a0 - u) * math.exp(-t / tau_act)
+
+
+# -- the muscle model's curves, one function each -------------------------
+# MuscleController inlines them into one kernel; these are the definitions
+# that kernel is held to, bit for bit, in test_kernels.
+
+FV_MAX = 1.35          # eccentric force plateau
+FV_KNEE = 0.25         # curvature constant of the shortening branch
+FV_KNEE_ECC = 0.25     # curvature constant of the lengthening branch
+
+
+def fiber_kinematics(phi: float, dphi: float, m: float, l_ref: float):
+    """Fiber length and velocity of a linearly routed muscle: l = m*phi + l_ref."""
+    return m * phi + l_ref, m * dphi
+
+
+def activation_step(a: float, u: float, dt: float, tau_act: float) -> float:
+    """First-order activation toward the excitation u with time constant tau_act.
+
+    Exact discrete solution of da/dt = (u - a)/tau_act for constant u over the
+    step, with u clamped to [0, 1] and the result clipped to it.
+    """
+    u = 0.0 if u < 0.0 else 1.0 if u > 1.0 else u
+    a = u + (a - u) * math.exp(-dt / tau_act)
+    return 0.0 if a < 0.0 else 1.0 if a > 1.0 else a
+
+
+def force_length(l: float) -> float:
+    """Bell-shaped active force-length factor, peak 1 at l = 1, support [0.5, 1.5]."""
+    x = (l - 1.0) / 0.5
+    y = 1.0 - x * x
+    return 0.0 if y <= 0.0 else y * y
+
+
+def force_velocity(v: float) -> float:
+    """Hill-type force-velocity factor.
+
+    Zero at and below v = -1 (fast shortening), 1 at v = 0, saturating toward
+    FV_MAX for lengthening; monotone non-decreasing everywhere.
+    """
+    if v <= -1.0:
+        return 0.0
+    if v <= 0.0:
+        return (1.0 + v) / (1.0 - v / FV_KNEE)
+    r = FV_KNEE_ECC / (FV_KNEE_ECC + v)
+    return FV_MAX - (FV_MAX - 1.0) * r * r
+
+
+def force_passive(l: float) -> float:
+    """Parallel-elastic factor: zero at or below optimal length, quadratic above."""
+    if l <= 1.0:
+        return 0.0
+    x = (l - 1.0) / 0.6
+    return 1.3 * x * x

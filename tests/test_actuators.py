@@ -4,19 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from myoarm.actuators import (AblationFlags, FV_MAX, HatzeParams,
                               LowPassController, MuscleController,
                               MuscleParams, PDController, TorqueController,
-                              activation_step, derive_linear_map,
-                              fiber_kinematics, force_length,
-                              force_passive, force_velocity,
-                              hatze_activation_step, lowpass_step,
-                              make_controller, muscle_joint_torque, pd_control,
-                              torque_actuator)
+                              derive_linear_map, hatze_activation_step,
+                              lowpass_step, make_controller,
+                              muscle_joint_torque, pd_control, torque_actuator)
 from myoarm.control import constant_control, rollout
 from myoarm.objectives import SmoothReaching
-from oracles import activation_exact
+from oracles import (activation_exact, activation_step, fiber_kinematics,
+                     force_length, force_passive, force_velocity)
 
 
 def test_linear_map_matches_its_defining_formulas():
@@ -105,10 +105,13 @@ def test_activation_is_a_contraction():
 
 
 def test_out_of_range_excitation_is_clamped_with_warning(caplog):
+    ctrl = MuscleController()
+    row = (0.5, 0.5, 0.5, 0.5)
     with caplog.at_level("WARNING"):
-        a = activation_step(0.5, 1.5, 0.005, 0.01)
-    assert "clamped" in caplog.text
-    assert a == activation_step(0.5, 1.0, 0.005, 0.01)
+        over = ctrl.torques(row, 0.1, 0.2, 0.0, 0.0, (1.5, 0.3, -0.5, 0.3), 0.005)
+    assert caplog.text.count("clamped") == 2
+    assert over == ctrl.torques(row, 0.1, 0.2, 0.0, 0.0, (1.0, 0.3, 0.0, 0.3), 0.005)
+    assert over[2][0] == activation_step(0.5, 1.0, 0.005, 0.01)
 
 
 def test_hatze_fixed_point_and_resting_activity():
@@ -224,6 +227,29 @@ def test_muscle_torque_is_bounded():
         assert abs(tau) <= bound + 1e-12
 
 
+@settings(max_examples=300, deadline=None, database=None)
+@given(l_min=st.floats(0.4, 1.0), span=st.floats(0.05, 0.8),
+       f_max=st.floats(10.0, 1000.0), v_scale=st.floats(0.1, 2.0),
+       where=st.floats(0.0, 1.0), dphi=st.floats(-50.0, 50.0),
+       a1=st.floats(0.0, 1.0), a2=st.floats(0.0, 1.0),
+       flags=st.builds(AblationFlags, disable_fl=st.booleans(),
+                       disable_fv=st.booleans()))
+def test_muscle_torque_is_bounded_over_the_joint_range(
+        l_min, span, f_max, v_scale, where, dphi, a1, a2, flags):
+    # |tau| <= (|m1| + |m2|) f_max (FV_MAX + FP at the range end): FL <= 1,
+    # FV < FV_MAX, activities in [0, 1], and the passive factor grows with
+    # the fiber length, which is longest at an end of the joint range
+    mp = MuscleParams(l_min=l_min, l_max=l_min + span, f_max=f_max,
+                      v_scale=v_scale)
+    phi = mp.phi_min + where * (mp.phi_max - mp.phi_min)
+    tau = muscle_joint_torque(phi, dphi, a1, a2, mp, flags)
+    fp_end = max(force_passive(fiber_kinematics(end, 0.0, m, l_ref)[0])
+                 for end in (mp.phi_min, mp.phi_max)
+                 for m, l_ref in ((mp.m1, mp.l_ref1), (mp.m2, mp.l_ref2)))
+    bound = (abs(mp.m1) + abs(mp.m2)) * mp.f_max * (FV_MAX + fp_end)
+    assert abs(tau) <= bound * (1.0 + 1e-12)
+
+
 def test_mirror_symmetry_of_the_antagonistic_pair():
     # with eps = 0 the pair is perfectly mirror-antisymmetric
     sym = MuscleParams(eps=0.0)
@@ -304,6 +330,27 @@ def test_slow_lowpass_tracks_analytic_exponential_within_one_percent():
         a = lowpass_step(a, 1.0, 0.005, 1.0)
         exact = activation_exact(0.0, 1.0, k * 0.005, 1.0)
         assert abs(a - exact) < 0.01
+
+
+def test_lowpass_rejects_a_filter_faster_than_half_the_step():
+    # above gain dt/dt_filter = 2 forward Euler diverges: at dt_filter =
+    # 0.001 and dt = 0.005 a constant command of 1 runs 5, -15, 65, ...
+    a, runs = 0.0, []
+    for _ in range(3):
+        a = lowpass_step(a, 1.0, 0.005, 0.001)
+        runs.append(a)
+    assert runs == [5.0, -15.0, 65.0]
+    fast = LowPassController(dt_filter=0.001)
+    with pytest.raises(ValueError, match="dt_filter"):
+        fast.torques(fast.state0, 0.0, 0.0, 0.0, 0.0, (1.0, 1.0), 0.005)
+    with pytest.raises(ValueError, match="dt_filter"):
+        fast.batch_torques(0.005)
+    with pytest.raises(ValueError, match="dt_filter"):
+        rollout(SmoothReaching(duration=0.05), fast, constant_control((1.0, 1.0)))
+    # at gain 2 exactly the filter is marginally stable, and accepted
+    edge = LowPassController(dt_filter=0.0025)
+    assert edge.torques(edge.state0, 0.0, 0.0, 0.0, 0.0, (1.0, 1.0), 0.005)[2] == (2.0, 2.0)
+    edge.batch_torques(0.005)
 
 
 def test_controller_factory_and_control_dimensions():

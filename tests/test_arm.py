@@ -1,15 +1,16 @@
 """Tests of the two-link arm dynamics, integrator, and ball physics."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from myoarm.arm import (ArmParams, ArmState, BallState, Perturbation,
-                        ball_step, end_effector, forward_dynamics,
-                        gravity_torque, kinetic_energy, mass_matrix,
-                        potential_energy, rk4_step, step, total_energy)
-from oracles import energy_drift_rate, fd_lagrangian_accel, rk4_reference
+                        ball_step, end_effector, forward_dynamics, step)
+from oracles import (energy_drift_rate, fd_lagrangian_accel, gravity_torque,
+                     kinetic_energy, lagrange_accel, mass_matrix,
+                     potential_energy, rk4_reference, rk4_step, total_energy)
 
 DT = 0.005
 
@@ -41,6 +42,22 @@ def test_forward_dynamics_matches_lagrangian_differences():
         scale = max(1.0, abs(ref[0]), abs(ref[1]))
         worst = max(worst, abs(got[0] - ref[0]) / scale, abs(got[1] - ref[1]) / scale)
     assert worst <= 1e-4
+
+
+def test_rk4_reference_accelerations_match_lagrangian_differences():
+    # the reference integrator's closed-form Euler-Lagrange accelerations
+    # against the finite-difference ones, on a loaded arm
+    p = ArmParams(m_hand=1.2, m_extra=0.7)
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        th = rng.uniform(-math.pi, math.pi, 2)
+        w = rng.uniform(-8.0, 8.0, 2)
+        tau = rng.uniform(-30.0, 30.0, 2)
+        got = lagrange_accel(th[0], th[1], w[0], w[1], tau, p)
+        ref = fd_lagrangian_accel(th, w, tau, p)
+        scale = max(1.0, abs(ref[0]), abs(ref[1]))
+        assert abs(got[0] - ref[0]) <= 1e-4 * scale
+        assert abs(got[1] - ref[1]) <= 1e-4 * scale
 
 
 def test_forward_dynamics_rejects_nonfinite_input():
@@ -158,7 +175,7 @@ def test_step_trajectories_are_bit_identical_across_reruns():
         out = []
         for tau in taus:
             s = step(s, (float(tau[0]), float(tau[1])), DT, p)
-            out.append(s.as_tuple())
+            out.append(astuple(s))
         return out
 
     assert run() == run()
@@ -169,7 +186,7 @@ def test_none_perturbation_leaves_dynamics_unchanged():
     s0 = ArmState(0.3, -0.2, 1.0, -0.5)
     plain = step(s0, (1.0, -2.0), DT, p)
     tagged = step(s0, (1.0, -2.0), DT, p, perturbation=Perturbation(kind="none"))
-    assert plain.as_tuple() == tagged.as_tuple()
+    assert astuple(plain) == astuple(tagged)
 
 
 def test_mass_perturbations_add_to_the_right_body():
@@ -189,7 +206,7 @@ def test_pendulum_load_changes_motion_and_stays_finite():
     for _ in range(400):
         s_free = step(s_free, (0.0, 0.0), DT, p)
         s_load = step(s_load, (0.0, 0.0), DT, p, perturbation=pert)
-    assert all(math.isfinite(v) for v in s_load.as_tuple())
+    assert all(math.isfinite(v) for v in astuple(s_load))
     assert math.isfinite(s_load.pend_angle) and math.isfinite(s_load.pend_vel)
     assert s_load.th1 != s_free.th1
     # the bob actually swings

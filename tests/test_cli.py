@@ -69,6 +69,24 @@ class TestUsageErrors:
         assert not (tmp_path / "out").exists()
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("kind, line", [
+        ("tpred_sweep", "grid.tpred = 0.02, 0.004"),
+        ("robustness_weights", "mpc.tpred = 0.004")])
+    def test_horizon_below_one_segment_is_a_clean_error(self, tmp_path,
+                                                        capsys, kind, line):
+        # a prediction horizon shorter than mpc.resolution used to pass the
+        # config and fail in the first MPC point, after the output
+        # directory was made
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"experiment.kind = {kind}\nmpc.resolution = 0.01\n"
+                       f"{line}\n")
+        assert run_cli("experiment", "--config", str(cfg),
+                       "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert "myoarm: error:" in err and line.split(" =")[0] in err
+        assert "control segment" in err
+        assert not (tmp_path / "out").exists()
+
     def test_help_exits_zero(self, capsys):
         assert run_cli("--help") == 0
         assert "simulate" in capsys.readouterr().out
@@ -250,3 +268,61 @@ class TestEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "myoarm" in proc.stdout
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# the sweep whose CSVs differed under one and two BLAS threads before
+# myoarm fixed the count: CMA-ES at dim 360 parts at generation 3
+BLAS_SWEEP = """
+experiment.kind = data_efficiency
+experiment.task = smooth-reach
+experiment.morphologies = muscle, torque
+experiment.seeds = 6,
+grid.c = 0.01
+optimizer.population = 36
+optimizer.generations = 5
+"""
+
+
+def python_env(**blas):
+    """This process's environment with no BLAS thread variable but `blas`,
+    importing the same myoarm."""
+    import myoarm
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    src = os.path.dirname(os.path.dirname(myoarm.__file__))
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    return {**env, **blas}
+
+
+class TestBlasThreads:
+    def test_sweep_csvs_do_not_depend_on_the_callers_blas_threads(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(BLAS_SWEEP)
+        settings = {"unset": {}, "one": {"OPENBLAS_NUM_THREADS": "1"},
+                    "two": {"OPENBLAS_NUM_THREADS": "2"}}
+        procs = {name: subprocess.Popen(
+            [sys.executable, "-m", "myoarm.cli", "experiment", "--config",
+             str(cfg), "--out", str(tmp_path / name), "--jobs", "1"],
+            env=python_env(**blas), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True) for name, blas in settings.items()}
+        errs = {}
+        for name, proc in procs.items():
+            errs[name] = proc.communicate(timeout=120)[1]
+            assert proc.returncode == 0, errs[name]
+        files = sorted(os.listdir(tmp_path / "unset"))
+        assert "aggregate.csv" in files and "calibration.csv" in files
+        for name in ("one", "two"):
+            assert sorted(os.listdir(tmp_path / name)) == files
+            for f in files:
+                with open(tmp_path / "unset" / f, "rb") as a, \
+                        open(tmp_path / name / f, "rb") as b:
+                    assert a.read() == b.read(), (name, f)
+        assert errs["two"].count("overriding {'OPENBLAS_NUM_THREADS': '2'}") == 1
+        assert "Warning" not in errs["unset"] + errs["one"]
+
+    def test_numpy_imported_first_is_reported(self):
+        proc = subprocess.run([sys.executable, "-c", "import numpy, myoarm"],
+                              env=python_env(), capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stderr.count("NumPy was imported before myoarm") == 1

@@ -1,9 +1,14 @@
 """Config parsing: flat dotted key-value text and the experiment schema."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from myoarm.config import (EXPERIMENT_KINDS, ExperimentConfig, load_config,
-                           parse_config_text, section)
+from myoarm.actuators import MORPHOLOGIES
+from myoarm.config import (_KEYS, _OVERRIDES, EXPERIMENT_KINDS,
+                           ExperimentConfig, load_config, parse_config_text,
+                           section)
+from myoarm.objectives import TASKS
 
 
 class TestParseText:
@@ -153,6 +158,9 @@ class TestExperimentConfig:
         "mpc.resolution = 0.007",           # not a multiple of the 5 ms step
         "mpc.warm_generations = 0",
         "mpc.refine_budget = 0",
+        # a prediction horizon shorter than one control segment
+        "experiment.kind = tpred_sweep\ngrid.tpred = 0.004",
+        "experiment.kind = robustness_weights\nmpc.tpred = 0.005",
     ])
     def test_bad_config_rejected(self, line):
         with pytest.raises(ValueError):
@@ -167,6 +175,13 @@ class TestExperimentConfig:
         assert cfg.ablations == ["none", "actdyn"]
         assert cfg.arm_overrides == {"l1": 0.35}
         assert cfg.weight_overrides == {"lam1": 0.2}
+
+    def test_horizon_of_one_segment_accepted(self):
+        # the check reads the horizon each kind runs, and no other
+        for text in ("experiment.kind = tpred_sweep\ngrid.tpred = 0.01, 0.3\n",
+                     "experiment.kind = robustness_weights\nmpc.tpred = 0.01\n",
+                     "experiment.kind = data_efficiency\nmpc.tpred = 0.005\n"):
+            ExperimentConfig.from_mapping(parse_config_text(text))
 
     def test_integral_float_is_an_integer(self):
         cfg = ExperimentConfig.from_mapping(parse_config_text(
@@ -183,3 +198,74 @@ class TestExperimentConfig:
         assert cfg.kind == "ablation"
         assert cfg.ablations == ["none", "fv"]
         assert cfg.generations == 5
+
+
+# -- the config text round trip ----------------------------------------------
+
+def render_value(value) -> str:
+    """One value as config text; a one-element list keeps a trailing comma,
+    so it reads back as a list (`experiment.seeds = 3,` is seed 3, not 0-2)."""
+    if isinstance(value, list):
+        return ", ".join(map(render_value, value)) + ("," if len(value) == 1 else "")
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def render(cfg: ExperimentConfig) -> str:
+    lines = [f"{key} = {render_value(getattr(cfg, attr))}"
+             for key, (attr, _) in _KEYS.items()]
+    for prefix, (attr, _) in _OVERRIDES.items():
+        lines += [f"{prefix}.{k} = {render_value(v)}"
+                  for k, v in getattr(cfg, attr).items()]
+    return "\n".join(lines) + "\n"
+
+
+positive = st.floats(1e-3, 1e3)
+labels = st.sampled_from(MORPHOLOGIES + ("muscle-nofl", "muscle-nofv-noactdyn"))
+
+
+@st.composite
+def configs(draw):
+    resolution = 0.005 * draw(st.integers(1, 4))
+    arm = draw(st.dictionaries(
+        st.sampled_from(["l1", "l2", "m1", "m2", "r1", "r2", "i1", "i2",
+                         "m_hand", "m_extra", "g"]), positive, max_size=4))
+    weights = draw(st.dictionaries(
+        st.sampled_from(["jerk_gain", "lam1", "lam2", "eps", "s_th", "w_dth"]),
+        positive, max_size=3))
+    for pair in ("s_th", "w_dth"):
+        if pair in weights:
+            weights[pair] = [weights[pair], draw(positive)]
+    return ExperimentConfig(
+        kind=draw(st.sampled_from(EXPERIMENT_KINDS)),
+        task=draw(st.sampled_from(TASKS)),
+        morphologies=draw(st.lists(labels, min_size=1, max_size=3)),
+        c_grid=draw(st.lists(positive, min_size=1, max_size=3)),
+        sigma_grid=draw(st.lists(positive, min_size=1, max_size=3)),
+        tpred_grid=draw(st.lists(st.floats(0.02, 1.0), min_size=1, max_size=3)),
+        masses=draw(st.lists(positive, min_size=1, max_size=3)),
+        ablations=draw(st.lists(st.sampled_from(["none", "fl", "fv", "actdyn"]),
+                                min_size=1, max_size=4)),
+        seeds=draw(st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=4)),
+        population=draw(st.integers(4, 500)),
+        generations=draw(st.integers(1, 500)),
+        sigma=draw(positive), c=draw(positive), tpred=draw(st.floats(0.02, 1.0)),
+        mpc_resolution=resolution,
+        warm_generations=draw(st.integers(1, 50)),
+        refine_budget=draw(st.integers(1, 500)),
+        # any name the format can hold: '#' starts a comment, ',' splits a
+        # list and values are stripped, so those stay out
+        out_dir=draw(st.text("abcXYZ019_-./", min_size=1, max_size=10)),
+        arm_overrides=arm, weight_overrides=weights)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(cfg=configs())
+def test_rendered_config_parses_back_equal(cfg):
+    assert ExperimentConfig.from_mapping(parse_config_text(render(cfg))) == cfg
+
+
+@pytest.mark.parametrize("out_dir", ["007", "yes", "1e3", "Off"])
+def test_names_and_paths_stay_text(out_dir):
+    text = f"experiment.out_dir = {out_dir}\nexperiment.morphologies = torque\n"
+    cfg = ExperimentConfig.from_mapping(parse_config_text(text))
+    assert cfg.out_dir == out_dir and cfg.morphologies == ["torque"]

@@ -3,9 +3,12 @@ torque-ceiling calibration, and the run invariants."""
 
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from myoarm.config import ExperimentConfig
 from myoarm.control import SENTINEL_COST
@@ -370,6 +373,44 @@ class TestSummarize:
         _, p_rows = read_csv(pooled)
         assert float(p_rows[0][7]) == pytest.approx(float(d_rows[0][7]), abs=1e-12)
         assert float(p_rows[0][8]) == pytest.approx(float(d_rows[0][8]), abs=1e-12)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(data=st.data(), n_seeds=st.integers(1, 6), n_parts=st.integers(1, 3))
+    def test_summarize_pools_aggregates_into_the_direct_aggregate(
+            self, data, n_seeds, n_parts):
+        # the pooling identity: summarize over the aggregate CSVs of any
+        # split of the seeds equals summarize over all the traces
+        cost = st.one_of(st.floats(0.0, 1e6), st.just(SENTINEL_COST))
+        rows = [trace_row(morph, seed, gen, value, 36 * (gen + 1),
+                          diverged=int(value == SENTINEL_COST), c=c)
+                for morph in ("muscle", "torque") for c in (0.1, 0.3)
+                for seed in range(n_seeds) for gen in range(2)
+                for value in [data.draw(cost)]]
+        part = data.draw(st.lists(st.integers(0, n_parts - 1),
+                                  min_size=n_seeds, max_size=n_seeds))
+        with tempfile.TemporaryDirectory() as tmp:
+            def csv(name, header, rows):
+                return write_csv(os.path.join(tmp, name), header, rows)
+
+            _, want = read_csv(summarize([csv("all.csv", TRACE_HEADER, rows)],
+                                         os.path.join(tmp, "direct.csv")))
+            aggregates = [
+                summarize([csv(f"t{i}.csv", TRACE_HEADER,
+                               [r for r in rows if part[r[6]] == i])],
+                          os.path.join(tmp, f"a{i}.csv"))
+                for i in sorted(set(part))]
+            _, got = read_csv(summarize(aggregates, os.path.join(tmp, "pooled.csv")))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            # keys, min, max, n and n_diverged exactly; mean and std to
+            # rounding, on the scale of the group's largest cost
+            assert g[:7] + g[9:] == w[:7] + w[9:]
+            if w[7] == "":
+                assert g[7:9] == ["", ""]
+                continue
+            scale = 1e-9 * max(1.0, float(w[10]))
+            assert float(g[7]) == pytest.approx(float(w[7]), abs=scale)
+            assert float(g[8]) == pytest.approx(float(w[8]), abs=scale)
 
     def test_mixed_schemas_rejected(self, tmp_path):
         rows = [trace_row("muscle", 0, 0, 2.0, 36)]

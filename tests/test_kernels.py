@@ -15,16 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from myoarm.actuators import (AblationFlags, HatzeParams, MuscleController,
-                              MuscleParams, activation_step, fiber_kinematics,
-                              force_length, force_passive, force_velocity,
-                              hatze_activation_step, make_controller,
-                              muscle_joint_torque)
+                              MuscleParams, hatze_activation_step,
+                              make_controller, muscle_joint_torque)
 from myoarm.arm import (ArmParams, ArmState, Perturbation, _accel,
                         _bias, _Coeffs, _hand, _jacobian, _mass_matrix,
                         _pendulum_forces, _symp_step, ball_step, end_effector)
 from myoarm.control import (DT_SIM, SENTINEL_COST, constant_control,
                             parameterization_for, rollout, zoh_control)
 from myoarm.objectives import PreciseReaching, ReachTarget, make_task
+from oracles import (activation_step, fiber_kinematics, force_length,
+                     force_passive, force_velocity)
 
 EXACT = settings(max_examples=150, deadline=None, database=None)
 ROLLOUTS = settings(max_examples=12, deadline=None, database=None)

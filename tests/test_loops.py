@@ -10,10 +10,10 @@ from myoarm.arm import ArmParams, ArmState, Perturbation, step
 from myoarm.control import (DT_SIM, MpcConfig, SENTINEL_COST,
                             calibrate_torque_limits, constant_control,
                             mpc_run, open_loop_optimize, parameterization_for,
-                            rollout, zoh_control)
+                            rollout, rollout_batch, zoh_control)
 from myoarm.objectives import (ObjectiveWeights, PreciseReaching, ReachTarget,
                                SmoothReaching, make_task)
-from myoarm.optimizers import CmaConfig
+from myoarm.optimizers import CmaConfig, ControlParameterization, cma_es
 
 PARAMS = ArmParams()
 
@@ -221,7 +221,7 @@ class TestOpenLoop:
         task = SmoothReaching()
         cfg = CmaConfig(population=12, generations=15, sigma0=0.2, seed=0)
         best_x, best, trace, par = open_loop_optimize(task, "torque", 0.3, cfg)
-        assert trace.best_so_far[-1] < trace.gen_best[0]
+        assert trace.best_so_far[-1] < trace.best_so_far[0]
         assert best.cost == trace.best_so_far[-1]
         assert best_x.size == par.dim
 
@@ -254,25 +254,66 @@ def tiny_mpc(seed=0, **kw):
     return MpcConfig(**defaults)
 
 
+def torque_window(cfg: MpcConfig):
+    """The torque prediction window's parameterization and objective.
+
+    objective(theta, state) is the cost of plan theta over cfg.t_pred from
+    arm state `state`; torque actuators have no state of their own, so the
+    arm state is the whole snapshot that mpc_run plans from.
+    """
+    par = ControlParameterization(horizon=cfg.t_pred, resolution=cfg.resolution,
+                                  n_actuators=2, lo=-1.0, hi=1.0)
+
+    def objective(theta, state):
+        return rollout(SmoothReaching(), TorqueController(),
+                       zoh_control(theta, par, DT_SIM), initial_state=state,
+                       duration=cfg.t_pred).cost
+    return par, objective
+
+
 class TestMpc:
     def test_first_control_applied_bitwise(self):
         task = SmoothReaching()
-        res = mpc_run(task, "torque", tiny_mpc())
+        cfg = tiny_mpc()
+        res = mpc_run(task, "torque", cfg)
         assert not res.diverged
         n_ctrl = round(task.duration / 0.05)
         spc = round(0.05 / DT_SIM)
         assert res.plans.shape[0] == n_ctrl
-        assert np.array_equal(res.plans[0], res.first_plan)
+        # the first plan in force is the warm start: CMA-ES over the window
+        # from the initial state, with tiny_mpc's budget and seed
+        par, _ = torque_window(cfg)
+        warm, _, _ = cma_es(
+            lambda thetas: rollout_batch(task, TorqueController(), thetas, par,
+                                         duration=cfg.t_pred),
+            par.dim, CmaConfig(population=cfg.warm_population,
+                               generations=cfg.warm_generations,
+                               sigma0=cfg.warm_sigma0, seed=cfg.seed,
+                               x0=np.zeros(par.dim)))
+        assert np.array_equal(res.plans[0], warm)
         for k in range(n_ctrl):
             u0 = np.clip(res.plans[k][:2], -1.0, 1.0)
             for j in range(spc):
                 assert np.array_equal(res.executed.controls[k * spc + j], u0)
 
     def test_shifted_plan_never_made_worse(self):
+        # each refined plan scores no worse than the shifted plan it started
+        # from, both on the prediction window from the executed state
         task = SmoothReaching()
-        res = mpc_run(task, "torque", tiny_mpc(seed=1))
-        assert res.shift_costs.size == res.plan_costs.size > 0
-        assert np.all(res.plan_costs <= res.shift_costs + 1e-15)
+        cfg = tiny_mpc(seed=1)
+        res = mpc_run(task, "torque", cfg)
+        par, window = torque_window(cfg)
+        spc = round(cfg.resolution / DT_SIM)
+        th, dth = res.executed.th, res.executed.dth
+        t = task.initial_state().t
+        assert len(res.plans) > 1
+        for k in range(1, len(res.plans)):
+            t += DT_SIM * spc          # the time a plant segment ends at
+            j = k * spc
+            state = ArmState(th1=float(th[j, 0]), th2=float(th[j, 1]),
+                             dth1=float(dth[j, 0]), dth2=float(dth[j, 1]), t=t)
+            assert (window(res.plans[k], state)
+                    <= window(par.shift(res.plans[k - 1]), state))
 
     def test_executed_trajectory_consistent(self):
         task = SmoothReaching()

@@ -25,6 +25,15 @@ def rows(f):
     return lambda x: np.array([f(xi) for xi in x])
 
 
+def logged(objective, log):
+    """objective, appending each generation's (population, costs) to log."""
+    def fn(x):
+        f = objective(x)
+        log.append((x.copy(), f))
+        return f
+    return fn
+
+
 class TestParameterization:
     def test_dimension_arithmetic(self):
         par = ControlParameterization(horizon=0.9, resolution=0.3,
@@ -159,19 +168,25 @@ class TestCmaEs:
 
     def test_seeded_reproducibility(self):
         cfg = CmaConfig(population=12, generations=30, sigma0=0.5, seed=42)
-        xa, fa, ta = cma_es(rows(sphere), 6, cfg)
-        xb, fb, tb = cma_es(rows(sphere), 6, cfg)
+        log_a, log_b = [], []
+        xa, fa, ta = cma_es(logged(rows(sphere), log_a), 6, cfg)
+        xb, fb, tb = cma_es(logged(rows(sphere), log_b), 6, cfg)
         assert np.array_equal(xa, xb)
         assert fa == fb
         assert ta.best_so_far == tb.best_so_far
-        assert ta.gen_best == tb.gen_best
+        # every generation samples the same candidates
+        assert len(log_a) == len(log_b) == 30
+        assert all(np.array_equal(a[0], b[0]) for a, b in zip(log_a, log_b))
 
     def test_best_so_far_monotone(self):
         cfg = CmaConfig(population=8, generations=60, sigma0=1.0, seed=7)
-        _, _, trace = cma_es(rows(rosenbrock), 4, cfg)
+        log = []
+        _, _, trace = cma_es(logged(rows(rosenbrock), log), 4, cfg)
         bsf = np.asarray(trace.best_so_far)
         assert np.all(np.diff(bsf) <= 0.0)
-        assert np.all(np.asarray(trace.gen_best) >= bsf)
+        # the running best is the running minimum of the generation bests
+        gen_best = [float(f.min()) for _, f in log]
+        assert np.array_equal(bsf, np.minimum.accumulate(gen_best))
 
     def test_exact_evaluation_count(self):
         calls = [0]
@@ -196,20 +211,24 @@ class TestCmaEs:
             return sphere(x)
 
         cfg = CmaConfig(population=16, generations=80, sigma0=0.4, seed=3)
-        best_x, best_f, trace = cma_es(rows(holey), 4, cfg)
+        log = []
+        best_x, best_f, trace = cma_es(logged(rows(holey), log), 4, cfg)
         assert math.isfinite(best_f)
         assert best_f < 1e-6
         assert trace.total_evals == 16 * 80
-        assert any(trace.diverged)          # the hole was sampled at least once
+        # the hole was sampled at least once
+        assert any(np.isnan(f).any() for _, f in log)
 
     def test_offset_objective_identical_iterates(self):
         cfg = CmaConfig(population=14, generations=40, sigma0=0.6, seed=5)
-        xa, fa, ta = cma_es(rows(sphere), 5, cfg)
-        xb, fb, tb = cma_es(rows(lambda x: sphere(x) + 10.0), 5, cfg)
+        log_a, log_b = [], []
+        xa, fa, ta = cma_es(logged(rows(sphere), log_a), 5, cfg)
+        xb, fb, tb = cma_es(logged(rows(lambda x: sphere(x) + 10.0), log_b), 5, cfg)
         assert np.array_equal(xa, xb)
         assert abs((fb - fa) - 10.0) < 1e-9
-        for ga, gb in zip(ta.gen_best, tb.gen_best):
-            assert abs((gb - ga) - 10.0) < 1e-9
+        assert len(log_a) == len(log_b) == 40
+        for (_, ga), (_, gb) in zip(log_a, log_b):
+            assert abs((gb.min() - ga.min()) - 10.0) < 1e-9
 
     def test_x0_respected_and_checked(self):
         cfg = CmaConfig(population=8, generations=5, sigma0=0.1, seed=0,
