@@ -14,6 +14,14 @@ muscle pair (the activities under first-order activation, the free-calcium
 states under the Hatze model), the two filtered commands (0.0, 0.0) for the
 low-pass family, and () for the torque and PD families.
 
+MuscleController.torques is one straight-line kernel: the four activation
+updates written out, each joint's parameters read once, and the pair
+torque tau = -(m1*F1 + m2*F2) from _fiber_force, the one function that
+evaluates the force-length, force-velocity and passive curves. The same
+step composed from one function per curve, with the pair torque as
+muscle_joint_torque, lives in tests/oracles.py, which test_kernels holds
+the kernel to bit for bit.
+
 Each controller also has an array form of `torques`, made by
 batch_torques(dt), for control.rollout_batch: it advances a whole
 population in lockstep, with the state rows as the columns of a
@@ -157,26 +165,6 @@ class AblationFlags:
         return flags
 
 
-def muscle_joint_torque(phi: float, dphi: float, a1: float, a2: float,
-                        mp: MuscleParams, flags: AblationFlags | None = None) -> float:
-    """Joint torque of the pair at activities a1, a2: tau = -(m1*F1 + m2*F2).
-
-    Each fiber force is F = (FL * FV * a + FP) * f_max at the fiber length
-    l = m*phi + l_ref, with FV read at v_scale times the fiber velocity
-    m*dphi. This is the per-step force arithmetic of
-    MuscleController.torques, the curves written out inline (_fiber_force)
-    rather than composed from a dozen calls.
-    """
-    no_fl = flags is not None and flags.disable_fl
-    no_fv = flags is not None and flags.disable_fv
-    m1, m2, v_scale, f_max = mp.m1, mp.m2, mp.v_scale, mp.f_max
-    f1 = _fiber_force(m1 * phi + mp.l_ref1, v_scale * (m1 * dphi), a1, f_max,
-                      no_fl, no_fv)
-    f2 = _fiber_force(m2 * phi + mp.l_ref2, v_scale * (m2 * dphi), a2, f_max,
-                      no_fl, no_fv)
-    return -(m1 * f1 + m2 * f2)
-
-
 def _fiber_force(l, v, a, f_max, no_fl, no_fv):
     """(FL * FV * a + FP) * f_max at fiber length l and scaled velocity v.
 
@@ -292,36 +280,68 @@ class MuscleController:
         The row holds the four activities under first-order activation (and
         with activation dynamics ablated, where it is the clipped
         excitations) and the four free-calcium states under the Hatze model.
-        One kernel for every AblationFlags combination and both activation
-        models. The first-order update is the exact discrete solution of
+        One straight-line kernel for every AblationFlags combination and
+        both activation models: the four activation updates written out,
+        each joint's MuscleParams read once, and each joint torque
+        tau = -(m1*F1 + m2*F2) from two _fiber_force calls at the fiber
+        lengths l = m*phi + l_ref and scaled velocities v_scale*(m*dphi).
+        The first-order update is the exact discrete solution of
         da/dt = (u - a)/tau_act for the step's constant excitation (u
-        clamped to [0, 1], a clipped to it), with exp(-dt/tau_act) taken
-        once per joint.
+        clamped to [0, 1] with a warning, a clipped to it), with
+        exp(-dt/tau_act) taken once per joint; the Hatze update is
+        hatze_activation_step's. tests/oracles.py composes the same step
+        from one function per curve (muscle_joint_torque there), and
+        tests/test_kernels.py holds this kernel to it bit for bit.
         """
-        flags = self.flags
-        shoulder, elbow = self.shoulder, self.elbow
+        u1, u2, u3, u4 = u
+        sh, el, flags = self.shoulder, self.elbow, self.flags
         if flags.disable_activation:
-            acts = state = tuple([0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in u])
+            a1 = 0.0 if u1 < 0.0 else 1.0 if u1 > 1.0 else u1
+            a2 = 0.0 if u2 < 0.0 else 1.0 if u2 > 1.0 else u2
+            a3 = 0.0 if u3 < 0.0 else 1.0 if u3 > 1.0 else u3
+            a4 = 0.0 if u4 < 0.0 else 1.0 if u4 > 1.0 else u4
+            state = (a1, a2, a3, a4)
         elif self.activation_model == "hatze":
-            lengths = (shoulder.m1 * th1 + shoulder.l_ref1,
-                       shoulder.m2 * th1 + shoulder.l_ref2,
-                       elbow.m1 * th2 + elbow.l_ref1,
-                       elbow.m2 * th2 + elbow.l_ref2)
-            state, acts = zip(*[hatze_activation_step(g, v, l, dt, self.hatze)
-                                for v, g, l in zip(u, state, lengths)])
+            g1, g2, g3, g4 = state
+            hatze = self.hatze
+            g1, a1 = hatze_activation_step(g1, u1, sh.m1 * th1 + sh.l_ref1, dt, hatze)
+            g2, a2 = hatze_activation_step(g2, u2, sh.m2 * th1 + sh.l_ref2, dt, hatze)
+            g3, a3 = hatze_activation_step(g3, u3, el.m1 * th2 + el.l_ref1, dt, hatze)
+            g4, a4 = hatze_activation_step(g4, u4, el.m2 * th2 + el.l_ref2, dt, hatze)
+            state = (g1, g2, g3, g4)
         else:
-            e_sh = math.exp(-dt / shoulder.tau_act)
-            e_el = math.exp(-dt / elbow.tau_act)
-            acts = []
-            for v, a, e in zip(u, state, (e_sh, e_sh, e_el, e_el)):
-                if not 0.0 <= v <= 1.0:
-                    v = _clamp_excitation(v)
-                a = v + (a - v) * e
-                acts.append(0.0 if a < 0.0 else 1.0 if a > 1.0 else a)
-            acts = state = tuple(acts)
-        return (muscle_joint_torque(th1, w1, acts[0], acts[1], shoulder, flags),
-                muscle_joint_torque(th2, w2, acts[2], acts[3], elbow, flags),
-                state)
+            a1, a2, a3, a4 = state
+            if not 0.0 <= u1 <= 1.0:
+                u1 = _clamp_excitation(u1)
+            if not 0.0 <= u2 <= 1.0:
+                u2 = _clamp_excitation(u2)
+            if not 0.0 <= u3 <= 1.0:
+                u3 = _clamp_excitation(u3)
+            if not 0.0 <= u4 <= 1.0:
+                u4 = _clamp_excitation(u4)
+            e = math.exp(-dt / sh.tau_act)
+            a1 = u1 + (a1 - u1) * e
+            a2 = u2 + (a2 - u2) * e
+            e = math.exp(-dt / el.tau_act)
+            a3 = u3 + (a3 - u3) * e
+            a4 = u4 + (a4 - u4) * e
+            a1 = 0.0 if a1 < 0.0 else 1.0 if a1 > 1.0 else a1
+            a2 = 0.0 if a2 < 0.0 else 1.0 if a2 > 1.0 else a2
+            a3 = 0.0 if a3 < 0.0 else 1.0 if a3 > 1.0 else a3
+            a4 = 0.0 if a4 < 0.0 else 1.0 if a4 > 1.0 else a4
+            state = (a1, a2, a3, a4)
+        no_fl, no_fv = flags.disable_fl, flags.disable_fv
+        m1, m2, v_scale, f_max = sh.m1, sh.m2, sh.v_scale, sh.f_max
+        tau1 = -(m1 * _fiber_force(m1 * th1 + sh.l_ref1, v_scale * (m1 * w1), a1,
+                                   f_max, no_fl, no_fv)
+                 + m2 * _fiber_force(m2 * th1 + sh.l_ref2, v_scale * (m2 * w1), a2,
+                                     f_max, no_fl, no_fv))
+        m1, m2, v_scale, f_max = el.m1, el.m2, el.v_scale, el.f_max
+        tau2 = -(m1 * _fiber_force(m1 * th2 + el.l_ref1, v_scale * (m1 * w2), a3,
+                                   f_max, no_fl, no_fv)
+                 + m2 * _fiber_force(m2 * th2 + el.l_ref2, v_scale * (m2 * w2), a4,
+                                     f_max, no_fl, no_fv))
+        return tau1, tau2, state
 
     def batch_torques(self, dt):
         """Array form of torques: step(acts, th1, th2, w1, w2, u) -> (tau1, tau2).

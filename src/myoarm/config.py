@@ -4,11 +4,13 @@ The file format is one `section.key = value` assignment per line, with `#`
 comments and blank lines ignored. Values are parsed as int, float, bool, or
 string (names and paths stay strings); comma-separated values become lists.
 Keys are case-insensitive.
-ExperimentConfig.from_mapping rejects a key it does not know and an integer
-key whose value has a fractional part, and the config rejects unknown task,
-morphology and ablation names, `arm.`/`weights.` values that are not finite
-numbers or that ArmParams refuses, an mpc.resolution, warm_generations
-or refine_budget that the MPC runs would refuse, and a prediction horizon
+ExperimentConfig.from_mapping rejects a key it does not know, an integer
+key whose value has a fractional part and a comma list in a single-valued
+text key (experiment.kind, .task, .out_dir), and the config rejects
+unknown task, morphology and ablation names, `arm.`/`weights.` values
+that are not finite numbers or that ArmParams refuses, an
+mpc.resolution, warm_generations or refine_budget that the MPC runs
+would refuse, and a prediction horizon
 shorter than one mpc.resolution segment (mpc.tpred of robustness_weights,
 any grid.tpred value of tpred_sweep). So a typo or a bad value stops the
 run with a ValueError before it starts (and before the output directory is
@@ -126,16 +128,23 @@ def _seed_list(value):
     return seeds
 
 
+def _text(value):
+    """A single name or path: a comma list is an error, not the text of a list."""
+    if isinstance(value, list):
+        raise ValueError(f"expected one value, got the list {value!r}")
+    return str(value)
+
+
 _names = _list_of(str)
 
 # config file key -> (ExperimentConfig field, conversion); arm.* and
 # weights.* keys go to arm_overrides and weight_overrides instead
 _KEYS = {
-    "experiment.kind": ("kind", str),
-    "experiment.task": ("task", str),
+    "experiment.kind": ("kind", _text),
+    "experiment.task": ("task", _text),
     "experiment.morphologies": ("morphologies", _names),
     "experiment.seeds": ("seeds", _seed_list),
-    "experiment.out_dir": ("out_dir", str),
+    "experiment.out_dir": ("out_dir", _text),
     "experiment.ablations": ("ablations", _names),
     "grid.c": ("c_grid", _list_of(float)),
     "grid.sigma": ("sigma_grid", _list_of(float)),
@@ -150,7 +159,7 @@ _KEYS = {
     "mpc.warm_generations": ("warm_generations", _integer),
     "mpc.refine_budget": ("refine_budget", _integer),
 }
-_TEXT_KEYS = {key for key, (_, convert) in _KEYS.items() if convert in (str, _names)}
+_TEXT_KEYS = {key for key, (_, convert) in _KEYS.items() if convert in (_text, _names)}
 _OVERRIDES = {"arm": ("arm_overrides", ArmParams),
               "weights": ("weight_overrides", ObjectiveWeights)}
 

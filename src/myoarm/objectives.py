@@ -74,15 +74,9 @@ def jerk_from_accel(ddth: np.ndarray) -> np.ndarray:
 def smooth_reaching_stage(th, dth, jerk, weights: ObjectiveWeights,
                           target: ReachTarget) -> np.ndarray:
     """Per-sample cost: normalized squared angle and velocity errors plus jerk^2."""
-    th = np.asarray(th, dtype=float)
-    dth = np.asarray(dth, dtype=float)
-    jerk = np.asarray(jerk, dtype=float)
-    w = weights
-    e_th = th - np.asarray(target.th_des)
-    e_dth = dth - np.asarray(target.dth_des)
-    c_th = (np.asarray(w.w_th) / np.asarray(w.s_th)) * e_th ** 2
-    c_dth = (np.asarray(w.w_dth) / np.asarray(w.s_dth)) * e_dth ** 2
-    return (c_th + c_dth + (w.jerk_gain * jerk) ** 2).sum(axis=-1)
+    return SmoothReaching(weights=weights, target=target)._stage(
+        np.asarray(th, dtype=float), np.asarray(dth, dtype=float),
+        np.asarray(jerk, dtype=float))
 
 
 def smooth_reaching_cost(th, dth, ddth, dt: float, weights: ObjectiveWeights,
@@ -92,15 +86,8 @@ def smooth_reaching_cost(th, dth, ddth, dt: float, weights: ObjectiveWeights,
     th, dth, ddth are (n, 2) arrays sampled at the physics rate dt. A
     trajectory shorter than min_duration (seconds) is rejected.
     """
-    th = np.atleast_2d(np.asarray(th, dtype=float))
-    n = th.shape[0]
-    if min_duration is not None and (n - 1) * dt < min_duration - 1e-9:
-        raise ValueError(
-            f"trajectory spans {(n - 1) * dt:.4f} s, shorter than the "
-            f"required {min_duration} s horizon")
-    jerk = jerk_from_accel(np.atleast_2d(ddth))
-    stage = smooth_reaching_stage(th, np.atleast_2d(dth), jerk, weights, target)
-    return float(stage.sum())
+    return SmoothReaching(weights=weights, target=target)._cost(
+        th, dth, ddth, dt, min_duration)
 
 
 def precise_reaching_reward(d: float, actions, weights: ObjectiveWeights) -> float:
@@ -135,7 +122,16 @@ def ball_serve_cost(dz_series) -> float:
 
 @dataclass
 class SmoothReaching:
-    """Reach 90 degrees at each joint from hanging rest, smoothly, in 0.9 s."""
+    """Reach 90 degrees at each joint from hanging rest, smoothly, in 0.9 s.
+
+    The one smooth-reaching stage formula lives here, shared by cost,
+    window_cost, stage_series and the module's smooth_reaching_cost and
+    smooth_reaching_stage. Its constants (the target arrays and the weight
+    ratios w_th/s_th and w_dth/s_dth) are converted once, when the task is
+    built, so `weights` and `target` are read only at construction:
+    assigning a new value to either afterwards does not change the costs
+    (dataclasses.replace builds a task that reads them again).
+    """
 
     name = "smooth-reach"
     duration: float = 0.9
@@ -143,22 +139,46 @@ class SmoothReaching:
     target: ReachTarget = field(default_factory=ReachTarget)
     has_ball = False
 
+    def __post_init__(self):
+        w, target = self.weights, self.target
+        self._th_des = np.asarray(target.th_des)
+        self._dth_des = np.asarray(target.dth_des)
+        self._k_th = np.asarray(w.w_th) / np.asarray(w.s_th)
+        self._k_dth = np.asarray(w.w_dth) / np.asarray(w.s_dth)
+        self._jerk_gain = w.jerk_gain
+
+    def _stage(self, th, dth, jerk) -> np.ndarray:
+        """(w_th/s_th) e_th^2 + (w_dth/s_dth) e_dth^2 + (jerk_gain jerk)^2,
+        summed over the joints, on float arrays."""
+        c_th = self._k_th * (th - self._th_des) ** 2
+        c_dth = self._k_dth * (dth - self._dth_des) ** 2
+        return (c_th + c_dth + (self._jerk_gain * jerk) ** 2).sum(axis=-1)
+
+    def _cost(self, th, dth, ddth, dt, min_duration) -> float:
+        th = np.atleast_2d(np.asarray(th, dtype=float))
+        n = th.shape[0]
+        if min_duration is not None and (n - 1) * dt < min_duration - 1e-9:
+            raise ValueError(
+                f"trajectory spans {(n - 1) * dt:.4f} s, shorter than the "
+                f"required {min_duration} s horizon")
+        jerk = jerk_from_accel(np.atleast_2d(ddth))
+        dth = np.atleast_2d(np.asarray(dth, dtype=float))
+        return float(self._stage(th, dth, jerk).sum())
+
     def initial_state(self) -> ArmState:
         return ArmState(th1=-0.5 * math.pi, th2=0.0)
 
     def cost(self, traj, params: ArmParams) -> float:
-        return smooth_reaching_cost(traj.th, traj.dth, traj.ddth, traj.dt,
-                                    self.weights, self.target,
-                                    min_duration=self.duration)
+        return self._cost(traj.th, traj.dth, traj.ddth, traj.dt, self.duration)
 
     def window_cost(self, traj, params: ArmParams) -> float:
         """Same functional without the full-horizon length requirement."""
-        return smooth_reaching_cost(traj.th, traj.dth, traj.ddth, traj.dt,
-                                    self.weights, self.target)
+        return self._cost(traj.th, traj.dth, traj.ddth, traj.dt, None)
 
     def stage_series(self, traj, params: ArmParams) -> np.ndarray:
-        jerk = jerk_from_accel(traj.ddth)
-        return smooth_reaching_stage(traj.th, traj.dth, jerk, self.weights, self.target)
+        return self._stage(np.asarray(traj.th, dtype=float),
+                           np.asarray(traj.dth, dtype=float),
+                           jerk_from_accel(traj.ddth))
 
 
 @dataclass

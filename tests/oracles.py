@@ -7,7 +7,8 @@ From myoarm the oracles import only the ArmParams and ArmState records of
 myoarm.arm: the mass matrix, potential, generalized forces and
 accelerations below are written out from the link geometry, not taken from
 myoarm.arm's kernels. The muscle curves and the first-order activation
-step are written out here too, one function each, and import nothing.
+step are written out here too, one function each, and import nothing;
+muscle_joint_torque composes the curves into an antagonistic pair's torque.
 """
 
 import math
@@ -183,8 +184,9 @@ def activation_exact(a0: float, u: float, t: float, tau_act: float) -> float:
 
 
 # -- the muscle model's curves, one function each -------------------------
-# MuscleController inlines them into one kernel; these are the definitions
-# that kernel is held to, bit for bit, in test_kernels.
+# MuscleController inlines them into one straight-line kernel; these are the
+# definitions that kernel is held to, bit for bit, in test_kernels, and
+# muscle_joint_torque at the end composes them into one joint's torque.
 
 FV_MAX = 1.35          # eccentric force plateau
 FV_KNEE = 0.25         # curvature constant of the shortening branch
@@ -234,3 +236,66 @@ def force_passive(l: float) -> float:
         return 0.0
     x = (l - 1.0) / 0.6
     return 1.3 * x * x
+
+
+def muscle_joint_torque(phi: float, dphi: float, a1: float, a2: float, mp,
+                        flags=None) -> float:
+    """Joint torque of an antagonistic pair at activities a1, a2.
+
+    tau = -(m1*F1 + m2*F2), each fiber force F = (FL * FV * a + FP) * f_max
+    at the fiber length and velocity of fiber_kinematics, FV read at
+    v_scale times that velocity. mp is a myoarm MuscleParams; flags, an
+    AblationFlags or None, replaces FL or FV by 1 when they are disabled.
+    """
+    no_fl = flags is not None and flags.disable_fl
+    no_fv = flags is not None and flags.disable_fv
+
+    def force(l, dl, a):
+        fl = 1.0 if no_fl else force_length(l)
+        fv = 1.0 if no_fv else force_velocity(mp.v_scale * dl)
+        return (fl * fv * a + force_passive(l)) * mp.f_max
+
+    l1, dl1 = fiber_kinematics(phi, dphi, mp.m1, mp.l_ref1)
+    l2, dl2 = fiber_kinematics(phi, dphi, mp.m2, mp.l_ref2)
+    return -(mp.m1 * force(l1, dl1, a1) + mp.m2 * force(l2, dl2, a2))
+
+
+# -- the smooth-reach cost, sample by sample -------------------------------
+
+def smooth_reach_stages(th, dth, ddth, weights, target) -> np.ndarray:
+    """Per-sample smooth-reach stage costs of an (n, 2) trajectory.
+
+    The jerk of joint j at sample k is the central difference
+    (ddth[k+1] - ddth[k-1]) / 2 in the interior and the one-sided
+    difference at either end (zero for a single sample). The stage cost
+    adds, for each joint in turn, (w_th/s_th) e_th^2 + (w_dth/s_dth)
+    e_dth^2 + (jerk_gain * jerk)^2, e being the error from the target's
+    angle and velocity. weights and target are a myoarm ObjectiveWeights
+    and ReachTarget. The cost is the array's .sum(), NumPy's pairwise sum,
+    which a running loop would not reproduce to the bit.
+    """
+    th = np.asarray(th, dtype=float).tolist()
+    dth = np.asarray(dth, dtype=float).tolist()
+    dd = np.asarray(ddth, dtype=float).tolist()
+    n = len(th)
+    w = weights
+    stages = []
+    for k in range(n):
+        joints = []
+        for j in (0, 1):
+            if n < 2:
+                jerk = 0.0
+            elif k == 0:
+                jerk = dd[1][j] - dd[0][j]
+            elif k == n - 1:
+                jerk = dd[k][j] - dd[k - 1][j]
+            else:
+                jerk = (dd[k + 1][j] - dd[k - 1][j]) / 2.0
+            e_th = th[k][j] - target.th_des[j]
+            e_dth = dth[k][j] - target.dth_des[j]
+            g = w.jerk_gain * jerk
+            joints.append(w.w_th[j] / w.s_th[j] * (e_th * e_th)
+                          + w.w_dth[j] / w.s_dth[j] * (e_dth * e_dth)
+                          + g * g)
+        stages.append(joints[0] + joints[1])
+    return np.array(stages)

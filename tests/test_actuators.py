@@ -1,4 +1,9 @@
-"""Tests of the muscle model, activation dynamics, and torque-family actuators."""
+"""Tests of the muscle model, activation dynamics, and torque-family actuators.
+
+The curve and pair-torque properties are checked on the definitions in
+tests/oracles.py (force_length, ..., muscle_joint_torque), which
+test_kernels holds MuscleController.torques to bit for bit.
+"""
 
 import math
 
@@ -11,12 +16,13 @@ from myoarm.actuators import (AblationFlags, FV_MAX, HatzeParams,
                               LowPassController, MuscleController,
                               MuscleParams, PDController, TorqueController,
                               derive_linear_map, hatze_activation_step,
-                              lowpass_step, make_controller,
-                              muscle_joint_torque, pd_control, torque_actuator)
+                              lowpass_step, make_controller, pd_control,
+                              torque_actuator)
 from myoarm.control import constant_control, rollout
 from myoarm.objectives import SmoothReaching
 from oracles import (activation_exact, activation_step, fiber_kinematics,
-                     force_length, force_passive, force_velocity)
+                     force_length, force_passive, force_velocity,
+                     muscle_joint_torque)
 
 
 def test_linear_map_matches_its_defining_formulas():

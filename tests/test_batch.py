@@ -127,6 +127,35 @@ def test_row_order_and_batch_size_do_not_change_a_rows_cost(family, seed):
     assert_costs_match(rollout_batch(task, ctrl, thetas[i:i + 1], par), costs[i:i + 1])
 
 
+@ROLLOUTS
+@given(family=st.sampled_from(FAMILIES), m=st.integers(1, 6),
+       extra=st.integers(0, 20), steps=st.integers(1, 40),
+       rows=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_zoh_segments_align_with_the_physics_steps(family, m, extra, steps,
+                                                   rows, seed):
+    # resolution m*dt; a plan horizon of m + extra steps, a whole number of
+    # segments or not; a rollout of `steps` steps, which may run past the
+    # plan and must then hold its last segment
+    ctrl = make_controller(family)
+    horizon = m + extra
+    par = ControlParameterization(horizon=horizon * DT_SIM, resolution=m * DT_SIM,
+                                  n_actuators=ctrl.n_controls,
+                                  lo=ctrl.lo, hi=ctrl.hi)
+    n_seg = -(-horizon // m)
+    assert par.n_segments == n_seg
+    task = SmoothReaching(duration=steps * DT_SIM)
+    thetas = population(seed, rows, par)
+    table = np.clip(thetas.reshape(rows, n_seg, ctrl.n_controls),
+                    ctrl.lo, ctrl.hi)
+    for theta, plan in zip(thetas, table):
+        res = rollout(task, ctrl, zoh_control(theta, par, DT_SIM))
+        assert res.steps == steps
+        want = plan[[min(k // m, n_seg - 1) for k in range(steps)]]
+        assert np.array_equal(res.controls, want)
+    assert_costs_match(rollout_batch(task, ctrl, thetas, par),
+                       scalar_costs(task, ctrl, thetas, par))
+
+
 def test_a_diverging_row_scores_the_sentinel_and_leaves_the_others_alone():
     task = SmoothReaching(duration=0.3)
     ctrl = make_controller("torque", tau_max=(1e200, 1e200))

@@ -166,6 +166,14 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig.from_mapping(parse_config_text(line))
 
+    @pytest.mark.parametrize("key, value", [
+        ("experiment.out_dir", "runs,v2"),    # was the directory "['runs', 'v2']"
+        ("experiment.task", "smooth-reach,"),
+        ("experiment.kind", "data_efficiency, sigma_sweep")])
+    def test_single_valued_text_key_rejects_a_list(self, key, value):
+        with pytest.raises(ValueError, match=f"'{key}'.*one value"):
+            ExperimentConfig.from_mapping(parse_config_text(f"{key} = {value}\n"))
+
     def test_labels_and_overrides_accepted(self):
         cfg = ExperimentConfig.from_mapping(parse_config_text(
             "experiment.morphologies = muscle-nofl-nofv, lowpass-fast\n"

@@ -1,14 +1,20 @@
 """Bit-exact properties of the scalar hot path.
 
-The symplectic step, the muscle kernel and the rollout recorder are written
-for speed: inlined helpers, hoisted lookups, per-step lists turned into
-arrays once. Each is checked here against a reference composed from the
-plain building blocks, written the straightforward way, and compared with
-`==`: the fast forms keep every floating-point operation, so not one bit
-may differ.
+The symplectic step, the muscle kernel, the smooth-reach cost and the
+rollout recorder are written for speed: inlined helpers, hoisted lookups,
+constants converted once, per-step lists turned into arrays once. Each is
+checked here against a reference composed from the plain building blocks,
+written the straightforward way, and compared with `==`: the fast forms
+keep every floating-point operation, so not one bit may differ. The
+muscle kernel (MuscleController.torques, one straight-line function) is
+held to the oracle curves and activation step of tests/oracles.py, composed
+per joint by oracles.muscle_joint_torque; the smooth-reach cost to
+oracles.smooth_reach_stages.
 """
 
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings
@@ -16,15 +22,18 @@ from hypothesis import strategies as st
 
 from myoarm.actuators import (AblationFlags, HatzeParams, MuscleController,
                               MuscleParams, hatze_activation_step,
-                              make_controller, muscle_joint_torque)
+                              make_controller)
 from myoarm.arm import (ArmParams, ArmState, Perturbation, _accel,
                         _bias, _Coeffs, _hand, _jacobian, _mass_matrix,
                         _pendulum_forces, _symp_step, ball_step, end_effector)
 from myoarm.control import (DT_SIM, SENTINEL_COST, constant_control,
                             parameterization_for, rollout, zoh_control)
-from myoarm.objectives import PreciseReaching, ReachTarget, make_task
-from oracles import (activation_step, fiber_kinematics, force_length,
-                     force_passive, force_velocity)
+from myoarm.config import ExperimentConfig
+from myoarm.harness import _task_for
+from myoarm.objectives import (ObjectiveWeights, PreciseReaching, ReachTarget,
+                               SmoothReaching, make_task)
+from oracles import (activation_step, fiber_kinematics, muscle_joint_torque,
+                     smooth_reach_stages)
 
 EXACT = settings(max_examples=150, deadline=None, database=None)
 ROLLOUTS = settings(max_examples=12, deadline=None, database=None)
@@ -94,18 +103,6 @@ def test_symp_step_equals_its_composed_reference(p, th, w, tau, dt):
 
 # -- the muscle kernel -----------------------------------------------------
 
-def pair_torque_reference(phi, dphi, a1, a2, mp, flags):
-    """tau = -(m1*F1 + m2*F2) composed from the fiber map and the curves."""
-    def force(l, dl, a):
-        fl = 1.0 if flags.disable_fl else force_length(l)
-        fv = 1.0 if flags.disable_fv else force_velocity(mp.v_scale * dl)
-        return (fl * fv * a + force_passive(l)) * mp.f_max
-
-    l1, dl1 = fiber_kinematics(phi, dphi, mp.m1, mp.l_ref1)
-    l2, dl2 = fiber_kinematics(phi, dphi, mp.m2, mp.l_ref2)
-    return -(mp.m1 * force(l1, dl1, a1) + mp.m2 * force(l2, dl2, a2))
-
-
 def torques_reference(ctrl, acts, gammas, th1, th2, w1, w2, u, dt):
     """One MuscleController step composed from the public step functions.
 
@@ -125,8 +122,8 @@ def torques_reference(ctrl, acts, gammas, th1, th2, w1, w2, u, dt):
                     gammas[i], u[i], l, dt, ctrl.hatze)
             else:
                 acts[i] = activation_step(acts[i], u[i], dt, mp.tau_act)
-        taus.append(pair_torque_reference(phi, dphi, acts[2 * j],
-                                          acts[2 * j + 1], mp, ctrl.flags))
+        taus.append(muscle_joint_torque(phi, dphi, acts[2 * j],
+                                        acts[2 * j + 1], mp, ctrl.flags))
     return tuple(taus)
 
 
@@ -173,13 +170,78 @@ def test_muscle_kernel_equals_the_composed_step_functions(
 
 
 @EXACT
-@given(mp=muscle_params(), flags=st.one_of(st.none(), flag_sets),
-       phi=finite(-3.0, 3.0), dphi=finite(-30.0, 30.0),
-       a=st.tuples(finite(0.0, 1.0), finite(0.0, 1.0)))
-def test_pair_torque_equals_the_composed_curves(mp, flags, phi, dphi, a):
-    want = pair_torque_reference(phi, dphi, a[0], a[1], mp,
-                                 flags or AblationFlags())
-    assert muscle_joint_torque(phi, dphi, a[0], a[1], mp, flags) == want
+@given(shoulder=muscle_params(), elbow=muscle_params(),
+       flags=st.one_of(st.none(), flag_sets),
+       th=st.tuples(finite(-3.0, 3.0), finite(-3.0, 3.0)),
+       w=st.tuples(finite(-30.0, 30.0), finite(-30.0, 30.0)),
+       a=st.tuples(*[finite(0.0, 1.0)] * 4))
+def test_pair_torque_equals_the_composed_curves(shoulder, elbow, flags, th, w, a):
+    # with activation dynamics ablated the state row is the excitations, so
+    # the kernel's torques are the pair torques at activities a
+    ablated = replace(flags or AblationFlags(), disable_activation=True)
+    ctrl = MuscleController(shoulder=shoulder, elbow=elbow, flags=ablated)
+    tau1, tau2, row = ctrl.torques(ctrl.state0, th[0], th[1], w[0], w[1], a,
+                                   DT_SIM)
+    assert row == a
+    assert tau1 == muscle_joint_torque(th[0], w[0], a[0], a[1], shoulder, flags)
+    assert tau2 == muscle_joint_torque(th[1], w[1], a[2], a[3], elbow, flags)
+
+
+# -- the smooth-reach cost -------------------------------------------------
+
+def pair(lo, hi):
+    return st.tuples(finite(lo, hi), finite(lo, hi))
+
+
+weight_sets = st.builds(ObjectiveWeights, s_th=pair(0.1, 10.0),
+                        s_dth=pair(0.1, 50.0), w_th=pair(0.0, 10.0),
+                        w_dth=pair(0.0, 10.0), jerk_gain=finite(0.0, 5.0))
+targets = st.builds(ReachTarget, th_des=pair(-4.0, 4.0),
+                    dth_des=pair(-10.0, 10.0))
+
+
+@st.composite
+def trajectories(draw, min_size=1):
+    """th, dth and ddth of min_size to 200 samples, at the rollout's scales."""
+    n = draw(st.integers(min_size, 200))
+    rng = np.random.default_rng(draw(seeds))
+    return SimpleNamespace(th=rng.uniform(-4.0, 4.0, (n, 2)),
+                           dth=rng.normal(0.0, 10.0, (n, 2)),
+                           ddth=rng.normal(0.0, 300.0, (n, 2)),
+                           dt=DT_SIM, controls=None)
+
+
+def assert_smooth_costs_match(task, traj, weights, target):
+    want = smooth_reach_stages(traj.th, traj.dth, traj.ddth, weights, target)
+    got = task.stage_series(traj, ArmParams())
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert task.cost(traj, ArmParams()) == float(want.sum())
+    assert task.window_cost(traj, ArmParams()) == float(want.sum())
+
+
+@EXACT
+@given(weights=weight_sets, target=targets, traj=trajectories())
+def test_smooth_reach_cost_equals_the_sample_by_sample_composition(
+        weights, target, traj):
+    duration = (traj.th.shape[0] - 1) * DT_SIM
+    task = SmoothReaching(duration=duration, weights=weights, target=target)
+    assert_smooth_costs_match(task, traj, weights, target)
+
+
+@EXACT
+@given(overrides=st.dictionaries(
+           st.sampled_from(["s_th", "s_dth", "w_th", "w_dth", "jerk_gain"]),
+           finite(0.1, 10.0), min_size=1),
+       second=finite(0.1, 10.0), traj=trajectories(min_size=181))
+def test_a_harness_task_scores_with_its_weight_overrides(overrides, second, traj):
+    # built from a config's weights.* keys, the way a sweep builds it, so
+    # constants converted at construction must be the overrides' own; the
+    # trajectories cover the task's full 0.9 s, which cost requires
+    for key in set(overrides) - {"jerk_gain"}:
+        overrides[key] = [overrides[key], second]     # a pair-valued key
+    task = _task_for(ExperimentConfig(weight_overrides=overrides), seed=0)
+    assert_smooth_costs_match(task, traj, ObjectiveWeights(**overrides),
+                              ReachTarget())
 
 
 # -- the rollout recorder --------------------------------------------------
