@@ -16,7 +16,7 @@ from .arm import ArmParams, Perturbation
 from .config import ExperimentConfig
 from .control import (MpcConfig, calibrate_torque_limits,
                       mpc_run, open_loop_optimize, parameterization_for,
-                      rollout, zoh_control, DT_SIM)
+                      rollout)
 from .harness import (TRACE_HEADER, default_jobs, fmt, mpc_trace_rows,
                       oc_trace_rows, read_csv, run_experiment, summarize,
                       write_csv, write_trajectory_csv)
@@ -66,7 +66,7 @@ def cmd_simulate(args):
     par = parameterization_for(task, ctrl, args.c)
     rng = np.random.default_rng(args.seed)
     theta = rng.uniform(par.lo, par.hi, par.dim)
-    res = rollout(task, ctrl, zoh_control(theta, par, DT_SIM), params=params,
+    res = rollout(task, ctrl, theta, par, params=params,
                   perturbation=_perturbation(args))
     write_trajectory_csv(args.out, res)
     print(f"wrote {args.out} cost={fmt(res.cost)} "

@@ -10,7 +10,8 @@ text key (experiment.kind, .task, .out_dir), and the config rejects
 unknown task, morphology and ablation names, `arm.`/`weights.` values
 that are not finite numbers or that ArmParams refuses, an
 mpc.resolution, warm_generations or refine_budget that the MPC runs
-would refuse, and a prediction horizon
+would refuse (for tpred_sweep and robustness_weights, an mpc.resolution
+that does not divide the task's horizon too), and a prediction horizon
 shorter than one mpc.resolution segment (mpc.tpred of robustness_weights,
 any grid.tpred value of tpred_sweep). So a typo or a bad value stops the
 run with a ValueError before it starts (and before the output directory is
@@ -32,8 +33,8 @@ from dataclasses import dataclass, field, fields
 
 from .actuators import AblationFlags, parse_morphology
 from .arm import ArmParams
-from .control import DT_SIM, _steps_per_segment
-from .objectives import TASKS, ObjectiveWeights
+from .control import DT_SIM, _whole_multiple
+from .objectives import TASKS, ObjectiveWeights, make_task
 from .optimizers import ControlParameterization
 
 EXPERIMENT_KINDS = ("data_efficiency", "sigma_sweep", "tpred_sweep",
@@ -233,10 +234,18 @@ class ExperimentConfig:
         if self.warm_generations < 1 or self.refine_budget < 1:
             raise ValueError("mpc.warm_generations and mpc.refine_budget "
                              "must be at least 1")
-        _steps_per_segment(self.mpc_resolution, DT_SIM)
+        _whole_multiple(self.mpc_resolution, DT_SIM, "control resolution", "dt")
         horizons = {"tpred_sweep": ("grid.tpred", self.tpred_grid),
                     "robustness_weights": ("mpc.tpred", [self.tpred])}
         key, values = horizons.get(self.kind, (None, []))
+        if key is not None:           # mpc_run's own rule
+            try:
+                _whole_multiple(make_task(self.task).duration,
+                                self.mpc_resolution, "task horizon",
+                                "MPC resolution")
+            except ValueError as exc:
+                raise ValueError(f"mpc.resolution = {self.mpc_resolution} "
+                                 f"on {self.task}: {exc}") from None
         for tpred in values:          # the MPC window's own rule
             try:
                 ControlParameterization(tpred, self.mpc_resolution, 1, 0.0, 1.0)

@@ -1,9 +1,13 @@
 """Rollouts, open-loop trajectory optimization, and sampling-based MPC.
 
 A rollout advances the arm at a fixed physics timestep while the actuator
-state advances in lockstep; controls come from a zero-order-hold decision
-vector. MPC re-plans against a prediction model that only sees
-perturbations flagged as visible.
+state advances in lockstep. A control plan has one form everywhere: a
+zero-order-hold decision vector with its ControlParameterization, which
+`rollout` takes one of and `rollout_batch` a population of, and which
+zoh_control decodes. MPC re-plans against a prediction model that only
+sees perturbations flagged as visible; each plant segment is a rollout of
+the plan in force, and the executed trajectory is one rollout of the
+first segments it applied.
 
 Actuator state is the controller's state row (see actuators): a rollout
 starts from `controller_state` (the controller's state0 when None), passes
@@ -20,11 +24,12 @@ in lockstep, one NumPy step per physics step, and gives every row the
 cost `rollout` gives it. cma_es hands each generation to its objective as
 one such array, so open-loop optimization and the MPC warm start score
 populations with rollout_batch; the pattern-search refinement, the MPC
-plant segments and the best-plan rollouts use `rollout`.
+plant segments, MPC's executed trajectory and the best-plan rollouts use
+`rollout`.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -83,17 +88,20 @@ class RolloutResult:
                         pend_vel=float(pend[k, 1]) if pend is not None else 0.0)
 
 
-def _steps_per_segment(resolution: float, dt: float) -> int:
-    """Physics steps per control segment.
+def _whole_multiple(span: float, unit: float, what: str, of: str) -> int:
+    """How many `unit`s make up `span`; the ValueError names them `what`
+    and `of`.
 
-    The control resolution must be an integer multiple of dt so segment
-    boundaries land exactly on physics steps.
+    A control resolution must be an integer multiple of dt, so segment
+    boundaries land exactly on physics steps, and a task horizon an integer
+    multiple of the MPC resolution, so the executed segments end where the
+    task does.
     """
-    steps = round(resolution / dt)
-    if steps < 1 or abs(steps * dt - resolution) > 1e-9:
-        raise ValueError(f"control resolution {resolution} is not an "
-                         f"integer multiple of dt={dt}")
-    return steps
+    n = round(span / unit)
+    if n < 1 or abs(n * unit - span) > 1e-9:
+        raise ValueError(f"{what} {span} is not an integer multiple of "
+                         f"{of} {unit}")
+    return n
 
 
 def _zoh_table(thetas, parameterization: ControlParameterization, dt: float):
@@ -105,7 +113,8 @@ def _zoh_table(thetas, parameterization: ControlParameterization, dt: float):
     table of shape (rows, n_segments, n_actuators), clipped to the control
     box.
     """
-    steps_per_seg = _steps_per_segment(parameterization.resolution, dt)
+    steps_per_seg = _whole_multiple(parameterization.resolution, dt,
+                                    "control resolution", "dt")
     thetas = np.asarray(thetas, dtype=float)
     n_seg = parameterization.n_segments
     na = parameterization.n_actuators
@@ -120,32 +129,17 @@ def _zoh_table(thetas, parameterization: ControlParameterization, dt: float):
 
 
 def zoh_control(theta, parameterization: ControlParameterization, dt: float):
-    """Step-indexed zero-order-hold lookup for the rollout loop.
+    """Decode one decision vector for the rollout loop.
 
-    Validation and decoding are _zoh_table's, shared with rollout_batch.
+    Returns (steps_per_segment, rows): rows[j] is segment j's control row,
+    a tuple of floats clipped to the control box, and physics step k reads
+    rows[min(k // steps_per_segment, len(rows) - 1)], so steps past the
+    horizon hold the last segment. Validation and decoding are _zoh_table's,
+    shared with rollout_batch.
     """
     steps_per_seg, table = _zoh_table(np.reshape(theta, (1, -1)),
                                       parameterization, dt)
-    rows = list(map(tuple, table[0].tolist()))
-    last = len(rows) - 1
-
-    def fn(step_index, t):
-        k = step_index // steps_per_seg
-        return rows[k if k < last else last]
-
-    return fn
-
-
-def constant_control(values):
-    """The same control row at every step; non-finite values are rejected."""
-    row = tuple(float(v) for v in values)
-    if not all(map(math.isfinite, row)):
-        raise ValueError(f"control values contain a non-finite value: {row!r}")
-
-    def fn(step_index, t):
-        return row
-
-    return fn
+    return steps_per_seg, list(map(tuple, table[0].tolist()))
 
 
 def _rows(flat, n):
@@ -169,17 +163,22 @@ def _score(task, result: RolloutResult, params, duration) -> float:
     return float(cost_fn(result, params))
 
 
-def rollout(task, controller, control_fn, params: ArmParams | None = None,
+def rollout(task, controller, theta, parameterization: ControlParameterization,
+            params: ArmParams | None = None,
             perturbation: Perturbation | None = None, dt: float = DT_SIM,
             initial_state: ArmState | None = None, controller_state=None,
             ball0: BallState | None = None,
             duration: float | None = None) -> RolloutResult:
-    """Simulate one episode of `task` under `controller` and `control_fn`.
+    """Simulate one episode of `task` under `controller` and decision vector
+    `theta`, the input rollout_batch takes one row of.
 
-    control_fn(step_index, t) returns the raw control vector for that physics
-    step. Mass-type perturbations are folded into the plant parameters; a
-    pendulum perturbation is co-simulated and coupled through cable tension.
-    A non-finite state marks the rollout diverged with the sentinel cost.
+    theta is decoded once by zoh_control; physics step k applies segment
+    k // steps_per_segment, and steps past the parameterization's horizon
+    hold its last segment. The episode lasts `duration` (the task's own
+    when None), whatever the horizon. Mass-type perturbations are folded
+    into the plant parameters; a pendulum perturbation is co-simulated and
+    coupled through cable tension. A non-finite state marks the rollout
+    diverged with the sentinel cost.
 
     The actuator state starts as controller_state (a state row, the
     controller's state0 when None) and ends as the result's
@@ -193,6 +192,8 @@ def rollout(task, controller, control_fn, params: ArmParams | None = None,
     pend_pert = (perturbation if perturbation is not None
                  and perturbation.kind == "chaotic_pendulum" else None)
 
+    steps_per_seg, rows = zoh_control(theta, parameterization, dt)
+    last = len(rows) - 1
     n = _horizon_steps(task, duration, dt)
     state = initial_state if initial_state is not None else task.initial_state()
     th1, th2 = state.th1, state.th2
@@ -224,7 +225,7 @@ def rollout(task, controller, control_fn, params: ArmParams | None = None,
     tau1 = tau2 = 0.0
 
     for k in range(n):
-        u = control_fn(k, t0 + k * dt)
+        u = rows[min(k // steps_per_seg, last)]
         tau1, tau2, cstate = torques_of(cstate, th1, th2, w1, w2, u, dt)
         t1, t2 = tau1, tau2
         if pend_pert is not None:
@@ -313,8 +314,8 @@ def rollout_batch(task, controller, thetas, parameterization: ControlParameteriz
     """Costs of a (population, dim) array of zero-order-hold decision vectors.
 
     Row i's cost is the cost of
-    rollout(task, controller, zoh_control(thetas[i], parameterization, dt),
-    ...) with the same keyword arguments. All rows advance together in
+    rollout(task, controller, thetas[i], parameterization, ...) with the
+    same keyword arguments. All rows advance together in
     structure-of-arrays form: one ZOH decode for the population, then per
     physics step one call of the controller's batch_torques step and one
     of arm._symp_step on arrays with np.cos/np.sin. Every other operation
@@ -334,8 +335,8 @@ def rollout_batch(task, controller, thetas, parameterization: ControlParameteriz
     params = params or ArmParams()
     if _scalar_only(task, controller, perturbation):
         return np.array([
-            rollout(task, controller, zoh_control(theta, parameterization, dt),
-                    params=params, perturbation=perturbation, dt=dt,
+            rollout(task, controller, theta, parameterization, params=params,
+                    perturbation=perturbation, dt=dt,
                     initial_state=initial_state,
                     controller_state=controller_state, ball0=ball0,
                     duration=duration).cost
@@ -426,8 +427,8 @@ def open_loop_optimize(task, morphology: str, resolution: float,
                              perturbation=perturbation, dt=dt)
 
     best_x, best_f, trace = cma_es(objective, par.dim, cfg)
-    best = rollout(task, controller, zoh_control(best_x, par, dt),
-                   params=params, perturbation=perturbation, dt=dt)
+    best = rollout(task, controller, best_x, par, params=params,
+                   perturbation=perturbation, dt=dt)
     return best_x, best, trace, par
 
 
@@ -464,14 +465,21 @@ def mpc_run(task, morphology: str, mpc: MpcConfig,
 
     The plant feels the full perturbation; the prediction model only includes
     it when perturbation.visible_to_prediction is set. At each control step
-    the first planned segment is applied, the plan is shifted (last segment
-    duplicated), and a pattern search with a fixed evaluation budget refines
-    it against the prediction model from the latest plant snapshot: the arm
-    state and the actuator state row the executed segment ended in. Plant
-    and prediction share one controller, which holds parameters only. The
-    warm start scores each CMA-ES generation with rollout_batch; the
-    refinement and the plant segments use the scalar rollout.
-    MpcResult.evals counts the evaluations actually spent, and
+    the plant runs the plan for one segment (a rollout of the plan that
+    lasts mpc.resolution, so only its first segment is read), the plan is
+    shifted (last segment duplicated), and a pattern search with a fixed
+    evaluation budget refines it against the prediction model from the
+    latest plant snapshot: the arm state and the actuator state row the
+    executed segment ended in. Plant and prediction share one controller,
+    which holds parameters only. The warm start scores each CMA-ES
+    generation with rollout_batch; the refinement and the plant segments
+    use the scalar rollout. mpc.resolution must divide the task's horizon
+    (ValueError before any work otherwise).
+
+    The executed trajectory is one rollout, from the task's initial state,
+    of the first segments of the plans applied, on the plant; it walks the
+    plant segments' states bit for bit, and its cost is the functional OC
+    applies. MpcResult.evals counts the evaluations actually spent, and
     MpcResult.step_evals the running count when each control step was
     executed (its last entry equals evals).
     """
@@ -484,8 +492,10 @@ def mpc_run(task, morphology: str, mpc: MpcConfig,
     par = ControlParameterization(horizon=mpc.t_pred, resolution=mpc.resolution,
                                   n_actuators=controller.n_controls,
                                   lo=controller.lo, hi=controller.hi)
-    steps_per_ctrl = _steps_per_segment(mpc.resolution, dt)
-    n_ctrl = round(task.duration / mpc.resolution)
+    steps_per_ctrl = _whole_multiple(mpc.resolution, dt,
+                                     "control resolution", "dt")
+    n_ctrl = _whole_multiple(task.duration, mpc.resolution, "task horizon",
+                             "MPC resolution")
 
     state = task.initial_state()
     ctrl_state = controller.state0
@@ -493,12 +503,10 @@ def mpc_run(task, morphology: str, mpc: MpcConfig,
 
     def window_objective(snap_state, snap_ctrl, snap_ball):
         def objective(theta):
-            fn = zoh_control(theta, par, dt)
-            res = rollout(task, controller, fn, params=params,
-                          perturbation=pred_pert, dt=dt,
-                          initial_state=snap_state, controller_state=snap_ctrl,
-                          ball0=snap_ball, duration=mpc.t_pred)
-            return res.cost
+            return rollout(task, controller, theta, par, params=params,
+                           perturbation=pred_pert, dt=dt,
+                           initial_state=snap_state, controller_state=snap_ctrl,
+                           ball0=snap_ball, duration=mpc.t_pred).cost
         return objective
 
     # warm start from the initial snapshot
@@ -517,33 +525,21 @@ def mpc_run(task, morphology: str, mpc: MpcConfig,
     plan, _, warm_trace = cma_es(warm_objective, par.dim, warm_cfg)
     evals = warm_trace.total_evals
 
-    exec_parts = []
     plans = []
     step_evals = []
-    diverged = False
-    termination = "horizon"
     for k in range(n_ctrl):
         plans.append(plan.copy())
         step_evals.append(evals)
-        u0 = np.clip(plan[:par.n_actuators], par.lo, par.hi)
-        seg = rollout(task, controller, constant_control(u0), params=params,
+        seg = rollout(task, controller, plan, par, params=params,
                       perturbation=perturbation, dt=dt, initial_state=state,
                       controller_state=ctrl_state, ball0=ball,
                       duration=mpc.resolution)
-        exec_parts.append(seg)
         state, ctrl_state = seg.final_state, seg.controller_state
         if ball is not None:
             bx, bz, bdx, bdz = seg.ball[-1]
             ball = BallState(x=float(bx), z=float(bz), dx=float(bdx),
                              dz=float(bdz), mass=ball.mass)
-        if seg.diverged:
-            diverged = True
-            termination = "diverged"
-            break
-        if seg.termination == "goal":
-            termination = "goal"
-            break
-        if k == n_ctrl - 1:
+        if seg.termination != "horizon" or k == n_ctrl - 1:
             break
         plan = par.shift(plan)
         plan, _, refine_evals = local_refine(
@@ -551,51 +547,21 @@ def mpc_run(task, morphology: str, mpc: MpcConfig,
             mpc.refine_radius, mpc.refine_budget, lo=par.lo, hi=par.hi)
         evals += refine_evals
 
-    executed = _concat_rollouts(exec_parts, task, params, dt,
-                                diverged, termination)
-    if not diverged:
+    na = par.n_actuators
+    executed = rollout(task, controller,
+                       np.concatenate([p[:na] for p in plans]),
+                       replace(par, horizon=len(plans) * mpc.resolution),
+                       params=params, perturbation=perturbation, dt=dt)
+    if not executed.diverged:
         stage = task.stage_series(executed, params)
         per_step = [float(stage[i * steps_per_ctrl:(i + 1) * steps_per_ctrl + 1].mean())
-                    for i in range(len(exec_parts))]
+                    for i in range(len(plans))]
     else:
-        per_step = [SENTINEL_COST] * len(exec_parts)
+        per_step = [SENTINEL_COST] * len(plans)
     return MpcResult(executed=executed, step_costs=np.asarray(per_step),
                      cost=executed.cost, evals=evals,
                      step_evals=np.asarray(step_evals),
-                     plans=np.asarray(plans), diverged=diverged)
-
-
-def _concat_rollouts(parts, task, params, dt, diverged, termination) -> RolloutResult:
-    """Stitch per-control-step segments into one trajectory.
-
-    Each segment gives its samples up to its end, and the last segment its
-    end too; a segment's end is the next segment's start. So every sample
-    keeps the acceleration that advanced it (a segment's terminal ddth,
-    taken under its last torques, is not one), and the result equals one
-    rollout of the executed controls from the first segment's start. The
-    time grid is rebuilt as t0 + k * dt, as such a rollout has it.
-    """
-    if not parts:
-        raise ValueError("no executed segments")
-
-    def cat(name, end=-1):
-        arrs = [getattr(p, name) for p in parts]
-        if arrs[0] is None:
-            return None
-        return np.concatenate([a[:end] for a in arrs[:-1]] + arrs[-1:])
-
-    th = cat("th")
-    result = RolloutResult(
-        dt=dt, t=parts[0].t[0] + dt * np.arange(th.shape[0]), th=th,
-        dth=cat("dth"), ddth=cat("ddth"), controls=cat("controls", None),
-        torques=cat("torques", None),
-        controller_state=parts[-1].controller_state,
-        ball=cat("ball"), pend=cat("pend"),
-        cost=SENTINEL_COST, diverged=diverged, termination=termination,
-        steps=th.shape[0] - 1)
-    if not diverged:
-        result.cost = float(task.cost(result, params))
-    return result
+                     plans=np.asarray(plans), diverged=executed.diverged)
 
 
 def calibrate_torque_limits(rollouts) -> tuple:

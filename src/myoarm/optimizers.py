@@ -22,8 +22,12 @@ class ControlParameterization:
     """Zero-order-hold control signal: n_actuators values per segment.
 
     The decision vector stacks segments in time order; segment k spans
-    [k*resolution, (k+1)*resolution). control.zoh_control decodes it, with
-    values clamped to [lo, hi].
+    [k*resolution, (k+1)*resolution). A (decision vector, parameterization)
+    pair is the one form in which a control plan reaches the rollout layer:
+    control.rollout takes one, control.rollout_batch a population of them.
+    control.zoh_control decodes it, with values clamped to [lo, hi]; past
+    the horizon the last segment holds, so a one-segment vector is a
+    constant command.
     """
 
     horizon: float

@@ -18,7 +18,7 @@ from myoarm.actuators import (AblationFlags, FV_MAX, HatzeParams,
                               derive_linear_map, hatze_activation_step,
                               lowpass_step, make_controller, pd_control,
                               torque_actuator)
-from myoarm.control import constant_control, rollout
+from myoarm.control import parameterization_for, rollout
 from myoarm.objectives import SmoothReaching
 from oracles import (activation_exact, activation_step, fiber_kinematics,
                      force_length, force_passive, force_velocity,
@@ -306,7 +306,9 @@ def test_pd_closed_loop_settles_within_spec():
     task = SmoothReaching()
     ctrl = PDController()
     target = (0.5, 0.5)   # scaled by pi: the (pi/2, pi/2) reach pose
-    res = rollout(task, ctrl, constant_control(target), duration=3.0)
+    # one segment over the task's horizon, held for all of the 3 s
+    res = rollout(task, ctrl, np.array(target),
+                  parameterization_for(task, ctrl, task.duration), duration=3.0)
     q_hat = np.array(target) * ctrl.target_scale
     q0 = res.th[0]
     tol = 0.02 * np.abs(q_hat - q0)
@@ -352,7 +354,8 @@ def test_lowpass_rejects_a_filter_faster_than_half_the_step():
     with pytest.raises(ValueError, match="dt_filter"):
         fast.batch_torques(0.005)
     with pytest.raises(ValueError, match="dt_filter"):
-        rollout(SmoothReaching(duration=0.05), fast, constant_control((1.0, 1.0)))
+        task = SmoothReaching(duration=0.05)
+        rollout(task, fast, np.ones(2), parameterization_for(task, fast, 0.05))
     # at gain 2 exactly the filter is marginally stable, and accepted
     edge = LowPassController(dt_filter=0.0025)
     assert edge.torques(edge.state0, 0.0, 0.0, 0.0, 0.0, (1.0, 1.0), 0.005)[2] == (2.0, 2.0)

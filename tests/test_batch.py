@@ -20,8 +20,7 @@ from hypothesis import strategies as st
 from myoarm.actuators import AblationFlags, make_controller
 from myoarm.arm import ArmParams, ArmState, Perturbation
 from myoarm.control import (DT_SIM, SENTINEL_COST, open_loop_optimize,
-                            parameterization_for, rollout, rollout_batch,
-                            zoh_control)
+                            parameterization_for, rollout, rollout_batch)
 from myoarm.objectives import (BallServe, PreciseReaching, ReachTarget,
                                SmoothReaching)
 from myoarm.optimizers import (CmaConfig, ControlParameterization, cma_es)
@@ -49,7 +48,7 @@ def assert_costs_match(batch, scalar):
 
 def scalar_costs(task, ctrl, thetas, par, **kw):
     """The reference: one scalar rollout per row."""
-    return [rollout(task, ctrl, zoh_control(theta, par, DT_SIM), **kw).cost
+    return [rollout(task, ctrl, theta, par, **kw).cost
             for theta in thetas]
 
 
@@ -148,7 +147,7 @@ def test_zoh_segments_align_with_the_physics_steps(family, m, extra, steps,
     table = np.clip(thetas.reshape(rows, n_seg, ctrl.n_controls),
                     ctrl.lo, ctrl.hi)
     for theta, plan in zip(thetas, table):
-        res = rollout(task, ctrl, zoh_control(theta, par, DT_SIM))
+        res = rollout(task, ctrl, theta, par)
         assert res.steps == steps
         want = plan[[min(k // m, n_seg - 1) for k in range(steps)]]
         assert np.array_equal(res.controls, want)
@@ -164,7 +163,7 @@ def test_a_diverging_row_scores_the_sentinel_and_leaves_the_others_alone():
     wild = np.ones((1, par.dim))               # 1e200 N m overflows the state
     thetas = np.concatenate([calm[:1], wild, calm[1:]])
     thetas[2, 0] = 1e-200                      # a calm row of its own
-    assert rollout(task, ctrl, zoh_control(wild[0], par, DT_SIM)).diverged
+    assert rollout(task, ctrl, wild[0], par).diverged
     with warnings.catch_warnings():
         warnings.simplefilter("error")         # the overflow stays inside
         costs = rollout_batch(task, ctrl, thetas, par)

@@ -87,6 +87,30 @@ class TestUsageErrors:
         assert "control segment" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("kind", ["tpred_sweep", "robustness_weights"])
+    def test_resolution_that_misses_the_horizon_is_a_clean_error(
+            self, tmp_path, capsys, kind):
+        # 0.04 s does not divide smooth-reach's 0.9 s; the config used to
+        # pass and the first MPC point to fail after the output directory
+        # was made
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"experiment.kind = {kind}\nmpc.resolution = 0.04\n")
+        assert run_cli("experiment", "--config", str(cfg),
+                       "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert "myoarm: error:" in err and "task horizon" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_mpc_resolution_that_misses_the_horizon_is_a_clean_error(
+            self, tmp_path, capsys):
+        assert run_cli("mpc", "--resolution", "0.04", "--tpred", "0.04",
+                       "--population", "4", "--warm-generations", "1",
+                       "--refine-budget", "2",
+                       "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert "myoarm: error:" in err and "task horizon" in err
+        assert not (tmp_path / "out").exists()
+
     def test_help_exits_zero(self, capsys):
         assert run_cli("--help") == 0
         assert "simulate" in capsys.readouterr().out

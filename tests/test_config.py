@@ -1,14 +1,14 @@
 """Config parsing: flat dotted key-value text and the experiment schema."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from myoarm.actuators import MORPHOLOGIES
 from myoarm.config import (_KEYS, _OVERRIDES, EXPERIMENT_KINDS,
                            ExperimentConfig, load_config, parse_config_text,
                            section)
-from myoarm.objectives import TASKS
+from myoarm.objectives import TASKS, make_task
 
 
 class TestParseText:
@@ -161,6 +161,13 @@ class TestExperimentConfig:
         # a prediction horizon shorter than one control segment
         "experiment.kind = tpred_sweep\ngrid.tpred = 0.004",
         "experiment.kind = robustness_weights\nmpc.tpred = 0.005",
+        # an MPC resolution that does not divide the task's horizon: 0.04 s
+        # used to stop 0.02 s short of smooth-reach's 0.9 s, 0.035 s to
+        # run past it, and 0.015 s does not divide fast-reach's 2 s
+        "experiment.kind = tpred_sweep\nmpc.resolution = 0.04",
+        "experiment.kind = robustness_weights\nmpc.resolution = 0.035",
+        "experiment.kind = robustness_weights\nexperiment.task = fast-reach\n"
+        "mpc.resolution = 0.015",
     ])
     def test_bad_config_rejected(self, line):
         with pytest.raises(ValueError):
@@ -189,6 +196,14 @@ class TestExperimentConfig:
         for text in ("experiment.kind = tpred_sweep\ngrid.tpred = 0.01, 0.3\n",
                      "experiment.kind = robustness_weights\nmpc.tpred = 0.01\n",
                      "experiment.kind = data_efficiency\nmpc.tpred = 0.005\n"):
+            ExperimentConfig.from_mapping(parse_config_text(text))
+
+    def test_resolution_checked_against_the_horizon_mpc_runs(self):
+        # only the MPC kinds run mpc.resolution, each on its own task
+        for text in ("experiment.kind = data_efficiency\nmpc.resolution = 0.04\n",
+                     "experiment.kind = tpred_sweep\nexperiment.task = fast-reach\n"
+                     "mpc.resolution = 0.04\n",
+                     "experiment.kind = robustness_weights\nmpc.resolution = 0.015\n"):
             ExperimentConfig.from_mapping(parse_config_text(text))
 
     def test_integral_float_is_an_integer(self):
@@ -233,7 +248,13 @@ labels = st.sampled_from(MORPHOLOGIES + ("muscle-nofl", "muscle-nofv-noactdyn"))
 
 @st.composite
 def configs(draw):
+    kind = draw(st.sampled_from(EXPERIMENT_KINDS))
+    task = draw(st.sampled_from(TASKS))
     resolution = 0.005 * draw(st.integers(1, 4))
+    if kind in ("tpred_sweep", "robustness_weights"):
+        # the MPC kinds need a resolution that divides the task's horizon
+        steps = make_task(task).duration / resolution
+        assume(abs(steps - round(steps)) < 1e-6)
     arm = draw(st.dictionaries(
         st.sampled_from(["l1", "l2", "m1", "m2", "r1", "r2", "i1", "i2",
                          "m_hand", "m_extra", "g"]), positive, max_size=4))
@@ -244,8 +265,7 @@ def configs(draw):
         if pair in weights:
             weights[pair] = [weights[pair], draw(positive)]
     return ExperimentConfig(
-        kind=draw(st.sampled_from(EXPERIMENT_KINDS)),
-        task=draw(st.sampled_from(TASKS)),
+        kind=kind, task=task,
         morphologies=draw(st.lists(labels, min_size=1, max_size=3)),
         c_grid=draw(st.lists(positive, min_size=1, max_size=3)),
         sigma_grid=draw(st.lists(positive, min_size=1, max_size=3)),

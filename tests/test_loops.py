@@ -1,6 +1,7 @@
 """Tests for rollouts, open-loop optimization, and the receding-horizon loop."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ import pytest
 from myoarm.actuators import MuscleController, TorqueController, make_controller
 from myoarm.arm import ArmParams, ArmState, Perturbation, step
 from myoarm.control import (DT_SIM, MpcConfig, SENTINEL_COST,
-                            calibrate_torque_limits, constant_control,
-                            mpc_run, open_loop_optimize, parameterization_for,
-                            rollout, rollout_batch, zoh_control)
+                            calibrate_torque_limits, mpc_run,
+                            open_loop_optimize, parameterization_for,
+                            rollout, rollout_batch)
 from myoarm.objectives import (ObjectiveWeights, PreciseReaching, ReachTarget,
                                SmoothReaching, make_task)
 from myoarm.optimizers import CmaConfig, ControlParameterization, cma_es
@@ -34,10 +35,17 @@ def smooth_cost_reference(traj, weights, target):
     return float(stage.sum())
 
 
+def hold(task, ctrl, values, **kw):
+    """A rollout that applies `values` at every step: a one-segment plan,
+    whose segment holds past its horizon."""
+    return rollout(task, ctrl, np.asarray(values, dtype=float),
+                   parameterization_for(task, ctrl, task.duration), **kw)
+
+
 class TestRollout:
     def test_zero_control_torque_stays_at_equilibrium(self):
         task = SmoothReaching()
-        res = rollout(task, TorqueController(), constant_control([0.0, 0.0]))
+        res = hold(task, TorqueController(), [0.0, 0.0])
         # cos(-pi/2) is one ulp away from zero, so the rest pose drifts by
         # rounding noise only
         assert np.abs(res.th[:, 0] + 0.5 * math.pi).max() < 1e-12
@@ -56,8 +64,8 @@ class TestRollout:
         # past its rest length, so zero excitation produces zero torque
         task = SmoothReaching(duration=0.1)
         ctrl = MuscleController()
-        res = rollout(task, ctrl, constant_control([0.0, 0.0, 0.0, 0.0]),
-                      initial_state=ArmState(th1=0.0, th2=0.0))
+        res = hold(task, ctrl, [0.0, 0.0, 0.0, 0.0],
+                   initial_state=ArmState(th1=0.0, th2=0.0))
         for mp, col in ((ctrl.shoulder, 0), (ctrl.elbow, 1)):
             l_a = mp.m1 * res.th[:, col] + mp.l_ref1
             l_b = mp.m2 * res.th[:, col] + mp.l_ref2
@@ -74,7 +82,7 @@ class TestRollout:
         rng = np.random.default_rng(4)
         par = parameterization_for(task, TorqueController(), 0.15)
         theta = rng.uniform(-1.0, 1.0, par.dim)
-        res = rollout(task, TorqueController(), zoh_control(theta, par, DT_SIM))
+        res = rollout(task, TorqueController(), theta, par)
         assert abs(res.cost - smooth_cost_reference(res, task.weights,
                                                     task.target)) < 1e-12
 
@@ -83,7 +91,7 @@ class TestRollout:
         ctrl = MuscleController()
         par = parameterization_for(task, ctrl, 0.3)
         theta = np.random.default_rng(8).uniform(0.0, 1.0, par.dim)
-        res = rollout(task, ctrl, zoh_control(theta, par, DT_SIM))
+        res = rollout(task, ctrl, theta, par)
         assert abs(res.cost - smooth_cost_reference(res, task.weights,
                                                     task.target)) < 1e-12
 
@@ -92,14 +100,14 @@ class TestRollout:
         ctrl = MuscleController()
         par = parameterization_for(task, ctrl, 0.3)
         theta = np.random.default_rng(12).uniform(0.0, 1.0, par.dim)
-        res = rollout(task, ctrl, zoh_control(theta, par, DT_SIM))
+        res = rollout(task, ctrl, theta, par)
         assert res.ball is not None
         assert res.cost == -float(res.ball[:, 3].max())
 
     def test_shapes_and_time_grid(self):
         task = SmoothReaching()
         ctrl = MuscleController()
-        res = rollout(task, ctrl, constant_control([0.3, 0.1, 0.4, 0.2]))
+        res = hold(task, ctrl, [0.3, 0.1, 0.4, 0.2])
         n = round(task.duration / DT_SIM)
         assert res.steps == n
         assert res.th.shape == (n + 1, 2)
@@ -122,14 +130,14 @@ class TestRollout:
             par = parameterization_for(task, roll_ctrl, 0.1)
             theta = np.random.default_rng(31).uniform(
                 roll_ctrl.lo, roll_ctrl.hi, par.dim)
-            fn = zoh_control(theta, par, DT_SIM)
-            res = rollout(task, roll_ctrl, fn, perturbation=pert)
+            res = rollout(task, roll_ctrl, theta, par, perturbation=pert)
+            plan = theta.reshape(par.n_segments, -1).tolist()
 
             ctrl = make_controller(morph)
             row = ctrl.state0
             state = task.initial_state()
             for k in range(res.steps):
-                u = fn(k, state.t)
+                u = plan[k // 20]           # 0.1 s segments of 20 steps
                 *tau, row = ctrl.torques(row, state.th1, state.th2,
                                          state.dth1, state.dth2, u, DT_SIM)
                 assert tau[0] == res.torques[k, 0]
@@ -146,8 +154,7 @@ class TestRollout:
     def test_divergence_marked_with_sentinel(self):
         task = SmoothReaching()
         wild = ArmState(th1=0.0, th2=0.5, dth1=1e200, dth2=-1e200)
-        res = rollout(task, TorqueController(), constant_control([0.0, 0.0]),
-                      initial_state=wild)
+        res = hold(task, TorqueController(), [0.0, 0.0], initial_state=wild)
         assert res.diverged
         assert res.termination == "diverged"
         assert res.cost == SENTINEL_COST
@@ -157,7 +164,7 @@ class TestRollout:
         # goal sits on the initial hand position, so the episode ends at once
         task = PreciseReaching(target=ReachTarget(goal_xz=(0.0, -0.6)),
                                terminal_threshold=0.05, duration=1.0)
-        res = rollout(task, TorqueController(), constant_control([0.0, 0.0]))
+        res = hold(task, TorqueController(), [0.0, 0.0])
         assert res.termination == "goal"
         assert res.steps == 1
         assert math.isfinite(res.cost)
@@ -165,13 +172,12 @@ class TestRollout:
     def test_perturbation_visibility_never_touches_plant(self):
         task = SmoothReaching()
         ctrl = TorqueController()
-        fn = constant_control([0.4, -0.2])
         seen = Perturbation(kind="lower_arm_mass", mass=1.0,
                             visible_to_prediction=True)
         unseen = Perturbation(kind="lower_arm_mass", mass=1.0,
                               visible_to_prediction=False)
-        a = rollout(task, ctrl, fn, perturbation=seen)
-        b = rollout(task, ctrl, fn, perturbation=unseen)
+        a = hold(task, ctrl, [0.4, -0.2], perturbation=seen)
+        b = hold(task, ctrl, [0.4, -0.2], perturbation=unseen)
         assert np.array_equal(a.th, b.th)
         assert np.array_equal(a.dth, b.dth)
 
@@ -179,7 +185,7 @@ class TestRollout:
         task = SmoothReaching()
         par = parameterization_for(task, TorqueController(), 0.3)
         with pytest.raises(ValueError):
-            zoh_control(np.zeros(par.dim + 1), par, DT_SIM)
+            rollout(task, TorqueController(), np.zeros(par.dim + 1), par)
 
     def test_non_finite_decision_vector_rejected(self):
         # NaN used to read as full activation in the muscle controller and
@@ -191,24 +197,24 @@ class TestRollout:
                 theta = np.full(par.dim, 0.5)
                 theta[1] = bad
                 with pytest.raises(ValueError, match="non-finite"):
-                    zoh_control(theta, par, DT_SIM)
+                    rollout(task, ctrl, theta, par)
 
-    def test_constant_control_rejects_non_finite_excitations(self):
+    def test_held_non_finite_excitations_rejected(self):
         # NaN used to reach the muscle controller and read as activity 1.0
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="non-finite"):
-                constant_control([0.5, bad, 0.5, 0.5])
+                hold(SmoothReaching(), MuscleController(), [0.5, bad, 0.5, 0.5])
 
-    def test_constant_control_rejects_non_finite_torques(self):
+    def test_held_non_finite_torques_rejected(self):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="non-finite"):
-                constant_control([bad, 0.0])
+                hold(SmoothReaching(), TorqueController(), [bad, 0.0])
 
     def test_resolution_must_align_with_dt(self):
         task = SmoothReaching()
         par = parameterization_for(task, TorqueController(), 0.3)
         with pytest.raises(ValueError):
-            zoh_control(np.zeros(par.dim), par, 0.007)
+            rollout(task, TorqueController(), np.zeros(par.dim), par, dt=0.007)
 
 
 class TestOpenLoop:
@@ -265,9 +271,8 @@ def torque_window(cfg: MpcConfig):
                                   n_actuators=2, lo=-1.0, hi=1.0)
 
     def objective(theta, state):
-        return rollout(SmoothReaching(), TorqueController(),
-                       zoh_control(theta, par, DT_SIM), initial_state=state,
-                       duration=cfg.t_pred).cost
+        return rollout(SmoothReaching(), TorqueController(), theta, par,
+                       initial_state=state, duration=cfg.t_pred).cost
     return par, objective
 
 
@@ -332,21 +337,58 @@ class TestMpc:
         ("torque", Perturbation(kind="lower_arm_mass", mass=2.0,
                                 visible_to_prediction=False))])
     def test_executed_trajectory_is_one_rollout_of_its_controls(self, morph, pert):
-        # the stitched segments are the trajectory one rollout of the
-        # executed controls walks from the initial state, sample for sample
-        # (each seam keeps the acceleration that advanced it), and the MPC
-        # cost is that rollout's cost
+        # mpc_run replays the applied first segments in one rollout; the
+        # reference chains one plant rollout per plan in force from the
+        # state the previous one ended in, and stitches their samples (each
+        # seam keeps the acceleration that advanced it). The two agree
+        # sample for sample, and the MPC cost is the stitched trajectory's.
         task = SmoothReaching(duration=0.3)
-        res = mpc_run(task, morph, tiny_mpc(seed=4, warm_generations=2,
-                                            refine_budget=4), perturbation=pert)
-        controls = [tuple(row) for row in res.executed.controls.tolist()]
-        ref = rollout(task, make_controller(morph), lambda k, t: controls[k],
-                      perturbation=pert)
+        cfg = tiny_mpc(seed=4, warm_generations=2, refine_budget=4)
+        res = mpc_run(task, morph, cfg, perturbation=pert)
+        ctrl = make_controller(morph)
+        par = ControlParameterization(horizon=cfg.t_pred,
+                                      resolution=cfg.resolution,
+                                      n_actuators=ctrl.n_controls,
+                                      lo=ctrl.lo, hi=ctrl.hi)
+        state, row, parts = task.initial_state(), ctrl.state0, []
+        for plan in res.plans:
+            seg = rollout(task, ctrl, plan, par, perturbation=pert,
+                          initial_state=state, controller_state=row,
+                          duration=cfg.resolution)
+            parts.append(seg)
+            state, row = seg.final_state, seg.controller_state
+
+        def stitched(name, end=-1):
+            arrs = [getattr(p, name) for p in parts]
+            if arrs[0] is None:
+                return None
+            return np.concatenate([a[:end] for a in arrs[:-1]] + arrs[-1:])
+
+        spc = round(cfg.resolution / DT_SIM)
+        ref = replace(parts[-1], t=DT_SIM * np.arange(len(parts) * spc + 1),
+                      **{name: stitched(name) for name in
+                         ("th", "dth", "ddth", "pend")},
+                      controls=stitched("controls", None),
+                      torques=stitched("torques", None))
         for name in ("t", "th", "dth", "ddth", "controls", "torques", "pend"):
             got, want = getattr(res.executed, name), getattr(ref, name)
             assert (got is None and want is None) or np.array_equal(got, want), name
         assert res.executed.controller_state == ref.controller_state
-        assert res.cost == ref.cost
+        assert res.cost == task.cost(ref, PARAMS)
+
+    def test_resolution_must_divide_the_task_horizon(self, monkeypatch):
+        # 0.04 s used to run 22 steps (0.88 s) of a 0.9 s task and then
+        # fail in the cost, 0.035 s ran 26 steps, past the horizon; both
+        # are refused before any planning
+        import myoarm.control as control
+
+        def no_planning(*args, **kwargs):
+            raise AssertionError("planned before checking the resolution")
+
+        monkeypatch.setattr(control, "cma_es", no_planning)
+        for resolution in (0.04, 0.035):
+            with pytest.raises(ValueError, match="task horizon"):
+                mpc_run(SmoothReaching(), "torque", tiny_mpc(resolution=resolution))
 
     def test_not_worse_than_open_loop_at_equal_budget(self):
         # re-planning from the true state should pay off against a one-shot
@@ -430,8 +472,8 @@ class TestCalibration:
         ctrl = MuscleController()
         par = parameterization_for(task, ctrl, 0.3)
         rng = np.random.default_rng(9)
-        results = [rollout(task, ctrl, zoh_control(
-            rng.uniform(0.0, 1.0, par.dim), par, DT_SIM)) for _ in range(3)]
+        results = [rollout(task, ctrl, rng.uniform(0.0, 1.0, par.dim), par)
+                   for _ in range(3)]
         got = calibrate_torque_limits(results)
         stacked = np.vstack([r.torques for r in results])
         assert got == (float(np.abs(stacked[:, 0]).max()),

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from myoarm.control import zoh_control
+from myoarm.control import rollout
+from myoarm.objectives import SmoothReaching
 from myoarm.optimizers import (CmaConfig, ControlParameterization,
                                cma_es, local_refine)
 
@@ -18,6 +19,21 @@ def sphere(x):
 
 def rosenbrock(x):
     return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+class Silent:
+    """A controller that applies no torque, whatever control row it gets."""
+
+    state0 = ()
+
+    def torques(self, row, th1, th2, w1, w2, u, dt):
+        return 0.0, 0.0, row
+
+
+def applied(theta, par, duration=0.9):
+    """The control rows a rollout of (theta, par) applies, one per step."""
+    task = SmoothReaching(duration=duration)
+    return rollout(task, Silent(), theta, par, dt=DT).controls
 
 
 def rows(f):
@@ -57,21 +73,23 @@ class TestParameterization:
         par = ControlParameterization(horizon=0.9, resolution=0.3,
                                       n_actuators=2, lo=-1.0, hi=1.0)
         theta = np.arange(6, dtype=float) / 10.0
-        fn = zoh_control(theta, par, DT)
-        assert np.array_equal(fn(62, 62 * DT), theta[2:4])
-        assert np.array_equal(fn(0, 0.0), theta[0:2])
-        assert np.array_equal(fn(59, 59 * DT), theta[0:2])
-        assert np.array_equal(fn(60, 60 * DT), theta[2:4])
-        assert np.array_equal(fn(179, 179 * DT), theta[4:6])
-        assert np.array_equal(fn(180, 180 * DT), theta[4:6])
+        u = applied(theta, par, duration=1.0)
+        assert np.array_equal(u[62], theta[2:4])
+        assert np.array_equal(u[0], theta[0:2])
+        assert np.array_equal(u[59], theta[0:2])
+        assert np.array_equal(u[60], theta[2:4])
+        assert np.array_equal(u[179], theta[4:6])
+        assert np.array_equal(u[180], theta[4:6])
+        assert np.array_equal(u[199], theta[4:6])
 
     def test_constant_vector_constant_signal(self):
         par = ControlParameterization(horizon=0.9, resolution=0.15,
                                       n_actuators=3, lo=0.0, hi=1.0)
         theta = np.tile([0.2, 0.7, 0.5], par.n_segments)
-        fn = zoh_control(theta, par, DT)
+        u = applied(theta, par)
+        assert u.shape == (180, 3)
         for k in range(180):
-            assert np.array_equal(fn(k, k * DT), [0.2, 0.7, 0.5])
+            assert np.array_equal(u[k], [0.2, 0.7, 0.5])
 
     def test_indicator_recovery(self):
         # every physics step inside a segment's support recovers that
@@ -80,26 +98,26 @@ class TestParameterization:
                                       n_actuators=2, lo=-1.0, hi=1.0)
         rng = np.random.default_rng(2)
         theta = rng.uniform(-1.0, 1.0, size=par.dim)
-        fn = zoh_control(theta, par, DT)
+        u = applied(theta, par)
         for k in range(par.n_segments):
             for step in range(60 * k, 60 * (k + 1)):
-                assert np.array_equal(fn(step, step * DT),
-                                      theta[2 * k:2 * k + 2])
+                assert np.array_equal(u[step], theta[2 * k:2 * k + 2])
 
     def test_bounds_always_enforced(self):
         par = ControlParameterization(horizon=0.6, resolution=0.2,
                                       n_actuators=2, lo=0.0, hi=1.0)
         theta = np.array([-50.0, 2.0, 0.5, 1e9, -1e-9, 0.99])
-        fn = zoh_control(theta, par, DT)
-        for step in range(120):
-            u = np.asarray(fn(step, step * DT))
-            assert np.all(u >= 0.0) and np.all(u <= 1.0)
+        u = applied(theta, par, duration=0.6)
+        assert u.shape == (120, 2)
+        assert np.all(u >= 0.0) and np.all(u <= 1.0)
+        assert u[0].tolist() == [0.0, 1.0] and u[40].tolist() == [0.5, 1.0]
+        assert u[119].tolist() == [0.0, 0.99]
 
     def test_length_mismatch_rejected(self):
         par = ControlParameterization(horizon=0.9, resolution=0.3,
                                       n_actuators=2, lo=-1.0, hi=1.0)
         with pytest.raises(ValueError):
-            zoh_control(np.zeros(5), par, DT)
+            applied(np.zeros(5), par)
 
     def test_validation(self):
         good = dict(n_actuators=2, lo=0.0, hi=1.0)

@@ -11,13 +11,17 @@ kind, every task, the torque calibration and each CLI run command:
 - a robustness sweep with muscle and torque (so it calibrates);
 - CLI `simulate` (pendulum load, ball serve, low-pass, fast-reach),
   `optimize` (plain, `--ablate fv`, fast-reach) and `mpc` (muscle; torque
-  with a hand mass; pendulum load; fast-reach).
+  with a hand mass; pendulum load; fast-reach; ball-serve; a torque
+  fast-reach run that stops at the goal).
 
 Every file is written under OUT_DIR, which must be empty or absent. The
 output is one `<sha256>  <path relative to OUT_DIR>` line per file, sorted
 by path, so two runs (or two commits) compare with `diff`. A refactor that
-is meant to keep the numbers must leave every line unchanged. The whole set
-takes a few seconds on one core.
+is meant to keep the numbers must leave every line unchanged. To get the
+parent commit's digests, check the parent out into a directory of its own
+(`git worktree add` or `git archive`) and run this script against its
+package: `PYTHONPATH=<parent worktree>/src python tools/golden.py OUT`.
+The whole set takes a few seconds on one core.
 """
 
 import contextlib
@@ -82,6 +86,10 @@ CLI_RUNS = {
                         "hand_mass", "--mass", "1.5", *TINY_CLI_MPC],
     "mpc_pendulum": ["mpc", "--perturb", "chaotic_pendulum", *TINY_CLI_MPC],
     "mpc_fast": ["mpc", "--task", "fast-reach", "--seed", "1", *TINY_CLI_MPC],
+    "mpc_ball": ["mpc", "--task", "ball-serve", *TINY_CLI_MPC],
+    # stops at the goal after 108 of 400 physics steps
+    "mpc_fast_goal": ["mpc", "--task", "fast-reach", "--morphology", "torque",
+                      "--seed", "3", *TINY_CLI_MPC],
 }
 
 
