@@ -113,9 +113,9 @@ def cmd_mpc(args):
                           args.tpred, args.seed, res)
     costs_path = os.path.join(out, "costs.csv")
     write_csv(costs_path, TRACE_HEADER, rows)
-    print(f"wrote {traj_path} and {costs_path} cost={fmt(res.cost)} "
-          f"evals={res.evals}")
-    return 2 if res.diverged else 0
+    print(f"wrote {traj_path} and {costs_path} cost={fmt(res.executed.cost)} "
+          f"evals={res.step_evals[-1]}")
+    return 2 if res.executed.diverged else 0
 
 
 def cmd_experiment(args):

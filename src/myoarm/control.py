@@ -42,6 +42,8 @@ from .optimizers import (CmaConfig, ControlParameterization, cma_es,
 
 DT_SIM = 0.005                 # physics timestep, seconds
 SENTINEL_COST = 1e9            # diverged run, minimization convention
+WARM_SIGMA0 = 0.2              # MPC warm start: CMA-ES initial step size
+REFINE_RADIUS = 0.1            # MPC refinement: initial pattern-search radius
 
 # rollout_batch's step: _symp_step under a name of its own, so a span that
 # wraps control._symp_step (perfbench/spans.py) times scalar steps only
@@ -396,9 +398,16 @@ def rollout_batch(task, controller, thetas, parameterization: ControlParameteriz
 
 
 def parameterization_for(task, controller, resolution: float) -> ControlParameterization:
+    """The task-length plan of `controller`, in its control box."""
     return ControlParameterization(horizon=task.duration, resolution=resolution,
                                    n_actuators=controller.n_controls,
                                    lo=controller.lo, hi=controller.hi)
+
+
+def _box_center(par: ControlParameterization) -> np.ndarray:
+    """The search start of every CMA-ES run: the middle of the control box
+    (0.5 for muscles, 0 for the torque family) in every coordinate."""
+    return np.full(par.dim, 0.5 * (par.lo + par.hi))
 
 
 def open_loop_optimize(task, morphology: str, resolution: float,
@@ -408,25 +417,19 @@ def open_loop_optimize(task, morphology: str, resolution: float,
     """Optimize a zero-order-hold plan for the task with CMA-ES.
 
     Each generation is scored by one rollout_batch call; the best plan is
-    rolled out once more with the scalar rollout. The initial search mean
-    defaults to the middle of the control box (0.5 for muscles, 0 for the
-    torque family). Returns (best_theta, best_rollout, trace,
+    rolled out once more with the scalar rollout. CMA-ES starts from the
+    middle of the control box (_box_center) with cma_config's budget,
+    step size and seed. Returns (best_theta, best_rollout, trace,
     parameterization).
     """
     controller = make_controller(morphology, **(controller_overrides or {}))
     par = parameterization_for(task, controller, resolution)
-    cfg = cma_config
-    if cfg.x0 is None:
-        mid = 0.5 * (controller.lo + controller.hi)
-        cfg = CmaConfig(population=cfg.population, generations=cfg.generations,
-                        sigma0=cfg.sigma0, seed=cfg.seed,
-                        x0=np.full(par.dim, mid))
 
     def objective(thetas):
         return rollout_batch(task, controller, thetas, par, params=params,
                              perturbation=perturbation, dt=dt)
 
-    best_x, best_f, trace = cma_es(objective, par.dim, cfg)
+    best_x, best_f, trace = cma_es(objective, _box_center(par), cma_config)
     best = rollout(task, controller, best_x, par, params=params,
                    perturbation=perturbation, dt=dt)
     return best_x, best, trace, par
@@ -440,21 +443,20 @@ class MpcConfig:
     resolution: float = 0.01       # control step, seconds
     warm_population: int = 36
     warm_generations: int = 20
-    warm_sigma0: float = 0.2
     refine_budget: int = 50        # evaluations per control step
-    refine_radius: float = 0.1
     seed: int = 0
 
 
 @dataclass
 class MpcResult:
+    """One receding-horizon run. Its cost and divergence are the executed
+    trajectory's (executed.cost, the functional OC applies, and
+    executed.diverged), and the evaluations it spent are step_evals[-1]."""
+
     executed: RolloutResult
     step_costs: np.ndarray        # executed stage cost averaged per control step
-    cost: float                   # executed-trajectory cost (same functional as OC)
-    evals: int
     step_evals: np.ndarray        # evaluations spent before each executed step
     plans: np.ndarray             # plan in force at each executed control step
-    diverged: bool = False
 
 
 def mpc_run(task, morphology: str, mpc: MpcConfig,
@@ -471,17 +473,20 @@ def mpc_run(task, morphology: str, mpc: MpcConfig,
     evaluation budget refines it against the prediction model from the
     latest plant snapshot: the arm state and the actuator state row the
     executed segment ended in. Plant and prediction share one controller,
-    which holds parameters only. The warm start scores each CMA-ES
-    generation with rollout_batch; the refinement and the plant segments
-    use the scalar rollout. mpc.resolution must divide the task's horizon
-    (ValueError before any work otherwise).
+    which holds parameters only. The window is the controller's OC
+    parameterization (parameterization_for) with horizon mpc.t_pred. The
+    warm start is CMA-ES from the middle of the control box with step size
+    WARM_SIGMA0, and it scores each generation with rollout_batch; the
+    refinement starts at radius REFINE_RADIUS, and it and the plant
+    segments use the scalar rollout. mpc.resolution must divide the task's
+    horizon (ValueError before any work otherwise).
 
     The executed trajectory is one rollout, from the task's initial state,
     of the first segments of the plans applied, on the plant; it walks the
     plant segments' states bit for bit, and its cost is the functional OC
-    applies. MpcResult.evals counts the evaluations actually spent, and
-    MpcResult.step_evals the running count when each control step was
-    executed (its last entry equals evals).
+    applies. MpcResult.step_evals is the running count of evaluations
+    actually spent when each control step was executed; the run spends no
+    evaluation after its last step, so step_evals[-1] is the run's total.
     """
     params = params or ArmParams()
     controller = make_controller(morphology, **(controller_overrides or {}))
@@ -489,9 +494,8 @@ def mpc_run(task, morphology: str, mpc: MpcConfig,
     visible = perturbation is not None and perturbation.visible_to_prediction
     pred_pert = perturbation if visible else None
 
-    par = ControlParameterization(horizon=mpc.t_pred, resolution=mpc.resolution,
-                                  n_actuators=controller.n_controls,
-                                  lo=controller.lo, hi=controller.hi)
+    par = replace(parameterization_for(task, controller, mpc.resolution),
+                  horizon=mpc.t_pred)
     steps_per_ctrl = _whole_multiple(mpc.resolution, dt,
                                      "control resolution", "dt")
     n_ctrl = _whole_multiple(task.duration, mpc.resolution, "task horizon",
@@ -510,11 +514,9 @@ def mpc_run(task, morphology: str, mpc: MpcConfig,
         return objective
 
     # warm start from the initial snapshot
-    mid = 0.5 * (controller.lo + controller.hi)
     warm_cfg = CmaConfig(population=mpc.warm_population,
                          generations=mpc.warm_generations,
-                         sigma0=mpc.warm_sigma0, seed=mpc.seed,
-                         x0=np.full(par.dim, mid))
+                         sigma0=WARM_SIGMA0, seed=mpc.seed)
 
     def warm_objective(thetas):
         return rollout_batch(task, controller, thetas, par, params=params,
@@ -522,7 +524,7 @@ def mpc_run(task, morphology: str, mpc: MpcConfig,
                              controller_state=ctrl_state, ball0=ball,
                              duration=mpc.t_pred)
 
-    plan, _, warm_trace = cma_es(warm_objective, par.dim, warm_cfg)
+    plan, _, warm_trace = cma_es(warm_objective, _box_center(par), warm_cfg)
     evals = warm_trace.total_evals
 
     plans = []
@@ -544,7 +546,7 @@ def mpc_run(task, morphology: str, mpc: MpcConfig,
         plan = par.shift(plan)
         plan, _, refine_evals = local_refine(
             window_objective(state, ctrl_state, ball), plan,
-            mpc.refine_radius, mpc.refine_budget, lo=par.lo, hi=par.hi)
+            REFINE_RADIUS, mpc.refine_budget, lo=par.lo, hi=par.hi)
         evals += refine_evals
 
     na = par.n_actuators
@@ -559,21 +561,18 @@ def mpc_run(task, morphology: str, mpc: MpcConfig,
     else:
         per_step = [SENTINEL_COST] * len(plans)
     return MpcResult(executed=executed, step_costs=np.asarray(per_step),
-                     cost=executed.cost, evals=evals,
-                     step_evals=np.asarray(step_evals),
-                     plans=np.asarray(plans), diverged=executed.diverged)
+                     step_evals=np.asarray(step_evals), plans=np.asarray(plans))
 
 
-def calibrate_torque_limits(rollouts) -> tuple:
-    """Per-joint peak |torque| over a collection of rollouts.
-
-    Accepts RolloutResult objects or plain (n, 2) torque arrays; intended to
-    transfer muscle-run torque envelopes onto the torque-family actuators.
+def calibrate_torque_limits(torques) -> tuple:
+    """Per-joint peak |torque| over a collection of (n, 2) torque arrays;
+    intended to transfer muscle-run torque envelopes onto the torque-family
+    actuators.
     """
     peak = np.zeros(2)
     count = 0
-    for r in rollouts:
-        tq = r.torques if hasattr(r, "torques") else np.asarray(r, dtype=float)
+    for tq in torques:
+        tq = np.asarray(tq, dtype=float)
         if tq.size == 0:
             continue
         peak = np.maximum(peak, np.abs(tq).max(axis=0))

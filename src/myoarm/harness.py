@@ -10,6 +10,7 @@ byte-identical.
 import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -120,9 +121,9 @@ def _controller_overrides(morphology: str, tau_max=None):
     return base, overrides
 
 
-def _oc_run(config_dict, morphology, c, sigma, seed, tau_max=None):
+def _oc_run(config: ExperimentConfig, morphology, c, sigma, seed,
+            tau_max=None):
     """One trajectory-optimization run: (trace rows, best rollout)."""
-    config = ExperimentConfig(**config_dict)
     task = _task_for(config, seed)
     params = _arm_params(config)
     base, overrides = _controller_overrides(morphology, tau_max)
@@ -135,9 +136,9 @@ def _oc_run(config_dict, morphology, c, sigma, seed, tau_max=None):
     return rows, best
 
 
-def _mpc_run(config_dict, morphology, tpred, seed, mass=None, tau_max=None):
+def _mpc_run(config: ExperimentConfig, morphology, tpred, seed, mass=None,
+             tau_max=None):
     """One receding-horizon run, returned as (trace rows, result)."""
-    config = ExperimentConfig(**config_dict)
     task = _task_for(config, seed)
     params = _arm_params(config)
     base, overrides = _controller_overrides(morphology, tau_max)
@@ -204,13 +205,13 @@ def _trace_name(morph, c, sigma, tpred, seed):
 def _point_worker(args):
     """One sweep point: (trace rows, peak |torque| per joint, MpcResult or
     None). It makes exactly one _oc_run or _mpc_run call."""
-    config_dict, (morph, c, sigma, tpred, seed, mass), tau_max = args
+    config, (morph, c, sigma, tpred, seed, mass), tau_max = args
     if tpred is None:
-        rows, best = _oc_run(config_dict, morph, c, sigma, seed, tau_max=tau_max)
-        return rows, calibrate_torque_limits([best]), None
-    rows, res = _mpc_run(config_dict, morph, tpred, seed, mass=mass,
+        rows, best = _oc_run(config, morph, c, sigma, seed, tau_max=tau_max)
+        return rows, calibrate_torque_limits([best.torques]), None
+    rows, res = _mpc_run(config, morph, tpred, seed, mass=mass,
                          tau_max=tau_max)
-    return rows, calibrate_torque_limits([res.executed]), res
+    return rows, calibrate_torque_limits([res.executed.torques]), res
 
 
 def _prepare_out_dir(out_dir):
@@ -246,14 +247,6 @@ def _check_invariants(all_rows):
                 f"{sorted(counts)}")
 
 
-def _run_phase(config_dict, points, tau_max, jobs):
-    work = [(config_dict, p, tau_max) for p in points]
-    if jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_point_worker, work))
-    return [_point_worker(w) for w in work]
-
-
 def _sweep(config: ExperimentConfig, jobs: int, write_point):
     """The sweep runner every experiment kind shares.
 
@@ -264,18 +257,28 @@ def _sweep(config: ExperimentConfig, jobs: int, write_point):
     and returns their paths, in grid order; result is _point_worker's.
     The run invariants are checked over all trace rows before calibration
     is written. Returns (paths, all trace rows).
+
+    Every point gets the config itself, already validated. With jobs > 1
+    and more than one point in either phase, both phases run in one
+    process pool of `jobs` workers; otherwise every point runs here, one
+    after another. Either way the results are the same.
     """
     _prepare_out_dir(config.out_dir)
     points = _run_points(config)
-    config_dict = vars(config).copy()
     muscle = [p for p in points if p[0].startswith("muscle")]
     other = [p for p in points if not p[0].startswith("muscle")]
-    results = dict(zip(muscle, _run_phase(config_dict, muscle, None, jobs)))
-    tau_max = None
-    if muscle and other:
-        tau_max = calibrate_torque_limits(
-            [np.asarray([results[p][1] for p in muscle])])
-    results.update(zip(other, _run_phase(config_dict, other, tau_max, jobs)))
+    parallel = jobs > 1 and max(len(muscle), len(other)) > 1
+    with (ProcessPoolExecutor(max_workers=jobs) if parallel
+          else nullcontext()) as pool:
+        run = pool.map if pool is not None else map
+        results = dict(zip(muscle, run(_point_worker,
+                                       [(config, p, None) for p in muscle])))
+        tau_max = None
+        if muscle and other:
+            tau_max = calibrate_torque_limits(
+                [np.asarray([results[p][1] for p in muscle])])
+        results.update(zip(other, run(_point_worker,
+                                      [(config, p, tau_max) for p in other])))
 
     paths = []
     all_rows = []
@@ -338,9 +341,10 @@ def robustness_sweep(config: ExperimentConfig):
         rows, _, res = result
         tag = f"{morph}_m{fmt(mass)}_seed{seed}"
         task = _task_for(config, seed)
-        summary.append([config.kind, config.task, morph, mass, seed, res.cost,
+        summary.append([config.kind, config.task, morph, mass, seed,
+                        res.executed.cost,
                         overshoot_past_target(res.executed.th, task.target),
-                        int(res.diverged)])
+                        int(res.executed.diverged)])
         return [write_trajectory_csv(
                     os.path.join(config.out_dir, f"robust_{tag}.csv"),
                     res.executed),

@@ -1,7 +1,9 @@
 """Derivative-free optimizers and the piecewise-constant control encoding.
 
 cma_es is a standard (mu/mu_w, lambda) evolution strategy with rank-one and
-rank-mu covariance updates and cumulative step-size adaptation. It hands its
+rank-mu covariance updates and cumulative step-size adaptation. The caller
+gives it its start point x0, whose size is the search dimension; CmaConfig
+holds only the budget, the initial step size and the seed. It hands its
 objective one generation at a time, as a (lambda, dim) array of candidates
 whose rows are independent, and takes back lambda costs; the rollout layer
 scores such a population in lockstep (control.rollout_batch). local_refine
@@ -67,7 +69,6 @@ class CmaConfig:
     generations: int = 100
     sigma0: float = 0.2
     seed: int = 0
-    x0: np.ndarray | None = None
 
     def __post_init__(self):
         if self.population < 4:
@@ -94,26 +95,27 @@ class OptimizationTrace:
         return self.evals[-1] if self.evals else 0
 
 
-def cma_es(objective, dim: int, config: CmaConfig):
-    """Minimize over R^dim; returns (best_x, best_f, trace).
+def cma_es(objective, x0, config: CmaConfig):
+    """Minimize over R^n from the start point x0, n = x0.size; returns
+    (best_x, best_f, trace).
 
-    objective(x) gets one generation, x of shape (population, dim), and
+    objective(x) gets one generation, x of shape (population, n), and
     returns one cost per row, in row order. Exactly population *
     generations evaluations are spent, in `generations` objective calls.
     Non-finite objective values are replaced by a sentinel so they rank
-    worst without poisoning the distribution update.
+    worst without poisoning the distribution update. An empty, non-1-D or
+    non-finite x0 raises ValueError before the first objective call; the
+    caller's x0 is never modified.
     """
+    mean = np.array(x0, dtype=float)
+    if mean.ndim != 1 or mean.size == 0 or not np.isfinite(mean).all():
+        raise ValueError(f"x0 must be a non-empty 1-D vector of finite "
+                         f"values (got shape {mean.shape})")
+    n = mean.size
     lam = int(config.population)
     if lam < 4:
         raise ValueError("population must be at least 4")
-    n = int(dim)
-    if n < 1:
-        raise ValueError("dim must be at least 1")
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    mean = (np.zeros(n) if config.x0 is None
-            else np.asarray(config.x0, dtype=float).copy())
-    if mean.size != n:
-        raise ValueError(f"x0 has size {mean.size}, expected {n}")
     sigma = float(config.sigma0)
     if sigma <= 0.0:
         raise ValueError("sigma0 must be positive")

@@ -230,10 +230,9 @@ def test_open_loop_optimization_follows_the_scalar_objective(family):
     cfg = CmaConfig(population=8, generations=3, sigma0=0.2, seed=4)
     best_x, best, trace, par = open_loop_optimize(task, family, 0.05, cfg)
     ctrl = make_controller(family)
-    ref_cfg = CmaConfig(population=8, generations=3, sigma0=0.2, seed=4,
-                        x0=np.full(par.dim, 0.5 * (ctrl.lo + ctrl.hi)))
     ref_x, ref_f, ref_trace = cma_es(
-        lambda x: np.array(scalar_costs(task, ctrl, x, par)), par.dim, ref_cfg)
+        lambda x: np.array(scalar_costs(task, ctrl, x, par)),
+        np.full(par.dim, 0.5 * (ctrl.lo + ctrl.hi)), cfg)
     if TRIG_EXACT:
         assert np.array_equal(best_x, ref_x)
         assert trace.best_so_far == ref_trace.best_so_far

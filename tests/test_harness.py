@@ -226,11 +226,33 @@ class TestRunExperiment:
             assert os.path.basename(pa) == os.path.basename(pb)
             assert read_bytes(pa) == read_bytes(pb)
 
-    def test_parallel_matches_sequential(self, tmp_path):
+    def test_parallel_matches_sequential(self, tmp_path, monkeypatch):
+        # byte-identical output, and the muscle phase and the calibrated
+        # torque phase share one process pool
+        import myoarm.harness as harness
+        pools, maps = [], []
+
+        class Counted(harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+            def map(self, fn, *iterables, **kwargs):
+                maps.append(fn.__name__)
+                return super().map(fn, *iterables, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Counted)
         seq = run_experiment(tiny_oc_config(tmp_path / "seq"))
+        assert pools == []
         par = run_experiment(tiny_oc_config(tmp_path / "par"), jobs=2)
-        for pa, pb in zip(sorted(seq), sorted(par)):
-            assert read_bytes(pa) == read_bytes(pb)
+        assert pools == [2]
+        assert maps == ["_point_worker", "_point_worker"]
+        names = sorted(map(os.path.basename, seq))
+        assert names == sorted(map(os.path.basename, par))
+        assert "calibration.csv" in names
+        for name in names:
+            assert (read_bytes(tmp_path / "seq" / name)
+                    == read_bytes(tmp_path / "par" / name)), name
 
     def test_calibration_only_with_torque_family(self, tmp_path):
         paths = run_experiment(tiny_oc_config(tmp_path, ("muscle",), (0,)))
@@ -326,7 +348,8 @@ class TestRobustnessSweep:
 
     def test_trace_evals_are_what_each_run_spent(self, tmp_path, monkeypatch):
         # every refinement cut short after one evaluation: the trace's last
-        # evals equals MpcResult.evals, not warm + k * refine_budget
+        # evals equals what the run spent (MpcResult.step_evals[-1]), not
+        # warm + k * refine_budget
         import myoarm.control as control
         import myoarm.harness as harness
         real_refine, real_run = control.local_refine, harness.mpc_run
@@ -348,7 +371,7 @@ class TestRobustnessSweep:
         evals = [int(r[header.index("evals")]) for r in rows]
         n_ctrl = round(0.9 / 0.01)
         assert evals == [4 + k for k in range(n_ctrl)]
-        assert evals[-1] == results[0].evals
+        assert evals[-1] == results[0].step_evals[-1]
 
 
 class TestSummarize:

@@ -8,7 +8,7 @@ import pytest
 
 from myoarm.actuators import MuscleController, TorqueController, make_controller
 from myoarm.arm import ArmParams, ArmState, Perturbation, step
-from myoarm.control import (DT_SIM, MpcConfig, SENTINEL_COST,
+from myoarm.control import (DT_SIM, SENTINEL_COST, WARM_SIGMA0, MpcConfig,
                             calibrate_torque_limits, mpc_run,
                             open_loop_optimize, parameterization_for,
                             rollout, rollout_batch)
@@ -254,8 +254,7 @@ class TestOpenLoop:
 
 def tiny_mpc(seed=0, **kw):
     defaults = dict(t_pred=0.2, resolution=0.05, warm_population=8,
-                    warm_generations=5, warm_sigma0=0.2, refine_budget=10,
-                    refine_radius=0.1, seed=seed)
+                    warm_generations=5, refine_budget=10, seed=seed)
     defaults.update(kw)
     return MpcConfig(**defaults)
 
@@ -281,20 +280,20 @@ class TestMpc:
         task = SmoothReaching()
         cfg = tiny_mpc()
         res = mpc_run(task, "torque", cfg)
-        assert not res.diverged
+        assert not res.executed.diverged
         n_ctrl = round(task.duration / 0.05)
         spc = round(0.05 / DT_SIM)
         assert res.plans.shape[0] == n_ctrl
         # the first plan in force is the warm start: CMA-ES over the window
-        # from the initial state, with tiny_mpc's budget and seed
+        # from the initial state and the middle of the torque box, with
+        # tiny_mpc's budget and seed
         par, _ = torque_window(cfg)
         warm, _, _ = cma_es(
             lambda thetas: rollout_batch(task, TorqueController(), thetas, par,
                                          duration=cfg.t_pred),
-            par.dim, CmaConfig(population=cfg.warm_population,
-                               generations=cfg.warm_generations,
-                               sigma0=cfg.warm_sigma0, seed=cfg.seed,
-                               x0=np.zeros(par.dim)))
+            np.zeros(par.dim), CmaConfig(population=cfg.warm_population,
+                                         generations=cfg.warm_generations,
+                                         sigma0=WARM_SIGMA0, seed=cfg.seed))
         assert np.array_equal(res.plans[0], warm)
         for k in range(n_ctrl):
             u0 = np.clip(res.plans[k][:2], -1.0, 1.0)
@@ -326,8 +325,8 @@ class TestMpc:
         n = round(task.duration / DT_SIM)
         assert res.executed.th.shape == (n + 1, 2)
         assert np.allclose(np.diff(res.executed.t), DT_SIM)
-        assert res.cost == res.executed.cost
-        assert math.isfinite(res.cost)
+        assert res.executed.cost == task.cost(res.executed, PARAMS)
+        assert math.isfinite(res.executed.cost)
         assert res.step_costs.size == round(task.duration / 0.05)
 
     @pytest.mark.parametrize("morph, pert", [
@@ -374,7 +373,7 @@ class TestMpc:
             got, want = getattr(res.executed, name), getattr(ref, name)
             assert (got is None and want is None) or np.array_equal(got, want), name
         assert res.executed.controller_state == ref.controller_state
-        assert res.cost == task.cost(ref, PARAMS)
+        assert res.executed.cost == task.cost(ref, PARAMS)
 
     def test_resolution_must_divide_the_task_horizon(self, monkeypatch):
         # 0.04 s used to run 22 steps (0.88 s) of a 0.9 s task and then
@@ -401,9 +400,9 @@ class TestMpc:
             res = mpc_run(task, "torque", cfg)
             ol = open_loop_optimize(
                 task, "torque", 0.05,
-                CmaConfig(population=36, generations=res.evals // 36,
+                CmaConfig(population=36, generations=res.step_evals[-1] // 36,
                           sigma0=0.2, seed=seed))
-            wins += res.cost <= ol[1].cost
+            wins += res.executed.cost <= ol[1].cost
         assert wins >= 2
 
     def test_deterministic(self):
@@ -412,8 +411,8 @@ class TestMpc:
         b = mpc_run(task, "muscle", tiny_mpc(seed=5))
         assert np.array_equal(a.executed.th, b.executed.th)
         assert np.array_equal(a.plans, b.plans)
-        assert a.cost == b.cost
-        assert a.evals == b.evals
+        assert a.executed.cost == b.executed.cost
+        assert np.array_equal(a.step_evals, b.step_evals)
 
     def test_evaluation_accounting(self):
         task = SmoothReaching()
@@ -422,7 +421,7 @@ class TestMpc:
         n_ctrl = round(task.duration / cfg.resolution)
         expect = (cfg.warm_population * cfg.warm_generations
                   + (n_ctrl - 1) * cfg.refine_budget)
-        assert res.evals == expect
+        assert res.step_evals[-1] == expect
         assert res.step_evals.tolist() == [
             cfg.warm_population * cfg.warm_generations + k * cfg.refine_budget
             for k in range(n_ctrl)]
@@ -441,8 +440,8 @@ class TestMpc:
         cfg = tiny_mpc(seed=6)
         res = mpc_run(task, "torque", cfg)
         n_ctrl = round(task.duration / cfg.resolution)
-        assert res.evals == (cfg.warm_population * cfg.warm_generations
-                             + (n_ctrl - 1))
+        assert res.step_evals[-1] == (cfg.warm_population * cfg.warm_generations
+                                      + (n_ctrl - 1))
         assert res.step_evals.tolist() == [
             cfg.warm_population * cfg.warm_generations + k
             for k in range(n_ctrl)]
@@ -451,7 +450,7 @@ class TestMpc:
         task = SmoothReaching()
         a = mpc_run(task, "muscle", tiny_mpc(seed=7))
         b = mpc_run(task, "torque", tiny_mpc(seed=7))
-        assert a.evals == b.evals
+        assert np.array_equal(a.step_evals, b.step_evals)
 
     def test_invisible_perturbation_changes_outcome(self):
         task = SmoothReaching()
@@ -474,7 +473,7 @@ class TestCalibration:
         rng = np.random.default_rng(9)
         results = [rollout(task, ctrl, rng.uniform(0.0, 1.0, par.dim), par)
                    for _ in range(3)]
-        got = calibrate_torque_limits(results)
+        got = calibrate_torque_limits([r.torques for r in results])
         stacked = np.vstack([r.torques for r in results])
         assert got == (float(np.abs(stacked[:, 0]).max()),
                        float(np.abs(stacked[:, 1]).max()))

@@ -162,7 +162,7 @@ class TestCmaEs:
         for seed in range(5):
             cfg = CmaConfig(population=36, generations=100, sigma0=0.3,
                             seed=seed)
-            _, best_f, _ = cma_es(rows(sphere), 10, cfg)
+            _, best_f, _ = cma_es(rows(sphere), np.zeros(10), cfg)
             assert best_f < 1e-10
 
     def test_translated_sphere_recovers_optimum(self):
@@ -172,7 +172,7 @@ class TestCmaEs:
             return float(np.sum((x - opt) ** 2))
 
         cfg = CmaConfig(population=36, generations=150, sigma0=0.3, seed=1)
-        best_x, _, _ = cma_es(rows(f), 5, cfg)
+        best_x, _, _ = cma_es(rows(f), np.zeros(5), cfg)
         assert np.abs(best_x - opt).max() < 1e-4
 
     def test_rosenbrock_most_seeds(self):
@@ -180,15 +180,15 @@ class TestCmaEs:
         for seed in range(5):
             cfg = CmaConfig(population=36, generations=300, sigma0=0.3,
                             seed=seed)
-            _, best_f, _ = cma_es(rows(rosenbrock), 5, cfg)
+            _, best_f, _ = cma_es(rows(rosenbrock), np.zeros(5), cfg)
             hits += best_f < 1e-6
         assert hits >= 4
 
     def test_seeded_reproducibility(self):
         cfg = CmaConfig(population=12, generations=30, sigma0=0.5, seed=42)
         log_a, log_b = [], []
-        xa, fa, ta = cma_es(logged(rows(sphere), log_a), 6, cfg)
-        xb, fb, tb = cma_es(logged(rows(sphere), log_b), 6, cfg)
+        xa, fa, ta = cma_es(logged(rows(sphere), log_a), np.zeros(6), cfg)
+        xb, fb, tb = cma_es(logged(rows(sphere), log_b), np.zeros(6), cfg)
         assert np.array_equal(xa, xb)
         assert fa == fb
         assert ta.best_so_far == tb.best_so_far
@@ -199,7 +199,7 @@ class TestCmaEs:
     def test_best_so_far_monotone(self):
         cfg = CmaConfig(population=8, generations=60, sigma0=1.0, seed=7)
         log = []
-        _, _, trace = cma_es(logged(rows(rosenbrock), log), 4, cfg)
+        _, _, trace = cma_es(logged(rows(rosenbrock), log), np.zeros(4), cfg)
         bsf = np.asarray(trace.best_so_far)
         assert np.all(np.diff(bsf) <= 0.0)
         # the running best is the running minimum of the generation bests
@@ -216,7 +216,7 @@ class TestCmaEs:
             return rows(sphere)(x)
 
         cfg = CmaConfig(population=10, generations=25, sigma0=0.3, seed=0)
-        _, _, trace = cma_es(counted, 3, cfg)
+        _, _, trace = cma_es(counted, np.zeros(3), cfg)
         assert calls[0] == 25               # one call per generation
         assert evaluated[0] == 250
         assert trace.total_evals == 250
@@ -230,7 +230,7 @@ class TestCmaEs:
 
         cfg = CmaConfig(population=16, generations=80, sigma0=0.4, seed=3)
         log = []
-        best_x, best_f, trace = cma_es(logged(rows(holey), log), 4, cfg)
+        best_x, best_f, trace = cma_es(logged(rows(holey), log), np.zeros(4), cfg)
         assert math.isfinite(best_f)
         assert best_f < 1e-6
         assert trace.total_evals == 16 * 80
@@ -240,8 +240,9 @@ class TestCmaEs:
     def test_offset_objective_identical_iterates(self):
         cfg = CmaConfig(population=14, generations=40, sigma0=0.6, seed=5)
         log_a, log_b = [], []
-        xa, fa, ta = cma_es(logged(rows(sphere), log_a), 5, cfg)
-        xb, fb, tb = cma_es(logged(rows(lambda x: sphere(x) + 10.0), log_b), 5, cfg)
+        xa, fa, ta = cma_es(logged(rows(sphere), log_a), np.zeros(5), cfg)
+        xb, fb, tb = cma_es(logged(rows(lambda x: sphere(x) + 10.0), log_b),
+                            np.zeros(5), cfg)
         assert np.array_equal(xa, xb)
         assert abs((fb - fa) - 10.0) < 1e-9
         assert len(log_a) == len(log_b) == 40
@@ -249,25 +250,51 @@ class TestCmaEs:
             assert abs((gb.min() - ga.min()) - 10.0) < 1e-9
 
     def test_x0_respected_and_checked(self):
-        cfg = CmaConfig(population=8, generations=5, sigma0=0.1, seed=0,
-                        x0=np.full(3, 2.0))
-        _, best_f, _ = cma_es(rows(sphere), 3, cfg)
+        cfg = CmaConfig(population=8, generations=5, sigma0=0.1, seed=0)
+        log = []
+        _, best_f, _ = cma_es(logged(rows(sphere), log), np.full(3, 2.0), cfg)
         assert best_f < 12.5                 # started near f=12, improved
-        bad = CmaConfig(population=8, generations=5, sigma0=0.1, seed=0,
-                        x0=np.zeros(2))
+        assert log[0][0].shape == (8, 3)     # x0's size is the dimension
         with pytest.raises(ValueError):
-            cma_es(rows(sphere), 3, bad)
+            cma_es(rows(sphere), np.zeros((1, 3)), cfg)
 
     def test_dim_validated(self):
+        # the dimension is x0's size, and an empty x0 has none
         with pytest.raises(ValueError):
-            cma_es(rows(sphere), 0, CmaConfig(population=8, generations=5))
+            cma_es(rows(sphere), np.zeros(0), CmaConfig(population=8,
+                                                        generations=5))
+
+    @pytest.mark.parametrize("x0", [
+        np.zeros(0), [], np.zeros((2, 3)), np.zeros((3, 1)), np.float64(1.0),
+        np.array([0.5, np.nan, 0.5]), np.array([np.inf, 0.0]),
+        np.array([0.0, -np.inf])],
+        ids=["empty", "empty-list", "2-D", "column", "scalar", "nan", "inf",
+             "-inf"])
+    def test_bad_start_point_rejected_before_any_evaluation(self, x0):
+        calls = []
+
+        def objective(x):
+            calls.append(x)
+            return rows(sphere)(x)
+
+        before = np.array(x0, dtype=float, copy=True)
+        with pytest.raises(ValueError, match="x0"):
+            cma_es(objective, x0, CmaConfig(population=8, generations=2))
+        assert calls == []
+        np.testing.assert_array_equal(np.asarray(x0, dtype=float), before)
+
+    def test_start_point_left_unmodified(self):
+        x0 = np.full(4, 0.7)
+        cma_es(rows(rosenbrock), x0, CmaConfig(population=8, generations=10,
+                                               sigma0=0.5, seed=2))
+        assert np.array_equal(x0, np.full(4, 0.7))
 
     def test_objective_must_return_one_cost_per_row(self):
         cfg = CmaConfig(population=8, generations=2, seed=0)
         with pytest.raises(ValueError, match="shape"):
-            cma_es(lambda x: np.sum(x * x), 3, cfg)
+            cma_es(lambda x: np.sum(x * x), np.zeros(3), cfg)
         with pytest.raises(ValueError, match="shape"):
-            cma_es(lambda x: np.sum(x * x, axis=1)[:-1], 3, cfg)
+            cma_es(lambda x: np.sum(x * x, axis=1)[:-1], np.zeros(3), cfg)
 
 
 class TestLocalRefine:
