@@ -29,10 +29,10 @@ from .arm import (ArmParams, ArmState, BallState, Perturbation,
 from .actuators import (AblationFlags, HatzeParams, MuscleParams,
                         make_controller)
 from .objectives import (ObjectiveWeights, ReachTarget, make_task)
-from .optimizers import (CmaConfig, ControlParameterization, cma_es,
-                         local_refine)
-from .control import (MpcConfig, RolloutResult, calibrate_torque_limits,
-                      mpc_run, open_loop_optimize, rollout, rollout_batch)
+from .optimizers import CmaConfig, cma_es, local_refine
+from .control import (ControlParameterization, MpcConfig, RolloutResult,
+                      calibrate_torque_limits, mpc_run, open_loop_optimize,
+                      rollout, rollout_batch)
 from .config import ExperimentConfig, load_config
 from .harness import robustness_sweep, run_experiment, summarize
 

@@ -509,7 +509,8 @@ def parse_morphology(label: str):
     A label is one of MORPHOLOGIES, or 'muscle' followed by one '-noX' per
     ablated property X in AblationFlags.NAMES, as in 'muscle-nofl-nofv'.
     Sweeps name ablation runs this way and the CLI labels `--ablate` runs
-    the same way, so both read them back through this one parser.
+    the same way, and make_controller reads every label through this one
+    parser.
     """
     base, *ablated = label.split("-no")
     if base not in MORPHOLOGIES:
@@ -523,22 +524,23 @@ def parse_morphology(label: str):
     return base, {"flags": AblationFlags.from_names(ablated)}
 
 
-def make_controller(morphology: str, **overrides):
-    """Controller factory for the named morphology.
+def make_controller(label: str, **overrides):
+    """The controller a run label names (parse_morphology): one of
+    MORPHOLOGIES, or 'muscle' with '-noX' ablations as in 'muscle-nofl-nofv'.
 
-    Overrides are forwarded to the class constructor; 'lowpass-fast' and
-    'lowpass-slow' preset the filter constant to 0.01 s and 1.0 s.
+    The label's ablation flags, then `overrides`, are forwarded to the class
+    constructor; 'lowpass-fast' and 'lowpass-slow' preset the filter
+    constant to 0.01 s and 1.0 s. Sweeps, the CLI and the control layer's
+    callers all build their controllers here.
     """
+    morphology, kwargs = parse_morphology(label)
+    kwargs.update(overrides)
     if morphology == "muscle":
-        return MuscleController(**overrides)
+        return MuscleController(**kwargs)
     if morphology == "torque":
-        return TorqueController(**overrides)
+        return TorqueController(**kwargs)
     if morphology == "pd":
-        return PDController(**overrides)
-    if morphology == "lowpass-fast":
-        overrides.setdefault("dt_filter", 0.01)
-        return LowPassController(**overrides)
-    if morphology == "lowpass-slow":
-        overrides.setdefault("dt_filter", 1.0)
-        return LowPassController(**overrides)
-    raise ValueError(f"unknown morphology {morphology!r}; expected one of {MORPHOLOGIES}")
+        return PDController(**kwargs)
+    # the rest of MORPHOLOGIES: the two low-pass presets
+    kwargs.setdefault("dt_filter", 0.01 if morphology == "lowpass-fast" else 1.0)
+    return LowPassController(**kwargs)

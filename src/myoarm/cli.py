@@ -10,8 +10,7 @@ import sys
 
 import numpy as np
 
-from .actuators import (MORPHOLOGIES, AblationFlags, make_controller,
-                        parse_morphology)
+from .actuators import MORPHOLOGIES, AblationFlags, make_controller
 from .arm import ArmParams, Perturbation
 from .config import ExperimentConfig
 from .control import (MpcConfig, calibrate_torque_limits,
@@ -33,16 +32,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _controller_setup(args):
-    """(morphology, overrides, label) from --morphology/--ablate flags.
+    """The run label of the --morphology/--ablate flags.
 
     The label names the run in trace rows the way the harness does: each
     ablation adds a '-noX' suffix, so `--ablate fl` runs are 'muscle-nofl'.
-    The controller is read back from the label by parse_morphology, as
-    the harness reads its sweep labels.
+    make_controller builds the controller from the label, as the harness
+    builds it from its sweep labels.
     """
-    label = args.morphology + "".join(
+    return args.morphology + "".join(
         f"-no{n}" for n in dict.fromkeys(args.ablate or []))
-    return (*parse_morphology(label), label)
 
 
 def _perturbation(args):
@@ -61,8 +59,7 @@ def cmd_simulate(args):
     """Roll out a seeded random piecewise-constant policy and dump the CSV."""
     params = ArmParams()
     task = make_task(args.task, seed=args.seed, params=params)
-    morph, overrides, _ = _controller_setup(args)
-    ctrl = make_controller(morph, **overrides)
+    ctrl = make_controller(_controller_setup(args))
     par = parameterization_for(task, ctrl, args.c)
     rng = np.random.default_rng(args.seed)
     theta = rng.uniform(par.lo, par.hi, par.dim)
@@ -77,12 +74,11 @@ def cmd_simulate(args):
 def cmd_optimize(args):
     params = ArmParams()
     task = make_task(args.task, seed=args.seed, params=params)
-    morph, overrides, label = _controller_setup(args)
+    label = _controller_setup(args)
     cma = CmaConfig(population=args.population, generations=args.generations,
                     sigma0=args.sigma, seed=args.seed)
-    x, best, trace, par = open_loop_optimize(task, morph, args.c, cma,
-                                             params=params,
-                                             controller_overrides=overrides)
+    _, best, trace, _ = open_loop_optimize(task, make_controller(label),
+                                           args.c, cma, params=params)
     out = _ensure_dir(args.out)
     rows = oc_trace_rows("optimize", args.task, label, args.c, args.sigma,
                          args.seed, trace)
@@ -98,14 +94,13 @@ def cmd_optimize(args):
 def cmd_mpc(args):
     params = ArmParams()
     task = make_task(args.task, seed=args.seed, params=params)
-    morph, overrides, label = _controller_setup(args)
+    label = _controller_setup(args)
     cfg = MpcConfig(t_pred=args.tpred, resolution=args.resolution,
                     warm_population=args.population,
                     warm_generations=args.warm_generations,
                     refine_budget=args.refine_budget, seed=args.seed)
-    res = mpc_run(task, morph, cfg, params=params,
-                  perturbation=_perturbation(args),
-                  controller_overrides=overrides)
+    res = mpc_run(task, make_controller(label), cfg, params=params,
+                  perturbation=_perturbation(args))
     out = _ensure_dir(args.out)
     traj_path = os.path.join(out, "trajectory.csv")
     write_trajectory_csv(traj_path, res.executed)

@@ -8,14 +8,17 @@ ExperimentConfig.from_mapping rejects a key it does not know, an integer
 key whose value has a fractional part and a comma list in a single-valued
 text key (experiment.kind, .task, .out_dir), and the config rejects
 unknown task, morphology and ablation names, `arm.`/`weights.` values
-that are not finite numbers or that ArmParams refuses, an
-mpc.resolution, warm_generations or refine_budget that the MPC runs
-would refuse (for tpred_sweep and robustness_weights, an mpc.resolution
-that does not divide the task's horizon too), and a prediction horizon
-shorter than one mpc.resolution segment (mpc.tpred of robustness_weights,
-any grid.tpred value of tpred_sweep). So a typo or a bad value stops the
-run with a ValueError before it starts (and before the output directory is
-made), instead of being ignored or failing inside the first sweep point.
+that are not finite numbers or that ArmParams refuses, an optimizer or
+MPC budget that CmaConfig or MpcConfig refuses, an OC resolution (every
+grid.c value and optimizer.c) that is not a whole multiple of the physics
+step or is longer than the task's horizon, an mpc.resolution that is not
+a whole multiple of the physics step (for tpred_sweep and
+robustness_weights, one that does not divide the task's horizon too),
+and a prediction horizon shorter than one mpc.resolution segment
+(mpc.tpred of robustness_weights, any grid.tpred value of tpred_sweep).
+So a typo or a bad value stops the run with a ValueError before it starts
+(and before the output directory is made), instead of being ignored or
+failing inside the first sweep point.
 
 Example::
 
@@ -33,9 +36,9 @@ from dataclasses import dataclass, field, fields
 
 from .actuators import AblationFlags, parse_morphology
 from .arm import ArmParams
-from .control import DT_SIM, _whole_multiple
+from .control import ControlParameterization, MpcConfig, _whole_multiple
 from .objectives import TASKS, ObjectiveWeights, make_task
-from .optimizers import ControlParameterization
+from .optimizers import CmaConfig
 
 EXPERIMENT_KINDS = ("data_efficiency", "sigma_sweep", "tpred_sweep",
                     "robustness_weights", "ablation", "ball_serve",
@@ -167,7 +170,13 @@ _OVERRIDES = {"arm": ("arm_overrides", ArmParams),
 
 @dataclass
 class ExperimentConfig:
-    """One experiment sweep: a kind, a task, morphologies, grids, and seeds."""
+    """One experiment sweep: a kind, a task, morphologies, grids, and seeds.
+
+    Building one checks every value the way the runs would: it builds the
+    CmaConfig and the MpcConfig budgets, and the ControlParameterization of
+    every OC resolution and MPC window, and refuses what they refuse, with
+    the config key named. Nothing is run and no directory is made.
+    """
 
     kind: str = "data_efficiency"
     task: str = "smooth-reach"
@@ -227,31 +236,43 @@ class ExperimentConfig:
             raise ValueError("ablation list is empty")
         if not self.seeds:
             raise ValueError("need at least one seed")
-        if self.population < 4 or self.generations < 1:
-            raise ValueError("optimizer budget too small")
-        if self.sigma <= 0 or self.c <= 0 or self.tpred <= 0:
-            raise ValueError("sigma, c, and tpred must be positive")
-        if self.warm_generations < 1 or self.refine_budget < 1:
-            raise ValueError("mpc.warm_generations and mpc.refine_budget "
-                             "must be at least 1")
-        _whole_multiple(self.mpc_resolution, DT_SIM, "control resolution", "dt")
+        if self.tpred <= 0:
+            raise ValueError("mpc.tpred must be positive")
+
+        def check(what, build, *args, **kwargs):
+            """Build what the runs build from these values; a ValueError
+            names `what`, the config values it came from."""
+            try:
+                build(*args, **kwargs)
+            except ValueError as exc:
+                raise ValueError(f"{what}: {exc}") from None
+
+        # the budgets' own rules: CMA-ES's and the MPC run's
+        check("optimizer budget", CmaConfig, self.population,
+              self.generations, self.sigma)
+        check("mpc budget", MpcConfig, warm_population=self.population,
+              warm_generations=self.warm_generations,
+              refine_budget=self.refine_budget)
+        # the control plans' own rules: a whole multiple of the physics
+        # step that fits the horizon, for every OC resolution, and for
+        # mpc.resolution whatever the kind (as a plan of one segment)
+        duration = make_task(self.task).duration
+        for key, c in [*(("grid.c", c) for c in self.c_grid),
+                       ("optimizer.c", self.c)]:
+            check(f"{key} = {c} on {self.task}", ControlParameterization,
+                  duration, c, 1, 0.0, 1.0)
+        res = self.mpc_resolution
+        check(f"mpc.resolution = {res}", ControlParameterization,
+              res, res, 1, 0.0, 1.0)
         horizons = {"tpred_sweep": ("grid.tpred", self.tpred_grid),
                     "robustness_weights": ("mpc.tpred", [self.tpred])}
         key, values = horizons.get(self.kind, (None, []))
         if key is not None:           # mpc_run's own rule
-            try:
-                _whole_multiple(make_task(self.task).duration,
-                                self.mpc_resolution, "task horizon",
-                                "MPC resolution")
-            except ValueError as exc:
-                raise ValueError(f"mpc.resolution = {self.mpc_resolution} "
-                                 f"on {self.task}: {exc}") from None
+            check(f"mpc.resolution = {res} on {self.task}", _whole_multiple,
+                  duration, res, "task horizon", "MPC resolution")
         for tpred in values:          # the MPC window's own rule
-            try:
-                ControlParameterization(tpred, self.mpc_resolution, 1, 0.0, 1.0)
-            except ValueError as exc:
-                raise ValueError(f"{key} = {tpred} with mpc.resolution = "
-                                 f"{self.mpc_resolution}: {exc}") from None
+            check(f"{key} = {tpred} with mpc.resolution = {res}",
+                  ControlParameterization, tpred, res, 1, 0.0, 1.0)
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":

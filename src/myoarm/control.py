@@ -1,13 +1,18 @@
 """Rollouts, open-loop trajectory optimization, and sampling-based MPC.
 
-A rollout advances the arm at a fixed physics timestep while the actuator
-state advances in lockstep. A control plan has one form everywhere: a
-zero-order-hold decision vector with its ControlParameterization, which
-`rollout` takes one of and `rollout_batch` a population of, and which
-zoh_control decodes. MPC re-plans against a prediction model that only
-sees perturbations flagged as visible; each plant segment is a rollout of
-the plan in force, and the executed trajectory is one rollout of the
-first segments it applied.
+The control layer has one calling convention. Every entry point (rollout,
+rollout_batch, open_loop_optimize, mpc_run) takes the controller object
+itself (actuators.make_controller builds one from a run label such as
+'muscle-nofl'), and every one runs at the one physics timestep DT_SIM. A
+control plan has one form everywhere: a zero-order-hold decision vector
+with its ControlParameterization, which `rollout` takes one of and
+`rollout_batch` a population of, and which zoh_control decodes. The
+parameterization owns its alignment with the physics steps: it refuses a
+resolution that is not a whole multiple of DT_SIM when it is built, and
+says how many steps a segment lasts (steps_per_segment). MPC re-plans
+against a prediction model that only sees perturbations flagged as
+visible; each plant segment is a rollout of the plan in force, and the
+executed trajectory is one rollout of the first segments it applied.
 
 Actuator state is the controller's state row (see actuators): a rollout
 starts from `controller_state` (the controller's state0 when None), passes
@@ -33,12 +38,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .actuators import make_controller
 from .arm import (ArmParams, ArmState, BallState, Perturbation, _accel,
                   _Coeffs, _hand, _pendulum_forces, _pendulum_step, _symp_step,
                   ball_step)
-from .optimizers import (CmaConfig, ControlParameterization, cma_es,
-                         local_refine)
+from .optimizers import CmaConfig, cma_es, local_refine
 
 DT_SIM = 0.005                 # physics timestep, seconds
 SENTINEL_COST = 1e9            # diverged run, minimization convention
@@ -106,17 +109,64 @@ def _whole_multiple(span: float, unit: float, what: str, of: str) -> int:
     return n
 
 
-def _zoh_table(thetas, parameterization: ControlParameterization, dt: float):
+@dataclass
+class ControlParameterization:
+    """Zero-order-hold control signal: n_actuators values per segment.
+
+    The decision vector stacks segments in time order; segment k spans
+    [k*resolution, (k+1)*resolution). A (decision vector, parameterization)
+    pair is the one form in which a control plan reaches the rollout layer:
+    rollout takes one, rollout_batch a population of them. zoh_control
+    decodes it, with values clamped to [lo, hi]; past the horizon the last
+    segment holds, so a one-segment vector is a constant command. The
+    resolution must be a whole multiple of DT_SIM, so segment boundaries
+    land on physics steps; a segment lasts steps_per_segment steps.
+    """
+
+    horizon: float
+    resolution: float
+    n_actuators: int
+    lo: float
+    hi: float
+
+    def __post_init__(self):
+        if self.horizon <= 0.0 or self.resolution <= 0.0:
+            raise ValueError("horizon and resolution must be positive")
+        _whole_multiple(self.resolution, DT_SIM, "control resolution", "dt")
+        if self.horizon < self.resolution - 1e-12:
+            raise ValueError("horizon must cover at least one control segment")
+        if self.n_actuators < 1:
+            raise ValueError("need at least one actuator")
+        if self.hi <= self.lo:
+            raise ValueError("empty control bounds")
+
+    @property
+    def steps_per_segment(self) -> int:
+        return round(self.resolution / DT_SIM)
+
+    @property
+    def n_segments(self) -> int:
+        return int(math.ceil(self.horizon / self.resolution - 1e-12))
+
+    @property
+    def dim(self) -> int:
+        return self.n_actuators * self.n_segments
+
+    def shift(self, theta) -> np.ndarray:
+        """Drop the first segment and duplicate the last (receding-horizon shift)."""
+        theta = np.asarray(theta, dtype=float)
+        na = self.n_actuators
+        return np.concatenate([theta[na:], theta[-na:]])
+
+
+def _zoh_table(thetas, parameterization: ControlParameterization):
     """Validate and decode (rows, dim) decision vectors for a rollout.
 
     A decision vector with a non-finite entry is rejected here, once,
     before it can reach a controller (where NaN would read as full muscle
-    activation or a NaN torque). Returns (steps_per_segment, table) with the
-    table of shape (rows, n_segments, n_actuators), clipped to the control
-    box.
+    activation or a NaN torque). Returns the table of shape (rows,
+    n_segments, n_actuators), clipped to the control box.
     """
-    steps_per_seg = _whole_multiple(parameterization.resolution, dt,
-                                    "control resolution", "dt")
     thetas = np.asarray(thetas, dtype=float)
     n_seg = parameterization.n_segments
     na = parameterization.n_actuators
@@ -125,12 +175,11 @@ def _zoh_table(thetas, parameterization: ControlParameterization, dt: float):
                          f"expected (rows, {n_seg * na})")
     if not np.isfinite(thetas).all():
         raise ValueError("decision vector contains a non-finite value")
-    table = np.clip(thetas.reshape(-1, n_seg, na),
-                    parameterization.lo, parameterization.hi)
-    return steps_per_seg, table
+    return np.clip(thetas.reshape(-1, n_seg, na),
+                   parameterization.lo, parameterization.hi)
 
 
-def zoh_control(theta, parameterization: ControlParameterization, dt: float):
+def zoh_control(theta, parameterization: ControlParameterization):
     """Decode one decision vector for the rollout loop.
 
     Returns (steps_per_segment, rows): rows[j] is segment j's control row,
@@ -139,9 +188,9 @@ def zoh_control(theta, parameterization: ControlParameterization, dt: float):
     horizon hold the last segment. Validation and decoding are _zoh_table's,
     shared with rollout_batch.
     """
-    steps_per_seg, table = _zoh_table(np.reshape(theta, (1, -1)),
-                                      parameterization, dt)
-    return steps_per_seg, list(map(tuple, table[0].tolist()))
+    table = _zoh_table(np.reshape(theta, (1, -1)), parameterization)
+    return (parameterization.steps_per_segment,
+            list(map(tuple, table[0].tolist())))
 
 
 def _rows(flat, n):
@@ -149,8 +198,8 @@ def _rows(flat, n):
     return np.array(flat, dtype=float).reshape(n, -1)
 
 
-def _horizon_steps(task, duration, dt) -> int:
-    n = round((duration if duration is not None else task.duration) / dt)
+def _horizon_steps(task, duration) -> int:
+    n = round((duration if duration is not None else task.duration) / DT_SIM)
     if n < 1:
         raise ValueError("horizon shorter than one physics step")
     return n
@@ -167,13 +216,14 @@ def _score(task, result: RolloutResult, params, duration) -> float:
 
 def rollout(task, controller, theta, parameterization: ControlParameterization,
             params: ArmParams | None = None,
-            perturbation: Perturbation | None = None, dt: float = DT_SIM,
+            perturbation: Perturbation | None = None,
             initial_state: ArmState | None = None, controller_state=None,
             ball0: BallState | None = None,
             duration: float | None = None) -> RolloutResult:
     """Simulate one episode of `task` under `controller` and decision vector
     `theta`, the input rollout_batch takes one row of.
 
+    The arm and the actuator state advance at the physics timestep DT_SIM.
     theta is decoded once by zoh_control; physics step k applies segment
     k // steps_per_segment, and steps past the parameterization's horizon
     hold its last segment. The episode lasts `duration` (the task's own
@@ -194,9 +244,10 @@ def rollout(task, controller, theta, parameterization: ControlParameterization,
     pend_pert = (perturbation if perturbation is not None
                  and perturbation.kind == "chaotic_pendulum" else None)
 
-    steps_per_seg, rows = zoh_control(theta, parameterization, dt)
+    steps_per_seg, rows = zoh_control(theta, parameterization)
     last = len(rows) - 1
-    n = _horizon_steps(task, duration, dt)
+    n = _horizon_steps(task, duration)
+    dt = DT_SIM
     state = initial_state if initial_state is not None else task.initial_state()
     th1, th2 = state.th1, state.th2
     w1, w2 = state.dth1, state.dth2
@@ -309,7 +360,7 @@ def _scalar_only(task, controller, perturbation) -> bool:
 
 def rollout_batch(task, controller, thetas, parameterization: ControlParameterization,
                   params: ArmParams | None = None,
-                  perturbation: Perturbation | None = None, dt: float = DT_SIM,
+                  perturbation: Perturbation | None = None,
                   initial_state: ArmState | None = None, controller_state=None,
                   ball0: BallState | None = None,
                   duration: float | None = None) -> np.ndarray:
@@ -333,20 +384,20 @@ def rollout_batch(task, controller, thetas, parameterization: ControlParameteriz
     None), as column i of the array the batch step advances. The cases in
     _scalar_only run through `rollout` row by row instead.
     """
-    steps_per_seg, table = _zoh_table(thetas, parameterization, dt)
+    table = _zoh_table(thetas, parameterization)
     params = params or ArmParams()
     if _scalar_only(task, controller, perturbation):
         return np.array([
             rollout(task, controller, theta, parameterization, params=params,
-                    perturbation=perturbation, dt=dt,
-                    initial_state=initial_state,
+                    perturbation=perturbation, initial_state=initial_state,
                     controller_state=controller_state, ball0=ball0,
                     duration=duration).cost
             for theta in np.asarray(thetas, dtype=float)])
 
     p_eff = perturbation.apply_to(params) if perturbation is not None else params
     coeffs = _Coeffs(p_eff)
-    n = _horizon_steps(task, duration, dt)
+    n = _horizon_steps(task, duration)
+    dt = DT_SIM
     state = initial_state if initial_state is not None else task.initial_state()
     lam = table.shape[0]
     cstate = np.tile(np.reshape(_state_row(controller, controller_state),
@@ -355,7 +406,8 @@ def rollout_batch(task, controller, thetas, parameterization: ControlParameteriz
 
     # per segment, an (n_actuators, population) block of controls
     blocks = list(np.ascontiguousarray(table.transpose(1, 2, 0)))
-    segment = np.minimum(np.arange(n) // steps_per_seg, len(blocks) - 1)
+    segment = np.minimum(np.arange(n) // parameterization.steps_per_segment,
+                         len(blocks) - 1)
     th1, th2 = np.full(lam, state.th1), np.full(lam, state.th2)
     w1, w2 = np.full(lam, state.dth1), np.full(lam, state.dth2)
     # row i's samples are th[i], a contiguous (n + 1, 2) trajectory; each
@@ -410,34 +462,38 @@ def _box_center(par: ControlParameterization) -> np.ndarray:
     return np.full(par.dim, 0.5 * (par.lo + par.hi))
 
 
-def open_loop_optimize(task, morphology: str, resolution: float,
+def open_loop_optimize(task, controller, resolution: float,
                        cma_config: CmaConfig, params: ArmParams | None = None,
-                       perturbation: Perturbation | None = None,
-                       dt: float = DT_SIM, controller_overrides=None):
-    """Optimize a zero-order-hold plan for the task with CMA-ES.
+                       perturbation: Perturbation | None = None):
+    """Optimize a zero-order-hold plan of `controller` for the task with
+    CMA-ES.
 
-    Each generation is scored by one rollout_batch call; the best plan is
-    rolled out once more with the scalar rollout. CMA-ES starts from the
-    middle of the control box (_box_center) with cma_config's budget,
-    step size and seed. Returns (best_theta, best_rollout, trace,
-    parameterization).
+    The plan is the controller's task-length parameterization at
+    `resolution` (parameterization_for). Each generation is scored by one
+    rollout_batch call; the best plan is rolled out once more with the
+    scalar rollout. CMA-ES starts from the middle of the control box
+    (_box_center) with cma_config's budget, step size and seed. Returns
+    (best_theta, best_rollout, trace, parameterization).
     """
-    controller = make_controller(morphology, **(controller_overrides or {}))
     par = parameterization_for(task, controller, resolution)
 
     def objective(thetas):
         return rollout_batch(task, controller, thetas, par, params=params,
-                             perturbation=perturbation, dt=dt)
+                             perturbation=perturbation)
 
     best_x, best_f, trace = cma_es(objective, _box_center(par), cma_config)
     best = rollout(task, controller, best_x, par, params=params,
-                   perturbation=perturbation, dt=dt)
+                   perturbation=perturbation)
     return best_x, best, trace, par
 
 
 @dataclass
 class MpcConfig:
-    """Budgets and horizons of the receding-horizon controller."""
+    """Budgets and horizons of the receding-horizon controller.
+
+    The budgets are checked when it is built: the warm start's by its
+    CmaConfig (`warm`), and refine_budget must be at least 1.
+    """
 
     t_pred: float = 0.3            # prediction horizon, seconds
     resolution: float = 0.01       # control step, seconds
@@ -445,6 +501,19 @@ class MpcConfig:
     warm_generations: int = 20
     refine_budget: int = 50        # evaluations per control step
     seed: int = 0
+
+    def __post_init__(self):
+        if self.refine_budget < 1:
+            raise ValueError(f"refine_budget must be at least 1, "
+                             f"not {self.refine_budget}")
+        self.warm                   # CmaConfig checks the warm-start budget
+
+    @property
+    def warm(self) -> CmaConfig:
+        """The warm start's CMA-ES settings, with step size WARM_SIGMA0."""
+        return CmaConfig(population=self.warm_population,
+                         generations=self.warm_generations,
+                         sigma0=WARM_SIGMA0, seed=self.seed)
 
 
 @dataclass
@@ -459,11 +528,11 @@ class MpcResult:
     plans: np.ndarray             # plan in force at each executed control step
 
 
-def mpc_run(task, morphology: str, mpc: MpcConfig,
+def mpc_run(task, controller, mpc: MpcConfig,
             params: ArmParams | None = None,
-            perturbation: Perturbation | None = None, dt: float = DT_SIM,
-            controller_overrides=None) -> MpcResult:
-    """Receding-horizon control: CMA-ES warm start, then per-step refinement.
+            perturbation: Perturbation | None = None) -> MpcResult:
+    """Receding-horizon control of the task with `controller`: CMA-ES warm
+    start, then per-step refinement.
 
     The plant feels the full perturbation; the prediction model only includes
     it when perturbation.visible_to_prediction is set. At each control step
@@ -475,11 +544,12 @@ def mpc_run(task, morphology: str, mpc: MpcConfig,
     executed segment ended in. Plant and prediction share one controller,
     which holds parameters only. The window is the controller's OC
     parameterization (parameterization_for) with horizon mpc.t_pred. The
-    warm start is CMA-ES from the middle of the control box with step size
-    WARM_SIGMA0, and it scores each generation with rollout_batch; the
-    refinement starts at radius REFINE_RADIUS, and it and the plant
-    segments use the scalar rollout. mpc.resolution must divide the task's
-    horizon (ValueError before any work otherwise).
+    warm start is CMA-ES from the middle of the control box with mpc.warm
+    (step size WARM_SIGMA0), and it scores each generation with
+    rollout_batch; the refinement starts at radius REFINE_RADIUS, and it
+    and the plant segments use the scalar rollout. mpc.resolution must be
+    a whole multiple of DT_SIM and divide the task's horizon (ValueError
+    before any work otherwise).
 
     The executed trajectory is one rollout, from the task's initial state,
     of the first segments of the plans applied, on the plant; it walks the
@@ -489,15 +559,11 @@ def mpc_run(task, morphology: str, mpc: MpcConfig,
     evaluation after its last step, so step_evals[-1] is the run's total.
     """
     params = params or ArmParams()
-    controller = make_controller(morphology, **(controller_overrides or {}))
-
     visible = perturbation is not None and perturbation.visible_to_prediction
     pred_pert = perturbation if visible else None
 
     par = replace(parameterization_for(task, controller, mpc.resolution),
                   horizon=mpc.t_pred)
-    steps_per_ctrl = _whole_multiple(mpc.resolution, dt,
-                                     "control resolution", "dt")
     n_ctrl = _whole_multiple(task.duration, mpc.resolution, "task horizon",
                              "MPC resolution")
 
@@ -508,23 +574,18 @@ def mpc_run(task, morphology: str, mpc: MpcConfig,
     def window_objective(snap_state, snap_ctrl, snap_ball):
         def objective(theta):
             return rollout(task, controller, theta, par, params=params,
-                           perturbation=pred_pert, dt=dt,
-                           initial_state=snap_state, controller_state=snap_ctrl,
-                           ball0=snap_ball, duration=mpc.t_pred).cost
+                           perturbation=pred_pert, initial_state=snap_state,
+                           controller_state=snap_ctrl, ball0=snap_ball,
+                           duration=mpc.t_pred).cost
         return objective
 
-    # warm start from the initial snapshot
-    warm_cfg = CmaConfig(population=mpc.warm_population,
-                         generations=mpc.warm_generations,
-                         sigma0=WARM_SIGMA0, seed=mpc.seed)
-
-    def warm_objective(thetas):
+    def warm_objective(thetas):         # from the initial snapshot
         return rollout_batch(task, controller, thetas, par, params=params,
-                             perturbation=pred_pert, dt=dt, initial_state=state,
+                             perturbation=pred_pert, initial_state=state,
                              controller_state=ctrl_state, ball0=ball,
                              duration=mpc.t_pred)
 
-    plan, _, warm_trace = cma_es(warm_objective, _box_center(par), warm_cfg)
+    plan, _, warm_trace = cma_es(warm_objective, _box_center(par), mpc.warm)
     evals = warm_trace.total_evals
 
     plans = []
@@ -533,7 +594,7 @@ def mpc_run(task, morphology: str, mpc: MpcConfig,
         plans.append(plan.copy())
         step_evals.append(evals)
         seg = rollout(task, controller, plan, par, params=params,
-                      perturbation=perturbation, dt=dt, initial_state=state,
+                      perturbation=perturbation, initial_state=state,
                       controller_state=ctrl_state, ball0=ball,
                       duration=mpc.resolution)
         state, ctrl_state = seg.final_state, seg.controller_state
@@ -553,10 +614,11 @@ def mpc_run(task, morphology: str, mpc: MpcConfig,
     executed = rollout(task, controller,
                        np.concatenate([p[:na] for p in plans]),
                        replace(par, horizon=len(plans) * mpc.resolution),
-                       params=params, perturbation=perturbation, dt=dt)
+                       params=params, perturbation=perturbation)
     if not executed.diverged:
         stage = task.stage_series(executed, params)
-        per_step = [float(stage[i * steps_per_ctrl:(i + 1) * steps_per_ctrl + 1].mean())
+        spc = par.steps_per_segment
+        per_step = [float(stage[i * spc:(i + 1) * spc + 1].mean())
                     for i in range(len(plans))]
     else:
         per_step = [SENTINEL_COST] * len(plans)

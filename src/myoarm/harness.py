@@ -14,7 +14,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from .actuators import parse_morphology
+from .actuators import make_controller
 from .arm import ArmParams, Perturbation
 from .config import ExperimentConfig
 from .control import (MpcConfig, SENTINEL_COST, calibrate_torque_limits,
@@ -112,25 +112,19 @@ def mpc_trace_rows(experiment, task, morphology, resolution, tpred, seed, res):
             for k, cost in enumerate(res.step_costs)]
 
 
-def _controller_overrides(morphology: str, tau_max=None):
-    """The controller a run label names (parse_morphology), with a
-    calibrated torque ceiling for the torque-family morphologies."""
-    base, overrides = parse_morphology(morphology)
-    if tau_max is not None and base != "muscle":
-        overrides["tau_max"] = tuple(float(v) for v in tau_max)
-    return base, overrides
-
-
 def _oc_run(config: ExperimentConfig, morphology, c, sigma, seed,
             tau_max=None):
-    """One trajectory-optimization run: (trace rows, best rollout)."""
+    """One trajectory-optimization run: (trace rows, best rollout). tau_max
+    is the calibrated torque ceiling, which _sweep hands to torque-family
+    points only."""
     task = _task_for(config, seed)
     params = _arm_params(config)
-    base, overrides = _controller_overrides(morphology, tau_max)
+    controller = (make_controller(morphology) if tau_max is None
+                  else make_controller(morphology, tau_max=tau_max))
     cma = CmaConfig(population=config.population,
                     generations=config.generations, sigma0=sigma, seed=seed)
-    _, best, trace, _ = open_loop_optimize(task, base, c, cma, params=params,
-                                           controller_overrides=overrides)
+    _, best, trace, _ = open_loop_optimize(task, controller, c, cma,
+                                           params=params)
     rows = oc_trace_rows(config.kind, config.task, morphology, c, sigma, seed,
                          trace)
     return rows, best
@@ -138,10 +132,12 @@ def _oc_run(config: ExperimentConfig, morphology, c, sigma, seed,
 
 def _mpc_run(config: ExperimentConfig, morphology, tpred, seed, mass=None,
              tau_max=None):
-    """One receding-horizon run, returned as (trace rows, result)."""
+    """One receding-horizon run, returned as (trace rows, result); tau_max
+    as in _oc_run."""
     task = _task_for(config, seed)
     params = _arm_params(config)
-    base, overrides = _controller_overrides(morphology, tau_max)
+    controller = (make_controller(morphology) if tau_max is None
+                  else make_controller(morphology, tau_max=tau_max))
     pert = None
     if mass:
         pert = Perturbation(kind="lower_arm_mass", mass=float(mass),
@@ -150,8 +146,7 @@ def _mpc_run(config: ExperimentConfig, morphology, tpred, seed, mass=None,
                     warm_population=config.population,
                     warm_generations=config.warm_generations,
                     refine_budget=config.refine_budget, seed=seed)
-    res = mpc_run(task, base, mpc, params=params, perturbation=pert,
-                  controller_overrides=overrides)
+    res = mpc_run(task, controller, mpc, params=params, perturbation=pert)
     rows = mpc_trace_rows(config.kind, config.task, morphology,
                           config.mpc_resolution, tpred, seed, res)
     return rows, res

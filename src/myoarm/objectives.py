@@ -71,25 +71,6 @@ def jerk_from_accel(ddth: np.ndarray) -> np.ndarray:
     return out
 
 
-def smooth_reaching_stage(th, dth, jerk, weights: ObjectiveWeights,
-                          target: ReachTarget) -> np.ndarray:
-    """Per-sample cost: normalized squared angle and velocity errors plus jerk^2."""
-    return SmoothReaching(weights=weights, target=target)._stage(
-        np.asarray(th, dtype=float), np.asarray(dth, dtype=float),
-        np.asarray(jerk, dtype=float))
-
-
-def smooth_reaching_cost(th, dth, ddth, dt: float, weights: ObjectiveWeights,
-                         target: ReachTarget, min_duration: float | None = None) -> float:
-    """Smooth-reaching cost: the per-sample stage cost summed over time.
-
-    th, dth, ddth are (n, 2) arrays sampled at the physics rate dt. A
-    trajectory shorter than min_duration (seconds) is rejected.
-    """
-    return SmoothReaching(weights=weights, target=target)._cost(
-        th, dth, ddth, dt, min_duration)
-
-
 def precise_reaching_reward(d: float, actions, weights: ObjectiveWeights) -> float:
     """Distance-based reward with a log precision bonus and an action penalty.
 
@@ -125,8 +106,7 @@ class SmoothReaching:
     """Reach 90 degrees at each joint from hanging rest, smoothly, in 0.9 s.
 
     The one smooth-reaching stage formula lives here, shared by cost,
-    window_cost, stage_series and the module's smooth_reaching_cost and
-    smooth_reaching_stage. Its constants (the target arrays and the weight
+    window_cost and stage_series. Its constants (the target arrays and the weight
     ratios w_th/s_th and w_dth/s_dth) are converted once, when the task is
     built, so `weights` and `target` are read only at construction:
     assigning a new value to either afterwards does not change the costs

@@ -1,4 +1,4 @@
-"""Derivative-free optimizers and the piecewise-constant control encoding.
+"""Derivative-free optimizers.
 
 cma_es is a standard (mu/mu_w, lambda) evolution strategy with rank-one and
 rank-mu covariance updates and cumulative step-size adaptation. The caller
@@ -8,7 +8,9 @@ objective one generation at a time, as a (lambda, dim) array of candidates
 whose rows are independent, and takes back lambda costs; the rollout layer
 scores such a population in lockstep (control.rollout_batch). local_refine
 is a bounded coordinate pattern search over a scalar objective that spends
-at most its evaluation budget and reports what it spent.
+at most its evaluation budget and reports what it spent. Neither knows
+about controls: the zero-order-hold plan they search over is
+control.ControlParameterization's.
 """
 
 import math
@@ -20,51 +22,10 @@ NAN_SENTINEL = 1e32   # replaces non-finite objective values inside the optimize
 
 
 @dataclass
-class ControlParameterization:
-    """Zero-order-hold control signal: n_actuators values per segment.
-
-    The decision vector stacks segments in time order; segment k spans
-    [k*resolution, (k+1)*resolution). A (decision vector, parameterization)
-    pair is the one form in which a control plan reaches the rollout layer:
-    control.rollout takes one, control.rollout_batch a population of them.
-    control.zoh_control decodes it, with values clamped to [lo, hi]; past
-    the horizon the last segment holds, so a one-segment vector is a
-    constant command.
-    """
-
-    horizon: float
-    resolution: float
-    n_actuators: int
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if self.horizon <= 0.0 or self.resolution <= 0.0:
-            raise ValueError("horizon and resolution must be positive")
-        if self.horizon < self.resolution - 1e-12:
-            raise ValueError("horizon must cover at least one control segment")
-        if self.n_actuators < 1:
-            raise ValueError("need at least one actuator")
-        if self.hi <= self.lo:
-            raise ValueError("empty control bounds")
-
-    @property
-    def n_segments(self) -> int:
-        return int(math.ceil(self.horizon / self.resolution - 1e-12))
-
-    @property
-    def dim(self) -> int:
-        return self.n_actuators * self.n_segments
-
-    def shift(self, theta) -> np.ndarray:
-        """Drop the first segment and duplicate the last (receding-horizon shift)."""
-        theta = np.asarray(theta, dtype=float)
-        na = self.n_actuators
-        return np.concatenate([theta[na:], theta[-na:]])
-
-
-@dataclass
 class CmaConfig:
+    """Budget, initial step size and seed of one CMA-ES run; a population
+    below 4, no generation or a non-positive sigma0 is refused here."""
+
     population: int = 36
     generations: int = 100
     sigma0: float = 0.2
@@ -113,12 +74,8 @@ def cma_es(objective, x0, config: CmaConfig):
                          f"values (got shape {mean.shape})")
     n = mean.size
     lam = int(config.population)
-    if lam < 4:
-        raise ValueError("population must be at least 4")
     rng = np.random.Generator(np.random.PCG64(config.seed))
     sigma = float(config.sigma0)
-    if sigma <= 0.0:
-        raise ValueError("sigma0 must be positive")
 
     mu = lam // 2
     w = np.log((lam + 1) / 2.0) - np.log(np.arange(1, mu + 1))

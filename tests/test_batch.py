@@ -19,11 +19,12 @@ from hypothesis import strategies as st
 
 from myoarm.actuators import AblationFlags, make_controller
 from myoarm.arm import ArmParams, ArmState, Perturbation
-from myoarm.control import (DT_SIM, SENTINEL_COST, open_loop_optimize,
-                            parameterization_for, rollout, rollout_batch)
+from myoarm.control import (DT_SIM, SENTINEL_COST, ControlParameterization,
+                            open_loop_optimize, parameterization_for, rollout,
+                            rollout_batch)
 from myoarm.objectives import (BallServe, PreciseReaching, ReachTarget,
                                SmoothReaching)
-from myoarm.optimizers import (CmaConfig, ControlParameterization, cma_es)
+from myoarm.optimizers import CmaConfig, cma_es
 
 _PROBE = np.random.default_rng(20220708).uniform(-20.0, 20.0, 4096)
 TRIG_EXACT = (np.array_equal(np.cos(_PROBE), [math.cos(v) for v in _PROBE.tolist()])
@@ -228,8 +229,8 @@ def test_open_loop_optimization_follows_the_scalar_objective(family):
     scored row by row by the scalar rollout."""
     task = SmoothReaching(duration=0.3)
     cfg = CmaConfig(population=8, generations=3, sigma0=0.2, seed=4)
-    best_x, best, trace, par = open_loop_optimize(task, family, 0.05, cfg)
     ctrl = make_controller(family)
+    best_x, best, trace, par = open_loop_optimize(task, ctrl, 0.05, cfg)
     ref_x, ref_f, ref_trace = cma_es(
         lambda x: np.array(scalar_costs(task, ctrl, x, par)),
         np.full(par.dim, 0.5 * (ctrl.lo + ctrl.hi)), cfg)

@@ -111,6 +111,36 @@ class TestUsageErrors:
         assert "myoarm: error:" in err and "task horizon" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("line", ["grid.c = 0.05, 0.007", "grid.c = 2.0"])
+    def test_oc_resolution_the_run_refuses_is_a_clean_error(self, tmp_path,
+                                                            capsys, line):
+        # a grid.c value off the 5 ms physics step, or longer than the
+        # 0.9 s horizon, used to pass the config; the sweep then made the
+        # output directory, ran the good points and failed at the bad one
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY_CONFIG + line + "\n")
+        assert run_cli("experiment", "--config", str(cfg),
+                       "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert "myoarm: error:" in err and "grid.c" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_refine_budget_below_one_is_refused_before_planning(
+            self, tmp_path, capsys, monkeypatch):
+        # --refine-budget 0 used to run the whole CMA-ES warm start and the
+        # first plant segment before local_refine refused the budget
+        import myoarm.control as control
+
+        def no_planning(*args, **kwargs):
+            raise AssertionError("planned before checking the budget")
+
+        monkeypatch.setattr(control, "cma_es", no_planning)
+        assert run_cli("mpc", "--refine-budget", "0",
+                       "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert "myoarm: error:" in err and "refine_budget" in err
+        assert not (tmp_path / "out").exists()
+
     def test_help_exits_zero(self, capsys):
         assert run_cli("--help") == 0
         assert "simulate" in capsys.readouterr().out

@@ -156,6 +156,12 @@ class TestExperimentConfig:
         "weights.jerk_gain = high",
         "optimizer.population = 4.7",       # not silently truncated to 4
         "mpc.resolution = 0.007",           # not a multiple of the 5 ms step
+        # an OC resolution the run refuses: off the 5 ms step, or longer
+        # than smooth-reach's 0.9 s horizon (both used to pass and fail in
+        # the sweep, after the output directory was made)
+        "grid.c = 0.05, 0.007",
+        "grid.c = 2.0",
+        "experiment.kind = sigma_sweep\noptimizer.c = 0.0125",
         "mpc.warm_generations = 0",
         "mpc.refine_budget = 0",
         # a prediction horizon shorter than one control segment
@@ -250,6 +256,10 @@ labels = st.sampled_from(MORPHOLOGIES + ("muscle-nofl", "muscle-nofv-noactdyn"))
 def configs(draw):
     kind = draw(st.sampled_from(EXPERIMENT_KINDS))
     task = draw(st.sampled_from(TASKS))
+    # an OC resolution is a whole number of 5 ms physics steps that fits
+    # the task's horizon
+    oc_resolutions = st.builds(lambda k: 0.005 * k, st.integers(
+        1, round(make_task(task).duration / 0.005)))
     resolution = 0.005 * draw(st.integers(1, 4))
     if kind in ("tpred_sweep", "robustness_weights"):
         # the MPC kinds need a resolution that divides the task's horizon
@@ -267,7 +277,7 @@ def configs(draw):
     return ExperimentConfig(
         kind=kind, task=task,
         morphologies=draw(st.lists(labels, min_size=1, max_size=3)),
-        c_grid=draw(st.lists(positive, min_size=1, max_size=3)),
+        c_grid=draw(st.lists(oc_resolutions, min_size=1, max_size=3)),
         sigma_grid=draw(st.lists(positive, min_size=1, max_size=3)),
         tpred_grid=draw(st.lists(st.floats(0.02, 1.0), min_size=1, max_size=3)),
         masses=draw(st.lists(positive, min_size=1, max_size=3)),
@@ -276,7 +286,8 @@ def configs(draw):
         seeds=draw(st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=4)),
         population=draw(st.integers(4, 500)),
         generations=draw(st.integers(1, 500)),
-        sigma=draw(positive), c=draw(positive), tpred=draw(st.floats(0.02, 1.0)),
+        sigma=draw(positive), c=draw(oc_resolutions),
+        tpred=draw(st.floats(0.02, 1.0)),
         mpc_resolution=resolution,
         warm_generations=draw(st.integers(1, 50)),
         refine_budget=draw(st.integers(1, 500)),

@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 
 from myoarm.config import ExperimentConfig
 from myoarm.control import SENTINEL_COST
-from myoarm.actuators import AblationFlags
+from myoarm.actuators import AblationFlags, make_controller
 from myoarm.harness import (AGG_HEADER, ROBUST_HEADER, TRACE_HEADER,
-                            _check_invariants, _controller_overrides,
-                            _pool_aggregates, _run_points,
+                            _check_invariants, _pool_aggregates, _run_points,
                             _task_for, _trace_name, aggregate_rows, default_jobs, fmt,
                             overshoot_past_target, read_csv, run_experiment,
                             robustness_sweep, summarize, trajectory_header,
@@ -176,11 +175,10 @@ class TestMorphologyLabels:
         from myoarm.cli import _controller_setup, build_parser
         args = build_parser().parse_args(["optimize", "--ablate", "fl",
                                           "--ablate", "fv"])
-        morph, overrides, label = _controller_setup(args)
+        label = _controller_setup(args)
         assert label == "muscle-nofl-nofv"
-        assert _controller_overrides(label) == (morph, overrides)
-        assert overrides["flags"] == AblationFlags(disable_fl=True,
-                                                   disable_fv=True)
+        assert make_controller(label).flags == AblationFlags(disable_fl=True,
+                                                             disable_fv=True)
 
     def test_sweep_and_cli_runs_of_one_label_agree(self, tmp_path):
         from myoarm.cli import main
@@ -194,12 +192,29 @@ class TestMorphologyLabels:
         _, cli = read_csv(tmp_path / "cli" / "trace.csv")
         assert [r[2:] for r in sweep] == [r[2:] for r in cli]
 
-    def test_ceiling_reaches_the_torque_family_only(self):
-        assert _controller_overrides("torque", (3, 4)) == (
-            "torque", {"tau_max": (3.0, 4.0)})
-        assert _controller_overrides("muscle", (3, 4)) == ("muscle", {})
+    def test_ceiling_reaches_the_torque_family_only(self, tmp_path,
+                                                    monkeypatch):
+        # every point's controller, as the sweep hands it to the optimizer:
+        # the muscle points keep their defaults, and the torque points get
+        # the ceiling written to calibration.csv
+        import myoarm.harness as harness
+        real, seen = harness.open_loop_optimize, []
+
+        def kept(task, controller, *args, **kwargs):
+            seen.append(controller)
+            return real(task, controller, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "open_loop_optimize", kept)
+        run_experiment(tiny_oc_config(tmp_path, ("muscle-nofl", "torque")))
+        _, rows = read_csv(tmp_path / "calibration.csv")
+        ceiling = tuple(float(v) for v in rows[0])
+        names = [type(c).__name__ for c in seen]
+        assert names == ["MuscleController"] * 2 + ["TorqueController"] * 2
+        assert all(vars(c) == vars(make_controller("muscle-nofl"))
+                   for c in seen[:2])
+        assert [c.tau_max for c in seen[2:]] == [ceiling] * 2
         with pytest.raises(ValueError, match="muscle"):
-            _controller_overrides("torque-nofl")
+            make_controller("torque-nofl")
 
 
 class TestRunExperiment:

@@ -250,11 +250,12 @@ def test_a_harness_task_scores_with_its_weight_overrides(overrides, second, traj
 # -- the rollout recorder --------------------------------------------------
 
 def rollout_reference(task, controller, theta, par, params=None,
-                      perturbation=None, initial_state=None, dt=DT_SIM):
-    """rollout's trajectory arrays from a plain step-by-step loop, with the
-    decision vector decoded by a plain reshape and clip."""
+                      perturbation=None, initial_state=None):
+    """rollout's trajectory arrays from a plain step-by-step loop at DT_SIM,
+    with the decision vector decoded by a plain reshape and clip."""
     plan = np.clip(np.reshape(theta, (par.n_segments, par.n_actuators)),
                    par.lo, par.hi).tolist()
+    dt = DT_SIM
     steps_per_segment = round(par.resolution / dt)
     params = params or ArmParams()
     p_eff = perturbation.apply_to(params) if perturbation is not None else params

@@ -8,13 +8,14 @@ import pytest
 
 from myoarm.actuators import MuscleController, TorqueController, make_controller
 from myoarm.arm import ArmParams, ArmState, Perturbation, step
-from myoarm.control import (DT_SIM, SENTINEL_COST, WARM_SIGMA0, MpcConfig,
+from myoarm.control import (DT_SIM, SENTINEL_COST, WARM_SIGMA0,
+                            ControlParameterization, MpcConfig,
                             calibrate_torque_limits, mpc_run,
                             open_loop_optimize, parameterization_for,
                             rollout, rollout_batch)
 from myoarm.objectives import (ObjectiveWeights, PreciseReaching, ReachTarget,
                                SmoothReaching, make_task)
-from myoarm.optimizers import CmaConfig, ControlParameterization, cma_es
+from myoarm.optimizers import CmaConfig, cma_es
 
 PARAMS = ArmParams()
 
@@ -211,10 +212,14 @@ class TestRollout:
                 hold(SmoothReaching(), TorqueController(), [bad, 0.0])
 
     def test_resolution_must_align_with_dt(self):
+        # a plan whose segments would end between physics steps is refused
+        # when it is built, before any rollout can take it
         task = SmoothReaching()
-        par = parameterization_for(task, TorqueController(), 0.3)
-        with pytest.raises(ValueError):
-            rollout(task, TorqueController(), np.zeros(par.dim), par, dt=0.007)
+        for resolution in (0.007, 0.0125, 0.3 + 1e-6):
+            with pytest.raises(ValueError, match="multiple of dt"):
+                parameterization_for(task, TorqueController(), resolution)
+        assert parameterization_for(task, TorqueController(),
+                                    0.3).steps_per_segment == 60
 
 
 class TestOpenLoop:
@@ -226,7 +231,8 @@ class TestOpenLoop:
     def test_optimization_improves_on_first_generation(self):
         task = SmoothReaching()
         cfg = CmaConfig(population=12, generations=15, sigma0=0.2, seed=0)
-        best_x, best, trace, par = open_loop_optimize(task, "torque", 0.3, cfg)
+        best_x, best, trace, par = open_loop_optimize(task, TorqueController(),
+                                                      0.3, cfg)
         assert trace.best_so_far[-1] < trace.best_so_far[0]
         assert best.cost == trace.best_so_far[-1]
         assert best_x.size == par.dim
@@ -236,7 +242,8 @@ class TestOpenLoop:
         evals = {}
         for morph in ("muscle", "torque"):
             cfg = CmaConfig(population=8, generations=5, sigma0=0.2, seed=0)
-            _, _, trace, _ = open_loop_optimize(task, morph, 0.3, cfg)
+            _, _, trace, _ = open_loop_optimize(task, make_controller(morph),
+                                                0.3, cfg)
             evals[morph] = trace.total_evals
         assert evals["muscle"] == evals["torque"] == 40
 
@@ -245,7 +252,8 @@ class TestOpenLoop:
         runs = []
         for _ in range(2):
             cfg = CmaConfig(population=8, generations=6, sigma0=0.2, seed=3)
-            best_x, best, trace, _ = open_loop_optimize(task, "muscle", 0.3, cfg)
+            best_x, best, trace, _ = open_loop_optimize(task, MuscleController(),
+                                                        0.3, cfg)
             runs.append((best_x, best.cost, tuple(trace.best_so_far)))
         assert np.array_equal(runs[0][0], runs[1][0])
         assert runs[0][1] == runs[1][1]
@@ -279,7 +287,7 @@ class TestMpc:
     def test_first_control_applied_bitwise(self):
         task = SmoothReaching()
         cfg = tiny_mpc()
-        res = mpc_run(task, "torque", cfg)
+        res = mpc_run(task, TorqueController(), cfg)
         assert not res.executed.diverged
         n_ctrl = round(task.duration / 0.05)
         spc = round(0.05 / DT_SIM)
@@ -305,7 +313,7 @@ class TestMpc:
         # from, both on the prediction window from the executed state
         task = SmoothReaching()
         cfg = tiny_mpc(seed=1)
-        res = mpc_run(task, "torque", cfg)
+        res = mpc_run(task, TorqueController(), cfg)
         par, window = torque_window(cfg)
         spc = round(cfg.resolution / DT_SIM)
         th, dth = res.executed.th, res.executed.dth
@@ -321,7 +329,7 @@ class TestMpc:
 
     def test_executed_trajectory_consistent(self):
         task = SmoothReaching()
-        res = mpc_run(task, "torque", tiny_mpc(seed=2))
+        res = mpc_run(task, TorqueController(), tiny_mpc(seed=2))
         n = round(task.duration / DT_SIM)
         assert res.executed.th.shape == (n + 1, 2)
         assert np.allclose(np.diff(res.executed.t), DT_SIM)
@@ -343,7 +351,7 @@ class TestMpc:
         # sample for sample, and the MPC cost is the stitched trajectory's.
         task = SmoothReaching(duration=0.3)
         cfg = tiny_mpc(seed=4, warm_generations=2, refine_budget=4)
-        res = mpc_run(task, morph, cfg, perturbation=pert)
+        res = mpc_run(task, make_controller(morph), cfg, perturbation=pert)
         ctrl = make_controller(morph)
         par = ControlParameterization(horizon=cfg.t_pred,
                                       resolution=cfg.resolution,
@@ -387,7 +395,8 @@ class TestMpc:
         monkeypatch.setattr(control, "cma_es", no_planning)
         for resolution in (0.04, 0.035):
             with pytest.raises(ValueError, match="task horizon"):
-                mpc_run(SmoothReaching(), "torque", tiny_mpc(resolution=resolution))
+                mpc_run(SmoothReaching(), TorqueController(),
+                        tiny_mpc(resolution=resolution))
 
     def test_not_worse_than_open_loop_at_equal_budget(self):
         # re-planning from the true state should pay off against a one-shot
@@ -397,9 +406,9 @@ class TestMpc:
         for seed in range(3):
             cfg = MpcConfig(t_pred=0.3, resolution=0.05, warm_population=36,
                             warm_generations=20, refine_budget=50, seed=seed)
-            res = mpc_run(task, "torque", cfg)
+            res = mpc_run(task, TorqueController(), cfg)
             ol = open_loop_optimize(
-                task, "torque", 0.05,
+                task, TorqueController(), 0.05,
                 CmaConfig(population=36, generations=res.step_evals[-1] // 36,
                           sigma0=0.2, seed=seed))
             wins += res.executed.cost <= ol[1].cost
@@ -407,8 +416,8 @@ class TestMpc:
 
     def test_deterministic(self):
         task = SmoothReaching()
-        a = mpc_run(task, "muscle", tiny_mpc(seed=5))
-        b = mpc_run(task, "muscle", tiny_mpc(seed=5))
+        a = mpc_run(task, MuscleController(), tiny_mpc(seed=5))
+        b = mpc_run(task, MuscleController(), tiny_mpc(seed=5))
         assert np.array_equal(a.executed.th, b.executed.th)
         assert np.array_equal(a.plans, b.plans)
         assert a.executed.cost == b.executed.cost
@@ -417,7 +426,7 @@ class TestMpc:
     def test_evaluation_accounting(self):
         task = SmoothReaching()
         cfg = tiny_mpc(seed=6)
-        res = mpc_run(task, "torque", cfg)
+        res = mpc_run(task, TorqueController(), cfg)
         n_ctrl = round(task.duration / cfg.resolution)
         expect = (cfg.warm_population * cfg.warm_generations
                   + (n_ctrl - 1) * cfg.refine_budget)
@@ -438,7 +447,7 @@ class TestMpc:
         monkeypatch.setattr(control, "local_refine", one_eval)
         task = SmoothReaching()
         cfg = tiny_mpc(seed=6)
-        res = mpc_run(task, "torque", cfg)
+        res = mpc_run(task, TorqueController(), cfg)
         n_ctrl = round(task.duration / cfg.resolution)
         assert res.step_evals[-1] == (cfg.warm_population * cfg.warm_generations
                                       + (n_ctrl - 1))
@@ -448,16 +457,17 @@ class TestMpc:
 
     def test_budget_parity(self):
         task = SmoothReaching()
-        a = mpc_run(task, "muscle", tiny_mpc(seed=7))
-        b = mpc_run(task, "torque", tiny_mpc(seed=7))
+        a = mpc_run(task, MuscleController(), tiny_mpc(seed=7))
+        b = mpc_run(task, TorqueController(), tiny_mpc(seed=7))
         assert np.array_equal(a.step_evals, b.step_evals)
 
     def test_invisible_perturbation_changes_outcome(self):
         task = SmoothReaching()
         pert = Perturbation(kind="lower_arm_mass", mass=1.0,
                             visible_to_prediction=False)
-        clean = mpc_run(task, "torque", tiny_mpc(seed=8))
-        loaded = mpc_run(task, "torque", tiny_mpc(seed=8), perturbation=pert)
+        clean = mpc_run(task, TorqueController(), tiny_mpc(seed=8))
+        loaded = mpc_run(task, TorqueController(), tiny_mpc(seed=8),
+                         perturbation=pert)
         assert not np.array_equal(clean.executed.th, loaded.executed.th)
 
 

@@ -5,12 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from myoarm.control import rollout
+from myoarm.control import ControlParameterization, rollout
 from myoarm.objectives import SmoothReaching
-from myoarm.optimizers import (CmaConfig, ControlParameterization,
-                               cma_es, local_refine)
-
-DT = 0.005
+from myoarm.optimizers import CmaConfig, cma_es, local_refine
 
 
 def sphere(x):
@@ -33,7 +30,7 @@ class Silent:
 def applied(theta, par, duration=0.9):
     """The control rows a rollout of (theta, par) applies, one per step."""
     task = SmoothReaching(duration=duration)
-    return rollout(task, Silent(), theta, par, dt=DT).controls
+    return rollout(task, Silent(), theta, par).controls
 
 
 def rows(f):

@@ -11,8 +11,7 @@ from myoarm.objectives import (BallServe, ObjectiveWeights, PreciseReaching,
                                ReachTarget, SmoothReaching, ball_serve_cost,
                                fast_reaching_done, fast_reaching_task,
                                jerk_from_accel, make_task,
-                               precise_reaching_reward, smooth_reaching_cost,
-                               smooth_reaching_stage)
+                               precise_reaching_reward)
 
 W = ObjectiveWeights()
 TARGET = ReachTarget()
@@ -25,6 +24,19 @@ def fake_traj(th, dth, ddth, dt=0.005):
                            dt=dt, controls=None)
 
 
+def smooth_reaching_cost(th, dth, ddth, weights, duration=None):
+    """The smooth-reaching functional of a fake trajectory at 0.005 s, scored
+    by SmoothReaching(weights=weights, target=TARGET): by cost, which
+    requires the task's full `duration`, when one is given, and by
+    window_cost otherwise."""
+    traj = fake_traj(th, dth, ddth)
+    if duration is None:
+        task = SmoothReaching(weights=weights, target=TARGET)
+        return task.window_cost(traj, ArmParams())
+    task = SmoothReaching(weights=weights, target=TARGET, duration=duration)
+    return task.cost(traj, ArmParams())
+
+
 def held_at_target(n):
     th = np.tile(TARGET.th_des, (n, 1))
     z = np.zeros((n, 2))
@@ -34,13 +46,13 @@ def held_at_target(n):
 class TestSmoothReaching:
     def test_zero_at_exact_target(self):
         th, dth, ddth = held_at_target(181)
-        assert smooth_reaching_cost(th, dth, ddth, 0.005, W, TARGET) == 0.0
+        assert smooth_reaching_cost(th, dth, ddth, W) == 0.0
 
     def test_single_sample_angle_term(self):
         # one joint off target by exactly its scale: the normalized squared
         # error (w/s)*s^2 collapses to w*s
         th = [[TARGET.th_des[0] + W.s_th[0], TARGET.th_des[1]]]
-        c = smooth_reaching_cost(th, [[0.0, 0.0]], [[0.0, 0.0]], 0.005, W, TARGET)
+        c = smooth_reaching_cost(th, [[0.0, 0.0]], [[0.0, 0.0]], W)
         assert abs(c - W.w_th[0] * W.s_th[0]) < 1e-12
 
     def test_doubling_angle_weight(self):
@@ -50,27 +62,25 @@ class TestSmoothReaching:
         dth = np.zeros((n, 2))
         ddth = rng.normal(size=(n, 2))
         w2 = ObjectiveWeights(w_th=(4.0, 4.0))
-        c1 = smooth_reaching_cost(th, dth, ddth, 0.005, W, TARGET)
-        c2 = smooth_reaching_cost(th, dth, ddth, 0.005, w2, TARGET)
+        c1 = smooth_reaching_cost(th, dth, ddth, W)
+        c2 = smooth_reaching_cost(th, dth, ddth, w2)
         jerk_only = smooth_reaching_cost(np.tile(TARGET.th_des, (n, 1)), dth,
-                                         ddth, 0.005, W, TARGET)
+                                         ddth, W)
         angle_only = c1 - jerk_only
         assert abs(c2 - (2.0 * angle_only + jerk_only)) < 1e-10
         # the jerk term itself is untouched by the angle weight
         j2 = smooth_reaching_cost(np.tile(TARGET.th_des, (n, 1)), dth, ddth,
-                                  0.005, w2, TARGET)
+                                  w2)
         assert j2 == jerk_only
 
     def test_short_trajectory_rejected(self):
         th, dth, ddth = held_at_target(100)   # 0.495 s at dt=0.005
         with pytest.raises(ValueError):
-            smooth_reaching_cost(th, dth, ddth, 0.005, W, TARGET,
-                                 min_duration=0.9)
+            smooth_reaching_cost(th, dth, ddth, W, duration=0.9)
 
     def test_full_horizon_accepted(self):
         th, dth, ddth = held_at_target(181)   # exactly 0.9 s
-        c = smooth_reaching_cost(th, dth, ddth, 0.005, W, TARGET,
-                                 min_duration=0.9)
+        c = smooth_reaching_cost(th, dth, ddth, W, duration=0.9)
         assert c == 0.0
 
     def test_nonnegative_and_zero_only_at_target(self):
@@ -80,7 +90,7 @@ class TestSmoothReaching:
             th = rng.uniform(-math.pi, math.pi, size=(n, 2))
             dth = rng.normal(scale=4.0, size=(n, 2))
             ddth = rng.normal(scale=40.0, size=(n, 2))
-            c = smooth_reaching_cost(th, dth, ddth, 0.005, W, TARGET)
+            c = smooth_reaching_cost(th, dth, ddth, W)
             assert c >= 0.0
             off = np.abs(th - TARGET.th_des).max() > 1e-6
             if off:
