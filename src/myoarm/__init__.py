@@ -24,8 +24,7 @@ os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
 
 __version__ = "0.1.0"
 
-from .arm import (ArmParams, ArmState, BallState, Perturbation,
-                  end_effector, forward_dynamics, step)
+from .arm import ArmParams, ArmState, BallState, Perturbation
 from .actuators import (AblationFlags, HatzeParams, MuscleParams,
                         make_controller)
 from .objectives import (ObjectiveWeights, ReachTarget, make_task)
@@ -34,11 +33,10 @@ from .control import (ControlParameterization, MpcConfig, RolloutResult,
                       calibrate_torque_limits, mpc_run, open_loop_optimize,
                       rollout, rollout_batch)
 from .config import ExperimentConfig, load_config
-from .harness import robustness_sweep, run_experiment, summarize
+from .harness import run_experiment, summarize
 
 __all__ = [
     "ArmParams", "ArmState", "BallState", "Perturbation",
-    "forward_dynamics", "step", "end_effector",
     "MuscleParams", "HatzeParams", "AblationFlags", "make_controller",
     "ReachTarget", "ObjectiveWeights", "make_task",
     "ControlParameterization", "CmaConfig", "cma_es", "local_refine",
@@ -46,5 +44,5 @@ __all__ = [
     "open_loop_optimize",
     "mpc_run", "calibrate_torque_limits",
     "ExperimentConfig", "load_config",
-    "run_experiment", "robustness_sweep", "summarize",
+    "run_experiment", "summarize",
 ]

@@ -272,8 +272,9 @@ def _pendulum_step(c: _Coeffs, th1, th2, w1, w2, tau1, tau2, pert: Perturbation,
     """Couple a pendulum load into one step: (tau1', tau2', phi', dphi').
 
     The joint torques gain the cable force at the hand, mapped through the
-    Jacobian transpose, and the bob advances by semi-implicit Euler. Both
-    step and control.rollout advance a pendulum load through this.
+    Jacobian transpose, and the bob advances by semi-implicit Euler.
+    control.rollout advances a pendulum load through this, one call per
+    physics step before _symp_step.
     """
     fx, fz, ddphi, _, _ = _pendulum_forces(c, th1, th2, w1, w2, tau1, tau2,
                                            pert, phi, dphi)
@@ -351,61 +352,6 @@ def _symp_step(c: _Coeffs, th1, th2, w1, w2, tau1, tau2, dt,
     w1n = (m22q1 - n12 * q2) / ndet             # m22 = n22 = qb
     w2n = (n11 * q2 - n12 * q1) / ndet
     return th1n, th2n, w1n, w2n, a1, a2
-
-
-def _require_finite(label, *values):
-    for v in values:
-        if not math.isfinite(v):
-            raise ValueError(f"{label} contains a non-finite value: {values!r}")
-
-
-def forward_dynamics(state: ArmState, tau, params: ArmParams):
-    """Joint accelerations (ddth1, ddth2) for torques tau = (tau1, tau2)."""
-    _require_finite("state", state.th1, state.th2, state.dth1, state.dth2)
-    _require_finite("tau", tau[0], tau[1])
-    c = _Coeffs(params)
-    return _accel(c, state.th1, state.th2, state.dth1, state.dth2, tau[0], tau[1])
-
-
-def step(state: ArmState, tau, dt: float = 0.005, params: ArmParams | None = None,
-         perturbation: Perturbation | None = None) -> ArmState:
-    """One semi-implicit Euler step: momenta first, then positions.
-
-    Mass-type perturbations are folded into the parameters; a pendulum load
-    is advanced alongside the arm, coupled through the cable tension.
-    """
-    _require_finite("state", state.th1, state.th2, state.dth1, state.dth2)
-    _require_finite("tau", tau[0], tau[1])
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if params is None:
-        params = ArmParams()
-    p = params if perturbation is None else perturbation.apply_to(params)
-    c = _Coeffs(p)
-    t1, t2 = tau[0], tau[1]
-    pend_angle, pend_vel = state.pend_angle, state.pend_vel
-    if perturbation is not None and perturbation.kind == "chaotic_pendulum":
-        t1, t2, pend_angle, pend_vel = _pendulum_step(
-            c, state.th1, state.th2, state.dth1, state.dth2, t1, t2,
-            perturbation, pend_angle, pend_vel, dt)
-    th1, th2, dth1, dth2, _, _ = _symp_step(
-        c, state.th1, state.th2, state.dth1, state.dth2, t1, t2, dt)
-    return ArmState(
-        th1=th1,
-        th2=th2,
-        dth1=dth1,
-        dth2=dth2,
-        t=state.t + dt,
-        pend_angle=pend_angle,
-        pend_vel=pend_vel,
-    )
-
-
-def end_effector(state: ArmState, params: ArmParams):
-    """Hand position (x, z) and velocity (vx, vz)."""
-    c = _Coeffs(params)
-    x, z, vx, vz = _hand(c, state.th1, state.th2, state.dth1, state.dth2)
-    return (x, z), (vx, vz)
 
 
 def ball_step(ball: BallState, hand_pos, hand_vel, dt: float, g: float = 9.81,

@@ -1,7 +1,13 @@
 """Command-line interface: single runs, sweeps, and CSV post-processing.
 
-Exit codes: 0 on success, 1 on a configuration error (bad flag, unknown
-task, unreadable config), 2 when a single non-sweep run diverges.
+`optimize` and `mpc` describe their one run as an ExperimentConfig, so it
+gets a sweep's checks, and run it through the sweep's own point runners
+(harness._oc_run, harness._mpc_run).
+
+Exit codes: 0 on success; 1 on a usage or configuration error (a bad flag
+or value such as `--jobs 0`, an unknown task, an unreadable config, a bad
+MYOARM_JOBS); 2 when the one run of `simulate`, `optimize` or `mpc`
+diverges (its rollout, best rollout or executed trajectory).
 """
 
 import argparse
@@ -11,16 +17,13 @@ import sys
 import numpy as np
 
 from .actuators import MORPHOLOGIES, AblationFlags, make_controller
-from .arm import ArmParams, Perturbation
+from .arm import Perturbation
 from .config import ExperimentConfig
-from .control import (MpcConfig, calibrate_torque_limits,
-                      mpc_run, open_loop_optimize, parameterization_for,
-                      rollout)
-from .harness import (TRACE_HEADER, default_jobs, fmt, mpc_trace_rows,
-                      oc_trace_rows, read_csv, run_experiment, summarize,
-                      write_csv, write_trajectory_csv)
+from .control import calibrate_torque_limits, parameterization_for, rollout
+from .harness import (TRACE_HEADER, _mpc_run, _oc_run, default_jobs, fmt,
+                      mpc_trace_rows, oc_trace_rows, read_csv, run_experiment,
+                      summarize, write_csv, write_trajectory_csv)
 from .objectives import make_task
-from .optimizers import CmaConfig
 
 class _Parser(argparse.ArgumentParser):
     """argparse variant that treats every usage problem as exit code 1."""
@@ -36,88 +39,89 @@ def _controller_setup(args):
 
     The label names the run in trace rows the way the harness does: each
     ablation adds a '-noX' suffix, so `--ablate fl` runs are 'muscle-nofl'.
-    make_controller builds the controller from the label, as the harness
-    builds it from its sweep labels.
+    make_controller builds the controller from the label, here for
+    `simulate` and in the harness's runners for `optimize` and `mpc`.
     """
     return args.morphology + "".join(
         f"-no{n}" for n in dict.fromkeys(args.ablate or []))
 
 
+def _run_config(args, **settings):
+    """The one run of `optimize` or `mpc` as an ExperimentConfig of its
+    task, label, seed and `settings`, checked as a sweep's config is."""
+    return ExperimentConfig(task=args.task, morphologies=[_controller_setup(args)],
+                            seeds=[args.seed], **settings)
+
+
 def _perturbation(args):
-    if getattr(args, "perturb", "none") == "none":
-        return None
+    """The --perturb, --mass and --visible flags; kind 'none' changes nothing."""
     return Perturbation(kind=args.perturb, mass=args.mass,
                         visible_to_prediction=args.visible)
 
 
-def _ensure_dir(path):
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
 def cmd_simulate(args):
     """Roll out a seeded random piecewise-constant policy and dump the CSV."""
-    params = ArmParams()
-    task = make_task(args.task, seed=args.seed, params=params)
+    task = make_task(args.task, seed=args.seed)
     ctrl = make_controller(_controller_setup(args))
     par = parameterization_for(task, ctrl, args.c)
-    rng = np.random.default_rng(args.seed)
-    theta = rng.uniform(par.lo, par.hi, par.dim)
-    res = rollout(task, ctrl, theta, par, params=params,
-                  perturbation=_perturbation(args))
+    theta = np.random.default_rng(args.seed).uniform(par.lo, par.hi, par.dim)
+    res = rollout(task, ctrl, theta, par, perturbation=_perturbation(args))
     write_trajectory_csv(args.out, res)
     print(f"wrote {args.out} cost={fmt(res.cost)} "
           f"termination={res.termination}")
     return 2 if res.diverged else 0
 
 
+def _write_run(args, trajectory, rows, names, summary):
+    """Write one run's trajectory and trace rows under --out, in the files
+    `names`, and print where; the exit code is 2 if the trajectory
+    diverged."""
+    os.makedirs(args.out, exist_ok=True)
+    traj_path, rows_path = (os.path.join(args.out, name) for name in names)
+    write_trajectory_csv(traj_path, trajectory)
+    write_csv(rows_path, TRACE_HEADER, rows)
+    print(f"wrote {traj_path} and {rows_path} {summary}")
+    return 2 if trajectory.diverged else 0
+
+
 def cmd_optimize(args):
-    params = ArmParams()
-    task = make_task(args.task, seed=args.seed, params=params)
-    label = _controller_setup(args)
-    cma = CmaConfig(population=args.population, generations=args.generations,
-                    sigma0=args.sigma, seed=args.seed)
-    _, best, trace, _ = open_loop_optimize(task, make_controller(label),
-                                           args.c, cma, params=params)
-    out = _ensure_dir(args.out)
+    config = _run_config(args, c=args.c, sigma=args.sigma,
+                         population=args.population,
+                         generations=args.generations)
+    label = config.morphologies[0]
+    trace, best = _oc_run(config, label, args.c, args.sigma, args.seed)
     rows = oc_trace_rows("optimize", args.task, label, args.c, args.sigma,
                          args.seed, trace)
-    trace_path = os.path.join(out, "trace.csv")
-    write_csv(trace_path, TRACE_HEADER, rows)
-    best_path = os.path.join(out, "best.csv")
-    write_trajectory_csv(best_path, best)
-    print(f"wrote {trace_path} and {best_path} "
-          f"best_cost={fmt(trace.best_so_far[-1])} evals={trace.total_evals}")
-    return 2 if best.diverged else 0
+    return _write_run(args, best, rows, ("best.csv", "trace.csv"),
+                      f"best_cost={fmt(trace.best_so_far[-1])} "
+                      f"evals={trace.total_evals}")
 
 
 def cmd_mpc(args):
-    params = ArmParams()
-    task = make_task(args.task, seed=args.seed, params=params)
-    label = _controller_setup(args)
-    cfg = MpcConfig(t_pred=args.tpred, resolution=args.resolution,
-                    warm_population=args.population,
-                    warm_generations=args.warm_generations,
-                    refine_budget=args.refine_budget, seed=args.seed)
-    res = mpc_run(task, make_controller(label), cfg, params=params,
-                  perturbation=_perturbation(args))
-    out = _ensure_dir(args.out)
-    traj_path = os.path.join(out, "trajectory.csv")
-    write_trajectory_csv(traj_path, res.executed)
+    # robustness_weights: the kind whose config checks one MPC horizon
+    config = _run_config(args, kind="robustness_weights", tpred=args.tpred,
+                         mpc_resolution=args.resolution,
+                         population=args.population,
+                         warm_generations=args.warm_generations,
+                         refine_budget=args.refine_budget)
+    label = config.morphologies[0]
+    res = _mpc_run(config, label, args.tpred, args.seed,
+                   perturbation=_perturbation(args))
     rows = mpc_trace_rows("mpc", args.task, label, args.resolution,
                           args.tpred, args.seed, res)
-    costs_path = os.path.join(out, "costs.csv")
-    write_csv(costs_path, TRACE_HEADER, rows)
-    print(f"wrote {traj_path} and {costs_path} cost={fmt(res.executed.cost)} "
-          f"evals={res.step_evals[-1]}")
-    return 2 if res.executed.diverged else 0
+    return _write_run(args, res.executed, rows, ("trajectory.csv", "costs.csv"),
+                      f"cost={fmt(res.executed.cost)} "
+                      f"evals={res.step_evals[-1]}")
 
 
 def cmd_experiment(args):
+    jobs = default_jobs() if args.jobs is None else args.jobs
+    if jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, not {jobs}")
     config = ExperimentConfig.from_file(args.config)
     if args.out is not None:
         config.out_dir = args.out
-    paths = run_experiment(config, jobs=args.jobs)
+    paths = run_experiment(config, jobs=jobs)
     print(f"wrote {len(paths)} files to {config.out_dir}")
     return 0
 
@@ -193,7 +197,8 @@ def build_parser():
     p = sub.add_parser("experiment", help="full sweep from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="override the config out_dir")
-    p.add_argument("--jobs", type=int, default=default_jobs())
+    p.add_argument("--jobs", type=int, default=None,
+                   help="worker processes (default: MYOARM_JOBS, else 1)")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("summarize", help="aggregate trace CSVs")

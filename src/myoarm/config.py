@@ -14,8 +14,9 @@ grid.c value and optimizer.c) that is not a whole multiple of the physics
 step or is longer than the task's horizon, an mpc.resolution that is not
 a whole multiple of the physics step (for tpred_sweep and
 robustness_weights, one that does not divide the task's horizon too),
-and a prediction horizon shorter than one mpc.resolution segment
-(mpc.tpred of robustness_weights, any grid.tpred value of tpred_sweep).
+and a prediction horizon shorter than one mpc.resolution segment or off
+the physics step (mpc.tpred of robustness_weights, any grid.tpred value
+of tpred_sweep).
 So a typo or a bad value stops the run with a ValueError before it starts
 (and before the output directory is made), instead of being ignored or
 failing inside the first sweep point.

@@ -120,7 +120,10 @@ class ControlParameterization:
     decodes it, with values clamped to [lo, hi]; past the horizon the last
     segment holds, so a one-segment vector is a constant command. The
     resolution must be a whole multiple of DT_SIM, so segment boundaries
-    land on physics steps; a segment lasts steps_per_segment steps.
+    land on physics steps; a segment lasts steps_per_segment steps. So must
+    the horizon, so a plan ends on a physics step (an MPC window lasts
+    exactly t_pred); it need not be a multiple of the resolution, and then
+    the last segment is a partial one.
     """
 
     horizon: float
@@ -135,6 +138,7 @@ class ControlParameterization:
         _whole_multiple(self.resolution, DT_SIM, "control resolution", "dt")
         if self.horizon < self.resolution - 1e-12:
             raise ValueError("horizon must cover at least one control segment")
+        _whole_multiple(self.horizon, DT_SIM, "horizon", "dt")
         if self.n_actuators < 1:
             raise ValueError("need at least one actuator")
         if self.hi <= self.lo:
@@ -230,7 +234,9 @@ def rollout(task, controller, theta, parameterization: ControlParameterization,
     when None), whatever the horizon. Mass-type perturbations are folded
     into the plant parameters; a pendulum perturbation is co-simulated and
     coupled through cable tension. A non-finite state marks the rollout
-    diverged with the sentinel cost.
+    diverged with the sentinel cost, and so does a step whose math.cos or
+    math.sin meets an overflowed angle (the samples it did not record are
+    NaN), which rollout_batch, where np.cos gives NaN, scores the same.
 
     The actuator state starts as controller_state (a state row, the
     controller's state0 when None) and ends as the result's
@@ -277,36 +283,51 @@ def rollout(task, controller, theta, parameterization: ControlParameterization,
     steps = 0
     tau1 = tau2 = 0.0
 
-    for k in range(n):
-        u = rows[min(k // steps_per_seg, last)]
-        tau1, tau2, cstate = torques_of(cstate, th1, th2, w1, w2, u, dt)
-        t1, t2 = tau1, tau2
-        if pend_pert is not None:
-            t1, t2, phi_p, dphi_p = _pendulum_step(
-                coeffs, th1, th2, w1, w2, t1, t2, pend_pert, phi_p, dphi_p, dt)
-        th1, th2, w1, w2, a1, a2 = symp_step(coeffs, th1, th2, w1, w2, t1, t2, dt)
-        ddth += (a1, a2)
-        controls += u
-        torques += (tau1, tau2)
-        steps = k + 1
-        th += (th1, th2)
-        dth += (w1, w2)
-        if pend is not None:
-            pend += (phi_p, dphi_p)
-        if ball is not None:
-            hx, hz, hvx, hvz = _hand(coeffs, th1, th2, w1, w2)
-            ball = ball_step(ball, (hx, hz), (hvx, hvz), dt, g=p_eff.g,
-                             contact_radius=contact_radius)
-            balls += (ball.x, ball.z, ball.dx, ball.dz)
-        if not (isfinite(th1) and isfinite(th2) and isfinite(w1) and isfinite(w2)):
-            diverged = True
-            termination = "diverged"
-            break
-        if is_done is not None and is_done(
-                ArmState(th1=th1, th2=th2, dth1=w1, dth2=w2, t=t0 + steps * dt),
-                params):
-            termination = "goal"
-            break
+    try:
+        for k in range(n):
+            u = rows[min(k // steps_per_seg, last)]
+            tau1, tau2, cstate = torques_of(cstate, th1, th2, w1, w2, u, dt)
+            t1, t2 = tau1, tau2
+            if pend_pert is not None:
+                t1, t2, phi_p, dphi_p = _pendulum_step(
+                    coeffs, th1, th2, w1, w2, t1, t2, pend_pert, phi_p, dphi_p, dt)
+            th1, th2, w1, w2, a1, a2 = symp_step(coeffs, th1, th2, w1, w2, t1, t2, dt)
+            ddth += (a1, a2)
+            controls += u
+            torques += (tau1, tau2)
+            steps = k + 1
+            th += (th1, th2)
+            dth += (w1, w2)
+            if pend is not None:
+                pend += (phi_p, dphi_p)
+            if ball is not None:
+                hx, hz, hvx, hvz = _hand(coeffs, th1, th2, w1, w2)
+                ball = ball_step(ball, (hx, hz), (hvx, hvz), dt, g=p_eff.g,
+                                 contact_radius=contact_radius)
+                balls += (ball.x, ball.z, ball.dx, ball.dz)
+            if not (isfinite(th1) and isfinite(th2) and isfinite(w1) and isfinite(w2)):
+                diverged = True
+                termination = "diverged"
+                break
+            if is_done is not None and is_done(
+                    ArmState(th1=th1, th2=th2, dth1=w1, dth2=w2, t=t0 + steps * dt),
+                    params):
+                termination = "goal"
+                break
+    except (ValueError, OverflowError) as exc:
+        # math.cos of an overflowed angle raises "math domain error" inside
+        # the step, where rollout_batch's np.cos gives NaN: step k diverged,
+        # and what it did not record is NaN. Any other ValueError, such as
+        # a controller's filter too fast for the step, is not divergence.
+        if isinstance(exc, ValueError) and str(exc) != "math domain error":
+            raise
+        diverged, termination, steps = True, "diverged", k + 1
+        for flat, size in ((th, 2 * steps + 2), (dth, 2 * steps + 2),
+                           (pend, 2 * steps + 2), (balls, 4 * steps + 4),
+                           (ddth, 2 * steps), (torques, 2 * steps),
+                           (controls, len(u) * steps)):
+            if flat is not None:
+                flat += [math.nan] * (size - len(flat))
 
     if diverged:
         ddth += ddth[-2:]

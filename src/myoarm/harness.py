@@ -114,42 +114,36 @@ def mpc_trace_rows(experiment, task, morphology, resolution, tpred, seed, res):
 
 def _oc_run(config: ExperimentConfig, morphology, c, sigma, seed,
             tau_max=None):
-    """One trajectory-optimization run: (trace rows, best rollout). tau_max
-    is the calibrated torque ceiling, which _sweep hands to torque-family
-    points only."""
-    task = _task_for(config, seed)
-    params = _arm_params(config)
-    controller = (make_controller(morphology) if tau_max is None
-                  else make_controller(morphology, tau_max=tau_max))
+    """One trajectory-optimization run of `config`'s task and budgets:
+    (trace, best rollout). It builds the run's task, arm, controller and
+    CmaConfig, for sweep points and `myoarm optimize` alike. tau_max is the
+    calibrated torque ceiling, which _sweep hands to torque-family points
+    only."""
     cma = CmaConfig(population=config.population,
                     generations=config.generations, sigma0=sigma, seed=seed)
-    _, best, trace, _ = open_loop_optimize(task, controller, c, cma,
-                                           params=params)
-    rows = oc_trace_rows(config.kind, config.task, morphology, c, sigma, seed,
-                         trace)
-    return rows, best
+    _, best, trace, _ = open_loop_optimize(
+        _task_for(config, seed), _controller(morphology, tau_max), c, cma,
+        params=_arm_params(config))
+    return trace, best
 
 
-def _mpc_run(config: ExperimentConfig, morphology, tpred, seed, mass=None,
-             tau_max=None):
-    """One receding-horizon run, returned as (trace rows, result); tau_max
-    as in _oc_run."""
-    task = _task_for(config, seed)
-    params = _arm_params(config)
-    controller = (make_controller(morphology) if tau_max is None
-                  else make_controller(morphology, tau_max=tau_max))
-    pert = None
-    if mass:
-        pert = Perturbation(kind="lower_arm_mass", mass=float(mass),
-                            visible_to_prediction=False)
+def _mpc_run(config: ExperimentConfig, morphology, tpred, seed,
+             perturbation=None, tau_max=None):
+    """One receding-horizon run of `config`'s task, mpc.resolution and
+    budgets at horizon tpred under `perturbation`: its MpcResult. It builds
+    the run's task, arm, controller and MpcConfig, for sweep points and
+    `myoarm mpc` alike; tau_max as in _oc_run."""
     mpc = MpcConfig(t_pred=tpred, resolution=config.mpc_resolution,
                     warm_population=config.population,
                     warm_generations=config.warm_generations,
                     refine_budget=config.refine_budget, seed=seed)
-    res = mpc_run(task, controller, mpc, params=params, perturbation=pert)
-    rows = mpc_trace_rows(config.kind, config.task, morphology,
-                          config.mpc_resolution, tpred, seed, res)
-    return rows, res
+    return mpc_run(_task_for(config, seed), _controller(morphology, tau_max),
+                   mpc, params=_arm_params(config), perturbation=perturbation)
+
+
+def _controller(morphology, tau_max):
+    return (make_controller(morphology) if tau_max is None
+            else make_controller(morphology, tau_max=tau_max))
 
 
 def _run_points(config: ExperimentConfig):
@@ -199,13 +193,19 @@ def _trace_name(morph, c, sigma, tpred, seed):
 
 def _point_worker(args):
     """One sweep point: (trace rows, peak |torque| per joint, MpcResult or
-    None). It makes exactly one _oc_run or _mpc_run call."""
+    None). It makes exactly one _oc_run or _mpc_run call; a robustness
+    point's mass is an unseen load on the lower arm."""
     config, (morph, c, sigma, tpred, seed, mass), tau_max = args
     if tpred is None:
-        rows, best = _oc_run(config, morph, c, sigma, seed, tau_max=tau_max)
+        trace, best = _oc_run(config, morph, c, sigma, seed, tau_max=tau_max)
+        rows = oc_trace_rows(config.kind, config.task, morph, c, sigma, seed,
+                             trace)
         return rows, calibrate_torque_limits([best.torques]), None
-    rows, res = _mpc_run(config, morph, tpred, seed, mass=mass,
-                         tau_max=tau_max)
+    load = Perturbation("lower_arm_mass", mass=float(mass)) if mass else None
+    res = _mpc_run(config, morph, tpred, seed, perturbation=load,
+                   tau_max=tau_max)
+    rows = mpc_trace_rows(config.kind, config.task, morph,
+                          config.mpc_resolution, tpred, seed, res)
     return rows, calibrate_torque_limits([res.executed.torques]), res
 
 
@@ -295,10 +295,12 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1):
     torque ceilings are calibrated to the highest torques the muscle runs
     actually produced (written to calibration.csv). The sweep never stops on
     a diverged run; such rows carry the sentinel cost and a diverged flag,
-    and the aggregate excludes them while reporting their count.
+    and the aggregate excludes them while reporting their count. A
+    robustness_weights config runs _robustness_sweep, which writes its own
+    files in place of the trace files and aggregate.csv.
     """
     if config.kind == "robustness_weights":
-        return robustness_sweep(config)
+        return _robustness_sweep(config)
 
     def write_point(point, result):
         path = os.path.join(config.out_dir, _trace_name(*point[:5]))
@@ -310,8 +312,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1):
     return paths
 
 
-def robustness_sweep(config: ExperimentConfig):
-    """Receding-horizon smooth reaching under unknown forearm loads.
+def _robustness_sweep(config: ExperimentConfig):
+    """run_experiment's robustness_weights sweep: receding-horizon control
+    of the task under unknown forearm loads.
 
     Writes one trajectory CSV and one cost-over-time trace per run plus a
     summary with the final cost and the elbow overshoot metric. An
@@ -326,9 +329,6 @@ def robustness_sweep(config: ExperimentConfig):
     (about 42 to 84 MB) against that metric's 10 % bound. Running it in
     parallel needs that metric changed first.
     """
-    if config.kind != "robustness_weights":
-        raise ValueError(f"robustness_sweep needs kind robustness_weights, "
-                         f"not {config.kind!r}")
     summary = []
 
     def write_point(point, result):
@@ -435,8 +435,9 @@ def summarize(paths, out_path):
 
 
 def default_jobs() -> int:
-    env = os.environ.get("MYOARM_JOBS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
+    """The MYOARM_JOBS environment variable, or 1 when it is unset or empty;
+    a ValueError names it when it is not a positive whole number."""
+    env = os.environ.get("MYOARM_JOBS", "") or "1"
+    if not env.isdecimal() or int(env) < 1:
+        raise ValueError(f"MYOARM_JOBS must be a positive whole number, not {env!r}")
+    return int(env)

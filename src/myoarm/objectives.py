@@ -202,8 +202,7 @@ class PreciseReaching:
         d = self._distances(traj, params)
         controls = traj.controls
         return {k: precise_reaching_reward(
-                    d[k], () if controls is None
-                    else controls[min(k, controls.shape[0] - 1)], self.weights)
+                    d[k], controls[min(k, controls.shape[0] - 1)], self.weights)
                 for k in range(0, d.size, stride)}
 
     def stage_series(self, traj, params: ArmParams) -> np.ndarray:

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from myoarm.cli import main
-from myoarm.harness import read_csv, trajectory_header
+from myoarm.config import ExperimentConfig
+from myoarm.harness import read_csv, run_experiment, trajectory_header
 
 TINY_CONFIG = """
 experiment.kind = data_efficiency
@@ -141,6 +142,52 @@ class TestUsageErrors:
         assert "myoarm: error:" in err and "refine_budget" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["mpc", "--tpred", "0.3023"],
+        ["experiment", "--config", "CONFIG"]])
+    def test_horizon_off_the_physics_step_is_refused_before_planning(
+            self, tmp_path, capsys, monkeypatch, argv):
+        # a 0.3023 s window used to be rounded to 60 physics steps while
+        # its plan had 31 segments, the last never applied
+        import myoarm.control as control
+
+        def no_planning(*args, **kwargs):
+            raise AssertionError("planned with a horizon off the 5 ms step")
+
+        monkeypatch.setattr(control, "cma_es", no_planning)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("experiment.kind = robustness_weights\n"
+                       "mpc.tpred = 0.3023\n")
+        argv = [str(cfg) if a == "CONFIG" else a for a in argv]
+        assert run_cli(*argv, "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert "myoarm: error:" in err and "horizon 0.3023" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys, jobs):
+        # --jobs -3 used to run the sweep serially without a word
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY_CONFIG)
+        assert run_cli("experiment", "--config", str(cfg), "--jobs", jobs,
+                       "--out", str(tmp_path / "out")) == 1
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_jobs_variable_is_named(self, tmp_path, capsys, monkeypatch):
+        # MYOARM_JOBS=abc used to become 1 without a word; it is read only
+        # by `experiment` when --jobs is not given
+        monkeypatch.setenv("MYOARM_JOBS", "abc")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY_CONFIG)
+        assert run_cli("experiment", "--config", str(cfg),
+                       "--out", str(tmp_path / "out")) == 1
+        assert "MYOARM_JOBS" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert run_cli("experiment", "--config", str(cfg), "--jobs", "1",
+                       "--out", str(tmp_path / "out")) == 0
+        assert run_cli("simulate", "--out", str(tmp_path / "sim.csv")) == 0
+
     def test_help_exits_zero(self, capsys):
         assert run_cli("--help") == 0
         assert "simulate" in capsys.readouterr().out
@@ -191,6 +238,18 @@ class TestSimulate:
                             lambda *a, **kw: Boom())
         assert run_cli("simulate", "--out", str(tmp_path / "d.csv")) == 2
 
+    def test_overflow_inside_a_step_exits_two(self, tmp_path, capsys):
+        # this run's angle overflows inside the physics step; it used to
+        # exit 1 with "math domain error", as if the flags were wrong
+        out = tmp_path / "d.csv"
+        assert run_cli("simulate", "--task", "precise-reach", "--morphology",
+                       "lowpass-fast", "--c", "0.3", "--seed", "4",
+                       "--out", str(out)) == 2
+        assert "termination=diverged" in capsys.readouterr().out
+        header, rows = read_csv(out)
+        assert header == trajectory_header(2)
+        assert rows[-1][1] == "nan"
+
 
 class TestOptimize:
     def test_trace_and_best_outputs(self, tmp_path, capsys):
@@ -221,6 +280,40 @@ class TestOptimize:
         header, rows = read_csv(out / "trace.csv")
         col = header.index("morphology")
         assert [r[col] for r in rows] == ["muscle-nofl"]
+
+
+class TestRunsAreSweepPoints:
+    """`optimize` and `mpc` run the sweep's point runners: their trace rows
+    are a sweep point's, but for the experiment column."""
+
+    def test_optimize_is_a_sigma_sweep_point(self, tmp_path):
+        assert run_cli("optimize", "--population", "4", "--generations", "2",
+                       "--seed", "1", "--out", str(tmp_path / "cli")) == 0
+        run_experiment(ExperimentConfig(
+            kind="sigma_sweep", morphologies=["muscle"], sigma_grid=[0.2],
+            c=0.3, seeds=[1], population=4, generations=2,
+            out_dir=str(tmp_path / "sweep")))
+        _, cli_rows = read_csv(tmp_path / "cli" / "trace.csv")
+        _, rows = read_csv(tmp_path / "sweep" / "trace_muscle_c0.3_s0.2_seed1.csv")
+        assert {r[0] for r in cli_rows} == {"optimize"}
+        assert [r[1:] for r in cli_rows] == [r[1:] for r in rows]
+
+    def test_mpc_is_a_robustness_point(self, tmp_path):
+        assert run_cli("mpc", "--morphology", "torque", "--tpred", "0.02",
+                       "--population", "4", "--warm-generations", "1",
+                       "--refine-budget", "1",
+                       "--out", str(tmp_path / "cli")) == 0
+        run_experiment(ExperimentConfig(
+            kind="robustness_weights", morphologies=["torque"], masses=[1.0],
+            seeds=[0], population=4, warm_generations=1, refine_budget=1,
+            tpred=0.02, out_dir=str(tmp_path / "sweep")))
+        sweep = tmp_path / "sweep"
+        _, cli_rows = read_csv(tmp_path / "cli" / "costs.csv")
+        _, rows = read_csv(sweep / "robust_torque_m0.0_seed0_trace.csv")
+        assert {r[0] for r in cli_rows} == {"mpc"}
+        assert [r[1:] for r in cli_rows] == [r[1:] for r in rows]
+        assert ((tmp_path / "cli" / "trajectory.csv").read_bytes()
+                == (sweep / "robust_torque_m0.0_seed0.csv").read_bytes())
 
 
 class TestMpc:

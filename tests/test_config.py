@@ -167,6 +167,10 @@ class TestExperimentConfig:
         # a prediction horizon shorter than one control segment
         "experiment.kind = tpred_sweep\ngrid.tpred = 0.004",
         "experiment.kind = robustness_weights\nmpc.tpred = 0.005",
+        # a prediction horizon off the 5 ms physics step (the window used
+        # to be rounded to 60 steps while its plan had 31 segments)
+        "experiment.kind = robustness_weights\nmpc.tpred = 0.3023",
+        "experiment.kind = tpred_sweep\ngrid.tpred = 0.3, 0.0123",
         # an MPC resolution that does not divide the task's horizon: 0.04 s
         # used to stop 0.02 s short of smooth-reach's 0.9 s, 0.035 s to
         # run past it, and 0.015 s does not divide fast-reach's 2 s
@@ -261,6 +265,8 @@ def configs(draw):
     oc_resolutions = st.builds(lambda k: 0.005 * k, st.integers(
         1, round(make_task(task).duration / 0.005)))
     resolution = 0.005 * draw(st.integers(1, 4))
+    # an MPC horizon is a whole number of physics steps too, 0.02 to 1 s
+    horizons = st.builds(lambda k: 0.005 * k, st.integers(4, 200))
     if kind in ("tpred_sweep", "robustness_weights"):
         # the MPC kinds need a resolution that divides the task's horizon
         steps = make_task(task).duration / resolution
@@ -279,7 +285,7 @@ def configs(draw):
         morphologies=draw(st.lists(labels, min_size=1, max_size=3)),
         c_grid=draw(st.lists(oc_resolutions, min_size=1, max_size=3)),
         sigma_grid=draw(st.lists(positive, min_size=1, max_size=3)),
-        tpred_grid=draw(st.lists(st.floats(0.02, 1.0), min_size=1, max_size=3)),
+        tpred_grid=draw(st.lists(horizons, min_size=1, max_size=3)),
         masses=draw(st.lists(positive, min_size=1, max_size=3)),
         ablations=draw(st.lists(st.sampled_from(["none", "fl", "fv", "actdyn"]),
                                 min_size=1, max_size=4)),
@@ -287,7 +293,7 @@ def configs(draw):
         population=draw(st.integers(4, 500)),
         generations=draw(st.integers(1, 500)),
         sigma=draw(positive), c=draw(oc_resolutions),
-        tpred=draw(st.floats(0.02, 1.0)),
+        tpred=draw(horizons),
         mpc_resolution=resolution,
         warm_generations=draw(st.integers(1, 50)),
         refine_budget=draw(st.integers(1, 500)),

@@ -17,7 +17,7 @@ from myoarm.harness import (AGG_HEADER, ROBUST_HEADER, TRACE_HEADER,
                             _check_invariants, _pool_aggregates, _run_points,
                             _task_for, _trace_name, aggregate_rows, default_jobs, fmt,
                             overshoot_past_target, read_csv, run_experiment,
-                            robustness_sweep, summarize, trajectory_header,
+                            summarize, trajectory_header,
                             write_csv, write_trajectory_csv)
 from myoarm.objectives import ReachTarget
 
@@ -309,7 +309,7 @@ class TestTaskForConfig:
 class TestRobustnessSweep:
     def test_outputs_and_trajectory_schema(self, tmp_path):
         config = tiny_mpc_config(tmp_path)
-        paths = robustness_sweep(config)
+        paths = run_experiment(config)
         names = {os.path.basename(p) for p in paths}
         assert "robustness.csv" in names
         # the clean baseline is always swept alongside the configured loads
@@ -322,35 +322,30 @@ class TestRobustnessSweep:
 
     def test_summary_overshoot_recomputable_from_trajectory(self, tmp_path):
         config = tiny_mpc_config(tmp_path)
-        robustness_sweep(config)
+        run_experiment(config)
         _, rows = read_csv(tmp_path / "robust_muscle_m0.0_seed0.csv")
         th = np.array([[float(r[1]), float(r[2])] for r in rows])
         _, summary = read_csv(tmp_path / "robustness.csv")
         assert float(summary[0][6]) == overshoot_past_target(th, ReachTarget())
 
     def test_rerun_is_byte_identical(self, tmp_path):
-        paths_a = robustness_sweep(tiny_mpc_config(tmp_path / "a"))
-        paths_b = robustness_sweep(tiny_mpc_config(tmp_path / "b"))
+        paths_a = run_experiment(tiny_mpc_config(tmp_path / "a"))
+        paths_b = run_experiment(tiny_mpc_config(tmp_path / "b"))
         for pa, pb in zip(sorted(paths_a), sorted(paths_b)):
             assert read_bytes(pa) == read_bytes(pb)
 
     def test_summary_schema_and_flags(self, tmp_path):
         config = tiny_mpc_config(tmp_path)
-        robustness_sweep(config)
+        run_experiment(config)
         header, rows = read_csv(tmp_path / "robustness.csv")
         assert header == ROBUST_HEADER
         assert len(rows) == 2
         assert {r[3] for r in rows} == {"0.0", "1.0"}
         assert rows[0][2] == "muscle" and rows[0][7] == "0"
 
-    def test_other_kinds_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="robustness_weights"):
-            robustness_sweep(tiny_oc_config(tmp_path))
-        assert not os.path.exists(tmp_path / "aggregate.csv")
-
     def test_calibration_is_the_muscle_runs_peak_torque(self, tmp_path):
         config = tiny_mpc_config(tmp_path, morphologies=("muscle", "torque"))
-        paths = robustness_sweep(config)
+        paths = run_experiment(config)
         peaks = []
         for mass in ("0.0", "1.0"):
             header, rows = read_csv(tmp_path / f"robust_muscle_m{mass}_seed0.csv")
@@ -381,7 +376,7 @@ class TestRobustnessSweep:
         monkeypatch.setattr(harness, "mpc_run", kept_run)
         config = tiny_mpc_config(tmp_path)       # runs mass 0.0 first
         config.refine_budget = 3
-        robustness_sweep(config)
+        run_experiment(config)
         header, rows = read_csv(tmp_path / "robust_muscle_m0.0_seed0_trace.csv")
         evals = [int(r[header.index("evals")]) for r in rows]
         n_ctrl = round(0.9 / 0.01)
@@ -489,7 +484,12 @@ class TestDefaultJobs:
     def test_env_parsing(self, monkeypatch):
         monkeypatch.setenv("MYOARM_JOBS", "3")
         assert default_jobs() == 3
-        monkeypatch.setenv("MYOARM_JOBS", "junk")
+        monkeypatch.setenv("MYOARM_JOBS", "")        # empty means unset
         assert default_jobs() == 1
-        monkeypatch.setenv("MYOARM_JOBS", "-2")
+        monkeypatch.delenv("MYOARM_JOBS")
         assert default_jobs() == 1
+        # nonsense is an error that names the variable, not a silent 1
+        for junk in ("junk", "-2", "0", "2.5"):
+            monkeypatch.setenv("MYOARM_JOBS", junk)
+            with pytest.raises(ValueError, match="MYOARM_JOBS"):
+                default_jobs()

@@ -25,7 +25,7 @@ from myoarm.actuators import (AblationFlags, HatzeParams, MuscleController,
                               make_controller)
 from myoarm.arm import (ArmParams, ArmState, Perturbation, _accel,
                         _bias, _Coeffs, _hand, _jacobian, _mass_matrix,
-                        _pendulum_forces, _symp_step, ball_step, end_effector)
+                        _pendulum_forces, _symp_step, ball_step, hand_position)
 from myoarm.control import (DT_SIM, SENTINEL_COST, parameterization_for,
                             rollout)
 from myoarm.config import ExperimentConfig
@@ -398,8 +398,7 @@ def test_rollout_stops_at_the_goal(morph, seed, goal_step):
                            duration=0.4)
     plan = random_plan(free, ctrl, seed)
     th = rollout(free, ctrl, *plan).th[goal_step]
-    (gx, gz), _ = end_effector(ArmState(float(th[0]), float(th[1])),
-                               ArmParams())
+    gx, gz = hand_position(float(th[0]), float(th[1]), ArmParams())
     task = PreciseReaching(target=ReachTarget(goal_xz=(gx, gz)), duration=0.4,
                            terminal_threshold=1e-9)
     res = rollout(task, ctrl, *plan)

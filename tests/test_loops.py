@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from myoarm.actuators import MuscleController, TorqueController, make_controller
-from myoarm.arm import ArmParams, ArmState, Perturbation, step
+from myoarm.arm import (ArmParams, ArmState, Perturbation, _Coeffs,
+                        _pendulum_step, _symp_step)
 from myoarm.control import (DT_SIM, SENTINEL_COST, WARM_SIGMA0,
                             ControlParameterization, MpcConfig,
                             calibrate_torque_limits, mpc_run,
@@ -121,8 +122,9 @@ class TestRollout:
         assert res.termination == "horizon"
 
     def test_matches_single_step_api(self):
-        # the rollout loop and the public step() must walk the same trajectory
-        # bit for bit, including actuator state and the swinging-load coupling
+        # the rollout loop must walk the trajectory of its kernels, called
+        # one step at a time, bit for bit, including actuator state and the
+        # swinging-load coupling
         task = SmoothReaching(duration=0.4)
         pert = Perturbation(kind="chaotic_pendulum", mass=1.0,
                             cable_length=0.25)
@@ -135,21 +137,25 @@ class TestRollout:
             plan = theta.reshape(par.n_segments, -1).tolist()
 
             ctrl = make_controller(morph)
+            c = _Coeffs(PARAMS)
             row = ctrl.state0
-            state = task.initial_state()
+            s = task.initial_state()
+            arm = s.th1, s.th2, s.dth1, s.dth2
+            phi, dphi = s.pend_angle, s.pend_vel
             for k in range(res.steps):
                 u = plan[k // 20]           # 0.1 s segments of 20 steps
-                *tau, row = ctrl.torques(row, state.th1, state.th2,
-                                         state.dth1, state.dth2, u, DT_SIM)
+                *tau, row = ctrl.torques(row, *arm, u, DT_SIM)
                 assert tau[0] == res.torques[k, 0]
                 assert tau[1] == res.torques[k, 1]
-                state = step(state, tau, DT_SIM, PARAMS, pert)
-                assert state.th1 == res.th[k + 1, 0]
-                assert state.th2 == res.th[k + 1, 1]
-                assert state.dth1 == res.dth[k + 1, 0]
-                assert state.dth2 == res.dth[k + 1, 1]
-                assert state.pend_angle == res.pend[k + 1, 0]
-                assert state.pend_vel == res.pend[k + 1, 1]
+                t1, t2, phi, dphi = _pendulum_step(c, *arm, *tau, pert, phi,
+                                                   dphi, DT_SIM)
+                arm = _symp_step(c, *arm, t1, t2, DT_SIM)[:4]
+                assert arm[0] == res.th[k + 1, 0]
+                assert arm[1] == res.th[k + 1, 1]
+                assert arm[2] == res.dth[k + 1, 0]
+                assert arm[3] == res.dth[k + 1, 1]
+                assert phi == res.pend[k + 1, 0]
+                assert dphi == res.pend[k + 1, 1]
             assert row == res.controller_state
 
     def test_divergence_marked_with_sentinel(self):
@@ -160,6 +166,29 @@ class TestRollout:
         assert res.termination == "diverged"
         assert res.cost == SENTINEL_COST
         assert res.steps < round(task.duration / DT_SIM)
+
+    def test_overflow_inside_a_step_is_divergence(self):
+        # `myoarm simulate --task precise-reach --morphology lowpass-fast
+        # --c 0.3 --seed 4`: the angle overflows inside _symp_step, whose
+        # math.cos(inf) used to raise "math domain error" out of rollout,
+        # while rollout_batch (np.cos gives NaN) scored the same vector
+        # SENTINEL_COST
+        task = make_task("precise-reach", seed=4)
+        ctrl = make_controller("lowpass-fast")
+        par = parameterization_for(task, ctrl, 0.3)
+        theta = np.random.default_rng(4).uniform(par.lo, par.hi, par.dim)
+        res = rollout(task, ctrl, theta, par)
+        assert res.diverged and res.termination == "diverged"
+        assert res.cost == SENTINEL_COST
+        n = res.steps
+        assert 0 < n < round(task.duration / DT_SIM)
+        assert res.t.shape == (n + 1,)
+        for name in ("th", "dth", "ddth"):
+            assert getattr(res, name).shape == (n + 1, 2), name
+        assert res.controls.shape == (n, 2) and res.torques.shape == (n, 2)
+        assert np.isfinite(res.th[:n]).all()
+        assert not np.isfinite(res.th[n]).all()
+        assert rollout_batch(task, ctrl, theta[None], par)[0] == res.cost
 
     def test_goal_termination(self):
         # goal sits on the initial hand position, so the episode ends at once

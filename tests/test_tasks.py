@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from myoarm.arm import ArmParams
+from myoarm.arm import ArmParams, ArmState, _Coeffs, _hand
 from myoarm.objectives import (BallServe, ObjectiveWeights, PreciseReaching,
                                ReachTarget, SmoothReaching, ball_serve_cost,
                                fast_reaching_done, fast_reaching_task,
@@ -18,10 +18,17 @@ TARGET = ReachTarget()
 
 
 def fake_traj(th, dth, ddth, dt=0.005):
+    """A trajectory of the samples th, dth, ddth, with zero controls (four
+    per step, as a muscle arm's) on every step between them."""
     th = np.atleast_2d(np.asarray(th, dtype=float))
     return SimpleNamespace(th=th, dth=np.atleast_2d(np.asarray(dth, dtype=float)),
                            ddth=np.atleast_2d(np.asarray(ddth, dtype=float)),
-                           dt=dt, controls=None)
+                           dt=dt, controls=np.zeros((max(1, len(th) - 1), 4)))
+
+
+def hand_xz(th1, th2, params):
+    """The hand position the rollout's ball contact reads (arm._hand)."""
+    return _hand(_Coeffs(params), th1, th2, 0.0, 0.0)[:2]
 
 
 def smooth_reaching_cost(th, dth, ddth, weights, duration=None):
@@ -191,7 +198,6 @@ class TestPreciseReaching:
         assert a.target.goal_xz != b.target.goal_xz
 
     def test_cost_and_stage_series_match_a_per_boundary_loop(self):
-        from myoarm.arm import ArmState, end_effector
         task = PreciseReaching(seed=5, control_resolution=0.015)
         params = ArmParams()
         rng = np.random.default_rng(4)
@@ -202,7 +208,7 @@ class TestPreciseReaching:
         want = np.zeros(31)
         rewards = []
         for k in range(0, 31, 3):
-            (x, z), _ = end_effector(ArmState(th[k, 0], th[k, 1]), params)
+            x, z = hand_xz(th[k, 0], th[k, 1], params)
             rewards.append(precise_reaching_reward(
                 math.hypot(x - gx, z - gz), traj.controls[min(k, 29)], W))
             want[k] = -rewards[-1]
@@ -217,7 +223,6 @@ class TestPreciseReaching:
             bad.sample_goal(np.random.default_rng(0), ArmParams())
 
     def test_distances_match_forward_kinematics(self):
-        from myoarm.arm import ArmState, end_effector
         task = PreciseReaching(seed=3)
         params = ArmParams()
         rng = np.random.default_rng(11)
@@ -226,7 +231,7 @@ class TestPreciseReaching:
         d = task._distances(traj, params)
         gx, gz = task.target.goal_xz
         for k in range(20):
-            (x, z), _ = end_effector(ArmState(th[k, 0], th[k, 1], 0.0, 0.0), params)
+            x, z = hand_xz(th[k, 0], th[k, 1], params)
             assert abs(d[k] - math.hypot(x - gx, z - gz)) < 1e-12
 
 
@@ -243,7 +248,6 @@ class TestFastReaching:
         assert make_task("fast-reach", seed=1, duration=0.5).duration == 0.5
 
     def test_is_done_matches_forward_kinematics(self):
-        from myoarm.arm import ArmState, end_effector
         task = fast_reaching_task(seed=2)
         params = ArmParams(l1=0.35)
         gx, gz = task.target.goal_xz
@@ -251,7 +255,7 @@ class TestFastReaching:
         hits = 0
         for th1, th2 in rng.uniform(-np.pi, np.pi, size=(2000, 2)):
             state = ArmState(float(th1), float(th2))
-            (x, z), _ = end_effector(state, params)
+            x, z = hand_xz(state.th1, state.th2, params)
             done = math.hypot(x - gx, z - gz) < 0.05
             assert task.is_done(state, params) == done
             hits += done
