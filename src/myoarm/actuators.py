@@ -12,7 +12,9 @@ step to step: torques(state, th1, th2, w1, w2, u, dt) returns
 (tau1, tau2, next_state). state0 is the row at rest: four zeros for the
 muscle pair (the activities under first-order activation, the free-calcium
 states under the Hatze model), the two filtered commands (0.0, 0.0) for the
-low-pass family, and () for the torque and PD families.
+low-pass family, and () for the torque and PD families. A controller whose
+step size is limited (the low-pass family) also has check_step(dt), which
+the rollouts call once, before their first step.
 
 MuscleController.torques is one straight-line kernel: the four activation
 updates written out, each joint's parameters read once, and the pair
@@ -37,6 +39,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .control import DT_SIM
 
 log = logging.getLogger(__name__)
 
@@ -229,15 +233,11 @@ def _unit_clip(x, lo):
     return np.minimum(np.maximum(x, lo), 1.0)
 
 
-def torque_actuator(u: float, tau_max: float) -> float:
-    """Ideal torque source: tau = tau_max * u, u in [-1, 1]."""
-    if u < -1.0:
-        log.warning("torque command %.6g outside [-1, 1]; clamped", u)
-        u = -1.0
-    elif u > 1.0:
-        log.warning("torque command %.6g outside [-1, 1]; clamped", u)
-        u = 1.0
-    return tau_max * u
+def _clamp_torque_command(u: float) -> float:
+    """Nearest end of [-1, 1] for a torque command outside it, with a
+    warning."""
+    log.warning("torque command %.6g outside [-1, 1]; clamped", u)
+    return -1.0 if u < -1.0 else 1.0
 
 
 def pd_control(q: float, dq: float, q_des: float, kp: float, kd: float) -> float:
@@ -273,6 +273,9 @@ class MuscleController:
             raise ValueError(f"unknown activation model {activation_model!r}")
         self.activation_model = activation_model
         self.hatze = hatze or HatzeParams()
+        # first-order activation's decay factors at the physics step
+        self._decay = (DT_SIM, math.exp(-DT_SIM / self.shoulder.tau_act),
+                       math.exp(-DT_SIM / self.elbow.tau_act))
 
     def torques(self, state, th1, th2, w1, w2, u, dt):
         """Advance the state row one step: (tau1, tau2, next state row).
@@ -288,7 +291,9 @@ class MuscleController:
         The first-order update is the exact discrete solution of
         da/dt = (u - a)/tau_act for the step's constant excitation (u
         clamped to [0, 1] with a warning, a clipped to it), with
-        exp(-dt/tau_act) taken once per joint; the Hatze update is
+        exp(-dt/tau_act) taken once per joint: when the controller is
+        built for dt = DT_SIM, the step every rollout takes (so tau_act is
+        read then), and per call for any other dt; the Hatze update is
         hatze_activation_step's. tests/oracles.py composes the same step
         from one function per curve (muscle_joint_torque there), and
         tests/test_kernels.py holds this kernel to it bit for bit.
@@ -319,12 +324,14 @@ class MuscleController:
                 u3 = _clamp_excitation(u3)
             if not 0.0 <= u4 <= 1.0:
                 u4 = _clamp_excitation(u4)
-            e = math.exp(-dt / sh.tau_act)
-            a1 = u1 + (a1 - u1) * e
-            a2 = u2 + (a2 - u2) * e
-            e = math.exp(-dt / el.tau_act)
-            a3 = u3 + (a3 - u3) * e
-            a4 = u4 + (a4 - u4) * e
+            step, e_sh, e_el = self._decay
+            if dt != step:
+                e_sh = math.exp(-dt / sh.tau_act)
+                e_el = math.exp(-dt / el.tau_act)
+            a1 = u1 + (a1 - u1) * e_sh
+            a2 = u2 + (a2 - u2) * e_sh
+            a3 = u3 + (a3 - u3) * e_el
+            a4 = u4 + (a4 - u4) * e_el
             a1 = 0.0 if a1 < 0.0 else 1.0 if a1 > 1.0 else a1
             a2 = 0.0 if a2 < 0.0 else 1.0 if a2 > 1.0 else a2
             a3 = 0.0 if a3 < 0.0 else 1.0 if a3 > 1.0 else a3
@@ -404,8 +411,15 @@ class TorqueController:
         self.tau_max = _valid_tau_max(tau_max)
 
     def torques(self, state, th1, th2, w1, w2, u, dt):
-        return (torque_actuator(u[0], self.tau_max[0]),
-                torque_actuator(u[1], self.tau_max[1]), state)
+        """The ideal torque source per joint: tau = tau_max * u, with u
+        clamped to [-1, 1] with a warning (NaN passes through)."""
+        u1, u2 = u
+        if u1 < -1.0 or u1 > 1.0:
+            u1 = _clamp_torque_command(u1)
+        if u2 < -1.0 or u2 > 1.0:
+            u2 = _clamp_torque_command(u2)
+        t1, t2 = self.tau_max
+        return t1 * u1, t2 * u2, state
 
     def batch_torques(self, dt):
         """Array form of torques; u is the clipped (2, population) block."""
@@ -468,14 +482,16 @@ class LowPassController:
         self.dt_filter = dt_filter
         self.tau_max = _valid_tau_max(tau_max)
 
-    def _check_step(self, dt):
-        """Forward Euler is stable for gains dt/dt_filter up to 2."""
+    def check_step(self, dt):
+        """Refuse a step the filter cannot take: forward Euler is stable for
+        gains dt/dt_filter up to 2. The rollouts call this once, before
+        their first step (rollout_batch through batch_torques); torques
+        itself does not check."""
         if self.dt_filter < 0.5 * dt:
             raise ValueError(f"dt_filter {self.dt_filter} is below half the "
                              f"step dt = {dt}; the filter would diverge")
 
     def torques(self, state, th1, th2, w1, w2, u, dt):
-        self._check_step(dt)
         filtered = []
         for ui, fi in zip(u, state):
             if ui < -1.0:
@@ -489,7 +505,7 @@ class LowPassController:
     def batch_torques(self, dt):
         """Array form of torques; filtered is the (2, population) array of
         state rows, advanced in place by lowpass_step's update."""
-        self._check_step(dt)
+        self.check_step(dt)
         gain = dt / self.dt_filter
         t1, t2 = self.tau_max
 

@@ -11,10 +11,10 @@ both joints a negative initial acceleration.
 The hot-path kernels work on plain floats on purpose: per-step state is a
 handful of scalars and array round-trips would dominate the cost of the
 millions of steps an optimization run takes. For the same reason
-_symp_step inlines _mass_matrix and _bias, keeping their floating-point
-association so its results stay bit-identical to the composed form, and
-control.rollout appends each step's scalars to flat lists that become
-arrays once per episode.
+_symp_step inlines _mass_matrix and _bias and drops their negations
+through exact sign identities, so its results stay bit-identical to the
+composed form, and control.rollout appends each step's scalars as one
+record to one flat list that becomes one array once per episode.
 
 _symp_step is also the one step of control.rollout_batch, which advances a
 whole CMA-ES population in lockstep: given NumPy arrays and np.cos/np.sin
@@ -299,10 +299,16 @@ def _symp_step(c: _Coeffs, th1, th2, w1, w2, tau1, tau2, dt,
     read; used for jerk measures).
 
     _mass_matrix and _bias are inlined, each trigonometric term and each
-    product that recurs (the gravity terms, m22*q1 and m12*q1 in the
-    fixed-point loop) computed once. Every expression keeps their exact
-    floating-point association (b1 is not regrouped to reuse v1g, for
-    instance), so the result is bit-identical to composing them.
+    product that recurs (the gravity terms, qb*q1 and s*q1 in the
+    fixed-point loop; m22 is qb) computed once, and the three fixed-point
+    passes are unrolled. The composed form's negations are gone, through identities
+    that IEEE arithmetic keeps exactly (negation and the sign of a product
+    are exact, and x - y is x + (-y)): with s = qb + cross*c2 the mass
+    matrix's m12 is -s, so x - m12*y becomes x + s*y and m12*m12 becomes
+    s*s; -hs*w2*x + g1 becomes g1 - hs*w2*x; and adding v2g = -g2 becomes
+    subtracting g2. Every other expression keeps its association (the
+    bias b1 is not regrouped to reuse g1 + g2, for instance), so the
+    result equals the composed one bit for bit, up to the sign of a NaN.
 
     The body uses only + - * / and the cos/sin it is given, so it runs
     unchanged on arrays of candidates (one element each) with cos=np.cos,
@@ -310,47 +316,45 @@ def _symp_step(c: _Coeffs, th1, th2, w1, w2, tau1, tau2, dt,
     array result equals the float one wherever np.cos and np.sin equal
     math.cos and math.sin.
     """
-    m11_0, cross, qb, kg1, kg2 = c.m11_0, c.cross, c.qb, c.kg1, c.kg2
+    m11_0, cross, qb = c.m11_0, c.cross, c.qb
     c2 = cos(th2)
     m11 = m11_0 + 2.0 * cross * c2
-    m12 = -(qb + cross * c2)
-    m22 = qb
-    det = m11 * m22 - m12 * m12
+    s = qb + cross * c2                         # m12 = -s
+    det = m11 * qb - s * s                      # m22 = qb
     hs = cross * sin(th2)
-    g1 = kg1 * cos(th1)
-    g2 = kg2 * cos(th1 - th2)
-    b1 = -hs * w2 * (2.0 * w1 - w2) + g1 + g2
-    b2 = hs * w1 * w1 - g2
-    r1 = tau1 - b1
-    r2 = tau2 - b2
-    a1 = (m22 * r1 - m12 * r2) / det
-    a2 = (m11 * r2 - m12 * r1) / det
-    # generalized momenta
-    p1 = m11 * w1 + m12 * w2
-    p2 = m12 * w1 + m22 * w2
-    v1g = g1 + g2                               # dV/dth1
-    v2g = -g2                                   # dV/dth2, = -kg2 * c12
+    g1 = c.kg1 * cos(th1)
+    g2 = c.kg2 * cos(th1 - th2)                 # dV/dth2 = -g2
+    r1 = tau1 - (g1 - hs * w2 * (2.0 * w1 - w2) + g2)
+    r2 = tau2 - (hs * w1 * w1 - g2)
+    a1 = (qb * r1 + s * r2) / det
+    a2 = (m11 * r2 + s * r1) / det
+    # generalized momenta; p1 = m11*w1 - s*w2 is q1's first term
+    p2 = qb * w2 - s * w1
     # dH/dth1 has no velocity dependence (the mass matrix only sees th2),
     # so the first momentum update is explicit; the second converges in a
     # few fixed-point passes because dt times the coupling is tiny.
-    q1 = p1 + dt * (tau1 - v1g)
-    m22q1 = m22 * q1
-    m12q1 = m12 * q1
-    q2 = p2
-    for _ in range(3):
-        u1 = (m22q1 - m12 * q2) / det
-        u2 = (m11 * q2 - m12q1) / det
-        q2 = p2 + dt * (tau2 - (hs * u1 * (u1 - u2) + v2g))
-    u1 = (m22q1 - m12 * q2) / det
-    u2 = (m11 * q2 - m12q1) / det
+    q1 = m11 * w1 - s * w2 + dt * (tau1 - (g1 + g2))
+    qbq1 = qb * q1
+    sq1 = s * q1
+    u1 = (qbq1 + s * p2) / det
+    u2 = (m11 * p2 + sq1) / det
+    q2 = p2 + dt * (tau2 - (hs * u1 * (u1 - u2) - g2))
+    u1 = (qbq1 + s * q2) / det
+    u2 = (m11 * q2 + sq1) / det
+    q2 = p2 + dt * (tau2 - (hs * u1 * (u1 - u2) - g2))
+    u1 = (qbq1 + s * q2) / det
+    u2 = (m11 * q2 + sq1) / det
+    q2 = p2 + dt * (tau2 - (hs * u1 * (u1 - u2) - g2))
+    u1 = (qbq1 + s * q2) / det
+    u2 = (m11 * q2 + sq1) / det
     th1n = th1 + dt * u1
     th2n = th2 + dt * u2
     c2n = cos(th2n)
     n11 = m11_0 + 2.0 * cross * c2n
-    n12 = -(qb + cross * c2n)
-    ndet = n11 * qb - n12 * n12
-    w1n = (m22q1 - n12 * q2) / ndet             # m22 = n22 = qb
-    w2n = (n11 * q2 - n12 * q1) / ndet
+    sn = qb + cross * c2n
+    ndet = n11 * qb - sn * sn
+    w1n = (qbq1 + sn * q2) / ndet
+    w2n = (n11 * q2 + sn * q1) / ndet
     return th1n, th2n, w1n, w2n, a1, a2
 
 

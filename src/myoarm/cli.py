@@ -148,13 +148,16 @@ def cmd_calibrate(args):
     return 0
 
 
-def _add_run_flags(p, c_default=0.3):
+def _add_run_flags(p, with_c=True):
+    """The flags of one run; `mpc` sets its control step with --resolution,
+    so it takes no --c."""
     p.add_argument("--task", default="smooth-reach",
                    help="task name (default smooth-reach)")
     p.add_argument("--morphology", default="muscle", choices=MORPHOLOGIES)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--c", type=float, default=c_default,
-                   help="control resolution in seconds")
+    if with_c:
+        p.add_argument("--c", type=float, default=0.3,
+                       help="control resolution in seconds")
     p.add_argument("--ablate", action="append", choices=AblationFlags.NAMES,
                    help="disable a muscle property (repeatable)")
 
@@ -182,7 +185,7 @@ def build_parser():
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("mpc", help="one receding-horizon control run")
-    _add_run_flags(p)
+    _add_run_flags(p, with_c=False)
     p.add_argument("--tpred", type=float, default=0.3)
     p.add_argument("--resolution", type=float, default=0.01)
     p.add_argument("--population", type=int, default=36)

@@ -11,8 +11,9 @@ parameterization owns its alignment with the physics steps: it refuses a
 resolution that is not a whole multiple of DT_SIM when it is built, and
 says how many steps a segment lasts (steps_per_segment). MPC re-plans
 against a prediction model that only sees perturbations flagged as
-visible; each plant segment is a rollout of the plan in force, and the
-executed trajectory is one rollout of the first segments it applied.
+visible; each plant segment is an unscored rollout (_simulate) of the
+plan in force, and the executed trajectory is one rollout of the first
+segments it applied.
 
 Actuator state is the controller's state row (see actuators): a rollout
 starts from `controller_state` (the controller's state0 when None), passes
@@ -28,9 +29,9 @@ scoring rule. `rollout` runs one episode on floats and is the reference.
 in lockstep, one NumPy step per physics step, and gives every row the
 cost `rollout` gives it. cma_es hands each generation to its objective as
 one such array, so open-loop optimization and the MPC warm start score
-populations with rollout_batch; the pattern-search refinement, the MPC
-plant segments, MPC's executed trajectory and the best-plan rollouts use
-`rollout`.
+populations with rollout_batch; the pattern-search refinement, MPC's
+executed trajectory and the best-plan rollouts use `rollout`, and the MPC
+plant segments its unscored half.
 """
 
 import math
@@ -62,9 +63,12 @@ class RolloutResult:
     sample k; the final row repeats the last applied torque's acceleration
     at the terminal state. controller_state is the controller's state row
     after the last step, the row a follow-on rollout starts from. rollout
-    builds each array once, after the episode, from a flat list of floats.
-    The results rollout_batch scores leave torques and controller_state
-    None: no task cost reads them.
+    records one row of eight floats per sample in one array, built once
+    after the episode from one flat list, and th, dth, ddth and torques are
+    column views of it; controls are rows of the decoded control table. A
+    cost of NaN marks an episode that was simulated but not scored (MPC's
+    plant segments). The results rollout_batch scores leave torques and
+    controller_state None: no task cost reads them.
     """
 
     dt: float
@@ -179,27 +183,34 @@ def _zoh_table(thetas, parameterization: ControlParameterization):
                          f"expected (rows, {n_seg * na})")
     if not np.isfinite(thetas).all():
         raise ValueError("decision vector contains a non-finite value")
-    return np.clip(thetas.reshape(-1, n_seg, na),
-                   parameterization.lo, parameterization.hi)
+    return thetas.reshape(-1, n_seg, na).clip(parameterization.lo,
+                                              parameterization.hi)
 
 
-def zoh_control(theta, parameterization: ControlParameterization):
-    """Decode one decision vector for the rollout loop.
+def _segment_of_step(n_steps: int, parameterization: ControlParameterization):
+    """The segment each of n_steps physics steps applies: step k reads
+    segment k // steps_per_segment, and steps past the horizon hold the
+    last segment."""
+    return np.minimum(np.arange(n_steps) // parameterization.steps_per_segment,
+                      parameterization.n_segments - 1)
 
-    Returns (steps_per_segment, rows): rows[j] is segment j's control row,
-    a tuple of floats clipped to the control box, and physics step k reads
-    rows[min(k // steps_per_segment, len(rows) - 1)], so steps past the
-    horizon hold the last segment. Validation and decoding are _zoh_table's,
-    shared with rollout_batch.
+
+def zoh_control(theta, parameterization: ControlParameterization, n_steps: int):
+    """Decode one decision vector for a rollout of n_steps physics steps.
+
+    Returns the (n_steps, n_actuators) array whose row k is the control row
+    physics step k applies, the segment _segment_of_step gives it, clipped
+    to the control box. Validation and decoding are _zoh_table's, shared
+    with rollout_batch.
     """
-    table = _zoh_table(np.reshape(theta, (1, -1)), parameterization)
-    return (parameterization.steps_per_segment,
-            list(map(tuple, table[0].tolist())))
+    table = _zoh_table(np.asarray(theta, dtype=float).reshape(1, -1),
+                       parameterization)[0]
+    return table[_segment_of_step(n_steps, parameterization)]
 
 
 def _rows(flat, n):
     """A flat list of per-step floats as an array of n rows."""
-    return np.array(flat, dtype=float).reshape(n, -1)
+    return np.fromiter(flat, float, len(flat)).reshape(n, -1)
 
 
 def _horizon_steps(task, duration) -> int:
@@ -225,35 +236,62 @@ def rollout(task, controller, theta, parameterization: ControlParameterization,
             ball0: BallState | None = None,
             duration: float | None = None) -> RolloutResult:
     """Simulate one episode of `task` under `controller` and decision vector
-    `theta`, the input rollout_batch takes one row of.
+    `theta`, the input rollout_batch takes one row of, and score it.
 
     The arm and the actuator state advance at the physics timestep DT_SIM.
-    theta is decoded once by zoh_control; physics step k applies segment
-    k // steps_per_segment, and steps past the parameterization's horizon
-    hold its last segment. The episode lasts `duration` (the task's own
-    when None), whatever the horizon. Mass-type perturbations are folded
-    into the plant parameters; a pendulum perturbation is co-simulated and
-    coupled through cable tension. A non-finite state marks the rollout
-    diverged with the sentinel cost, and so does a step whose math.cos or
-    math.sin meets an overflowed angle (the samples it did not record are
-    NaN), which rollout_batch, where np.cos gives NaN, scores the same.
+    theta is decoded once, for every step, by zoh_control; physics step k
+    applies segment k // steps_per_segment, and steps past the
+    parameterization's horizon hold its last segment. The episode lasts
+    `duration` (the task's own when None), whatever the horizon.
+    Mass-type perturbations are folded into the plant parameters; a
+    pendulum perturbation is co-simulated and coupled through cable
+    tension. A non-finite state marks the rollout diverged with the
+    sentinel cost, and so does a step whose math.cos or math.sin meets an
+    overflowed angle (the samples it did not record are NaN), which
+    rollout_batch, where np.cos gives NaN, scores the same. Any other
+    episode is scored by the task's cost, or its window_cost when
+    `duration` is shorter than the task's.
 
     The actuator state starts as controller_state (a state row, the
     controller's state0 when None) and ends as the result's
-    controller_state. Each step appends its values to one flat list of
-    floats per field, and every RolloutResult array is built from its list
-    once the episode ends.
+    controller_state. _simulate runs the episode; this function adds the
+    score.
     """
     params = params or ArmParams()
+    result = _simulate(task, controller, theta, parameterization, params,
+                       perturbation, initial_state, controller_state, ball0,
+                       duration)
+    if not result.diverged:
+        result.cost = _score(task, result, params, duration)
+    return result
+
+
+def _simulate(task, controller, theta, parameterization, params, perturbation,
+              initial_state, controller_state, ball0, duration) -> RolloutResult:
+    """rollout's episode without its score: the cost is SENTINEL_COST if it
+    diverged and NaN otherwise. MPC's plant segments, whose cost nothing
+    reads, run this; params is not None.
+
+    The recorder: each step appends one record of eight floats, (tau1,
+    tau2, a1, a2, th1, th2, w1, w2), to one flat list that starts with the
+    initial (th1, th2, w1, w2) and ends with a pad pair and the terminal
+    acceleration. So row j of the (steps + 1, 8) array built from the list
+    once the episode ends is sample j's th, dth, the torques of step j and
+    ddth, and th, dth, ddth and torques are column views of it. controls
+    are rows of zoh_control's per-step table. A pendulum load and a ball
+    each keep a list of their own.
+    """
     p_eff = perturbation.apply_to(params) if perturbation is not None else params
     coeffs = _Coeffs(p_eff)
     pend_pert = (perturbation if perturbation is not None
                  and perturbation.kind == "chaotic_pendulum" else None)
 
-    steps_per_seg, rows = zoh_control(theta, parameterization)
-    last = len(rows) - 1
     n = _horizon_steps(task, duration)
+    controls = zoh_control(theta, parameterization, n)
     dt = DT_SIM
+    check_step = getattr(controller, "check_step", None)
+    if check_step is not None:
+        check_step(dt)
     state = initial_state if initial_state is not None else task.initial_state()
     th1, th2 = state.th1, state.th2
     w1, w2 = state.dth1, state.dth2
@@ -267,9 +305,9 @@ def rollout(task, controller, theta, parameterization: ControlParameterization,
         ball = BallState(**vars(b))
         contact_radius = task.contact_radius
 
-    # one flat list of floats per field; numpy converts a flat list about
-    # ten times faster than a list of row tuples
-    th, dth, ddth, controls, torques = [th1, th2], [w1, w2], [], [], []
+    # numpy converts a flat list of floats about ten times faster than a
+    # list of row tuples
+    rec = [th1, th2, w1, w2]
     pend = [phi_p, dphi_p] if pend_pert is not None else None
     balls = [ball.x, ball.z, ball.dx, ball.dz] if ball is not None else None
 
@@ -284,22 +322,20 @@ def rollout(task, controller, theta, parameterization: ControlParameterization,
     tau1 = tau2 = 0.0
 
     try:
-        for k in range(n):
-            u = rows[min(k // steps_per_seg, last)]
+        for k, u in enumerate(controls.tolist()):
             tau1, tau2, cstate = torques_of(cstate, th1, th2, w1, w2, u, dt)
-            t1, t2 = tau1, tau2
-            if pend_pert is not None:
+            if pend_pert is None:
+                th1, th2, w1, w2, a1, a2 = symp_step(coeffs, th1, th2, w1, w2,
+                                                     tau1, tau2, dt)
+            else:
                 t1, t2, phi_p, dphi_p = _pendulum_step(
-                    coeffs, th1, th2, w1, w2, t1, t2, pend_pert, phi_p, dphi_p, dt)
-            th1, th2, w1, w2, a1, a2 = symp_step(coeffs, th1, th2, w1, w2, t1, t2, dt)
-            ddth += (a1, a2)
-            controls += u
-            torques += (tau1, tau2)
-            steps = k + 1
-            th += (th1, th2)
-            dth += (w1, w2)
-            if pend is not None:
+                    coeffs, th1, th2, w1, w2, tau1, tau2, pend_pert, phi_p,
+                    dphi_p, dt)
+                th1, th2, w1, w2, a1, a2 = symp_step(coeffs, th1, th2, w1, w2,
+                                                     t1, t2, dt)
                 pend += (phi_p, dphi_p)
+            rec += (tau1, tau2, a1, a2, th1, th2, w1, w2)
+            steps = k + 1
             if ball is not None:
                 hx, hz, hvx, hvz = _hand(coeffs, th1, th2, w1, w2)
                 ball = ball_step(ball, (hx, hz), (hvx, hvz), dt, g=p_eff.g,
@@ -316,43 +352,42 @@ def rollout(task, controller, theta, parameterization: ControlParameterization,
                 break
     except (ValueError, OverflowError) as exc:
         # math.cos of an overflowed angle raises "math domain error" inside
-        # the step, where rollout_batch's np.cos gives NaN: step k diverged,
-        # and what it did not record is NaN. Any other ValueError, such as
-        # a controller's filter too fast for the step, is not divergence.
+        # the step, where rollout_batch's np.cos gives NaN: step k
+        # diverged, and what it did not record is NaN, its control included.
+        # Any other ValueError, such as a controller's filter too fast for
+        # the step, is not divergence.
         if isinstance(exc, ValueError) and str(exc) != "math domain error":
             raise
         diverged, termination, steps = True, "diverged", k + 1
-        for flat, size in ((th, 2 * steps + 2), (dth, 2 * steps + 2),
-                           (pend, 2 * steps + 2), (balls, 4 * steps + 4),
-                           (ddth, 2 * steps), (torques, 2 * steps),
-                           (controls, len(u) * steps)):
+        if len(rec) < 8 * steps + 4:            # raised before its record
+            rec += [math.nan] * 8
+            controls = controls[:steps].copy()
+            controls[-1] = math.nan
+        for flat, size in ((pend, 2 * steps + 2), (balls, 4 * steps + 4)):
             if flat is not None:
                 flat += [math.nan] * (size - len(flat))
 
+    # the last row's torque pair is a pad; its ddth is the terminal
+    # sample's acceleration, the last step's again when the run diverged
     if diverged:
-        ddth += ddth[-2:]
+        a1, a2 = rec[-6], rec[-5]
+    elif pend_pert is not None:
+        _, _, _, a1, a2 = _pendulum_forces(
+            coeffs, th1, th2, w1, w2, tau1, tau2, pend_pert, phi_p, dphi_p)
     else:
-        if pend_pert is not None:
-            _, _, _, a1, a2 = _pendulum_forces(
-                coeffs, th1, th2, w1, w2, tau1, tau2, pend_pert, phi_p, dphi_p)
-        else:
-            a1, a2 = _accel(coeffs, th1, th2, w1, w2, tau1, tau2)
-        ddth += (a1, a2)
+        a1, a2 = _accel(coeffs, th1, th2, w1, w2, tau1, tau2)
+    rec += (math.nan, math.nan, a1, a2)
+    samples = _rows(rec, steps + 1)
 
-    result = RolloutResult(
-        dt=dt,
-        t=t0 + dt * np.arange(steps + 1),
-        th=_rows(th, steps + 1), dth=_rows(dth, steps + 1),
-        ddth=_rows(ddth, steps + 1),
-        controls=_rows(controls, steps), torques=_rows(torques, steps),
+    return RolloutResult(
+        dt=dt, t=t0 + dt * np.arange(steps + 1),
+        th=samples[:, 0:2], dth=samples[:, 2:4], ddth=samples[:, 6:8],
+        controls=controls[:steps], torques=samples[:steps, 4:6],
         controller_state=cstate,
         ball=_rows(balls, steps + 1) if balls is not None else None,
         pend=_rows(pend, steps + 1) if pend is not None else None,
-        cost=SENTINEL_COST, diverged=diverged, termination=termination,
-        steps=steps)
-    if not diverged:
-        result.cost = _score(task, result, params, duration)
-    return result
+        cost=SENTINEL_COST if diverged else math.nan, diverged=diverged,
+        termination=termination, steps=steps)
 
 
 def _state_row(controller, controller_state) -> tuple:
@@ -427,8 +462,7 @@ def rollout_batch(task, controller, thetas, parameterization: ControlParameteriz
 
     # per segment, an (n_actuators, population) block of controls
     blocks = list(np.ascontiguousarray(table.transpose(1, 2, 0)))
-    segment = np.minimum(np.arange(n) // parameterization.steps_per_segment,
-                         len(blocks) - 1)
+    segment = _segment_of_step(n, parameterization)
     th1, th2 = np.full(lam, state.th1), np.full(lam, state.th2)
     w1, w2 = np.full(lam, state.dth1), np.full(lam, state.dth2)
     # row i's samples are th[i], a contiguous (n + 1, 2) trajectory; each
@@ -557,19 +591,19 @@ def mpc_run(task, controller, mpc: MpcConfig,
 
     The plant feels the full perturbation; the prediction model only includes
     it when perturbation.visible_to_prediction is set. At each control step
-    the plant runs the plan for one segment (a rollout of the plan that
-    lasts mpc.resolution, so only its first segment is read), the plan is
-    shifted (last segment duplicated), and a pattern search with a fixed
-    evaluation budget refines it against the prediction model from the
-    latest plant snapshot: the arm state and the actuator state row the
-    executed segment ended in. Plant and prediction share one controller,
-    which holds parameters only. The window is the controller's OC
-    parameterization (parameterization_for) with horizon mpc.t_pred. The
-    warm start is CMA-ES from the middle of the control box with mpc.warm
-    (step size WARM_SIGMA0), and it scores each generation with
-    rollout_batch; the refinement starts at radius REFINE_RADIUS, and it
-    and the plant segments use the scalar rollout. mpc.resolution must be
-    a whole multiple of DT_SIM and divide the task's horizon (ValueError
+    the plant runs the plan for one segment (an unscored rollout, _simulate,
+    of the plan that lasts mpc.resolution, so only its first segment is
+    read), the plan is shifted (last segment duplicated), and a pattern
+    search with a fixed evaluation budget refines it against the prediction
+    model from the latest plant snapshot: the arm state and the actuator
+    state row the executed segment ended in. Plant and prediction share
+    one controller, which holds parameters only. The window is the
+    controller's OC parameterization (parameterization_for) with horizon
+    mpc.t_pred. The warm start is CMA-ES from the middle of the control box
+    with mpc.warm (step size WARM_SIGMA0), and it scores each generation
+    with rollout_batch; the refinement starts at radius REFINE_RADIUS and
+    scores each window with the scalar rollout. mpc.resolution must be a
+    whole multiple of DT_SIM and divide the task's horizon (ValueError
     before any work otherwise).
 
     The executed trajectory is one rollout, from the task's initial state,
@@ -614,10 +648,8 @@ def mpc_run(task, controller, mpc: MpcConfig,
     for k in range(n_ctrl):
         plans.append(plan.copy())
         step_evals.append(evals)
-        seg = rollout(task, controller, plan, par, params=params,
-                      perturbation=perturbation, initial_state=state,
-                      controller_state=ctrl_state, ball0=ball,
-                      duration=mpc.resolution)
+        seg = _simulate(task, controller, plan, par, params, perturbation,
+                        state, ctrl_state, ball, mpc.resolution)
         state, ctrl_state = seg.final_state, seg.controller_state
         if ball is not None:
             bx, bz, bdx, bdz = seg.ball[-1]

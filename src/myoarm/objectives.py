@@ -62,9 +62,9 @@ def jerk_from_accel(ddth: np.ndarray) -> np.ndarray:
     """
     ddth = np.asarray(ddth, dtype=float)
     n = ddth.shape[0]
-    out = np.zeros_like(ddth)
     if n < 2:
-        return out
+        return np.zeros_like(ddth)
+    out = np.empty_like(ddth)
     out[1:-1] = (ddth[2:] - ddth[:-2]) / 2.0
     out[0] = ddth[1] - ddth[0]
     out[-1] = ddth[-1] - ddth[-2]
@@ -135,15 +135,14 @@ class SmoothReaching:
         return (c_th + c_dth + (self._jerk_gain * jerk) ** 2).sum(axis=-1)
 
     def _cost(self, th, dth, ddth, dt, min_duration) -> float:
-        th = np.atleast_2d(np.asarray(th, dtype=float))
+        """The summed stages of (n, 2) float arrays th, dth and ddth, as a
+        RolloutResult holds them."""
         n = th.shape[0]
         if min_duration is not None and (n - 1) * dt < min_duration - 1e-9:
             raise ValueError(
                 f"trajectory spans {(n - 1) * dt:.4f} s, shorter than the "
                 f"required {min_duration} s horizon")
-        jerk = jerk_from_accel(np.atleast_2d(ddth))
-        dth = np.atleast_2d(np.asarray(dth, dtype=float))
-        return float(self._stage(th, dth, jerk).sum())
+        return float(self._stage(th, dth, jerk_from_accel(ddth)).sum())
 
     def initial_state(self) -> ArmState:
         return ArmState(th1=-0.5 * math.pi, th2=0.0)
@@ -156,9 +155,7 @@ class SmoothReaching:
         return self._cost(traj.th, traj.dth, traj.ddth, traj.dt, None)
 
     def stage_series(self, traj, params: ArmParams) -> np.ndarray:
-        return self._stage(np.asarray(traj.th, dtype=float),
-                           np.asarray(traj.dth, dtype=float),
-                           jerk_from_accel(traj.ddth))
+        return self._stage(traj.th, traj.dth, jerk_from_accel(traj.ddth))
 
 
 @dataclass

@@ -9,6 +9,7 @@ accelerations below are written out from the link geometry, not taken from
 myoarm.arm's kernels. The muscle curves and the first-order activation
 step are written out here too, one function each, and import nothing;
 muscle_joint_torque composes the curves into an antagonistic pair's torque.
+torque_actuator is the ideal torque source of one joint.
 """
 
 import math
@@ -236,6 +237,16 @@ def force_passive(l: float) -> float:
         return 0.0
     x = (l - 1.0) / 0.6
     return 1.3 * x * x
+
+
+def torque_actuator(u: float, tau_max: float) -> float:
+    """Ideal torque source: tau = tau_max * u, u clamped to [-1, 1] (NaN
+    passes through)."""
+    if u < -1.0:
+        u = -1.0
+    elif u > 1.0:
+        u = 1.0
+    return tau_max * u
 
 
 def muscle_joint_torque(phi: float, dphi: float, a1: float, a2: float, mp,

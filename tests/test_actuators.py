@@ -16,9 +16,9 @@ from myoarm.actuators import (AblationFlags, FV_MAX, HatzeParams,
                               LowPassController, MuscleController,
                               MuscleParams, PDController, TorqueController,
                               derive_linear_map, hatze_activation_step,
-                              lowpass_step, make_controller, pd_control,
-                              torque_actuator)
-from myoarm.control import parameterization_for, rollout
+                              lowpass_step, make_controller, pd_control)
+from myoarm import control
+from myoarm.control import parameterization_for, rollout, rollout_batch
 from myoarm.objectives import SmoothReaching
 from oracles import (activation_exact, activation_step, fiber_kinematics,
                      force_length, force_passive, force_velocity,
@@ -280,18 +280,23 @@ def test_mirror_symmetry_of_the_antagonistic_pair():
 
 
 def test_torque_actuator_scales_linearly(caplog):
-    assert torque_actuator(0.0, 30.0) == 0.0
-    assert torque_actuator(1.0, 30.0) == 30.0
+    ctrl = TorqueController(tau_max=(30.0, 20.0))
+
+    def torques(u1, u2):
+        return ctrl.torques(ctrl.state0, 0.0, 0.0, 0.0, 0.0, (u1, u2), 0.005)
+
+    assert torques(0.0, 0.0) == (0.0, 0.0, ())
+    assert torques(1.0, -1.0) == (30.0, -20.0, ())
     rng = np.random.default_rng(5)
     for _ in range(50):
         u = rng.uniform(-1.0, 1.0)
         alpha = rng.uniform(-1.0, 1.0)
         if abs(alpha * u) <= 1.0:
-            assert torque_actuator(alpha * u, 30.0) == pytest.approx(
-                alpha * torque_actuator(u, 30.0), rel=1e-12, abs=1e-12)
+            assert torques(alpha * u, 0.0)[0] == pytest.approx(
+                alpha * torques(u, 0.0)[0], rel=1e-12, abs=1e-12)
     with caplog.at_level("WARNING"):
-        assert torque_actuator(2.0, 30.0) == 30.0
-    assert "clamped" in caplog.text
+        assert torques(2.0, -3.0) == (30.0, -20.0, ())
+    assert caplog.text.count("clamped") == 2
 
 
 def test_pd_law_anchor_values():
@@ -350,7 +355,7 @@ def test_lowpass_rejects_a_filter_faster_than_half_the_step():
     assert runs == [5.0, -15.0, 65.0]
     fast = LowPassController(dt_filter=0.001)
     with pytest.raises(ValueError, match="dt_filter"):
-        fast.torques(fast.state0, 0.0, 0.0, 0.0, 0.0, (1.0, 1.0), 0.005)
+        fast.check_step(0.005)
     with pytest.raises(ValueError, match="dt_filter"):
         fast.batch_torques(0.005)
     with pytest.raises(ValueError, match="dt_filter"):
@@ -358,8 +363,33 @@ def test_lowpass_rejects_a_filter_faster_than_half_the_step():
         rollout(task, fast, np.ones(2), parameterization_for(task, fast, 0.05))
     # at gain 2 exactly the filter is marginally stable, and accepted
     edge = LowPassController(dt_filter=0.0025)
+    edge.check_step(0.005)
     assert edge.torques(edge.state0, 0.0, 0.0, 0.0, 0.0, (1.0, 1.0), 0.005)[2] == (2.0, 2.0)
     edge.batch_torques(0.005)
+
+
+def test_rollouts_refuse_a_fast_filter_before_the_first_step(monkeypatch):
+    # torques no longer checks the step at every step: the rollouts check
+    # it once, and must do so before the arm or the filter moves
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(control, "_symp_step", counted(control._symp_step))
+    monkeypatch.setattr(control, "_batch_step", counted(control._batch_step))
+    fast = LowPassController(dt_filter=0.001)
+    monkeypatch.setattr(fast, "torques", counted(fast.torques))
+    task = SmoothReaching(duration=0.05)
+    par = parameterization_for(task, fast, 0.05)
+    with pytest.raises(ValueError, match="below half the step"):
+        rollout(task, fast, np.ones(2), par)
+    with pytest.raises(ValueError, match="below half the step"):
+        rollout_batch(task, fast, np.ones((3, 2)), par)
+    assert calls == []
 
 
 def test_controller_factory_and_control_dimensions():

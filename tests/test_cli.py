@@ -34,6 +34,16 @@ class TestUsageErrors:
         assert run_cli("simulate", "--frobnicate") == 1
         assert "usage" in capsys.readouterr().err
 
+    def test_mpc_refuses_c(self, tmp_path, capsys):
+        # mpc's control step is --resolution; it used to accept --c and
+        # read it nowhere
+        assert run_cli("mpc", "--c", "5", "--tpred", "0.02",
+                       "--population", "4", "--warm-generations", "1",
+                       "--refine-budget", "1",
+                       "--out", str(tmp_path / "out")) == 1
+        assert "unrecognized arguments: --c" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_task(self, capsys):
         assert run_cli("simulate", "--task", "juggling") == 1
         assert "error" in capsys.readouterr().err

@@ -1,15 +1,17 @@
 """Bit-exact properties of the scalar hot path.
 
-The symplectic step, the muscle kernel, the smooth-reach cost and the
+The symplectic step, the actuator kernels, the smooth-reach cost and the
 rollout recorder are written for speed: inlined helpers, hoisted lookups,
-constants converted once, per-step lists turned into arrays once. Each is
-checked here against a reference composed from the plain building blocks,
-written the straightforward way, and compared with `==`: the fast forms
-keep every floating-point operation, so not one bit may differ. The
-muscle kernel (MuscleController.torques, one straight-line function) is
-held to the oracle curves and activation step of tests/oracles.py, composed
-per joint by oracles.muscle_joint_torque; the smooth-reach cost to
-oracles.smooth_reach_stages.
+exact sign identities in place of negations, constants converted once, one
+record per step turned into one array once. Each is checked here against
+a reference composed from the plain building blocks, written the
+straightforward way, and compared with `==`: the fast forms keep every
+floating-point operation, so not one bit may differ. The muscle kernel
+(MuscleController.torques, one straight-line function) is held to the
+oracle curves and activation step of tests/oracles.py, composed per joint
+by oracles.muscle_joint_torque; the torque kernel to oracles.torque_actuator;
+the smooth-reach cost to oracles.smooth_reach_stages. The array form of the
+step, rollout_batch's, is held to the scalar one element by element.
 """
 
 import math
@@ -17,12 +19,13 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from myoarm.actuators import (AblationFlags, HatzeParams, MuscleController,
-                              MuscleParams, hatze_activation_step,
-                              make_controller)
+                              MuscleParams, TorqueController,
+                              hatze_activation_step, make_controller)
 from myoarm.arm import (ArmParams, ArmState, Perturbation, _accel,
                         _bias, _Coeffs, _hand, _jacobian, _mass_matrix,
                         _pendulum_forces, _symp_step, ball_step, hand_position)
@@ -33,7 +36,8 @@ from myoarm.harness import _task_for
 from myoarm.objectives import (ObjectiveWeights, PreciseReaching, ReachTarget,
                                SmoothReaching, make_task)
 from oracles import (activation_step, fiber_kinematics, muscle_joint_torque,
-                     smooth_reach_stages)
+                     smooth_reach_stages, torque_actuator)
+from test_batch import TRIG_EXACT
 
 # no shrink phase: a failing bit-exact property reports its first
 # counterexample at once; shrinking one took minutes
@@ -104,7 +108,53 @@ def test_symp_step_equals_its_composed_reference(p, th, w, tau, dt):
     assert _symp_step(*args) == symp_step_reference(*args)
 
 
-# -- the muscle kernel -----------------------------------------------------
+# angles past any physical range, infinite and NaN ones included
+wild_angles = st.one_of(finite(-1e300, 1e300),
+                        st.sampled_from([math.inf, -math.inf, math.nan]))
+
+
+@EXACT
+@given(p=arm_params(),
+       rows=st.lists(st.tuples(wild_angles, wild_angles,
+                               *[finite(-1e300, 1e300)] * 4),
+                     min_size=1, max_size=20),
+       dt=finite(1e-4, 0.02))
+def test_array_step_matches_the_scalar_step_element_by_element(p, rows, dt):
+    # rollout_batch's step: the same body on arrays with np.cos/np.sin.
+    # Where math.cos or math.sin meets an infinite angle the scalar step
+    # raises (rollout's divergence) and np.cos gives NaN, so the row's
+    # state must not be finite; elsewhere each output is finite exactly
+    # where the scalar one is, and equal to it where the trig functions are
+    c = _Coeffs(p)
+    columns = [np.array(col) for col in zip(*rows)]
+    with np.errstate(all="ignore"):
+        got = _symp_step(c, *columns, dt, cos=np.cos, sin=np.sin)
+    for i, row in enumerate(rows):
+        mine = [float(x[i]) for x in got]
+        try:
+            want = _symp_step(c, *row, dt)
+        except ValueError as exc:
+            assert str(exc) == "math domain error"
+            assert not all(map(math.isfinite, mine[:4]))
+            continue
+        assert list(map(math.isfinite, mine)) == list(map(math.isfinite, want))
+        if TRIG_EXACT:
+            assert all(a == b or (math.isnan(a) and math.isnan(b))
+                       for a, b in zip(mine, want))
+
+
+# -- the actuator kernels --------------------------------------------------
+
+@EXACT
+@given(tau_max=st.tuples(finite(0.1, 100.0), finite(0.1, 100.0)),
+       u=st.tuples(finite(-3.0, 3.0), finite(-3.0, 3.0)))
+def test_torque_kernel_equals_the_torque_source_per_joint(tau_max, u):
+    # commands reach past [-1, 1] to cover the inlined clamp
+    ctrl = TorqueController(tau_max=tau_max)
+    assert ctrl.torques(ctrl.state0, 0.0, 0.0, 0.0, 0.0, u, DT_SIM) == (
+        torque_actuator(u[0], tau_max[0]), torque_actuator(u[1], tau_max[1]),
+        ())
+
 
 def torques_reference(ctrl, acts, gammas, th1, th2, w1, w2, u, dt):
     """One MuscleController step composed from the public step functions.
@@ -155,7 +205,8 @@ muscle_steps = st.lists(
        model=st.sampled_from(["first_order", "hatze"]),
        hatze=st.builds(HatzeParams, m_h=finite(1.0, 50.0), nu=finite(1.0, 4.0),
                        rho_scale=finite(1.0, 10.0)),
-       steps=muscle_steps, dt=finite(1e-3, 0.02))
+       steps=muscle_steps,
+       dt=st.one_of(st.just(DT_SIM), finite(1e-3, 0.02)))
 def test_muscle_kernel_equals_the_composed_step_functions(
         shoulder, elbow, flags, model, hatze, steps, dt):
     ctrl = MuscleController(shoulder=shoulder, elbow=elbow, flags=flags,
@@ -252,7 +303,10 @@ def test_a_harness_task_scores_with_its_weight_overrides(overrides, second, traj
 def rollout_reference(task, controller, theta, par, params=None,
                       perturbation=None, initial_state=None):
     """rollout's trajectory arrays from a plain step-by-step loop at DT_SIM,
-    with the decision vector decoded by a plain reshape and clip."""
+    with the decision vector decoded by a plain reshape and clip, recorded
+    one list of rows per field. A step whose math.cos or math.sin meets an
+    overflowed angle raises "math domain error"; the step diverged, and
+    every row it did not record is NaN."""
     plan = np.clip(np.reshape(theta, (par.n_segments, par.n_actuators)),
                    par.lo, par.hi).tolist()
     dt = DT_SIM
@@ -277,38 +331,49 @@ def rollout_reference(task, controller, theta, par, params=None,
     diverged = False
     termination = "horizon"
     tau = (0.0, 0.0)
-    for k in range(round(task.duration / dt)):
-        u = plan[min(k // steps_per_segment, len(plan) - 1)]
-        *tau, row = controller.torques(row, th1, th2, w1, w2, u, dt)
-        t1, t2 = tau
-        if pend is not None:
-            fx, fz, ddphi, _, _ = _pendulum_forces(c, th1, th2, w1, w2, *tau,
-                                                   pend, phi, dphi)
-            j11, j12, j21, j22 = _jacobian(c, th1, th2)
-            t1 += j11 * fx + j21 * fz
-            t2 += j12 * fx + j22 * fz
-            dphi = dphi + dt * ddphi
-            phi = phi + dt * dphi
-        th1, th2, w1, w2, a1, a2 = symp_step_reference(c, th1, th2, w1, w2,
-                                                       t1, t2, dt)
-        out["ddth"].append([a1, a2])
-        out["controls"].append(list(u))
-        out["torques"].append(list(tau))
-        out["th"].append([th1, th2])
-        out["dth"].append([w1, w2])
-        out["pend"].append([phi, dphi])
-        if ball is not None:
-            hx, hz, hvx, hvz = _hand(c, th1, th2, w1, w2)
-            ball = ball_step(ball, (hx, hz), (hvx, hvz), dt, g=p_eff.g,
-                             contact_radius=task.contact_radius)
-            out["ball"].append([ball.x, ball.z, ball.dx, ball.dz])
-        if not all(math.isfinite(v) for v in (th1, th2, w1, w2)):
-            diverged, termination = True, "diverged"
-            break
-        if getattr(task, "terminal_threshold", None) is not None and task.is_done(
-                ArmState(th1, th2, w1, w2, t=s.t + (k + 1) * dt), params):
-            termination = "goal"
-            break
+    try:
+        for k in range(round(task.duration / dt)):
+            u = plan[min(k // steps_per_segment, len(plan) - 1)]
+            *tau, row = controller.torques(row, th1, th2, w1, w2, u, dt)
+            t1, t2 = tau
+            if pend is not None:
+                fx, fz, ddphi, _, _ = _pendulum_forces(c, th1, th2, w1, w2,
+                                                       *tau, pend, phi, dphi)
+                j11, j12, j21, j22 = _jacobian(c, th1, th2)
+                t1 += j11 * fx + j21 * fz
+                t2 += j12 * fx + j22 * fz
+                dphi = dphi + dt * ddphi
+                phi = phi + dt * dphi
+            th1, th2, w1, w2, a1, a2 = symp_step_reference(c, th1, th2, w1,
+                                                           w2, t1, t2, dt)
+            out["ddth"].append([a1, a2])
+            out["controls"].append(list(u))
+            out["torques"].append(list(tau))
+            out["th"].append([th1, th2])
+            out["dth"].append([w1, w2])
+            out["pend"].append([phi, dphi])
+            if ball is not None:
+                hx, hz, hvx, hvz = _hand(c, th1, th2, w1, w2)
+                ball = ball_step(ball, (hx, hz), (hvx, hvz), dt, g=p_eff.g,
+                                 contact_radius=task.contact_radius)
+                out["ball"].append([ball.x, ball.z, ball.dx, ball.dz])
+            if not all(math.isfinite(v) for v in (th1, th2, w1, w2)):
+                diverged, termination = True, "diverged"
+                break
+            if getattr(task, "terminal_threshold", None) is not None and task.is_done(
+                    ArmState(th1, th2, w1, w2, t=s.t + (k + 1) * dt), params):
+                termination = "goal"
+                break
+    except ValueError as exc:
+        if str(exc) != "math domain error":
+            raise
+        diverged, termination = True, "diverged"
+        for name, n_rows, width in (
+                ("th", k + 2, 2), ("dth", k + 2, 2), ("pend", k + 2, 2),
+                ("ball", k + 2 if ball is not None else 0, 4),
+                ("ddth", k + 1, 2), ("controls", k + 1, len(u)),
+                ("torques", k + 1, 2)):
+            out[name] += [[math.nan] * width] * (n_rows - len(out[name]))
     if diverged:
         out["ddth"].append(out["ddth"][-1])
     elif pend is not None:
@@ -404,6 +469,21 @@ def test_rollout_stops_at_the_goal(morph, seed, goal_step):
     res = rollout(task, ctrl, *plan)
     assert res.termination == "goal" and res.steps <= goal_step
     assert_rollout_matches(res, rollout_reference(task, ctrl, *plan))
+
+
+@pytest.mark.parametrize("seed", [4, 19])
+def test_rollout_records_a_step_that_overflows(seed):
+    # the angle overflows inside a step (`myoarm simulate --task
+    # precise-reach --morphology lowpass-fast --c 0.3 --seed 4`), so
+    # math.cos raises: the step's row is NaN, its control and torques too
+    task = make_task("precise-reach", seed=seed)
+    ctrl = make_controller("lowpass-fast")
+    par = parameterization_for(task, ctrl, 0.3)
+    theta = np.random.default_rng(seed).uniform(par.lo, par.hi, par.dim)
+    res = rollout(task, ctrl, theta, par)
+    assert res.diverged and res.cost == SENTINEL_COST
+    assert np.isnan(res.controls[-1]).all() and np.isnan(res.ddth[-2:]).all()
+    assert_rollout_matches(res, rollout_reference(task, ctrl, theta, par))
 
 
 @ROLLOUTS

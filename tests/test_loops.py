@@ -484,6 +484,23 @@ class TestMpc:
             cfg.warm_population * cfg.warm_generations + k
             for k in range(n_ctrl)]
 
+    def test_only_the_evaluations_are_scored(self, monkeypatch):
+        # each window cost the run computes is one counted evaluation (a
+        # tiny smooth-reach run diverges in no window); the plant segments
+        # used to be scored too, and nothing read their costs
+        real = SmoothReaching.window_cost
+        scored = []
+
+        def counted(task, traj, params):
+            scored.append(traj.steps)
+            return real(task, traj, params)
+
+        monkeypatch.setattr(SmoothReaching, "window_cost", counted)
+        cfg = tiny_mpc(seed=2)
+        res = mpc_run(SmoothReaching(), TorqueController(), cfg)
+        assert len(scored) == res.step_evals[-1]
+        assert set(scored) == {round(cfg.t_pred / DT_SIM)}
+
     def test_budget_parity(self):
         task = SmoothReaching()
         a = mpc_run(task, MuscleController(), tiny_mpc(seed=7))
