@@ -3,18 +3,23 @@
 Four interchangeable controller families share one interface: an
 antagonistic muscle pair per joint, an ideal torque source, a PD position
 controller in front of the torque source, and a low-pass filtered torque
-source. All internal actuator states advance at the physics timestep.
+source. All internal actuator states advance at the one physics timestep,
+DT_SIM.
 
 A controller is a plain parameter object: it declares n_controls, its
 control box [lo, hi] and state0, and holds no state of its own. Actuator
 state is one tuple of floats, the state row, which a rollout carries from
-step to step: torques(state, th1, th2, w1, w2, u, dt) returns
-(tau1, tau2, next_state). state0 is the row at rest: four zeros for the
-muscle pair (the activities under first-order activation, the free-calcium
-states under the Hatze model), the two filtered commands (0.0, 0.0) for the
-low-pass family, and () for the torque and PD families. A controller whose
-step size is limited (the low-pass family) also has check_step(dt), which
-the rollouts call once, before their first step.
+step to step: torques(state, th1, th2, w1, w2, u) advances it by one
+DT_SIM step and returns (tau1, tau2, next_state). state0 is the row at
+rest: four zeros for the muscle pair (the activities under first-order
+activation, the free-calcium states under the Hatze model), the two
+filtered commands (0.0, 0.0) for the low-pass family, and () for the
+torque and PD families. The control u is already in the box: the decode
+(control.zoh_control) is the one place that clips a plan to [lo, hi], so
+no controller clips or checks its controls again. Whatever depends on the
+step alone (the muscle decay factors, the low-pass gain) is fixed when the
+controller is built, and a low-pass filter too fast for the step is
+refused then.
 
 MuscleController.torques is one straight-line kernel: the four activation
 updates written out, each joint's parameters read once, and the pair
@@ -25,7 +30,7 @@ muscle_joint_torque, lives in tests/oracles.py, which test_kernels holds
 the kernel to bit for bit.
 
 Each controller also has an array form of `torques`, made by
-batch_torques(dt), for control.rollout_batch: it advances a whole
+batch_torques(), for control.rollout_batch: it advances a whole
 population in lockstep, with the state rows as the columns of a
 (len(state0), population) array that the step updates in place. Branches
 become np.maximum/np.minimum/np.where forms over the same operations, so
@@ -34,15 +39,12 @@ Hatze activation model has no array form (np.power and ** differ in the
 last bit); rollout_batch runs it through the scalar rollout instead.
 """
 
-import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .control import DT_SIM
-
-log = logging.getLogger(__name__)
 
 FV_MAX = 1.35          # eccentric force plateau
 _FV_KNEE = 0.25        # curvature constant of the shortening branch
@@ -72,21 +74,6 @@ def derive_linear_map(phi_min: float, phi_max: float, l_min: float, l_max: float
     return m1, l_ref1, m2, l_ref2
 
 
-def _clamp_excitation(u: float) -> float:
-    """Nearest end of [0, 1] for an excitation outside it, with a warning.
-
-    NaN maps to 1.0; zoh_control rejects non-finite decision vectors before
-    they reach a controller.
-    """
-    log.warning("excitation %.6g outside [0, 1]; clamped", u)
-    return 0.0 if u < 0.0 else 1.0
-
-
-def lowpass_step(a: float, u: float, dt: float, dt_filter: float) -> float:
-    """Euler update of the filtered torque command: a' = a + (dt/dt_filter)(u - a)."""
-    return a + (dt / dt_filter) * (u - a)
-
-
 @dataclass
 class HatzeParams:
     """Constants of the calcium-kinetics activation variant."""
@@ -102,12 +89,12 @@ def hatze_activation_step(gamma: float, u: float, l_ce: float, dt: float,
     """One Euler step of the free-calcium state plus the static activity map.
 
     Returns (gamma', a) with a = (a0 + w) / (1 + w), w = (gamma' * rho(l_ce))^nu.
-    a is confined to [a0, 1) for gamma >= 0 and is monotone in gamma.
+    gamma' is clipped to [0, 1], so a is confined to [a0, 1) and is monotone
+    in gamma. The excitation u is taken as it comes; a rollout's is in
+    [0, 1] already.
     """
     if not (math.isfinite(gamma) and math.isfinite(u) and math.isfinite(l_ce)):
         raise ValueError("non-finite input to the activation update")
-    if not 0.0 <= u <= 1.0:
-        u = _clamp_excitation(u)
     gamma = gamma + dt * params.m_h * (u - gamma)
     if gamma < 0.0:
         gamma = 0.0
@@ -233,13 +220,6 @@ def _unit_clip(x, lo):
     return np.minimum(np.maximum(x, lo), 1.0)
 
 
-def _clamp_torque_command(u: float) -> float:
-    """Nearest end of [-1, 1] for a torque command outside it, with a
-    warning."""
-    log.warning("torque command %.6g outside [-1, 1]; clamped", u)
-    return -1.0 if u < -1.0 else 1.0
-
-
 def pd_control(q: float, dq: float, q_des: float, kp: float, kd: float) -> float:
     """Position servo against a zero-velocity reference, clamped to [-1, 1]."""
     u = kp * (q_des - q) + kd * (0.0 - dq)
@@ -273,27 +253,26 @@ class MuscleController:
             raise ValueError(f"unknown activation model {activation_model!r}")
         self.activation_model = activation_model
         self.hatze = hatze or HatzeParams()
-        # first-order activation's decay factors at the physics step
-        self._decay = (DT_SIM, math.exp(-DT_SIM / self.shoulder.tau_act),
+        # first-order activation's decay factors exp(-DT_SIM/tau_act)
+        self._decay = (math.exp(-DT_SIM / self.shoulder.tau_act),
                        math.exp(-DT_SIM / self.elbow.tau_act))
 
-    def torques(self, state, th1, th2, w1, w2, u, dt):
-        """Advance the state row one step: (tau1, tau2, next state row).
+    def torques(self, state, th1, th2, w1, w2, u):
+        """Advance the state row one DT_SIM step: (tau1, tau2, next state row).
 
-        The row holds the four activities under first-order activation (and
-        with activation dynamics ablated, where it is the clipped
-        excitations) and the four free-calcium states under the Hatze model.
-        One straight-line kernel for every AblationFlags combination and
-        both activation models: the four activation updates written out,
-        each joint's MuscleParams read once, and each joint torque
-        tau = -(m1*F1 + m2*F2) from two _fiber_force calls at the fiber
-        lengths l = m*phi + l_ref and scaled velocities v_scale*(m*dphi).
-        The first-order update is the exact discrete solution of
-        da/dt = (u - a)/tau_act for the step's constant excitation (u
-        clamped to [0, 1] with a warning, a clipped to it), with
-        exp(-dt/tau_act) taken once per joint: when the controller is
-        built for dt = DT_SIM, the step every rollout takes (so tau_act is
-        read then), and per call for any other dt; the Hatze update is
+        u holds the four excitations, already in [0, 1]. The row holds the
+        four activities under first-order activation (with activation
+        dynamics ablated, where it is the excitations themselves) and the
+        four free-calcium states under the Hatze model. One straight-line
+        kernel for every AblationFlags combination and both activation
+        models: the four activation updates written out, each joint's
+        MuscleParams read once, and each joint torque tau = -(m1*F1 + m2*F2)
+        from two _fiber_force calls at the fiber lengths l = m*phi + l_ref
+        and scaled velocities v_scale*(m*dphi). The first-order update is
+        the exact discrete solution of da/dt = (u - a)/tau_act for the
+        step's constant excitation, a clipped to [0, 1], with the decay
+        factor exp(-DT_SIM/tau_act) of each joint taken once, when the
+        controller is built (so tau_act is read then); the Hatze update is
         hatze_activation_step's. tests/oracles.py composes the same step
         from one function per curve (muscle_joint_torque there), and
         tests/test_kernels.py holds this kernel to it bit for bit.
@@ -301,33 +280,19 @@ class MuscleController:
         u1, u2, u3, u4 = u
         sh, el, flags = self.shoulder, self.elbow, self.flags
         if flags.disable_activation:
-            a1 = 0.0 if u1 < 0.0 else 1.0 if u1 > 1.0 else u1
-            a2 = 0.0 if u2 < 0.0 else 1.0 if u2 > 1.0 else u2
-            a3 = 0.0 if u3 < 0.0 else 1.0 if u3 > 1.0 else u3
-            a4 = 0.0 if u4 < 0.0 else 1.0 if u4 > 1.0 else u4
-            state = (a1, a2, a3, a4)
+            a1, a2, a3, a4 = u1, u2, u3, u4
+            state = (u1, u2, u3, u4)
         elif self.activation_model == "hatze":
             g1, g2, g3, g4 = state
             hatze = self.hatze
-            g1, a1 = hatze_activation_step(g1, u1, sh.m1 * th1 + sh.l_ref1, dt, hatze)
-            g2, a2 = hatze_activation_step(g2, u2, sh.m2 * th1 + sh.l_ref2, dt, hatze)
-            g3, a3 = hatze_activation_step(g3, u3, el.m1 * th2 + el.l_ref1, dt, hatze)
-            g4, a4 = hatze_activation_step(g4, u4, el.m2 * th2 + el.l_ref2, dt, hatze)
+            g1, a1 = hatze_activation_step(g1, u1, sh.m1 * th1 + sh.l_ref1, DT_SIM, hatze)
+            g2, a2 = hatze_activation_step(g2, u2, sh.m2 * th1 + sh.l_ref2, DT_SIM, hatze)
+            g3, a3 = hatze_activation_step(g3, u3, el.m1 * th2 + el.l_ref1, DT_SIM, hatze)
+            g4, a4 = hatze_activation_step(g4, u4, el.m2 * th2 + el.l_ref2, DT_SIM, hatze)
             state = (g1, g2, g3, g4)
         else:
             a1, a2, a3, a4 = state
-            if not 0.0 <= u1 <= 1.0:
-                u1 = _clamp_excitation(u1)
-            if not 0.0 <= u2 <= 1.0:
-                u2 = _clamp_excitation(u2)
-            if not 0.0 <= u3 <= 1.0:
-                u3 = _clamp_excitation(u3)
-            if not 0.0 <= u4 <= 1.0:
-                u4 = _clamp_excitation(u4)
-            step, e_sh, e_el = self._decay
-            if dt != step:
-                e_sh = math.exp(-dt / sh.tau_act)
-                e_el = math.exp(-dt / el.tau_act)
+            e_sh, e_el = self._decay
             a1 = u1 + (a1 - u1) * e_sh
             a2 = u2 + (a2 - u2) * e_sh
             a3 = u3 + (a3 - u3) * e_el
@@ -350,16 +315,15 @@ class MuscleController:
                                      f_max, no_fl, no_fv))
         return tau1, tau2, state
 
-    def batch_torques(self, dt):
+    def batch_torques(self):
         """Array form of torques: step(acts, th1, th2, w1, w2, u) -> (tau1, tau2).
 
         acts is the (4, population) array of state rows, advanced in place;
-        u is the (4, population) excitation block, already clipped to
-        [0, 1] by the batch decode, so the scalar form's clamp has nothing
-        to do. The four muscles are stacked in control order and every
-        parameter is read once, here. First-order activation and every
-        AblationFlags case only: the Hatze model goes through the scalar
-        rollout.
+        u is the (4, population) excitation block, in [0, 1] as the scalar
+        form's is. The four muscles are stacked in control order and every
+        parameter is read once, here; the decay factors are torques' own.
+        First-order activation and every AblationFlags case only: the Hatze
+        model goes through the scalar rollout.
         """
         if self.activation_model == "hatze":
             raise ValueError("the Hatze activation model has no array form")
@@ -372,15 +336,14 @@ class MuscleController:
         l_ref = column(sh.l_ref1, sh.l_ref2, el.l_ref1, el.l_ref2)
         v_scale = column(sh.v_scale, sh.v_scale, el.v_scale, el.v_scale)
         f_max = column(sh.f_max, sh.f_max, el.f_max, el.f_max)
-        e_sh = math.exp(-dt / sh.tau_act)
-        e_el = math.exp(-dt / el.tau_act)
+        e_sh, e_el = self._decay
         decay = column(e_sh, e_sh, e_el, e_el)
         no_act = self.flags.disable_activation
         no_fl, no_fv = self.flags.disable_fl, self.flags.disable_fv
 
         def step(acts, th1, th2, w1, w2, u):
             if no_act:
-                acts[:] = _unit_clip(u, 0.0)
+                acts[:] = u
             else:
                 acts[:] = _unit_clip(u + (acts - u) * decay, 0.0)
             phi = np.array((th1, th1, th2, th2))
@@ -394,8 +357,9 @@ class MuscleController:
 
 def _valid_tau_max(tau_max):
     pair = tuple(float(v) for v in tau_max)
-    if len(pair) != 2 or pair[0] <= 0.0 or pair[1] <= 0.0:
-        raise ValueError("tau_max must be two positive torques")
+    if len(pair) != 2 or not all(0.0 < v < math.inf for v in pair):
+        raise ValueError(f"tau_max must be two positive finite torques, "
+                         f"not {tau_max!r}")
     return pair
 
 
@@ -410,19 +374,14 @@ class TorqueController:
     def __init__(self, tau_max=(30.0, 30.0)):
         self.tau_max = _valid_tau_max(tau_max)
 
-    def torques(self, state, th1, th2, w1, w2, u, dt):
-        """The ideal torque source per joint: tau = tau_max * u, with u
-        clamped to [-1, 1] with a warning (NaN passes through)."""
+    def torques(self, state, th1, th2, w1, w2, u):
+        """The ideal torque source per joint: tau = tau_max * u."""
         u1, u2 = u
-        if u1 < -1.0 or u1 > 1.0:
-            u1 = _clamp_torque_command(u1)
-        if u2 < -1.0 or u2 > 1.0:
-            u2 = _clamp_torque_command(u2)
         t1, t2 = self.tau_max
         return t1 * u1, t2 * u2, state
 
-    def batch_torques(self, dt):
-        """Array form of torques; u is the clipped (2, population) block."""
+    def batch_torques(self):
+        """Array form of torques; u is the (2, population) block."""
         t1, t2 = self.tau_max
 
         def step(state, th1, th2, w1, w2, u):
@@ -449,12 +408,12 @@ class PDController:
         self.tau_max = _valid_tau_max(tau_max)
         self.target_scale = target_scale
 
-    def torques(self, state, th1, th2, w1, w2, u, dt):
+    def torques(self, state, th1, th2, w1, w2, u):
         u1 = pd_control(th1, w1, u[0] * self.target_scale, self.kp, self.kd)
         u2 = pd_control(th2, w2, u[1] * self.target_scale, self.kp, self.kd)
         return self.tau_max[0] * u1, self.tau_max[1] * u2, state
 
-    def batch_torques(self, dt):
+    def batch_torques(self):
         """Array form of torques, pd_control's arithmetic and clamp per joint."""
         kp, kd, scale = self.kp, self.kd, self.target_scale
         t1, t2 = self.tau_max
@@ -469,7 +428,12 @@ class PDController:
 
 
 class LowPassController:
-    """Torque commands passed through a first-order filter before the torque source."""
+    """Torque commands passed through a first-order filter before the torque source.
+
+    The filter is the forward Euler step f' = f + (DT_SIM/dt_filter)(u - f),
+    which is stable for gains DT_SIM/dt_filter up to 2, so a dt_filter
+    below half the step is refused when the controller is built.
+    """
 
     n_controls = 2
     state0 = (0.0, 0.0)     # the filtered commands
@@ -477,36 +441,26 @@ class LowPassController:
     hi = 1.0
 
     def __init__(self, dt_filter=0.01, tau_max=(30.0, 30.0)):
-        if dt_filter <= 0.0:
-            raise ValueError("dt_filter must be positive")
+        if not dt_filter >= 0.5 * DT_SIM:
+            raise ValueError(f"dt_filter {dt_filter} is below half the step "
+                             f"dt = {DT_SIM}; the filter would diverge")
         self.dt_filter = dt_filter
+        self._gain = DT_SIM / dt_filter
         self.tau_max = _valid_tau_max(tau_max)
 
-    def check_step(self, dt):
-        """Refuse a step the filter cannot take: forward Euler is stable for
-        gains dt/dt_filter up to 2. The rollouts call this once, before
-        their first step (rollout_batch through batch_torques); torques
-        itself does not check."""
-        if self.dt_filter < 0.5 * dt:
-            raise ValueError(f"dt_filter {self.dt_filter} is below half the "
-                             f"step dt = {dt}; the filter would diverge")
+    def torques(self, state, th1, th2, w1, w2, u):
+        u1, u2 = u
+        f1, f2 = state
+        gain = self._gain
+        f1 = f1 + gain * (u1 - f1)
+        f2 = f2 + gain * (u2 - f2)
+        t1, t2 = self.tau_max
+        return t1 * f1, t2 * f2, (f1, f2)
 
-    def torques(self, state, th1, th2, w1, w2, u, dt):
-        filtered = []
-        for ui, fi in zip(u, state):
-            if ui < -1.0:
-                ui = -1.0
-            elif ui > 1.0:
-                ui = 1.0
-            filtered.append(lowpass_step(fi, ui, dt, self.dt_filter))
-        f1, f2 = filtered
-        return self.tau_max[0] * f1, self.tau_max[1] * f2, (f1, f2)
-
-    def batch_torques(self, dt):
+    def batch_torques(self):
         """Array form of torques; filtered is the (2, population) array of
-        state rows, advanced in place by lowpass_step's update."""
-        self.check_step(dt)
-        gain = dt / self.dt_filter
+        state rows, advanced in place by the same update."""
+        gain = self._gain
         t1, t2 = self.tau_max
 
         def step(filtered, th1, th2, w1, w2, u):

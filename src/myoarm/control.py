@@ -18,7 +18,9 @@ segments it applied.
 Actuator state is the controller's state row (see actuators): a rollout
 starts from `controller_state` (the controller's state0 when None), passes
 the row through controller.torques at every step, and returns the row
-after its last step as RolloutResult.controller_state. Controllers hold
+after its last step as RolloutResult.controller_state. Every step is
+DT_SIM, so a controller takes no timestep, and the decode is the one clip:
+a controller takes the decoded control row as it is. Controllers hold
 parameters only, so one controller serves any number of rollouts, and MPC
 carries the plant's actuator state from one segment to the next as that
 row, next to the arm state.
@@ -56,23 +58,25 @@ _batch_step = _symp_step
 
 @dataclass
 class RolloutResult:
-    """Fixed-rate trajectory of one episode plus its scalar cost.
+    """Trajectory of one episode at the physics step DT_SIM, plus its
+    scalar cost.
 
     th/dth/ddth have one row per sample (n_steps + 1); controls and torques
-    have one row per step. ddth[k] is the acceleration used to advance
-    sample k; the final row repeats the last applied torque's acceleration
-    at the terminal state. controller_state is the controller's state row
-    after the last step, the row a follow-on rollout starts from. rollout
-    records one row of eight floats per sample in one array, built once
-    after the episode from one flat list, and th, dth, ddth and torques are
-    column views of it; controls are rows of the decoded control table. A
-    cost of NaN marks an episode that was simulated but not scored (MPC's
-    plant segments). The results rollout_batch scores leave torques and
-    controller_state None: no task cost reads them.
+    have one row per step. Sample k is at time t0 + DT_SIM*k; the property
+    t gives those times as an array, built when it is read. ddth[k] is the
+    acceleration used to advance sample k; the final row repeats the last
+    applied torque's acceleration at the terminal state. controller_state
+    is the controller's state row after the last step, the row a follow-on
+    rollout starts from. rollout records one row of eight floats per sample
+    in one array, built once after the episode from one flat list, and th,
+    dth, ddth and torques are column views of it; controls are rows of the
+    decoded control table. A cost of NaN marks an episode that was
+    simulated but not scored (MPC's plant segments). The results
+    rollout_batch scores leave torques and controller_state None: no task
+    cost reads them.
     """
 
-    dt: float
-    t: np.ndarray
+    t0: float
     th: np.ndarray
     dth: np.ndarray
     ddth: np.ndarray
@@ -87,12 +91,16 @@ class RolloutResult:
     steps: int
 
     @property
+    def t(self) -> np.ndarray:
+        return self.t0 + DT_SIM * np.arange(self.steps + 1)
+
+    @property
     def final_state(self) -> ArmState:
         k = self.steps
         pend = self.pend
         return ArmState(th1=float(self.th[k, 0]), th2=float(self.th[k, 1]),
                         dth1=float(self.dth[k, 0]), dth2=float(self.dth[k, 1]),
-                        t=float(self.t[k]),
+                        t=self.t0 + DT_SIM * k,
                         pend_angle=float(pend[k, 0]) if pend is not None else 0.0,
                         pend_vel=float(pend[k, 1]) if pend is not None else 0.0)
 
@@ -171,9 +179,10 @@ def _zoh_table(thetas, parameterization: ControlParameterization):
     """Validate and decode (rows, dim) decision vectors for a rollout.
 
     A decision vector with a non-finite entry is rejected here, once,
-    before it can reach a controller (where NaN would read as full muscle
-    activation or a NaN torque). Returns the table of shape (rows,
-    n_segments, n_actuators), clipped to the control box.
+    before it can reach a controller (where NaN would become a NaN
+    activity or torque). Returns the table of shape (rows, n_segments,
+    n_actuators), clipped to the control box: this clip is the only one,
+    and the controllers take its rows as they are.
     """
     thetas = np.asarray(thetas, dtype=float)
     n_seg = parameterization.n_segments
@@ -289,9 +298,6 @@ def _simulate(task, controller, theta, parameterization, params, perturbation,
     n = _horizon_steps(task, duration)
     controls = zoh_control(theta, parameterization, n)
     dt = DT_SIM
-    check_step = getattr(controller, "check_step", None)
-    if check_step is not None:
-        check_step(dt)
     state = initial_state if initial_state is not None else task.initial_state()
     th1, th2 = state.th1, state.th2
     w1, w2 = state.dth1, state.dth2
@@ -323,7 +329,7 @@ def _simulate(task, controller, theta, parameterization, params, perturbation,
 
     try:
         for k, u in enumerate(controls.tolist()):
-            tau1, tau2, cstate = torques_of(cstate, th1, th2, w1, w2, u, dt)
+            tau1, tau2, cstate = torques_of(cstate, th1, th2, w1, w2, u)
             if pend_pert is None:
                 th1, th2, w1, w2, a1, a2 = symp_step(coeffs, th1, th2, w1, w2,
                                                      tau1, tau2, dt)
@@ -354,8 +360,7 @@ def _simulate(task, controller, theta, parameterization, params, perturbation,
         # math.cos of an overflowed angle raises "math domain error" inside
         # the step, where rollout_batch's np.cos gives NaN: step k
         # diverged, and what it did not record is NaN, its control included.
-        # Any other ValueError, such as a controller's filter too fast for
-        # the step, is not divergence.
+        # Any other ValueError is not divergence.
         if isinstance(exc, ValueError) and str(exc) != "math domain error":
             raise
         diverged, termination, steps = True, "diverged", k + 1
@@ -380,8 +385,7 @@ def _simulate(task, controller, theta, parameterization, params, perturbation,
     samples = _rows(rec, steps + 1)
 
     return RolloutResult(
-        dt=dt, t=t0 + dt * np.arange(steps + 1),
-        th=samples[:, 0:2], dth=samples[:, 2:4], ddth=samples[:, 6:8],
+        t0=t0, th=samples[:, 0:2], dth=samples[:, 2:4], ddth=samples[:, 6:8],
         controls=controls[:steps], torques=samples[:steps, 4:6],
         controller_state=cstate,
         ball=_rows(balls, steps + 1) if balls is not None else None,
@@ -458,7 +462,7 @@ def rollout_batch(task, controller, thetas, parameterization: ControlParameteriz
     lam = table.shape[0]
     cstate = np.tile(np.reshape(_state_row(controller, controller_state),
                                 (-1, 1)), lam)
-    torques_of = controller.batch_torques(dt)
+    torques_of = controller.batch_torques()
 
     # per segment, an (n_actuators, population) block of controls
     blocks = list(np.ascontiguousarray(table.transpose(1, 2, 0)))
@@ -493,10 +497,9 @@ def rollout_batch(task, controller, thetas, parameterization: ControlParameteriz
     finite = np.isfinite(th).all(axis=(1, 2)) & np.isfinite(dth).all(axis=(1, 2))
 
     costs = np.full(lam, SENTINEL_COST)
-    t = state.t + dt * np.arange(n + 1)
     for i in np.flatnonzero(finite).tolist():
         result = RolloutResult(
-            dt=dt, t=t, th=th[i], dth=dth[i], ddth=ddth[i],
+            t0=state.t, th=th[i], dth=dth[i], ddth=ddth[i],
             controls=table[i][segment], torques=None, controller_state=None,
             ball=None, pend=None, cost=SENTINEL_COST, diverged=False,
             termination="horizon", steps=n)
@@ -682,7 +685,8 @@ def mpc_run(task, controller, mpc: MpcConfig,
 def calibrate_torque_limits(torques) -> tuple:
     """Per-joint peak |torque| over a collection of (n, 2) torque arrays;
     intended to transfer muscle-run torque envelopes onto the torque-family
-    actuators.
+    actuators. A ValueError refuses an empty collection and a non-finite
+    torque, which no actuator could be given as its ceiling.
     """
     peak = np.zeros(2)
     count = 0
@@ -690,6 +694,8 @@ def calibrate_torque_limits(torques) -> tuple:
         tq = np.asarray(tq, dtype=float)
         if tq.size == 0:
             continue
+        if not np.isfinite(tq).all():
+            raise ValueError("torque data contains a non-finite value")
         peak = np.maximum(peak, np.abs(tq).max(axis=0))
         count += 1
     if count == 0:

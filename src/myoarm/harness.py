@@ -68,10 +68,11 @@ def trajectory_header(n_controls: int):
 def write_trajectory_csv(path, result):
     """One row per physics sample; the terminal row repeats the last controls."""
     n = result.controls.shape[0]
+    t = result.t
     rows = []
     for k in range(result.th.shape[0]):
         j = min(k, n - 1)
-        rows.append([result.t[k], result.th[k, 0], result.th[k, 1],
+        rows.append([t[k], result.th[k, 0], result.th[k, 1],
                      result.dth[k, 0], result.dth[k, 1],
                      *result.controls[j], result.torques[j, 0],
                      result.torques[j, 1]])
@@ -191,22 +192,29 @@ def _trace_name(morph, c, sigma, tpred, seed):
     return "_".join(parts) + ".csv"
 
 
+def _peak_torques(result):
+    """A rollout's calibration sample, peak |torque| per joint, or None
+    when it diverged: a diverged run's torques are no envelope to hand on."""
+    return None if result.diverged else calibrate_torque_limits([result.torques])
+
+
 def _point_worker(args):
-    """One sweep point: (trace rows, peak |torque| per joint, MpcResult or
-    None). It makes exactly one _oc_run or _mpc_run call; a robustness
-    point's mass is an unseen load on the lower arm."""
+    """One sweep point: (trace rows, calibration sample, MpcResult or
+    None), where the sample is _peak_torques of the point's best or
+    executed rollout. It makes exactly one _oc_run or _mpc_run call; a
+    robustness point's mass is an unseen load on the lower arm."""
     config, (morph, c, sigma, tpred, seed, mass), tau_max = args
     if tpred is None:
         trace, best = _oc_run(config, morph, c, sigma, seed, tau_max=tau_max)
         rows = oc_trace_rows(config.kind, config.task, morph, c, sigma, seed,
                              trace)
-        return rows, calibrate_torque_limits([best.torques]), None
+        return rows, _peak_torques(best), None
     load = Perturbation("lower_arm_mass", mass=float(mass)) if mass else None
     res = _mpc_run(config, morph, tpred, seed, perturbation=load,
                    tau_max=tau_max)
     rows = mpc_trace_rows(config.kind, config.task, morph,
                           config.mpc_resolution, tpred, seed, res)
-    return rows, calibrate_torque_limits([res.executed.torques]), res
+    return rows, _peak_torques(res.executed), res
 
 
 def _prepare_out_dir(out_dir):
@@ -248,7 +256,9 @@ def _sweep(config: ExperimentConfig, jobs: int, write_point):
     Runs the _run_points grid, muscle points first. When the sweep also
     holds torque-family morphologies, their torque ceilings are the
     per-joint peak |torque| the muscle runs executed, written to
-    calibration.csv. write_point(point, result) writes one point's files
+    calibration.csv; a diverged muscle run gives no sample, and a sweep
+    whose muscle runs all diverged has nothing to calibrate from
+    (ValueError). write_point(point, result) writes one point's files
     and returns their paths, in grid order; result is _point_worker's.
     The run invariants are checked over all trace rows before calibration
     is written. Returns (paths, all trace rows).
@@ -270,8 +280,8 @@ def _sweep(config: ExperimentConfig, jobs: int, write_point):
                                        [(config, p, None) for p in muscle])))
         tau_max = None
         if muscle and other:
-            tau_max = calibrate_torque_limits(
-                [np.asarray([results[p][1] for p in muscle])])
+            tau_max = calibrate_torque_limits([np.asarray(
+                [results[p][1] for p in muscle if results[p][1] is not None])])
         results.update(zip(other, run(_point_worker,
                                       [(config, p, tau_max) for p in other])))
 

@@ -8,6 +8,7 @@ from dataclasses import InitVar, dataclass, field, replace
 import numpy as np
 
 from .arm import ArmParams, ArmState, BallState, hand_position
+from .control import DT_SIM
 
 
 @dataclass
@@ -134,13 +135,13 @@ class SmoothReaching:
         c_dth = self._k_dth * (dth - self._dth_des) ** 2
         return (c_th + c_dth + (self._jerk_gain * jerk) ** 2).sum(axis=-1)
 
-    def _cost(self, th, dth, ddth, dt, min_duration) -> float:
+    def _cost(self, th, dth, ddth, min_duration) -> float:
         """The summed stages of (n, 2) float arrays th, dth and ddth, as a
-        RolloutResult holds them."""
+        RolloutResult holds them, one sample per DT_SIM."""
         n = th.shape[0]
-        if min_duration is not None and (n - 1) * dt < min_duration - 1e-9:
+        if min_duration is not None and (n - 1) * DT_SIM < min_duration - 1e-9:
             raise ValueError(
-                f"trajectory spans {(n - 1) * dt:.4f} s, shorter than the "
+                f"trajectory spans {(n - 1) * DT_SIM:.4f} s, shorter than the "
                 f"required {min_duration} s horizon")
         return float(self._stage(th, dth, jerk_from_accel(ddth)).sum())
 
@@ -148,11 +149,11 @@ class SmoothReaching:
         return ArmState(th1=-0.5 * math.pi, th2=0.0)
 
     def cost(self, traj, params: ArmParams) -> float:
-        return self._cost(traj.th, traj.dth, traj.ddth, traj.dt, self.duration)
+        return self._cost(traj.th, traj.dth, traj.ddth, self.duration)
 
     def window_cost(self, traj, params: ArmParams) -> float:
         """Same functional without the full-horizon length requirement."""
-        return self._cost(traj.th, traj.dth, traj.ddth, traj.dt, None)
+        return self._cost(traj.th, traj.dth, traj.ddth, None)
 
     def stage_series(self, traj, params: ArmParams) -> np.ndarray:
         return self._stage(traj.th, traj.dth, jerk_from_accel(traj.ddth))
@@ -195,7 +196,7 @@ class PreciseReaching:
 
     def _rewards(self, traj, params):
         """The reward at each control boundary, by sample index."""
-        stride = max(1, round(self.control_resolution / traj.dt))
+        stride = max(1, round(self.control_resolution / DT_SIM))
         d = self._distances(traj, params)
         controls = traj.controls
         return {k: precise_reaching_reward(

@@ -139,8 +139,9 @@ def cma_es(objective, x0, config: CmaConfig):
 
 
 def local_refine(objective, x0, radius0: float, budget: int,
-                 lo=None, hi=None, radius_min: float = 1e-9):
-    """Greedy coordinate pattern search around x0 within [lo, hi].
+                 lo: float, hi: float, radius_min: float = 1e-9):
+    """Greedy coordinate pattern search around x0 within the box [lo, hi]
+    (the same two bounds in every coordinate).
 
     Probes +/- radius per coordinate in index order, accepts improvements
     immediately, and halves the radius after a full sweep without progress
@@ -151,13 +152,7 @@ def local_refine(objective, x0, radius0: float, budget: int,
     too small to move x). The search then stops early, and evals says how
     many it made.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    lo_arr = None if lo is None else np.broadcast_to(np.asarray(lo, dtype=float), x.shape)
-    hi_arr = None if hi is None else np.broadcast_to(np.asarray(hi, dtype=float), x.shape)
-    if lo_arr is not None:
-        x = np.maximum(x, lo_arr)
-    if hi_arr is not None:
-        x = np.minimum(x, hi_arr)
+    x = np.minimum(np.maximum(np.asarray(x0, dtype=float), lo), hi)
     if budget < 1:
         raise ValueError("budget must be at least 1")
     f = float(objective(x))
@@ -172,10 +167,10 @@ def local_refine(objective, x0, radius0: float, budget: int,
                 if evals >= budget:
                     return x, f, evals
                 xi = x[i] + sgn * radius
-                if lo_arr is not None and xi < lo_arr[i]:
-                    xi = lo_arr[i]
-                if hi_arr is not None and xi > hi_arr[i]:
-                    xi = hi_arr[i]
+                if xi < lo:
+                    xi = lo
+                if xi > hi:
+                    xi = hi
                 if xi == x[i]:
                     continue
                 trial = x.copy()

@@ -9,7 +9,8 @@ accelerations below are written out from the link geometry, not taken from
 myoarm.arm's kernels. The muscle curves and the first-order activation
 step are written out here too, one function each, and import nothing;
 muscle_joint_torque composes the curves into an antagonistic pair's torque.
-torque_actuator is the ideal torque source of one joint.
+torque_actuator is the ideal torque source of one joint, and lowpass_step
+the low-pass family's filter update.
 """
 
 import math
@@ -247,6 +248,12 @@ def torque_actuator(u: float, tau_max: float) -> float:
     elif u > 1.0:
         u = 1.0
     return tau_max * u
+
+
+def lowpass_step(f: float, u: float, dt: float, dt_filter: float) -> float:
+    """Forward Euler step of the first-order filter df/dt = (u - f)/dt_filter:
+    f' = f + (dt/dt_filter)(u - f)."""
+    return f + (dt / dt_filter) * (u - f)
 
 
 def muscle_joint_torque(phi: float, dphi: float, a1: float, a2: float, mp,

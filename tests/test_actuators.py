@@ -16,13 +16,14 @@ from myoarm.actuators import (AblationFlags, FV_MAX, HatzeParams,
                               LowPassController, MuscleController,
                               MuscleParams, PDController, TorqueController,
                               derive_linear_map, hatze_activation_step,
-                              lowpass_step, make_controller, pd_control)
+                              make_controller, pd_control)
 from myoarm import control
-from myoarm.control import parameterization_for, rollout, rollout_batch
+from myoarm.control import (DT_SIM, parameterization_for, rollout,
+                            rollout_batch)
 from myoarm.objectives import SmoothReaching
 from oracles import (activation_exact, activation_step, fiber_kinematics,
                      force_length, force_passive, force_velocity,
-                     muscle_joint_torque)
+                     lowpass_step, muscle_joint_torque)
 
 
 def test_linear_map_matches_its_defining_formulas():
@@ -108,16 +109,6 @@ def test_activation_is_a_contraction():
         b1 = activation_step(a1, u, dt, 0.01)
         b2 = activation_step(a2, u, dt, 0.01)
         assert abs(b1 - b2) <= abs(a1 - a2) + 1e-15
-
-
-def test_out_of_range_excitation_is_clamped_with_warning(caplog):
-    ctrl = MuscleController()
-    row = (0.5, 0.5, 0.5, 0.5)
-    with caplog.at_level("WARNING"):
-        over = ctrl.torques(row, 0.1, 0.2, 0.0, 0.0, (1.5, 0.3, -0.5, 0.3), 0.005)
-    assert caplog.text.count("clamped") == 2
-    assert over == ctrl.torques(row, 0.1, 0.2, 0.0, 0.0, (1.0, 0.3, 0.0, 0.3), 0.005)
-    assert over[2][0] == activation_step(0.5, 1.0, 0.005, 0.01)
 
 
 def test_hatze_fixed_point_and_resting_activity():
@@ -211,7 +202,7 @@ def test_fully_ablated_pair_is_a_linear_torque_source():
         phi = rng.uniform(-1.0, 1.0)
         dphi = rng.uniform(-5.0, 5.0)
         u = rng.uniform(0.0, 1.0, 4)
-        tau1, tau2, _ = ctrl.torques(ctrl.state0, phi, phi, dphi, dphi, u, 0.005)
+        tau1, tau2, _ = ctrl.torques(ctrl.state0, phi, phi, dphi, dphi, u)
         want1 = -mp.f_max * (mp.m1 * u[0] + mp.m2 * u[1])
         want2 = -mp.f_max * (mp.m1 * u[2] + mp.m2 * u[3])
         assert tau1 == pytest.approx(want1, rel=1e-14)
@@ -279,11 +270,11 @@ def test_mirror_symmetry_of_the_antagonistic_pair():
     assert worst <= 0.02 * scale
 
 
-def test_torque_actuator_scales_linearly(caplog):
+def test_torque_actuator_scales_linearly():
     ctrl = TorqueController(tau_max=(30.0, 20.0))
 
     def torques(u1, u2):
-        return ctrl.torques(ctrl.state0, 0.0, 0.0, 0.0, 0.0, (u1, u2), 0.005)
+        return ctrl.torques(ctrl.state0, 0.0, 0.0, 0.0, 0.0, (u1, u2))
 
     assert torques(0.0, 0.0) == (0.0, 0.0, ())
     assert torques(1.0, -1.0) == (30.0, -20.0, ())
@@ -294,9 +285,6 @@ def test_torque_actuator_scales_linearly(caplog):
         if abs(alpha * u) <= 1.0:
             assert torques(alpha * u, 0.0)[0] == pytest.approx(
                 alpha * torques(u, 0.0)[0], rel=1e-12, abs=1e-12)
-    with caplog.at_level("WARNING"):
-        assert torques(2.0, -3.0) == (30.0, -20.0, ())
-    assert caplog.text.count("clamped") == 2
 
 
 def test_pd_law_anchor_values():
@@ -318,7 +306,7 @@ def test_pd_closed_loop_settles_within_spec():
     q0 = res.th[0]
     tol = 0.02 * np.abs(q_hat - q0)
     settled = np.all(np.abs(res.th - q_hat) <= tol, axis=1)
-    k_limit = int(1.5 / res.dt)
+    k_limit = int(1.5 / DT_SIM)
     assert settled[k_limit:].all()
 
 
@@ -350,27 +338,27 @@ def test_lowpass_rejects_a_filter_faster_than_half_the_step():
     # 0.001 and dt = 0.005 a constant command of 1 runs 5, -15, 65, ...
     a, runs = 0.0, []
     for _ in range(3):
-        a = lowpass_step(a, 1.0, 0.005, 0.001)
+        a = lowpass_step(a, 1.0, DT_SIM, 0.001)
         runs.append(a)
     assert runs == [5.0, -15.0, 65.0]
-    fast = LowPassController(dt_filter=0.001)
-    with pytest.raises(ValueError, match="dt_filter"):
-        fast.check_step(0.005)
-    with pytest.raises(ValueError, match="dt_filter"):
-        fast.batch_torques(0.005)
-    with pytest.raises(ValueError, match="dt_filter"):
-        task = SmoothReaching(duration=0.05)
-        rollout(task, fast, np.ones(2), parameterization_for(task, fast, 0.05))
+    # so construction refuses such a filter, and a time constant that is
+    # not a positive number
+    for bad in (0.001, 0.0, -0.01, math.nan):
+        with pytest.raises(ValueError, match="below half the step"):
+            LowPassController(dt_filter=bad)
+    with pytest.raises(ValueError, match="below half the step"):
+        make_controller("lowpass-fast", dt_filter=0.001)
     # at gain 2 exactly the filter is marginally stable, and accepted
     edge = LowPassController(dt_filter=0.0025)
-    edge.check_step(0.005)
-    assert edge.torques(edge.state0, 0.0, 0.0, 0.0, 0.0, (1.0, 1.0), 0.005)[2] == (2.0, 2.0)
-    edge.batch_torques(0.005)
+    assert edge.torques(edge.state0, 0.0, 0.0, 0.0, 0.0, (1.0, 1.0))[2] == (2.0, 2.0)
+    assert edge.torques((0.5, -0.5), 0.0, 0.0, 0.0, 0.0, (0.25, 0.75))[2] == (
+        lowpass_step(0.5, 0.25, DT_SIM, 0.0025),
+        lowpass_step(-0.5, 0.75, DT_SIM, 0.0025))
 
 
 def test_rollouts_refuse_a_fast_filter_before_the_first_step(monkeypatch):
-    # torques no longer checks the step at every step: the rollouts check
-    # it once, and must do so before the arm or the filter moves
+    # the filter's step is checked once, when the controller is built, so a
+    # too-fast filter is refused before the arm or the filter moves
     calls = []
 
     def counted(fn):
@@ -381,14 +369,17 @@ def test_rollouts_refuse_a_fast_filter_before_the_first_step(monkeypatch):
 
     monkeypatch.setattr(control, "_symp_step", counted(control._symp_step))
     monkeypatch.setattr(control, "_batch_step", counted(control._batch_step))
-    fast = LowPassController(dt_filter=0.001)
-    monkeypatch.setattr(fast, "torques", counted(fast.torques))
+    monkeypatch.setattr(LowPassController, "torques",
+                        counted(LowPassController.torques))
     task = SmoothReaching(duration=0.05)
-    par = parameterization_for(task, fast, 0.05)
+    par = control.ControlParameterization(horizon=0.05, resolution=0.05,
+                                          n_actuators=2, lo=-1.0, hi=1.0)
     with pytest.raises(ValueError, match="below half the step"):
-        rollout(task, fast, np.ones(2), par)
+        rollout(task, make_controller("lowpass-fast", dt_filter=0.001),
+                np.ones(2), par)
     with pytest.raises(ValueError, match="below half the step"):
-        rollout_batch(task, fast, np.ones((3, 2)), par)
+        rollout_batch(task, make_controller("lowpass-fast", dt_filter=0.001),
+                      np.ones((3, 2)), par)
     assert calls == []
 
 
@@ -408,6 +399,16 @@ def test_controller_factory_and_control_dimensions():
         MuscleController(activation_model="instant")
 
 
+@pytest.mark.parametrize("label", ["torque", "pd", "lowpass-fast"])
+@pytest.mark.parametrize("tau_max", [(math.nan, 30.0), (30.0, math.inf),
+                                     (math.nan, math.inf), (-math.inf, 30.0)])
+def test_torque_ceilings_must_be_finite(label, tau_max):
+    # a non-finite ceiling turns every command into a NaN or infinite
+    # torque, so it is refused with the non-positive ones
+    with pytest.raises(ValueError, match="tau_max"):
+        make_controller(label, tau_max=tau_max)
+
+
 def test_muscle_controller_state_snapshot_roundtrip():
     # the state row is the whole actuator state: a step taken twice from
     # the same row gives the same torques and the same next row
@@ -415,9 +416,9 @@ def test_muscle_controller_state_snapshot_roundtrip():
     u = (0.8, 0.1, 0.3, 0.9)
     state = ctrl.state0
     for _ in range(20):
-        _, _, state = ctrl.torques(state, 0.2, -0.1, 0.5, 0.0, u, 0.005)
-    step_a = ctrl.torques(state, 0.2, -0.1, 0.5, 0.0, u, 0.005)
-    step_b = ctrl.torques(state, 0.2, -0.1, 0.5, 0.0, u, 0.005)
+        _, _, state = ctrl.torques(state, 0.2, -0.1, 0.5, 0.0, u)
+    step_a = ctrl.torques(state, 0.2, -0.1, 0.5, 0.0, u)
+    step_b = ctrl.torques(state, 0.2, -0.1, 0.5, 0.0, u)
     assert step_a == step_b and step_a[2] != state
     assert ctrl.state0 == (0.0, 0.0, 0.0, 0.0)
 
@@ -425,12 +426,12 @@ def test_muscle_controller_state_snapshot_roundtrip():
 def test_muscle_activities_lag_the_excitation():
     ctrl = MuscleController()
     _, _, acts = ctrl.torques(ctrl.state0, 0.0, 0.0, 0.0, 0.0,
-                              (1.0, 0.0, 0.0, 0.0), 0.005)
+                              (1.0, 0.0, 0.0, 0.0))
     assert 0.0 < acts[0] < 1.0
     # ablating activation dynamics makes the response instantaneous
     fast = MuscleController(flags=AblationFlags(disable_activation=True))
     _, _, acts = fast.torques(fast.state0, 0.0, 0.0, 0.0, 0.0,
-                              (1.0, 0.0, 0.0, 0.0), 0.005)
+                              (1.0, 0.0, 0.0, 0.0))
     assert acts[0] == 1.0
 
 
@@ -446,7 +447,7 @@ def test_hatze_variant_runs_and_respects_bounds():
     for _ in range(100):
         acts = [hatze_activation_step(g, v, l, 0.005, ctrl.hatze)[1]
                 for g, v, l in zip(state, u, lengths)]
-        _, _, state = ctrl.torques(state, 0.1, 0.1, 0.0, 0.0, u, 0.005)
+        _, _, state = ctrl.torques(state, 0.1, 0.1, 0.0, 0.0, u)
         assert all(0.0 <= a <= 1.0 for a in acts)
         assert all(0.0 <= g <= 1.0 for g in state)
     assert acts[0] > 0.9

@@ -9,6 +9,7 @@ rtol = 1e-9 otherwise; TRIG_EXACT says which (the pytest header prints it,
 see conftest.py).
 """
 
+import logging
 import math
 import warnings
 
@@ -218,9 +219,45 @@ def test_cases_without_an_array_form_run_the_scalar_rollout(case):
     assert costs.tolist() == expected   # the same code path, so always exact
 
 
+CLIP_CASES = {
+    "muscle": lambda: make_controller("muscle"),
+    "muscle-hatze": lambda: make_controller("muscle", activation_model="hatze"),
+    "muscle-noactdyn": lambda: make_controller("muscle-noactdyn"),
+    "torque": lambda: make_controller("torque"),
+    "pd": lambda: make_controller("pd"),
+    "lowpass-fast": lambda: make_controller("lowpass-fast"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLIP_CASES))
+@pytest.mark.parametrize("task", [
+    SmoothReaching(duration=0.3),
+    PreciseReaching(duration=0.3, target=ReachTarget(goal_xz=(0.3, 0.2)))],
+    ids=["smooth", "precise"])
+def test_the_decode_is_the_only_clip(case, task, caplog):
+    # controllers take the decoded row as it is: a plan drawn past the box
+    # scores, bit for bit, what the plan clipped to the box scores, on both
+    # paths, and nothing is clamped a second time or logged
+    ctrl = CLIP_CASES[case]()
+    par = parameterization_for(task, ctrl, 0.05)
+    thetas = population(11, 5, par, spill=1.0)
+    assert (thetas < par.lo).any() and (thetas > par.hi).any()
+    clipped = np.clip(thetas, par.lo, par.hi)
+    with caplog.at_level(logging.DEBUG):
+        for theta, inside in zip(thetas, clipped):
+            got = rollout(task, ctrl, theta, par)
+            want = rollout(task, ctrl, inside, par)
+            assert got.cost == want.cost
+            assert np.array_equal(got.th, want.th)
+            assert got.controller_state == want.controller_state
+        assert (rollout_batch(task, ctrl, thetas, par).tolist()
+                == rollout_batch(task, ctrl, clipped, par).tolist())
+    assert caplog.records == []
+
+
 def test_the_hatze_model_has_no_array_form():
     with pytest.raises(ValueError, match="Hatze"):
-        make_controller("muscle", activation_model="hatze").batch_torques(DT_SIM)
+        make_controller("muscle", activation_model="hatze").batch_torques()
 
 
 @pytest.mark.parametrize("family", ["muscle", "torque"])

@@ -418,6 +418,20 @@ class TestCalibrateTorque:
         bad.write_text("a,b\n1,2\n")
         assert run_cli("calibrate-torque", str(bad)) == 1
 
+    def test_a_diverged_trajectory_is_refused(self, tmp_path, capsys):
+        # this run diverges inside a step, so its CSV ends in NaN torques;
+        # calibrating from it used to print "nan nan" and exit 0
+        traj = tmp_path / "d.csv"
+        assert run_cli("simulate", "--task", "precise-reach", "--morphology",
+                       "lowpass-fast", "--c", "0.3", "--seed", "4",
+                       "--out", str(traj)) == 2
+        capsys.readouterr()
+        out = tmp_path / "tau.csv"
+        assert run_cli("calibrate-torque", str(traj), "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert "non-finite" in captured.err and "nan" not in captured.out
+        assert not out.exists()
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

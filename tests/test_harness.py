@@ -4,6 +4,7 @@ torque-ceiling calibration, and the run invariants."""
 import math
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -279,6 +280,32 @@ class TestRunExperiment:
         assert header == ["tau1_max", "tau2_max"]
         tau = [float(v) for v in rows[0]]
         assert len(tau) == 2 and all(v > 0 for v in tau)
+
+    def test_a_diverged_muscle_run_gives_no_calibration_sample(
+            self, tmp_path, monkeypatch):
+        # the torque family's ceiling is the peak of the muscle runs that
+        # did not diverge; a diverged run's NaN torques used to become the
+        # ceiling of every torque-family point
+        import myoarm.harness as harness
+        real = harness._oc_run
+        diverge = {1}
+
+        def oc_run(config, morphology, c, sigma, seed, tau_max=None):
+            trace, best = real(config, morphology, c, sigma, seed,
+                               tau_max=tau_max)
+            if morphology == "muscle" and seed in diverge:
+                best = replace(best, diverged=True,
+                               torques=np.full_like(best.torques, np.nan))
+            return trace, best
+
+        monkeypatch.setattr(harness, "_oc_run", oc_run)
+        run_experiment(tiny_oc_config(tmp_path / "both"))
+        run_experiment(tiny_oc_config(tmp_path / "seed0", seeds=(0,)))
+        assert (read_bytes(tmp_path / "both" / "calibration.csv")
+                == read_bytes(tmp_path / "seed0" / "calibration.csv"))
+        diverge.add(0)
+        with pytest.raises(ValueError, match="no torque data"):
+            run_experiment(tiny_oc_config(tmp_path / "none"))
 
     def test_writes_stay_inside_out_dir(self, tmp_path):
         out = tmp_path / "inner"

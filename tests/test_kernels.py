@@ -147,20 +147,22 @@ def test_array_step_matches_the_scalar_step_element_by_element(p, rows, dt):
 
 @EXACT
 @given(tau_max=st.tuples(finite(0.1, 100.0), finite(0.1, 100.0)),
-       u=st.tuples(finite(-3.0, 3.0), finite(-3.0, 3.0)))
+       u=st.tuples(finite(-1.0, 1.0), finite(-1.0, 1.0)))
 def test_torque_kernel_equals_the_torque_source_per_joint(tau_max, u):
-    # commands reach past [-1, 1] to cover the inlined clamp
+    # commands in the box [-1, 1], where the decode leaves every control
     ctrl = TorqueController(tau_max=tau_max)
-    assert ctrl.torques(ctrl.state0, 0.0, 0.0, 0.0, 0.0, u, DT_SIM) == (
+    assert ctrl.torques(ctrl.state0, 0.0, 0.0, 0.0, 0.0, u) == (
         torque_actuator(u[0], tau_max[0]), torque_actuator(u[1], tau_max[1]),
         ())
 
 
-def torques_reference(ctrl, acts, gammas, th1, th2, w1, w2, u, dt):
-    """One MuscleController step composed from the public step functions.
+def torques_reference(ctrl, acts, gammas, th1, th2, w1, w2, u):
+    """One MuscleController step at DT_SIM composed from the public step
+    functions.
 
     Updates acts and gammas in place; returns the two joint torques.
     """
+    dt = DT_SIM
     taus = []
     for j, (mp, phi, dphi) in enumerate(((ctrl.shoulder, th1, w1),
                                          (ctrl.elbow, th2, w2))):
@@ -168,8 +170,7 @@ def torques_reference(ctrl, acts, gammas, th1, th2, w1, w2, u, dt):
                               (2 * j + 1, (mp.m2, mp.l_ref2))):
             l, _ = fiber_kinematics(phi, dphi, m, l_ref)
             if ctrl.flags.disable_activation:
-                v = u[i]
-                acts[i] = 0.0 if v < 0.0 else (1.0 if v > 1.0 else v)
+                acts[i] = u[i]
             elif ctrl.activation_model == "hatze":
                 gammas[i], acts[i] = hatze_activation_step(
                     gammas[i], u[i], l, dt, ctrl.hatze)
@@ -193,10 +194,10 @@ flag_sets = st.builds(AblationFlags, disable_fl=st.booleans(),
                       disable_fv=st.booleans(),
                       disable_activation=st.booleans())
 
-# excitations reach past [0, 1] to cover the clamp
+# excitations in the box [0, 1], where the decode leaves every control
 muscle_steps = st.lists(
     st.tuples(finite(-3.0, 3.0), finite(-3.0, 3.0), finite(-30.0, 30.0),
-              finite(-30.0, 30.0), st.tuples(*[finite(-0.5, 1.5)] * 4)),
+              finite(-30.0, 30.0), st.tuples(*[finite(0.0, 1.0)] * 4)),
     min_size=1, max_size=8)
 
 
@@ -205,20 +206,19 @@ muscle_steps = st.lists(
        model=st.sampled_from(["first_order", "hatze"]),
        hatze=st.builds(HatzeParams, m_h=finite(1.0, 50.0), nu=finite(1.0, 4.0),
                        rho_scale=finite(1.0, 10.0)),
-       steps=muscle_steps,
-       dt=st.one_of(st.just(DT_SIM), finite(1e-3, 0.02)))
+       steps=muscle_steps)
 def test_muscle_kernel_equals_the_composed_step_functions(
-        shoulder, elbow, flags, model, hatze, steps, dt):
+        shoulder, elbow, flags, model, hatze, steps):
     ctrl = MuscleController(shoulder=shoulder, elbow=elbow, flags=flags,
                             activation_model=model, hatze=hatze)
     acts, gammas = [0.0] * 4, [0.0] * 4
     # the state row is the calcium states under Hatze activation and the
-    # activities otherwise (with activation ablated, the clipped excitations)
+    # activities otherwise (with activation ablated, the excitations)
     hatze_row = model == "hatze" and not flags.disable_activation
     state = ctrl.state0
     for th1, th2, w1, w2, u in steps:
-        want = torques_reference(ctrl, acts, gammas, th1, th2, w1, w2, u, dt)
-        tau1, tau2, state = ctrl.torques(state, th1, th2, w1, w2, u, dt)
+        want = torques_reference(ctrl, acts, gammas, th1, th2, w1, w2, u)
+        tau1, tau2, state = ctrl.torques(state, th1, th2, w1, w2, u)
         assert (tau1, tau2) == want
         assert state == tuple(gammas if hatze_row else acts)
 
@@ -234,8 +234,7 @@ def test_pair_torque_equals_the_composed_curves(shoulder, elbow, flags, th, w, a
     # the kernel's torques are the pair torques at activities a
     ablated = replace(flags or AblationFlags(), disable_activation=True)
     ctrl = MuscleController(shoulder=shoulder, elbow=elbow, flags=ablated)
-    tau1, tau2, row = ctrl.torques(ctrl.state0, th[0], th[1], w[0], w[1], a,
-                                   DT_SIM)
+    tau1, tau2, row = ctrl.torques(ctrl.state0, th[0], th[1], w[0], w[1], a)
     assert row == a
     assert tau1 == muscle_joint_torque(th[0], w[0], a[0], a[1], shoulder, flags)
     assert tau2 == muscle_joint_torque(th[1], w[1], a[2], a[3], elbow, flags)
@@ -262,7 +261,7 @@ def trajectories(draw, min_size=1):
     return SimpleNamespace(th=rng.uniform(-4.0, 4.0, (n, 2)),
                            dth=rng.normal(0.0, 10.0, (n, 2)),
                            ddth=rng.normal(0.0, 300.0, (n, 2)),
-                           dt=DT_SIM, controls=None)
+                           controls=None)
 
 
 def assert_smooth_costs_match(task, traj, weights, target):
@@ -334,7 +333,7 @@ def rollout_reference(task, controller, theta, par, params=None,
     try:
         for k in range(round(task.duration / dt)):
             u = plan[min(k // steps_per_segment, len(plan) - 1)]
-            *tau, row = controller.torques(row, th1, th2, w1, w2, u, dt)
+            *tau, row = controller.torques(row, th1, th2, w1, w2, u)
             t1, t2 = tau
             if pend is not None:
                 fx, fz, ddphi, _, _ = _pendulum_forces(c, th1, th2, w1, w2,

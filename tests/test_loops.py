@@ -144,7 +144,7 @@ class TestRollout:
             phi, dphi = s.pend_angle, s.pend_vel
             for k in range(res.steps):
                 u = plan[k // 20]           # 0.1 s segments of 20 steps
-                *tau, row = ctrl.torques(row, *arm, u, DT_SIM)
+                *tau, row = ctrl.torques(row, *arm, u)
                 assert tau[0] == res.torques[k, 0]
                 assert tau[1] == res.torques[k, 1]
                 t1, t2, phi, dphi = _pendulum_step(c, *arm, *tau, pert, phi,
@@ -401,7 +401,8 @@ class TestMpc:
             return np.concatenate([a[:end] for a in arrs[:-1]] + arrs[-1:])
 
         spc = round(cfg.resolution / DT_SIM)
-        ref = replace(parts[-1], t=DT_SIM * np.arange(len(parts) * spc + 1),
+        ref = replace(parts[-1], t0=task.initial_state().t,
+                      steps=len(parts) * spc,
                       **{name: stitched(name) for name in
                          ("th", "dth", "ddth", "pend")},
                       controls=stitched("controls", None),
@@ -538,3 +539,10 @@ class TestCalibration:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             calibrate_torque_limits([])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_torques_rejected(self, bad):
+        # a NaN peak used to come back as the ceiling (np.maximum keeps it)
+        torques = np.array([[1.0, -12.3], [bad, 3.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            calibrate_torque_limits([np.ones((2, 2)), torques])

@@ -23,7 +23,7 @@ class Silent:
 
     state0 = ()
 
-    def torques(self, row, th1, th2, w1, w2, u, dt):
+    def torques(self, row, th1, th2, w1, w2, u):
         return 0.0, 0.0, row
 
 
@@ -346,7 +346,7 @@ class TestLocalRefine:
 
     def test_budget_validated(self):
         with pytest.raises(ValueError):
-            local_refine(sphere, np.zeros(2), 0.1, 0)
+            local_refine(sphere, np.zeros(2), 0.1, 0, lo=-1.0, hi=1.0)
 
     def test_exact_budget_spent(self):
         calls = [0]

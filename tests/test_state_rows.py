@@ -2,8 +2,9 @@
 
 A controller holds parameters only; its actuator state is a tuple of floats
 (the state row) that torques(state, ...) takes in and gives back, and that
-batch_torques advances as the columns of one array. These properties pin
-that contract for every family, ablation flag set and activation model.
+batch_torques advances as the columns of one array, one DT_SIM step at a
+time, for controls already in the box [lo, hi]. These properties pin that
+contract for every family, ablation flag set and activation model.
 """
 
 import numpy as np
@@ -11,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from myoarm.actuators import AblationFlags, MuscleController, make_controller
-from myoarm.control import DT_SIM
 
 PROPS = settings(max_examples=100, deadline=None, database=None)
 FAMILIES = ("torque", "pd", "lowpass-fast", "lowpass-slow")
@@ -42,12 +42,12 @@ joint = st.tuples(finite(-3.0, 3.0), finite(-3.0, 3.0), finite(-30.0, 30.0),
 
 
 @PROPS
-@given(ctrl=controllers(), data=st.data(), q=joint,
-       dt=finite(1e-3, 0.02))
-def test_torques_returns_a_row_as_wide_as_state0(ctrl, data, q, dt):
+@given(ctrl=controllers(), data=st.data(), q=joint)
+def test_torques_returns_a_row_as_wide_as_state0(ctrl, data, q):
     state = tuple(data.draw(finite(0.0, 1.0)) for _ in ctrl.state0)
-    u = tuple(data.draw(finite(-2.0, 2.0)) for _ in range(ctrl.n_controls))
-    tau1, tau2, nxt = ctrl.torques(state, *q, u, dt)
+    u = tuple(data.draw(finite(ctrl.lo, ctrl.hi))
+              for _ in range(ctrl.n_controls))
+    tau1, tau2, nxt = ctrl.torques(state, *q, u)
     assert isinstance(nxt, tuple) and len(nxt) == len(ctrl.state0)
     assert all(isinstance(v, float) for v in nxt)
     assert isinstance(tau1, float) and isinstance(tau2, float)
@@ -56,16 +56,15 @@ def test_torques_returns_a_row_as_wide_as_state0(ctrl, data, q, dt):
 @PROPS
 @given(flags=flag_sets, model=models,
        start=st.tuples(*[finite(0.0, 1.0)] * 4),
-       steps=st.lists(st.tuples(joint, st.tuples(*[finite(-5.0, 5.0)] * 4)),
-                      min_size=1, max_size=10),
-       dt=finite(1e-3, 0.05))
-def test_muscle_rows_stay_in_the_unit_box(flags, model, start, steps, dt):
-    # activities and calcium states stay in [0, 1] whatever the excitation,
-    # inside [0, 1] or clamped back from outside it
+       steps=st.lists(st.tuples(joint, st.tuples(*[finite(0.0, 1.0)] * 4)),
+                      min_size=1, max_size=10))
+def test_muscle_rows_stay_in_the_unit_box(flags, model, start, steps):
+    # activities and calcium states stay in [0, 1] for every excitation in
+    # the box [0, 1], from rest and from any row in the box
     ctrl = MuscleController(flags=flags, activation_model=model)
     for state in (ctrl.state0, start):
         for q, u in steps:
-            _, _, state = ctrl.torques(state, *q, u, dt)
+            _, _, state = ctrl.torques(state, *q, u)
             assert all(0.0 <= v <= 1.0 for v in state)
 
 
@@ -84,10 +83,10 @@ def test_a_batch_step_equals_the_scalar_step_in_every_column(family, flags,
     u = rng.uniform(ctrl.lo, ctrl.hi, (ctrl.n_controls, cols))
     want = [ctrl.torques(tuple(rows[:, i].tolist()),
                          *(float(x[i]) for x in q),
-                         tuple(u[:, i].tolist()), DT_SIM)
+                         tuple(u[:, i].tolist()))
             for i in range(cols)]
     state = rows.copy()
-    tau1, tau2 = ctrl.batch_torques(DT_SIM)(state, *q, u)
+    tau1, tau2 = ctrl.batch_torques()(state, *q, u)
     for i, (w1, w2, w_row) in enumerate(want):
         assert (float(tau1[i]), float(tau2[i])) == (w1, w2)
         assert tuple(state[:, i].tolist()) == w_row

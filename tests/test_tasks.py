@@ -17,13 +17,14 @@ W = ObjectiveWeights()
 TARGET = ReachTarget()
 
 
-def fake_traj(th, dth, ddth, dt=0.005):
-    """A trajectory of the samples th, dth, ddth, with zero controls (four
-    per step, as a muscle arm's) on every step between them."""
+def fake_traj(th, dth, ddth):
+    """A trajectory of the samples th, dth, ddth, one per physics step
+    (DT_SIM), with zero controls (four per step, as a muscle arm's) on every
+    step between them."""
     th = np.atleast_2d(np.asarray(th, dtype=float))
     return SimpleNamespace(th=th, dth=np.atleast_2d(np.asarray(dth, dtype=float)),
                            ddth=np.atleast_2d(np.asarray(ddth, dtype=float)),
-                           dt=dt, controls=np.zeros((max(1, len(th) - 1), 4)))
+                           controls=np.zeros((max(1, len(th) - 1), 4)))
 
 
 def hand_xz(th1, th2, params):
