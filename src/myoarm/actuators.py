@@ -432,7 +432,9 @@ class LowPassController:
 
     The filter is the forward Euler step f' = f + (DT_SIM/dt_filter)(u - f),
     which is stable for gains DT_SIM/dt_filter up to 2, so a dt_filter
-    below half the step is refused when the controller is built.
+    below half the step is refused when the controller is built. So is an
+    infinite one, whose gain 0 would hold the filter at its start row and
+    apply no torque at all.
     """
 
     n_controls = 2
@@ -444,6 +446,9 @@ class LowPassController:
         if not dt_filter >= 0.5 * DT_SIM:
             raise ValueError(f"dt_filter {dt_filter} is below half the step "
                              f"dt = {DT_SIM}; the filter would diverge")
+        if math.isinf(dt_filter):
+            raise ValueError("dt_filter must be finite; an infinite time "
+                             "constant never passes a command on")
         self.dt_filter = dt_filter
         self._gain = DT_SIM / dt_filter
         self.tau_max = _valid_tau_max(tau_max)

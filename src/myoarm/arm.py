@@ -114,11 +114,6 @@ class BallState:
     z: float
     dx: float = 0.0
     dz: float = 0.0
-    mass: float = 0.25
-
-    def __post_init__(self):
-        if self.mass <= 0.0:
-            raise ValueError("ball mass must be positive")
 
 
 class _Coeffs:
@@ -381,4 +376,4 @@ def ball_step(ball: BallState, hand_pos, hand_vel, dt: float, g: float = 9.81,
         if rel < 0.0:  # approaching
             dx -= (1.0 + restitution) * rel * nx
             dz -= (1.0 + restitution) * rel * nz
-    return BallState(x=x, z=z, dx=dx, dz=dz, mass=ball.mass)
+    return BallState(x=x, z=z, dx=dx, dz=dz)

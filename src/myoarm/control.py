@@ -8,12 +8,15 @@ control plan has one form everywhere: a zero-order-hold decision vector
 with its ControlParameterization, which `rollout` takes one of and
 `rollout_batch` a population of, and which zoh_control decodes. The
 parameterization owns its alignment with the physics steps: it refuses a
-resolution that is not a whole multiple of DT_SIM when it is built, and
-says how many steps a segment lasts (steps_per_segment). MPC re-plans
+resolution or a horizon that is not a whole multiple of DT_SIM when it is
+built, says how many steps a segment lasts (steps_per_segment), and sets
+the episode length (n_steps). The task owns the arm: a rollout simulates
+task.params and the task's costs read the same arm, so the callers hand in
+only the plan, the controller and, for MPC, a start snapshot. MPC re-plans
 against a prediction model that only sees perturbations flagged as
 visible; each plant segment is an unscored rollout (_simulate) of the
-plan in force, and the executed trajectory is one rollout of the first
-segments it applied.
+first segment of the plan in force, and the executed trajectory is one
+rollout of the first segments it applied.
 
 Actuator state is the controller's state row (see actuators): a rollout
 starts from `controller_state` (the controller's state0 when None), passes
@@ -41,9 +44,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arm import (ArmParams, ArmState, BallState, Perturbation, _accel,
-                  _Coeffs, _hand, _pendulum_forces, _pendulum_step, _symp_step,
-                  ball_step)
+from .arm import (ArmState, BallState, Perturbation, _accel, _Coeffs, _hand,
+                  _pendulum_forces, _pendulum_step, _symp_step, ball_step)
 from .optimizers import CmaConfig, cma_es, local_refine
 
 DT_SIM = 0.005                 # physics timestep, seconds
@@ -129,13 +131,12 @@ class ControlParameterization:
     [k*resolution, (k+1)*resolution). A (decision vector, parameterization)
     pair is the one form in which a control plan reaches the rollout layer:
     rollout takes one, rollout_batch a population of them. zoh_control
-    decodes it, with values clamped to [lo, hi]; past the horizon the last
-    segment holds, so a one-segment vector is a constant command. The
-    resolution must be a whole multiple of DT_SIM, so segment boundaries
-    land on physics steps; a segment lasts steps_per_segment steps. So must
-    the horizon, so a plan ends on a physics step (an MPC window lasts
-    exactly t_pred); it need not be a multiple of the resolution, and then
-    the last segment is a partial one.
+    decodes it, with values clamped to [lo, hi]. The resolution must be a
+    whole multiple of DT_SIM, so segment boundaries land on physics steps;
+    a segment lasts steps_per_segment steps. So must the horizon, so a plan
+    ends on a physics step: a rollout of the plan lasts n_steps steps (an
+    MPC window exactly t_pred). The horizon need not be a multiple of the
+    resolution, and then the last segment is a partial one.
     """
 
     horizon: float
@@ -159,6 +160,10 @@ class ControlParameterization:
     @property
     def steps_per_segment(self) -> int:
         return round(self.resolution / DT_SIM)
+
+    @property
+    def n_steps(self) -> int:
+        return round(self.horizon / DT_SIM)
 
     @property
     def n_segments(self) -> int:
@@ -196,16 +201,15 @@ def _zoh_table(thetas, parameterization: ControlParameterization):
                                               parameterization.hi)
 
 
-def _segment_of_step(n_steps: int, parameterization: ControlParameterization):
-    """The segment each of n_steps physics steps applies: step k reads
-    segment k // steps_per_segment, and steps past the horizon hold the
-    last segment."""
-    return np.minimum(np.arange(n_steps) // parameterization.steps_per_segment,
-                      parameterization.n_segments - 1)
+def _segment_of_step(parameterization: ControlParameterization):
+    """The segment each of the plan's n_steps physics steps applies: step k
+    reads segment k // steps_per_segment."""
+    return np.arange(parameterization.n_steps) // parameterization.steps_per_segment
 
 
-def zoh_control(theta, parameterization: ControlParameterization, n_steps: int):
-    """Decode one decision vector for a rollout of n_steps physics steps.
+def zoh_control(theta, parameterization: ControlParameterization):
+    """Decode one decision vector for a rollout of the plan's n_steps
+    physics steps.
 
     Returns the (n_steps, n_actuators) array whose row k is the control row
     physics step k applies, the segment _segment_of_step gives it, clipped
@@ -214,7 +218,7 @@ def zoh_control(theta, parameterization: ControlParameterization, n_steps: int):
     """
     table = _zoh_table(np.asarray(theta, dtype=float).reshape(1, -1),
                        parameterization)[0]
-    return table[_segment_of_step(n_steps, parameterization)]
+    return table[_segment_of_step(parameterization)]
 
 
 def _rows(flat, n):
@@ -222,64 +226,52 @@ def _rows(flat, n):
     return np.fromiter(flat, float, len(flat)).reshape(n, -1)
 
 
-def _horizon_steps(task, duration) -> int:
-    n = round((duration if duration is not None else task.duration) / DT_SIM)
-    if n < 1:
-        raise ValueError("horizon shorter than one physics step")
-    return n
-
-
-def _score(task, result: RolloutResult, params, duration) -> float:
+def _score(task, result: RolloutResult, parameterization) -> float:
     """The cost of a finished, non-diverged episode."""
-    # a caller-shortened horizon is an MPC prediction window; score it
-    # with the task's length-agnostic variant of the same functional
-    windowed = duration is not None and duration < task.duration - 1e-9
-    cost_fn = task.window_cost if windowed else task.cost
-    return float(cost_fn(result, params))
+    # a plan shorter than the task is an MPC prediction window or an MPC
+    # run that stopped early; score it with the task's length-agnostic
+    # variant of the same functional
+    windowed = parameterization.horizon < task.duration - 1e-9
+    return float((task.window_cost if windowed else task.cost)(result))
 
 
 def rollout(task, controller, theta, parameterization: ControlParameterization,
-            params: ArmParams | None = None,
             perturbation: Perturbation | None = None,
             initial_state: ArmState | None = None, controller_state=None,
-            ball0: BallState | None = None,
-            duration: float | None = None) -> RolloutResult:
+            ball0: BallState | None = None) -> RolloutResult:
     """Simulate one episode of `task` under `controller` and decision vector
     `theta`, the input rollout_batch takes one row of, and score it.
 
-    The arm and the actuator state advance at the physics timestep DT_SIM.
-    theta is decoded once, for every step, by zoh_control; physics step k
-    applies segment k // steps_per_segment, and steps past the
-    parameterization's horizon hold its last segment. The episode lasts
-    `duration` (the task's own when None), whatever the horizon.
-    Mass-type perturbations are folded into the plant parameters; a
-    pendulum perturbation is co-simulated and coupled through cable
-    tension. A non-finite state marks the rollout diverged with the
-    sentinel cost, and so does a step whose math.cos or math.sin meets an
-    overflowed angle (the samples it did not record are NaN), which
-    rollout_batch, where np.cos gives NaN, scores the same. Any other
-    episode is scored by the task's cost, or its window_cost when
-    `duration` is shorter than the task's.
+    The arm, task.params, and the actuator state advance at the physics
+    timestep DT_SIM. theta is decoded once, for every step, by zoh_control;
+    physics step k applies segment k // steps_per_segment, and the episode
+    lasts the parameterization's n_steps steps unless the task's goal or a
+    divergence ends it first. Mass-type perturbations are folded into the
+    plant parameters; a pendulum perturbation is co-simulated and coupled
+    through cable tension. A non-finite state marks the rollout diverged
+    with the sentinel cost, and so does a step whose math.cos or math.sin
+    meets an overflowed angle (the samples it did not record are NaN),
+    which rollout_batch, where np.cos gives NaN, scores the same. Any other
+    episode is scored by the task's cost, or its window_cost when the
+    plan's horizon is shorter than the task's.
 
     The actuator state starts as controller_state (a state row, the
     controller's state0 when None) and ends as the result's
     controller_state. _simulate runs the episode; this function adds the
     score.
     """
-    params = params or ArmParams()
-    result = _simulate(task, controller, theta, parameterization, params,
-                       perturbation, initial_state, controller_state, ball0,
-                       duration)
+    result = _simulate(task, controller, theta, parameterization,
+                       perturbation, initial_state, controller_state, ball0)
     if not result.diverged:
-        result.cost = _score(task, result, params, duration)
+        result.cost = _score(task, result, parameterization)
     return result
 
 
-def _simulate(task, controller, theta, parameterization, params, perturbation,
-              initial_state, controller_state, ball0, duration) -> RolloutResult:
+def _simulate(task, controller, theta, parameterization, perturbation,
+              initial_state, controller_state, ball0) -> RolloutResult:
     """rollout's episode without its score: the cost is SENTINEL_COST if it
     diverged and NaN otherwise. MPC's plant segments, whose cost nothing
-    reads, run this; params is not None.
+    reads, run this.
 
     The recorder: each step appends one record of eight floats, (tau1,
     tau2, a1, a2, th1, th2, w1, w2), to one flat list that starts with the
@@ -290,13 +282,13 @@ def _simulate(task, controller, theta, parameterization, params, perturbation,
     are rows of zoh_control's per-step table. A pendulum load and a ball
     each keep a list of their own.
     """
+    params = task.params
     p_eff = perturbation.apply_to(params) if perturbation is not None else params
     coeffs = _Coeffs(p_eff)
     pend_pert = (perturbation if perturbation is not None
                  and perturbation.kind == "chaotic_pendulum" else None)
 
-    n = _horizon_steps(task, duration)
-    controls = zoh_control(theta, parameterization, n)
+    controls = zoh_control(theta, parameterization)
     dt = DT_SIM
     state = initial_state if initial_state is not None else task.initial_state()
     th1, th2 = state.th1, state.th2
@@ -352,8 +344,7 @@ def _simulate(task, controller, theta, parameterization, params, perturbation,
                 termination = "diverged"
                 break
             if is_done is not None and is_done(
-                    ArmState(th1=th1, th2=th2, dth1=w1, dth2=w2, t=t0 + steps * dt),
-                    params):
+                    ArmState(th1=th1, th2=th2, dth1=w1, dth2=w2, t=t0 + steps * dt)):
                 termination = "goal"
                 break
     except (ValueError, OverflowError) as exc:
@@ -419,16 +410,13 @@ def _scalar_only(task, controller, perturbation) -> bool:
 
 
 def rollout_batch(task, controller, thetas, parameterization: ControlParameterization,
-                  params: ArmParams | None = None,
-                  perturbation: Perturbation | None = None,
-                  initial_state: ArmState | None = None, controller_state=None,
-                  ball0: BallState | None = None,
-                  duration: float | None = None) -> np.ndarray:
+                  perturbation: Perturbation | None = None) -> np.ndarray:
     """Costs of a (population, dim) array of zero-order-hold decision vectors.
 
     Row i's cost is the cost of
-    rollout(task, controller, thetas[i], parameterization, ...) with the
-    same keyword arguments. All rows advance together in
+    rollout(task, controller, thetas[i], parameterization, perturbation),
+    an episode from the task's initial state and the controller's state0
+    (a start snapshot is rollout's alone). All rows advance together in
     structure-of-arrays form: one ZOH decode for the population, then per
     physics step one call of the controller's batch_torques step and one
     of arm._symp_step on arrays with np.cos/np.sin. Every other operation
@@ -440,33 +428,30 @@ def rollout_batch(task, controller, thetas, parameterization: ControlParameteriz
     SENTINEL_COST; every other row is scored by the task's own cost (or
     window cost) on a RolloutResult of its own, with th, dth, ddth and
     controls filled in and torques and controller_state left None. Every
-    row starts from the same state row, controller_state (state0 when
-    None), as column i of the array the batch step advances. The cases in
-    _scalar_only run through `rollout` row by row instead.
+    row starts from the controller's state0, as column i of the array the
+    batch step advances. The cases in _scalar_only run through `rollout`
+    row by row instead.
     """
     table = _zoh_table(thetas, parameterization)
-    params = params or ArmParams()
     if _scalar_only(task, controller, perturbation):
         return np.array([
-            rollout(task, controller, theta, parameterization, params=params,
-                    perturbation=perturbation, initial_state=initial_state,
-                    controller_state=controller_state, ball0=ball0,
-                    duration=duration).cost
+            rollout(task, controller, theta, parameterization,
+                    perturbation=perturbation).cost
             for theta in np.asarray(thetas, dtype=float)])
 
+    params = task.params
     p_eff = perturbation.apply_to(params) if perturbation is not None else params
     coeffs = _Coeffs(p_eff)
-    n = _horizon_steps(task, duration)
+    n = parameterization.n_steps
     dt = DT_SIM
-    state = initial_state if initial_state is not None else task.initial_state()
+    state = task.initial_state()
     lam = table.shape[0]
-    cstate = np.tile(np.reshape(_state_row(controller, controller_state),
-                                (-1, 1)), lam)
+    cstate = np.tile(np.reshape(controller.state0, (-1, 1)), lam)
     torques_of = controller.batch_torques()
 
     # per segment, an (n_actuators, population) block of controls
     blocks = list(np.ascontiguousarray(table.transpose(1, 2, 0)))
-    segment = _segment_of_step(n, parameterization)
+    segment = _segment_of_step(parameterization)
     th1, th2 = np.full(lam, state.th1), np.full(lam, state.th2)
     w1, w2 = np.full(lam, state.dth1), np.full(lam, state.dth2)
     # row i's samples are th[i], a contiguous (n + 1, 2) trajectory; each
@@ -503,7 +488,7 @@ def rollout_batch(task, controller, thetas, parameterization: ControlParameteriz
             controls=table[i][segment], torques=None, controller_state=None,
             ball=None, pend=None, cost=SENTINEL_COST, diverged=False,
             termination="horizon", steps=n)
-        costs[i] = _score(task, result, params, duration)
+        costs[i] = _score(task, result, parameterization)
     return costs
 
 
@@ -521,8 +506,7 @@ def _box_center(par: ControlParameterization) -> np.ndarray:
 
 
 def open_loop_optimize(task, controller, resolution: float,
-                       cma_config: CmaConfig, params: ArmParams | None = None,
-                       perturbation: Perturbation | None = None):
+                       cma_config: CmaConfig):
     """Optimize a zero-order-hold plan of `controller` for the task with
     CMA-ES.
 
@@ -536,12 +520,10 @@ def open_loop_optimize(task, controller, resolution: float,
     par = parameterization_for(task, controller, resolution)
 
     def objective(thetas):
-        return rollout_batch(task, controller, thetas, par, params=params,
-                             perturbation=perturbation)
+        return rollout_batch(task, controller, thetas, par)
 
     best_x, best_f, trace = cma_es(objective, _box_center(par), cma_config)
-    best = rollout(task, controller, best_x, par, params=params,
-                   perturbation=perturbation)
+    best = rollout(task, controller, best_x, par)
     return best_x, best, trace, par
 
 
@@ -587,41 +569,42 @@ class MpcResult:
 
 
 def mpc_run(task, controller, mpc: MpcConfig,
-            params: ArmParams | None = None,
             perturbation: Perturbation | None = None) -> MpcResult:
     """Receding-horizon control of the task with `controller`: CMA-ES warm
     start, then per-step refinement.
 
-    The plant feels the full perturbation; the prediction model only includes
+    Plant and prediction model run on the task's arm, task.params. The
+    plant feels the full perturbation; the prediction model only includes
     it when perturbation.visible_to_prediction is set. At each control step
-    the plant runs the plan for one segment (an unscored rollout, _simulate,
-    of the plan that lasts mpc.resolution, so only its first segment is
-    read), the plan is shifted (last segment duplicated), and a pattern
-    search with a fixed evaluation budget refines it against the prediction
-    model from the latest plant snapshot: the arm state and the actuator
-    state row the executed segment ended in. Plant and prediction share
-    one controller, which holds parameters only. The window is the
-    controller's OC parameterization (parameterization_for) with horizon
-    mpc.t_pred. The warm start is CMA-ES from the middle of the control box
-    with mpc.warm (step size WARM_SIGMA0), and it scores each generation
-    with rollout_batch; the refinement starts at radius REFINE_RADIUS and
-    scores each window with the scalar rollout. mpc.resolution must be a
-    whole multiple of DT_SIM and divide the task's horizon (ValueError
-    before any work otherwise).
+    the plant runs the plan's first segment (an unscored rollout,
+    _simulate, of a one-segment plan), the plan is shifted (last segment
+    duplicated), and a pattern search with a fixed evaluation budget
+    refines it against the prediction model from the latest plant
+    snapshot: the arm state and the actuator state row the executed
+    segment ended in. Plant and prediction share one controller, which
+    holds parameters only. The window is the controller's OC
+    parameterization (parameterization_for) with horizon mpc.t_pred, so a
+    window rollout lasts t_pred. The warm start is CMA-ES from the middle
+    of the control box with mpc.warm (step size WARM_SIGMA0), and it scores
+    each generation with rollout_batch from the task's start; the
+    refinement starts at radius REFINE_RADIUS and scores each window with
+    the scalar rollout. mpc.resolution must be a whole multiple of DT_SIM
+    and divide the task's horizon (ValueError before any work otherwise).
 
     The executed trajectory is one rollout, from the task's initial state,
     of the first segments of the plans applied, on the plant; it walks the
     plant segments' states bit for bit, and its cost is the functional OC
-    applies. MpcResult.step_evals is the running count of evaluations
-    actually spent when each control step was executed; the run spends no
+    applies (window_cost when a goal or divergence stopped the run early).
+    MpcResult.step_evals is the running count of evaluations actually
+    spent when each control step was executed; the run spends no
     evaluation after its last step, so step_evals[-1] is the run's total.
     """
-    params = params or ArmParams()
     visible = perturbation is not None and perturbation.visible_to_prediction
     pred_pert = perturbation if visible else None
 
     par = replace(parameterization_for(task, controller, mpc.resolution),
                   horizon=mpc.t_pred)
+    segment = replace(par, horizon=mpc.resolution)
     n_ctrl = _whole_multiple(task.duration, mpc.resolution, "task horizon",
                              "MPC resolution")
 
@@ -631,33 +614,31 @@ def mpc_run(task, controller, mpc: MpcConfig,
 
     def window_objective(snap_state, snap_ctrl, snap_ball):
         def objective(theta):
-            return rollout(task, controller, theta, par, params=params,
+            return rollout(task, controller, theta, par,
                            perturbation=pred_pert, initial_state=snap_state,
-                           controller_state=snap_ctrl, ball0=snap_ball,
-                           duration=mpc.t_pred).cost
+                           controller_state=snap_ctrl, ball0=snap_ball).cost
         return objective
 
-    def warm_objective(thetas):         # from the initial snapshot
-        return rollout_batch(task, controller, thetas, par, params=params,
-                             perturbation=pred_pert, initial_state=state,
-                             controller_state=ctrl_state, ball0=ball,
-                             duration=mpc.t_pred)
+    def warm_objective(thetas):         # from the task's start
+        return rollout_batch(task, controller, thetas, par,
+                             perturbation=pred_pert)
 
     plan, _, warm_trace = cma_es(warm_objective, _box_center(par), mpc.warm)
     evals = warm_trace.total_evals
 
+    na = par.n_actuators
     plans = []
     step_evals = []
     for k in range(n_ctrl):
         plans.append(plan.copy())
         step_evals.append(evals)
-        seg = _simulate(task, controller, plan, par, params, perturbation,
-                        state, ctrl_state, ball, mpc.resolution)
+        seg = _simulate(task, controller, plan[:na], segment, perturbation,
+                        state, ctrl_state, ball)
         state, ctrl_state = seg.final_state, seg.controller_state
         if ball is not None:
             bx, bz, bdx, bdz = seg.ball[-1]
             ball = BallState(x=float(bx), z=float(bz), dx=float(bdx),
-                             dz=float(bdz), mass=ball.mass)
+                             dz=float(bdz))
         if seg.termination != "horizon" or k == n_ctrl - 1:
             break
         plan = par.shift(plan)
@@ -666,13 +647,12 @@ def mpc_run(task, controller, mpc: MpcConfig,
             REFINE_RADIUS, mpc.refine_budget, lo=par.lo, hi=par.hi)
         evals += refine_evals
 
-    na = par.n_actuators
     executed = rollout(task, controller,
                        np.concatenate([p[:na] for p in plans]),
                        replace(par, horizon=len(plans) * mpc.resolution),
-                       params=params, perturbation=perturbation)
+                       perturbation=perturbation)
     if not executed.diverged:
-        stage = task.stage_series(executed, params)
+        stage = task.stage_series(executed)
         spc = par.steps_per_segment
         per_step = [float(stage[i * spc:(i + 1) * spc + 1].mean())
                     for i in range(len(plans))]

@@ -84,16 +84,13 @@ def overshoot_past_target(th, target) -> float:
     return max(0.0, float((np.asarray(th)[:, 1] - target.th_des[1]).max()))
 
 
-def _arm_params(config: ExperimentConfig) -> ArmParams:
-    return ArmParams(**config.arm_overrides) if config.arm_overrides else ArmParams()
-
-
 def _task_for(config: ExperimentConfig, seed: int):
+    """The run's task, on the config's arm."""
     overrides = {}
     if config.weight_overrides:
         overrides["weights"] = ObjectiveWeights(**config.weight_overrides)
-    return make_task(config.task, seed=seed, params=_arm_params(config),
-                     **overrides)
+    return make_task(config.task, seed=seed,
+                     params=ArmParams(**config.arm_overrides), **overrides)
 
 
 def oc_trace_rows(experiment, task, morphology, c, sigma, seed, trace):
@@ -123,8 +120,7 @@ def _oc_run(config: ExperimentConfig, morphology, c, sigma, seed,
     cma = CmaConfig(population=config.population,
                     generations=config.generations, sigma0=sigma, seed=seed)
     _, best, trace, _ = open_loop_optimize(
-        _task_for(config, seed), _controller(morphology, tau_max), c, cma,
-        params=_arm_params(config))
+        _task_for(config, seed), _controller(morphology, tau_max), c, cma)
     return trace, best
 
 
@@ -139,7 +135,7 @@ def _mpc_run(config: ExperimentConfig, morphology, tpred, seed,
                     warm_generations=config.warm_generations,
                     refine_budget=config.refine_budget, seed=seed)
     return mpc_run(_task_for(config, seed), _controller(morphology, tau_max),
-                   mpc, params=_arm_params(config), perturbation=perturbation)
+                   mpc, perturbation=perturbation)
 
 
 def _controller(morphology, tau_max):

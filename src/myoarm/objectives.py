@@ -1,9 +1,13 @@
 """Task objectives: reaching costs and the ball-serve criterion, plus the
-task descriptions (initial state, horizon, terminal rule) that the rollout
-and optimization layers consume."""
+task descriptions (initial state, horizon, terminal rule, and the arm the
+task runs on) that the rollout and optimization layers consume.
+
+A task owns its arm, `params`: rollouts simulate it, and the task's own
+cost, window_cost, stage_series and is_done read it, so none of them takes
+an arm of its own."""
 
 import math
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -111,13 +115,15 @@ class SmoothReaching:
     ratios w_th/s_th and w_dth/s_dth) are converted once, when the task is
     built, so `weights` and `target` are read only at construction:
     assigning a new value to either afterwards does not change the costs
-    (dataclasses.replace builds a task that reads them again).
+    (dataclasses.replace builds a task that reads them again). `params` is
+    the arm the task runs on; the cost reads joint angles only.
     """
 
     name = "smooth-reach"
     duration: float = 0.9
     weights: ObjectiveWeights = field(default_factory=ObjectiveWeights)
     target: ReachTarget = field(default_factory=ReachTarget)
+    params: ArmParams = field(default_factory=ArmParams)
     has_ball = False
 
     def __post_init__(self):
@@ -148,14 +154,14 @@ class SmoothReaching:
     def initial_state(self) -> ArmState:
         return ArmState(th1=-0.5 * math.pi, th2=0.0)
 
-    def cost(self, traj, params: ArmParams) -> float:
+    def cost(self, traj) -> float:
         return self._cost(traj.th, traj.dth, traj.ddth, self.duration)
 
-    def window_cost(self, traj, params: ArmParams) -> float:
+    def window_cost(self, traj) -> float:
         """Same functional without the full-horizon length requirement."""
         return self._cost(traj.th, traj.dth, traj.ddth, None)
 
-    def stage_series(self, traj, params: ArmParams) -> np.ndarray:
+    def stage_series(self, traj) -> np.ndarray:
         return self._stage(traj.th, traj.dth, jerk_from_accel(traj.ddth))
 
 
@@ -164,7 +170,7 @@ class PreciseReaching:
     """Hold the hand on a sampled goal point; reward evaluated per control step.
 
     Without a goal in `target`, one is drawn from target.rect with the task
-    seed, inside the reach of `params` (the default arm when None). The
+    seed, inside the reach of `params`, the arm the task runs on. The
     drawn goal goes into a copy of `target`, never into the given object,
     so tasks built from one target each keep their own seed's goal.
     """
@@ -176,50 +182,50 @@ class PreciseReaching:
     target: ReachTarget = field(default_factory=ReachTarget)
     seed: int = 0
     terminal_threshold: float | None = None   # set for the fast variant
-    params: InitVar[ArmParams | None] = None  # the arm goals are drawn for
+    params: ArmParams = field(default_factory=ArmParams)
     has_ball = False
 
-    def __post_init__(self, params):
+    def __post_init__(self):
         if self.target.goal_xz is None:
             rng = np.random.Generator(np.random.PCG64(self.seed))
             self.target = replace(self.target, goal_xz=self.target.sample_goal(
-                rng, params if params is not None else ArmParams()))
+                rng, self.params))
 
     def initial_state(self) -> ArmState:
         return ArmState(th1=-0.5 * math.pi, th2=0.0)
 
-    def _distances(self, traj, params):
+    def _distances(self, traj):
         gx, gz = self.target.goal_xz
-        hx, hz = hand_position(traj.th[:, 0], traj.th[:, 1], params,
+        hx, hz = hand_position(traj.th[:, 0], traj.th[:, 1], self.params,
                                cos=np.cos, sin=np.sin)
         return np.hypot(hx - gx, hz - gz)
 
-    def _rewards(self, traj, params):
+    def _rewards(self, traj):
         """The reward at each control boundary, by sample index."""
         stride = max(1, round(self.control_resolution / DT_SIM))
-        d = self._distances(traj, params)
+        d = self._distances(traj)
         controls = traj.controls
         return {k: precise_reaching_reward(
                     d[k], controls[min(k, controls.shape[0] - 1)], self.weights)
                 for k in range(0, d.size, stride)}
 
-    def stage_series(self, traj, params: ArmParams) -> np.ndarray:
+    def stage_series(self, traj) -> np.ndarray:
         # negative reward at each control boundary so lower is better
         out = np.zeros(traj.th.shape[0])
-        for k, r in self._rewards(traj, params).items():
+        for k, r in self._rewards(traj).items():
             out[k] = -r
         return out
 
-    def cost(self, traj, params: ArmParams) -> float:
-        return -float(np.mean(list(self._rewards(traj, params).values())))
+    def cost(self, traj) -> float:
+        return -float(np.mean(list(self._rewards(traj).values())))
 
-    def window_cost(self, traj, params: ArmParams) -> float:
-        return self.cost(traj, params)
+    def window_cost(self, traj) -> float:
+        return self.cost(traj)
 
-    def is_done(self, state: ArmState, params: ArmParams) -> bool:
-        if self.terminal_threshold is None:
-            return False
-        x, z = hand_position(state.th1, state.th2, params)
+    def is_done(self, state: ArmState) -> bool:
+        """Whether the hand is within terminal_threshold of the goal; the
+        rollout asks only when the threshold is set."""
+        x, z = hand_position(state.th1, state.th2, self.params)
         gx, gz = self.target.goal_xz
         return fast_reaching_done(math.hypot(x - gx, z - gz), self.terminal_threshold)
 
@@ -240,23 +246,23 @@ class BallServe:
     name = "ball-serve"
     duration: float = 0.9
     drop_xz: tuple = (0.45, 0.35)
-    ball_mass: float = 0.25
     contact_radius: float = 0.05
+    params: ArmParams = field(default_factory=ArmParams)
     has_ball = True
 
     def initial_state(self) -> ArmState:
         return ArmState(th1=-0.5 * math.pi, th2=0.0)
 
     def initial_ball(self) -> BallState:
-        return BallState(x=self.drop_xz[0], z=self.drop_xz[1], mass=self.ball_mass)
+        return BallState(x=self.drop_xz[0], z=self.drop_xz[1])
 
-    def cost(self, traj, params: ArmParams) -> float:
+    def cost(self, traj) -> float:
         return ball_serve_cost(traj.ball[:, 3])
 
-    def window_cost(self, traj, params: ArmParams) -> float:
-        return self.cost(traj, params)
+    def window_cost(self, traj) -> float:
+        return self.cost(traj)
 
-    def stage_series(self, traj, params: ArmParams) -> np.ndarray:
+    def stage_series(self, traj) -> np.ndarray:
         # running negative best upward speed; the final entry equals the cost
         return -np.maximum.accumulate(traj.ball[:, 3])
 
@@ -266,14 +272,16 @@ TASKS = ("smooth-reach", "precise-reach", "fast-reach", "ball-serve")
 
 def make_task(name: str, seed: int = 0, params: ArmParams | None = None,
               **overrides):
-    """Task factory; seed and params (the arm the task runs on) only affect
-    tasks with sampled goals, whose goals must lie within that arm's reach."""
+    """Task factory. Every task runs on `params` (the default arm when
+    None); seed only affects tasks with sampled goals, whose goals must lie
+    within that arm's reach."""
+    params = params or ArmParams()
     if name == "smooth-reach":
-        return SmoothReaching(**overrides)
+        return SmoothReaching(params=params, **overrides)
     if name == "precise-reach":
         return PreciseReaching(seed=seed, params=params, **overrides)
     if name == "fast-reach":
         return fast_reaching_task(seed=seed, params=params, **overrides)
     if name == "ball-serve":
-        return BallServe(**overrides)
+        return BallServe(params=params, **overrides)
     raise ValueError(f"unknown task {name!r}; expected one of {TASKS}")

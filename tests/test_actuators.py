@@ -296,12 +296,12 @@ def test_pd_law_anchor_values():
 
 def test_pd_closed_loop_settles_within_spec():
     """A step to the reach pose must settle within 2% of the step in < 1.5 s."""
-    task = SmoothReaching()
+    task = SmoothReaching(duration=3.0)
     ctrl = PDController()
     target = (0.5, 0.5)   # scaled by pi: the (pi/2, pi/2) reach pose
     # one segment over the task's horizon, held for all of the 3 s
     res = rollout(task, ctrl, np.array(target),
-                  parameterization_for(task, ctrl, task.duration), duration=3.0)
+                  parameterization_for(task, ctrl, task.duration))
     q_hat = np.array(target) * ctrl.target_scale
     q0 = res.th[0]
     tol = 0.02 * np.abs(q_hat - q0)
@@ -354,6 +354,18 @@ def test_lowpass_rejects_a_filter_faster_than_half_the_step():
     assert edge.torques((0.5, -0.5), 0.0, 0.0, 0.0, 0.0, (0.25, 0.75))[2] == (
         lowpass_step(0.5, 0.25, DT_SIM, 0.0025),
         lowpass_step(-0.5, 0.75, DT_SIM, 0.0025))
+
+
+def test_lowpass_rejects_an_infinite_filter():
+    # gain DT_SIM/inf is 0: the filter would never leave its start row, and
+    # a full command would apply no torque at all
+    with pytest.raises(ValueError, match="must be finite"):
+        LowPassController(dt_filter=math.inf)
+    with pytest.raises(ValueError, match="must be finite"):
+        make_controller("lowpass-fast", dt_filter=math.inf)
+    # a slow but finite filter passes a full command on, a little per step
+    slow = LowPassController(dt_filter=1e6)
+    assert slow.torques(slow.state0, 0.0, 0.0, 0.0, 0.0, (1.0, 1.0))[0] > 0.0
 
 
 def test_rollouts_refuse_a_fast_filter_before_the_first_step(monkeypatch):

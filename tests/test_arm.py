@@ -208,8 +208,9 @@ def test_none_perturbation_leaves_dynamics_unchanged():
     plan = [0.1, -0.2]
     par = parameterization_for(task, ctrl, task.duration)
     s0 = ArmState(0.3, -0.2, 1.0, -0.5)
-    plain = rollout(task, ctrl, plan, par, params=p, initial_state=s0)
-    tagged = rollout(task, ctrl, plan, par, params=p, initial_state=s0,
+    assert task.params == p
+    plain = rollout(task, ctrl, plan, par, initial_state=s0)
+    tagged = rollout(task, ctrl, plan, par, initial_state=s0,
                      perturbation=Perturbation(kind="none"))
     for name in ("th", "dth", "ddth", "torques"):
         assert np.array_equal(getattr(plain, name), getattr(tagged, name))
@@ -248,8 +249,6 @@ def test_parameter_validation():
         ArmParams(l1=0.0)
     with pytest.raises(ValueError):
         ArmParams(m_hand=-0.1)
-    with pytest.raises(ValueError):
-        BallState(x=0.0, z=0.0, mass=0.0)
     with pytest.raises(ValueError):
         Perturbation(kind="wind")
     with pytest.raises(ValueError):

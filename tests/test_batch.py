@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from myoarm.actuators import AblationFlags, make_controller
-from myoarm.arm import ArmParams, ArmState, Perturbation
+from myoarm.arm import Perturbation
 from myoarm.control import (DT_SIM, SENTINEL_COST, ControlParameterization,
                             open_loop_optimize, parameterization_for, rollout,
                             rollout_batch)
@@ -62,12 +62,6 @@ def population(seed, rows, par, spill=0.3):
                        (rows, par.dim))
 
 
-def controller_row(ctrl, rng):
-    """A non-default state row: activities in [0, 1] for the muscle pair,
-    filtered commands in [-1, 1] for the low-pass family, () otherwise."""
-    return tuple(rng.uniform(ctrl.lo, ctrl.hi, len(ctrl.state0)).tolist())
-
-
 def make_family(family, flags):
     if family == "muscle":
         return make_controller("muscle", flags=AblationFlags(*flags))
@@ -81,29 +75,20 @@ def make_family(family, flags):
        c=st.sampled_from((0.02, 0.05, 0.1)),
        pert=st.sampled_from((None, "lower_arm_mass", "hand_mass")),
        mass=st.floats(0.0, 3.0),
-       start=st.booleans(),
        window=st.booleans(),
        rows=st.integers(1, 6),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_each_row_costs_what_the_scalar_rollout_gives_it(
-        family, flags, task_kind, c, pert, mass, start, window, rows, seed):
-    rng = np.random.default_rng(seed)
+        family, flags, task_kind, c, pert, mass, window, rows, seed):
     if task_kind == "smooth":
         task = SmoothReaching(duration=0.3)
     else:   # precise reach scores the controls too
         task = PreciseReaching(duration=0.3, target=ReachTarget(goal_xz=(0.3, 0.2)))
     ctrl = make_family(family, flags)
-    kw = {"params": ArmParams()}
+    kw = {}
     if pert is not None:
         kw["perturbation"] = Perturbation(kind=pert, mass=mass)
-    if start:   # a plant snapshot, as the MPC warm start passes one
-        kw["initial_state"] = ArmState(
-            th1=float(rng.uniform(-2.0, 2.0)), th2=float(rng.uniform(-1.0, 1.0)),
-            dth1=float(rng.uniform(-3.0, 3.0)), dth2=float(rng.uniform(-3.0, 3.0)),
-            t=float(rng.uniform(0.0, 1.0)))
-        kw["controller_state"] = controller_row(ctrl, rng)
     if window:  # an MPC prediction window, scored by window_cost
-        kw["duration"] = 0.1
         par = ControlParameterization(horizon=0.1, resolution=c,
                                       n_actuators=ctrl.n_controls,
                                       lo=ctrl.lo, hi=ctrl.hi)
@@ -135,8 +120,8 @@ def test_row_order_and_batch_size_do_not_change_a_rows_cost(family, seed):
 def test_zoh_segments_align_with_the_physics_steps(family, m, extra, steps,
                                                    rows, seed):
     # resolution m*dt; a plan horizon of m + extra steps, a whole number of
-    # segments or not; a rollout of `steps` steps, which may run past the
-    # plan and must then hold its last segment
+    # segments or not; the rollout lasts the plan, whatever the task's own
+    # length of `steps` steps
     ctrl = make_controller(family)
     horizon = m + extra
     par = ControlParameterization(horizon=horizon * DT_SIM, resolution=m * DT_SIM,
@@ -150,8 +135,8 @@ def test_zoh_segments_align_with_the_physics_steps(family, m, extra, steps,
                     ctrl.lo, ctrl.hi)
     for theta, plan in zip(thetas, table):
         res = rollout(task, ctrl, theta, par)
-        assert res.steps == steps
-        want = plan[[min(k // m, n_seg - 1) for k in range(steps)]]
+        assert res.steps == par.n_steps == horizon
+        want = plan[[k // m for k in range(horizon)]]
         assert np.array_equal(res.controls, want)
     assert_costs_match(rollout_batch(task, ctrl, thetas, par),
                        scalar_costs(task, ctrl, thetas, par))

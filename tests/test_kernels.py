@@ -34,7 +34,8 @@ from myoarm.control import (DT_SIM, SENTINEL_COST, parameterization_for,
 from myoarm.config import ExperimentConfig
 from myoarm.harness import _task_for
 from myoarm.objectives import (ObjectiveWeights, PreciseReaching, ReachTarget,
-                               SmoothReaching, make_task)
+                               SmoothReaching, make_task,
+                               precise_reaching_reward)
 from oracles import (activation_step, fiber_kinematics, muscle_joint_torque,
                      smooth_reach_stages, torque_actuator)
 from test_batch import TRIG_EXACT
@@ -266,10 +267,10 @@ def trajectories(draw, min_size=1):
 
 def assert_smooth_costs_match(task, traj, weights, target):
     want = smooth_reach_stages(traj.th, traj.dth, traj.ddth, weights, target)
-    got = task.stage_series(traj, ArmParams())
+    got = task.stage_series(traj)
     assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert task.cost(traj, ArmParams()) == float(want.sum())
-    assert task.window_cost(traj, ArmParams()) == float(want.sum())
+    assert task.cost(traj) == float(want.sum())
+    assert task.window_cost(traj) == float(want.sum())
 
 
 @EXACT
@@ -301,7 +302,8 @@ def test_a_harness_task_scores_with_its_weight_overrides(overrides, second, traj
 
 def rollout_reference(task, controller, theta, par, params=None,
                       perturbation=None, initial_state=None):
-    """rollout's trajectory arrays from a plain step-by-step loop at DT_SIM,
+    """rollout's trajectory arrays from a plain step-by-step loop at DT_SIM
+    over the plan's horizon, on the arm `params` (the task's when None),
     with the decision vector decoded by a plain reshape and clip, recorded
     one list of rows per field. A step whose math.cos or math.sin meets an
     overflowed angle raises "math domain error"; the step diverged, and
@@ -310,7 +312,7 @@ def rollout_reference(task, controller, theta, par, params=None,
                    par.lo, par.hi).tolist()
     dt = DT_SIM
     steps_per_segment = round(par.resolution / dt)
-    params = params or ArmParams()
+    params = params or task.params
     p_eff = perturbation.apply_to(params) if perturbation is not None else params
     c = _Coeffs(p_eff)
     pend = (perturbation if perturbation is not None
@@ -331,8 +333,8 @@ def rollout_reference(task, controller, theta, par, params=None,
     termination = "horizon"
     tau = (0.0, 0.0)
     try:
-        for k in range(round(task.duration / dt)):
-            u = plan[min(k // steps_per_segment, len(plan) - 1)]
+        for k in range(round(par.horizon / dt)):
+            u = plan[k // steps_per_segment]
             *tau, row = controller.torques(row, th1, th2, w1, w2, u)
             t1, t2 = tau
             if pend is not None:
@@ -360,7 +362,7 @@ def rollout_reference(task, controller, theta, par, params=None,
                 diverged, termination = True, "diverged"
                 break
             if getattr(task, "terminal_threshold", None) is not None and task.is_done(
-                    ArmState(th1, th2, w1, w2, t=s.t + (k + 1) * dt), params):
+                    ArmState(th1, th2, w1, w2, t=s.t + (k + 1) * dt)):
                 termination = "goal"
                 break
     except ValueError as exc:
@@ -468,6 +470,30 @@ def test_rollout_stops_at_the_goal(morph, seed, goal_step):
     res = rollout(task, ctrl, *plan)
     assert res.termination == "goal" and res.steps <= goal_step
     assert_rollout_matches(res, rollout_reference(task, ctrl, *plan))
+
+
+@pytest.mark.parametrize("morph", ["muscle", "torque"])
+def test_rollout_simulates_and_scores_on_the_tasks_arm(morph):
+    # a longer upper arm and a heavier forearm: the task draws its goal for
+    # that arm, and the rollout runs and scores on it, not on the default
+    arm = ArmParams(l1=0.35, m2=2.0)
+    task = make_task("precise-reach", seed=1, params=arm)
+    assert task.params == arm
+    ctrl = make_controller(morph)
+    plan = random_plan(task, ctrl, 1, resolution=0.5)
+    res = rollout(task, ctrl, *plan)
+    ref = rollout_reference(task, ctrl, *plan, params=arm)
+    assert_rollout_matches(res, ref)
+    # the reward at each 10 ms boundary, from the hand on that arm
+    th, controls = ref[0]["th"], ref[0]["controls"]
+    gx, gz = task.target.goal_xz
+    rewards = []
+    for k in range(0, th.shape[0], 2):
+        x, z = hand_position(float(th[k, 0]), float(th[k, 1]), arm)
+        rewards.append(precise_reaching_reward(
+            math.hypot(x - gx, z - gz), controls[min(k, len(controls) - 1)],
+            task.weights))
+    assert res.cost == pytest.approx(-float(np.mean(rewards)), rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", [4, 19])

@@ -38,8 +38,8 @@ def smooth_cost_reference(traj, weights, target):
 
 
 def hold(task, ctrl, values, **kw):
-    """A rollout that applies `values` at every step: a one-segment plan,
-    whose segment holds past its horizon."""
+    """A rollout that applies `values` at every step: a one-segment plan
+    over the task's horizon."""
     return rollout(task, ctrl, np.asarray(values, dtype=float),
                    parameterization_for(task, ctrl, task.duration), **kw)
 
@@ -308,7 +308,7 @@ def torque_window(cfg: MpcConfig):
 
     def objective(theta, state):
         return rollout(SmoothReaching(), TorqueController(), theta, par,
-                       initial_state=state, duration=cfg.t_pred).cost
+                       initial_state=state).cost
     return par, objective
 
 
@@ -326,8 +326,7 @@ class TestMpc:
         # tiny_mpc's budget and seed
         par, _ = torque_window(cfg)
         warm, _, _ = cma_es(
-            lambda thetas: rollout_batch(task, TorqueController(), thetas, par,
-                                         duration=cfg.t_pred),
+            lambda thetas: rollout_batch(task, TorqueController(), thetas, par),
             np.zeros(par.dim), CmaConfig(population=cfg.warm_population,
                                          generations=cfg.warm_generations,
                                          sigma0=WARM_SIGMA0, seed=cfg.seed))
@@ -362,7 +361,7 @@ class TestMpc:
         n = round(task.duration / DT_SIM)
         assert res.executed.th.shape == (n + 1, 2)
         assert np.allclose(np.diff(res.executed.t), DT_SIM)
-        assert res.executed.cost == task.cost(res.executed, PARAMS)
+        assert res.executed.cost == task.cost(res.executed)
         assert math.isfinite(res.executed.cost)
         assert res.step_costs.size == round(task.duration / 0.05)
 
@@ -374,23 +373,24 @@ class TestMpc:
                                 visible_to_prediction=False))])
     def test_executed_trajectory_is_one_rollout_of_its_controls(self, morph, pert):
         # mpc_run replays the applied first segments in one rollout; the
-        # reference chains one plant rollout per plan in force from the
-        # state the previous one ended in, and stitches their samples (each
-        # seam keeps the acceleration that advanced it). The two agree
-        # sample for sample, and the MPC cost is the stitched trajectory's.
+        # reference chains one plant rollout of each plan's first segment
+        # from the state the previous one ended in, and stitches their
+        # samples (each seam keeps the acceleration that advanced it). The
+        # two agree sample for sample, and the MPC cost is the stitched
+        # trajectory's.
         task = SmoothReaching(duration=0.3)
         cfg = tiny_mpc(seed=4, warm_generations=2, refine_budget=4)
         res = mpc_run(task, make_controller(morph), cfg, perturbation=pert)
         ctrl = make_controller(morph)
-        par = ControlParameterization(horizon=cfg.t_pred,
+        par = ControlParameterization(horizon=cfg.resolution,
                                       resolution=cfg.resolution,
                                       n_actuators=ctrl.n_controls,
                                       lo=ctrl.lo, hi=ctrl.hi)
         state, row, parts = task.initial_state(), ctrl.state0, []
         for plan in res.plans:
-            seg = rollout(task, ctrl, plan, par, perturbation=pert,
-                          initial_state=state, controller_state=row,
-                          duration=cfg.resolution)
+            seg = rollout(task, ctrl, plan[:ctrl.n_controls], par,
+                          perturbation=pert, initial_state=state,
+                          controller_state=row)
             parts.append(seg)
             state, row = seg.final_state, seg.controller_state
 
@@ -411,7 +411,7 @@ class TestMpc:
             got, want = getattr(res.executed, name), getattr(ref, name)
             assert (got is None and want is None) or np.array_equal(got, want), name
         assert res.executed.controller_state == ref.controller_state
-        assert res.executed.cost == task.cost(ref, PARAMS)
+        assert res.executed.cost == task.cost(ref)
 
     def test_resolution_must_divide_the_task_horizon(self, monkeypatch):
         # 0.04 s used to run 22 steps (0.88 s) of a 0.9 s task and then
@@ -492,9 +492,9 @@ class TestMpc:
         real = SmoothReaching.window_cost
         scored = []
 
-        def counted(task, traj, params):
+        def counted(task, traj):
             scored.append(traj.steps)
-            return real(task, traj, params)
+            return real(task, traj)
 
         monkeypatch.setattr(SmoothReaching, "window_cost", counted)
         cfg = tiny_mpc(seed=2)

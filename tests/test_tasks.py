@@ -40,9 +40,9 @@ def smooth_reaching_cost(th, dth, ddth, weights, duration=None):
     traj = fake_traj(th, dth, ddth)
     if duration is None:
         task = SmoothReaching(weights=weights, target=TARGET)
-        return task.window_cost(traj, ArmParams())
+        return task.window_cost(traj)
     task = SmoothReaching(weights=weights, target=TARGET, duration=duration)
-    return task.cost(traj, ArmParams())
+    return task.cost(traj)
 
 
 def held_at_target(n):
@@ -110,17 +110,17 @@ class TestSmoothReaching:
         n = 181
         traj = fake_traj(rng.normal(size=(n, 2)), rng.normal(size=(n, 2)),
                          rng.normal(size=(n, 2)))
-        stage = task.stage_series(traj, ArmParams())
-        assert abs(task.cost(traj, ArmParams()) - stage.sum()) < 1e-10
-        assert abs(task.window_cost(traj, ArmParams()) - stage.sum()) < 1e-10
+        stage = task.stage_series(traj)
+        assert abs(task.cost(traj) - stage.sum()) < 1e-10
+        assert abs(task.window_cost(traj) - stage.sum()) < 1e-10
 
     def test_task_rejects_short_trajectory(self):
         task = SmoothReaching()
         traj = fake_traj(*held_at_target(50))
         with pytest.raises(ValueError):
-            task.cost(traj, ArmParams())
+            task.cost(traj)
         # the window variant scores partial trajectories
-        assert task.window_cost(traj, ArmParams()) == 0.0
+        assert task.window_cost(traj) == 0.0
 
 
 class TestJerk:
@@ -213,10 +213,10 @@ class TestPreciseReaching:
             rewards.append(precise_reaching_reward(
                 math.hypot(x - gx, z - gz), traj.controls[min(k, 29)], W))
             want[k] = -rewards[-1]
-        assert np.allclose(task.stage_series(traj, params), want,
+        assert np.allclose(task.stage_series(traj), want,
                            rtol=0, atol=1e-12)
-        assert task.cost(traj, params) == pytest.approx(-np.mean(rewards),
-                                                        rel=0, abs=1e-12)
+        assert task.cost(traj) == pytest.approx(-np.mean(rewards),
+                                                rel=0, abs=1e-12)
 
     def test_out_of_reach_rectangle_rejected(self):
         bad = ReachTarget(rect=((2.0, 3.0), (2.0, 3.0)))
@@ -229,7 +229,7 @@ class TestPreciseReaching:
         rng = np.random.default_rng(11)
         th = rng.uniform(-np.pi, np.pi, size=(20, 2))
         traj = fake_traj(th, np.zeros_like(th), np.zeros_like(th))
-        d = task._distances(traj, params)
+        d = task._distances(traj)
         gx, gz = task.target.goal_xz
         for k in range(20):
             x, z = hand_xz(th[k, 0], th[k, 1], params)
@@ -249,8 +249,8 @@ class TestFastReaching:
         assert make_task("fast-reach", seed=1, duration=0.5).duration == 0.5
 
     def test_is_done_matches_forward_kinematics(self):
-        task = fast_reaching_task(seed=2)
         params = ArmParams(l1=0.35)
+        task = fast_reaching_task(seed=2, params=params)
         gx, gz = task.target.goal_xz
         rng = np.random.default_rng(8)
         hits = 0
@@ -258,7 +258,7 @@ class TestFastReaching:
             state = ArmState(float(th1), float(th2))
             x, z = hand_xz(state.th1, state.th2, params)
             done = math.hypot(x - gx, z - gz) < 0.05
-            assert task.is_done(state, params) == done
+            assert task.is_done(state) == done
             hits += done
         assert hits > 0
 
@@ -288,7 +288,6 @@ class TestBallServe:
         ball = task.initial_ball()
         assert (ball.x, ball.z) == task.drop_xz
         assert ball.dx == 0.0 and ball.dz == 0.0
-        assert ball.mass == 0.25
 
 
 class TestTaskFactory:

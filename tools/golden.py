@@ -9,6 +9,9 @@ kind, every task, the torque calibration and each CLI run command:
 - data_efficiency sweeps on precise-reach and fast-reach, and one with
   arm and weight overrides;
 - a robustness sweep with muscle and torque (so it calibrates);
+- a precise-reach data_efficiency sweep and a precise-reach robustness
+  sweep on a longer upper arm and a heavier forearm, where the arm sets
+  the goal, the dynamics and the score;
 - CLI `simulate` (pendulum load, ball serve, low-pass, fast-reach),
   `optimize` (plain, `--ablate fv`, fast-reach) and `mpc` (muscle; torque
   with a hand mass; pendulum load; fast-reach; ball-serve; a torque
@@ -39,6 +42,7 @@ TINY_OC = {"optimizer.population": 4, "optimizer.generations": 2,
 TINY_MPC = {"optimizer.population": 4, "mpc.warm_generations": 1,
             "mpc.refine_budget": 2, "mpc.tpred": 0.02,
             "experiment.seeds": [0]}
+ARM = {"arm.l1": 0.35, "arm.m2": 2.0}   # a longer upper arm, a heavier forearm
 
 SWEEPS = {
     "data_efficiency": {"experiment.kind": "data_efficiency",
@@ -60,11 +64,16 @@ SWEEPS = {
     "precise_reach": {"experiment.task": "precise-reach",
                       "experiment.seeds": [0]},
     "fast_reach": {"experiment.task": "fast-reach"},
-    "arm_override": {"arm.l1": 0.35, "arm.m2": 2.0,
-                     "weights.jerk_gain": 2.0, "grid.c": [0.1]},
+    "arm_override": {**ARM, "weights.jerk_gain": 2.0, "grid.c": [0.1]},
     "robust_torque": {"experiment.kind": "robustness_weights",
                       "experiment.morphologies": ["muscle", "torque"],
                       "grid.masses": [2.0], **TINY_MPC},
+    "precise_arm": {"experiment.task": "precise-reach", **ARM,
+                    "experiment.seeds": [0]},
+    "robust_precise_arm": {"experiment.kind": "robustness_weights",
+                           "experiment.task": "precise-reach", **ARM,
+                           "experiment.morphologies": ["muscle"],
+                           "grid.masses": [1.0], **TINY_MPC},
 }
 
 TINY_CLI_OC = ["--population", "4", "--generations", "2"]
