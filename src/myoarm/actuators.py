@@ -21,13 +21,13 @@ step alone (the muscle decay factors, the low-pass gain) is fixed when the
 controller is built, and a low-pass filter too fast for the step is
 refused then.
 
-MuscleController.torques is one straight-line kernel: the four activation
-updates written out, each joint's parameters read once, and the pair
-torque tau = -(m1*F1 + m2*F2) from _fiber_force, the one function that
-evaluates the force-length, force-velocity and passive curves. The same
-step composed from one function per curve, with the pair torque as
-muscle_joint_torque, lives in tests/oracles.py, which test_kernels holds
-the kernel to bit for bit.
+MuscleController.torques is one straight-line kernel, called once per
+step of the scalar rollout: the four activation updates written out, each
+joint's parameters read once, and the pair torque tau = -(m1*F1 + m2*F2)
+with each fiber's force-length, force-velocity and passive curves written
+out inline, no call per fiber. The same step composed from one function
+per curve, with the pair torque as muscle_joint_torque, lives in
+tests/oracles.py, which test_kernels holds the kernel to bit for bit.
 
 Each controller also has an array form of `torques`, made by
 batch_torques(), for control.rollout_batch: it advances a whole
@@ -156,40 +156,9 @@ class AblationFlags:
         return flags
 
 
-def _fiber_force(l, v, a, f_max, no_fl, no_fv):
-    """(FL * FV * a + FP) * f_max at fiber length l and scaled velocity v.
-
-    FL is the bell-shaped active force-length factor, peak 1 at l = 1 and
-    support [0.5, 1.5]. FV is the Hill-type force-velocity factor: zero at
-    and below v = -1 (fast shortening), 1 at v = 0, saturating toward FV_MAX
-    when lengthening, monotone non-decreasing. FP is the parallel-elastic
-    factor, zero up to the optimal length and quadratic above it.
-    """
-    if no_fl:
-        fl = 1.0
-    else:
-        x = (l - 1.0) / 0.5
-        y = 1.0 - x * x
-        fl = 0.0 if y <= 0.0 else y * y
-    if no_fv:
-        fv = 1.0
-    elif v <= -1.0:
-        fv = 0.0
-    elif v <= 0.0:
-        fv = (1.0 + v) / (1.0 - v / _FV_KNEE)
-    else:
-        r = _FV_KNEE_ECC / (_FV_KNEE_ECC + v)
-        fv = FV_MAX - (FV_MAX - 1.0) * r * r
-    if l <= 1.0:
-        fp = 0.0
-    else:
-        x = (l - 1.0) / 0.6
-        fp = 1.3 * x * x
-    return (fl * fv * a + fp) * f_max
-
-
 def _fiber_force_array(l, v, a, f_max, no_fl, no_fv):
-    """_fiber_force over arrays of fibers, branch by branch the same bits.
+    """The fiber force (FL * FV * a + FP) * f_max of MuscleController.torques
+    over arrays of fibers, branch by branch the same bits.
 
     FL is max(y, 0)^2 and FP (max(l - 1, 0) / 0.6)^2 * 1.3, which equal the
     scalar branches on every input, NaN included; FV evaluates both of its
@@ -233,7 +202,10 @@ def pd_control(q: float, dq: float, q_des: float, kp: float, kd: float) -> float
 class MuscleController:
     """Two antagonistic muscles per joint; controls are 4 excitations in [0, 1].
 
-    Control order: (shoulder m1, shoulder m2, elbow m1, elbow m2).
+    Control order: (shoulder m1, shoulder m2, elbow m1, elbow m2). torques
+    is the scalar kernel, one call per step of control.rollout;
+    batch_torques is its array form for control.rollout_batch, which
+    tests/test_batch.py holds to it through the costs.
     """
 
     n_controls = 4
@@ -265,17 +237,21 @@ class MuscleController:
         dynamics ablated, where it is the excitations themselves) and the
         four free-calcium states under the Hatze model. One straight-line
         kernel for every AblationFlags combination and both activation
-        models: the four activation updates written out, each joint's
-        MuscleParams read once, and each joint torque tau = -(m1*F1 + m2*F2)
-        from two _fiber_force calls at the fiber lengths l = m*phi + l_ref
-        and scaled velocities v_scale*(m*dphi). The first-order update is
-        the exact discrete solution of da/dt = (u - a)/tau_act for the
-        step's constant excitation, a clipped to [0, 1], with the decay
-        factor exp(-DT_SIM/tau_act) of each joint taken once, when the
-        controller is built (so tau_act is read then); the Hatze update is
-        hatze_activation_step's. tests/oracles.py composes the same step
-        from one function per curve (muscle_joint_torque there), and
-        tests/test_kernels.py holds this kernel to it bit for bit.
+        models, with no faster path chosen by the flags: the four activation
+        updates written out, each joint's MuscleParams read once, and each
+        joint torque tau = -(m1*F1 + m2*F2) with the four fiber forces
+        written out inline, at the fiber lengths l = m*phi + l_ref and
+        scaled velocities v_scale*(m*dphi), each fiber testing the flags
+        itself. The first-order update is the exact discrete solution of
+        da/dt = (u - a)/tau_act for the step's constant excitation, a
+        clipped to [0, 1], with the decay factor exp(-DT_SIM/tau_act) of
+        each joint taken once, when the controller is built (so tau_act is
+        read then); the Hatze update is hatze_activation_step's.
+        tests/oracles.py composes the same step from one function per curve
+        (muscle_joint_torque there), and test_kernels'
+        test_muscle_kernel_equals_the_composed_step_functions and
+        test_pair_torque_equals_the_composed_curves hold this kernel to it
+        bit for bit.
         """
         u1, u2, u3, u4 = u
         sh, el, flags = self.shoulder, self.elbow, self.flags
@@ -302,17 +278,64 @@ class MuscleController:
             a3 = 0.0 if a3 < 0.0 else 1.0 if a3 > 1.0 else a3
             a4 = 0.0 if a4 < 0.0 else 1.0 if a4 > 1.0 else a4
             state = (a1, a2, a3, a4)
+        # each fiber's force (FL * FV * a + FP) * f_max at its length
+        # l = m*phi + l_ref and scaled velocity v = v_scale*(m*dphi): FL the
+        # bell-shaped force-length factor (peak 1 at l = 1, support
+        # [0.5, 1.5]), FV the Hill-type force-velocity factor (0 at and below
+        # v = -1, 1 at v = 0, saturating toward FV_MAX when lengthening), each
+        # 1 when ablated, and FP the parallel-elastic factor (0 up to l = 1,
+        # quadratic above)
         no_fl, no_fv = flags.disable_fl, flags.disable_fv
+        knee, knee_ecc, fv_max = _FV_KNEE, _FV_KNEE_ECC, FV_MAX
+        fv_span = fv_max - 1.0
         m1, m2, v_scale, f_max = sh.m1, sh.m2, sh.v_scale, sh.f_max
-        tau1 = -(m1 * _fiber_force(m1 * th1 + sh.l_ref1, v_scale * (m1 * w1), a1,
-                                   f_max, no_fl, no_fv)
-                 + m2 * _fiber_force(m2 * th1 + sh.l_ref2, v_scale * (m2 * w1), a2,
-                                     f_max, no_fl, no_fv))
+        l = m1 * th1 + sh.l_ref1
+        v = v_scale * (m1 * w1)
+        d = l - 1.0
+        x = d / 0.5
+        y = 1.0 - x * x
+        fl = 1.0 if no_fl else 0.0 if y <= 0.0 else y * y
+        fv = (1.0 if no_fv else 0.0 if v <= -1.0
+              else (1.0 + v) / (1.0 - v / knee) if v <= 0.0
+              else fv_max - fv_span * (r := knee_ecc / (knee_ecc + v)) * r)
+        fp = 0.0 if l <= 1.0 else 1.3 * (x := d / 0.6) * x
+        f1 = (fl * fv * a1 + fp) * f_max
+        l = m2 * th1 + sh.l_ref2
+        v = v_scale * (m2 * w1)
+        d = l - 1.0
+        x = d / 0.5
+        y = 1.0 - x * x
+        fl = 1.0 if no_fl else 0.0 if y <= 0.0 else y * y
+        fv = (1.0 if no_fv else 0.0 if v <= -1.0
+              else (1.0 + v) / (1.0 - v / knee) if v <= 0.0
+              else fv_max - fv_span * (r := knee_ecc / (knee_ecc + v)) * r)
+        fp = 0.0 if l <= 1.0 else 1.3 * (x := d / 0.6) * x
+        f2 = (fl * fv * a2 + fp) * f_max
+        tau1 = -(m1 * f1 + m2 * f2)
         m1, m2, v_scale, f_max = el.m1, el.m2, el.v_scale, el.f_max
-        tau2 = -(m1 * _fiber_force(m1 * th2 + el.l_ref1, v_scale * (m1 * w2), a3,
-                                   f_max, no_fl, no_fv)
-                 + m2 * _fiber_force(m2 * th2 + el.l_ref2, v_scale * (m2 * w2), a4,
-                                     f_max, no_fl, no_fv))
+        l = m1 * th2 + el.l_ref1
+        v = v_scale * (m1 * w2)
+        d = l - 1.0
+        x = d / 0.5
+        y = 1.0 - x * x
+        fl = 1.0 if no_fl else 0.0 if y <= 0.0 else y * y
+        fv = (1.0 if no_fv else 0.0 if v <= -1.0
+              else (1.0 + v) / (1.0 - v / knee) if v <= 0.0
+              else fv_max - fv_span * (r := knee_ecc / (knee_ecc + v)) * r)
+        fp = 0.0 if l <= 1.0 else 1.3 * (x := d / 0.6) * x
+        f1 = (fl * fv * a3 + fp) * f_max
+        l = m2 * th2 + el.l_ref2
+        v = v_scale * (m2 * w2)
+        d = l - 1.0
+        x = d / 0.5
+        y = 1.0 - x * x
+        fl = 1.0 if no_fl else 0.0 if y <= 0.0 else y * y
+        fv = (1.0 if no_fv else 0.0 if v <= -1.0
+              else (1.0 + v) / (1.0 - v / knee) if v <= 0.0
+              else fv_max - fv_span * (r := knee_ecc / (knee_ecc + v)) * r)
+        fp = 0.0 if l <= 1.0 else 1.3 * (x := d / 0.6) * x
+        f2 = (fl * fv * a4 + fp) * f_max
+        tau2 = -(m1 * f1 + m2 * f2)
         return tau1, tau2, state
 
     def batch_torques(self):

@@ -13,13 +13,18 @@ handful of scalars and array round-trips would dominate the cost of the
 millions of steps an optimization run takes. For the same reason
 _symp_step inlines _mass_matrix and _bias and drops their negations
 through exact sign identities, so its results stay bit-identical to the
-composed form, and control.rollout appends each step's scalars as one
-record to one flat list that becomes one array once per episode.
+composed form. The scalar rollout goes one further: its loop
+(control._simulate) writes _symp_step's body out inline, carries each new
+configuration's mass-matrix terms into the next step, and appends each
+step's scalars as one record to one flat list that becomes one array once
+per episode.
 
-_symp_step is also the one step of control.rollout_batch, which advances a
+_symp_step itself is the step of control.rollout_batch, which advances a
 whole CMA-ES population in lockstep: given NumPy arrays and np.cos/np.sin
 for its cos/sin arguments, the same body computes every candidate's step
-with the same operations in the same order.
+with the same operations in the same order. So the step's arithmetic has
+exactly two copies, _symp_step and the scalar loop, and tests/test_kernels.py
+holds each to the step composed from _mass_matrix and _bias.
 """
 
 import math
@@ -269,7 +274,7 @@ def _pendulum_step(c: _Coeffs, th1, th2, w1, w2, tau1, tau2, pert: Perturbation,
     The joint torques gain the cable force at the hand, mapped through the
     Jacobian transpose, and the bob advances by semi-implicit Euler.
     control.rollout advances a pendulum load through this, one call per
-    physics step before _symp_step.
+    physics step before the step itself.
     """
     fx, fz, ddphi, _, _ = _pendulum_forces(c, th1, th2, w1, w2, tau1, tau2,
                                            pert, phi, dphi)
@@ -310,6 +315,13 @@ def _symp_step(c: _Coeffs, th1, th2, w1, w2, tau1, tau2, dt,
     sin=np.sin; rollout_batch calls it that way. Element for element the
     array result equals the float one wherever np.cos and np.sin equal
     math.cos and math.sin.
+
+    control._simulate, the scalar rollout's loop, carries a copy of this
+    body written out inline, with c2n, n11, sn and ndet kept as the next
+    step's c2, m11, s and det; a change here is a change there. In
+    tests/test_kernels.py, test_symp_step_equals_its_composed_reference
+    pins this function, test_array_step_matches_the_scalar_step_element_by_element
+    its array use, and the rollout_reference tests the loop's copy.
     """
     m11_0, cross, qb = c.m11_0, c.cross, c.qb
     c2 = cos(th2)

@@ -28,11 +28,22 @@ parameters only, so one controller serves any number of rollouts, and MPC
 carries the plant's actuator state from one segment to the next as that
 row, next to the arm state.
 
-Two rollout paths share one step function (arm._symp_step) and one
-scoring rule. `rollout` runs one episode on floats and is the reference.
+Two rollout paths share one step and one scoring rule. `rollout` runs one
+episode on floats and is the reference; its loop (_simulate) writes
+arm._symp_step's arithmetic out inline, the same operations in the same
+order, and carries each new configuration's mass-matrix terms into the
+next step instead of deriving them again, because a call per step and the
+re-derived terms are a sizeable share of a short MPC window's time.
 `rollout_batch` scores a whole (population, dim) array of decision vectors
-in lockstep, one NumPy step per physics step, and gives every row the
-cost `rollout` gives it. cma_es hands each generation to its objective as
+in lockstep, one call of arm._symp_step on NumPy arrays per physics step,
+and gives every row the cost `rollout` gives it. So the step's arithmetic
+lives in exactly two places, _symp_step and _simulate's loop, and tests
+pin each: in tests/test_kernels.py, test_symp_step_equals_its_composed_reference
+holds _symp_step to the step composed from arm._mass_matrix and arm._bias,
+test_array_step_matches_the_scalar_step_element_by_element its array use
+to its float use, and the rollout_reference tests hold the loop, step by
+step, to the composed step; tests/test_batch.py holds rollout_batch's
+costs to rollout's. cma_es hands each generation to its objective as
 one such array, so open-loop optimization and the MPC warm start score
 populations with rollout_batch; the pattern-search refinement, MPC's
 executed trajectory and the best-plan rollouts use `rollout`, and the MPC
@@ -53,8 +64,10 @@ SENTINEL_COST = 1e9            # diverged run, minimization convention
 WARM_SIGMA0 = 0.2              # MPC warm start: CMA-ES initial step size
 REFINE_RADIUS = 0.1            # MPC refinement: initial pattern-search radius
 
-# rollout_batch's step: _symp_step under a name of its own, so a span that
-# wraps control._symp_step (perfbench/spans.py) times scalar steps only
+# rollout_batch's step, under a name of its own: perfbench/spans.py wraps
+# control._symp_step as its span of scalar steps, which must not time array
+# steps. The scalar loop carries an inline copy of the step, so that span
+# sees no call now; control._symp_step stays so the span still finds it.
 _batch_step = _symp_step
 
 
@@ -273,6 +286,13 @@ def _simulate(task, controller, theta, parameterization, perturbation,
     diverged and NaN otherwise. MPC's plant segments, whose cost nothing
     reads, run this.
 
+    One loop serves every case: per step one controller.torques call, then
+    arm._symp_step's arithmetic written out inline (the pendulum load, the
+    ball and the goal each behind a per-step check). Each step ends by
+    computing its new configuration's cos(th2), m11, s and det, and the
+    next step starts from them. A new state is tested for finiteness with
+    one expression.
+
     The recorder: each step appends one record of eight floats, (tau1,
     tau2, a1, a2, th1, th2, w1, w2), to one flat list that starts with the
     initial (th1, th2, w1, w2) and ends with a pad pair and the terminal
@@ -310,27 +330,69 @@ def _simulate(task, controller, theta, parameterization, perturbation,
     balls = [ball.x, ball.z, ball.dx, ball.dz] if ball is not None else None
 
     torques_of = controller.torques
-    symp_step = _symp_step
-    isfinite = math.isfinite
+    cos, sin = math.cos, math.sin
+    m11_0, cross, qb = coeffs.m11_0, coeffs.cross, coeffs.qb
+    cross2, kg1, kg2 = 2.0 * cross, coeffs.kg1, coeffs.kg2
     is_done = (task.is_done if getattr(task, "terminal_threshold", None) is not None
                else None)
     diverged = False
     termination = "horizon"
     steps = 0
     tau1 = tau2 = 0.0
+    # the mass-matrix terms of the configuration the next step starts from;
+    # each step computes its new configuration's, so only the first are
+    # computed here. An infinite th2 leaves them NaN: the first step's
+    # sin(th2) then raises where _symp_step's cos(th2) would, after the
+    # controller's torques and before anything is recorded.
+    c2 = math.cos(th2) if math.isfinite(th2) else math.nan
+    m11 = m11_0 + cross2 * c2
+    s = qb + cross * c2                         # m12 = -s
+    det = m11 * qb - s * s                      # m22 = qb
 
     try:
         for k, u in enumerate(controls.tolist()):
             tau1, tau2, cstate = torques_of(cstate, th1, th2, w1, w2, u)
             if pend_pert is None:
-                th1, th2, w1, w2, a1, a2 = symp_step(coeffs, th1, th2, w1, w2,
-                                                     tau1, tau2, dt)
+                t1, t2 = tau1, tau2
             else:
                 t1, t2, phi_p, dphi_p = _pendulum_step(
                     coeffs, th1, th2, w1, w2, tau1, tau2, pend_pert, phi_p,
                     dphi_p, dt)
-                th1, th2, w1, w2, a1, a2 = symp_step(coeffs, th1, th2, w1, w2,
-                                                     t1, t2, dt)
+            # arm._symp_step under torques (t1, t2): its operations in its
+            # order (2.0 * cross, its first product in m11, taken once as
+            # cross2), with this configuration's c2, m11, s and det carried
+            # over from the step before
+            hs = cross * sin(th2)
+            g1 = kg1 * cos(th1)
+            g2 = kg2 * cos(th1 - th2)
+            r1 = t1 - (g1 - hs * w2 * (2.0 * w1 - w2) + g2)
+            r2 = t2 - (hs * w1 * w1 - g2)
+            a1 = (qb * r1 + s * r2) / det
+            a2 = (m11 * r2 + s * r1) / det
+            p2 = qb * w2 - s * w1
+            q1 = m11 * w1 - s * w2 + dt * (t1 - (g1 + g2))
+            qbq1 = qb * q1
+            sq1 = s * q1
+            u1 = (qbq1 + s * p2) / det
+            u2 = (m11 * p2 + sq1) / det
+            q2 = p2 + dt * (t2 - (hs * u1 * (u1 - u2) - g2))
+            u1 = (qbq1 + s * q2) / det
+            u2 = (m11 * q2 + sq1) / det
+            q2 = p2 + dt * (t2 - (hs * u1 * (u1 - u2) - g2))
+            u1 = (qbq1 + s * q2) / det
+            u2 = (m11 * q2 + sq1) / det
+            q2 = p2 + dt * (t2 - (hs * u1 * (u1 - u2) - g2))
+            u1 = (qbq1 + s * q2) / det
+            u2 = (m11 * q2 + sq1) / det
+            th1 = th1 + dt * u1
+            th2 = th2 + dt * u2
+            c2 = cos(th2)
+            m11 = m11_0 + cross2 * c2
+            s = qb + cross * c2
+            det = m11 * qb - s * s
+            w1 = (qbq1 + s * q2) / det
+            w2 = (m11 * q2 + s * q1) / det
+            if pend is not None:
                 pend += (phi_p, dphi_p)
             rec += (tau1, tau2, a1, a2, th1, th2, w1, w2)
             steps = k + 1
@@ -339,7 +401,8 @@ def _simulate(task, controller, theta, parameterization, perturbation,
                 ball = ball_step(ball, (hx, hz), (hvx, hvz), dt, g=p_eff.g,
                                  contact_radius=contact_radius)
                 balls += (ball.x, ball.z, ball.dx, ball.dz)
-            if not (isfinite(th1) and isfinite(th2) and isfinite(w1) and isfinite(w2)):
+            # x * 0.0 is 0.0 for a finite x and NaN for an infinite or NaN one
+            if th1 * 0.0 + th2 * 0.0 + w1 * 0.0 + w2 * 0.0 != 0.0:
                 diverged = True
                 termination = "diverged"
                 break
@@ -419,7 +482,8 @@ def rollout_batch(task, controller, thetas, parameterization: ControlParameteriz
     (a start snapshot is rollout's alone). All rows advance together in
     structure-of-arrays form: one ZOH decode for the population, then per
     physics step one call of the controller's batch_torques step and one
-    of arm._symp_step on arrays with np.cos/np.sin. Every other operation
+    of arm._symp_step on arrays with np.cos/np.sin (the step `rollout`'s
+    loop writes out inline, operation for operation). Every other operation
     is the scalar path's, in its order, so the costs agree bit for bit
     wherever np.cos/np.sin equal math.cos/math.sin (tests/test_batch.py
     probes that, and holds the paths to rtol 1e-9 where they differ).

@@ -11,7 +11,9 @@ floating-point operation, so not one bit may differ. The muscle kernel
 oracle curves and activation step of tests/oracles.py, composed per joint
 by oracles.muscle_joint_torque; the torque kernel to oracles.torque_actuator;
 the smooth-reach cost to oracles.smooth_reach_stages. The array form of the
-step, rollout_batch's, is held to the scalar one element by element.
+step, rollout_batch's, is held to the scalar one element by element. The
+scalar rollout's loop carries an inline copy of the step, which the
+rollout_reference tests hold, step by step, to the composed step.
 """
 
 import math
@@ -524,3 +526,23 @@ def test_rollout_records_a_diverged_run(morph, speed):
     assert res.diverged and res.cost == SENTINEL_COST
     assert_rollout_matches(res, rollout_reference(task, ctrl, *plan,
                                                   initial_state=wild))
+
+
+@pytest.mark.parametrize("morph", ["muscle", "torque"])
+@pytest.mark.parametrize("start", [{"th2": math.inf}, {"th2": -math.inf},
+                                   {"th2": math.nan}, {"th1": math.inf}],
+                         ids=["th2=inf", "th2=-inf", "th2=nan", "th1=inf"])
+def test_a_non_finite_start_state_diverges_in_the_first_step(morph, start):
+    # an infinite angle makes the first step's math.cos or math.sin raise,
+    # a NaN one runs through it: either way the run ends after one step,
+    # whose row is NaN
+    task = make_task("smooth-reach")
+    ctrl = make_controller(morph)
+    bad = replace(task.initial_state(), **start)
+    plan = np.full(ctrl.n_controls, 0.5), parameterization_for(
+        task, ctrl, task.duration)
+    res = rollout(task, ctrl, *plan, initial_state=bad)
+    assert res.diverged and res.cost == SENTINEL_COST and res.steps == 1
+    assert np.isnan(res.th[1]).all() and np.isnan(res.dth[1]).all()
+    assert_rollout_matches(res, rollout_reference(task, ctrl, *plan,
+                                                  initial_state=bad))

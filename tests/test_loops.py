@@ -190,6 +190,25 @@ class TestRollout:
         assert not np.isfinite(res.th[n]).all()
         assert rollout_batch(task, ctrl, theta[None], par)[0] == res.cost
 
+    @pytest.mark.parametrize("first_refused", [0, 3])
+    def test_a_foreign_value_error_propagates(self, first_refused):
+        # only the step's "math domain error" marks a run diverged; any other
+        # ValueError raised in the step loop, here by the controller in the
+        # first or the fourth step, reaches the caller as it was raised
+        class Refusing(TorqueController):
+            steps = 0
+
+            def torques(self, state, th1, th2, w1, w2, u):
+                if self.steps == first_refused:
+                    raise ValueError("refused by the controller")
+                self.steps += 1
+                return super().torques(state, th1, th2, w1, w2, u)
+
+        ctrl = Refusing()
+        with pytest.raises(ValueError, match="^refused by the controller$"):
+            hold(SmoothReaching(duration=0.1), ctrl, [0.5, -0.5])
+        assert ctrl.steps == first_refused
+
     def test_goal_termination(self):
         # goal sits on the initial hand position, so the episode ends at once
         task = PreciseReaching(target=ReachTarget(goal_xz=(0.0, -0.6)),
