@@ -52,6 +52,7 @@ plant segments its unscored half.
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -186,6 +187,15 @@ class ControlParameterization:
     def dim(self) -> int:
         return self.n_actuators * self.n_segments
 
+    @cached_property
+    def segment_of_step(self) -> np.ndarray:
+        """The segment each of the plan's n_steps physics steps applies:
+        step k reads segment k // steps_per_segment. Built on first use and
+        kept, read-only, for every rollout of this parameterization."""
+        segment = np.arange(self.n_steps) // self.steps_per_segment
+        segment.flags.writeable = False
+        return segment
+
     def shift(self, theta) -> np.ndarray:
         """Drop the first segment and duplicate the last (receding-horizon shift)."""
         theta = np.asarray(theta, dtype=float)
@@ -214,24 +224,14 @@ def _zoh_table(thetas, parameterization: ControlParameterization):
                                               parameterization.hi)
 
 
-def _segment_of_step(parameterization: ControlParameterization):
-    """The segment each of the plan's n_steps physics steps applies: step k
-    reads segment k // steps_per_segment."""
-    return np.arange(parameterization.n_steps) // parameterization.steps_per_segment
-
-
 def zoh_control(theta, parameterization: ControlParameterization):
-    """Decode one decision vector for a rollout of the plan's n_steps
-    physics steps.
-
-    Returns the (n_steps, n_actuators) array whose row k is the control row
-    physics step k applies, the segment _segment_of_step gives it, clipped
-    to the control box. Validation and decoding are _zoh_table's, shared
-    with rollout_batch.
+    """Decode one decision vector: its (n_segments, n_actuators) table of
+    control rows, clipped to the control box. Physics step k applies row
+    parameterization.segment_of_step[k]. Validation and decoding are
+    _zoh_table's, shared with rollout_batch.
     """
-    table = _zoh_table(np.asarray(theta, dtype=float).reshape(1, -1),
-                       parameterization)[0]
-    return table[_segment_of_step(parameterization)]
+    return _zoh_table(np.asarray(theta, dtype=float).reshape(1, -1),
+                      parameterization)[0]
 
 
 def _rows(flat, n):
@@ -256,9 +256,9 @@ def rollout(task, controller, theta, parameterization: ControlParameterization,
     `theta`, the input rollout_batch takes one row of, and score it.
 
     The arm, task.params, and the actuator state advance at the physics
-    timestep DT_SIM. theta is decoded once, for every step, by zoh_control;
-    physics step k applies segment k // steps_per_segment, and the episode
-    lasts the parameterization's n_steps steps unless the task's goal or a
+    timestep DT_SIM. theta is decoded once, by zoh_control; physics step k
+    applies segment k // steps_per_segment, and the episode lasts the
+    parameterization's n_steps steps unless the task's goal or a
     divergence ends it first. Mass-type perturbations are folded into the
     plant parameters; a pendulum perturbation is co-simulated and coupled
     through cable tension. A non-finite state marks the rollout diverged
@@ -298,9 +298,10 @@ def _simulate(task, controller, theta, parameterization, perturbation,
     initial (th1, th2, w1, w2) and ends with a pad pair and the terminal
     acceleration. So row j of the (steps + 1, 8) array built from the list
     once the episode ends is sample j's th, dth, the torques of step j and
-    ddth, and th, dth, ddth and torques are column views of it. controls
-    are rows of zoh_control's per-step table. A pendulum load and a ball
-    each keep a list of their own.
+    ddth, and th, dth, ddth and torques are column views of it. The loop
+    reads each step's control row from zoh_control's per-segment table as
+    a list; controls, one row per step, is indexed out of that table. A
+    pendulum load and a ball each keep a list of their own.
     """
     params = task.params
     p_eff = perturbation.apply_to(params) if perturbation is not None else params
@@ -308,7 +309,9 @@ def _simulate(task, controller, theta, parameterization, perturbation,
     pend_pert = (perturbation if perturbation is not None
                  and perturbation.kind == "chaotic_pendulum" else None)
 
-    controls = zoh_control(theta, parameterization)
+    table = zoh_control(theta, parameterization)
+    controls = table[parameterization.segment_of_step]
+    rows, sps = table.tolist(), parameterization.steps_per_segment
     dt = DT_SIM
     state = initial_state if initial_state is not None else task.initial_state()
     th1, th2 = state.th1, state.th2
@@ -350,8 +353,9 @@ def _simulate(task, controller, theta, parameterization, perturbation,
     det = m11 * qb - s * s                      # m22 = qb
 
     try:
-        for k, u in enumerate(controls.tolist()):
-            tau1, tau2, cstate = torques_of(cstate, th1, th2, w1, w2, u)
+        for k in range(parameterization.n_steps):
+            tau1, tau2, cstate = torques_of(cstate, th1, th2, w1, w2,
+                                            rows[k // sps])
             if pend_pert is None:
                 t1, t2 = tau1, tau2
             else:
@@ -515,7 +519,7 @@ def rollout_batch(task, controller, thetas, parameterization: ControlParameteriz
 
     # per segment, an (n_actuators, population) block of controls
     blocks = list(np.ascontiguousarray(table.transpose(1, 2, 0)))
-    segment = _segment_of_step(parameterization)
+    segment = parameterization.segment_of_step
     th1, th2 = np.full(lam, state.th1), np.full(lam, state.th2)
     w1, w2 = np.full(lam, state.dth1), np.full(lam, state.dth2)
     # row i's samples are th[i], a contiguous (n + 1, 2) trajectory; each
@@ -633,7 +637,8 @@ class MpcResult:
 
 
 def mpc_run(task, controller, mpc: MpcConfig,
-            perturbation: Perturbation | None = None) -> MpcResult:
+            perturbation: Perturbation | None = None,
+            warm_start: tuple | None = None) -> MpcResult:
     """Receding-horizon control of the task with `controller`: CMA-ES warm
     start, then per-step refinement.
 
@@ -662,6 +667,15 @@ def mpc_run(task, controller, mpc: MpcConfig,
     MpcResult.step_evals is the running count of evaluations actually
     spent when each control step was executed; the run spends no
     evaluation after its last step, so step_evals[-1] is the run's total.
+
+    warm_start=(plan, evals) replaces the CMA-ES call with its result: the
+    warm plan and the evaluations it cost, which step_evals[0] charges to
+    this run. An earlier run's (plans[0], step_evals[0]) is that pair, and
+    handing it on gives what this run would compute itself whenever the
+    warm start's inputs are the same: the task, the controller, the
+    budgets and the prediction model (no perturbation at all, or one the
+    prediction model does not see). The plan is copied, never modified; a
+    plan that is not the window's dim long is a ValueError.
     """
     visible = perturbation is not None and perturbation.visible_to_prediction
     pred_pert = perturbation if visible else None
@@ -687,8 +701,14 @@ def mpc_run(task, controller, mpc: MpcConfig,
         return rollout_batch(task, controller, thetas, par,
                              perturbation=pred_pert)
 
-    plan, _, warm_trace = cma_es(warm_objective, _box_center(par), mpc.warm)
-    evals = warm_trace.total_evals
+    if warm_start is None:
+        plan, _, warm_trace = cma_es(warm_objective, _box_center(par), mpc.warm)
+        evals = warm_trace.total_evals
+    else:
+        plan, evals = np.array(warm_start[0], dtype=float), int(warm_start[1])
+        if plan.shape != (par.dim,):
+            raise ValueError(f"warm plan has shape {plan.shape}, expected "
+                             f"({par.dim},)")
 
     na = par.n_actuators
     plans = []

@@ -125,17 +125,17 @@ def _oc_run(config: ExperimentConfig, morphology, c, sigma, seed,
 
 
 def _mpc_run(config: ExperimentConfig, morphology, tpred, seed,
-             perturbation=None, tau_max=None):
+             perturbation=None, tau_max=None, warm_start=None):
     """One receding-horizon run of `config`'s task, mpc.resolution and
     budgets at horizon tpred under `perturbation`: its MpcResult. It builds
     the run's task, arm, controller and MpcConfig, for sweep points and
-    `myoarm mpc` alike; tau_max as in _oc_run."""
+    `myoarm mpc` alike; tau_max as in _oc_run, warm_start as in mpc_run."""
     mpc = MpcConfig(t_pred=tpred, resolution=config.mpc_resolution,
                     warm_population=config.population,
                     warm_generations=config.warm_generations,
                     refine_budget=config.refine_budget, seed=seed)
     return mpc_run(_task_for(config, seed), _controller(morphology, tau_max),
-                   mpc, perturbation=perturbation)
+                   mpc, perturbation=perturbation, warm_start=warm_start)
 
 
 def _controller(morphology, tau_max):
@@ -194,23 +194,66 @@ def _peak_torques(result):
     return None if result.diverged else calibrate_torque_limits([result.torques])
 
 
-def _point_worker(args):
+def _load(mass):
+    """A robustness point's load: `mass` kg on the lower arm, unseen by the
+    prediction model, or None for the unloaded baseline (mass 0)."""
+    return Perturbation("lower_arm_mass", mass=float(mass)) if mass else None
+
+
+def _warm_key(point):
+    """What a point's MPC warm start depends on besides the config and the
+    phase's torque ceiling: (morphology, tpred, seed) and the prediction
+    model, which an unseen load or no load leaves unloaded. Points with one
+    key run one warm start. An OC point, a tpred_sweep point and a point
+    whose load the prediction model sees get a key of their own, so they
+    share with no other point, not even an equal one."""
+    morph, _, _, tpred, seed, mass = point
+    load = _load(mass)
+    if mass is None or (load is not None and load.visible_to_prediction):
+        return object()
+    return morph, tpred, seed
+
+
+def _warm_groups(points):
+    """points grouped by _warm_key, each group in grid order, the groups
+    in the order of their first point."""
+    groups = {}
+    for point in points:
+        groups.setdefault(_warm_key(point), []).append(point)
+    return list(groups.values())
+
+
+def _point_worker(config, point, tau_max, warm_start=None):
     """One sweep point: (trace rows, calibration sample, MpcResult or
     None), where the sample is _peak_torques of the point's best or
     executed rollout. It makes exactly one _oc_run or _mpc_run call; a
-    robustness point's mass is an unseen load on the lower arm."""
-    config, (morph, c, sigma, tpred, seed, mass), tau_max = args
+    robustness point's mass is a load on the lower arm (_load), and an MPC
+    point given warm_start skips its CMA-ES warm start (mpc_run)."""
+    morph, c, sigma, tpred, seed, mass = point
     if tpred is None:
         trace, best = _oc_run(config, morph, c, sigma, seed, tau_max=tau_max)
         rows = oc_trace_rows(config.kind, config.task, morph, c, sigma, seed,
                              trace)
         return rows, _peak_torques(best), None
-    load = Perturbation("lower_arm_mass", mass=float(mass)) if mass else None
-    res = _mpc_run(config, morph, tpred, seed, perturbation=load,
-                   tau_max=tau_max)
+    res = _mpc_run(config, morph, tpred, seed, perturbation=_load(mass),
+                   tau_max=tau_max, warm_start=warm_start)
     rows = mpc_trace_rows(config.kind, config.task, morph,
                           config.mpc_resolution, tpred, seed, res)
     return rows, _peak_torques(res.executed), res
+
+
+def _group_worker(args):
+    """One _warm_groups group: the _point_worker result of each of its
+    points, in order. The first point runs the group's MPC warm start and
+    every later one is handed its (plans[0], step_evals[0])."""
+    config, group, tau_max = args
+    results, warm_start = [], None
+    for point in group:
+        results.append(_point_worker(config, point, tau_max, warm_start))
+        res = results[-1][2]
+        if res is not None:
+            warm_start = res.plans[0], res.step_evals[0]
+    return results
 
 
 def _prepare_out_dir(out_dir):
@@ -259,27 +302,34 @@ def _sweep(config: ExperimentConfig, jobs: int, write_point):
     The run invariants are checked over all trace rows before calibration
     is written. Returns (paths, all trace rows).
 
-    Every point gets the config itself, already validated. With jobs > 1
-    and more than one point in either phase, both phases run in one
-    process pool of `jobs` workers; otherwise every point runs here, one
-    after another. Either way the results are the same.
+    The unit of work is a _warm_groups group: the points of one phase that
+    share an MPC warm start, which _group_worker runs once for all of
+    them. Every OC and tpred_sweep point is a group of its own, so only
+    the robustness sweep's loads share, one warm start per (morphology,
+    seed). Every group gets the config itself, already validated. With
+    jobs > 1 and more than one group in either phase, both phases run in
+    one process pool of `jobs` workers; otherwise every group runs here,
+    one after another. Either way the results are the same.
     """
     _prepare_out_dir(config.out_dir)
     points = _run_points(config)
-    muscle = [p for p in points if p[0].startswith("muscle")]
-    other = [p for p in points if not p[0].startswith("muscle")]
+    muscle = _warm_groups([p for p in points if p[0].startswith("muscle")])
+    other = _warm_groups([p for p in points if not p[0].startswith("muscle")])
     parallel = jobs > 1 and max(len(muscle), len(other)) > 1
     with (ProcessPoolExecutor(max_workers=jobs) if parallel
           else nullcontext()) as pool:
         run = pool.map if pool is not None else map
-        results = dict(zip(muscle, run(_point_worker,
-                                       [(config, p, None) for p in muscle])))
+
+        def run_phase(groups, tau_max):
+            done = run(_group_worker, [(config, g, tau_max) for g in groups])
+            return {p: r for g, rs in zip(groups, done) for p, r in zip(g, rs)}
+
+        results = run_phase(muscle, None)       # the muscle points' results
         tau_max = None
         if muscle and other:
             tau_max = calibrate_torque_limits([np.asarray(
-                [results[p][1] for p in muscle if results[p][1] is not None])])
-        results.update(zip(other, run(_point_worker,
-                                      [(config, p, tau_max) for p in other])))
+                [r[1] for r in results.values() if r[1] is not None])])
+        results.update(run_phase(other, tau_max))
 
     paths = []
     all_rows = []
@@ -328,6 +378,13 @@ def _robustness_sweep(config: ExperimentConfig):
     loads so perturbed and clean costs can be compared. Muscle runs execute
     first and calibrate the torque ceilings of any torque-family
     morphologies in the sweep.
+
+    Every load is unseen, so the prediction model of every load of one
+    (morphology, seed) is the unloaded arm, and so is its CMA-ES warm
+    start: _sweep runs it once, for the first load (the baseline), and
+    hands it to the others. Each run still charges the warm start's
+    evaluations to its own budget, and every file is what a run with a
+    warm start of its own writes.
 
     The sweep runs in one process whatever jobs run_experiment was given.
     The benchmark's peak_rss_mb adds the largest worker's peak RSS to the

@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 from myoarm.config import ExperimentConfig
 from myoarm.control import SENTINEL_COST
 from myoarm.actuators import AblationFlags, make_controller
+from myoarm.arm import Perturbation
 from myoarm.harness import (AGG_HEADER, ROBUST_HEADER, TRACE_HEADER,
                             _check_invariants, _pool_aggregates, _run_points,
+                            _warm_groups,
                             _task_for, _trace_name, aggregate_rows, default_jobs, fmt,
                             overshoot_past_target, read_csv, run_experiment,
                             summarize, trajectory_header,
@@ -262,7 +264,7 @@ class TestRunExperiment:
         assert pools == []
         par = run_experiment(tiny_oc_config(tmp_path / "par"), jobs=2)
         assert pools == [2]
-        assert maps == ["_point_worker", "_point_worker"]
+        assert maps == ["_group_worker", "_group_worker"]
         names = sorted(map(os.path.basename, seq))
         assert names == sorted(map(os.path.basename, par))
         assert "calibration.csv" in names
@@ -369,6 +371,86 @@ class TestRobustnessSweep:
         assert len(rows) == 2
         assert {r[3] for r in rows} == {"0.0", "1.0"}
         assert rows[0][2] == "muscle" and rows[0][7] == "0"
+
+    def test_one_warm_start_per_morphology_and_seed(self, tmp_path,
+                                                   monkeypatch):
+        # 3 loads (the baseline, 1 and 2 kg), 2 seeds, 2 morphologies: every
+        # load is unseen, so the loads of one (morphology, seed) share one
+        # warm start, and the sweep writes the bytes of a sweep in which
+        # every point runs its own
+        import myoarm.control as control
+        import myoarm.harness as harness
+        real, warm_starts = control.cma_es, []
+
+        def counted(objective, x0, config):
+            warm_starts.append((x0.size, config.seed))
+            return real(objective, x0, config)
+
+        monkeypatch.setattr(control, "cma_es", counted)
+
+        def sweep(out_dir):
+            config = tiny_mpc_config(out_dir, morphologies=("muscle", "torque"),
+                                     masses=(1.0, 2.0))
+            config.seeds = [0, 1]
+            return run_experiment(config)
+
+        shared = sweep(tmp_path / "shared")
+        # plans of dimension 8 (muscle) and 4 (torque) at tpred 0.02
+        assert sorted(warm_starts) == [(4, 0), (4, 1), (8, 0), (8, 1)]
+        warm_starts.clear()
+        monkeypatch.setattr(harness, "_warm_key", lambda point: object())
+        own = sweep(tmp_path / "own")
+        assert len(warm_starts) == 12
+        names = sorted(map(os.path.basename, shared))
+        assert names == sorted(map(os.path.basename, own))
+        assert "calibration.csv" in names
+        for name in names:
+            assert (read_bytes(tmp_path / "shared" / name)
+                    == read_bytes(tmp_path / "own" / name)), name
+
+    def test_a_seen_load_runs_its_own_warm_start(self, tmp_path, monkeypatch):
+        # a load the prediction model sees changes its warm start, so it is
+        # never grouped with an unseen load, nor with another seen one
+        import myoarm.control as control
+        import myoarm.harness as harness
+
+        def seen_2kg(mass):
+            return (Perturbation("lower_arm_mass", mass=float(mass),
+                                 visible_to_prediction=mass == 2.0)
+                    if mass else None)
+
+        monkeypatch.setattr(harness, "_load", seen_2kg)
+        config = tiny_mpc_config(tmp_path, masses=(1.0, 2.0, 2.0))
+        config.seeds = [0, 1]
+        point = {(m, s): ("muscle", None, None, 0.02, s, m)
+                 for m in (0.0, 1.0, 2.0) for s in (0, 1)}
+        assert harness._warm_groups(_run_points(config)) == [
+            [point[0.0, 0], point[1.0, 0]], [point[0.0, 1], point[1.0, 1]],
+            [point[2.0, 0]], [point[2.0, 1]], [point[2.0, 0]], [point[2.0, 1]]]
+        config.masses = [1.0, 2.0]
+        real, warm_starts = control.cma_es, []
+
+        def counted(objective, x0, config):
+            warm_starts.append(config.seed)
+            return real(objective, x0, config)
+
+        monkeypatch.setattr(control, "cma_es", counted)
+        run_experiment(config)
+        assert sorted(warm_starts) == [0, 0, 1, 1]
+
+    def test_warm_groups_keep_morphologies_and_seeds_apart(self):
+        config = ExperimentConfig(kind="robustness_weights", seeds=[0, 1],
+                                  morphologies=["muscle", "torque", "pd"],
+                                  masses=[1.0, 2.0], tpred=0.02)
+        groups = _warm_groups(_run_points(config))
+        assert len(groups) == 6
+        for group in groups:
+            assert len(group) == 3
+            assert len({(p[0], p[4]) for p in group}) == 1
+        # an OC point is a group of its own
+        config = tiny_oc_config("unused")
+        assert _warm_groups(_run_points(config)) == [
+            [p] for p in _run_points(config)]
 
     def test_calibration_is_the_muscle_runs_peak_torque(self, tmp_path):
         config = tiny_mpc_config(tmp_path, morphologies=("muscle", "torque"))

@@ -536,6 +536,39 @@ class TestMpc:
                          perturbation=pert)
         assert not np.array_equal(clean.executed.th, loaded.executed.th)
 
+    def test_a_handed_warm_start_is_the_runs_own(self, monkeypatch):
+        # an unseen load's prediction model is the unloaded arm, so another
+        # unseen load's (plans[0], step_evals[0]) is the warm start this run
+        # would compute: the run equals a from-scratch one field for field,
+        # makes no CMA-ES call and leaves the handed plan as it was
+        import myoarm.control as control
+        task, cfg = SmoothReaching(), tiny_mpc(seed=4)
+        load = Perturbation(kind="lower_arm_mass", mass=2.0)
+        baseline = mpc_run(task, MuscleController(), cfg)
+        own = mpc_run(task, MuscleController(), cfg, perturbation=load)
+        plan = baseline.plans[0].copy()
+        plan.flags.writeable = False
+
+        def no_warm_start(*args, **kwargs):
+            raise AssertionError("ran a warm start it was handed")
+
+        monkeypatch.setattr(control, "cma_es", no_warm_start)
+        handed = mpc_run(task, MuscleController(), cfg, perturbation=load,
+                         warm_start=(plan, baseline.step_evals[0]))
+        assert np.array_equal(plan, baseline.plans[0])
+        for name in ("step_costs", "step_evals", "plans"):
+            got, want = getattr(handed, name), getattr(own, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        for name, want in vars(own.executed).items():
+            got = getattr(handed.executed, name)
+            if isinstance(want, np.ndarray):
+                assert np.array_equal(got, want, equal_nan=True), name
+            else:
+                assert got == want, name
+        with pytest.raises(ValueError, match="warm plan"):
+            mpc_run(task, MuscleController(), cfg,
+                    warm_start=(plan[:-1], baseline.step_evals[0]))
+
 
 class TestCalibration:
     def test_known_peak(self):

@@ -8,14 +8,19 @@ kind, every task, the torque calibration and each CLI run command:
 - one sweep of each of the 8 experiment kinds;
 - data_efficiency sweeps on precise-reach and fast-reach, and one with
   arm and weight overrides;
-- a robustness sweep with muscle and torque (so it calibrates);
+- a robustness sweep with muscle and torque (so it calibrates), and one
+  with two seeds and two loads per morphology, whose loads share one MPC
+  warm start per (morphology, seed): a warm start handed across seeds or
+  morphologies changes its digests;
 - a precise-reach data_efficiency sweep and a precise-reach robustness
   sweep on a longer upper arm and a heavier forearm, where the arm sets
   the goal, the dynamics and the score;
-- CLI `simulate` (pendulum load, ball serve, low-pass, fast-reach),
-  `optimize` (plain, `--ablate fv`, fast-reach) and `mpc` (muscle; torque
-  with a hand mass; pendulum load; fast-reach; ball-serve; a torque
-  fast-reach run that stops at the goal).
+- CLI `simulate` (pendulum load, ball serve, a ball serve whose hand hits
+  the ball, low-pass, fast-reach), `optimize` (plain, `--ablate fv`,
+  fast-reach) and `mpc` (muscle; torque with a hand mass; pendulum load;
+  fast-reach; ball-serve; a torque fast-reach run that stops at the goal;
+  a refinement budget above twice the plan's dimension, so the pattern
+  search halves its radius).
 
 Every file is written under OUT_DIR, which must be empty or absent. The
 output is one `<sha256>  <path relative to OUT_DIR>` line per file, sorted
@@ -74,6 +79,10 @@ SWEEPS = {
                            "experiment.task": "precise-reach", **ARM,
                            "experiment.morphologies": ["muscle"],
                            "grid.masses": [1.0], **TINY_MPC},
+    "robust_shared": {"experiment.kind": "robustness_weights",
+                      "experiment.morphologies": ["muscle", "torque"],
+                      "grid.masses": [1.0, 2.0], **TINY_MPC,
+                      "experiment.seeds": [0, 1]},
 }
 
 TINY_CLI_OC = ["--population", "4", "--generations", "2"]
@@ -84,6 +93,9 @@ CLI_RUNS = {
     "simulate_pendulum.csv": ["simulate", "--perturb", "chaotic_pendulum",
                               "--seed", "3"],
     "simulate_ball.csv": ["simulate", "--task", "ball-serve", "--seed", "1"],
+    # the hand hits the ball
+    "simulate_ball_contact.csv": ["simulate", "--task", "ball-serve",
+                                  "--seed", "7"],
     "simulate_lowpass.csv": ["simulate", "--morphology", "lowpass-slow",
                              "--c", "0.05"],
     "simulate_fast.csv": ["simulate", "--task", "fast-reach", "--seed", "2"],
@@ -99,6 +111,9 @@ CLI_RUNS = {
     # stops at the goal after 108 of 400 physics steps
     "mpc_fast_goal": ["mpc", "--task", "fast-reach", "--morphology", "torque",
                       "--seed", "3", *TINY_CLI_MPC],
+    # a budget of 20 against a muscle plan of dimension 8 (tpred 0.02)
+    "mpc_refine_halves": ["mpc", "--tpred", "0.02", "--population", "4",
+                          "--warm-generations", "1", "--refine-budget", "20"],
 }
 
 
