@@ -30,13 +30,21 @@ per curve, with the pair torque as muscle_joint_torque, lives in
 tests/oracles.py, which test_kernels holds the kernel to bit for bit.
 
 Each controller also has an array form of `torques`, made by
-batch_torques(), for control.rollout_batch: it advances a whole
+batch_torques(population), for control.rollout_batch: it advances a whole
 population in lockstep, with the state rows as the columns of a
 (len(state0), population) array that the step updates in place. Branches
 become np.maximum/np.minimum/np.where forms over the same operations, so
-every candidate's torques equal, bit for bit, what `torques` gives it. The
-Hatze activation model has no array form (np.power and ** differ in the
-last bit); rollout_batch runs it through the scalar rollout instead.
+every candidate's torques equal, bit for bit, what `torques` gives it. At
+a CMA-ES population's size a NumPy call's fixed cost is most of its cost,
+so the array kernels take their constants as 0-d float64 arrays
+(_arrays: module constants such as _ONE, and a controller's own), never
+as Python floats, and the muscle kernel tiles its per-muscle parameters to
+the full (4, population) shape once per batch_torques call and fills the
+joint angles and velocities into buffers of that shape, so that no
+operand is broadcast from a (4, 1) column. Values and operations stay the
+scalar kernel's. The Hatze activation model has no array form (np.power
+and ** differ in the last bit); rollout_batch runs it through the scalar
+rollout instead.
 """
 
 import math
@@ -49,6 +57,24 @@ from .control import DT_SIM
 FV_MAX = 1.35          # eccentric force plateau
 _FV_KNEE = 0.25        # curvature constant of the shortening branch
 _FV_KNEE_ECC = 0.25    # curvature constant of the lengthening branch
+
+
+def _arrays(*values):
+    """values as read-only 0-d float64 arrays, the form the array kernels
+    take their constants in: NumPy converts a Python float operand anew on
+    every call, which costs about as much again as the operation itself on
+    a population-sized array. The values, and so every result, are the
+    floats'."""
+    out = [np.array(v, dtype=float) for v in values]
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+_ZERO, _ONE, _MINUS_ONE = _arrays(0.0, 1.0, -1.0)
+_FL_HALF_WIDTH, _FP_STRAIN, _FP_GAIN = _arrays(0.5, 0.6, 1.3)
+_KNEE, _KNEE_ECC, _PLATEAU, _PLATEAU_SPAN = _arrays(_FV_KNEE, _FV_KNEE_ECC,
+                                                    FV_MAX, FV_MAX - 1.0)
 
 
 def derive_linear_map(phi_min: float, phi_max: float, l_min: float, l_max: float,
@@ -163,30 +189,33 @@ def _fiber_force_array(l, v, a, f_max, no_fl, no_fv):
     FL is max(y, 0)^2 and FP (max(l - 1, 0) / 0.6)^2 * 1.3, which equal the
     scalar branches on every input, NaN included; FV evaluates both of its
     curves and picks one with np.where. The unpicked curve may divide by
-    zero, so callers run this under np.errstate.
+    zero, so callers run this under np.errstate. Every constant is one of
+    the 0-d arrays of _arrays.
     """
-    stretch = l - 1.0
+    stretch = l - _ONE
     if no_fl:
-        fl = 1.0
+        fl = _ONE
     else:
-        x = stretch / 0.5
-        y = np.maximum(1.0 - x * x, 0.0)
+        x = stretch / _FL_HALF_WIDTH
+        y = np.maximum(_ONE - x * x, _ZERO)
         fl = y * y
     if no_fv:
-        fv = 1.0
+        fv = _ONE
     else:
-        shortening = (1.0 + v) / (1.0 - v / _FV_KNEE)
-        r = _FV_KNEE_ECC / (_FV_KNEE_ECC + v)
-        lengthening = FV_MAX - (FV_MAX - 1.0) * r * r
-        fv = np.where(v <= -1.0, 0.0, np.where(v <= 0.0, shortening, lengthening))
-    x = np.maximum(stretch, 0.0) / 0.6
-    fp = 1.3 * x * x
+        shortening = (_ONE + v) / (_ONE - v / _KNEE)
+        r = _KNEE_ECC / (_KNEE_ECC + v)
+        lengthening = _PLATEAU - _PLATEAU_SPAN * r * r
+        fv = np.where(v <= _MINUS_ONE, _ZERO,
+                      np.where(v <= _ZERO, shortening, lengthening))
+    x = np.maximum(stretch, _ZERO) / _FP_STRAIN
+    fp = _FP_GAIN * x * x
     return (fl * fv * a + fp) * f_max
 
 
 def _unit_clip(x, lo):
-    """x clamped to [lo, 1] as the scalar `lo if x < lo else 1 if x > 1 else x`."""
-    return np.minimum(np.maximum(x, lo), 1.0)
+    """x clamped to [lo, 1] as the scalar `lo if x < lo else 1 if x > 1 else x`;
+    lo is a 0-d array."""
+    return np.minimum(np.maximum(x, lo), _ONE)
 
 
 def pd_control(q: float, dq: float, q_des: float, kp: float, kd: float) -> float:
@@ -338,39 +367,47 @@ class MuscleController:
         tau2 = -(m1 * f1 + m2 * f2)
         return tau1, tau2, state
 
-    def batch_torques(self):
-        """Array form of torques: step(acts, th1, th2, w1, w2, u) -> (tau1, tau2).
+    def batch_torques(self, population):
+        """Array form of torques for `population` columns:
+        step(acts, th1, th2, w1, w2, u) -> (tau1, tau2).
 
         acts is the (4, population) array of state rows, advanced in place;
         u is the (4, population) excitation block, in [0, 1] as the scalar
         form's is. The four muscles are stacked in control order and every
-        parameter is read once, here; the decay factors are torques' own.
-        First-order activation and every AblationFlags case only: the Hatze
-        model goes through the scalar rollout.
+        parameter is read once, here, and tiled to a full (4, population)
+        array, because NumPy broadcasts a (4, 1) column at about twice the
+        cost of an operand of the full shape; the decay factors are torques'
+        own. Each step fills the joint angles and velocities into two
+        (4, population) buffers of this call. First-order activation and
+        every AblationFlags case only: the Hatze model goes through the
+        scalar rollout.
         """
         if self.activation_model == "hatze":
             raise ValueError("the Hatze activation model has no array form")
         sh, el = self.shoulder, self.elbow
 
-        def column(a, b, c, d):
-            return np.array([[a], [b], [c], [d]])
+        def rows(a, b, c, d):
+            return np.tile(np.array([[a], [b], [c], [d]]), population)
 
-        m = column(sh.m1, sh.m2, el.m1, el.m2)
-        l_ref = column(sh.l_ref1, sh.l_ref2, el.l_ref1, el.l_ref2)
-        v_scale = column(sh.v_scale, sh.v_scale, el.v_scale, el.v_scale)
-        f_max = column(sh.f_max, sh.f_max, el.f_max, el.f_max)
+        m = rows(sh.m1, sh.m2, el.m1, el.m2)
+        l_ref = rows(sh.l_ref1, sh.l_ref2, el.l_ref1, el.l_ref2)
+        v_scale = rows(sh.v_scale, sh.v_scale, el.v_scale, el.v_scale)
+        f_max = rows(sh.f_max, sh.f_max, el.f_max, el.f_max)
         e_sh, e_el = self._decay
-        decay = column(e_sh, e_sh, e_el, e_el)
+        decay = rows(e_sh, e_sh, e_el, e_el)
         no_act = self.flags.disable_activation
         no_fl, no_fv = self.flags.disable_fl, self.flags.disable_fv
+        phi, dphi = np.empty((4, population)), np.empty((4, population))
 
         def step(acts, th1, th2, w1, w2, u):
             if no_act:
                 acts[:] = u
             else:
-                acts[:] = _unit_clip(u + (acts - u) * decay, 0.0)
-            phi = np.array((th1, th1, th2, th2))
-            dphi = np.array((w1, w1, w2, w2))
+                acts[:] = _unit_clip(u + (acts - u) * decay, _ZERO)
+            phi[:2] = th1
+            phi[2:] = th2
+            dphi[:2] = w1
+            dphi[2:] = w2
             mf = m * _fiber_force_array(m * phi + l_ref, v_scale * (m * dphi),
                                         acts, f_max, no_fl, no_fv)
             return -(mf[0] + mf[1]), -(mf[2] + mf[3])
@@ -403,9 +440,11 @@ class TorqueController:
         t1, t2 = self.tau_max
         return t1 * u1, t2 * u2, state
 
-    def batch_torques(self):
-        """Array form of torques; u is the (2, population) block."""
-        t1, t2 = self.tau_max
+    def batch_torques(self, population):
+        """Array form of torques; u is the (2, population) block. The
+        ceilings are 0-d arrays (_arrays), and the population size does
+        not matter."""
+        t1, t2 = _arrays(*self.tau_max)
 
         def step(state, th1, th2, w1, w2, u):
             return t1 * u[0], t2 * u[1]
@@ -436,13 +475,16 @@ class PDController:
         u2 = pd_control(th2, w2, u[1] * self.target_scale, self.kp, self.kd)
         return self.tau_max[0] * u1, self.tau_max[1] * u2, state
 
-    def batch_torques(self):
-        """Array form of torques, pd_control's arithmetic and clamp per joint."""
-        kp, kd, scale = self.kp, self.kd, self.target_scale
-        t1, t2 = self.tau_max
+    def batch_torques(self, population):
+        """Array form of torques, pd_control's arithmetic and clamp per
+        joint, with every constant a 0-d array (_arrays); the population
+        size does not matter."""
+        kp, kd, scale, t1, t2 = _arrays(self.kp, self.kd, self.target_scale,
+                                        *self.tau_max)
 
         def servo(q, dq, target):
-            return _unit_clip(kp * (target * scale - q) + kd * (0.0 - dq), -1.0)
+            return _unit_clip(kp * (target * scale - q) + kd * (_ZERO - dq),
+                              _MINUS_ONE)
 
         def step(state, th1, th2, w1, w2, u):
             return t1 * servo(th1, w1, u[0]), t2 * servo(th2, w2, u[1])
@@ -485,11 +527,12 @@ class LowPassController:
         t1, t2 = self.tau_max
         return t1 * f1, t2 * f2, (f1, f2)
 
-    def batch_torques(self):
+    def batch_torques(self, population):
         """Array form of torques; filtered is the (2, population) array of
-        state rows, advanced in place by the same update."""
-        gain = self._gain
-        t1, t2 = self.tau_max
+        state rows, advanced in place by the same update. The gain and the
+        ceilings are 0-d arrays (_arrays), and the population size does
+        not matter."""
+        gain, t1, t2 = _arrays(self._gain, *self.tau_max)
 
         def step(filtered, th1, th2, w1, w2, u):
             filtered += gain * (u - filtered)

@@ -22,9 +22,12 @@ per episode.
 _symp_step itself is the step of control.rollout_batch, which advances a
 whole CMA-ES population in lockstep: given NumPy arrays and np.cos/np.sin
 for its cos/sin arguments, the same body computes every candidate's step
-with the same operations in the same order. So the step's arithmetic has
-exactly two copies, _symp_step and the scalar loop, and tests/test_kernels.py
-holds each to the step composed from _mass_matrix and _bias.
+with the same operations in the same order. It takes the pre-step
+configuration's mass-matrix terms (_mass_terms) and returns the new
+configuration's with the new state, so the batch loop, too, derives them
+once per step. So the step's arithmetic has exactly two copies, _symp_step
+and the scalar loop, and tests/test_kernels.py holds each to the step
+composed from _mass_matrix and _bias.
 """
 
 import math
@@ -124,8 +127,8 @@ class BallState:
 class _Coeffs:
     """Configuration-independent aggregates of the equations of motion."""
 
-    __slots__ = ("a1", "mb", "sb", "qb", "m11_0", "cross", "kg1", "kg2", "g",
-                 "l1", "l2")
+    __slots__ = ("a1", "mb", "sb", "qb", "m11_0", "cross", "cross2", "two",
+                 "kg1", "kg2", "g", "l1", "l2")
 
     def __init__(self, p: ArmParams):
         self.a1 = p.i1 + p.m1 * p.r1 * p.r1
@@ -135,6 +138,8 @@ class _Coeffs:
         self.qb = p.i2 + p.m2 * p.r2 * p.r2 + p.m_hand * p.l2 * p.l2 + p.m_extra * p.r2 * p.r2
         self.m11_0 = self.a1 + self.qb + self.mb * p.l1 * p.l1
         self.cross = p.l1 * self.sb
+        self.cross2 = 2.0 * self.cross          # m11's first product, 2.0 * cross
+        self.two = 2.0                          # the Coriolis term's 2.0 (_symp_step)
         self.kg1 = p.g * (p.m1 * p.r1 + self.mb * p.l1)
         self.kg2 = p.g * self.sb
         self.g = p.g
@@ -284,7 +289,18 @@ def _pendulum_step(c: _Coeffs, th1, th2, w1, w2, tau1, tau2, pert: Perturbation,
             phi + dt * dphi, dphi)
 
 
-def _symp_step(c: _Coeffs, th1, th2, w1, w2, tau1, tau2, dt,
+def _mass_terms(c: _Coeffs, th2, cos=math.cos):
+    """The mass-matrix terms (m11, s, det) of configuration th2, as
+    _symp_step takes and returns them: _mass_matrix's m11, s = -m12 and
+    det = m11*m22 - m12*m12 (m22 is qb), each bit for bit, since negation
+    and the sign of a product are exact. cos as in _symp_step."""
+    c2 = cos(th2)
+    m11 = c.m11_0 + c.cross2 * c2
+    s = c.qb + c.cross * c2
+    return m11, s, m11 * c.qb - s * s
+
+
+def _symp_step(c: _Coeffs, th1, th2, w1, w2, tau1, tau2, dt, m11, s, det,
                cos=math.cos, sin=math.sin):
     """One semi-implicit Euler step in momentum form.
 
@@ -294,9 +310,13 @@ def _symp_step(c: _Coeffs, th1, th2, w1, w2, tau1, tau2, dt,
     the configuration-dependent mass matrix, so the energy error of a passive
     swing stays a bounded oscillation instead of a secular drift.
 
-    Returns (th1', th2', w1', w2', a1, a2) where a1, a2 are the instantaneous
-    joint accelerations at the pre-step state (what an accelerometer would
-    read; used for jerk measures).
+    m11, s and det are the mass-matrix terms of the pre-step configuration
+    th2, _mass_terms(c, th2, cos). Returns (th1', th2', w1', w2', a1, a2,
+    m11', s', det'): the new state, the instantaneous joint accelerations
+    at the pre-step state (what an accelerometer would read; used for jerk
+    measures), and the new configuration's mass-matrix terms, which the
+    next step takes. So a run of steps derives each configuration's terms
+    once, as the scalar rollout's loop does.
 
     _mass_matrix and _bias are inlined, each trigonometric term and each
     product that recurs (the gravity terms, qb*q1 and s*q1 in the
@@ -307,31 +327,32 @@ def _symp_step(c: _Coeffs, th1, th2, w1, w2, tau1, tau2, dt,
     matrix's m12 is -s, so x - m12*y becomes x + s*y and m12*m12 becomes
     s*s; -hs*w2*x + g1 becomes g1 - hs*w2*x; and adding v2g = -g2 becomes
     subtracting g2. Every other expression keeps its association (the
-    bias b1 is not regrouped to reuse g1 + g2, for instance), so the
-    result equals the composed one bit for bit, up to the sign of a NaN.
+    bias b1 is not regrouped to reuse g1 + g2, for instance), and m11's
+    first product 2.0*cross is c.cross2, so the result equals the composed
+    one bit for bit, up to the sign of a NaN.
 
-    The body uses only + - * / and the cos/sin it is given, so it runs
-    unchanged on arrays of candidates (one element each) with cos=np.cos,
-    sin=np.sin; rollout_batch calls it that way. Element for element the
-    array result equals the float one wherever np.cos and np.sin equal
-    math.cos and math.sin.
+    The body uses only + - * / and the cos/sin it is given, and it reads
+    every constant from c or dt, the literal 2.0 of the Coriolis term
+    included (c.two). So it runs unchanged on arrays of candidates (one
+    element each) with cos=np.cos, sin=np.sin; rollout_batch calls it that
+    way, with every field of c and dt a 0-d float64 array, because NumPy
+    converts a Python float operand anew on each call, which costs about
+    as much again as the operation on a population-sized array. Element
+    for element the array result equals the float one wherever np.cos and
+    np.sin equal math.cos and math.sin.
 
     control._simulate, the scalar rollout's loop, carries a copy of this
-    body written out inline, with c2n, n11, sn and ndet kept as the next
-    step's c2, m11, s and det; a change here is a change there. In
+    body written out inline; a change here is a change there. In
     tests/test_kernels.py, test_symp_step_equals_its_composed_reference
     pins this function, test_array_step_matches_the_scalar_step_element_by_element
-    its array use, and the rollout_reference tests the loop's copy.
+    its array use, test_carried_mass_terms_are_the_new_configurations the
+    terms it returns, and the rollout_reference tests the loop's copy.
     """
-    m11_0, cross, qb = c.m11_0, c.cross, c.qb
-    c2 = cos(th2)
-    m11 = m11_0 + 2.0 * cross * c2
-    s = qb + cross * c2                         # m12 = -s
-    det = m11 * qb - s * s                      # m22 = qb
+    cross, qb = c.cross, c.qb
     hs = cross * sin(th2)
     g1 = c.kg1 * cos(th1)
     g2 = c.kg2 * cos(th1 - th2)                 # dV/dth2 = -g2
-    r1 = tau1 - (g1 - hs * w2 * (2.0 * w1 - w2) + g2)
+    r1 = tau1 - (g1 - hs * w2 * (c.two * w1 - w2) + g2)
     r2 = tau2 - (hs * w1 * w1 - g2)
     a1 = (qb * r1 + s * r2) / det
     a2 = (m11 * r2 + s * r1) / det
@@ -356,13 +377,10 @@ def _symp_step(c: _Coeffs, th1, th2, w1, w2, tau1, tau2, dt,
     u2 = (m11 * q2 + sq1) / det
     th1n = th1 + dt * u1
     th2n = th2 + dt * u2
-    c2n = cos(th2n)
-    n11 = m11_0 + 2.0 * cross * c2n
-    sn = qb + cross * c2n
-    ndet = n11 * qb - sn * sn
+    n11, sn, ndet = _mass_terms(c, th2n, cos)
     w1n = (qbq1 + sn * q2) / ndet
     w2n = (n11 * q2 + sn * q1) / ndet
-    return th1n, th2n, w1n, w2n, a1, a2
+    return th1n, th2n, w1n, w2n, a1, a2, n11, sn, ndet
 
 
 def ball_step(ball: BallState, hand_pos, hand_vel, dt: float, g: float = 9.81,

@@ -7,7 +7,9 @@ Keys are case-insensitive.
 ExperimentConfig.from_mapping rejects a key it does not know, an integer
 key whose value has a fractional part and a comma list in a single-valued
 text key (experiment.kind, .task, .out_dir), and the config rejects
-unknown task, morphology and ablation names, `arm.`/`weights.` values
+unknown task, morphology and ablation names, a value repeated in a list
+that a sweep runs one point per value of (the grid.* keys,
+experiment.seeds, .morphologies and .ablations), `arm.`/`weights.` values
 that are not finite numbers or that ArmParams refuses, an optimizer or
 MPC budget that CmaConfig or MpcConfig refuses, an OC resolution (every
 grid.c value and optimizer.c) that is not a whole multiple of the physics
@@ -237,6 +239,19 @@ class ExperimentConfig:
             raise ValueError("ablation list is empty")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        # a sweep runs and writes every copy of a repeated value, and the
+        # aggregate then counts one run as several
+        for key, values in (("grid.c", self.c_grid),
+                            ("grid.sigma", self.sigma_grid),
+                            ("grid.tpred", self.tpred_grid),
+                            ("grid.masses", self.masses),
+                            ("experiment.seeds", self.seeds),
+                            ("experiment.morphologies", self.morphologies),
+                            ("experiment.ablations", self.ablations)):
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ValueError(f"config key {key} repeats "
+                                 f"{', '.join(map(str, repeated))}")
         if self.tpred <= 0:
             raise ValueError("mpc.tpred must be positive")
 

@@ -28,26 +28,32 @@ parameters only, so one controller serves any number of rollouts, and MPC
 carries the plant's actuator state from one segment to the next as that
 row, next to the arm state.
 
-Two rollout paths share one step and one scoring rule. `rollout` runs one
-episode on floats and is the reference; its loop (_simulate) writes
-arm._symp_step's arithmetic out inline, the same operations in the same
-order, and carries each new configuration's mass-matrix terms into the
-next step instead of deriving them again, because a call per step and the
-re-derived terms are a sizeable share of a short MPC window's time.
-`rollout_batch` scores a whole (population, dim) array of decision vectors
-in lockstep, one call of arm._symp_step on NumPy arrays per physics step,
-and gives every row the cost `rollout` gives it. So the step's arithmetic
-lives in exactly two places, _symp_step and _simulate's loop, and tests
-pin each: in tests/test_kernels.py, test_symp_step_equals_its_composed_reference
-holds _symp_step to the step composed from arm._mass_matrix and arm._bias,
-test_array_step_matches_the_scalar_step_element_by_element its array use
-to its float use, and the rollout_reference tests hold the loop, step by
-step, to the composed step; tests/test_batch.py holds rollout_batch's
-costs to rollout's. cma_es hands each generation to its objective as
-one such array, so open-loop optimization and the MPC warm start score
-populations with rollout_batch; the pattern-search refinement, MPC's
-executed trajectory and the best-plan rollouts use `rollout`, and the MPC
-plant segments its unscored half.
+Two rollout paths share one step and one scoring rule, and both carry
+each new configuration's mass-matrix terms into the next step instead of
+deriving them again. `rollout` runs one episode on floats and is the
+reference; its loop (_simulate) writes arm._symp_step's arithmetic out
+inline, the same operations in the same order, because a call per step is
+a sizeable share of a short MPC window's time. `rollout_batch` scores a
+whole (population, dim) array of decision vectors in lockstep, one call of
+arm._symp_step on NumPy arrays per physics step, which takes the terms of
+the configuration it starts from and returns the new one's, and gives
+every row the cost `rollout` gives it. At a CMA-ES population's size a
+NumPy call's fixed cost is most of its cost, so no operation of the batch
+step mixes a Python float with an array: the step's constants and dt are
+0-d float64 arrays (_array_coeffs), and so are the controllers' in their
+array kernels. So the step's arithmetic lives in exactly two places,
+_symp_step and _simulate's loop, and tests pin each: in
+tests/test_kernels.py, test_symp_step_equals_its_composed_reference holds
+_symp_step to the step composed from arm._mass_matrix and arm._bias,
+test_carried_mass_terms_are_the_new_configurations the terms it hands on
+to _mass_matrix, test_array_step_matches_the_scalar_step_element_by_element
+its array use, with rollout_batch's constants, to its float use, and the
+rollout_reference tests hold the loop, step by step, to the composed step;
+tests/test_batch.py holds rollout_batch's costs to rollout's. cma_es hands
+each generation to its objective as one such array, so open-loop
+optimization and the MPC warm start score populations with rollout_batch;
+the pattern-search refinement, MPC's executed trajectory and the best-plan
+rollouts use `rollout`, and the MPC plant segments its unscored half.
 """
 
 import math
@@ -57,7 +63,8 @@ from functools import cached_property
 import numpy as np
 
 from .arm import (ArmState, BallState, Perturbation, _accel, _Coeffs, _hand,
-                  _pendulum_forces, _pendulum_step, _symp_step, ball_step)
+                  _mass_terms, _pendulum_forces, _pendulum_step, _symp_step,
+                  ball_step)
 from .optimizers import CmaConfig, cma_es, local_refine
 
 DT_SIM = 0.005                 # physics timestep, seconds
@@ -69,6 +76,7 @@ REFINE_RADIUS = 0.1            # MPC refinement: initial pattern-search radius
 # control._symp_step as its span of scalar steps, which must not time array
 # steps. The scalar loop carries an inline copy of the step, so that span
 # sees no call now; control._symp_step stays so the span still finds it.
+# Both names take and return the carried mass-matrix terms (arm._mass_terms).
 _batch_step = _symp_step
 
 
@@ -334,8 +342,8 @@ def _simulate(task, controller, theta, parameterization, perturbation,
 
     torques_of = controller.torques
     cos, sin = math.cos, math.sin
-    m11_0, cross, qb = coeffs.m11_0, coeffs.cross, coeffs.qb
-    cross2, kg1, kg2 = 2.0 * cross, coeffs.kg1, coeffs.kg2
+    m11_0, cross, cross2 = coeffs.m11_0, coeffs.cross, coeffs.cross2
+    qb, kg1, kg2 = coeffs.qb, coeffs.kg1, coeffs.kg2
     is_done = (task.is_done if getattr(task, "terminal_threshold", None) is not None
                else None)
     diverged = False
@@ -345,12 +353,9 @@ def _simulate(task, controller, theta, parameterization, perturbation,
     # the mass-matrix terms of the configuration the next step starts from;
     # each step computes its new configuration's, so only the first are
     # computed here. An infinite th2 leaves them NaN: the first step's
-    # sin(th2) then raises where _symp_step's cos(th2) would, after the
-    # controller's torques and before anything is recorded.
-    c2 = math.cos(th2) if math.isfinite(th2) else math.nan
-    m11 = m11_0 + cross2 * c2
-    s = qb + cross * c2                         # m12 = -s
-    det = m11 * qb - s * s                      # m22 = qb
+    # sin(th2) then raises, as _symp_step's does, after the controller's
+    # torques and before anything is recorded.
+    m11, s, det = _mass_terms(coeffs, th2 if math.isfinite(th2) else math.nan)
 
     try:
         for k in range(parameterization.n_steps):
@@ -363,9 +368,8 @@ def _simulate(task, controller, theta, parameterization, perturbation,
                     coeffs, th1, th2, w1, w2, tau1, tau2, pend_pert, phi_p,
                     dphi_p, dt)
             # arm._symp_step under torques (t1, t2): its operations in its
-            # order (2.0 * cross, its first product in m11, taken once as
-            # cross2), with this configuration's c2, m11, s and det carried
-            # over from the step before
+            # order, with this configuration's m11, s and det carried over
+            # from the step before and the new one's computed at its end
             hs = cross * sin(th2)
             g1 = kg1 * cos(th1)
             g2 = kg2 * cos(th1 - th2)
@@ -476,6 +480,16 @@ def _scalar_only(task, controller, perturbation) -> bool:
             or getattr(controller, "activation_model", None) == "hatze")
 
 
+def _array_coeffs(params) -> _Coeffs:
+    """_Coeffs(params) with every field a 0-d float64 array: the constants
+    rollout_batch hands its array step, with dt as one more (see
+    arm._symp_step for why)."""
+    coeffs = _Coeffs(params)
+    for name in _Coeffs.__slots__:
+        setattr(coeffs, name, np.array(getattr(coeffs, name), dtype=float))
+    return coeffs
+
+
 def rollout_batch(task, controller, thetas, parameterization: ControlParameterization,
                   perturbation: Perturbation | None = None) -> np.ndarray:
     """Costs of a (population, dim) array of zero-order-hold decision vectors.
@@ -485,10 +499,17 @@ def rollout_batch(task, controller, thetas, parameterization: ControlParameteriz
     an episode from the task's initial state and the controller's state0
     (a start snapshot is rollout's alone). All rows advance together in
     structure-of-arrays form: one ZOH decode for the population, then per
-    physics step one call of the controller's batch_torques step and one
-    of arm._symp_step on arrays with np.cos/np.sin (the step `rollout`'s
-    loop writes out inline, operation for operation). Every other operation
-    is the scalar path's, in its order, so the costs agree bit for bit
+    physics step one call of the step that
+    controller.batch_torques(population) makes and one of arm._symp_step
+    on arrays with np.cos/np.sin (the step `rollout`'s loop writes out
+    inline, operation for operation). Each step takes the mass-matrix
+    terms (m11, s, det) the step before handed on, so they are derived once
+    per configuration, the first ones by arm._mass_terms; the step's
+    constants and dt are 0-d float64 arrays (_array_coeffs), which NumPy
+    takes at a lower fixed cost per call than Python floats, with the same
+    values. Every other operation is the scalar path's, in its order, and
+    every one is the same IEEE operation on the same operands as there,
+    so the costs agree bit for bit
     wherever np.cos/np.sin equal math.cos/math.sin (tests/test_batch.py
     probes that, and holds the paths to rtol 1e-9 where they differ).
     th, dth and ddth are recorded as (population, n + 1, 2) arrays. A
@@ -509,13 +530,13 @@ def rollout_batch(task, controller, thetas, parameterization: ControlParameteriz
 
     params = task.params
     p_eff = perturbation.apply_to(params) if perturbation is not None else params
-    coeffs = _Coeffs(p_eff)
+    coeffs = _array_coeffs(p_eff)
+    dt = np.array(DT_SIM)
     n = parameterization.n_steps
-    dt = DT_SIM
     state = task.initial_state()
     lam = table.shape[0]
     cstate = np.tile(np.reshape(controller.state0, (-1, 1)), lam)
-    torques_of = controller.batch_torques()
+    torques_of = controller.batch_torques(lam)
 
     # per segment, an (n_actuators, population) block of controls
     blocks = list(np.ascontiguousarray(table.transpose(1, 2, 0)))
@@ -531,10 +552,13 @@ def rollout_batch(task, controller, thetas, parameterization: ControlParameteriz
     dth[:, 0] = state.dth1, state.dth2
     cos, sin = np.cos, np.sin
     with np.errstate(all="ignore"):          # diverging rows overflow
-        for k, s in enumerate(segment.tolist()):
-            tau1, tau2 = torques_of(cstate, th1, th2, w1, w2, blocks[s])
-            th1, th2, w1, w2, a1, a2 = _batch_step(
-                coeffs, th1, th2, w1, w2, tau1, tau2, dt, cos=cos, sin=sin)
+        # each step takes its configuration's mass-matrix terms and hands
+        # on the next one's
+        m11, s, det = _mass_terms(coeffs, th2, cos)
+        for k, seg in enumerate(segment.tolist()):
+            tau1, tau2 = torques_of(cstate, th1, th2, w1, w2, blocks[seg])
+            th1, th2, w1, w2, a1, a2, m11, s, det = _batch_step(
+                coeffs, th1, th2, w1, w2, tau1, tau2, dt, m11, s, det, cos, sin)
             th[:, k + 1, 0] = th1
             th[:, k + 1, 1] = th2
             dth[:, k + 1, 0] = w1
@@ -543,8 +567,8 @@ def rollout_batch(task, controller, thetas, parameterization: ControlParameteriz
             ddth[:, k, 1] = a2
         # the terminal sample's acceleration under the last torques, as
         # rollout records it (the step's a1, a2 are _accel's)
-        a1, a2 = _batch_step(coeffs, th1, th2, w1, w2, tau1, tau2, dt,
-                             cos=cos, sin=sin)[4:]
+        a1, a2 = _batch_step(coeffs, th1, th2, w1, w2, tau1, tau2, dt, m11,
+                             s, det, cos, sin)[4:6]
         ddth[:, n, 0] = a1
         ddth[:, n, 1] = a2
     finite = np.isfinite(th).all(axis=(1, 2)) & np.isfinite(dth).all(axis=(1, 2))

@@ -13,7 +13,8 @@ import pytest
 
 from myoarm.actuators import make_controller
 from myoarm.arm import (ArmParams, ArmState, BallState, Perturbation, _accel,
-                        _Coeffs, _hand, _pendulum_step, _symp_step, ball_step)
+                        _Coeffs, _hand, _mass_terms, _pendulum_step,
+                        _symp_step, ball_step)
 from myoarm.control import parameterization_for, rollout
 from myoarm.objectives import make_task
 from oracles import (energy_drift_rate, fd_lagrangian_accel, gravity_torque,
@@ -30,8 +31,9 @@ def accel(s, tau, p):
 
 def advance(s, tau, dt, p):
     """State s after one _symp_step under torques tau."""
-    th1, th2, w1, w2, _, _ = _symp_step(_Coeffs(p), s.th1, s.th2, s.dth1,
-                                        s.dth2, tau[0], tau[1], dt)
+    c = _Coeffs(p)
+    th1, th2, w1, w2 = _symp_step(c, s.th1, s.th2, s.dth1, s.dth2, tau[0],
+                                  tau[1], dt, *_mass_terms(c, s.th2))[:4]
     return ArmState(th1, th2, w1, w2)
 
 
@@ -232,12 +234,12 @@ def test_pendulum_load_changes_motion_and_stays_finite():
     free = load = (0.0, 0.0, 0.0, 0.0)      # th1, th2, dth1, dth2
     phi = dphi = 0.0                         # the bob's cable angle and rate
     for _ in range(400):
-        free = _symp_step(c, *free, 0.0, 0.0, DT)[:4]
+        free = _symp_step(c, *free, 0.0, 0.0, DT, *_mass_terms(c, free[1]))[:4]
         # the cable force at the hand joins the joint torques, and the bob
         # advances alongside the arm
         t1, t2, phi, dphi = _pendulum_step(c, *load, 0.0, 0.0, pert, phi,
                                            dphi, DT)
-        load = _symp_step(c, *load, t1, t2, DT)[:4]
+        load = _symp_step(c, *load, t1, t2, DT, *_mass_terms(c, load[1]))[:4]
     assert all(math.isfinite(v) for v in (*load, phi, dphi))
     assert load[0] != free[0]
     # the bob actually swings

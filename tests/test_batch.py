@@ -242,7 +242,7 @@ def test_the_decode_is_the_only_clip(case, task, caplog):
 
 def test_the_hatze_model_has_no_array_form():
     with pytest.raises(ValueError, match="Hatze"):
-        make_controller("muscle", activation_model="hatze").batch_torques()
+        make_controller("muscle", activation_model="hatze").batch_torques(4)
 
 
 @pytest.mark.parametrize("family", ["muscle", "torque"])

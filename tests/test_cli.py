@@ -136,6 +136,16 @@ class TestUsageErrors:
         assert "myoarm: error:" in err and "grid.c" in err
         assert not (tmp_path / "out").exists()
 
+    def test_a_repeated_grid_value_is_a_clean_error(self, tmp_path, capsys):
+        # grid.c = 0.3, 0.3 used to run and write the same trace twice
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY_CONFIG + "grid.c = 0.3, 0.3\n")
+        assert run_cli("experiment", "--config", str(cfg),
+                       "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert "myoarm: error:" in err and "grid.c repeats 0.3" in err
+        assert not (tmp_path / "out").exists()
+
     def test_refine_budget_below_one_is_refused_before_planning(
             self, tmp_path, capsys, monkeypatch):
         # --refine-budget 0 used to run the whole CMA-ES warm start and the

@@ -184,6 +184,20 @@ class TestExperimentConfig:
             ExperimentConfig.from_mapping(parse_config_text(line))
 
     @pytest.mark.parametrize("key, value", [
+        ("grid.c", "0.3, 0.05, 0.30"),
+        ("grid.sigma", "0.1, 0.1"),
+        ("grid.tpred", "0.2, 0.3, 0.2"),
+        ("grid.masses", "2.0, 2"),
+        ("experiment.seeds", "0, 1, 0"),
+        ("experiment.morphologies", "muscle, torque, muscle"),
+        ("experiment.ablations", "none, fl, fl")])
+    def test_a_repeated_sweep_value_is_refused(self, key, value):
+        # each copy used to run and be written: grid.c = 0.3, 0.3 wrote one
+        # trace twice and aggregate.csv counted one seed as n = 2, std 0.0
+        with pytest.raises(ValueError, match=f"{key} repeats"):
+            ExperimentConfig.from_mapping(parse_config_text(f"{key} = {value}\n"))
+
+    @pytest.mark.parametrize("key, value", [
         ("experiment.out_dir", "runs,v2"),    # was the directory "['runs', 'v2']"
         ("experiment.task", "smooth-reach,"),
         ("experiment.kind", "data_efficiency, sigma_sweep")])
@@ -282,14 +296,20 @@ def configs(draw):
             weights[pair] = [weights[pair], draw(positive)]
     return ExperimentConfig(
         kind=kind, task=task,
-        morphologies=draw(st.lists(labels, min_size=1, max_size=3)),
-        c_grid=draw(st.lists(oc_resolutions, min_size=1, max_size=3)),
-        sigma_grid=draw(st.lists(positive, min_size=1, max_size=3)),
-        tpred_grid=draw(st.lists(horizons, min_size=1, max_size=3)),
-        masses=draw(st.lists(positive, min_size=1, max_size=3)),
+        # the swept lists hold no repeats, which the config refuses
+        morphologies=draw(st.lists(labels, min_size=1, max_size=3,
+                                   unique=True)),
+        c_grid=draw(st.lists(oc_resolutions, min_size=1, max_size=3,
+                             unique=True)),
+        sigma_grid=draw(st.lists(positive, min_size=1, max_size=3,
+                                 unique=True)),
+        tpred_grid=draw(st.lists(horizons, min_size=1, max_size=3,
+                                 unique=True)),
+        masses=draw(st.lists(positive, min_size=1, max_size=3, unique=True)),
         ablations=draw(st.lists(st.sampled_from(["none", "fl", "fv", "actdyn"]),
-                                min_size=1, max_size=4)),
-        seeds=draw(st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=4)),
+                                min_size=1, max_size=4, unique=True)),
+        seeds=draw(st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=4,
+                            unique=True)),
         population=draw(st.integers(4, 500)),
         generations=draw(st.integers(1, 500)),
         sigma=draw(positive), c=draw(oc_resolutions),

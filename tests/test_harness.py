@@ -420,8 +420,11 @@ class TestRobustnessSweep:
                     if mass else None)
 
         monkeypatch.setattr(harness, "_load", seen_2kg)
-        config = tiny_mpc_config(tmp_path, masses=(1.0, 2.0, 2.0))
+        config = tiny_mpc_config(tmp_path, masses=(1.0, 2.0))
         config.seeds = [0, 1]
+        # a config refuses a repeated mass; _warm_groups, handed the points
+        # of one, still keeps two equal seen loads apart
+        config.masses = [1.0, 2.0, 2.0]
         point = {(m, s): ("muscle", None, None, 0.02, s, m)
                  for m in (0.0, 1.0, 2.0) for s in (0, 1)}
         assert harness._warm_groups(_run_points(config)) == [

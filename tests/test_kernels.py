@@ -30,9 +30,10 @@ from myoarm.actuators import (AblationFlags, HatzeParams, MuscleController,
                               hatze_activation_step, make_controller)
 from myoarm.arm import (ArmParams, ArmState, Perturbation, _accel,
                         _bias, _Coeffs, _hand, _jacobian, _mass_matrix,
-                        _pendulum_forces, _symp_step, ball_step, hand_position)
-from myoarm.control import (DT_SIM, SENTINEL_COST, parameterization_for,
-                            rollout)
+                        _mass_terms, _pendulum_forces, _symp_step, ball_step,
+                        hand_position)
+from myoarm.control import (DT_SIM, SENTINEL_COST, _array_coeffs,
+                            parameterization_for, rollout)
 from myoarm.config import ExperimentConfig
 from myoarm.harness import _task_for
 from myoarm.objectives import (ObjectiveWeights, PreciseReaching, ReachTarget,
@@ -55,8 +56,16 @@ def finite(lo, hi):
 
 # -- the symplectic step ---------------------------------------------------
 
+def composed_mass_terms(c, th2):
+    """The (m11, s, det) _symp_step carries, composed from _mass_matrix:
+    s = -m12 and det = m11*m22 - m12*m12."""
+    m11, m12, m22 = _mass_matrix(c, th2)
+    return m11, -m12, m11 * m22 - m12 * m12
+
+
 def symp_step_reference(c, th1, th2, w1, w2, tau1, tau2, dt):
-    """_symp_step as composed from _mass_matrix and _bias."""
+    """_symp_step as composed from _mass_matrix and _bias, the new
+    configuration's mass-matrix terms included."""
     m11, m12, m22 = _mass_matrix(c, th2)
     det = m11 * m22 - m12 * m12
     b1, b2 = _bias(c, th1, th2, w1, w2)
@@ -84,7 +93,7 @@ def symp_step_reference(c, th1, th2, w1, w2, tau1, tau2, dt):
     ndet = n11 * n22 - n12 * n12
     w1n = (n22 * q1 - n12 * q2) / ndet
     w2n = (n11 * q2 - n12 * q1) / ndet
-    return th1n, th2n, w1n, w2n, a1, a2
+    return th1n, th2n, w1n, w2n, a1, a2, n11, -n12, ndet
 
 
 @st.composite
@@ -106,9 +115,12 @@ def arm_params(draw):
        tau=st.tuples(finite(-500.0, 500.0), finite(-500.0, 500.0)),
        dt=finite(1e-4, 0.02))
 def test_symp_step_equals_its_composed_reference(p, th, w, tau, dt):
+    # the step takes the pre-step configuration's terms, here composed
+    # from _mass_matrix, and hands on the new configuration's
     c = _Coeffs(p)
     args = (c, th[0], th[1], w[0], w[1], tau[0], tau[1], dt)
-    assert _symp_step(*args) == symp_step_reference(*args)
+    assert (_symp_step(*args, *composed_mass_terms(c, th[1]))
+            == symp_step_reference(*args))
 
 
 # angles past any physical range, infinite and NaN ones included
@@ -123,19 +135,23 @@ wild_angles = st.one_of(finite(-1e300, 1e300),
                      min_size=1, max_size=20),
        dt=finite(1e-4, 0.02))
 def test_array_step_matches_the_scalar_step_element_by_element(p, rows, dt):
-    # rollout_batch's step: the same body on arrays with np.cos/np.sin.
-    # Where math.cos or math.sin meets an infinite angle the scalar step
-    # raises (rollout's divergence) and np.cos gives NaN, so the row's
-    # state must not be finite; elsewhere each output is finite exactly
-    # where the scalar one is, and equal to it where the trig functions are
-    c = _Coeffs(p)
+    # rollout_batch's step: the same body on arrays with np.cos/np.sin,
+    # its constants and dt 0-d arrays as rollout_batch builds them, and the
+    # mass-matrix terms it starts from computed the same way. Where
+    # math.cos or math.sin meets an infinite angle the scalar step (with
+    # its terms) raises (rollout's divergence) and np.cos gives NaN, so the
+    # row's state must not be finite; elsewhere each output, the carried
+    # terms included, is finite exactly where the scalar one is, and equal
+    # to it where the trig functions are
+    c, arrays = _Coeffs(p), _array_coeffs(p)
     columns = [np.array(col) for col in zip(*rows)]
     with np.errstate(all="ignore"):
-        got = _symp_step(c, *columns, dt, cos=np.cos, sin=np.sin)
+        got = _symp_step(arrays, *columns, np.array(dt),
+                         *_mass_terms(arrays, columns[1], np.cos), np.cos, np.sin)
     for i, row in enumerate(rows):
         mine = [float(x[i]) for x in got]
         try:
-            want = _symp_step(c, *row, dt)
+            want = _symp_step(c, *row, dt, *_mass_terms(c, row[1]))
         except ValueError as exc:
             assert str(exc) == "math domain error"
             assert not all(map(math.isfinite, mine[:4]))
@@ -144,6 +160,33 @@ def test_array_step_matches_the_scalar_step_element_by_element(p, rows, dt):
         if TRIG_EXACT:
             assert all(a == b or (math.isnan(a) and math.isnan(b))
                        for a, b in zip(mine, want))
+
+
+@EXACT
+@given(p=arm_params(),
+       rows=st.lists(st.tuples(finite(-10.0, 10.0), finite(-10.0, 10.0),
+                               finite(-50.0, 50.0), finite(-50.0, 50.0),
+                               finite(-500.0, 500.0), finite(-500.0, 500.0)),
+                     min_size=1, max_size=20),
+       dt=finite(1e-4, 0.02))
+def test_carried_mass_terms_are_the_new_configurations(p, rows, dt):
+    # the m11, s and det a step hands on are _mass_matrix's at the state it
+    # returns, bit for bit (s is -m12): on floats, and element by element
+    # in rollout_batch's array use wherever np.cos equals math.cos
+    c, arrays = _Coeffs(p), _array_coeffs(p)
+    for row in rows:
+        got = _symp_step(c, *row, dt, *_mass_terms(c, row[1]))
+        assert got[6:] == composed_mass_terms(c, got[1])
+    columns = [np.array(col) for col in zip(*rows)]
+    got = _symp_step(arrays, *columns, np.array(dt),
+                     *_mass_terms(arrays, columns[1], np.cos), np.cos, np.sin)
+    for i in range(len(rows)):
+        mine = tuple(float(x[i]) for x in got[6:])
+        want = composed_mass_terms(c, float(got[1][i]))
+        if TRIG_EXACT:
+            assert mine == want
+        else:
+            assert mine == pytest.approx(want, rel=1e-12)
 
 
 # -- the actuator kernels --------------------------------------------------
@@ -347,8 +390,8 @@ def rollout_reference(task, controller, theta, par, params=None,
                 t2 += j12 * fx + j22 * fz
                 dphi = dphi + dt * ddphi
                 phi = phi + dt * dphi
-            th1, th2, w1, w2, a1, a2 = symp_step_reference(c, th1, th2, w1,
-                                                           w2, t1, t2, dt)
+            th1, th2, w1, w2, a1, a2 = symp_step_reference(
+                c, th1, th2, w1, w2, t1, t2, dt)[:6]
             out["ddth"].append([a1, a2])
             out["controls"].append(list(u))
             out["torques"].append(list(tau))

@@ -8,7 +8,7 @@ import pytest
 
 from myoarm.actuators import MuscleController, TorqueController, make_controller
 from myoarm.arm import (ArmParams, ArmState, Perturbation, _Coeffs,
-                        _pendulum_step, _symp_step)
+                        _mass_terms, _pendulum_step, _symp_step)
 from myoarm.control import (DT_SIM, SENTINEL_COST, WARM_SIGMA0,
                             ControlParameterization, MpcConfig,
                             calibrate_torque_limits, mpc_run,
@@ -149,7 +149,8 @@ class TestRollout:
                 assert tau[1] == res.torques[k, 1]
                 t1, t2, phi, dphi = _pendulum_step(c, *arm, *tau, pert, phi,
                                                    dphi, DT_SIM)
-                arm = _symp_step(c, *arm, t1, t2, DT_SIM)[:4]
+                arm = _symp_step(c, *arm, t1, t2, DT_SIM,
+                                 *_mass_terms(c, arm[1]))[:4]
                 assert arm[0] == res.th[k + 1, 0]
                 assert arm[1] == res.th[k + 1, 1]
                 assert arm[2] == res.dth[k + 1, 0]

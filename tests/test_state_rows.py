@@ -7,11 +7,15 @@ time, for controls already in the box [lo, hi]. These properties pin that
 contract for every family, ablation flag set and activation model.
 """
 
+import itertools
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from myoarm.actuators import AblationFlags, MuscleController, make_controller
+from myoarm.actuators import (AblationFlags, MuscleController, MuscleParams,
+                              make_controller)
 
 PROPS = settings(max_examples=100, deadline=None, database=None)
 FAMILIES = ("torque", "pd", "lowpass-fast", "lowpass-slow")
@@ -86,7 +90,44 @@ def test_a_batch_step_equals_the_scalar_step_in_every_column(family, flags,
                          tuple(u[:, i].tolist()))
             for i in range(cols)]
     state = rows.copy()
-    tau1, tau2 = ctrl.batch_torques()(state, *q, u)
+    tau1, tau2 = ctrl.batch_torques(cols)(state, *q, u)
     for i, (w1, w2, w_row) in enumerate(want):
         assert (float(tau1[i]), float(tau2[i])) == (w1, w2)
         assert tuple(state[:, i].tolist()) == w_row
+
+
+EVERY_FLAG_SET = [AblationFlags(*bits)
+                  for bits in itertools.product((False, True), repeat=3)]
+# an elbow unlike the shoulder in every parameter the array kernel tiles,
+# so a parameter in the wrong row shows
+ELBOW = MuscleParams(phi_min=-0.4 * np.pi, phi_max=0.6 * np.pi, l_min=0.7,
+                     l_max=1.1, f_max=250.0, tau_act=0.02, v_scale=0.6)
+
+
+@pytest.mark.parametrize("ctrl", [
+    *(MuscleController(elbow=ELBOW, flags=flags) for flags in EVERY_FLAG_SET),
+    *(make_controller(family) for family in FAMILIES)],
+    ids=[*(f"muscle-{i}" for i in range(len(EVERY_FLAG_SET))), *FAMILIES])
+def test_batch_torques_for_a_population_is_torques_per_column(ctrl):
+    # the step batch_torques(population) makes, run for several steps on
+    # one population (its buffers are reused from step to step), gives each
+    # column, bit for bit, the torques and the next state row that
+    # `torques` gives that column's row; the angles and speeds reach every
+    # branch of the muscle curves (fiber lengths past both ends of the
+    # force-length support, velocities at and below -1 and lengthening)
+    cols, steps = 36, 5
+    rng = np.random.default_rng(17)
+    rows = rng.uniform(0.0, 1.0, (len(ctrl.state0), cols))
+    want = [tuple(rows[:, i].tolist()) for i in range(cols)]
+    step = ctrl.batch_torques(cols)
+    for _ in range(steps):
+        q = [rng.uniform(-8.0, 8.0, cols), rng.uniform(-8.0, 8.0, cols),
+             rng.uniform(-40.0, 40.0, cols), rng.uniform(-40.0, 40.0, cols)]
+        u = rng.uniform(ctrl.lo, ctrl.hi, (ctrl.n_controls, cols))
+        with np.errstate(all="ignore"):
+            tau1, tau2 = step(rows, *q, u)
+        for i in range(cols):
+            w1, w2, want[i] = ctrl.torques(want[i], *(float(x[i]) for x in q),
+                                           tuple(u[:, i].tolist()))
+            assert (float(tau1[i]), float(tau2[i])) == (w1, w2)
+            assert tuple(rows[:, i].tolist()) == want[i]
