@@ -49,9 +49,12 @@ test_carried_mass_terms_are_the_new_configurations the terms it hands on
 to _mass_matrix, test_array_step_matches_the_scalar_step_element_by_element
 its array use, with rollout_batch's constants, to its float use, and the
 rollout_reference tests hold the loop, step by step, to the composed step;
-tests/test_batch.py holds rollout_batch's costs to rollout's. cma_es hands
-each generation to its objective as one such array, so open-loop
-optimization and the MPC warm start score populations with rollout_batch;
+tests/test_batch.py holds rollout_batch's costs to rollout's. rollout_batch
+scores its population with one call of the task's cost (or window cost)
+on the population's arrays, which gives every row the float `rollout`'s
+call gives it. cma_es hands each generation to its objective as one such
+array, so open-loop optimization and the MPC warm start score populations
+with rollout_batch;
 the pattern-search refinement, MPC's executed trajectory and the best-plan
 rollouts use `rollout`, and the MPC plant segments its unscored half.
 """
@@ -95,9 +98,12 @@ class RolloutResult:
     in one array, built once after the episode from one flat list, and th,
     dth, ddth and torques are column views of it; controls are rows of the
     decoded control table. A cost of NaN marks an episode that was
-    simulated but not scored (MPC's plant segments). The results
-    rollout_batch scores leave torques and controller_state None: no task
-    cost reads them.
+    simulated but not scored (MPC's plant segments).
+
+    rollout_batch scores a population as one result whose th, dth, ddth and
+    controls have a leading row axis, one row per episode; it leaves
+    torques and controller_state None, since no task cost reads them, and
+    t and final_state describe one episode only.
     """
 
     t0: float
@@ -247,13 +253,14 @@ def _rows(flat, n):
     return np.fromiter(flat, float, len(flat)).reshape(n, -1)
 
 
-def _score(task, result: RolloutResult, parameterization) -> float:
-    """The cost of a finished, non-diverged episode."""
+def _score(task, result: RolloutResult, parameterization):
+    """The cost of a finished, non-diverged episode, or the costs of a
+    population of them (a result with a leading row axis)."""
     # a plan shorter than the task is an MPC prediction window or an MPC
     # run that stopped early; score it with the task's length-agnostic
     # variant of the same functional
     windowed = parameterization.horizon < task.duration - 1e-9
-    return float((task.window_cost if windowed else task.cost)(result))
+    return (task.window_cost if windowed else task.cost)(result)
 
 
 def rollout(task, controller, theta, parameterization: ControlParameterization,
@@ -284,7 +291,7 @@ def rollout(task, controller, theta, parameterization: ControlParameterization,
     result = _simulate(task, controller, theta, parameterization,
                        perturbation, initial_state, controller_state, ball0)
     if not result.diverged:
-        result.cost = _score(task, result, parameterization)
+        result.cost = float(_score(task, result, parameterization))
     return result
 
 
@@ -514,12 +521,14 @@ def rollout_batch(task, controller, thetas, parameterization: ControlParameteriz
     probes that, and holds the paths to rtol 1e-9 where they differ).
     th, dth and ddth are recorded as (population, n + 1, 2) arrays. A
     row with a non-finite angle or velocity sample is diverged and scores
-    SENTINEL_COST; every other row is scored by the task's own cost (or
-    window cost) on a RolloutResult of its own, with th, dth, ddth and
-    controls filled in and torques and controller_state left None. Every
-    row starts from the controller's state0, as column i of the array the
-    batch step advances. The cases in _scalar_only run through `rollout`
-    row by row instead.
+    SENTINEL_COST. The other rows are scored together, by one call of the
+    task's own cost (or window cost, by _score's rule) on one RolloutResult
+    whose th, dth, ddth and controls hold those rows, with a leading row
+    axis, and whose torques and controller_state are None; the task gives
+    each row the float it gives that row's episode alone. Every row starts
+    from the controller's state0, as column i of the array the batch step
+    advances. The cases in _scalar_only run through `rollout` row by row
+    instead.
     """
     table = _zoh_table(thetas, parameterization)
     if _scalar_only(task, controller, perturbation):
@@ -574,13 +583,14 @@ def rollout_batch(task, controller, thetas, parameterization: ControlParameteriz
     finite = np.isfinite(th).all(axis=(1, 2)) & np.isfinite(dth).all(axis=(1, 2))
 
     costs = np.full(lam, SENTINEL_COST)
-    for i in np.flatnonzero(finite).tolist():
-        result = RolloutResult(
-            t0=state.t, th=th[i], dth=dth[i], ddth=ddth[i],
-            controls=table[i][segment], torques=None, controller_state=None,
-            ball=None, pend=None, cost=SENTINEL_COST, diverged=False,
-            termination="horizon", steps=n)
-        costs[i] = _score(task, result, parameterization)
+    rows = np.flatnonzero(finite)
+    if rows.size:
+        scored = RolloutResult(
+            t0=state.t, th=th[rows], dth=dth[rows], ddth=ddth[rows],
+            controls=table[rows].take(segment, axis=1), torques=None,
+            controller_state=None, ball=None, pend=None, cost=SENTINEL_COST,
+            diverged=False, termination="horizon", steps=n)
+        costs[rows] = _score(task, scored, parameterization)
     return costs
 
 

@@ -4,7 +4,14 @@ task runs on) that the rollout and optimization layers consume.
 
 A task owns its arm, `params`: rollouts simulate it, and the task's own
 cost, window_cost, stage_series and is_done read it, so none of them takes
-an arm of its own."""
+an arm of its own.
+
+The reaching tasks' cost and window_cost take one trajectory, whose th,
+dth, ddth and controls are (samples, ...) arrays, and return a float; they
+also take a population of equally long trajectories, the same arrays with
+a leading row axis, and return one cost per row, each the float the row
+alone would get (control.rollout_batch scores its population so). Ball
+serve takes one trajectory only: rollout_batch never batches it."""
 
 import math
 from dataclasses import dataclass, field, replace
@@ -62,31 +69,46 @@ def jerk_from_accel(ddth: np.ndarray) -> np.ndarray:
     Second-order central differences in the interior, one-sided first-order
     differences at the two endpoints, expressed per physics step (the jerk
     rate times the fixed step), which keeps the squared penalty commensurate
-    with the normalized angle and velocity terms. ddth has shape (n, 2); a
-    single-sample series has zero jerk.
+    with the normalized angle and velocity terms. ddth has shape (n, 2), or
+    (rows, n, 2) for a population of series, each differenced on its own;
+    a single-sample series has zero jerk.
     """
     ddth = np.asarray(ddth, dtype=float)
-    n = ddth.shape[0]
-    if n < 2:
+    if ddth.shape[-2] < 2:
         return np.zeros_like(ddth)
     out = np.empty_like(ddth)
-    out[1:-1] = (ddth[2:] - ddth[:-2]) / 2.0
-    out[0] = ddth[1] - ddth[0]
-    out[-1] = ddth[-1] - ddth[-2]
+    # views with the sample axis first, which index faster than `...`
+    a, o = ddth.swapaxes(0, -2), out.swapaxes(0, -2)
+    o[1:-1] = (a[2:] - a[:-2]) / 2.0
+    o[0] = a[1] - a[0]
+    o[-1] = a[-1] - a[-2]
     return out
 
 
-def precise_reaching_reward(d: float, actions, weights: ObjectiveWeights) -> float:
+def _per_row(values):
+    """A task's costs: a float for one trajectory, the array of one cost
+    per row for a population."""
+    return float(values) if values.ndim == 0 else values
+
+
+def precise_reaching_reward(d, actions, weights: ObjectiveWeights):
     """Distance-based reward with a log precision bonus and an action penalty.
 
     r = -lam1 * (d + log(d + eps^2)) - (lam2 / N) * sum(a_i^2) - 2.
     Strictly decreasing in d; supremum -lam1*log(eps^2) - 2 ~= -0.158 as d -> 0.
+    d is one distance, and then the reward a float, or an array of them,
+    and then the reward an array of d's shape; actions holds the N actions
+    applied at each distance (shape d.shape + (N,)). The log is math.log
+    per element, because np.log may differ from it in the last bit.
     """
-    if d < 0.0:
+    d = np.asarray(d, dtype=float)
+    if (d < 0.0).any():
         raise ValueError("distance must be non-negative")
     a = np.asarray(actions, dtype=float)
-    pen = weights.lam2 * float(np.sum(a * a)) / a.size if a.size else 0.0
-    return -weights.lam1 * (d + math.log(d + weights.eps ** 2)) - pen - 2.0
+    pen = weights.lam2 * (a * a).sum(axis=-1) / a.shape[-1] if a.size else 0.0
+    log = np.fromiter(map(math.log, (d + weights.eps ** 2).ravel().tolist()),
+                      float, d.size).reshape(d.shape)
+    return _per_row(-weights.lam1 * (d + log) - pen - 2.0)
 
 
 def fast_reaching_done(d: float, threshold: float = 0.05) -> bool:
@@ -111,12 +133,14 @@ class SmoothReaching:
     """Reach 90 degrees at each joint from hanging rest, smoothly, in 0.9 s.
 
     The one smooth-reaching stage formula lives here, shared by cost,
-    window_cost and stage_series. Its constants (the target arrays and the weight
-    ratios w_th/s_th and w_dth/s_dth) are converted once, when the task is
-    built, so `weights` and `target` are read only at construction:
-    assigning a new value to either afterwards does not change the costs
-    (dataclasses.replace builds a task that reads them again). `params` is
-    the arm the task runs on; the cost reads joint angles only.
+    window_cost and stage_series, and it takes one trajectory's arrays or
+    a population's, with a leading row axis. Its constants (the target
+    arrays and the weight ratios w_th/s_th and w_dth/s_dth) are converted
+    once, when the task is built, so `weights` and `target` are read only
+    at construction: assigning a new value to either afterwards does not
+    change the costs (dataclasses.replace builds a task that reads them
+    again). `params` is the arm the task runs on; the cost reads joint
+    angles only.
     """
 
     name = "smooth-reach"
@@ -128,36 +152,52 @@ class SmoothReaching:
 
     def __post_init__(self):
         w, target = self.weights, self.target
-        self._th_des = np.asarray(target.th_des)
-        self._dth_des = np.asarray(target.dth_des)
-        self._k_th = np.asarray(w.w_th) / np.asarray(w.s_th)
-        self._k_dth = np.asarray(w.w_dth) / np.asarray(w.s_dth)
+        # per joint: w_th/s_th, th_des, w_dth/s_dth, dth_des
+        self._rows = (np.asarray(w.w_th) / np.asarray(w.s_th),
+                      np.asarray(target.th_des),
+                      np.asarray(w.w_dth) / np.asarray(w.s_dth),
+                      np.asarray(target.dth_des))
         self._jerk_gain = w.jerk_gain
+        self._tiled = (0, None)        # (n, the rows tiled to n samples)
 
     def _stage(self, th, dth, jerk) -> np.ndarray:
         """(w_th/s_th) e_th^2 + (w_dth/s_dth) e_dth^2 + (jerk_gain jerk)^2,
-        summed over the joints, on float arrays."""
-        c_th = self._k_th * (th - self._th_des) ** 2
-        c_dth = self._k_dth * (dth - self._dth_des) ** 2
-        return (c_th + c_dth + (self._jerk_gain * jerk) ** 2).sum(axis=-1)
+        summed over the joints, on float arrays of shape (..., n, 2).
 
-    def _cost(self, th, dth, ddth, min_duration) -> float:
+        The per-joint constants enter tiled to (n, 2), and the tiles of the
+        last n are kept; the two joints' columns are then added. NumPy runs
+        a (2,) operand, or a sum over a length-2 axis, two elements per
+        inner loop, which at these sizes costs several times as much for
+        the same values."""
+        n = th.shape[-2]
+        if self._tiled[0] != n:
+            self._tiled = (n, [np.tile(row, (n, 1)) for row in self._rows])
+        k_th, th_des, k_dth, dth_des = self._tiled[1]
+        stage = (k_th * (th - th_des) ** 2 + k_dth * (dth - dth_des) ** 2
+                 + (self._jerk_gain * jerk) ** 2)
+        return stage[..., 0] + stage[..., 1]
+
+    def _cost(self, th, dth, ddth, min_duration):
         """The summed stages of (n, 2) float arrays th, dth and ddth, as a
-        RolloutResult holds them, one sample per DT_SIM."""
-        n = th.shape[0]
+        RolloutResult holds them, one sample per DT_SIM; of (rows, n, 2)
+        arrays, each row's. The stages are a C-contiguous (..., n) array
+        summed over its last axis, so each row gets NumPy's pairwise sum, as
+        one trajectory does (a sum over another axis would add in another
+        order)."""
+        n = th.shape[-2]
         if min_duration is not None and (n - 1) * DT_SIM < min_duration - 1e-9:
             raise ValueError(
                 f"trajectory spans {(n - 1) * DT_SIM:.4f} s, shorter than the "
                 f"required {min_duration} s horizon")
-        return float(self._stage(th, dth, jerk_from_accel(ddth)).sum())
+        return _per_row(self._stage(th, dth, jerk_from_accel(ddth)).sum(axis=-1))
 
     def initial_state(self) -> ArmState:
         return ArmState(th1=-0.5 * math.pi, th2=0.0)
 
-    def cost(self, traj) -> float:
+    def cost(self, traj):
         return self._cost(traj.th, traj.dth, traj.ddth, self.duration)
 
-    def window_cost(self, traj) -> float:
+    def window_cost(self, traj):
         """Same functional without the full-horizon length requirement."""
         return self._cost(traj.th, traj.dth, traj.ddth, None)
 
@@ -173,6 +213,10 @@ class PreciseReaching:
     seed, inside the reach of `params`, the arm the task runs on. The
     drawn goal goes into a copy of `target`, never into the given object,
     so tasks built from one target each keep their own seed's goal.
+
+    The rewards of a trajectory are computed as arrays, one per control
+    boundary (precise_reaching_reward on arrays), and so are a
+    population's, with a leading row axis; cost is minus their mean.
     """
 
     name = "precise-reach"
@@ -196,30 +240,32 @@ class PreciseReaching:
 
     def _distances(self, traj):
         gx, gz = self.target.goal_xz
-        hx, hz = hand_position(traj.th[:, 0], traj.th[:, 1], self.params,
+        hx, hz = hand_position(traj.th[..., 0], traj.th[..., 1], self.params,
                                cos=np.cos, sin=np.sin)
         return np.hypot(hx - gx, hz - gz)
 
     def _rewards(self, traj):
-        """The reward at each control boundary, by sample index."""
+        """(ks, rewards): the sample index of each control boundary, and
+        the reward there, along the last axis. Sample k is scored with the
+        control row of step k (the last step's at the final sample)."""
         stride = max(1, round(self.control_resolution / DT_SIM))
         d = self._distances(traj)
         controls = traj.controls
-        return {k: precise_reaching_reward(
-                    d[k], controls[min(k, controls.shape[0] - 1)], self.weights)
-                for k in range(0, d.size, stride)}
+        ks = np.arange(0, d.shape[-1], stride)
+        applied = controls[..., np.minimum(ks, controls.shape[-2] - 1), :]
+        return ks, precise_reaching_reward(d[..., ks], applied, self.weights)
 
     def stage_series(self, traj) -> np.ndarray:
         # negative reward at each control boundary so lower is better
         out = np.zeros(traj.th.shape[0])
-        for k, r in self._rewards(traj).items():
-            out[k] = -r
+        ks, rewards = self._rewards(traj)
+        out[ks] = -rewards
         return out
 
-    def cost(self, traj) -> float:
-        return -float(np.mean(list(self._rewards(traj).values())))
+    def cost(self, traj):
+        return _per_row(-np.mean(self._rewards(traj)[1], axis=-1))
 
-    def window_cost(self, traj) -> float:
+    def window_cost(self, traj):
         return self.cost(traj)
 
     def is_done(self, state: ArmState) -> bool:

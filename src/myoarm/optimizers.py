@@ -67,6 +67,17 @@ def cma_es(objective, x0, config: CmaConfig):
     worst without poisoning the distribution update. An empty, non-1-D or
     non-finite x0 raises ValueError before the first objective call; the
     caller's x0 is never modified.
+
+    Generation 0 samples from C = I (Hansen, "The CMA Evolution Strategy:
+    A Tutorial", arXiv:1604.00772), where B = D = I: it takes y = z and
+    C^-1/2 yw = yw without an eigendecomposition, the values that
+    decomposing the identity gives (eigh(I) is (ones, I), and z @ I == z).
+    Each update ends by decomposing the new covariance for the next
+    generation, so a run makes generations - 1 eigh calls. The last
+    generation records its trace entry and stops, since no sample would
+    read its update. The covariance update runs in two n x n buffers, with
+    the operations and association of (1 - c1a - cmu) C + c1 pc pc^T +
+    cmu rank_mu, then (C + C^T) / 2.
     """
     mean = np.array(x0, dtype=float)
     if mean.ndim != 1 or mean.size == 0 or not np.isfinite(mean).all():
@@ -89,18 +100,21 @@ def cma_es(objective, x0, config: CmaConfig):
     chi_n = math.sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n * n))
 
     cov = np.eye(n)
+    spare = np.empty((n, n))        # the covariance update's second buffer
     ps = np.zeros(n)
     pc = np.zeros(n)
     best_x = mean.copy()
     best_f = math.inf
     trace = OptimizationTrace()
     evals = 0
+    last = int(config.generations) - 1
 
-    for gen in range(int(config.generations)):
-        eigvals, basis = np.linalg.eigh(cov)
-        d = np.sqrt(np.maximum(eigvals, 1e-30))
+    for gen in range(last + 1):
         z = rng.standard_normal((lam, n))
-        y = z @ (basis * d).T                      # y_k = B D z_k
+        if gen == 0:
+            y = z                                  # C = I: B = D = I
+        else:
+            y = z @ (basis * d).T                  # y_k = B D z_k
         x = mean + sigma * y
         f = np.asarray(objective(x), dtype=float)
         if f.shape != (lam,):
@@ -115,12 +129,19 @@ def cma_es(objective, x0, config: CmaConfig):
         if gen_min < best_f:
             best_f = gen_min
             best_x = x[order[0]].copy()
+        trace.record(best_f, evals)
+        if gen == last:
+            break                                  # no sample reads an update
 
         sel = order[:mu]
-        yw = w @ y[sel]
+        ysel = y[sel]
+        yw = w @ ysel
         mean = mean + sigma * yw
         # conjugate evolution path: C^(-1/2) yw = B D^-1 B^T yw
-        cinv_yw = basis @ ((basis.T @ yw) / d)
+        if gen == 0:
+            cinv_yw = yw
+        else:
+            cinv_yw = basis @ ((basis.T @ yw) / d)
         ps = (1.0 - cs) * ps + math.sqrt(cs * (2.0 - cs) * mueff) * cinv_yw
         ps_norm = float(np.linalg.norm(ps))
         hsig = ps_norm / math.sqrt(1.0 - (1.0 - cs) ** (2 * (gen + 1))) / chi_n \
@@ -128,12 +149,20 @@ def cma_es(objective, x0, config: CmaConfig):
         pc = (1.0 - cc) * pc + (math.sqrt(cc * (2.0 - cc) * mueff) * yw if hsig
                                 else 0.0)
         c1a = c1 * (1.0 - (not hsig) * cc * (2.0 - cc))
-        rank_mu = (y[sel].T * w) @ y[sel]
-        cov = (1.0 - c1a - cmu) * cov + c1 * np.outer(pc, pc) + cmu * rank_mu
-        cov = (cov + cov.T) / 2.0                  # guard symmetry drift
+        # cov = (1 - c1a - cmu) cov + c1 pc pc^T + cmu rank_mu, in this
+        # order, with cov reused for each term once spare holds the sum
+        np.multiply(cov, 1.0 - c1a - cmu, out=spare)
+        np.multiply.outer(pc, pc, out=cov)
+        cov *= c1
+        spare += cov
+        np.matmul(ysel.T * w, ysel, out=cov)       # rank_mu
+        cov *= cmu
+        spare += cov
+        np.add(spare, spare.T, out=cov)            # guard symmetry drift
+        cov /= 2.0
         sigma *= math.exp(min(1.0, (cs / ds) * (ps_norm / chi_n - 1.0)))
-
-        trace.record(best_f, evals)
+        eigvals, basis = np.linalg.eigh(cov)
+        d = np.sqrt(np.maximum(eigvals, 1e-30))
 
     return best_x, best_f, trace
 

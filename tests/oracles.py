@@ -11,6 +11,11 @@ step are written out here too, one function each, and import nothing;
 muscle_joint_torque composes the curves into an antagonistic pair's torque.
 torque_actuator is the ideal torque source of one joint, and lowpass_step
 the low-pass family's filter update.
+
+cma_es_reference is the exception: not derived, but the CMA-ES loop as it
+stood before its cost was cut, kept so that the cut loop can be held to it
+bit for bit. It takes the NAN_SENTINEL constant and the OptimizationTrace
+record from myoarm.optimizers.
 """
 
 import math
@@ -18,6 +23,7 @@ import math
 import numpy as np
 
 from myoarm.arm import ArmParams, ArmState
+from myoarm.optimizers import NAN_SENTINEL, OptimizationTrace
 
 
 def _body_sums(p: ArmParams):
@@ -317,3 +323,93 @@ def smooth_reach_stages(th, dth, ddth, weights, target) -> np.ndarray:
                           + g * g)
         stages.append(joints[0] + joints[1])
     return np.array(stages)
+
+
+# -- CMA-ES, as it stood before its loop was trimmed -----------------------
+#
+# A copy of myoarm.optimizers.cma_es taken while every generation still
+# decomposed its covariance (generation 0's too, of the identity), ran the
+# full update after the last generation, and built the covariance update
+# from fresh n x n temporaries. cma_es must return what this returns, bit
+# for bit: the trimmed loop drops only work whose result is known or unread.
+
+def cma_es_reference(objective, x0, config):
+    """Minimize over R^n from the start point x0, n = x0.size; returns
+    (best_x, best_f, trace).
+
+    objective(x) gets one generation, x of shape (population, n), and
+    returns one cost per row, in row order. Exactly population *
+    generations evaluations are spent, in `generations` objective calls.
+    Non-finite objective values are replaced by a sentinel so they rank
+    worst without poisoning the distribution update. An empty, non-1-D or
+    non-finite x0 raises ValueError before the first objective call; the
+    caller's x0 is never modified.
+    """
+    mean = np.array(x0, dtype=float)
+    if mean.ndim != 1 or mean.size == 0 or not np.isfinite(mean).all():
+        raise ValueError(f"x0 must be a non-empty 1-D vector of finite "
+                         f"values (got shape {mean.shape})")
+    n = mean.size
+    lam = int(config.population)
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    sigma = float(config.sigma0)
+
+    mu = lam // 2
+    w = np.log((lam + 1) / 2.0) - np.log(np.arange(1, mu + 1))
+    w /= w.sum()
+    mueff = 1.0 / np.sum(w ** 2)
+    cs = (mueff + 2.0) / (n + mueff + 5.0)
+    ds = 1.0 + 2.0 * max(0.0, math.sqrt((mueff - 1.0) / (n + 1.0)) - 1.0) + cs
+    cc = (4.0 + mueff / n) / (n + 4.0 + 2.0 * mueff / n)
+    c1 = 2.0 / ((n + 1.3) ** 2 + mueff)
+    cmu = min(1.0 - c1, 2.0 * (mueff - 2.0 + 1.0 / mueff) / ((n + 2.0) ** 2 + mueff))
+    chi_n = math.sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n * n))
+
+    cov = np.eye(n)
+    ps = np.zeros(n)
+    pc = np.zeros(n)
+    best_x = mean.copy()
+    best_f = math.inf
+    trace = OptimizationTrace()
+    evals = 0
+
+    for gen in range(int(config.generations)):
+        eigvals, basis = np.linalg.eigh(cov)
+        d = np.sqrt(np.maximum(eigvals, 1e-30))
+        z = rng.standard_normal((lam, n))
+        y = z @ (basis * d).T                      # y_k = B D z_k
+        x = mean + sigma * y
+        f = np.asarray(objective(x), dtype=float)
+        if f.shape != (lam,):
+            raise ValueError(f"objective returned shape {f.shape} for a "
+                             f"population of {lam}, expected ({lam},)")
+        evals += lam
+        bad = ~np.isfinite(f)
+        if bad.any():
+            f = np.where(bad, NAN_SENTINEL, f)
+        order = np.argsort(f, kind="stable")
+        gen_min = float(f[order[0]])
+        if gen_min < best_f:
+            best_f = gen_min
+            best_x = x[order[0]].copy()
+
+        sel = order[:mu]
+        yw = w @ y[sel]
+        mean = mean + sigma * yw
+        # conjugate evolution path: C^(-1/2) yw = B D^-1 B^T yw
+        cinv_yw = basis @ ((basis.T @ yw) / d)
+        ps = (1.0 - cs) * ps + math.sqrt(cs * (2.0 - cs) * mueff) * cinv_yw
+        ps_norm = float(np.linalg.norm(ps))
+        hsig = ps_norm / math.sqrt(1.0 - (1.0 - cs) ** (2 * (gen + 1))) / chi_n \
+            < 1.4 + 2.0 / (n + 1.0)
+        pc = (1.0 - cc) * pc + (math.sqrt(cc * (2.0 - cc) * mueff) * yw if hsig
+                                else 0.0)
+        c1a = c1 * (1.0 - (not hsig) * cc * (2.0 - cc))
+        rank_mu = (y[sel].T * w) @ y[sel]
+        cov = (1.0 - c1a - cmu) * cov + c1 * np.outer(pc, pc) + cmu * rank_mu
+        cov = (cov + cov.T) / 2.0                  # guard symmetry drift
+        sigma *= math.exp(min(1.0, (cs / ds) * (ps_norm / chi_n - 1.0)))
+
+        trace.record(best_f, evals)
+
+    return best_x, best_f, trace

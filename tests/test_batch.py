@@ -12,6 +12,7 @@ see conftest.py).
 import logging
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -142,7 +143,48 @@ def test_zoh_segments_align_with_the_physics_steps(family, m, extra, steps,
                        scalar_costs(task, ctrl, thetas, par))
 
 
-def test_a_diverging_row_scores_the_sentinel_and_leaves_the_others_alone():
+def trajectories(th, dth, ddth, controls):
+    """A trajectory, or a population of them, as the task costs read it."""
+    return SimpleNamespace(th=th, dth=dth, ddth=ddth, controls=controls)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(task_kind=st.sampled_from(("smooth", "precise")),
+       rows=st.integers(1, 50),
+       samples=st.sampled_from((2, 7, 8, 9, 16, 128, 129, 181, 400)),
+       magnitude=st.sampled_from((1e-3, 1e-1, 1.0, 1e1, 1e3)),
+       window=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_a_population_costs_what_each_row_costs_alone(
+        task_kind, rows, samples, magnitude, window, seed):
+    # sample counts on both sides of NumPy's pairwise-sum blocks (8 and
+    # 128): each row's stages are summed as one trajectory's are. Each
+    # row alone is laid out as rollout records it, columns of one array.
+    duration = (samples - 1) * DT_SIM
+    if task_kind == "smooth":
+        task = SmoothReaching(duration=duration)
+    else:
+        task = PreciseReaching(duration=duration,
+                               target=ReachTarget(goal_xz=(0.3, 0.2)))
+    rng = np.random.default_rng(seed)
+    th, dth, ddth = magnitude * rng.standard_normal((3, rows, samples, 2))
+    controls = rng.uniform(0.0, 1.0, (rows, samples - 1, 4))
+    score = task.window_cost if window else task.cost
+    together = score(trajectories(th, dth, ddth, controls))
+    assert isinstance(together, np.ndarray) and together.shape == (rows,)
+    alone = []
+    for i in range(rows):
+        rec = np.empty((samples, 8))
+        rec[:, 0:2], rec[:, 2:4], rec[:, 6:8] = th[i], dth[i], ddth[i]
+        cost = score(trajectories(rec[:, 0:2], rec[:, 2:4], rec[:, 6:8],
+                                  controls[i]))
+        assert type(cost) is float
+        alone.append(cost)
+    assert together.tolist() == alone
+
+
+def test_a_diverging_row_scores_the_sentinel_and_leaves_the_others_alone(
+        monkeypatch):
     task = SmoothReaching(duration=0.3)
     ctrl = make_controller("torque", tau_max=(1e200, 1e200))
     par = parameterization_for(task, ctrl, 0.1)
@@ -151,9 +193,19 @@ def test_a_diverging_row_scores_the_sentinel_and_leaves_the_others_alone():
     thetas = np.concatenate([calm[:1], wild, calm[1:]])
     thetas[2, 0] = 1e-200                      # a calm row of its own
     assert rollout(task, ctrl, wild[0], par).diverged
+    # the population is scored by one cost call, on its finite rows only
+    real, scored = SmoothReaching.cost, []
+
+    def counted(self, traj):
+        scored.append(traj.th.shape)
+        return real(self, traj)
+
+    monkeypatch.setattr(SmoothReaching, "cost", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("error")         # the overflow stays inside
         costs = rollout_batch(task, ctrl, thetas, par)
+        assert rollout_batch(task, ctrl, wild, par).tolist() == [SENTINEL_COST]
+    assert scored == [(2, par.n_steps + 1, 2)]
     assert costs[1] == SENTINEL_COST
     kept = rollout_batch(task, ctrl, thetas[[0, 2]], par)
     assert costs[[0, 2]].tolist() == kept.tolist()

@@ -506,14 +506,17 @@ class TestMpc:
             for k in range(n_ctrl)]
 
     def test_only_the_evaluations_are_scored(self, monkeypatch):
-        # each window cost the run computes is one counted evaluation (a
-        # tiny smooth-reach run diverges in no window); the plant segments
-        # used to be scored too, and nothing read their costs
+        # each window the run scores is one counted evaluation (a tiny
+        # smooth-reach run diverges in no window): a refinement probe is
+        # one window_cost call, a warm-start generation one call for its
+        # whole population, one row per window; the plant segments used to
+        # be scored too, and nothing read their costs
         real = SmoothReaching.window_cost
         scored = []
 
         def counted(task, traj):
-            scored.append(traj.steps)
+            rows = traj.th.shape[0] if traj.th.ndim == 3 else 1
+            scored.extend([traj.steps] * rows)
             return real(task, traj)
 
         monkeypatch.setattr(SmoothReaching, "window_cost", counted)

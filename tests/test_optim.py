@@ -9,6 +9,8 @@ from myoarm.control import ControlParameterization, rollout
 from myoarm.objectives import SmoothReaching
 from myoarm.optimizers import CmaConfig, cma_es, local_refine
 
+from oracles import cma_es_reference
+
 
 def sphere(x):
     return float(np.sum(x * x))
@@ -291,6 +293,97 @@ class TestCmaEs:
             cma_es(lambda x: np.sum(x * x), np.zeros(3), cfg)
         with pytest.raises(ValueError, match="shape"):
             cma_es(lambda x: np.sum(x * x, axis=1)[:-1], np.zeros(3), cfg)
+
+
+def ellipsoid(x):
+    """An axis-scaled quadratic around 0.3, conditioned 1e3: one cost per
+    row, and a covariance that has to adapt."""
+    scales = 10.0 ** np.linspace(0.0, 3.0, x.shape[1])
+    return ((x - 0.3) ** 2 * scales).sum(axis=1)
+
+
+def holed(x):
+    """ellipsoid, NaN on every row whose first coordinate is negative."""
+    return np.where(x[:, 0] < 0.0, np.nan, ellipsoid(x))
+
+
+def slope(x):
+    """A linear cost: selection pushes the mean one way every generation,
+    so the evolution path grows until hsig turns false."""
+    return x.sum(axis=1)
+
+
+def hsig_flags(norms, n, lam):
+    """The hsig test of each generation whose path norm ||ps|| is in norms,
+    with the constants cma_es derives from n and the population lam."""
+    mu = lam // 2
+    w = np.log((lam + 1) / 2.0) - np.log(np.arange(1, mu + 1))
+    w /= w.sum()
+    mueff = 1.0 / np.sum(w ** 2)
+    cs = (mueff + 2.0) / (n + mueff + 5.0)
+    chi_n = math.sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n * n))
+    return [norm / math.sqrt(1.0 - (1.0 - cs) ** (2 * (g + 1))) / chi_n
+            < 1.4 + 2.0 / (n + 1.0) for g, norm in enumerate(norms)]
+
+
+class TestCmaEsAgainstItsReference:
+    """cma_es skips generation 0's eigendecomposition (of the identity)
+    and the update after the last generation, and updates the covariance
+    in two buffers; tests/oracles.py keeps the loop that does none of
+    that. The two agree bit for bit, and the trimmed loop decomposes the
+    covariance once per generation after the first."""
+
+    def assert_same_run(self, monkeypatch, objective, n, cfg):
+        eigh = np.linalg.eigh
+        calls = []
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        got_x, got_f, got = cma_es(objective, np.zeros(n), cfg)
+        assert calls == [(n, n)] * (cfg.generations - 1)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        ref_x, ref_f, ref = cma_es_reference(objective, np.zeros(n), cfg)
+        assert got_x.tolist() == ref_x.tolist()
+        assert got_f == ref_f
+        assert got.best_so_far == ref.best_so_far
+        assert got.evals == ref.evals
+
+    @pytest.mark.parametrize("generations", [1, 2, 5])
+    @pytest.mark.parametrize("population", [4, 36])
+    @pytest.mark.parametrize("n", [1, 2, 12, 72, 360])
+    def test_bit_for_bit(self, monkeypatch, n, population, generations):
+        cfg = CmaConfig(population=population, generations=generations,
+                        sigma0=0.3, seed=n + population)
+        self.assert_same_run(monkeypatch, ellipsoid, n, cfg)
+
+    @pytest.mark.parametrize("n", [2, 12])
+    def test_nan_rows(self, monkeypatch, n):
+        cfg = CmaConfig(population=8, generations=6, sigma0=0.5, seed=1)
+        log = []
+        self.assert_same_run(monkeypatch, logged(holed, log), n, cfg)
+        assert any(np.isnan(f).any() for _, f in log)
+
+    def test_hsig_false(self, monkeypatch):
+        # the reference's path norms, one per generation, show hsig false
+        # in some generations and true in others: both arms of the update
+        n, cfg = 4, CmaConfig(population=8, generations=8, sigma0=0.2, seed=0)
+        norm = np.linalg.norm
+        norms = []
+
+        def recorded(v):
+            norms.append(float(norm(v)))
+            return norm(v)
+
+        monkeypatch.setattr(np.linalg, "norm", recorded)
+        cma_es_reference(slope, np.zeros(n), cfg)
+        monkeypatch.setattr(np.linalg, "norm", norm)
+        flags = hsig_flags(norms, n, cfg.population)
+        assert len(flags) == cfg.generations
+        assert not all(flags) and any(flags)
+        self.assert_same_run(monkeypatch, slope, n, cfg)
 
 
 class TestLocalRefine:

@@ -17,10 +17,10 @@ kind, every task, the torque calibration and each CLI run command:
   the goal, the dynamics and the score;
 - CLI `simulate` (pendulum load, ball serve, a ball serve whose hand hits
   the ball, low-pass, fast-reach), `optimize` (plain, `--ablate fv`,
-  fast-reach) and `mpc` (muscle; torque with a hand mass; pendulum load;
-  fast-reach; ball-serve; a torque fast-reach run that stops at the goal;
-  a refinement budget above twice the plan's dimension, so the pattern
-  search halves its radius).
+  fast-reach, three CMA-ES generations) and `mpc` (muscle; torque with a
+  hand mass; pendulum load; fast-reach; ball-serve; a torque fast-reach
+  run that stops at the goal; a refinement budget above twice the plan's
+  dimension, so the pattern search halves its radius).
 
 Every file is written under OUT_DIR, which must be empty or absent. The
 output is one `<sha256>  <path relative to OUT_DIR>` line per file, sorted
@@ -102,6 +102,10 @@ CLI_RUNS = {
     "optimize": ["optimize", *TINY_CLI_OC],
     "optimize_nofv": ["optimize", "--ablate", "fv", *TINY_CLI_OC],
     "optimize_fast": ["optimize", "--task", "fast-reach", *TINY_CLI_OC],
+    # a CMA-ES generation that is neither the first nor the last: it samples
+    # through the decomposed covariance, and its update is read
+    "optimize_three_generations": ["optimize", "--population", "4",
+                                   "--generations", "3"],
     "mpc": ["mpc", *TINY_CLI_MPC],
     "mpc_torque_hand": ["mpc", "--morphology", "torque", "--perturb",
                         "hand_mass", "--mass", "1.5", *TINY_CLI_MPC],
