@@ -25,8 +25,7 @@ os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
 __version__ = "0.1.0"
 
 from .arm import ArmParams, ArmState, BallState, Perturbation
-from .actuators import (AblationFlags, HatzeParams, MuscleParams,
-                        make_controller)
+from .actuators import AblationFlags, MuscleParams, make_controller
 from .objectives import (ObjectiveWeights, ReachTarget, make_task)
 from .optimizers import CmaConfig, cma_es, local_refine
 from .control import (ControlParameterization, MpcConfig, RolloutResult,
@@ -37,7 +36,7 @@ from .harness import run_experiment, summarize
 
 __all__ = [
     "ArmParams", "ArmState", "BallState", "Perturbation",
-    "MuscleParams", "HatzeParams", "AblationFlags", "make_controller",
+    "MuscleParams", "AblationFlags", "make_controller",
     "ReachTarget", "ObjectiveWeights", "make_task",
     "ControlParameterization", "CmaConfig", "cma_es", "local_refine",
     "RolloutResult", "MpcConfig", "rollout", "rollout_batch",

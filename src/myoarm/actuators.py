@@ -11,8 +11,7 @@ control box [lo, hi] and state0, and holds no state of its own. Actuator
 state is one tuple of floats, the state row, which a rollout carries from
 step to step: torques(state, th1, th2, w1, w2, u) advances it by one
 DT_SIM step and returns (tau1, tau2, next_state). state0 is the row at
-rest: four zeros for the muscle pair (the activities under first-order
-activation, the free-calcium states under the Hatze model), the two
+rest: four zeros for the muscle pair (its four activities), the two
 filtered commands (0.0, 0.0) for the low-pass family, and () for the
 torque and PD families. The control u is already in the box: the decode
 (control.zoh_control) is the one place that clips a plan to [lo, hi], so
@@ -42,9 +41,7 @@ as Python floats, and the muscle kernel tiles its per-muscle parameters to
 the full (4, population) shape once per batch_torques call and fills the
 joint angles and velocities into buffers of that shape, so that no
 operand is broadcast from a (4, 1) column. Values and operations stay the
-scalar kernel's. The Hatze activation model has no array form (np.power
-and ** differ in the last bit); rollout_batch runs it through the scalar
-rollout instead.
+scalar kernel's.
 """
 
 import math
@@ -98,37 +95,6 @@ def derive_linear_map(phi_min: float, phi_max: float, l_min: float, l_max: float
         raise ValueError("joint range too narrow for the regularizer: "
                          "antagonist moment arm lost its sign")
     return m1, l_ref1, m2, l_ref2
-
-
-@dataclass
-class HatzeParams:
-    """Constants of the calcium-kinetics activation variant."""
-
-    m_h: float = 11.3       # 1/s, gamma rate constant
-    nu: float = 3.0
-    a0: float = 0.005       # resting activity
-    rho_scale: float = 5.27  # rho(l) = rho_scale * l, so rho(1) = 5.27
-
-
-def hatze_activation_step(gamma: float, u: float, l_ce: float, dt: float,
-                          params: HatzeParams):
-    """One Euler step of the free-calcium state plus the static activity map.
-
-    Returns (gamma', a) with a = (a0 + w) / (1 + w), w = (gamma' * rho(l_ce))^nu.
-    gamma' is clipped to [0, 1], so a is confined to [a0, 1) and is monotone
-    in gamma. The excitation u is taken as it comes; a rollout's is in
-    [0, 1] already.
-    """
-    if not (math.isfinite(gamma) and math.isfinite(u) and math.isfinite(l_ce)):
-        raise ValueError("non-finite input to the activation update")
-    gamma = gamma + dt * params.m_h * (u - gamma)
-    if gamma < 0.0:
-        gamma = 0.0
-    elif gamma > 1.0:
-        gamma = 1.0
-    w = (gamma * params.rho_scale * l_ce) ** params.nu
-    a = (params.a0 + w) / (1.0 + w)
-    return gamma, a
 
 
 @dataclass
@@ -244,16 +210,10 @@ class MuscleController:
 
     def __init__(self, shoulder: MuscleParams | None = None,
                  elbow: MuscleParams | None = None,
-                 flags: AblationFlags | None = None,
-                 activation_model: str = "first_order",
-                 hatze: HatzeParams | None = None):
+                 flags: AblationFlags | None = None):
         self.shoulder = shoulder or MuscleParams()
         self.elbow = elbow or MuscleParams()
         self.flags = flags or AblationFlags()
-        if activation_model not in ("first_order", "hatze"):
-            raise ValueError(f"unknown activation model {activation_model!r}")
-        self.activation_model = activation_model
-        self.hatze = hatze or HatzeParams()
         # first-order activation's decay factors exp(-DT_SIM/tau_act)
         self._decay = (math.exp(-DT_SIM / self.shoulder.tau_act),
                        math.exp(-DT_SIM / self.elbow.tau_act))
@@ -262,20 +222,18 @@ class MuscleController:
         """Advance the state row one DT_SIM step: (tau1, tau2, next state row).
 
         u holds the four excitations, already in [0, 1]. The row holds the
-        four activities under first-order activation (with activation
-        dynamics ablated, where it is the excitations themselves) and the
-        four free-calcium states under the Hatze model. One straight-line
-        kernel for every AblationFlags combination and both activation
-        models, with no faster path chosen by the flags: the four activation
-        updates written out, each joint's MuscleParams read once, and each
-        joint torque tau = -(m1*F1 + m2*F2) with the four fiber forces
-        written out inline, at the fiber lengths l = m*phi + l_ref and
-        scaled velocities v_scale*(m*dphi), each fiber testing the flags
-        itself. The first-order update is the exact discrete solution of
-        da/dt = (u - a)/tau_act for the step's constant excitation, a
-        clipped to [0, 1], with the decay factor exp(-DT_SIM/tau_act) of
-        each joint taken once, when the controller is built (so tau_act is
-        read then); the Hatze update is hatze_activation_step's.
+        four activities (with activation dynamics ablated, the excitations
+        themselves). One straight-line kernel for every AblationFlags
+        combination, with no faster path chosen by the flags: the four
+        activation updates written out, each joint's MuscleParams read once,
+        and each joint torque tau = -(m1*F1 + m2*F2) with the four fiber
+        forces written out inline, at the fiber lengths l = m*phi + l_ref
+        and scaled velocities v_scale*(m*dphi), each fiber testing the flags
+        itself. The activation update is the exact discrete solution of the
+        first-order model da/dt = (u - a)/tau_act for the step's constant
+        excitation, a clipped to [0, 1], with the decay factor
+        exp(-DT_SIM/tau_act) of each joint taken once, when the controller
+        is built (so tau_act is read then).
         tests/oracles.py composes the same step from one function per curve
         (muscle_joint_torque there), and test_kernels'
         test_muscle_kernel_equals_the_composed_step_functions and
@@ -287,14 +245,6 @@ class MuscleController:
         if flags.disable_activation:
             a1, a2, a3, a4 = u1, u2, u3, u4
             state = (u1, u2, u3, u4)
-        elif self.activation_model == "hatze":
-            g1, g2, g3, g4 = state
-            hatze = self.hatze
-            g1, a1 = hatze_activation_step(g1, u1, sh.m1 * th1 + sh.l_ref1, DT_SIM, hatze)
-            g2, a2 = hatze_activation_step(g2, u2, sh.m2 * th1 + sh.l_ref2, DT_SIM, hatze)
-            g3, a3 = hatze_activation_step(g3, u3, el.m1 * th2 + el.l_ref1, DT_SIM, hatze)
-            g4, a4 = hatze_activation_step(g4, u4, el.m2 * th2 + el.l_ref2, DT_SIM, hatze)
-            state = (g1, g2, g3, g4)
         else:
             a1, a2, a3, a4 = state
             e_sh, e_el = self._decay
@@ -378,12 +328,8 @@ class MuscleController:
         array, because NumPy broadcasts a (4, 1) column at about twice the
         cost of an operand of the full shape; the decay factors are torques'
         own. Each step fills the joint angles and velocities into two
-        (4, population) buffers of this call. First-order activation and
-        every AblationFlags case only: the Hatze model goes through the
-        scalar rollout.
+        (4, population) buffers of this call.
         """
-        if self.activation_model == "hatze":
-            raise ValueError("the Hatze activation model has no array form")
         sh, el = self.shoulder, self.elbow
 
         def rows(a, b, c, d):
@@ -456,19 +402,20 @@ class PDController:
     """Joint-angle targets in [-1, 1] scaled by target_scale, servoed by PD.
 
     The servo output is a normalized torque command for the ideal torque
-    source, so the effective gains are tau_max * kp and tau_max * kd.
+    source, so the effective gains are tau_max * kp and tau_max * kd. The
+    gains and the target scale are constants; only tau_max is set.
     """
 
     n_controls = 2
     state0 = ()
     lo = -1.0
     hi = 1.0
+    kp = 5.0
+    kd = 0.5
+    target_scale = math.pi
 
-    def __init__(self, kp=5.0, kd=0.5, tau_max=(30.0, 30.0), target_scale=math.pi):
-        self.kp = kp
-        self.kd = kd
+    def __init__(self, tau_max=(30.0, 30.0)):
         self.tau_max = _valid_tau_max(tau_max)
-        self.target_scale = target_scale
 
     def torques(self, state, th1, th2, w1, w2, u):
         u1 = pd_control(th1, w1, u[0] * self.target_scale, self.kp, self.kd)

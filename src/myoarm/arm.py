@@ -77,6 +77,11 @@ class ArmState:
     pend_vel: float = 0.0
 
 
+# the chaotic pendulum's bob: a solid sphere of radius 0.12 m and density
+# 1000 kg/m^3
+PENDULUM_MASS = (4.0 / 3.0) * math.pi * 0.12 ** 3 * 1000.0
+
+
 @dataclass
 class Perturbation:
     """Plant modification applied to the true system.
@@ -88,8 +93,6 @@ class Perturbation:
 
     kind: str = "none"
     mass: float = 0.0                 # added mass for the *_mass kinds
-    ball_radius: float = 0.12         # pendulum bob geometry
-    ball_density: float = 1000.0
     cable_length: float = 0.6
     visible_to_prediction: bool = False
 
@@ -98,12 +101,9 @@ class Perturbation:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
-        if self.mass < 0.0:
-            raise ValueError("perturbation mass must be non-negative")
-
-    @property
-    def pendulum_mass(self):
-        return (4.0 / 3.0) * math.pi * self.ball_radius ** 3 * self.ball_density
+        if not 0.0 <= self.mass < math.inf:
+            raise ValueError(f"perturbation mass must be finite and "
+                             f"non-negative, not {self.mass!r}")
 
     def apply_to(self, params: ArmParams) -> ArmParams:
         """Return params with any added-mass effect folded in."""
@@ -238,7 +238,7 @@ def _pendulum_forces(c: _Coeffs, th1, th2, w1, w2, tau1, tau2, pert: Perturbatio
     clamped at zero because the cable cannot push; the bob's tangential
     equation holds either way.
     """
-    mb = pert.pendulum_mass
+    mb = PENDULUM_MASS
     l = pert.cable_length
     ux = math.sin(phi)        # unit vector hand -> bob
     uz = -math.cos(phi)
@@ -384,13 +384,14 @@ def _symp_step(c: _Coeffs, th1, th2, w1, w2, tau1, tau2, dt, m11, s, det,
 
 
 def ball_step(ball: BallState, hand_pos, hand_vel, dt: float, g: float = 9.81,
-              contact_radius: float = 0.05, restitution: float = 1.0) -> BallState:
+              contact_radius: float = 0.05) -> BallState:
     """Advance a free ball one step and resolve hand contact.
 
     Free flight under gravity (same semi-implicit scheme as the arm). When
     the ball is within contact_radius of the hand and approaching, an elastic
-    impulse reflects the relative velocity along the contact normal; the hand
-    is treated as kinematic.
+    impulse (restitution 1, so twice the approach speed) reflects the
+    relative velocity along the contact normal; the hand is treated as
+    kinematic.
     """
     dz = ball.dz - g * dt
     dx = ball.dx
@@ -404,6 +405,6 @@ def ball_step(ball: BallState, hand_pos, hand_vel, dt: float, g: float = 9.81,
         nz /= dist
         rel = (dx - hand_vel[0]) * nx + (dz - hand_vel[1]) * nz
         if rel < 0.0:  # approaching
-            dx -= (1.0 + restitution) * rel * nx
-            dz -= (1.0 + restitution) * rel * nz
+            dx -= 2.0 * rel * nx
+            dz -= 2.0 * rel * nz
     return BallState(x=x, z=z, dx=dx, dz=dz)

@@ -1,8 +1,9 @@
 """Flat key-value configuration for experiments.
 
 The file format is one `section.key = value` assignment per line, with `#`
-comments and blank lines ignored. Values are parsed as int, float, bool, or
-string (names and paths stay strings); comma-separated values become lists.
+comments and blank lines ignored. Values are parsed as int, float or
+string (names and paths stay strings, and so do words such as `yes`, which
+no numeric key takes); comma-separated values become lists.
 Keys are case-insensitive.
 ExperimentConfig.from_mapping rejects a key it does not know, an integer
 key whose value has a fractional part and a comma list in a single-valued
@@ -10,15 +11,16 @@ text key (experiment.kind, .task, .out_dir), and the config rejects
 unknown task, morphology and ablation names, a value repeated in a list
 that a sweep runs one point per value of (the grid.* keys,
 experiment.seeds, .morphologies and .ablations), `arm.`/`weights.` values
-that are not finite numbers or that ArmParams refuses, an optimizer or
-MPC budget that CmaConfig or MpcConfig refuses, an OC resolution (every
-grid.c value and optimizer.c) that is not a whole multiple of the physics
-step or is longer than the task's horizon, an mpc.resolution that is not
-a whole multiple of the physics step (for tpred_sweep and
-robustness_weights, one that does not divide the task's horizon too),
-and a prediction horizon shorter than one mpc.resolution segment or off
-the physics step (mpc.tpred of robustness_weights, any grid.tpred value
-of tpred_sweep).
+that are not finite numbers or that ArmParams refuses, a grid.* value or
+mpc.tpred that is not positive and finite, an optimizer or MPC budget
+that CmaConfig or MpcConfig refuses (a NaN or infinite optimizer.sigma
+among them), an OC resolution (every grid.c value and optimizer.c) that
+is not a whole multiple of the physics step or is longer than the task's
+horizon, an mpc.resolution that is not a whole multiple of the physics
+step (for tpred_sweep and robustness_weights, one that does not divide
+the task's horizon too), and a prediction horizon shorter than one
+mpc.resolution segment or off the physics step (mpc.tpred of
+robustness_weights, any grid.tpred value of tpred_sweep).
 So a typo or a bad value stops the run with a ValueError before it starts
 (and before the output directory is made), instead of being ignored or
 failing inside the first sweep point.
@@ -50,11 +52,6 @@ EXPERIMENT_KINDS = ("data_efficiency", "sigma_sweep", "tpred_sweep",
 
 def _parse_scalar(text: str):
     text = text.strip()
-    low = text.lower()
-    if low in ("true", "yes", "on"):
-        return True
-    if low in ("false", "no", "off"):
-        return False
     try:
         return int(text)
     except ValueError:
@@ -70,7 +67,7 @@ def parse_config_text(text: str) -> dict:
     """Parse `key = value` lines into a flat dict of typed values.
 
     The values of the name and path keys (_TEXT_KEYS) stay text as written,
-    so an out_dir `007` or `yes` is not read as the number 7 or True.
+    so an out_dir `007` is not read as the number 7.
     """
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -229,12 +226,15 @@ class ExperimentConfig:
                     raise ValueError(f"config key {prefix}.{key} = {value!r}: "
                                      f"expected a finite number")
             cls(**overrides)          # the class's own range checks
-        for name, grid in (("c", self.c_grid), ("sigma", self.sigma_grid),
-                           ("tpred", self.tpred_grid), ("masses", self.masses)):
+        for key, grid in (("grid.c", self.c_grid),
+                          ("grid.sigma", self.sigma_grid),
+                          ("grid.tpred", self.tpred_grid),
+                          ("grid.masses", self.masses)):
             if not grid:
-                raise ValueError(f"{name} grid is empty")
-            if any(v <= 0 for v in grid):
-                raise ValueError(f"{name} grid values must be positive")
+                raise ValueError(f"config key {key} is empty")
+            if not all(0 < v < math.inf for v in grid):
+                raise ValueError(f"config key {key} = {grid}: values must be "
+                                 f"positive and finite")
         if not self.ablations:
             raise ValueError("ablation list is empty")
         if not self.seeds:
@@ -252,8 +252,9 @@ class ExperimentConfig:
             if repeated:
                 raise ValueError(f"config key {key} repeats "
                                  f"{', '.join(map(str, repeated))}")
-        if self.tpred <= 0:
-            raise ValueError("mpc.tpred must be positive")
+        if not 0 < self.tpred < math.inf:
+            raise ValueError(f"config key mpc.tpred = {self.tpred}: must be "
+                             f"positive and finite")
 
         def check(what, build, *args, **kwargs):
             """Build what the runs build from these values; a ValueError

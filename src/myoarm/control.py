@@ -142,9 +142,13 @@ def _whole_multiple(span: float, unit: float, what: str, of: str) -> int:
     A control resolution must be an integer multiple of dt, so segment
     boundaries land exactly on physics steps, and a task horizon an integer
     multiple of the MPC resolution, so the executed segments end where the
-    task does.
+    task does. A span of infinitely many units, or of NaN, is refused too.
     """
-    n = round(span / unit)
+    ratio = span / unit
+    if not math.isfinite(ratio):
+        raise ValueError(f"{what} {span} is not a finite multiple of "
+                         f"{of} {unit}")
+    n = round(ratio)
     if n < 1 or abs(n * unit - span) > 1e-9:
         raise ValueError(f"{what} {span} is not an integer multiple of "
                          f"{of} {unit}")
@@ -474,17 +478,15 @@ def _state_row(controller, controller_state) -> tuple:
     return row
 
 
-def _scalar_only(task, controller, perturbation) -> bool:
+def _scalar_only(task, perturbation) -> bool:
     """Cases rollout_batch hands to the scalar rollout, row by row.
 
     The array kernel models no ball (contact per row), no goal that ends
-    rows at different steps and no pendulum load; the Hatze activation
-    needs **, whose np.power form differs in the last bit.
+    rows at different steps and no pendulum load.
     """
     return (getattr(task, "has_ball", False)
             or getattr(task, "terminal_threshold", None) is not None
-            or (perturbation is not None and perturbation.kind == "chaotic_pendulum")
-            or getattr(controller, "activation_model", None) == "hatze")
+            or (perturbation is not None and perturbation.kind == "chaotic_pendulum"))
 
 
 def _array_coeffs(params) -> _Coeffs:
@@ -531,7 +533,7 @@ def rollout_batch(task, controller, thetas, parameterization: ControlParameteriz
     instead.
     """
     table = _zoh_table(thetas, parameterization)
-    if _scalar_only(task, controller, perturbation):
+    if _scalar_only(task, perturbation):
         return np.array([
             rollout(task, controller, theta, parameterization,
                     perturbation=perturbation).cost

@@ -35,8 +35,6 @@ def fmt(value) -> str:
     """CSV cell formatting: shortest round-trip decimals for floats."""
     if value is None or value == "":
         return ""
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):

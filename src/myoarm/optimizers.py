@@ -24,7 +24,8 @@ NAN_SENTINEL = 1e32   # replaces non-finite objective values inside the optimize
 @dataclass
 class CmaConfig:
     """Budget, initial step size and seed of one CMA-ES run; a population
-    below 4, no generation or a non-positive sigma0 is refused here."""
+    below 4, no generation or a sigma0 that is not positive and finite is
+    refused here."""
 
     population: int = 36
     generations: int = 100
@@ -36,8 +37,9 @@ class CmaConfig:
             raise ValueError("population must be at least 4")
         if self.generations < 1:
             raise ValueError("need at least one generation")
-        if self.sigma0 <= 0.0:
-            raise ValueError("sigma0 must be positive")
+        if not 0.0 < self.sigma0 < math.inf:
+            raise ValueError(f"sigma0 must be positive and finite, not "
+                             f"{self.sigma0}")
 
 
 @dataclass

@@ -12,10 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from myoarm.actuators import (AblationFlags, FV_MAX, HatzeParams,
-                              LowPassController, MuscleController,
-                              MuscleParams, PDController, TorqueController,
-                              derive_linear_map, hatze_activation_step,
+from myoarm.actuators import (AblationFlags, FV_MAX, LowPassController,
+                              MuscleController, MuscleParams, PDController,
+                              TorqueController, derive_linear_map,
                               make_controller, pd_control)
 from myoarm import control
 from myoarm.control import (DT_SIM, parameterization_for, rollout,
@@ -109,29 +108,6 @@ def test_activation_is_a_contraction():
         b1 = activation_step(a1, u, dt, 0.01)
         b2 = activation_step(a2, u, dt, 0.01)
         assert abs(b1 - b2) <= abs(a1 - a2) + 1e-15
-
-
-def test_hatze_fixed_point_and_resting_activity():
-    hp = HatzeParams()
-    g, a = hatze_activation_step(0.6, 0.6, 1.0, 0.005, hp)
-    assert g == pytest.approx(0.6, abs=1e-15)
-    g, a = hatze_activation_step(0.0, 0.0, 1.0, 0.005, hp)
-    assert g == 0.0
-    assert a == pytest.approx(hp.a0, abs=1e-15)
-
-
-def test_hatze_activity_monotone_in_calcium_and_bounded():
-    hp = HatzeParams()
-    for l_ce in (0.8, 1.0, 1.05):
-        prev = -1.0
-        for gamma in np.arange(0.0, 1.0001, 0.01):
-            # zero-rate step isolates the static mapping
-            _, a = hatze_activation_step(float(gamma), float(gamma), l_ce, 0.0, hp)
-            assert 0.0 <= a <= 1.0
-            assert a >= prev
-            prev = a
-    with pytest.raises(ValueError):
-        hatze_activation_step(math.nan, 0.5, 1.0, 0.005, hp)
 
 
 def test_curve_anchor_points():
@@ -395,8 +371,9 @@ def test_controller_factory_and_control_dimensions():
         make_controller("hydraulic")
     with pytest.raises(ValueError):
         make_controller("torque", tau_max=(0.0, 30.0))
-    with pytest.raises(ValueError):
-        MuscleController(activation_model="instant")
+    # the PD gains and target scale are constants, not settings
+    with pytest.raises(TypeError):
+        make_controller("pd", kp=1.0)
 
 
 @pytest.mark.parametrize("label", ["torque", "pd", "lowpass-fast"])
@@ -433,24 +410,6 @@ def test_muscle_activities_lag_the_excitation():
     _, _, acts = fast.torques(fast.state0, 0.0, 0.0, 0.0, 0.0,
                               (1.0, 0.0, 0.0, 0.0))
     assert acts[0] == 1.0
-
-
-def test_hatze_variant_runs_and_respects_bounds():
-    # under the Hatze model the state row holds the four calcium states;
-    # the activities are the static map of each step's new state
-    ctrl = MuscleController(activation_model="hatze")
-    u = (1.0, 0.2, 0.6, 0.0)
-    sh, el = ctrl.shoulder, ctrl.elbow
-    lengths = (sh.m1 * 0.1 + sh.l_ref1, sh.m2 * 0.1 + sh.l_ref2,
-               el.m1 * 0.1 + el.l_ref1, el.m2 * 0.1 + el.l_ref2)
-    state = ctrl.state0
-    for _ in range(100):
-        acts = [hatze_activation_step(g, v, l, 0.005, ctrl.hatze)[1]
-                for g, v, l in zip(state, u, lengths)]
-        _, _, state = ctrl.torques(state, 0.1, 0.1, 0.0, 0.0, u)
-        assert all(0.0 <= a <= 1.0 for a in acts)
-        assert all(0.0 <= g <= 1.0 for g in state)
-    assert acts[0] > 0.9
 
 
 def test_ablation_flags_from_names():

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from myoarm.actuators import make_controller
-from myoarm.arm import (ArmParams, ArmState, BallState, Perturbation, _accel,
-                        _Coeffs, _hand, _mass_terms, _pendulum_step,
-                        _symp_step, ball_step)
+from myoarm.arm import (PENDULUM_MASS, ArmParams, ArmState, BallState,
+                        Perturbation, _accel, _Coeffs, _hand, _mass_terms,
+                        _pendulum_step, _symp_step, ball_step)
 from myoarm.control import parameterization_for, rollout
 from myoarm.objectives import make_task
 from oracles import (energy_drift_rate, fd_lagrangian_accel, gravity_torque,
@@ -229,7 +229,8 @@ def test_mass_perturbations_add_to_the_right_body():
 def test_pendulum_load_changes_motion_and_stays_finite():
     p = ArmParams()
     pert = Perturbation(kind="chaotic_pendulum")
-    assert pert.pendulum_mass == pytest.approx((4 / 3) * math.pi * 0.12 ** 3 * 1000)
+    # a solid sphere of radius 0.12 m at the density of water
+    assert PENDULUM_MASS == pytest.approx((4 / 3) * math.pi * 0.12 ** 3 * 1000)
     c = _Coeffs(p)
     free = load = (0.0, 0.0, 0.0, 0.0)      # th1, th2, dth1, dth2
     phi = dphi = 0.0                         # the bob's cable angle and rate
@@ -253,8 +254,10 @@ def test_parameter_validation():
         ArmParams(m_hand=-0.1)
     with pytest.raises(ValueError):
         Perturbation(kind="wind")
-    with pytest.raises(ValueError):
-        Perturbation(kind="hand_mass", mass=-1.0)
+    # an infinite hand mass used to run, and diverge, in the first step
+    for mass in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="mass"):
+            Perturbation(kind="hand_mass", mass=mass)
 
 
 def test_ball_free_fall_matches_analytic_velocity():

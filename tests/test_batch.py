@@ -239,7 +239,6 @@ FALLBACKS = {
              "torque", None),
     "pendulum": (lambda: SmoothReaching(duration=0.3), "lowpass-fast",
                  Perturbation(kind="chaotic_pendulum")),
-    "hatze": (lambda: SmoothReaching(duration=0.3), "hatze", None),
 }
 
 
@@ -247,8 +246,7 @@ FALLBACKS = {
 def test_cases_without_an_array_form_run_the_scalar_rollout(case):
     make_task, family, pert = FALLBACKS[case]
     task = make_task()
-    ctrl = (make_controller("muscle", activation_model="hatze")
-            if family == "hatze" else make_controller(family))
+    ctrl = make_controller(family)
     par = parameterization_for(task, ctrl, 0.05)
     thetas = population(7, 5, par)
     expected = scalar_costs(task, ctrl, thetas, par, perturbation=pert)
@@ -258,7 +256,6 @@ def test_cases_without_an_array_form_run_the_scalar_rollout(case):
 
 CLIP_CASES = {
     "muscle": lambda: make_controller("muscle"),
-    "muscle-hatze": lambda: make_controller("muscle", activation_model="hatze"),
     "muscle-noactdyn": lambda: make_controller("muscle-noactdyn"),
     "torque": lambda: make_controller("torque"),
     "pd": lambda: make_controller("pd"),
@@ -290,11 +287,6 @@ def test_the_decode_is_the_only_clip(case, task, caplog):
         assert (rollout_batch(task, ctrl, thetas, par).tolist()
                 == rollout_batch(task, ctrl, clipped, par).tolist())
     assert caplog.records == []
-
-
-def test_the_hatze_model_has_no_array_form():
-    with pytest.raises(ValueError, match="Hatze"):
-        make_controller("muscle", activation_model="hatze").batch_torques(4)
 
 
 @pytest.mark.parametrize("family", ["muscle", "torque"])

@@ -44,6 +44,22 @@ class TestUsageErrors:
         assert "unrecognized arguments: --c" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv, named", [
+        (("optimize", "--c", "inf"), "resolution inf"),
+        (("optimize", "--sigma", "nan"), "sigma0"),
+        (("mpc", "--tpred", "inf"), "mpc.tpred"),
+        (("simulate", "--perturb", "hand_mass", "--mass", "inf"), "mass")])
+    def test_a_non_finite_flag_is_a_clean_error(self, tmp_path, capsys, argv,
+                                                named):
+        # --c inf and --tpred inf used to raise OverflowError from round(),
+        # --sigma nan to fail in the first generation as a non-finite
+        # decision vector, and --mass inf to run and exit 2 as a divergence
+        assert run_cli(*argv, "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert "myoarm: error:" in err and named in err and "finite" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_task(self, capsys):
         assert run_cli("simulate", "--task", "juggling") == 1
         assert "error" in capsys.readouterr().err

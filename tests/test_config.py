@@ -23,8 +23,9 @@ class TestParseText:
         out = parse_config_text(text)
         assert out["a"] == 3 and isinstance(out["a"], int)
         assert out["b"] == 0.25
-        assert out["c"] is True
-        assert out["d"] is False
+        # no key takes a truth value, so a word stays the text it is
+        assert out["c"] == "true"
+        assert out["d"] == "off"
         assert out["e"] == "smooth-reach"
 
     def test_comments_and_blanks_ignored(self):
@@ -178,6 +179,16 @@ class TestExperimentConfig:
         "experiment.kind = robustness_weights\nmpc.resolution = 0.035",
         "experiment.kind = robustness_weights\nexperiment.task = fast-reach\n"
         "mpc.resolution = 0.015",
+        # a non-finite number: grid.masses = inf used to run and write a
+        # diverged robustness row, grid.sigma = nan to fail inside the
+        # first point, and an infinite horizon to raise OverflowError
+        "grid.sigma = nan",
+        "grid.c = inf",
+        "experiment.kind = robustness_weights\ngrid.masses = inf",
+        "experiment.kind = tpred_sweep\ngrid.tpred = 0.3, inf",
+        "optimizer.sigma = nan",
+        "optimizer.sigma = inf",
+        "mpc.tpred = inf",
     ])
     def test_bad_config_rejected(self, line):
         with pytest.raises(ValueError):
@@ -196,6 +207,16 @@ class TestExperimentConfig:
         # trace twice and aggregate.csv counted one seed as n = 2, std 0.0
         with pytest.raises(ValueError, match=f"{key} repeats"):
             ExperimentConfig.from_mapping(parse_config_text(f"{key} = {value}\n"))
+
+    @pytest.mark.parametrize("kind, key, word", [
+        ("data_efficiency", "optimizer.sigma", "yes"),
+        ("data_efficiency", "grid.c", "on"),
+        ("sigma_sweep", "grid.sigma", "yes")])
+    def test_a_word_is_not_a_number(self, kind, key, word):
+        # yes/on used to be read as True, so grid.sigma = yes ran sigma 1.0
+        text = f"experiment.kind = {kind}\n{key} = {word}\n"
+        with pytest.raises(ValueError, match=f"'{key}'.*'{word}'"):
+            ExperimentConfig.from_mapping(parse_config_text(text))
 
     @pytest.mark.parametrize("key, value", [
         ("experiment.out_dir", "runs,v2"),    # was the directory "['runs', 'v2']"

@@ -25,9 +25,8 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from myoarm.actuators import (AblationFlags, HatzeParams, MuscleController,
-                              MuscleParams, TorqueController,
-                              hatze_activation_step, make_controller)
+from myoarm.actuators import (AblationFlags, MuscleController, MuscleParams,
+                              TorqueController, make_controller)
 from myoarm.arm import (ArmParams, ArmState, Perturbation, _accel,
                         _bias, _Coeffs, _hand, _jacobian, _mass_matrix,
                         _mass_terms, _pendulum_forces, _symp_step, ball_step,
@@ -39,7 +38,7 @@ from myoarm.harness import _task_for
 from myoarm.objectives import (ObjectiveWeights, PreciseReaching, ReachTarget,
                                SmoothReaching, make_task,
                                precise_reaching_reward)
-from oracles import (activation_step, fiber_kinematics, muscle_joint_torque,
+from oracles import (activation_step, muscle_joint_torque,
                      smooth_reach_stages, torque_actuator)
 from test_batch import TRIG_EXACT
 
@@ -202,26 +201,20 @@ def test_torque_kernel_equals_the_torque_source_per_joint(tau_max, u):
         ())
 
 
-def torques_reference(ctrl, acts, gammas, th1, th2, w1, w2, u):
+def torques_reference(ctrl, acts, th1, th2, w1, w2, u):
     """One MuscleController step at DT_SIM composed from the public step
     functions.
 
-    Updates acts and gammas in place; returns the two joint torques.
+    Updates acts in place; returns the two joint torques.
     """
-    dt = DT_SIM
     taus = []
     for j, (mp, phi, dphi) in enumerate(((ctrl.shoulder, th1, w1),
                                          (ctrl.elbow, th2, w2))):
-        for i, (m, l_ref) in ((2 * j, (mp.m1, mp.l_ref1)),
-                              (2 * j + 1, (mp.m2, mp.l_ref2))):
-            l, _ = fiber_kinematics(phi, dphi, m, l_ref)
+        for i in (2 * j, 2 * j + 1):
             if ctrl.flags.disable_activation:
                 acts[i] = u[i]
-            elif ctrl.activation_model == "hatze":
-                gammas[i], acts[i] = hatze_activation_step(
-                    gammas[i], u[i], l, dt, ctrl.hatze)
             else:
-                acts[i] = activation_step(acts[i], u[i], dt, mp.tau_act)
+                acts[i] = activation_step(acts[i], u[i], DT_SIM, mp.tau_act)
         taus.append(muscle_joint_torque(phi, dphi, acts[2 * j],
                                         acts[2 * j + 1], mp, ctrl.flags))
     return tuple(taus)
@@ -249,24 +242,19 @@ muscle_steps = st.lists(
 
 @EXACT
 @given(shoulder=muscle_params(), elbow=muscle_params(), flags=flag_sets,
-       model=st.sampled_from(["first_order", "hatze"]),
-       hatze=st.builds(HatzeParams, m_h=finite(1.0, 50.0), nu=finite(1.0, 4.0),
-                       rho_scale=finite(1.0, 10.0)),
        steps=muscle_steps)
 def test_muscle_kernel_equals_the_composed_step_functions(
-        shoulder, elbow, flags, model, hatze, steps):
-    ctrl = MuscleController(shoulder=shoulder, elbow=elbow, flags=flags,
-                            activation_model=model, hatze=hatze)
-    acts, gammas = [0.0] * 4, [0.0] * 4
-    # the state row is the calcium states under Hatze activation and the
-    # activities otherwise (with activation ablated, the excitations)
-    hatze_row = model == "hatze" and not flags.disable_activation
+        shoulder, elbow, flags, steps):
+    ctrl = MuscleController(shoulder=shoulder, elbow=elbow, flags=flags)
+    acts = [0.0] * 4
+    # the state row is the activities (with activation ablated, the
+    # excitations)
     state = ctrl.state0
     for th1, th2, w1, w2, u in steps:
-        want = torques_reference(ctrl, acts, gammas, th1, th2, w1, w2, u)
+        want = torques_reference(ctrl, acts, th1, th2, w1, w2, u)
         tau1, tau2, state = ctrl.torques(state, th1, th2, w1, w2, u)
         assert (tau1, tau2) == want
-        assert state == tuple(gammas if hatze_row else acts)
+        assert state == tuple(acts)
 
 
 @EXACT

@@ -261,12 +261,16 @@ class TestRollout:
                 hold(SmoothReaching(), TorqueController(), [bad, 0.0])
 
     def test_resolution_must_align_with_dt(self):
-        # a plan whose segments would end between physics steps is refused
-        # when it is built, before any rollout can take it
+        # a plan whose segments would end between physics steps, or whose
+        # resolution or horizon is not finite, is refused when it is built,
+        # before any rollout can take it (an infinite resolution used to
+        # raise OverflowError from round())
         task = SmoothReaching()
-        for resolution in (0.007, 0.0125, 0.3 + 1e-6):
+        for resolution in (0.007, 0.0125, 0.3 + 1e-6, math.inf, math.nan):
             with pytest.raises(ValueError, match="multiple of dt"):
                 parameterization_for(task, TorqueController(), resolution)
+        with pytest.raises(ValueError, match="horizon inf is not a finite"):
+            ControlParameterization(math.inf, 0.05, 2, -1.0, 1.0)
         assert parameterization_for(task, TorqueController(),
                                     0.3).steps_per_segment == 60
 

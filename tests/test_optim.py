@@ -149,6 +149,11 @@ class TestCmaConfigValidation:
             CmaConfig(sigma0=0.0)
         with pytest.raises(ValueError):
             CmaConfig(sigma0=-0.2)
+        # a NaN step size used to fail only in the first generation, as a
+        # non-finite decision vector
+        for sigma0 in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="sigma0.*finite"):
+                CmaConfig(sigma0=sigma0)
 
     def test_generations_positive(self):
         with pytest.raises(ValueError):

@@ -28,16 +28,14 @@ def finite(lo, hi):
 flag_sets = st.builds(AblationFlags, disable_fl=st.booleans(),
                       disable_fv=st.booleans(),
                       disable_activation=st.booleans())
-models = st.sampled_from(["first_order", "hatze"])
 
 
 @st.composite
 def controllers(draw):
-    """Any family; the muscle pair with any flags and activation model."""
+    """Any family; the muscle pair with any flags."""
     family = draw(st.sampled_from(("muscle",) + FAMILIES))
     if family == "muscle":
-        return MuscleController(flags=draw(flag_sets),
-                                activation_model=draw(models))
+        return MuscleController(flags=draw(flag_sets))
     return make_controller(family)
 
 
@@ -58,14 +56,14 @@ def test_torques_returns_a_row_as_wide_as_state0(ctrl, data, q):
 
 
 @PROPS
-@given(flags=flag_sets, model=models,
+@given(flags=flag_sets,
        start=st.tuples(*[finite(0.0, 1.0)] * 4),
        steps=st.lists(st.tuples(joint, st.tuples(*[finite(0.0, 1.0)] * 4)),
                       min_size=1, max_size=10))
-def test_muscle_rows_stay_in_the_unit_box(flags, model, start, steps):
-    # activities and calcium states stay in [0, 1] for every excitation in
-    # the box [0, 1], from rest and from any row in the box
-    ctrl = MuscleController(flags=flags, activation_model=model)
+def test_muscle_rows_stay_in_the_unit_box(flags, start, steps):
+    # activities stay in [0, 1] for every excitation in the box [0, 1],
+    # from rest and from any row in the box
+    ctrl = MuscleController(flags=flags)
     for state in (ctrl.state0, start):
         for q, u in steps:
             _, _, state = ctrl.torques(state, *q, u)

@@ -20,7 +20,13 @@ kind, every task, the torque calibration and each CLI run command:
   fast-reach, three CMA-ES generations) and `mpc` (muscle; torque with a
   hand mass; pendulum load; fast-reach; ball-serve; a torque fast-reach
   run that stops at the goal; a refinement budget above twice the plan's
-  dimension, so the pattern search halves its radius).
+  dimension, so the pattern search halves its radius);
+- CLI runs over files the set has written: `experiment --config ...
+  --jobs 1` (data_efficiency at c 0.3, seeds 2 and 3), `summarize` over
+  the trace CSVs of that run and of the data_efficiency sweep's c 0.3
+  points, `summarize` pooling three aggregate CSVs (data_efficiency, the
+  CLI experiment's and precise_reach's one-seed rows), and
+  `calibrate-torque` over the best trajectory of `optimize`.
 
 Every file is written under OUT_DIR, which must be empty or absent. The
 output is one `<sha256>  <path relative to OUT_DIR>` line per file, sorted
@@ -37,6 +43,7 @@ import hashlib
 import io
 import os
 import sys
+import tempfile
 
 from myoarm import cli
 from myoarm.config import ExperimentConfig, parse_config_text
@@ -121,6 +128,42 @@ CLI_RUNS = {
 }
 
 
+# the CLI experiment: data_efficiency seeds 2 and 3 at the sweep's c 0.3,
+# so its aggregate rows share keys with the data_efficiency sweep's
+CLI_EXPERIMENT = {**TINY_OC, "experiment.seeds": [2, 3]}
+
+
+def _reading_runs(out_dir: str, config_path: str) -> dict:
+    """The CLI runs that read files the set has already written (the
+    `experiment` run's included, so it comes first): {name: argv}."""
+    cli_dir = os.path.join(out_dir, "cli")
+    experiment = os.path.join(cli_dir, "experiment")
+    sweep = os.path.join(out_dir, "data_efficiency")
+    traces = [os.path.join(d, f"trace_{m}_c0.3_s0.2_seed{seed}.csv")
+              for d, seeds in ((sweep, (0, 1)), (experiment, (2, 3)))
+              for m in ("muscle", "torque") for seed in seeds]
+    aggregates = [os.path.join(sweep, "aggregate.csv"),
+                  os.path.join(experiment, "aggregate.csv"),
+                  os.path.join(out_dir, "precise_reach", "aggregate.csv")]
+    return {
+        "experiment": ["experiment", "--config", config_path, "--jobs", "1"],
+        "summarize_traces.csv": ["summarize", *traces],
+        "summarize_pooled.csv": ["summarize", *aggregates],
+        "calibrate.csv": ["calibrate-torque",
+                          os.path.join(cli_dir, "optimize", "best.csv")],
+    }
+
+
+def _run_cli(out_dir: str, runs: dict):
+    """Run each argv of `runs` with `--out` its name under out_dir/cli."""
+    for name, argv in runs.items():
+        out = os.path.join(out_dir, "cli", name)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([*argv, "--out", out])
+        if code != 0:
+            raise SystemExit(f"cli run {name} exited {code}")
+
+
 def _config_text(settings: dict) -> str:
     def value(v):
         # a trailing comma keeps a one-element list a list
@@ -139,12 +182,13 @@ def write_golden(out_dir: str):
                              "experiment.out_dir": sweep_dir})
         run_experiment(ExperimentConfig.from_mapping(parse_config_text(text)))
     os.makedirs(os.path.join(out_dir, "cli"))
-    for name, argv in CLI_RUNS.items():
-        out = os.path.join(out_dir, "cli", name)
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main([*argv, "--out", out])
-        if code != 0:
-            raise SystemExit(f"cli run {name} exited {code}")
+    _run_cli(out_dir, CLI_RUNS)
+    # the config file is an input, so it stays out of the digested set
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = os.path.join(tmp, "experiment.cfg")
+        with open(config_path, "w", encoding="utf-8") as fh:
+            fh.write(_config_text(CLI_EXPERIMENT))
+        _run_cli(out_dir, _reading_runs(out_dir, config_path))
     digests = {}
     for root, _, files in os.walk(out_dir):
         for f in files:
