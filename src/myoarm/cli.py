@@ -54,9 +54,14 @@ def _run_config(args, **settings):
 
 
 def _perturbation(args):
-    """The --perturb, --mass and --visible flags; kind 'none' changes nothing."""
-    return Perturbation(kind=args.perturb, mass=args.mass,
-                        visible_to_prediction=args.visible)
+    """The --perturb and --mass flags, and mpc's --visible; kind 'none'
+    changes nothing. --mass, 1 kg when not given, is a usage error with a
+    kind that adds no mass."""
+    if args.mass is not None and args.perturb not in ("lower_arm_mass", "hand_mass"):
+        raise ValueError(f"--mass takes a mass kind of --perturb, not {args.perturb!r}")
+    return Perturbation(kind=args.perturb,
+                        mass=1.0 if args.mass is None else args.mass,
+                        visible_to_prediction=getattr(args, "visible", False))
 
 
 def cmd_simulate(args):
@@ -171,9 +176,7 @@ def build_parser():
     _add_run_flags(p)
     p.add_argument("--out", default="trajectory.csv")
     p.add_argument("--perturb", default="none", choices=Perturbation.KINDS)
-    p.add_argument("--mass", type=float, default=1.0)
-    p.add_argument("--visible", action="store_true",
-                   help="let prediction models see the perturbation")
+    p.add_argument("--mass", type=float, default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("optimize", help="one trajectory-optimization run")
@@ -193,8 +196,9 @@ def build_parser():
     p.add_argument("--refine-budget", type=int, default=50)
     p.add_argument("--out", default="results")
     p.add_argument("--perturb", default="none", choices=Perturbation.KINDS)
-    p.add_argument("--mass", type=float, default=1.0)
-    p.add_argument("--visible", action="store_true")
+    p.add_argument("--mass", type=float, default=None)
+    p.add_argument("--visible", action="store_true",
+                   help="let the prediction model see the perturbation")
     p.set_defaults(func=cmd_mpc)
 
     p = sub.add_parser("experiment", help="full sweep from a config file")

@@ -341,8 +341,7 @@ def _simulate(task, controller, theta, parameterization, perturbation,
 
     ball = None
     if getattr(task, "has_ball", False):
-        b = ball0 if ball0 is not None else task.initial_ball()
-        ball = BallState(**vars(b))
+        ball = ball0 if ball0 is not None else task.initial_ball()
         contact_radius = task.contact_radius
 
     # numpy converts a flat list of floats about ten times faster than a
@@ -521,8 +520,14 @@ def rollout_batch(task, controller, thetas, parameterization: ControlParameteriz
     so the costs agree bit for bit
     wherever np.cos/np.sin equal math.cos/math.sin (tests/test_batch.py
     probes that, and holds the paths to rtol 1e-9 where they differ).
-    th, dth and ddth are recorded as (population, n + 1, 2) arrays. A
-    row with a non-finite angle or velocity sample is diverged and scores
+    It records as _simulate does, into one flat list, here of
+    population-wide columns: the initial (th1, th2, w1, w2), then each
+    step's (a1, a2, th1, th2, w1, w2), then the terminal (a1, a2). One
+    array built from it after the loop holds sample j of row i at [i, j],
+    and th, dth and ddth are slices of it; th[rows] and the like copy the
+    scored rows into C-contiguous arrays, the layout in which the task sums
+    each row as it sums that row's episode alone. A row with a non-finite
+    angle or velocity sample is diverged and scores
     SENTINEL_COST. The other rows are scored together, by one call of the
     task's own cost (or window cost, by _score's rule) on one RolloutResult
     whose th, dth, ddth and controls hold those rows, with a leading row
@@ -554,35 +559,25 @@ def rollout_batch(task, controller, thetas, parameterization: ControlParameteriz
     segment = parameterization.segment_of_step
     th1, th2 = np.full(lam, state.th1), np.full(lam, state.th2)
     w1, w2 = np.full(lam, state.dth1), np.full(lam, state.dth2)
-    # row i's samples are th[i], a contiguous (n + 1, 2) trajectory; each
-    # step writes one column across the rows
-    th = np.empty((lam, n + 1, 2))
-    dth = np.empty((lam, n + 1, 2))
-    ddth = np.empty((lam, n + 1, 2))
-    th[:, 0] = state.th1, state.th2
-    dth[:, 0] = state.dth1, state.dth2
+    rec = [th1, th2, w1, w2]
     cos, sin = np.cos, np.sin
     with np.errstate(all="ignore"):          # diverging rows overflow
         # each step takes its configuration's mass-matrix terms and hands
         # on the next one's
         m11, s, det = _mass_terms(coeffs, th2, cos)
-        for k, seg in enumerate(segment.tolist()):
+        for seg in segment.tolist():
             tau1, tau2 = torques_of(cstate, th1, th2, w1, w2, blocks[seg])
             th1, th2, w1, w2, a1, a2, m11, s, det = _batch_step(
                 coeffs, th1, th2, w1, w2, tau1, tau2, dt, m11, s, det, cos, sin)
-            th[:, k + 1, 0] = th1
-            th[:, k + 1, 1] = th2
-            dth[:, k + 1, 0] = w1
-            dth[:, k + 1, 1] = w2
-            ddth[:, k, 0] = a1
-            ddth[:, k, 1] = a2
+            rec += (a1, a2, th1, th2, w1, w2)
         # the terminal sample's acceleration under the last torques, as
         # rollout records it (the step's a1, a2 are _accel's)
-        a1, a2 = _batch_step(coeffs, th1, th2, w1, w2, tau1, tau2, dt, m11,
-                             s, det, cos, sin)[4:6]
-        ddth[:, n, 0] = a1
-        ddth[:, n, 1] = a2
-    finite = np.isfinite(th).all(axis=(1, 2)) & np.isfinite(dth).all(axis=(1, 2))
+        rec += _batch_step(coeffs, th1, th2, w1, w2, tau1, tau2, dt, m11, s,
+                           det, cos, sin)[4:6]
+    # (population, n + 1, 6): sample j's th, dth and ddth, row by row
+    samples = np.array(rec).reshape(n + 1, 6, lam).transpose(2, 0, 1)
+    th, dth, ddth = samples[..., 0:2], samples[..., 2:4], samples[..., 4:6]
+    finite = np.isfinite(samples[..., 0:4]).all(axis=(1, 2))
 
     costs = np.full(lam, SENTINEL_COST)
     rows = np.flatnonzero(finite)

@@ -198,59 +198,42 @@ def _load(mass):
     return Perturbation("lower_arm_mass", mass=float(mass)) if mass else None
 
 
-def _warm_key(point):
-    """What a point's MPC warm start depends on besides the config and the
-    phase's torque ceiling: (morphology, tpred, seed) and the prediction
-    model, which an unseen load or no load leaves unloaded. Points with one
-    key run one warm start. An OC point, a tpred_sweep point and a point
-    whose load the prediction model sees get a key of their own, so they
-    share with no other point, not even an equal one."""
-    morph, _, _, tpred, seed, mass = point
-    load = _load(mass)
-    if mass is None or (load is not None and load.visible_to_prediction):
-        return object()
-    return morph, tpred, seed
-
-
 def _warm_groups(points):
-    """points grouped by _warm_key, each group in grid order, the groups
-    in the order of their first point."""
+    """points grouped by point[:5], everything but the mass, each group in
+    grid order, the groups in the order of their first point. Only a
+    robustness point shares its point[:5], with the other loads of its
+    (morphology, seed): a config refuses repeated grid values, and every
+    load is unseen (_load), so the prediction model and the MPC warm start
+    of each load are the unloaded arm's."""
     groups = {}
     for point in points:
-        groups.setdefault(_warm_key(point), []).append(point)
+        groups.setdefault(point[:5], []).append(point)
     return list(groups.values())
 
 
-def _point_worker(config, point, tau_max, warm_start=None):
-    """One sweep point: (trace rows, calibration sample, MpcResult or
-    None), where the sample is _peak_torques of the point's best or
-    executed rollout. It makes exactly one _oc_run or _mpc_run call; a
-    robustness point's mass is a load on the lower arm (_load), and an MPC
-    point given warm_start skips its CMA-ES warm start (mpc_run)."""
-    morph, c, sigma, tpred, seed, mass = point
-    if tpred is None:
-        trace, best = _oc_run(config, morph, c, sigma, seed, tau_max=tau_max)
-        rows = oc_trace_rows(config.kind, config.task, morph, c, sigma, seed,
-                             trace)
-        return rows, _peak_torques(best), None
-    res = _mpc_run(config, morph, tpred, seed, perturbation=_load(mass),
-                   tau_max=tau_max, warm_start=warm_start)
-    rows = mpc_trace_rows(config.kind, config.task, morph,
-                          config.mpc_resolution, tpred, seed, res)
-    return rows, _peak_torques(res.executed), res
-
-
 def _group_worker(args):
-    """One _warm_groups group: the _point_worker result of each of its
-    points, in order. The first point runs the group's MPC warm start and
-    every later one is handed its (plans[0], step_evals[0])."""
+    """One _warm_groups group: per point, in order, (trace rows,
+    calibration sample, MpcResult or None), where the sample is
+    _peak_torques of the point's best or executed rollout. Each point
+    makes exactly one _oc_run or _mpc_run call; a robustness point's mass
+    is a load on the lower arm (_load). The first MPC point runs the
+    group's warm start and every later one is handed its (plans[0],
+    step_evals[0]), so it skips its own (mpc_run)."""
     config, group, tau_max = args
     results, warm_start = [], None
-    for point in group:
-        results.append(_point_worker(config, point, tau_max, warm_start))
-        res = results[-1][2]
-        if res is not None:
-            warm_start = res.plans[0], res.step_evals[0]
+    for morph, c, sigma, tpred, seed, mass in group:
+        if tpred is None:
+            trace, best = _oc_run(config, morph, c, sigma, seed, tau_max=tau_max)
+            results.append((oc_trace_rows(config.kind, config.task, morph, c,
+                                          sigma, seed, trace),
+                            _peak_torques(best), None))
+            continue
+        res = _mpc_run(config, morph, tpred, seed, perturbation=_load(mass),
+                       tau_max=tau_max, warm_start=warm_start)
+        results.append((mpc_trace_rows(config.kind, config.task, morph,
+                                       config.mpc_resolution, tpred, seed, res),
+                        _peak_torques(res.executed), res))
+        warm_start = res.plans[0], res.step_evals[0]
     return results
 
 
@@ -296,18 +279,19 @@ def _sweep(config: ExperimentConfig, jobs: int, write_point):
     calibration.csv; a diverged muscle run gives no sample, and a sweep
     whose muscle runs all diverged has nothing to calibrate from
     (ValueError). write_point(point, result) writes one point's files
-    and returns their paths, in grid order; result is _point_worker's.
-    The run invariants are checked over all trace rows before calibration
-    is written. Returns (paths, all trace rows).
+    and returns their paths, in grid order; result is the point's entry
+    in _group_worker's list. The run invariants are checked over all trace
+    rows before calibration is written. Returns (paths, all trace rows).
 
-    The unit of work is a _warm_groups group: the points of one phase that
-    share an MPC warm start, which _group_worker runs once for all of
-    them. Every OC and tpred_sweep point is a group of its own, so only
-    the robustness sweep's loads share, one warm start per (morphology,
-    seed). Every group gets the config itself, already validated. With
-    jobs > 1 and more than one group in either phase, both phases run in
-    one process pool of `jobs` workers; otherwise every group runs here,
-    one after another. Either way the results are the same.
+    The unit of work is a _warm_groups group: the points of one phase
+    that differ only in their load, which _group_worker runs with one MPC
+    warm start. Every OC and tpred_sweep point is a group of its own, so
+    only the robustness sweep's loads share, one warm start per
+    (morphology, seed). Every group gets the config itself, already
+    validated. With jobs > 1 and more than one group in either phase, both
+    phases run in one process pool of `jobs` workers; otherwise every
+    group runs here, one after another. Either way the results are the
+    same.
     """
     _prepare_out_dir(config.out_dir)
     points = _run_points(config)
@@ -371,7 +355,8 @@ def _robustness_sweep(config: ExperimentConfig):
     of the task under unknown forearm loads.
 
     Writes one trajectory CSV and one cost-over-time trace per run plus a
-    summary with the final cost and the elbow overshoot metric. An
+    summary with the final cost and the elbow overshoot metric, whose cell
+    is empty for a task without a reach target (ball-serve). An
     unperturbed baseline (mass 0) always runs alongside the configured
     loads so perturbed and clean costs can be compared. Muscle runs execute
     first and calibrate the torque ceilings of any torque-family
@@ -396,10 +381,11 @@ def _robustness_sweep(config: ExperimentConfig):
         morph, _, _, _, seed, mass = point
         rows, _, res = result
         tag = f"{morph}_m{fmt(mass)}_seed{seed}"
-        task = _task_for(config, seed)
+        target = getattr(_task_for(config, seed), "target", None)
         summary.append([config.kind, config.task, morph, mass, seed,
                         res.executed.cost,
-                        overshoot_past_target(res.executed.th, task.target),
+                        None if target is None
+                        else overshoot_past_target(res.executed.th, target),
                         int(res.executed.diverged)])
         return [write_trajectory_csv(
                     os.path.join(config.out_dir, f"robust_{tag}.csv"),

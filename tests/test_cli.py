@@ -60,6 +60,26 @@ class TestUsageErrors:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "mpc"])
+    @pytest.mark.parametrize("kind", ["none", "chaotic_pendulum"])
+    def test_mass_without_a_mass_kind_is_a_usage_error(self, tmp_path, capsys,
+                                                       command, kind):
+        # --mass used to be ignored without a word unless --perturb adds mass
+        out = tmp_path / "out"
+        assert run_cli(command, "--perturb", kind, "--mass", "5",
+                       "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "myoarm: error:" in err and repr(kind) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_simulate_has_no_visible_flag(self, tmp_path, capsys):
+        # simulate has no prediction model, so the flag changed nothing
+        out = tmp_path / "out.csv"
+        assert run_cli("simulate", "--visible", "--out", str(out)) == 1
+        assert "unrecognized arguments: --visible" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_task(self, capsys):
         assert run_cli("simulate", "--task", "juggling") == 1
         assert "error" in capsys.readouterr().err
@@ -251,6 +271,14 @@ class TestSimulate:
         out = tmp_path / "loaded.csv"
         assert run_cli("simulate", "--perturb", "lower_arm_mass",
                        "--mass", "2.0", "--out", str(out)) == 0
+
+    def test_a_mass_kind_without_mass_adds_one_kilogram(self, tmp_path):
+        default, one = tmp_path / "default.csv", tmp_path / "one.csv"
+        assert run_cli("simulate", "--perturb", "hand_mass",
+                       "--out", str(default)) == 0
+        assert run_cli("simulate", "--perturb", "hand_mass", "--mass", "1.0",
+                       "--out", str(one)) == 0
+        assert default.read_bytes() == one.read_bytes()
 
     def test_ablate_repeatable(self, tmp_path):
         out = tmp_path / "abl.csv"

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from myoarm.config import ExperimentConfig
 from myoarm.control import SENTINEL_COST
 from myoarm.actuators import AblationFlags, make_controller
-from myoarm.arm import Perturbation
 from myoarm.harness import (AGG_HEADER, ROBUST_HEADER, TRACE_HEADER,
                             _check_invariants, _pool_aggregates, _run_points,
                             _warm_groups,
@@ -398,7 +397,8 @@ class TestRobustnessSweep:
         # plans of dimension 8 (muscle) and 4 (torque) at tpred 0.02
         assert sorted(warm_starts) == [(4, 0), (4, 1), (8, 0), (8, 1)]
         warm_starts.clear()
-        monkeypatch.setattr(harness, "_warm_key", lambda point: object())
+        monkeypatch.setattr(harness, "_warm_groups",
+                            lambda points: [[p] for p in points])
         own = sweep(tmp_path / "own")
         assert len(warm_starts) == 12
         names = sorted(map(os.path.basename, shared))
@@ -407,39 +407,6 @@ class TestRobustnessSweep:
         for name in names:
             assert (read_bytes(tmp_path / "shared" / name)
                     == read_bytes(tmp_path / "own" / name)), name
-
-    def test_a_seen_load_runs_its_own_warm_start(self, tmp_path, monkeypatch):
-        # a load the prediction model sees changes its warm start, so it is
-        # never grouped with an unseen load, nor with another seen one
-        import myoarm.control as control
-        import myoarm.harness as harness
-
-        def seen_2kg(mass):
-            return (Perturbation("lower_arm_mass", mass=float(mass),
-                                 visible_to_prediction=mass == 2.0)
-                    if mass else None)
-
-        monkeypatch.setattr(harness, "_load", seen_2kg)
-        config = tiny_mpc_config(tmp_path, masses=(1.0, 2.0))
-        config.seeds = [0, 1]
-        # a config refuses a repeated mass; _warm_groups, handed the points
-        # of one, still keeps two equal seen loads apart
-        config.masses = [1.0, 2.0, 2.0]
-        point = {(m, s): ("muscle", None, None, 0.02, s, m)
-                 for m in (0.0, 1.0, 2.0) for s in (0, 1)}
-        assert harness._warm_groups(_run_points(config)) == [
-            [point[0.0, 0], point[1.0, 0]], [point[0.0, 1], point[1.0, 1]],
-            [point[2.0, 0]], [point[2.0, 1]], [point[2.0, 0]], [point[2.0, 1]]]
-        config.masses = [1.0, 2.0]
-        real, warm_starts = control.cma_es, []
-
-        def counted(objective, x0, config):
-            warm_starts.append(config.seed)
-            return real(objective, x0, config)
-
-        monkeypatch.setattr(control, "cma_es", counted)
-        run_experiment(config)
-        assert sorted(warm_starts) == [0, 0, 1, 1]
 
     def test_warm_groups_keep_morphologies_and_seeds_apart(self):
         config = ExperimentConfig(kind="robustness_weights", seeds=[0, 1],
@@ -450,10 +417,26 @@ class TestRobustnessSweep:
         for group in groups:
             assert len(group) == 3
             assert len({(p[0], p[4]) for p in group}) == 1
-        # an OC point is a group of its own
-        config = tiny_oc_config("unused")
-        assert _warm_groups(_run_points(config)) == [
-            [p] for p in _run_points(config)]
+        # an OC point and a tpred_sweep point are groups of their own
+        for config in (tiny_oc_config("unused"),
+                       ExperimentConfig(kind="tpred_sweep", seeds=[0, 1],
+                                        morphologies=["muscle", "torque"],
+                                        tpred_grid=[0.02, 0.04])):
+            assert _warm_groups(_run_points(config)) == [
+                [p] for p in _run_points(config)]
+
+    def test_a_task_without_a_reach_target_leaves_overshoot_empty(
+            self, tmp_path):
+        # ball-serve has no reach target; its sweep used to run every point
+        # and then die with an AttributeError before writing the summary
+        config = replace(tiny_mpc_config(tmp_path), task="ball-serve")
+        paths = run_experiment(config)
+        assert str(tmp_path / "robustness.csv") in map(str, paths)
+        header, rows = read_csv(tmp_path / "robustness.csv")
+        assert header == ROBUST_HEADER and len(rows) == 2
+        assert [r[header.index("overshoot")] for r in rows] == ["", ""]
+        assert all(math.isfinite(float(r[header.index("final_cost")]))
+                   for r in rows)
 
     def test_calibration_is_the_muscle_runs_peak_torque(self, tmp_path):
         config = tiny_mpc_config(tmp_path, morphologies=("muscle", "torque"))
