@@ -56,12 +56,16 @@ def _run_config(args, **settings):
 def _perturbation(args):
     """The --perturb and --mass flags, and mpc's --visible; kind 'none'
     changes nothing. --mass, 1 kg when not given, is a usage error with a
-    kind that adds no mass."""
+    kind that adds no mass, and --visible with kind 'none', which leaves
+    the prediction model nothing to see."""
     if args.mass is not None and args.perturb not in ("lower_arm_mass", "hand_mass"):
         raise ValueError(f"--mass takes a mass kind of --perturb, not {args.perturb!r}")
+    visible = getattr(args, "visible", False)
+    if visible and args.perturb == "none":
+        raise ValueError("--visible takes a --perturb kind, not 'none'")
     return Perturbation(kind=args.perturb,
                         mass=1.0 if args.mass is None else args.mass,
-                        visible_to_prediction=getattr(args, "visible", False))
+                        visible_to_prediction=visible)
 
 
 def cmd_simulate(args):

@@ -11,7 +11,8 @@ text key (experiment.kind, .task, .out_dir), and the config rejects
 unknown task, morphology and ablation names, a value repeated in a list
 that a sweep runs one point per value of (the grid.* keys,
 experiment.seeds, .morphologies and .ablations), `arm.`/`weights.` values
-that are not finite numbers or that ArmParams refuses, a grid.* value or
+that are not finite numbers or that ArmParams or ObjectiveWeights
+refuses (the error names the key), a grid.* value or
 mpc.tpred that is not positive and finite, an optimizer or MPC budget
 that CmaConfig or MpcConfig refuses (a NaN or infinite optimizer.sigma
 among them), an OC resolution (every grid.c value and optimizer.c) that
@@ -225,7 +226,11 @@ class ExperimentConfig:
                 if not all(map(_finite_number, value if pair else [value])):
                     raise ValueError(f"config key {prefix}.{key} = {value!r}: "
                                      f"expected a finite number")
-            cls(**overrides)          # the class's own range checks
+                try:                  # the class's own range checks
+                    cls(**{key: value})
+                except ValueError as exc:
+                    raise ValueError(f"config key {prefix}.{key} = "
+                                     f"{value!r}: {exc}") from None
         for key, grid in (("grid.c", self.c_grid),
                           ("grid.sigma", self.sigma_grid),
                           ("grid.tpred", self.tpred_grid),

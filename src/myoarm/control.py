@@ -56,7 +56,9 @@ call gives it. cma_es hands each generation to its objective as one such
 array, so open-loop optimization and the MPC warm start score populations
 with rollout_batch;
 the pattern-search refinement, MPC's executed trajectory and the best-plan
-rollouts use `rollout`, and the MPC plant segments its unscored half.
+rollouts use `rollout`, and the MPC plant segments its unscored half. A
+refinement probe hands `rollout` the incumbent's cost as a bound, and
+stops once a running sum of its stages passes it (see mpc_run).
 """
 
 import math
@@ -74,6 +76,7 @@ DT_SIM = 0.005                 # physics timestep, seconds
 SENTINEL_COST = 1e9            # diverged run, minimization convention
 WARM_SIGMA0 = 0.2              # MPC warm start: CMA-ES initial step size
 REFINE_RADIUS = 0.1            # MPC refinement: initial pattern-search radius
+REFINE_SLACK = 1e-9            # MPC refinement: relative margin of a probe's bound
 
 # rollout_batch's step, under a name of its own: perfbench/spans.py wraps
 # control._symp_step as its span of scalar steps, which must not time array
@@ -98,7 +101,11 @@ class RolloutResult:
     in one array, built once after the episode from one flat list, and th,
     dth, ddth and torques are column views of it; controls are rows of the
     decoded control table. A cost of NaN marks an episode that was
-    simulated but not scored (MPC's plant segments).
+    simulated but not scored (MPC's plant segments). An episode that
+    stopped at its `bound` (termination 'bound', see rollout) is not
+    scored either: its cost is a running partial sum of its stages above
+    the bound, to be compared and not read, and its arrays end where the
+    episode stopped, as a goal's do.
 
     rollout_batch scores a population as one result whose th, dth, ddth and
     controls have a leading row axis, one row per episode; it leaves
@@ -117,7 +124,7 @@ class RolloutResult:
     pend: np.ndarray | None
     cost: float
     diverged: bool
-    termination: str            # 'horizon', 'goal', or 'diverged'
+    termination: str            # 'horizon', 'goal', 'diverged' or 'bound'
     steps: int
 
     @property
@@ -270,7 +277,8 @@ def _score(task, result: RolloutResult, parameterization):
 def rollout(task, controller, theta, parameterization: ControlParameterization,
             perturbation: Perturbation | None = None,
             initial_state: ArmState | None = None, controller_state=None,
-            ball0: BallState | None = None) -> RolloutResult:
+            ball0: BallState | None = None,
+            bound: float | None = None) -> RolloutResult:
     """Simulate one episode of `task` under `controller` and decision vector
     `theta`, the input rollout_batch takes one row of, and score it.
 
@@ -291,19 +299,32 @@ def rollout(task, controller, theta, parameterization: ControlParameterization,
     controller's state0 when None) and ends as the result's
     controller_state. _simulate runs the episode; this function adds the
     score.
+
+    `bound` lets a caller that only asks whether the cost is below it stop
+    a losing episode early. It applies only to a task that declares its
+    stages (a stage_terms method, as SmoothReaching has), and is ignored
+    otherwise. Such an episode keeps a running sum of the stage terms it
+    has seen, and once that sum exceeds the bound after a step that did
+    not diverge, or at the end of the episode, the episode stops there
+    with termination 'bound', cost that sum and no score; its true cost is
+    at least the sum, up to rounding. An episode whose sum never passes
+    the bound gets its exact score, the float it gets without a bound.
     """
     result = _simulate(task, controller, theta, parameterization,
-                       perturbation, initial_state, controller_state, ball0)
-    if not result.diverged:
+                       perturbation, initial_state, controller_state, ball0,
+                       bound)
+    if result.termination in ("horizon", "goal"):
         result.cost = float(_score(task, result, parameterization))
     return result
 
 
 def _simulate(task, controller, theta, parameterization, perturbation,
-              initial_state, controller_state, ball0) -> RolloutResult:
+              initial_state, controller_state, ball0,
+              bound=None) -> RolloutResult:
     """rollout's episode without its score: the cost is SENTINEL_COST if it
-    diverged and NaN otherwise. MPC's plant segments, whose cost nothing
-    reads, run this.
+    diverged, the running stage sum if it stopped at `bound` (see rollout),
+    and NaN otherwise. MPC's plant segments, whose cost nothing reads, run
+    this.
 
     One loop serves every case: per step one controller.torques call, then
     arm._symp_step's arithmetic written out inline (the pendulum load, the
@@ -321,6 +342,18 @@ def _simulate(task, controller, theta, parameterization, perturbation,
     reads each step's control row from zoh_control's per-segment table as
     a list; controls, one row per step, is indexed out of that table. A
     pendulum load and a ball each keep a list of their own.
+
+    The bound, in the same loop: the running sum starts with sample 0's
+    angle and velocity terms. Each step adds those of the sample it makes
+    and, from the second step on, the jerk term of the sample before the
+    one before it, the last whose neighbouring accelerations are known
+    (sample 0's one-sided jerk at the second step). A sum that leaves out
+    non-negative terms is still a lower bound. The check comes after the
+    divergence and goal checks, so a step that diverges is still a
+    divergence. A window that runs to its horizon adds the last two jerk
+    terms once the terminal acceleration is known; the sum then holds
+    every term of the cost, and a window whose sum passes the bound there
+    stops unscored as well, with all its steps.
     """
     params = task.params
     p_eff = perturbation.apply_to(params) if perturbation is not None else params
@@ -360,6 +393,17 @@ def _simulate(task, controller, theta, parameterization, perturbation,
     termination = "horizon"
     steps = 0
     tau1 = tau2 = 0.0
+    terms = getattr(task, "stage_terms", None) if bound is not None else None
+    if terms is not None:
+        kt1, kt2, d1, d2, kv1, kv2, dd1, dd2, gain = terms()
+        half = gain / 2.0
+        e1 = th1 - d1
+        e2 = th2 - d2
+        v1 = w1 - dd1
+        v2 = w2 - dd2
+        run = kt1 * e1 * e1 + kt2 * e2 * e2 + kv1 * v1 * v1 + kv2 * v2 * v2
+        # the accelerations of the last step (la) and the one before (pa)
+        la1 = la2 = pa1 = pa2 = 0.0
     # the mass-matrix terms of the configuration the next step starts from;
     # each step computes its new configuration's, so only the first are
     # computed here. An infinite th2 leaves them NaN: the first step's
@@ -428,6 +472,28 @@ def _simulate(task, controller, theta, parameterization, perturbation,
                     ArmState(th1=th1, th2=th2, dth1=w1, dth2=w2, t=t0 + steps * dt)):
                 termination = "goal"
                 break
+            if terms is not None:
+                e1 = th1 - d1
+                e2 = th2 - d2
+                v1 = w1 - dd1
+                v2 = w2 - dd2
+                run += (kt1 * e1 * e1 + kt2 * e2 * e2 + kv1 * v1 * v1
+                        + kv2 * v2 * v2)
+                if k > 1:       # sample k - 1's jerk
+                    j1 = half * (a1 - pa1)
+                    j2 = half * (a2 - pa2)
+                    run += j1 * j1 + j2 * j2
+                elif k:         # sample 0's
+                    j1 = gain * (a1 - la1)
+                    j2 = gain * (a2 - la2)
+                    run += j1 * j1 + j2 * j2
+                pa1 = la1
+                pa2 = la2
+                la1 = a1
+                la2 = a2
+                if run > bound:
+                    termination = "bound"
+                    break
     except (ValueError, OverflowError) as exc:
         # math.cos of an overflowed angle raises "math domain error" inside
         # the step, where rollout_batch's np.cos gives NaN: step k
@@ -453,6 +519,16 @@ def _simulate(task, controller, theta, parameterization, perturbation,
             coeffs, th1, th2, w1, w2, tau1, tau2, pend_pert, phi_p, dphi_p)
     else:
         a1, a2 = _accel(coeffs, th1, th2, w1, w2, tau1, tau2)
+    if terms is not None and termination == "horizon" and steps > 1:
+        # the last two jerks: the sum is now the whole cost, up to rounding
+        j1 = half * (a1 - pa1)
+        j2 = half * (a2 - pa2)
+        run += j1 * j1 + j2 * j2
+        j1 = gain * (a1 - la1)
+        j2 = gain * (a2 - la2)
+        run += j1 * j1 + j2 * j2
+        if run > bound:
+            termination = "bound"
     rec += (math.nan, math.nan, a1, a2)
     samples = _rows(rec, steps + 1)
 
@@ -462,7 +538,8 @@ def _simulate(task, controller, theta, parameterization, perturbation,
         controller_state=cstate,
         ball=_rows(balls, steps + 1) if balls is not None else None,
         pend=_rows(pend, steps + 1) if pend is not None else None,
-        cost=SENTINEL_COST if diverged else math.nan, diverged=diverged,
+        cost=(SENTINEL_COST if diverged else run if termination == "bound"
+              else math.nan), diverged=diverged,
         termination=termination, steps=steps)
 
 
@@ -691,6 +768,23 @@ def mpc_run(task, controller, mpc: MpcConfig,
     the scalar rollout. mpc.resolution must be a whole multiple of DT_SIM
     and divide the task's horizon (ValueError before any work otherwise).
 
+    A refinement probe that is losing stops early. local_refine only ever
+    compares a cost with the smallest its objective has returned so far
+    (the start plan's, then each accepted probe's), so each window's
+    objective hands rollout that smallest cost times (1 + REFINE_SLACK) as
+    its `bound`. A window of a task that declares its stages (SmoothReaching)
+    then stops once its running stage sum exceeds the bound, with
+    termination 'bound' and a cost above the incumbent, which local_refine
+    rejects as it would the full window's. The start plan and every
+    accepted probe run in full and get their exact cost, so plans,
+    step_evals and the executed trajectory are what unbounded windows
+    give, and a stopped probe counts one evaluation like any other. The
+    margin covers rounding: the running sum and window_cost's pairwise sum
+    add the same at most about 10 n non-negative terms (n samples) in
+    different orders, which differ by about 10 n eps relative, near 1e-13
+    for a 61-sample window. No bound is set while the incumbent is at
+    least SENTINEL_COST, where a probe that diverges later could still win.
+
     The executed trajectory is one rollout, from the task's initial state,
     of the first segments of the plans applied, on the plant; it walks the
     plant segments' states bit for bit, and its cost is the functional OC
@@ -722,10 +816,19 @@ def mpc_run(task, controller, mpc: MpcConfig,
     ball = task.initial_ball() if getattr(task, "has_ball", False) else None
 
     def window_objective(snap_state, snap_ctrl, snap_ball):
+        best = math.inf         # the smallest cost returned so far
+
         def objective(theta):
-            return rollout(task, controller, theta, par,
+            nonlocal best
+            # local_refine's incumbent is best, and a probe that cannot
+            # get below it is only ever rejected, however far it runs
+            bound = best * (1.0 + REFINE_SLACK) if best < SENTINEL_COST else None
+            cost = rollout(task, controller, theta, par,
                            perturbation=pred_pert, initial_state=snap_state,
-                           controller_state=snap_ctrl, ball0=snap_ball).cost
+                           controller_state=snap_ctrl, ball0=snap_ball,
+                           bound=bound).cost
+            best = min(best, cost)
+            return cost
         return objective
 
     def warm_objective(thetas):         # from the task's start

@@ -29,6 +29,13 @@ class ObjectiveWeights:
     s_* are per-joint normalization scales (shoulder, elbow); w_* the
     corresponding weights and jerk_gain the multiplier on the discrete jerk
     measure. lam1/lam2/eps parameterize the precise-reaching reward.
+
+    A scale or weight is one number for both joints or a pair. Building
+    one refuses a scale that is not positive and finite, a weight that is
+    negative or not finite, and a non-finite jerk_gain, lam1, lam2 or eps:
+    with them every smooth-reach stage term is a finite weight times a
+    square, so never negative, which MPC refinement's early stop relies on
+    (SmoothReaching.stage_terms).
     """
 
     s_th: tuple = (2.45, 2.45)
@@ -39,6 +46,21 @@ class ObjectiveWeights:
     lam1: float = 0.1
     lam2: float = 1e-4
     eps: float = 1e-4
+
+    def __post_init__(self):
+        for name, what in (("s_th", "positive"), ("s_dth", "positive"),
+                           ("w_th", "non-negative"), ("w_dth", "non-negative")):
+            value = np.asarray(getattr(self, name), dtype=float)
+            low = value <= 0.0 if what == "positive" else value < 0.0
+            if (value.shape not in ((), (2,)) or not np.isfinite(value).all()
+                    or low.any()):
+                raise ValueError(f"ObjectiveWeights.{name} must be one {what} "
+                                 f"finite number or a pair of them, got "
+                                 f"{getattr(self, name)!r}")
+        for name in ("jerk_gain", "lam1", "lam2", "eps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"ObjectiveWeights.{name} must be finite, "
+                                 f"got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -159,6 +181,8 @@ class SmoothReaching:
                       np.asarray(target.dth_des))
         self._jerk_gain = w.jerk_gain
         self._tiled = (0, None)        # (n, the rows tiled to n samples)
+        self._terms = (*(float(v) for row in self._rows
+                         for v in np.broadcast_to(row, 2)), float(w.jerk_gain))
 
     def _stage(self, th, dth, jerk) -> np.ndarray:
         """(w_th/s_th) e_th^2 + (w_dth/s_dth) e_dth^2 + (jerk_gain jerk)^2,
@@ -203,6 +227,20 @@ class SmoothReaching:
 
     def stage_series(self, traj) -> np.ndarray:
         return self._stage(traj.th, traj.dth, jerk_from_accel(traj.ddth))
+
+    def stage_terms(self) -> tuple:
+        """The stage's constants as floats, for a running lower bound on a
+        window's cost (control.rollout's `bound`): w_th/s_th of the
+        shoulder and the elbow, then th_des, w_dth/s_dth and dth_des the
+        same way, and last jerk_gain.
+
+        A task with this method declares that its window cost is a sum of
+        non-negative terms, each sample's weighted squared angle and
+        velocity errors and squared weighted jerk, so a partial sum of
+        them never exceeds the whole (ObjectiveWeights refuses a weight
+        that would make a term negative). A task without it, such as ball
+        serve, whose cost falls as its window runs, is never bounded."""
+        return self._terms
 
 
 @dataclass

@@ -182,6 +182,12 @@ def local_refine(objective, x0, radius0: float, budget: int,
     every probe lands on x itself (lo == hi in every coordinate, or a radius
     too small to move x). The search then stops early, and evals says how
     many it made.
+
+    The objective's values are only ever compared with the smallest value
+    it has returned so far: the first evaluation's, then each strict
+    improvement's. So an objective may stop evaluating a point once it
+    knows the value would exceed that one, and return any value above it
+    (mpc_run's window objective does).
     """
     x = np.minimum(np.maximum(np.asarray(x0, dtype=float), lo), hi)
     if budget < 1:

@@ -73,6 +73,19 @@ class TestUsageErrors:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_visible_without_a_perturbation_is_a_usage_error(self, tmp_path,
+                                                             capsys):
+        # with --perturb none the prediction model has nothing to see, and
+        # --visible used to run and write the same CSVs as without it
+        out = tmp_path / "out"
+        assert run_cli("mpc", "--visible", "--tpred", "0.02",
+                       "--population", "4", "--warm-generations", "1",
+                       "--refine-budget", "1", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "myoarm: error:" in err and "--visible" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_simulate_has_no_visible_flag(self, tmp_path, capsys):
         # simulate has no prediction model, so the flag changed nothing
         out = tmp_path / "out.csv"

@@ -208,6 +208,18 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=f"{key} repeats"):
             ExperimentConfig.from_mapping(parse_config_text(f"{key} = {value}\n"))
 
+    @pytest.mark.parametrize("key, value", [
+        ("weights.w_th", "-2.0, 2.0"),
+        ("weights.s_th", "0.0, 2.45"),
+        ("weights.s_dth", "-1"),
+        ("weights.w_dth", "1, 2, 3"),
+        ("arm.l1", "-0.3")])
+    def test_a_refused_override_names_its_key(self, key, value):
+        # w_th = -2.0, 2.0 used to build a task whose stages could be
+        # negative, and s_th = 0.0, 2.45 one that divided by zero
+        with pytest.raises(ValueError, match=f"config key {key} = "):
+            ExperimentConfig.from_mapping(parse_config_text(f"{key} = {value}\n"))
+
     @pytest.mark.parametrize("kind, key, word", [
         ("data_efficiency", "optimizer.sigma", "yes"),
         ("data_efficiency", "grid.c", "on"),

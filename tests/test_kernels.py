@@ -505,6 +505,61 @@ def test_rollout_stops_at_the_goal(morph, seed, goal_step):
     assert_rollout_matches(res, rollout_reference(task, ctrl, *plan))
 
 
+@settings(max_examples=100, deadline=None, database=None)
+@given(morph=st.sampled_from(["muscle", "torque"]), seed=seeds,
+       weights=weight_sets, target=targets,
+       # bounds just under the cost, too, which only a whole window passes
+       fraction=st.one_of(finite(0.0, 1.5), finite(0.999, 1.0)))
+def test_a_bounded_rollout_stops_only_above_its_bound(morph, seed, weights,
+                                                      target, fraction):
+    # an MPC window from a random snapshot (arm state and state row): a
+    # rollout bounded at a fraction of the window's cost either stops
+    # above the bound, at the partial sum of the stage terms it has seen,
+    # or is the unbounded rollout bit for bit. The sum and the cost add
+    # the same terms in different orders, so they agree to rounding only
+    task = SmoothReaching(weights=weights, target=target)
+    ctrl = make_controller(morph)
+    theta, par = random_plan(task, ctrl, seed, resolution=0.01)
+    par = replace(par, horizon=0.3)
+    theta = theta[:par.dim]
+    rng = np.random.default_rng(seed)
+    snap = dict(initial_state=ArmState(*rng.uniform(-3.0, 3.0, 2),
+                                       *rng.uniform(-10.0, 10.0, 2)),
+                controller_state=tuple(rng.uniform(0.0, 1.0,
+                                                   len(ctrl.state0))))
+    full = rollout(task, ctrl, theta, par, **snap)
+    assert full.termination == "horizon"
+    bound = fraction * full.cost
+    res = rollout(task, ctrl, theta, par, **snap, bound=bound)
+    if res.termination == "bound":
+        n = res.steps
+        assert 1 <= n <= par.n_steps
+        assert np.array_equal(res.th, full.th[:n + 1])
+        assert np.array_equal(res.dth, full.dth[:n + 1])
+        # the stages of samples 0..n without their jerk terms, and the
+        # jerk terms of samples 0..n-2, the last whose accelerations the
+        # episode made; at the end of the window, once that sum has not
+        # passed the bound, the whole cost
+        states = smooth_reach_stages(full.th, full.dth, full.ddth,
+                                     replace(weights, jerk_gain=0.0), target)
+        jerks = smooth_reach_stages(full.th, full.dth, full.ddth,
+                                    replace(weights, w_th=(0.0, 0.0),
+                                            w_dth=(0.0, 0.0)), target)
+        seen = states[:n + 1].sum() + jerks[:n - 1].sum()
+        if n == par.n_steps and not seen > bound:
+            seen = states.sum() + jerks.sum()
+        assert res.cost == pytest.approx(seen, rel=1e-12, abs=0.0)
+        assert res.cost > bound and full.cost >= bound * (1.0 - 1e-12)
+        assert res.cost <= full.cost * (1.0 + 1e-12)
+    else:
+        for name, want in vars(full).items():
+            got = getattr(res, name)
+            if isinstance(want, np.ndarray):
+                assert np.array_equal(got, want), name
+            else:
+                assert got == want, name
+
+
 @pytest.mark.parametrize("morph", ["muscle", "torque"])
 def test_rollout_simulates_and_scores_on_the_tasks_arm(morph):
     # a longer upper arm and a heavier forearm: the task draws its goal for

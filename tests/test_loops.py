@@ -512,22 +512,68 @@ class TestMpc:
     def test_only_the_evaluations_are_scored(self, monkeypatch):
         # each window the run scores is one counted evaluation (a tiny
         # smooth-reach run diverges in no window): a refinement probe is
-        # one window_cost call, a warm-start generation one call for its
-        # whole population, one row per window; the plant segments used to
-        # be scored too, and nothing read their costs
-        real = SmoothReaching.window_cost
-        scored = []
+        # one window_cost call unless it stopped at its bound, a warm-start
+        # generation one call for its whole population, one row per
+        # window; the plant segments used to be scored too, and nothing
+        # read their costs. A stopped probe is an evaluation with no score
+        import myoarm.control as control
+        real, real_rollout = SmoothReaching.window_cost, control.rollout
+        scored, stopped = [], []
 
         def counted(task, traj):
             rows = traj.th.shape[0] if traj.th.ndim == 3 else 1
             scored.extend([traj.steps] * rows)
             return real(task, traj)
 
+        def watched(*args, **kwargs):
+            result = real_rollout(*args, **kwargs)
+            if result.termination == "bound":
+                stopped.append(result.steps)
+            return result
+
         monkeypatch.setattr(SmoothReaching, "window_cost", counted)
+        monkeypatch.setattr(control, "rollout", watched)
         cfg = tiny_mpc(seed=2)
         res = mpc_run(SmoothReaching(), TorqueController(), cfg)
-        assert len(scored) == res.step_evals[-1]
-        assert set(scored) == {round(cfg.t_pred / DT_SIM)}
+        n = round(cfg.t_pred / DT_SIM)
+        assert stopped and len(scored) + len(stopped) == res.step_evals[-1]
+        assert set(scored) == {n}
+        assert all(1 <= steps <= n for steps in stopped)
+
+    @pytest.mark.parametrize("family", [MuscleController, TorqueController])
+    @pytest.mark.parametrize("mass", [0.0, 2.0])
+    def test_a_bounded_refinement_is_the_unbounded_one(self, monkeypatch,
+                                                       family, mass):
+        # stopping a losing probe at its bound changes no plan, no count
+        # and no executed sample: the run equals one whose task declares
+        # no stages, so that every window runs in full
+        import myoarm.control as control
+        task = SmoothReaching(duration=0.3)
+        cfg = tiny_mpc(seed=5, t_pred=0.1, resolution=0.01, warm_generations=2)
+        load = Perturbation(kind="lower_arm_mass", mass=mass) if mass else None
+        real_rollout, stopped = control.rollout, []
+
+        def watched(*args, **kwargs):
+            result = real_rollout(*args, **kwargs)
+            stopped.append(result.termination == "bound")
+            return result
+
+        monkeypatch.setattr(control, "rollout", watched)
+        bounded = mpc_run(task, family(), cfg, perturbation=load)
+        assert any(stopped)
+        monkeypatch.delattr(SmoothReaching, "stage_terms")
+        del stopped[:]
+        full = mpc_run(task, family(), cfg, perturbation=load)
+        assert not any(stopped)
+        for name in ("step_costs", "step_evals", "plans"):
+            got, want = getattr(bounded, name), getattr(full, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        for name, want in vars(full.executed).items():
+            got = getattr(bounded.executed, name)
+            if isinstance(want, np.ndarray):
+                assert np.array_equal(got, want, equal_nan=True), name
+            else:
+                assert got == want, name
 
     def test_budget_parity(self):
         task = SmoothReaching()

@@ -123,6 +123,34 @@ class TestSmoothReaching:
         assert task.window_cost(traj) == 0.0
 
 
+class TestObjectiveWeights:
+    @pytest.mark.parametrize("field, value", [
+        ("w_th", (-2.0, 2.0)),           # used to build a task
+        ("w_dth", -1.0),
+        ("w_dth", (1.0, math.inf)),
+        ("s_th", (0.0, 2.45)),           # used to warn and weigh by inf
+        ("s_dth", (-18.7, 27.9)),
+        ("s_th", (math.nan, 2.45)),
+        ("s_th", (1.0, 2.0, 3.0)),       # neither one number nor a pair
+        ("jerk_gain", math.nan),         # used to be accepted
+        ("jerk_gain", math.inf),
+        ("lam2", math.nan),
+        ("eps", -math.inf)])
+    def test_a_bad_weight_is_refused(self, field, value):
+        # every smooth-reach stage term must be a finite weight times a
+        # square, never negative, or a partial sum is no lower bound
+        with pytest.raises(ValueError, match=f"ObjectiveWeights.{field}"):
+            ObjectiveWeights(**{field: value})
+
+    def test_zero_weights_and_one_number_for_both_joints_are_accepted(self):
+        w = ObjectiveWeights(w_th=0.0, w_dth=(0.0, 1.0), s_th=2.0,
+                             jerk_gain=-1.0)
+        task = SmoothReaching(weights=w)
+        assert task.stage_terms() == (0.0, 0.0, *TARGET.th_des, 0.0,
+                                      1.0 / W.s_dth[1], *TARGET.dth_des,
+                                      -1.0)
+
+
 class TestJerk:
     def test_quadratic_series_exact_interior(self):
         dt = 0.01

@@ -20,7 +20,8 @@ kind, every task, the torque calibration and each CLI run command:
   fast-reach, three CMA-ES generations) and `mpc` (muscle; torque with a
   hand mass; pendulum load; fast-reach; ball-serve; a torque fast-reach
   run that stops at the goal; a refinement budget above twice the plan's
-  dimension, so the pattern search halves its radius);
+  dimension, so the pattern search halves its radius; 0.1 s windows, long
+  enough for losing refinement probes to stop at their bound);
 - CLI runs over files the set has written: `experiment --config ...
   --jobs 1` (data_efficiency at c 0.3, seeds 2 and 3), `summarize` over
   the trace CSVs of that run and of the data_efficiency sweep's c 0.3
@@ -125,6 +126,9 @@ CLI_RUNS = {
     # a budget of 20 against a muscle plan of dimension 8 (tpred 0.02)
     "mpc_refine_halves": ["mpc", "--tpred", "0.02", "--population", "4",
                           "--warm-generations", "1", "--refine-budget", "20"],
+    # 20-step windows, in which most rejected probes stop at their bound
+    "mpc_probe_bound": ["mpc", "--tpred", "0.1", "--population", "4",
+                        "--warm-generations", "1", "--refine-budget", "10"],
 }
 
 
