@@ -27,10 +27,11 @@ __version__ = "0.1.0"
 from .arm import ArmParams, ArmState, BallState, Perturbation
 from .actuators import AblationFlags, MuscleParams, make_controller
 from .objectives import (ObjectiveWeights, ReachTarget, make_task)
-from .optimizers import CmaConfig, cma_es, local_refine
+from .optimizers import CmaConfig, CmaEs, cma_es, local_refine
 from .control import (ControlParameterization, MpcConfig, RolloutResult,
-                      calibrate_torque_limits, mpc_run, open_loop_optimize,
-                      rollout, rollout_batch)
+                      calibrate_torque_limits, mpc_run, open_loop_lockstep,
+                      open_loop_optimize, rollout, rollout_batch,
+                      rollout_plans)
 from .config import ExperimentConfig, load_config
 from .harness import run_experiment, summarize
 
@@ -38,9 +39,9 @@ __all__ = [
     "ArmParams", "ArmState", "BallState", "Perturbation",
     "MuscleParams", "AblationFlags", "make_controller",
     "ReachTarget", "ObjectiveWeights", "make_task",
-    "ControlParameterization", "CmaConfig", "cma_es", "local_refine",
-    "RolloutResult", "MpcConfig", "rollout", "rollout_batch",
-    "open_loop_optimize",
+    "ControlParameterization", "CmaConfig", "CmaEs", "cma_es", "local_refine",
+    "RolloutResult", "MpcConfig", "rollout", "rollout_batch", "rollout_plans",
+    "open_loop_optimize", "open_loop_lockstep",
     "mpc_run", "calibrate_torque_limits",
     "ExperimentConfig", "load_config",
     "run_experiment", "summarize",

@@ -1,8 +1,9 @@
 """Command-line interface: single runs, sweeps, and CSV post-processing.
 
 `optimize` and `mpc` describe their one run as an ExperimentConfig, so it
-gets a sweep's checks, and run it through the sweep's own point runners
-(harness._oc_run, harness._mpc_run).
+gets a sweep's checks, and run it from the sweep's own point builders
+(harness._oc_run, harness._mpc_run): `optimize` is a lockstep of one run
+(control.open_loop_optimize).
 
 Exit codes: 0 on success; 1 on a usage or configuration error (a bad flag
 or value such as `--jobs 0`, an unknown task, an unreadable config, a bad
@@ -19,7 +20,8 @@ import numpy as np
 from .actuators import MORPHOLOGIES, AblationFlags, make_controller
 from .arm import Perturbation
 from .config import ExperimentConfig
-from .control import calibrate_torque_limits, parameterization_for, rollout
+from .control import (calibrate_torque_limits, open_loop_optimize,
+                      parameterization_for, rollout)
 from .harness import (TRACE_HEADER, _mpc_run, _oc_run, default_jobs, fmt,
                       mpc_trace_rows, oc_trace_rows, read_csv, run_experiment,
                       summarize, write_csv, write_trajectory_csv)
@@ -98,7 +100,8 @@ def cmd_optimize(args):
                          population=args.population,
                          generations=args.generations)
     label = config.morphologies[0]
-    trace, best = _oc_run(config, label, args.c, args.sigma, args.seed)
+    task, c, cma = _oc_run(config, args.c, args.sigma, args.seed)
+    _, best, trace, _ = open_loop_optimize(task, make_controller(label), c, cma)
     rows = oc_trace_rows("optimize", args.task, label, args.c, args.sigma,
                          args.seed, trace)
     return _write_run(args, best, rows, ("best.csv", "trace.csv"),

@@ -1,9 +1,10 @@
 """Rollouts, open-loop trajectory optimization, and sampling-based MPC.
 
 The control layer has one calling convention. Every entry point (rollout,
-rollout_batch, open_loop_optimize, mpc_run) takes the controller object
-itself (actuators.make_controller builds one from a run label such as
-'muscle-nofl'), and every one runs at the one physics timestep DT_SIM. A
+rollout_batch, rollout_plans, open_loop_optimize, open_loop_lockstep,
+mpc_run) takes the controller object itself (actuators.make_controller
+builds one from a run label such as 'muscle-nofl'), and every one runs at
+the one physics timestep DT_SIM. A
 control plan has one form everywhere: a zero-order-hold decision vector
 with its ControlParameterization, which `rollout` takes one of and
 `rollout_batch` a population of, and which zoh_control decodes. The
@@ -33,13 +34,15 @@ each new configuration's mass-matrix terms into the next step instead of
 deriving them again. `rollout` runs one episode on floats and is the
 reference; its loop (_simulate) writes arm._symp_step's arithmetic out
 inline, the same operations in the same order, because a call per step is
-a sizeable share of a short MPC window's time. `rollout_batch` scores a
-whole (population, dim) array of decision vectors in lockstep, one call of
+a sizeable share of a short MPC window's time. `rollout_plans` scores
+several populations of decision vectors (plans that share the episode
+length, the arm and the start state) in lockstep, one call of
 arm._symp_step on NumPy arrays per physics step, which takes the terms of
 the configuration it starts from and returns the new one's, and gives
-every row the cost `rollout` gives it. At a CMA-ES population's size a
-NumPy call's fixed cost is most of its cost, so no operation of the batch
-step mixes a Python float with an array: the step's constants and dt are
+every row the cost `rollout` gives it; `rollout_batch` is its one-plan
+case. At a CMA-ES population's size a NumPy call's fixed cost is most of
+its cost, so no operation of the batch step mixes a Python float with an
+array: the step's constants and dt are
 0-d float64 arrays (_array_coeffs), and so are the controllers' in their
 array kernels. So the step's arithmetic lives in exactly two places,
 _symp_step and _simulate's loop, and tests pin each: in
@@ -49,16 +52,18 @@ test_carried_mass_terms_are_the_new_configurations the terms it hands on
 to _mass_matrix, test_array_step_matches_the_scalar_step_element_by_element
 its array use, with rollout_batch's constants, to its float use, and the
 rollout_reference tests hold the loop, step by step, to the composed step;
-tests/test_batch.py holds rollout_batch's costs to rollout's. rollout_batch
-scores its population with one call of the task's cost (or window cost)
-on the population's arrays, which gives every row the float `rollout`'s
-call gives it. cma_es hands each generation to its objective as one such
-array, so open-loop optimization and the MPC warm start score populations
-with rollout_batch;
-the pattern-search refinement, MPC's executed trajectory and the best-plan
-rollouts use `rollout`, and the MPC plant segments its unscored half. A
-refinement probe hands `rollout` the incumbent's cost as a bound, and
-stops once a running sum of its stages passes it (see mpc_run).
+tests/test_batch.py holds rollout_batch's costs to rollout's. Each plan's
+population is scored with one call of its task's cost (or window cost) on
+the population's arrays, which gives every row the float `rollout`'s call
+gives it. CMA-ES hands out each generation as one such array
+(optimizers.CmaEs): the MPC warm start scores its generations with
+rollout_batch, and open-loop optimization advances several runs in
+lockstep (open_loop_lockstep), scoring a generation of all of them with
+one rollout_plans call. The pattern-search refinement, MPC's executed
+trajectory and the best-plan rollouts use `rollout`, and the MPC plant
+segments its unscored half. A refinement probe hands `rollout` the
+incumbent's cost as a bound, and stops once a running sum of its stages
+passes it (see mpc_run).
 """
 
 import math
@@ -70,7 +75,7 @@ import numpy as np
 from .arm import (ArmState, BallState, Perturbation, _accel, _Coeffs, _hand,
                   _mass_terms, _pendulum_forces, _pendulum_step, _symp_step,
                   ball_step)
-from .optimizers import CmaConfig, cma_es, local_refine
+from .optimizers import CmaConfig, CmaEs, cma_es, local_refine
 
 DT_SIM = 0.005                 # physics timestep, seconds
 SENTINEL_COST = 1e9            # diverged run, minimization convention
@@ -577,63 +582,94 @@ def _array_coeffs(params) -> _Coeffs:
 
 def rollout_batch(task, controller, thetas, parameterization: ControlParameterization,
                   perturbation: Perturbation | None = None) -> np.ndarray:
-    """Costs of a (population, dim) array of zero-order-hold decision vectors.
+    """Costs of a (population, dim) array of zero-order-hold decision
+    vectors: row i's is the cost of
+    rollout(task, controller, thetas[i], parameterization, perturbation).
+    It is rollout_plans with one plan, so one population runs the loop that
+    several run in lockstep."""
+    return rollout_plans(controller, [(task, thetas, parameterization)],
+                         perturbation)[0]
 
-    Row i's cost is the cost of
+
+def rollout_plans(controller, plans, perturbation: Perturbation | None = None):
+    """Costs of several populations of decision vectors rolled out in
+    lockstep under one controller: one array per (task, thetas,
+    parameterization) plan, in order, whose row i holds the cost of
     rollout(task, controller, thetas[i], parameterization, perturbation),
     an episode from the task's initial state and the controller's state0
-    (a start snapshot is rollout's alone). All rows advance together in
-    structure-of-arrays form: one ZOH decode for the population, then per
-    physics step one call of the step that
-    controller.batch_torques(population) makes and one of arm._symp_step
-    on arrays with np.cos/np.sin (the step `rollout`'s loop writes out
-    inline, operation for operation). Each step takes the mass-matrix
-    terms (m11, s, det) the step before handed on, so they are derived once
-    per configuration, the first ones by arm._mass_terms; the step's
-    constants and dt are 0-d float64 arrays (_array_coeffs), which NumPy
-    takes at a lower fixed cost per call than Python floats, with the same
-    values. Every other operation is the scalar path's, in its order, and
-    every one is the same IEEE operation on the same operands as there,
-    so the costs agree bit for bit
-    wherever np.cos/np.sin equal math.cos/math.sin (tests/test_batch.py
-    probes that, and holds the paths to rtol 1e-9 where they differ).
+    (a start snapshot is rollout's alone).
+
+    The plans rolled out together must share n_steps, the arm
+    (task.params) and the start state, and may differ in anything else:
+    resolution, population and the task's goal (ValueError otherwise).
+    Every plan's rows are stacked into one population of N rows that
+    advances together in structure-of-arrays form. Each plan is decoded
+    once, and its per-step controls (table[:, segment_of_step]) are
+    stacked into one (na, N) block per physics step before the loop. Then
+    per step there is one call of the step that
+    controller.batch_torques(N) makes and one of arm._symp_step on arrays
+    with np.cos/np.sin (the step `rollout`'s loop writes out inline,
+    operation for operation). Each step takes the mass-matrix terms (m11,
+    s, det) the step before handed on, so they are derived once per
+    configuration, the first ones by arm._mass_terms; the step's constants
+    and dt are 0-d float64 arrays (_array_coeffs), which NumPy takes at a
+    lower fixed cost per call than Python floats, with the same values.
+    Every other operation is the scalar path's, in its order, and every
+    one is the same elementwise IEEE operation on the same operands as
+    there, so no row's numbers depend on the rows beside it, and the costs
+    agree bit for bit wherever np.cos/np.sin equal math.cos/math.sin
+    (tests/test_batch.py probes that, and holds the paths to rtol 1e-9
+    where they differ).
+
     It records as _simulate does, into one flat list, here of
     population-wide columns: the initial (th1, th2, w1, w2), then each
     step's (a1, a2, th1, th2, w1, w2), then the terminal (a1, a2). One
-    array built from it after the loop holds sample j of row i at [i, j],
-    and th, dth and ddth are slices of it; th[rows] and the like copy the
-    scored rows into C-contiguous arrays, the layout in which the task sums
-    each row as it sums that row's episode alone. A row with a non-finite
-    angle or velocity sample is diverged and scores
-    SENTINEL_COST. The other rows are scored together, by one call of the
-    task's own cost (or window cost, by _score's rule) on one RolloutResult
-    whose th, dth, ddth and controls hold those rows, with a leading row
-    axis, and whose torques and controller_state are None; the task gives
-    each row the float it gives that row's episode alone. Every row starts
-    from the controller's state0, as column i of the array the batch step
-    advances. The cases in _scalar_only run through `rollout` row by row
-    instead.
+    array built from it after the loop holds sample j of row i at [i, j].
+    A row with a non-finite angle or velocity sample is diverged and
+    scores SENTINEL_COST. Each plan's other rows are scored together, by
+    one call of that plan's task's own cost (or window cost, by _score's
+    rule) on one RolloutResult whose th, dth, ddth and controls are
+    C-contiguous copies of those rows, with a leading row axis, the layout
+    in which the task sums each row as it sums that row's episode alone;
+    its torques and controller_state are None. The task gives each row
+    the float it gives that row's episode alone. A plan whose task or
+    perturbation is one of the cases in _scalar_only runs through
+    `rollout` row by row instead.
     """
-    table = _zoh_table(thetas, parameterization)
-    if _scalar_only(task, perturbation):
-        return np.array([
-            rollout(task, controller, theta, parameterization,
-                    perturbation=perturbation).cost
-            for theta in np.asarray(thetas, dtype=float)])
+    tables = [_zoh_table(thetas, par) for _, thetas, par in plans]
+    costs = [None] * len(plans)
+    batched = []
+    for i, (task, thetas, par) in enumerate(plans):
+        if _scalar_only(task, perturbation):
+            costs[i] = np.array([
+                rollout(task, controller, theta, par, perturbation=perturbation).cost
+                for theta in np.asarray(thetas, dtype=float)])
+        else:
+            batched.append(i)
+    if not batched:
+        return costs
 
-    params = task.params
+    task = plans[batched[0]][0]
+    params, state = task.params, task.initial_state()
+    n = plans[batched[0]][2].n_steps
+    for i in batched:
+        other = plans[i][0]
+        if (plans[i][2].n_steps != n or other.params != params
+                or other.initial_state() != state):
+            raise ValueError("plans rolled out together must share the "
+                             "episode length, the arm and the start state")
     p_eff = perturbation.apply_to(params) if perturbation is not None else params
     coeffs = _array_coeffs(p_eff)
     dt = np.array(DT_SIM)
-    n = parameterization.n_steps
-    state = task.initial_state()
-    lam = table.shape[0]
+    # (n, n_actuators, N): per step, a C-contiguous block of every row's
+    # control, the plans' rows one after another
+    blocks = np.ascontiguousarray(np.concatenate([
+        tables[i].take(plans[i][2].segment_of_step, axis=1)
+        for i in batched]).transpose(1, 2, 0))
+    lam = blocks.shape[2]
     cstate = np.tile(np.reshape(controller.state0, (-1, 1)), lam)
     torques_of = controller.batch_torques(lam)
 
-    # per segment, an (n_actuators, population) block of controls
-    blocks = list(np.ascontiguousarray(table.transpose(1, 2, 0)))
-    segment = parameterization.segment_of_step
     th1, th2 = np.full(lam, state.th1), np.full(lam, state.th2)
     w1, w2 = np.full(lam, state.dth1), np.full(lam, state.dth2)
     rec = [th1, th2, w1, w2]
@@ -642,8 +678,8 @@ def rollout_batch(task, controller, thetas, parameterization: ControlParameteriz
         # each step takes its configuration's mass-matrix terms and hands
         # on the next one's
         m11, s, det = _mass_terms(coeffs, th2, cos)
-        for seg in segment.tolist():
-            tau1, tau2 = torques_of(cstate, th1, th2, w1, w2, blocks[seg])
+        for block in blocks:
+            tau1, tau2 = torques_of(cstate, th1, th2, w1, w2, block)
             th1, th2, w1, w2, a1, a2, m11, s, det = _batch_step(
                 coeffs, th1, th2, w1, w2, tau1, tau2, dt, m11, s, det, cos, sin)
             rec += (a1, a2, th1, th2, w1, w2)
@@ -651,20 +687,28 @@ def rollout_batch(task, controller, thetas, parameterization: ControlParameteriz
         # rollout records it (the step's a1, a2 are _accel's)
         rec += _batch_step(coeffs, th1, th2, w1, w2, tau1, tau2, dt, m11, s,
                            det, cos, sin)[4:6]
-    # (population, n + 1, 6): sample j's th, dth and ddth, row by row
+    # (N, n + 1, 6): sample j's th, dth and ddth, row by row
     samples = np.array(rec).reshape(n + 1, 6, lam).transpose(2, 0, 1)
-    th, dth, ddth = samples[..., 0:2], samples[..., 2:4], samples[..., 4:6]
     finite = np.isfinite(samples[..., 0:4]).all(axis=(1, 2))
 
-    costs = np.full(lam, SENTINEL_COST)
-    rows = np.flatnonzero(finite)
-    if rows.size:
-        scored = RolloutResult(
-            t0=state.t, th=th[rows], dth=dth[rows], ddth=ddth[rows],
-            controls=table[rows].take(segment, axis=1), torques=None,
-            controller_state=None, ball=None, pend=None, cost=SENTINEL_COST,
-            diverged=False, termination="horizon", steps=n)
-        costs[rows] = _score(task, scored, parameterization)
+    start = 0
+    for i in batched:
+        task, _, par = plans[i]
+        stop = start + tables[i].shape[0]
+        part = samples[start:stop]
+        plan_costs = np.full(stop - start, SENTINEL_COST)
+        rows = np.flatnonzero(finite[start:stop])
+        if rows.size:
+            scored = RolloutResult(
+                t0=state.t, th=part[..., 0:2][rows], dth=part[..., 2:4][rows],
+                ddth=part[..., 4:6][rows], controls=np.ascontiguousarray(
+                    blocks[..., start + rows].transpose(2, 0, 1)),
+                torques=None, controller_state=None, ball=None, pend=None,
+                cost=SENTINEL_COST, diverged=False, termination="horizon",
+                steps=n)
+            plan_costs[rows] = _score(task, scored, par)
+        costs[i] = plan_costs
+        start = stop
     return costs
 
 
@@ -684,23 +728,53 @@ def _box_center(par: ControlParameterization) -> np.ndarray:
 def open_loop_optimize(task, controller, resolution: float,
                        cma_config: CmaConfig):
     """Optimize a zero-order-hold plan of `controller` for the task with
-    CMA-ES.
+    CMA-ES: open_loop_lockstep with one run. Returns (best_theta,
+    best_rollout, trace, parameterization)."""
+    return open_loop_lockstep(controller, [(task, resolution, cma_config)])[0]
 
-    The plan is the controller's task-length parameterization at
-    `resolution` (parameterization_for). Each generation is scored by one
-    rollout_batch call; the best plan is rolled out once more with the
-    scalar rollout. CMA-ES starts from the middle of the control box
-    (_box_center) with cma_config's budget, step size and seed. Returns
-    (best_theta, best_rollout, trace, parameterization).
+
+def open_loop_lockstep(controller, runs):
+    """Optimize several zero-order-hold plans of one controller with
+    CMA-ES in lockstep, one run per (task, resolution, cma_config) in
+    `runs`; returns one (best_theta, best_rollout, trace, parameterization)
+    per run, in order.
+
+    A run's plan is the controller's task-length parameterization at its
+    resolution (parameterization_for), and its search starts from the
+    middle of the control box (_box_center) with its config's budget, step
+    size and seed. The runs must last the same number of generations
+    (ValueError otherwise), and, since each generation of all of them is
+    scored by one rollout_plans call, their tasks must share the horizon,
+    the arm and the start state. The first run's cma_es loop drives the
+    lockstep: each of its objective calls asks every other run for its
+    generation (optimizers.CmaEs), scores them all with its own, tells
+    each its costs and returns the first run's. Every run's best plan is
+    then rolled out once more with the scalar rollout. A run's draws and
+    arithmetic are its own, and rollout_plans gives each row the cost it
+    gives the row alone, so every run returns, bit for bit, what it
+    returns in a lockstep of one.
     """
-    par = parameterization_for(task, controller, resolution)
+    pars = [parameterization_for(task, controller, resolution)
+            for task, resolution, _ in runs]
+    (lead, _, lead_cma), others = runs[0], runs[1:]
+    if any(cma.generations != lead_cma.generations for _, _, cma in others):
+        raise ValueError("runs in lockstep must last the same number of "
+                         "generations")
+    searches = [CmaEs(_box_center(par), cma)
+                for par, (_, _, cma) in zip(pars[1:], others)]
 
-    def objective(thetas):
-        return rollout_batch(task, controller, thetas, par)
+    def objective(thetas):          # the first run's generation
+        costs = rollout_plans(controller, [(lead, thetas, pars[0])] + [
+            (task, es.ask(), par)
+            for (task, _, _), es, par in zip(others, searches, pars[1:])])
+        for es, f in zip(searches, costs[1:]):
+            es.tell(f)
+        return costs[0]
 
-    best_x, best_f, trace = cma_es(objective, _box_center(par), cma_config)
-    best = rollout(task, controller, best_x, par)
-    return best_x, best, trace, par
+    best_x, _, trace = cma_es(objective, _box_center(pars[0]), lead_cma)
+    found = [(best_x, trace)] + [(es.best_x, es.trace) for es in searches]
+    return [(x, rollout(task, controller, x, par), trace, par)
+            for (x, trace), par, (task, _, _) in zip(found, pars, runs)]
 
 
 @dataclass

@@ -18,7 +18,7 @@ from .actuators import make_controller
 from .arm import ArmParams, Perturbation
 from .config import ExperimentConfig
 from .control import (MpcConfig, SENTINEL_COST, calibrate_torque_limits,
-                      mpc_run, open_loop_optimize)
+                      mpc_run, open_loop_lockstep)
 from .objectives import ObjectiveWeights, make_task
 from .optimizers import CmaConfig
 
@@ -108,18 +108,14 @@ def mpc_trace_rows(experiment, task, morphology, resolution, tpred, seed, res):
             for k, cost in enumerate(res.step_costs)]
 
 
-def _oc_run(config: ExperimentConfig, morphology, c, sigma, seed,
-            tau_max=None):
-    """One trajectory-optimization run of `config`'s task and budgets:
-    (trace, best rollout). It builds the run's task, arm, controller and
-    CmaConfig, for sweep points and `myoarm optimize` alike. tau_max is the
-    calibrated torque ceiling, which _sweep hands to torque-family points
-    only."""
-    cma = CmaConfig(population=config.population,
-                    generations=config.generations, sigma0=sigma, seed=seed)
-    _, best, trace, _ = open_loop_optimize(
-        _task_for(config, seed), _controller(morphology, tau_max), c, cma)
-    return trace, best
+def _oc_run(config: ExperimentConfig, c, sigma, seed):
+    """One trajectory-optimization run of `config`'s task and budgets, as
+    control.open_loop_lockstep takes it: (task, resolution c, CmaConfig).
+    It builds the run's task, arm and CmaConfig, for sweep points and
+    `myoarm optimize` alike; the controller is the lockstep's."""
+    return (_task_for(config, seed), c,
+            CmaConfig(population=config.population,
+                      generations=config.generations, sigma0=sigma, seed=seed))
 
 
 def _mpc_run(config: ExperimentConfig, morphology, tpred, seed,
@@ -127,7 +123,8 @@ def _mpc_run(config: ExperimentConfig, morphology, tpred, seed,
     """One receding-horizon run of `config`'s task, mpc.resolution and
     budgets at horizon tpred under `perturbation`: its MpcResult. It builds
     the run's task, arm, controller and MpcConfig, for sweep points and
-    `myoarm mpc` alike; tau_max as in _oc_run, warm_start as in mpc_run."""
+    `myoarm mpc` alike; warm_start as in mpc_run. tau_max is the calibrated
+    torque ceiling, which _sweep hands to torque-family points only."""
     mpc = MpcConfig(t_pred=tpred, resolution=config.mpc_resolution,
                     warm_population=config.population,
                     warm_generations=config.warm_generations,
@@ -211,23 +208,43 @@ def _warm_groups(points):
     return list(groups.values())
 
 
-def _group_worker(args):
-    """One _warm_groups group: per point, in order, (trace rows,
-    calibration sample, MpcResult or None), where the sample is
-    _peak_torques of the point's best or executed rollout. Each point
-    makes exactly one _oc_run or _mpc_run call; a robustness point's mass
-    is a load on the lower arm (_load). The first MPC point runs the
-    group's warm start and every later one is handed its (plans[0],
-    step_evals[0]), so it skips its own (mpc_run)."""
-    config, group, tau_max = args
+def _bundles(points, jobs):
+    """The units of work of one sweep phase. The trajectory-optimization
+    points of each morphology, in grid order, are dealt round-robin into
+    `jobs` bundles (points[i::jobs], empty ones dropped), each run in
+    lockstep; dealing them so keeps the plan dimensions of a c grid mixed
+    in every bundle. Receding-horizon points form their _warm_groups."""
+    by_morph = {}
+    for point in points:
+        if point[3] is None:
+            by_morph.setdefault(point[0], []).append(point)
+    return ([same[i::jobs] for same in by_morph.values()
+             for i in range(min(jobs, len(same)))]
+            + _warm_groups([p for p in points if p[3] is not None]))
+
+
+def _bundle_worker(args):
+    """One _bundles bundle: per point, in order, (trace rows, calibration
+    sample, MpcResult or None), where the sample is _peak_torques of the
+    point's best or executed rollout.
+
+    A trajectory-optimization bundle is one open_loop_lockstep call under
+    one controller, built from each point's _oc_run. Each receding-horizon
+    point makes one _mpc_run call, its mass a load on the lower arm
+    (_load); the first runs the group's warm start and every later one is
+    handed its (plans[0], step_evals[0]), so it skips its own (mpc_run)."""
+    config, bundle, tau_max = args
+    morph = bundle[0][0]
+    if bundle[0][3] is None:
+        found = open_loop_lockstep(
+            _controller(morph, tau_max),
+            [_oc_run(config, c, sigma, seed) for _, c, sigma, _, seed, _ in bundle])
+        return [(oc_trace_rows(config.kind, config.task, morph, c, sigma, seed,
+                               trace), _peak_torques(best), None)
+                for (_, c, sigma, _, seed, _), (_, best, trace, _)
+                in zip(bundle, found)]
     results, warm_start = [], None
-    for morph, c, sigma, tpred, seed, mass in group:
-        if tpred is None:
-            trace, best = _oc_run(config, morph, c, sigma, seed, tau_max=tau_max)
-            results.append((oc_trace_rows(config.kind, config.task, morph, c,
-                                          sigma, seed, trace),
-                            _peak_torques(best), None))
-            continue
+    for _, _, _, tpred, seed, mass in bundle:
         res = _mpc_run(config, morph, tpred, seed, perturbation=_load(mass),
                        tau_max=tau_max, warm_start=warm_start)
         results.append((mpc_trace_rows(config.kind, config.task, morph,
@@ -280,31 +297,32 @@ def _sweep(config: ExperimentConfig, jobs: int, write_point):
     whose muscle runs all diverged has nothing to calibrate from
     (ValueError). write_point(point, result) writes one point's files
     and returns their paths, in grid order; result is the point's entry
-    in _group_worker's list. The run invariants are checked over all trace
+    in _bundle_worker's list. The run invariants are checked over all trace
     rows before calibration is written. Returns (paths, all trace rows).
 
-    The unit of work is a _warm_groups group: the points of one phase
-    that differ only in their load, which _group_worker runs with one MPC
-    warm start. Every OC and tpred_sweep point is a group of its own, so
-    only the robustness sweep's loads share, one warm start per
-    (morphology, seed). Every group gets the config itself, already
-    validated. With jobs > 1 and more than one group in either phase, both
-    phases run in one process pool of `jobs` workers; otherwise every
-    group runs here, one after another. Either way the results are the
-    same.
+    The unit of work is a bundle (_bundles): the trajectory-optimization
+    points of one phase and morphology are dealt into `jobs` bundles that
+    each advance in lockstep, one rollout_plans call per generation for
+    all of a bundle's runs, and the receding-horizon points of one phase
+    that differ only in their load form a bundle that shares one MPC warm
+    start. Every bundle gets the config itself, already validated. With
+    jobs > 1 and more than one bundle in either phase, both phases run in
+    one process pool of `jobs` workers; otherwise every bundle runs here,
+    one after another. Every run gives what it gives alone, so the files
+    are the same whatever jobs is.
     """
     _prepare_out_dir(config.out_dir)
     points = _run_points(config)
-    muscle = _warm_groups([p for p in points if p[0].startswith("muscle")])
-    other = _warm_groups([p for p in points if not p[0].startswith("muscle")])
+    muscle = _bundles([p for p in points if p[0].startswith("muscle")], jobs)
+    other = _bundles([p for p in points if not p[0].startswith("muscle")], jobs)
     parallel = jobs > 1 and max(len(muscle), len(other)) > 1
     with (ProcessPoolExecutor(max_workers=jobs) if parallel
           else nullcontext()) as pool:
         run = pool.map if pool is not None else map
 
-        def run_phase(groups, tau_max):
-            done = run(_group_worker, [(config, g, tau_max) for g in groups])
-            return {p: r for g, rs in zip(groups, done) for p, r in zip(g, rs)}
+        def run_phase(bundles, tau_max):
+            done = run(_bundle_worker, [(config, b, tau_max) for b in bundles])
+            return {p: r for b, rs in zip(bundles, done) for p, r in zip(b, rs)}
 
         results = run_phase(muscle, None)       # the muscle points' results
         tau_max = None

@@ -65,13 +65,31 @@ class ObjectiveWeights:
 
 @dataclass
 class ReachTarget:
-    """Desired joint posture and, for distance-based tasks, a hand goal."""
+    """Desired joint posture and, for distance-based tasks, a hand goal.
+
+    th_des, dth_des and goal_xz (when set) must each be a pair of finite
+    numbers; building a target refuses anything else with a ValueError
+    that names the field, since a NaN there scores every trajectory NaN
+    and a third entry only fails inside a cost."""
 
     th_des: tuple = (0.5 * math.pi, 0.5 * math.pi)
     dth_des: tuple = (0.0, 0.0)
     goal_xz: tuple | None = None
     # rectangle the hand goal is sampled from: (x_lo, x_hi), (z_lo, z_hi)
     rect: tuple = ((0.1, 0.4), (0.1, 0.4))
+
+    def __post_init__(self):
+        for name in ("th_des", "dth_des", "goal_xz"):
+            value = getattr(self, name)
+            if value is None and name == "goal_xz":
+                continue
+            try:
+                pair = np.asarray(value, dtype=float)
+            except (TypeError, ValueError):
+                pair = None
+            if pair is None or pair.shape != (2,) or not np.isfinite(pair).all():
+                raise ValueError(f"ReachTarget.{name} must be a pair of finite "
+                                 f"numbers, got {value!r}")
 
     def sample_goal(self, rng: np.random.Generator, params: ArmParams):
         """Draw a goal inside the rectangle, re-drawing anything out of reach."""

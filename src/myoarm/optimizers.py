@@ -1,15 +1,18 @@
 """Derivative-free optimizers.
 
-cma_es is a standard (mu/mu_w, lambda) evolution strategy with rank-one and
-rank-mu covariance updates and cumulative step-size adaptation. The caller
-gives it its start point x0, whose size is the search dimension; CmaConfig
-holds only the budget, the initial step size and the seed. It hands its
-objective one generation at a time, as a (lambda, dim) array of candidates
-whose rows are independent, and takes back lambda costs; the rollout layer
-scores such a population in lockstep (control.rollout_batch). local_refine
-is a bounded coordinate pattern search over a scalar objective that spends
-at most its evaluation budget and reports what it spent. Neither knows
-about controls: the zero-order-hold plan they search over is
+CmaEs is a standard (mu/mu_w, lambda) evolution strategy with rank-one and
+rank-mu covariance updates and cumulative step-size adaptation, written
+as an ask/tell object: ask() hands out one generation as a (lambda, dim)
+array of candidates whose rows are independent, and tell() takes back
+lambda costs. The caller gives it its start point x0, whose size is the
+search dimension; CmaConfig holds only the budget, the initial step size
+and the seed. So a driver can advance several runs in lockstep and score
+all their generations together (control.open_loop_lockstep, one
+control.rollout_plans call per generation); cma_es is the loop over one
+run that hands each generation to an objective. local_refine is a bounded
+coordinate pattern search over a scalar objective that spends at most its
+evaluation budget and reports what it spent. Neither knows about
+controls: the zero-order-hold plan they search over is
 control.ControlParameterization's.
 """
 
@@ -58,17 +61,16 @@ class OptimizationTrace:
         return self.evals[-1] if self.evals else 0
 
 
-def cma_es(objective, x0, config: CmaConfig):
-    """Minimize over R^n from the start point x0, n = x0.size; returns
-    (best_x, best_f, trace).
-
-    objective(x) gets one generation, x of shape (population, n), and
-    returns one cost per row, in row order. Exactly population *
-    generations evaluations are spent, in `generations` objective calls.
-    Non-finite objective values are replaced by a sentinel so they rank
-    worst without poisoning the distribution update. An empty, non-1-D or
-    non-finite x0 raises ValueError before the first objective call; the
-    caller's x0 is never modified.
+class CmaEs:
+    """One CMA-ES run over R^n from the start point x0, n = x0.size, as an
+    ask/tell object: ask() returns the next generation, a (population, n)
+    array of candidates whose rows are independent, and tell(f) takes one
+    cost per row, in row order. A run lasts config.generations generations;
+    done is set once the last one is told. best_x, best_f and trace hold
+    the run's result so far. Non-finite costs are replaced by a sentinel
+    so they rank worst without poisoning the distribution update. An
+    empty, non-1-D or non-finite x0 raises ValueError when the run is
+    built; the caller's x0 is never modified.
 
     Generation 0 samples from C = I (Hansen, "The CMA Evolution Strategy:
     A Tutorial", arXiv:1604.00772), where B = D = I: it takes y = z and
@@ -80,76 +82,113 @@ def cma_es(objective, x0, config: CmaConfig):
     read its update. The covariance update runs in two n x n buffers, with
     the operations and association of (1 - c1a - cmu) C + c1 pc pc^T +
     cmu rank_mu, then (C + C^T) / 2.
+
+    The draws and the arithmetic depend only on the run's own x0, config
+    and told costs, so runs asked and told in any interleaving (the
+    lockstep driver, control.open_loop_lockstep) each take the path they
+    take alone.
     """
-    mean = np.array(x0, dtype=float)
-    if mean.ndim != 1 or mean.size == 0 or not np.isfinite(mean).all():
-        raise ValueError(f"x0 must be a non-empty 1-D vector of finite "
-                         f"values (got shape {mean.shape})")
-    n = mean.size
-    lam = int(config.population)
-    rng = np.random.Generator(np.random.PCG64(config.seed))
-    sigma = float(config.sigma0)
 
-    mu = lam // 2
-    w = np.log((lam + 1) / 2.0) - np.log(np.arange(1, mu + 1))
-    w /= w.sum()
-    mueff = 1.0 / np.sum(w ** 2)
-    cs = (mueff + 2.0) / (n + mueff + 5.0)
-    ds = 1.0 + 2.0 * max(0.0, math.sqrt((mueff - 1.0) / (n + 1.0)) - 1.0) + cs
-    cc = (4.0 + mueff / n) / (n + 4.0 + 2.0 * mueff / n)
-    c1 = 2.0 / ((n + 1.3) ** 2 + mueff)
-    cmu = min(1.0 - c1, 2.0 * (mueff - 2.0 + 1.0 / mueff) / ((n + 2.0) ** 2 + mueff))
-    chi_n = math.sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n * n))
+    def __init__(self, x0, config: CmaConfig):
+        mean = np.array(x0, dtype=float)
+        if mean.ndim != 1 or mean.size == 0 or not np.isfinite(mean).all():
+            raise ValueError(f"x0 must be a non-empty 1-D vector of finite "
+                             f"values (got shape {mean.shape})")
+        self._mean = mean
+        n = self._n = mean.size
+        lam = self._lam = int(config.population)
+        self._rng = np.random.Generator(np.random.PCG64(config.seed))
+        self._sigma = float(config.sigma0)
 
-    cov = np.eye(n)
-    spare = np.empty((n, n))        # the covariance update's second buffer
-    ps = np.zeros(n)
-    pc = np.zeros(n)
-    best_x = mean.copy()
-    best_f = math.inf
-    trace = OptimizationTrace()
-    evals = 0
-    last = int(config.generations) - 1
+        mu = self._mu = lam // 2
+        w = np.log((lam + 1) / 2.0) - np.log(np.arange(1, mu + 1))
+        w /= w.sum()
+        self._w = w
+        mueff = self._mueff = 1.0 / np.sum(w ** 2)
+        cs = self._cs = (mueff + 2.0) / (n + mueff + 5.0)
+        self._ds = 1.0 + 2.0 * max(
+            0.0, math.sqrt((mueff - 1.0) / (n + 1.0)) - 1.0) + cs
+        self._cc = (4.0 + mueff / n) / (n + 4.0 + 2.0 * mueff / n)
+        c1 = self._c1 = 2.0 / ((n + 1.3) ** 2 + mueff)
+        self._cmu = min(1.0 - c1, 2.0 * (mueff - 2.0 + 1.0 / mueff)
+                        / ((n + 2.0) ** 2 + mueff))
+        self._chi_n = math.sqrt(n) * (1.0 - 1.0 / (4.0 * n)
+                                      + 1.0 / (21.0 * n * n))
 
-    for gen in range(last + 1):
-        z = rng.standard_normal((lam, n))
-        if gen == 0:
+        self._cov = np.eye(n)
+        self._spare = np.empty((n, n))   # the covariance update's second buffer
+        self._ps = np.zeros(n)
+        self._pc = np.zeros(n)
+        self._basis = self._d = None     # set by the first update
+        self._asked = None               # (x, y) of the generation out
+        self.best_x = mean.copy()
+        self.best_f = math.inf
+        self.trace = OptimizationTrace()
+        self.gen = 0
+        self._last = int(config.generations) - 1
+
+    @property
+    def done(self) -> bool:
+        return self.gen > self._last
+
+    def ask(self) -> np.ndarray:
+        """The next generation's candidates, x = mean + sigma B D z."""
+        if self.done:
+            raise RuntimeError("the run has told its last generation")
+        z = self._rng.standard_normal((self._lam, self._n))
+        if self.gen == 0:
             y = z                                  # C = I: B = D = I
         else:
-            y = z @ (basis * d).T                  # y_k = B D z_k
-        x = mean + sigma * y
-        f = np.asarray(objective(x), dtype=float)
+            y = z @ (self._basis * self._d).T      # y_k = B D z_k
+        x = self._mean + self._sigma * y
+        self._asked = x, y
+        return x
+
+    def tell(self, f):
+        """Rank the asked generation by its costs f, record the trace entry
+        and, unless it was the last generation, update the distribution."""
+        if self._asked is None:
+            raise RuntimeError("tell needs a generation from ask")
+        x, y = self._asked
+        lam = self._lam
+        f = np.asarray(f, dtype=float)
         if f.shape != (lam,):
             raise ValueError(f"objective returned shape {f.shape} for a "
                              f"population of {lam}, expected ({lam},)")
-        evals += lam
+        self._asked = None
+        gen = self.gen
+        self.gen += 1
         bad = ~np.isfinite(f)
         if bad.any():
             f = np.where(bad, NAN_SENTINEL, f)
         order = np.argsort(f, kind="stable")
         gen_min = float(f[order[0]])
-        if gen_min < best_f:
-            best_f = gen_min
-            best_x = x[order[0]].copy()
-        trace.record(best_f, evals)
-        if gen == last:
-            break                                  # no sample reads an update
+        if gen_min < self.best_f:
+            self.best_f = gen_min
+            self.best_x = x[order[0]].copy()
+        self.trace.record(self.best_f, lam * self.gen)
+        if gen == self._last:
+            return                                 # no sample reads an update
 
-        sel = order[:mu]
-        ysel = y[sel]
+        n, w, mueff = self._n, self._w, self._mueff
+        cs, cc, c1, cmu = self._cs, self._cc, self._c1, self._cmu
+        basis, d, sigma = self._basis, self._d, self._sigma
+        cov, spare = self._cov, self._spare
+        ysel = y[order[:self._mu]]
         yw = w @ ysel
-        mean = mean + sigma * yw
+        self._mean = self._mean + sigma * yw
         # conjugate evolution path: C^(-1/2) yw = B D^-1 B^T yw
         if gen == 0:
             cinv_yw = yw
         else:
             cinv_yw = basis @ ((basis.T @ yw) / d)
-        ps = (1.0 - cs) * ps + math.sqrt(cs * (2.0 - cs) * mueff) * cinv_yw
+        ps = self._ps = ((1.0 - cs) * self._ps
+                         + math.sqrt(cs * (2.0 - cs) * mueff) * cinv_yw)
         ps_norm = float(np.linalg.norm(ps))
-        hsig = ps_norm / math.sqrt(1.0 - (1.0 - cs) ** (2 * (gen + 1))) / chi_n \
-            < 1.4 + 2.0 / (n + 1.0)
-        pc = (1.0 - cc) * pc + (math.sqrt(cc * (2.0 - cc) * mueff) * yw if hsig
-                                else 0.0)
+        hsig = ps_norm / math.sqrt(1.0 - (1.0 - cs) ** (2 * (gen + 1))) \
+            / self._chi_n < 1.4 + 2.0 / (n + 1.0)
+        pc = self._pc = (1.0 - cc) * self._pc + (
+            math.sqrt(cc * (2.0 - cc) * mueff) * yw if hsig else 0.0)
         c1a = c1 * (1.0 - (not hsig) * cc * (2.0 - cc))
         # cov = (1 - c1a - cmu) cov + c1 pc pc^T + cmu rank_mu, in this
         # order, with cov reused for each term once spare holds the sum
@@ -162,11 +201,25 @@ def cma_es(objective, x0, config: CmaConfig):
         spare += cov
         np.add(spare, spare.T, out=cov)            # guard symmetry drift
         cov /= 2.0
-        sigma *= math.exp(min(1.0, (cs / ds) * (ps_norm / chi_n - 1.0)))
-        eigvals, basis = np.linalg.eigh(cov)
-        d = np.sqrt(np.maximum(eigvals, 1e-30))
+        self._sigma = sigma * math.exp(
+            min(1.0, (cs / self._ds) * (ps_norm / self._chi_n - 1.0)))
+        eigvals, self._basis = np.linalg.eigh(cov)
+        self._d = np.sqrt(np.maximum(eigvals, 1e-30))
 
-    return best_x, best_f, trace
+
+def cma_es(objective, x0, config: CmaConfig):
+    """Minimize objective over R^n from the start point x0 with one CmaEs
+    run; returns (best_x, best_f, trace).
+
+    objective(x) gets one generation, x of shape (population, n), and
+    returns one cost per row, in row order. Exactly population *
+    generations evaluations are spent, in `generations` objective calls.
+    x0 is checked (CmaEs) before the first objective call.
+    """
+    es = CmaEs(x0, config)
+    while not es.done:
+        es.tell(objective(es.ask()))
+    return es.best_x, es.best_f, es.trace
 
 
 def local_refine(objective, x0, radius0: float, budget: int,

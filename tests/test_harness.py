@@ -200,13 +200,13 @@ class TestMorphologyLabels:
         # the muscle points keep their defaults, and the torque points get
         # the ceiling written to calibration.csv
         import myoarm.harness as harness
-        real, seen = harness.open_loop_optimize, []
+        real, seen = harness.open_loop_lockstep, []
 
-        def kept(task, controller, *args, **kwargs):
-            seen.append(controller)
-            return real(task, controller, *args, **kwargs)
+        def kept(controller, runs):
+            seen.extend([controller] * len(runs))
+            return real(controller, runs)
 
-        monkeypatch.setattr(harness, "open_loop_optimize", kept)
+        monkeypatch.setattr(harness, "open_loop_lockstep", kept)
         run_experiment(tiny_oc_config(tmp_path, ("muscle-nofl", "torque")))
         _, rows = read_csv(tmp_path / "calibration.csv")
         ceiling = tuple(float(v) for v in rows[0])
@@ -244,8 +244,9 @@ class TestRunExperiment:
             assert read_bytes(pa) == read_bytes(pb)
 
     def test_parallel_matches_sequential(self, tmp_path, monkeypatch):
-        # byte-identical output, and the muscle phase and the calibrated
-        # torque phase share one process pool
+        # byte-identical output at every job count, the muscle phase and the
+        # calibrated torque phase share one process pool, and each phase
+        # maps its points dealt round-robin into `jobs` lockstep bundles
         import myoarm.harness as harness
         pools, maps = [], []
 
@@ -255,21 +256,37 @@ class TestRunExperiment:
                 super().__init__(*args, **kwargs)
 
             def map(self, fn, *iterables, **kwargs):
-                maps.append(fn.__name__)
-                return super().map(fn, *iterables, **kwargs)
+                units = list(iterables[0])
+                maps.append((fn.__name__, [[p[1:3] + p[4:5] for p in unit]
+                                           for _, unit, _ in units]))
+                return super().map(fn, units, **kwargs)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", Counted)
-        seq = run_experiment(tiny_oc_config(tmp_path / "seq"))
-        assert pools == []
-        par = run_experiment(tiny_oc_config(tmp_path / "par"), jobs=2)
-        assert pools == [2]
-        assert maps == ["_group_worker", "_group_worker"]
-        names = sorted(map(os.path.basename, seq))
-        assert names == sorted(map(os.path.basename, par))
-        assert "calibration.csv" in names
-        for name in names:
-            assert (read_bytes(tmp_path / "seq" / name)
-                    == read_bytes(tmp_path / "par" / name)), name
+        # two c (or sigma) values and two seeds: four points per phase
+        for kind, grid in (("data_efficiency", [(0.3, 0.2), (0.15, 0.2)]),
+                           ("sigma_sweep", [(0.3, 0.2), (0.3, 0.1)])):
+            def config(out_dir):
+                return replace(tiny_oc_config(tmp_path / kind / out_dir),
+                               kind=kind, c_grid=[0.3, 0.15],
+                               sigma_grid=[0.2, 0.1])
+
+            pools.clear()
+            seq = run_experiment(config("seq"))
+            assert pools == []
+            names = sorted(map(os.path.basename, seq))
+            assert "calibration.csv" in names
+            points = [(*cs, seed) for cs in grid for seed in (0, 1)]
+            for jobs in (2, 3):
+                maps.clear()
+                par = run_experiment(config(f"par{jobs}"), jobs=jobs)
+                assert pools[-1] == jobs
+                bundles = [points[i::jobs] for i in range(jobs)]
+                assert maps == [("_bundle_worker", bundles)] * 2
+                assert names == sorted(map(os.path.basename, par))
+                for name in names:
+                    assert (read_bytes(tmp_path / kind / "seq" / name)
+                            == read_bytes(tmp_path / kind / f"par{jobs}" / name)), name
+            assert pools == [2, 3]
 
     def test_calibration_only_with_torque_family(self, tmp_path):
         paths = run_experiment(tiny_oc_config(tmp_path, ("muscle",), (0,)))
@@ -288,18 +305,20 @@ class TestRunExperiment:
         # did not diverge; a diverged run's NaN torques used to become the
         # ceiling of every torque-family point
         import myoarm.harness as harness
-        real = harness._oc_run
+        real = harness.open_loop_lockstep
         diverge = {1}
 
-        def oc_run(config, morphology, c, sigma, seed, tau_max=None):
-            trace, best = real(config, morphology, c, sigma, seed,
-                               tau_max=tau_max)
-            if morphology == "muscle" and seed in diverge:
-                best = replace(best, diverged=True,
-                               torques=np.full_like(best.torques, np.nan))
-            return trace, best
+        def lockstep(controller, runs):
+            found = real(controller, runs)
+            for k, ((_, _, cma), (x, best, trace, par)) in enumerate(
+                    zip(runs, found)):
+                if type(controller).__name__ == "MuscleController" \
+                        and cma.seed in diverge:
+                    found[k] = (x, replace(best, diverged=True, torques=np.full_like(
+                        best.torques, np.nan)), trace, par)
+            return found
 
-        monkeypatch.setattr(harness, "_oc_run", oc_run)
+        monkeypatch.setattr(harness, "open_loop_lockstep", lockstep)
         run_experiment(tiny_oc_config(tmp_path / "both"))
         run_experiment(tiny_oc_config(tmp_path / "seed0", seeds=(0,)))
         assert (read_bytes(tmp_path / "both" / "calibration.csv")

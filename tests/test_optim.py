@@ -7,7 +7,8 @@ import pytest
 
 from myoarm.control import ControlParameterization, rollout
 from myoarm.objectives import SmoothReaching
-from myoarm.optimizers import CmaConfig, cma_es, local_refine
+from myoarm.optimizers import (NAN_SENTINEL, CmaConfig, CmaEs, cma_es,
+                               local_refine)
 
 from oracles import cma_es_reference
 
@@ -389,6 +390,91 @@ class TestCmaEsAgainstItsReference:
         assert len(flags) == cfg.generations
         assert not all(flags) and any(flags)
         self.assert_same_run(monkeypatch, slope, n, cfg)
+
+
+class TestAskTell:
+    """The CmaEs object that cma_es loops over, driven by hand the way the
+    lockstep driver drives it: runs asked and told interleaved, each
+    against cma_es_reference bit for bit. The hsig-false arm of the pc
+    update and the non-finite-cost sentinel are forced by synthetic
+    objectives, since no golden run reaches either."""
+
+    @staticmethod
+    def assert_as_reference(es, objective, n, cfg):
+        ref_x, ref_f, ref = cma_es_reference(objective, np.zeros(n), cfg)
+        assert es.best_x.tolist() == ref_x.tolist()
+        assert es.best_f == ref_f
+        assert es.trace.best_so_far == ref.best_so_far
+        assert es.trace.evals == ref.evals
+
+    def test_interleaved_runs_take_their_reference_paths(self, monkeypatch):
+        # run a meets hsig false (a linear cost grows its path), run b
+        # meets NaN costs; a is asked first and told last every generation
+        n, cfg_a = 4, CmaConfig(population=8, generations=8, sigma0=0.2, seed=0)
+        cfg_b = CmaConfig(population=8, generations=6, sigma0=0.5, seed=1)
+        norm, norms = np.linalg.norm, []
+
+        def recorded(v):
+            norms.append(float(norm(v)))
+            return norm(v)
+
+        monkeypatch.setattr(np.linalg, "norm", recorded)
+        a, b = CmaEs(np.zeros(n), cfg_a), CmaEs(np.zeros(n), cfg_b)
+        log = []
+        while not a.done:
+            xa = a.ask()
+            if not b.done:
+                xb = b.ask()
+                fb = holed(xb)
+                log.append(fb)
+                norms_before = len(norms)
+                b.tell(fb)
+                del norms[norms_before:]      # keep run a's norms only
+            a.tell(slope(xa))
+        monkeypatch.setattr(np.linalg, "norm", norm)
+        assert b.done
+        flags = hsig_flags(norms, n, cfg_a.population)
+        assert len(flags) == cfg_a.generations - 1
+        assert not all(flags) and any(flags)
+        assert any(np.isnan(f).any() for f in log)
+        self.assert_as_reference(a, slope, n, cfg_a)
+        self.assert_as_reference(b, holed, n, cfg_b)
+
+    def test_the_sentinel_ranks_every_non_finite_cost_last(self):
+        # generation 0 is all non-finite, so the sentinel is its best cost;
+        # later generations have one finite row, the generation's best
+        def one_finite():
+            gens = []
+
+            def objective(x):
+                f = np.full(x.shape[0], np.nan)
+                f[1::3] = np.inf
+                if gens:
+                    f[-1] = sphere(x[-1])
+                gens.append(x)
+                return f
+            return objective
+
+        n, cfg = 3, CmaConfig(population=6, generations=4, sigma0=0.3, seed=2)
+        es, objective = CmaEs(np.zeros(n), cfg), one_finite()
+        while not es.done:
+            es.tell(objective(es.ask()))
+            assert es.best_f <= NAN_SENTINEL
+        assert es.trace.best_so_far[0] == NAN_SENTINEL
+        assert es.trace.best_so_far[-1] < NAN_SENTINEL
+        self.assert_as_reference(es, one_finite(), n, cfg)
+
+    def test_ask_and_tell_take_turns(self):
+        es = CmaEs(np.zeros(2), CmaConfig(population=4, generations=1))
+        with pytest.raises(RuntimeError, match="ask"):
+            es.tell(np.zeros(4))
+        x = es.ask()
+        with pytest.raises(ValueError, match="shape"):
+            es.tell(np.zeros(3))
+        es.tell(rows(sphere)(x))
+        assert es.done and es.trace.evals == [4]
+        with pytest.raises(RuntimeError, match="last generation"):
+            es.ask()
 
 
 class TestLocalRefine:

@@ -151,6 +151,33 @@ class TestObjectiveWeights:
                                       -1.0)
 
 
+class TestReachTarget:
+    @pytest.mark.parametrize("field, value", [
+        ("th_des", (math.nan, 0.0)),     # used to build a task scoring nan
+        ("th_des", (0.0, math.inf)),
+        ("th_des", (0.5, 0.5, 0.5)),     # used to fail deep in NumPy
+        ("th_des", 0.5),
+        ("th_des", ("a", "b")),
+        ("dth_des", (0.0, -math.inf)),
+        ("dth_des", (0.0,)),
+        ("goal_xz", (0.3, math.nan)),
+        ("goal_xz", (0.1, 0.2, 0.3))])
+    def test_a_bad_target_is_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"ReachTarget.{field}"):
+            ReachTarget(**{field: value})
+
+    def test_a_refused_target_never_reaches_a_task(self):
+        with pytest.raises(ValueError, match="ReachTarget.th_des"):
+            SmoothReaching(target=ReachTarget(th_des=(math.nan, 0.0)))
+        with pytest.raises(ValueError, match="ReachTarget.goal_xz"):
+            PreciseReaching(target=ReachTarget(goal_xz=(0.3, 0.2, 0.1)))
+
+    def test_finite_pairs_are_accepted_as_given(self):
+        t = ReachTarget(th_des=[1.0, -1.0], dth_des=(0, 0), goal_xz=(0.2, 0.1))
+        assert t.th_des == [1.0, -1.0] and t.dth_des == (0, 0)
+        assert ReachTarget().goal_xz is None
+
+
 class TestJerk:
     def test_quadratic_series_exact_interior(self):
         dt = 0.01
