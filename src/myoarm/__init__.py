@@ -30,8 +30,7 @@ from .objectives import (ObjectiveWeights, ReachTarget, make_task)
 from .optimizers import CmaConfig, CmaEs, cma_es, local_refine
 from .control import (ControlParameterization, MpcConfig, RolloutResult,
                       calibrate_torque_limits, mpc_run, open_loop_lockstep,
-                      open_loop_optimize, rollout, rollout_batch,
-                      rollout_plans)
+                      rollout, rollout_plans)
 from .config import ExperimentConfig, load_config
 from .harness import run_experiment, summarize
 
@@ -40,8 +39,8 @@ __all__ = [
     "MuscleParams", "AblationFlags", "make_controller",
     "ReachTarget", "ObjectiveWeights", "make_task",
     "ControlParameterization", "CmaConfig", "CmaEs", "cma_es", "local_refine",
-    "RolloutResult", "MpcConfig", "rollout", "rollout_batch", "rollout_plans",
-    "open_loop_optimize", "open_loop_lockstep",
+    "RolloutResult", "MpcConfig", "rollout", "rollout_plans",
+    "open_loop_lockstep",
     "mpc_run", "calibrate_torque_limits",
     "ExperimentConfig", "load_config",
     "run_experiment", "summarize",

@@ -29,7 +29,7 @@ per curve, with the pair torque as muscle_joint_torque, lives in
 tests/oracles.py, which test_kernels holds the kernel to bit for bit.
 
 Each controller also has an array form of `torques`, made by
-batch_torques(population), for control.rollout_batch: it advances a whole
+batch_torques(population), for control.rollout_plans: it advances a whole
 population in lockstep, with the state rows as the columns of a
 (len(state0), population) array that the step updates in place. Branches
 become np.maximum/np.minimum/np.where forms over the same operations, so
@@ -199,7 +199,7 @@ class MuscleController:
 
     Control order: (shoulder m1, shoulder m2, elbow m1, elbow m2). torques
     is the scalar kernel, one call per step of control.rollout;
-    batch_torques is its array form for control.rollout_batch, which
+    batch_torques is its array form for control.rollout_plans, which
     tests/test_batch.py holds to it through the costs.
     """
 

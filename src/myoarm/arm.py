@@ -19,8 +19,8 @@ configuration's mass-matrix terms into the next step, and appends each
 step's scalars as one record to one flat list that becomes one array once
 per episode.
 
-_symp_step itself is the step of control.rollout_batch, which advances a
-whole CMA-ES population in lockstep: given NumPy arrays and np.cos/np.sin
+_symp_step itself is the step of control.rollout_plans, which advances
+whole CMA-ES populations in lockstep: given NumPy arrays and np.cos/np.sin
 for its cos/sin arguments, the same body computes every candidate's step
 with the same operations in the same order. It takes the pre-step
 configuration's mass-matrix terms (_mass_terms) and returns the new
@@ -72,7 +72,6 @@ class ArmState:
     th2: float
     dth1: float = 0.0
     dth2: float = 0.0
-    t: float = 0.0
     pend_angle: float = 0.0   # cable angle from straight down
     pend_vel: float = 0.0
 
@@ -334,7 +333,7 @@ def _symp_step(c: _Coeffs, th1, th2, w1, w2, tau1, tau2, dt, m11, s, det,
     The body uses only + - * / and the cos/sin it is given, and it reads
     every constant from c or dt, the literal 2.0 of the Coriolis term
     included (c.two). So it runs unchanged on arrays of candidates (one
-    element each) with cos=np.cos, sin=np.sin; rollout_batch calls it that
+    element each) with cos=np.cos, sin=np.sin; rollout_plans calls it that
     way, with every field of c and dt a 0-d float64 array, because NumPy
     converts a Python float operand anew on each call, which costs about
     as much again as the operation on a population-sized array. Element

@@ -3,12 +3,12 @@
 `optimize` and `mpc` describe their one run as an ExperimentConfig, so it
 gets a sweep's checks, and run it from the sweep's own point builders
 (harness._oc_run, harness._mpc_run): `optimize` is a lockstep of one run
-(control.open_loop_optimize).
+(control.open_loop_lockstep).
 
 Exit codes: 0 on success; 1 on a usage or configuration error (a bad flag
-or value such as `--jobs 0`, an unknown task, an unreadable config, a bad
-MYOARM_JOBS); 2 when the one run of `simulate`, `optimize` or `mpc`
-diverges (its rollout, best rollout or executed trajectory).
+or value such as `--jobs 0`, an unknown task, an unreadable config); 2 when
+the one run of `simulate`, `optimize` or `mpc` diverges (its rollout, best
+rollout or executed trajectory).
 """
 
 import argparse
@@ -20,11 +20,11 @@ import numpy as np
 from .actuators import MORPHOLOGIES, AblationFlags, make_controller
 from .arm import Perturbation
 from .config import ExperimentConfig
-from .control import (calibrate_torque_limits, open_loop_optimize,
+from .control import (calibrate_torque_limits, open_loop_lockstep,
                       parameterization_for, rollout)
-from .harness import (TRACE_HEADER, _mpc_run, _oc_run, default_jobs, fmt,
-                      mpc_trace_rows, oc_trace_rows, read_csv, run_experiment,
-                      summarize, write_csv, write_trajectory_csv)
+from .harness import (TRACE_HEADER, _mpc_run, _oc_run, fmt, mpc_trace_rows,
+                      oc_trace_rows, read_csv, run_experiment, summarize,
+                      write_csv, write_trajectory_csv)
 from .objectives import make_task
 
 class _Parser(argparse.ArgumentParser):
@@ -100,8 +100,8 @@ def cmd_optimize(args):
                          population=args.population,
                          generations=args.generations)
     label = config.morphologies[0]
-    task, c, cma = _oc_run(config, args.c, args.sigma, args.seed)
-    _, best, trace, _ = open_loop_optimize(task, make_controller(label), c, cma)
+    run = _oc_run(config, args.c, args.sigma, args.seed)
+    _, best, trace, _ = open_loop_lockstep(make_controller(label), [run])[0]
     rows = oc_trace_rows("optimize", args.task, label, args.c, args.sigma,
                          args.seed, trace)
     return _write_run(args, best, rows, ("best.csv", "trace.csv"),
@@ -127,13 +127,12 @@ def cmd_mpc(args):
 
 
 def cmd_experiment(args):
-    jobs = default_jobs() if args.jobs is None else args.jobs
-    if jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, not {jobs}")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, not {args.jobs}")
     config = ExperimentConfig.from_file(args.config)
     if args.out is not None:
         config.out_dir = args.out
-    paths = run_experiment(config, jobs=jobs)
+    paths = run_experiment(config, jobs=args.jobs)
     print(f"wrote {len(paths)} files to {config.out_dir}")
     return 0
 
@@ -211,8 +210,8 @@ def build_parser():
     p = sub.add_parser("experiment", help="full sweep from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="override the config out_dir")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: MYOARM_JOBS, else 1)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes (default 1)")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("summarize", help="aggregate trace CSVs")

@@ -1,13 +1,12 @@
 """Rollouts, open-loop trajectory optimization, and sampling-based MPC.
 
 The control layer has one calling convention. Every entry point (rollout,
-rollout_batch, rollout_plans, open_loop_optimize, open_loop_lockstep,
-mpc_run) takes the controller object itself (actuators.make_controller
-builds one from a run label such as 'muscle-nofl'), and every one runs at
-the one physics timestep DT_SIM. A
+rollout_plans, open_loop_lockstep, mpc_run) takes the controller object
+itself (actuators.make_controller builds one from a run label such as
+'muscle-nofl'), and every one runs at the one physics timestep DT_SIM. A
 control plan has one form everywhere: a zero-order-hold decision vector
 with its ControlParameterization, which `rollout` takes one of and
-`rollout_batch` a population of, and which zoh_control decodes. The
+`rollout_plans` populations of, and which zoh_control decodes. The
 parameterization owns its alignment with the physics steps: it refuses a
 resolution or a horizon that is not a whole multiple of DT_SIM when it is
 built, says how many steps a segment lasts (steps_per_segment), and sets
@@ -39,10 +38,9 @@ several populations of decision vectors (plans that share the episode
 length, the arm and the start state) in lockstep, one call of
 arm._symp_step on NumPy arrays per physics step, which takes the terms of
 the configuration it starts from and returns the new one's, and gives
-every row the cost `rollout` gives it; `rollout_batch` is its one-plan
-case. At a CMA-ES population's size a NumPy call's fixed cost is most of
-its cost, so no operation of the batch step mixes a Python float with an
-array: the step's constants and dt are
+every row the cost `rollout` gives it. At a CMA-ES population's size a
+NumPy call's fixed cost is most of its cost, so no operation of the batch
+step mixes a Python float with an array: the step's constants and dt are
 0-d float64 arrays (_array_coeffs), and so are the controllers' in their
 array kernels. So the step's arithmetic lives in exactly two places,
 _symp_step and _simulate's loop, and tests pin each: in
@@ -50,18 +48,18 @@ tests/test_kernels.py, test_symp_step_equals_its_composed_reference holds
 _symp_step to the step composed from arm._mass_matrix and arm._bias,
 test_carried_mass_terms_are_the_new_configurations the terms it hands on
 to _mass_matrix, test_array_step_matches_the_scalar_step_element_by_element
-its array use, with rollout_batch's constants, to its float use, and the
+its array use, with rollout_plans' constants, to its float use, and the
 rollout_reference tests hold the loop, step by step, to the composed step;
-tests/test_batch.py holds rollout_batch's costs to rollout's. Each plan's
+tests/test_batch.py holds rollout_plans' costs to rollout's. Each plan's
 population is scored with one call of its task's cost (or window cost) on
 the population's arrays, which gives every row the float `rollout`'s call
 gives it. CMA-ES hands out each generation as one such array
-(optimizers.CmaEs): the MPC warm start scores its generations with
-rollout_batch, and open-loop optimization advances several runs in
-lockstep (open_loop_lockstep), scoring a generation of all of them with
-one rollout_plans call. The pattern-search refinement, MPC's executed
-trajectory and the best-plan rollouts use `rollout`, and the MPC plant
-segments its unscored half. A refinement probe hands `rollout` the
+(optimizers.CmaEs): the MPC warm start scores its generations with a
+one-plan rollout_plans call, and open-loop optimization advances one or
+more runs in lockstep (open_loop_lockstep), scoring a generation of all
+of them with one rollout_plans call. The pattern-search refinement, MPC's
+executed trajectory and the best-plan rollouts use `rollout`, and the MPC
+plant segments its unscored half. A refinement probe hands `rollout` the
 incumbent's cost as a bound, and stops once a running sum of its stages
 passes it (see mpc_run).
 """
@@ -83,13 +81,6 @@ WARM_SIGMA0 = 0.2              # MPC warm start: CMA-ES initial step size
 REFINE_RADIUS = 0.1            # MPC refinement: initial pattern-search radius
 REFINE_SLACK = 1e-9            # MPC refinement: relative margin of a probe's bound
 
-# rollout_batch's step, under a name of its own: perfbench/spans.py wraps
-# control._symp_step as its span of scalar steps, which must not time array
-# steps. The scalar loop carries an inline copy of the step, so that span
-# sees no call now; control._symp_step stays so the span still finds it.
-# Both names take and return the carried mass-matrix terms (arm._mass_terms).
-_batch_step = _symp_step
-
 
 @dataclass
 class RolloutResult:
@@ -97,10 +88,11 @@ class RolloutResult:
     scalar cost.
 
     th/dth/ddth have one row per sample (n_steps + 1); controls and torques
-    have one row per step. Sample k is at time t0 + DT_SIM*k; the property
-    t gives those times as an array, built when it is read. ddth[k] is the
-    acceleration used to advance sample k; the final row repeats the last
-    applied torque's acceleration at the terminal state. controller_state
+    have one row per step. Sample k is at time DT_SIM*k from the episode's
+    start; the property t gives those times as an array, built when it is
+    read. ddth[k] is the acceleration used to advance sample k; the final
+    row repeats the last applied torque's acceleration at the terminal
+    state. controller_state
     is the controller's state row after the last step, the row a follow-on
     rollout starts from. rollout records one row of eight floats per sample
     in one array, built once after the episode from one flat list, and th,
@@ -112,13 +104,12 @@ class RolloutResult:
     the bound, to be compared and not read, and its arrays end where the
     episode stopped, as a goal's do.
 
-    rollout_batch scores a population as one result whose th, dth, ddth and
+    rollout_plans scores a population as one result whose th, dth, ddth and
     controls have a leading row axis, one row per episode; it leaves
     torques and controller_state None, since no task cost reads them, and
     t and final_state describe one episode only.
     """
 
-    t0: float
     th: np.ndarray
     dth: np.ndarray
     ddth: np.ndarray
@@ -134,7 +125,7 @@ class RolloutResult:
 
     @property
     def t(self) -> np.ndarray:
-        return self.t0 + DT_SIM * np.arange(self.steps + 1)
+        return DT_SIM * np.arange(self.steps + 1)
 
     @property
     def final_state(self) -> ArmState:
@@ -142,7 +133,6 @@ class RolloutResult:
         pend = self.pend
         return ArmState(th1=float(self.th[k, 0]), th2=float(self.th[k, 1]),
                         dth1=float(self.dth[k, 0]), dth2=float(self.dth[k, 1]),
-                        t=self.t0 + DT_SIM * k,
                         pend_angle=float(pend[k, 0]) if pend is not None else 0.0,
                         pend_vel=float(pend[k, 1]) if pend is not None else 0.0)
 
@@ -174,7 +164,7 @@ class ControlParameterization:
     The decision vector stacks segments in time order; segment k spans
     [k*resolution, (k+1)*resolution). A (decision vector, parameterization)
     pair is the one form in which a control plan reaches the rollout layer:
-    rollout takes one, rollout_batch a population of them. zoh_control
+    rollout takes one, rollout_plans populations of them. zoh_control
     decodes it, with values clamped to [lo, hi]. The resolution must be a
     whole multiple of DT_SIM, so segment boundaries land on physics steps;
     a segment lasts steps_per_segment steps. So must the horizon, so a plan
@@ -258,7 +248,7 @@ def zoh_control(theta, parameterization: ControlParameterization):
     """Decode one decision vector: its (n_segments, n_actuators) table of
     control rows, clipped to the control box. Physics step k applies row
     parameterization.segment_of_step[k]. Validation and decoding are
-    _zoh_table's, shared with rollout_batch.
+    _zoh_table's, shared with rollout_plans.
     """
     return _zoh_table(np.asarray(theta, dtype=float).reshape(1, -1),
                       parameterization)[0]
@@ -285,7 +275,7 @@ def rollout(task, controller, theta, parameterization: ControlParameterization,
             ball0: BallState | None = None,
             bound: float | None = None) -> RolloutResult:
     """Simulate one episode of `task` under `controller` and decision vector
-    `theta`, the input rollout_batch takes one row of, and score it.
+    `theta`, the input rollout_plans takes one row of, and score it.
 
     The arm, task.params, and the actuator state advance at the physics
     timestep DT_SIM. theta is decoded once, by zoh_control; physics step k
@@ -296,7 +286,7 @@ def rollout(task, controller, theta, parameterization: ControlParameterization,
     through cable tension. A non-finite state marks the rollout diverged
     with the sentinel cost, and so does a step whose math.cos or math.sin
     meets an overflowed angle (the samples it did not record are NaN),
-    which rollout_batch, where np.cos gives NaN, scores the same. Any other
+    which rollout_plans, where np.cos gives NaN, scores the same. Any other
     episode is scored by the task's cost, or its window_cost when the
     plan's horizon is shorter than the task's.
 
@@ -374,7 +364,6 @@ def _simulate(task, controller, theta, parameterization, perturbation,
     th1, th2 = state.th1, state.th2
     w1, w2 = state.dth1, state.dth2
     phi_p, dphi_p = state.pend_angle, state.pend_vel
-    t0 = state.t
     cstate = _state_row(controller, controller_state)
 
     ball = None
@@ -474,7 +463,7 @@ def _simulate(task, controller, theta, parameterization, perturbation,
                 termination = "diverged"
                 break
             if is_done is not None and is_done(
-                    ArmState(th1=th1, th2=th2, dth1=w1, dth2=w2, t=t0 + steps * dt)):
+                    ArmState(th1=th1, th2=th2, dth1=w1, dth2=w2)):
                 termination = "goal"
                 break
             if terms is not None:
@@ -501,7 +490,7 @@ def _simulate(task, controller, theta, parameterization, perturbation,
                     break
     except (ValueError, OverflowError) as exc:
         # math.cos of an overflowed angle raises "math domain error" inside
-        # the step, where rollout_batch's np.cos gives NaN: step k
+        # the step, where rollout_plans' np.cos gives NaN: step k
         # diverged, and what it did not record is NaN, its control included.
         # Any other ValueError is not divergence.
         if isinstance(exc, ValueError) and str(exc) != "math domain error":
@@ -538,7 +527,7 @@ def _simulate(task, controller, theta, parameterization, perturbation,
     samples = _rows(rec, steps + 1)
 
     return RolloutResult(
-        t0=t0, th=samples[:, 0:2], dth=samples[:, 2:4], ddth=samples[:, 6:8],
+        th=samples[:, 0:2], dth=samples[:, 2:4], ddth=samples[:, 6:8],
         controls=controls[:steps], torques=samples[:steps, 4:6],
         controller_state=cstate,
         ball=_rows(balls, steps + 1) if balls is not None else None,
@@ -560,7 +549,7 @@ def _state_row(controller, controller_state) -> tuple:
 
 
 def _scalar_only(task, perturbation) -> bool:
-    """Cases rollout_batch hands to the scalar rollout, row by row.
+    """Cases rollout_plans hands to the scalar rollout, row by row.
 
     The array kernel models no ball (contact per row), no goal that ends
     rows at different steps and no pendulum load.
@@ -572,23 +561,12 @@ def _scalar_only(task, perturbation) -> bool:
 
 def _array_coeffs(params) -> _Coeffs:
     """_Coeffs(params) with every field a 0-d float64 array: the constants
-    rollout_batch hands its array step, with dt as one more (see
+    rollout_plans hands its array step, with dt as one more (see
     arm._symp_step for why)."""
     coeffs = _Coeffs(params)
     for name in _Coeffs.__slots__:
         setattr(coeffs, name, np.array(getattr(coeffs, name), dtype=float))
     return coeffs
-
-
-def rollout_batch(task, controller, thetas, parameterization: ControlParameterization,
-                  perturbation: Perturbation | None = None) -> np.ndarray:
-    """Costs of a (population, dim) array of zero-order-hold decision
-    vectors: row i's is the cost of
-    rollout(task, controller, thetas[i], parameterization, perturbation).
-    It is rollout_plans with one plan, so one population runs the loop that
-    several run in lockstep."""
-    return rollout_plans(controller, [(task, thetas, parameterization)],
-                         perturbation)[0]
 
 
 def rollout_plans(controller, plans, perturbation: Perturbation | None = None):
@@ -632,40 +610,34 @@ def rollout_plans(controller, plans, perturbation: Perturbation | None = None):
     C-contiguous copies of those rows, with a leading row axis, the layout
     in which the task sums each row as it sums that row's episode alone;
     its torques and controller_state are None. The task gives each row
-    the float it gives that row's episode alone. A plan whose task or
-    perturbation is one of the cases in _scalar_only runs through
-    `rollout` row by row instead.
+    the float it gives that row's episode alone. When any plan's task, or
+    the perturbation, is one of the cases in _scalar_only, every row of
+    every plan runs through `rollout` instead, one after another; a bundle
+    of runs holds one task kind, so its plans are all one case or the
+    other.
     """
     tables = [_zoh_table(thetas, par) for _, thetas, par in plans]
-    costs = [None] * len(plans)
-    batched = []
-    for i, (task, thetas, par) in enumerate(plans):
-        if _scalar_only(task, perturbation):
-            costs[i] = np.array([
-                rollout(task, controller, theta, par, perturbation=perturbation).cost
-                for theta in np.asarray(thetas, dtype=float)])
-        else:
-            batched.append(i)
-    if not batched:
-        return costs
-
-    task = plans[batched[0]][0]
-    params, state = task.params, task.initial_state()
-    n = plans[batched[0]][2].n_steps
-    for i in batched:
-        other = plans[i][0]
-        if (plans[i][2].n_steps != n or other.params != params
+    task, _, par = plans[0]
+    params, state, n = task.params, task.initial_state(), par.n_steps
+    for other, _, other_par in plans[1:]:
+        if (other_par.n_steps != n or other.params != params
                 or other.initial_state() != state):
             raise ValueError("plans rolled out together must share the "
                              "episode length, the arm and the start state")
+    if any(_scalar_only(task, perturbation) for task, _, _ in plans):
+        return [np.array([rollout(task, controller, theta, par,
+                                  perturbation=perturbation).cost
+                          for theta in np.asarray(thetas, dtype=float)])
+                for task, thetas, par in plans]
+
     p_eff = perturbation.apply_to(params) if perturbation is not None else params
     coeffs = _array_coeffs(p_eff)
     dt = np.array(DT_SIM)
     # (n, n_actuators, N): per step, a C-contiguous block of every row's
     # control, the plans' rows one after another
     blocks = np.ascontiguousarray(np.concatenate([
-        tables[i].take(plans[i][2].segment_of_step, axis=1)
-        for i in batched]).transpose(1, 2, 0))
+        table.take(par.segment_of_step, axis=1)
+        for table, (_, _, par) in zip(tables, plans)]).transpose(1, 2, 0))
     lam = blocks.shape[2]
     cstate = np.tile(np.reshape(controller.state0, (-1, 1)), lam)
     torques_of = controller.batch_torques(lam)
@@ -680,34 +652,34 @@ def rollout_plans(controller, plans, perturbation: Perturbation | None = None):
         m11, s, det = _mass_terms(coeffs, th2, cos)
         for block in blocks:
             tau1, tau2 = torques_of(cstate, th1, th2, w1, w2, block)
-            th1, th2, w1, w2, a1, a2, m11, s, det = _batch_step(
+            th1, th2, w1, w2, a1, a2, m11, s, det = _symp_step(
                 coeffs, th1, th2, w1, w2, tau1, tau2, dt, m11, s, det, cos, sin)
             rec += (a1, a2, th1, th2, w1, w2)
         # the terminal sample's acceleration under the last torques, as
         # rollout records it (the step's a1, a2 are _accel's)
-        rec += _batch_step(coeffs, th1, th2, w1, w2, tau1, tau2, dt, m11, s,
-                           det, cos, sin)[4:6]
+        rec += _symp_step(coeffs, th1, th2, w1, w2, tau1, tau2, dt, m11, s,
+                          det, cos, sin)[4:6]
     # (N, n + 1, 6): sample j's th, dth and ddth, row by row
     samples = np.array(rec).reshape(n + 1, 6, lam).transpose(2, 0, 1)
     finite = np.isfinite(samples[..., 0:4]).all(axis=(1, 2))
 
+    costs = []
     start = 0
-    for i in batched:
-        task, _, par = plans[i]
-        stop = start + tables[i].shape[0]
+    for table, (task, _, par) in zip(tables, plans):
+        stop = start + table.shape[0]
         part = samples[start:stop]
         plan_costs = np.full(stop - start, SENTINEL_COST)
         rows = np.flatnonzero(finite[start:stop])
         if rows.size:
             scored = RolloutResult(
-                t0=state.t, th=part[..., 0:2][rows], dth=part[..., 2:4][rows],
+                th=part[..., 0:2][rows], dth=part[..., 2:4][rows],
                 ddth=part[..., 4:6][rows], controls=np.ascontiguousarray(
                     blocks[..., start + rows].transpose(2, 0, 1)),
                 torques=None, controller_state=None, ball=None, pend=None,
                 cost=SENTINEL_COST, diverged=False, termination="horizon",
                 steps=n)
             plan_costs[rows] = _score(task, scored, par)
-        costs[i] = plan_costs
+        costs.append(plan_costs)
         start = stop
     return costs
 
@@ -725,19 +697,12 @@ def _box_center(par: ControlParameterization) -> np.ndarray:
     return np.full(par.dim, 0.5 * (par.lo + par.hi))
 
 
-def open_loop_optimize(task, controller, resolution: float,
-                       cma_config: CmaConfig):
-    """Optimize a zero-order-hold plan of `controller` for the task with
-    CMA-ES: open_loop_lockstep with one run. Returns (best_theta,
-    best_rollout, trace, parameterization)."""
-    return open_loop_lockstep(controller, [(task, resolution, cma_config)])[0]
-
-
 def open_loop_lockstep(controller, runs):
-    """Optimize several zero-order-hold plans of one controller with
+    """Optimize one or more zero-order-hold plans of one controller with
     CMA-ES in lockstep, one run per (task, resolution, cma_config) in
     `runs`; returns one (best_theta, best_rollout, trace, parameterization)
-    per run, in order.
+    per run, in order. A single run (`myoarm optimize`) is a lockstep of
+    one.
 
     A run's plan is the controller's task-length parameterization at its
     resolution (parameterization_for), and its search starts from the
@@ -837,9 +802,9 @@ def mpc_run(task, controller, mpc: MpcConfig,
     parameterization (parameterization_for) with horizon mpc.t_pred, so a
     window rollout lasts t_pred. The warm start is CMA-ES from the middle
     of the control box with mpc.warm (step size WARM_SIGMA0), and it scores
-    each generation with rollout_batch from the task's start; the
-    refinement starts at radius REFINE_RADIUS and scores each window with
-    the scalar rollout. mpc.resolution must be a whole multiple of DT_SIM
+    each generation with a one-plan rollout_plans call from the task's
+    start; the refinement starts at radius REFINE_RADIUS and scores each
+    window with the scalar rollout. mpc.resolution must be a whole multiple of DT_SIM
     and divide the task's horizon (ValueError before any work otherwise).
 
     A refinement probe that is losing stops early. local_refine only ever
@@ -906,8 +871,7 @@ def mpc_run(task, controller, mpc: MpcConfig,
         return objective
 
     def warm_objective(thetas):         # from the task's start
-        return rollout_batch(task, controller, thetas, par,
-                             perturbation=pred_pert)
+        return rollout_plans(controller, [(task, thetas, par)], pred_pert)[0]
 
     if warm_start is None:
         plan, _, warm_trace = cma_es(warm_objective, _box_center(par), mpc.warm)

@@ -308,8 +308,10 @@ def _sweep(config: ExperimentConfig, jobs: int, write_point):
     start. Every bundle gets the config itself, already validated. With
     jobs > 1 and more than one bundle in either phase, both phases run in
     one process pool of `jobs` workers; otherwise every bundle runs here,
-    one after another. Every run gives what it gives alone, so the files
-    are the same whatever jobs is.
+    one after another, and no pool opens (a one-seed robustness sweep of
+    one morphology per phase is one bundle per phase). Every run gives what
+    it gives alone, so the files are the same whatever jobs is, for every
+    experiment kind.
     """
     _prepare_out_dir(config.out_dir)
     points = _run_points(config)
@@ -344,7 +346,8 @@ def _sweep(config: ExperimentConfig, jobs: int, write_point):
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1):
-    """Execute the configured sweep; returns the list of written CSV paths.
+    """Execute the configured sweep on `jobs` worker processes (_sweep),
+    whatever its kind; returns the list of written CSV paths.
 
     One trace file per (grid point, seed) plus aggregate.csv. Muscle runs go
     first; when the sweep also contains torque-family morphologies, their
@@ -356,7 +359,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1):
     files in place of the trace files and aggregate.csv.
     """
     if config.kind == "robustness_weights":
-        return _robustness_sweep(config)
+        return _robustness_sweep(config, jobs)
 
     def write_point(point, result):
         path = os.path.join(config.out_dir, _trace_name(*point[:5]))
@@ -368,7 +371,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1):
     return paths
 
 
-def _robustness_sweep(config: ExperimentConfig):
+def _robustness_sweep(config: ExperimentConfig, jobs: int):
     """run_experiment's robustness_weights sweep: receding-horizon control
     of the task under unknown forearm loads.
 
@@ -385,13 +388,8 @@ def _robustness_sweep(config: ExperimentConfig):
     start: _sweep runs it once, for the first load (the baseline), and
     hands it to the others. Each run still charges the warm start's
     evaluations to its own budget, and every file is what a run with a
-    warm start of its own writes.
-
-    The sweep runs in one process whatever jobs run_experiment was given.
-    The benchmark's peak_rss_mb adds the largest worker's peak RSS to the
-    parent's, so a process pool would about double it on this workload
-    (about 42 to 84 MB) against that metric's 10 % bound. Running it in
-    parallel needs that metric changed first.
+    warm start of its own writes. The loads of one (morphology, seed) are
+    one bundle, so `jobs` workers run those bundles in parallel (_sweep).
     """
     summary = []
 
@@ -411,7 +409,7 @@ def _robustness_sweep(config: ExperimentConfig):
                 write_csv(os.path.join(config.out_dir, f"robust_{tag}_trace.csv"),
                           TRACE_HEADER, rows)]
 
-    paths, _ = _sweep(config, 1, write_point)   # jobs=1: see the docstring
+    paths, _ = _sweep(config, jobs, write_point)
     paths.append(write_csv(os.path.join(config.out_dir, "robustness.csv"),
                            ROBUST_HEADER, summary))
     return paths
@@ -498,11 +496,3 @@ def summarize(paths, out_path):
         raise ValueError("no input rows")
     return write_csv(out_path, AGG_HEADER, out)
 
-
-def default_jobs() -> int:
-    """The MYOARM_JOBS environment variable, or 1 when it is unset or empty;
-    a ValueError names it when it is not a positive whole number."""
-    env = os.environ.get("MYOARM_JOBS", "") or "1"
-    if not env.isdecimal() or int(env) < 1:
-        raise ValueError(f"MYOARM_JOBS must be a positive whole number, not {env!r}")
-    return int(env)

@@ -10,8 +10,8 @@ The reaching tasks' cost and window_cost take one trajectory, whose th,
 dth, ddth and controls are (samples, ...) arrays, and return a float; they
 also take a population of equally long trajectories, the same arrays with
 a leading row axis, and return one cost per row, each the float the row
-alone would get (control.rollout_batch scores its population so). Ball
-serve takes one trajectory only: rollout_batch never batches it."""
+alone would get (control.rollout_plans scores its populations so). Ball
+serve takes one trajectory only: rollout_plans never batches it."""
 
 import math
 from dataclasses import dataclass, field, replace

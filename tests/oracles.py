@@ -128,7 +128,7 @@ def rk4_step(state: ArmState, tau, dt: float, params: ArmParams) -> ArmState:
     k4 = f(tuple(y0[i] + dt * k3[i] for i in range(4)))
     y = tuple(y0[i] + dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
               for i in range(4))
-    return ArmState(th1=y[0], th2=y[1], dth1=y[2], dth2=y[3], t=state.t + dt)
+    return ArmState(th1=y[0], th2=y[1], dth1=y[2], dth2=y[3])
 
 
 def fd_lagrangian_accel(th, w, tau, params: ArmParams, h=1e-6):

@@ -18,7 +18,7 @@ from myoarm.actuators import (AblationFlags, FV_MAX, LowPassController,
                               make_controller, pd_control)
 from myoarm import control
 from myoarm.control import (DT_SIM, parameterization_for, rollout,
-                            rollout_batch)
+                            rollout_plans)
 from myoarm.objectives import SmoothReaching
 from oracles import (activation_exact, activation_step, fiber_kinematics,
                      force_length, force_passive, force_velocity,
@@ -355,8 +355,8 @@ def test_rollouts_refuse_a_fast_filter_before_the_first_step():
         rollout(task, make_controller("lowpass-fast", dt_filter=0.001),
                 np.ones(2), par)
     with pytest.raises(ValueError, match="below half the step"):
-        rollout_batch(task, make_controller("lowpass-fast", dt_filter=0.001),
-                      np.ones((3, 2)), par)
+        rollout_plans(make_controller("lowpass-fast", dt_filter=0.001),
+                      [(task, np.ones((3, 2)), par)])
 
 
 def test_controller_factory_and_control_dimensions():

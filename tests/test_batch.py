@@ -1,7 +1,7 @@
 """The lockstep population rollout against the scalar reference.
 
-rollout_batch must give every row of a population the cost that `rollout`
-gives it on its own. The array step uses np.cos/np.sin where the scalar
+rollout_plans must give every row of a population the cost that `rollout`
+gives it on its own; most cases here score one plan (batch_costs). The array step uses np.cos/np.sin where the scalar
 step uses math.cos/math.sin; every other operation is the same IEEE
 arithmetic in the same order. So the costs are compared with `==` when a
 probe finds np.cos/np.sin equal to math's on a fixed sample set, and with
@@ -19,11 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from myoarm import control
 from myoarm.actuators import AblationFlags, make_controller
 from myoarm.arm import Perturbation
 from myoarm.control import (DT_SIM, SENTINEL_COST, ControlParameterization,
-                            open_loop_optimize, parameterization_for, rollout,
-                            rollout_batch)
+                            open_loop_lockstep, parameterization_for, rollout,
+                            rollout_plans)
 from myoarm.objectives import (BallServe, PreciseReaching, ReachTarget,
                                SmoothReaching)
 from myoarm.optimizers import CmaConfig, cma_es
@@ -47,6 +48,11 @@ def assert_costs_match(batch, scalar):
     else:
         np.testing.assert_allclose(batch, scalar, rtol=1e-9, atol=0.0,
                                    err_msg=COMPARISON)
+
+
+def batch_costs(task, ctrl, thetas, par, perturbation=None):
+    """The costs of one population: rollout_plans with one plan."""
+    return rollout_plans(ctrl, [(task, thetas, par)], perturbation)[0]
 
 
 def scalar_costs(task, ctrl, thetas, par, **kw):
@@ -96,7 +102,7 @@ def test_each_row_costs_what_the_scalar_rollout_gives_it(
     else:
         par = parameterization_for(task, ctrl, c)
     thetas = population(seed, rows, par)
-    assert_costs_match(rollout_batch(task, ctrl, thetas, par, **kw),
+    assert_costs_match(batch_costs(task, ctrl, thetas, par, **kw),
                        scalar_costs(task, ctrl, thetas, par, **kw))
 
 
@@ -107,11 +113,11 @@ def test_row_order_and_batch_size_do_not_change_a_rows_cost(family, seed):
     ctrl = make_controller(family)
     par = parameterization_for(task, ctrl, 0.05)
     thetas = population(seed, 36, par)
-    costs = rollout_batch(task, ctrl, thetas, par)
+    costs = batch_costs(task, ctrl, thetas, par)
     perm = np.random.default_rng(seed).permutation(36)
-    assert_costs_match(rollout_batch(task, ctrl, thetas[perm], par), costs[perm])
+    assert_costs_match(batch_costs(task, ctrl, thetas[perm], par), costs[perm])
     i = int(perm[0])
-    assert_costs_match(rollout_batch(task, ctrl, thetas[i:i + 1], par), costs[i:i + 1])
+    assert_costs_match(batch_costs(task, ctrl, thetas[i:i + 1], par), costs[i:i + 1])
 
 
 @ROLLOUTS
@@ -139,7 +145,7 @@ def test_zoh_segments_align_with_the_physics_steps(family, m, extra, steps,
         assert res.steps == par.n_steps == horizon
         want = plan[[k // m for k in range(horizon)]]
         assert np.array_equal(res.controls, want)
-    assert_costs_match(rollout_batch(task, ctrl, thetas, par),
+    assert_costs_match(batch_costs(task, ctrl, thetas, par),
                        scalar_costs(task, ctrl, thetas, par))
 
 
@@ -203,11 +209,11 @@ def test_a_diverging_row_scores_the_sentinel_and_leaves_the_others_alone(
     monkeypatch.setattr(SmoothReaching, "cost", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("error")         # the overflow stays inside
-        costs = rollout_batch(task, ctrl, thetas, par)
-        assert rollout_batch(task, ctrl, wild, par).tolist() == [SENTINEL_COST]
+        costs = batch_costs(task, ctrl, thetas, par)
+        assert batch_costs(task, ctrl, wild, par).tolist() == [SENTINEL_COST]
     assert scored == [(2, par.n_steps + 1, 2)]
     assert costs[1] == SENTINEL_COST
-    kept = rollout_batch(task, ctrl, thetas[[0, 2]], par)
+    kept = batch_costs(task, ctrl, thetas[[0, 2]], par)
     assert costs[[0, 2]].tolist() == kept.tolist()
     assert_costs_match(costs, scalar_costs(task, ctrl, thetas, par))
 
@@ -220,7 +226,7 @@ def test_a_non_finite_decision_vector_is_rejected(bad):
     thetas = np.full((3, par.dim), 0.5)
     thetas[2, 5] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        rollout_batch(task, ctrl, thetas, par)
+        batch_costs(task, ctrl, thetas, par)
 
 
 def test_the_population_shape_is_checked():
@@ -229,7 +235,7 @@ def test_the_population_shape_is_checked():
     par = parameterization_for(task, ctrl, 0.1)
     for shape in ((par.dim,), (2, par.dim + 1), (2, 1, par.dim)):
         with pytest.raises(ValueError, match="shape"):
-            rollout_batch(task, ctrl, np.zeros(shape), par)
+            batch_costs(task, ctrl, np.zeros(shape), par)
 
 
 FALLBACKS = {
@@ -243,15 +249,32 @@ FALLBACKS = {
 
 
 @pytest.mark.parametrize("case", sorted(FALLBACKS))
-def test_cases_without_an_array_form_run_the_scalar_rollout(case):
+def test_cases_without_an_array_form_run_the_scalar_rollout(case, monkeypatch):
     make_task, family, pert = FALLBACKS[case]
     task = make_task()
     ctrl = make_controller(family)
     par = parameterization_for(task, ctrl, 0.05)
     thetas = population(7, 5, par)
     expected = scalar_costs(task, ctrl, thetas, par, perturbation=pert)
-    costs = rollout_batch(task, ctrl, thetas, par, perturbation=pert)
+    costs = batch_costs(task, ctrl, thetas, par, perturbation=pert)
     assert costs.tolist() == expected   # the same code path, so always exact
+    # next to a plan that has an array form, the call still runs every row
+    # of both plans through the scalar rollout
+    smooth = SmoothReaching(duration=0.3)
+    coarse = parameterization_for(smooth, ctrl, 0.1)
+    others = population(8, 3, coarse)
+    want = scalar_costs(smooth, ctrl, others, coarse, perturbation=pert)
+    real, rolled = control.rollout, []
+
+    def counted(*args, **kwargs):
+        rolled.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(control, "rollout", counted)
+    got = rollout_plans(ctrl, [(task, thetas, par), (smooth, others, coarse)],
+                        pert)
+    assert [c.tolist() for c in got] == [expected, want]
+    assert rolled == [task] * 5 + [smooth] * 3
 
 
 CLIP_CASES = {
@@ -284,19 +307,19 @@ def test_the_decode_is_the_only_clip(case, task, caplog):
             assert got.cost == want.cost
             assert np.array_equal(got.th, want.th)
             assert got.controller_state == want.controller_state
-        assert (rollout_batch(task, ctrl, thetas, par).tolist()
-                == rollout_batch(task, ctrl, clipped, par).tolist())
+        assert (batch_costs(task, ctrl, thetas, par).tolist()
+                == batch_costs(task, ctrl, clipped, par).tolist())
     assert caplog.records == []
 
 
 @pytest.mark.parametrize("family", ["muscle", "torque"])
 def test_open_loop_optimization_follows_the_scalar_objective(family):
-    """A CMA-ES run scored by rollout_batch takes the same path as one
+    """A CMA-ES run scored by rollout_plans takes the same path as one
     scored row by row by the scalar rollout."""
     task = SmoothReaching(duration=0.3)
     cfg = CmaConfig(population=8, generations=3, sigma0=0.2, seed=4)
     ctrl = make_controller(family)
-    best_x, best, trace, par = open_loop_optimize(task, ctrl, 0.05, cfg)
+    best_x, best, trace, par = open_loop_lockstep(ctrl, [(task, 0.05, cfg)])[0]
     ref_x, ref_f, ref_trace = cma_es(
         lambda x: np.array(scalar_costs(task, ctrl, x, par)),
         np.full(par.dim, 0.5 * (ctrl.lo + ctrl.hi)), cfg)

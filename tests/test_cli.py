@@ -243,20 +243,6 @@ class TestUsageErrors:
         assert "--jobs must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_bad_jobs_variable_is_named(self, tmp_path, capsys, monkeypatch):
-        # MYOARM_JOBS=abc used to become 1 without a word; it is read only
-        # by `experiment` when --jobs is not given
-        monkeypatch.setenv("MYOARM_JOBS", "abc")
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(TINY_CONFIG)
-        assert run_cli("experiment", "--config", str(cfg),
-                       "--out", str(tmp_path / "out")) == 1
-        assert "MYOARM_JOBS" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-        assert run_cli("experiment", "--config", str(cfg), "--jobs", "1",
-                       "--out", str(tmp_path / "out")) == 0
-        assert run_cli("simulate", "--out", str(tmp_path / "sim.csv")) == 0
-
     def test_help_exits_zero(self, capsys):
         assert run_cli("--help") == 0
         assert "simulate" in capsys.readouterr().out

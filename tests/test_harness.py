@@ -17,7 +17,7 @@ from myoarm.actuators import AblationFlags, make_controller
 from myoarm.harness import (AGG_HEADER, ROBUST_HEADER, TRACE_HEADER,
                             _check_invariants, _pool_aggregates, _run_points,
                             _warm_groups,
-                            _task_for, _trace_name, aggregate_rows, default_jobs, fmt,
+                            _task_for, _trace_name, aggregate_rows, fmt,
                             overshoot_past_target, read_csv, run_experiment,
                             summarize, trajectory_header,
                             write_csv, write_trajectory_csv)
@@ -44,6 +44,32 @@ def tiny_mpc_config(out_dir, morphologies=("muscle",), masses=(1.0,)):
 def read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def counted_pools(monkeypatch):
+    """Count the sweep's process pools and the units they map: returns
+    (pools, maps), the max_workers of every pool opened and, per map call,
+    (worker name, [[point, ...] per unit])."""
+    import myoarm.harness as harness
+    pools, maps = [], []
+
+    class Counted(harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+        def map(self, fn, *iterables, **kwargs):
+            units = list(iterables[0])
+            maps.append((fn.__name__, [list(unit) for _, unit, _ in units]))
+            return super().map(fn, units, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Counted)
+    return pools, maps
+
+
+def assert_same_files(names, dir_a, dir_b):
+    for name in names:
+        assert read_bytes(dir_a / name) == read_bytes(dir_b / name), name
 
 
 class TestCsvPrimitives:
@@ -247,21 +273,7 @@ class TestRunExperiment:
         # byte-identical output at every job count, the muscle phase and the
         # calibrated torque phase share one process pool, and each phase
         # maps its points dealt round-robin into `jobs` lockstep bundles
-        import myoarm.harness as harness
-        pools, maps = [], []
-
-        class Counted(harness.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(kwargs.get("max_workers"))
-                super().__init__(*args, **kwargs)
-
-            def map(self, fn, *iterables, **kwargs):
-                units = list(iterables[0])
-                maps.append((fn.__name__, [[p[1:3] + p[4:5] for p in unit]
-                                           for _, unit, _ in units]))
-                return super().map(fn, units, **kwargs)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", Counted)
+        pools, maps = counted_pools(monkeypatch)
         # two c (or sigma) values and two seeds: four points per phase
         for kind, grid in (("data_efficiency", [(0.3, 0.2), (0.15, 0.2)]),
                            ("sigma_sweep", [(0.3, 0.2), (0.3, 0.1)])):
@@ -281,11 +293,11 @@ class TestRunExperiment:
                 par = run_experiment(config(f"par{jobs}"), jobs=jobs)
                 assert pools[-1] == jobs
                 bundles = [points[i::jobs] for i in range(jobs)]
-                assert maps == [("_bundle_worker", bundles)] * 2
+                assert [(fn, [[p[1:3] + p[4:5] for p in unit] for unit in units])
+                        for fn, units in maps] == [("_bundle_worker", bundles)] * 2
                 assert names == sorted(map(os.path.basename, par))
-                for name in names:
-                    assert (read_bytes(tmp_path / kind / "seq" / name)
-                            == read_bytes(tmp_path / kind / f"par{jobs}" / name)), name
+                assert_same_files(names, tmp_path / kind / "seq",
+                                  tmp_path / kind / f"par{jobs}")
             assert pools == [2, 3]
 
     def test_calibration_only_with_torque_family(self, tmp_path):
@@ -426,6 +438,47 @@ class TestRobustnessSweep:
         for name in names:
             assert (read_bytes(tmp_path / "shared" / name)
                     == read_bytes(tmp_path / "own" / name)), name
+
+    def test_parallel_matches_sequential(self, tmp_path, monkeypatch):
+        # two seeds, muscle and torque: each phase holds one warm group per
+        # seed, and a pool of `jobs` workers maps both phases' groups
+        pools, maps = counted_pools(monkeypatch)
+
+        def sweep(out_dir, jobs):
+            config = tiny_mpc_config(tmp_path / out_dir,
+                                     morphologies=("muscle", "torque"))
+            config.seeds = [0, 1]
+            return run_experiment(config, jobs=jobs)
+
+        names = sorted(map(os.path.basename, sweep("seq", 1)))
+        assert pools == [] and "calibration.csv" in names
+        for jobs in (2, 3):
+            maps.clear()
+            par = sweep(f"par{jobs}", jobs)
+            assert pools[-1] == jobs
+            assert [(fn, [[(p[0], p[4], p[5]) for p in unit] for unit in units])
+                    for fn, units in maps] == [
+                ("_bundle_worker", [[(m, seed, 0.0), (m, seed, 1.0)]
+                                    for seed in (0, 1)])
+                for m in ("muscle", "torque")]
+            assert names == sorted(map(os.path.basename, par))
+            assert_same_files(names, tmp_path / "seq", tmp_path / f"par{jobs}")
+        assert pools == [2, 3]
+
+    def test_one_seed_opens_no_pool(self, tmp_path, monkeypatch):
+        # one seed per morphology is one warm group per phase, so a sweep of
+        # this shape runs in one process at any job count
+        pools, _ = counted_pools(monkeypatch)
+        runs = {}
+        for jobs in (1, 2):
+            config = tiny_mpc_config(tmp_path / f"j{jobs}",
+                                     morphologies=("muscle", "torque"),
+                                     masses=(2.0,))
+            runs[jobs] = sorted(map(os.path.basename,
+                                    run_experiment(config, jobs=jobs)))
+        assert pools == []
+        assert runs[1] == runs[2]
+        assert_same_files(runs[1], tmp_path / "j1", tmp_path / "j2")
 
     def test_warm_groups_keep_morphologies_and_seeds_apart(self):
         config = ExperimentConfig(kind="robustness_weights", seeds=[0, 1],
@@ -593,17 +646,3 @@ class TestTrajectoryCsv:
         assert [float(v) for v in rows[2][5:7]] == [0.5, 0.6]
         assert [float(v) for v in rows[2][7:9]] == [3.0, 4.0]
 
-
-class TestDefaultJobs:
-    def test_env_parsing(self, monkeypatch):
-        monkeypatch.setenv("MYOARM_JOBS", "3")
-        assert default_jobs() == 3
-        monkeypatch.setenv("MYOARM_JOBS", "")        # empty means unset
-        assert default_jobs() == 1
-        monkeypatch.delenv("MYOARM_JOBS")
-        assert default_jobs() == 1
-        # nonsense is an error that names the variable, not a silent 1
-        for junk in ("junk", "-2", "0", "2.5"):
-            monkeypatch.setenv("MYOARM_JOBS", junk)
-            with pytest.raises(ValueError, match="MYOARM_JOBS"):
-                default_jobs()

@@ -11,7 +11,7 @@ floating-point operation, so not one bit may differ. The muscle kernel
 oracle curves and activation step of tests/oracles.py, composed per joint
 by oracles.muscle_joint_torque; the torque kernel to oracles.torque_actuator;
 the smooth-reach cost to oracles.smooth_reach_stages. The array form of the
-step, rollout_batch's, is held to the scalar one element by element. The
+step, rollout_plans', is held to the scalar one element by element. The
 scalar rollout's loop carries an inline copy of the step, which the
 rollout_reference tests hold, step by step, to the composed step.
 """
@@ -134,8 +134,8 @@ wild_angles = st.one_of(finite(-1e300, 1e300),
                      min_size=1, max_size=20),
        dt=finite(1e-4, 0.02))
 def test_array_step_matches_the_scalar_step_element_by_element(p, rows, dt):
-    # rollout_batch's step: the same body on arrays with np.cos/np.sin,
-    # its constants and dt 0-d arrays as rollout_batch builds them, and the
+    # rollout_plans' step: the same body on arrays with np.cos/np.sin,
+    # its constants and dt 0-d arrays as rollout_plans builds them, and the
     # mass-matrix terms it starts from computed the same way. Where
     # math.cos or math.sin meets an infinite angle the scalar step (with
     # its terms) raises (rollout's divergence) and np.cos gives NaN, so the
@@ -171,7 +171,7 @@ def test_array_step_matches_the_scalar_step_element_by_element(p, rows, dt):
 def test_carried_mass_terms_are_the_new_configurations(p, rows, dt):
     # the m11, s and det a step hands on are _mass_matrix's at the state it
     # returns, bit for bit (s is -m12): on floats, and element by element
-    # in rollout_batch's array use wherever np.cos equals math.cos
+    # in rollout_plans' array use wherever np.cos equals math.cos
     c, arrays = _Coeffs(p), _array_coeffs(p)
     for row in rows:
         got = _symp_step(c, *row, dt, *_mass_terms(c, row[1]))
@@ -395,7 +395,7 @@ def rollout_reference(task, controller, theta, par, params=None,
                 diverged, termination = True, "diverged"
                 break
             if getattr(task, "terminal_threshold", None) is not None and task.is_done(
-                    ArmState(th1, th2, w1, w2, t=s.t + (k + 1) * dt)):
+                    ArmState(th1, th2, w1, w2)):
                 termination = "goal"
                 break
     except ValueError as exc:

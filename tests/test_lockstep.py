@@ -18,8 +18,7 @@ import myoarm.control as control
 from myoarm.actuators import make_controller
 from myoarm.arm import ArmParams
 from myoarm.control import (SENTINEL_COST, open_loop_lockstep,
-                            open_loop_optimize, parameterization_for,
-                            rollout_batch, rollout_plans)
+                            parameterization_for, rollout_plans)
 from myoarm.objectives import (PreciseReaching, SmoothReaching,
                                fast_reaching_task)
 from myoarm.optimizers import CmaConfig
@@ -47,8 +46,8 @@ def assert_each_run_as_alone(controller, runs):
     together = open_loop_lockstep(controller, runs)
     assert len(together) == len(runs)
     for run, (x, best, trace, par) in zip(runs, together):
-        want_x, want_best, want_trace, want_par = open_loop_optimize(
-            run[0], controller, run[1], run[2])
+        want_x, want_best, want_trace, want_par = open_loop_lockstep(
+            controller, [run])[0]
         assert x.tolist() == want_x.tolist()
         assert trace.best_so_far == want_trace.best_so_far
         assert trace.evals == want_trace.evals
@@ -124,7 +123,7 @@ def test_a_bundle_in_which_rows_diverge(monkeypatch):
 
 def test_each_plan_scores_as_it_does_alone():
     # a diverging row in one plan leaves the other plan's rows alone, and
-    # every plan gets the costs rollout_batch gives it
+    # every plan gets the costs it gets scored alone
     task = SmoothReaching(duration=0.3)
     controller = make_controller("torque", tau_max=(1e200, 1e200))
     coarse = parameterization_for(task, controller, 0.1)
@@ -137,7 +136,8 @@ def test_each_plan_scores_as_it_does_alone():
     got = rollout_plans(controller, plans)
     assert got[0][1] == SENTINEL_COST
     for (t, thetas, par), costs in zip(plans, got):
-        assert costs.tolist() == rollout_batch(t, controller, thetas, par).tolist()
+        assert costs.tolist() == rollout_plans(
+            controller, [(t, thetas, par)])[0].tolist()
 
 
 def test_plans_must_share_length_arm_and_start():

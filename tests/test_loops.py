@@ -12,8 +12,8 @@ from myoarm.arm import (ArmParams, ArmState, Perturbation, _Coeffs,
 from myoarm.control import (DT_SIM, SENTINEL_COST, WARM_SIGMA0,
                             ControlParameterization, MpcConfig,
                             calibrate_torque_limits, mpc_run,
-                            open_loop_optimize, parameterization_for,
-                            rollout, rollout_batch)
+                            open_loop_lockstep, parameterization_for,
+                            rollout, rollout_plans)
 from myoarm.objectives import (ObjectiveWeights, PreciseReaching, ReachTarget,
                                SmoothReaching, make_task)
 from myoarm.optimizers import CmaConfig, cma_es
@@ -172,7 +172,7 @@ class TestRollout:
         # `myoarm simulate --task precise-reach --morphology lowpass-fast
         # --c 0.3 --seed 4`: the angle overflows inside _symp_step, whose
         # math.cos(inf) used to raise "math domain error" out of rollout,
-        # while rollout_batch (np.cos gives NaN) scored the same vector
+        # while rollout_plans (np.cos gives NaN) scored the same vector
         # SENTINEL_COST
         task = make_task("precise-reach", seed=4)
         ctrl = make_controller("lowpass-fast")
@@ -189,7 +189,7 @@ class TestRollout:
         assert res.controls.shape == (n, 2) and res.torques.shape == (n, 2)
         assert np.isfinite(res.th[:n]).all()
         assert not np.isfinite(res.th[n]).all()
-        assert rollout_batch(task, ctrl, theta[None], par)[0] == res.cost
+        assert rollout_plans(ctrl, [(task, theta[None], par)])[0][0] == res.cost
 
     @pytest.mark.parametrize("first_refused", [0, 3])
     def test_a_foreign_value_error_propagates(self, first_refused):
@@ -284,8 +284,8 @@ class TestOpenLoop:
     def test_optimization_improves_on_first_generation(self):
         task = SmoothReaching()
         cfg = CmaConfig(population=12, generations=15, sigma0=0.2, seed=0)
-        best_x, best, trace, par = open_loop_optimize(task, TorqueController(),
-                                                      0.3, cfg)
+        best_x, best, trace, par = open_loop_lockstep(TorqueController(),
+                                                      [(task, 0.3, cfg)])[0]
         assert trace.best_so_far[-1] < trace.best_so_far[0]
         assert best.cost == trace.best_so_far[-1]
         assert best_x.size == par.dim
@@ -295,8 +295,8 @@ class TestOpenLoop:
         evals = {}
         for morph in ("muscle", "torque"):
             cfg = CmaConfig(population=8, generations=5, sigma0=0.2, seed=0)
-            _, _, trace, _ = open_loop_optimize(task, make_controller(morph),
-                                                0.3, cfg)
+            _, _, trace, _ = open_loop_lockstep(make_controller(morph),
+                                                [(task, 0.3, cfg)])[0]
             evals[morph] = trace.total_evals
         assert evals["muscle"] == evals["torque"] == 40
 
@@ -305,8 +305,8 @@ class TestOpenLoop:
         runs = []
         for _ in range(2):
             cfg = CmaConfig(population=8, generations=6, sigma0=0.2, seed=3)
-            best_x, best, trace, _ = open_loop_optimize(task, MuscleController(),
-                                                        0.3, cfg)
+            best_x, best, trace, _ = open_loop_lockstep(MuscleController(),
+                                                        [(task, 0.3, cfg)])[0]
             runs.append((best_x, best.cost, tuple(trace.best_so_far)))
         assert np.array_equal(runs[0][0], runs[1][0])
         assert runs[0][1] == runs[1][1]
@@ -350,7 +350,8 @@ class TestMpc:
         # tiny_mpc's budget and seed
         par, _ = torque_window(cfg)
         warm, _, _ = cma_es(
-            lambda thetas: rollout_batch(task, TorqueController(), thetas, par),
+            lambda thetas: rollout_plans(TorqueController(),
+                                         [(task, thetas, par)])[0],
             np.zeros(par.dim), CmaConfig(population=cfg.warm_population,
                                          generations=cfg.warm_generations,
                                          sigma0=WARM_SIGMA0, seed=cfg.seed))
@@ -369,13 +370,11 @@ class TestMpc:
         par, window = torque_window(cfg)
         spc = round(cfg.resolution / DT_SIM)
         th, dth = res.executed.th, res.executed.dth
-        t = task.initial_state().t
         assert len(res.plans) > 1
         for k in range(1, len(res.plans)):
-            t += DT_SIM * spc          # the time a plant segment ends at
-            j = k * spc
+            j = k * spc                 # the sample a plant segment ends at
             state = ArmState(th1=float(th[j, 0]), th2=float(th[j, 1]),
-                             dth1=float(dth[j, 0]), dth2=float(dth[j, 1]), t=t)
+                             dth1=float(dth[j, 0]), dth2=float(dth[j, 1]))
             assert (window(res.plans[k], state)
                     <= window(par.shift(res.plans[k - 1]), state))
 
@@ -425,8 +424,7 @@ class TestMpc:
             return np.concatenate([a[:end] for a in arrs[:-1]] + arrs[-1:])
 
         spc = round(cfg.resolution / DT_SIM)
-        ref = replace(parts[-1], t0=task.initial_state().t,
-                      steps=len(parts) * spc,
+        ref = replace(parts[-1], steps=len(parts) * spc,
                       **{name: stitched(name) for name in
                          ("th", "dth", "ddth", "pend")},
                       controls=stitched("controls", None),
@@ -461,10 +459,10 @@ class TestMpc:
             cfg = MpcConfig(t_pred=0.3, resolution=0.05, warm_population=36,
                             warm_generations=20, refine_budget=50, seed=seed)
             res = mpc_run(task, TorqueController(), cfg)
-            ol = open_loop_optimize(
-                task, TorqueController(), 0.05,
+            ol = open_loop_lockstep(TorqueController(), [(
+                task, 0.05,
                 CmaConfig(population=36, generations=res.step_evals[-1] // 36,
-                          sigma0=0.2, seed=seed))
+                          sigma0=0.2, seed=seed))])[0]
             wins += res.executed.cost <= ol[1].cost
         assert wins >= 2
 

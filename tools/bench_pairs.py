@@ -4,10 +4,15 @@
                                 [--seed S] [--seconds T]
 
 Run from the root of the repository. REV (a commit, branch or tag) is
-unpacked with `git archive` into `.bench_build/<commit>`: exactly its
+unpacked with `git archive` into `.bench_build/parent`: exactly its
 committed files, as a fresh checkout has them, with no worktree entry left
-in `.git`. Then `perfbench/run.py --workload W --trace 0` runs N times on
-REV and N times on the working tree, one pair at a time, REV first in the
+in `.git`. The working tree is unpacked the same way into
+`.bench_build/change`: its tracked and new files, the ones `git add -A`
+would stage (ignored files are left out), written as a tree through a
+temporary index, so neither the real index nor any ref changes. Both
+sides then run from fresh copies with the same file layout and no
+`__pycache__` to start from. Then `perfbench/run.py --workload W --trace
+0` runs N times on each side, one pair at a time, REV first in the
 even-numbered pairs and the working tree first in the odd ones, so a
 drift in the host's speed does not favour one side.
 
@@ -20,26 +25,33 @@ workload it holds:
   value (perfbench's trimmed mean), the error rate, the output digest and
   any problems the run reported;
 - each side's median, quartiles and interquartile range per metric;
-- per metric, the pairs the working tree won (a tie counts for neither
-  side), the relative change of the median, whether that change exceeds
-  the parent's interquartile range, and whether the working tree's median
-  is worse than the parent's by more than the bound in BENCHMARK.json;
+- per metric, the pairs the working tree won and lost (a tie counts for
+  neither side), the exact two-sided sign-test p-value of that split
+  (sign_p; it draws no random numbers: 9 wins of 10 give 0.021, 8 of 10
+  give 0.109), the relative change of the median, whether that change
+  exceeds the parent's interquartile range, and whether the working
+  tree's median is worse than the parent's by more than the bound in
+  BENCHMARK.json;
 - whether every run on each side gave the same digest, and the two
   digests;
-- the machine info perfbench reports, and the commit of each side.
+- the machine info perfbench reports, the commit of each side, and the
+  tree the change side ran.
 
-The script changes nothing under perfbench/ and removes the unpacked
-revision when it ends. It exits 1 if any run failed or gave a digest that
+The script changes nothing under perfbench/ and removes both unpacked
+copies when it ends. It exits 1 if any run failed or gave a digest that
 differs from the first run of its side.
 """
 
 import argparse
 import datetime
 import json
+import math
+import os
 import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path.cwd()
@@ -48,25 +60,42 @@ MACHINE = ("nproc", "cpu_model", "python", "numpy", "blas", "caller_env",
            "sweep_env")
 
 
-def git(*args) -> str:
+def git(*args, env=None) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
-                          text=True, check=True).stdout.strip()
+                          text=True, check=True, env=env).stdout.strip()
 
 
-def unpack(rev: str) -> tuple[str, Path]:
-    """(full commit id, directory) of REV's committed files."""
-    commit = git("rev-parse", "--verify", f"{rev}^{{commit}}")
-    where = ROOT / ".bench_build" / commit[:12]
+def working_tree() -> str:
+    """The id of a tree of the working tree's tracked and new files, the
+    ones `git add -A` stages, built in a temporary index."""
+    with tempfile.TemporaryDirectory() as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
+        git("add", "-A", env=env)
+        return git("write-tree", env=env)
+
+
+def unpack(treeish: str, side: str) -> Path:
+    """Unpack a commit's or a tree's files into .bench_build/<side>."""
+    where = ROOT / ".bench_build" / side
     shutil.rmtree(where, ignore_errors=True)
     where.mkdir(parents=True)
-    archive = subprocess.Popen(["git", "archive", "--format=tar", commit],
+    archive = subprocess.Popen(["git", "archive", "--format=tar", treeish],
                                cwd=ROOT, stdout=subprocess.PIPE)
     subprocess.run(["tar", "-x", "-C", str(where)], stdin=archive.stdout,
                    check=True)
     archive.stdout.close()
     if archive.wait() != 0:
-        raise SystemExit(f"bench_pairs: git archive {commit} failed")
-    return commit, where
+        raise SystemExit(f"bench_pairs: git archive {treeish} failed")
+    return where
+
+
+def sign_test(wins: int, losses: int) -> float:
+    """The exact two-sided sign-test p-value of `wins` against `losses`
+    (ties left out): twice the binomial(n, 1/2) tail at the smaller count,
+    at most 1."""
+    n = wins + losses
+    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1))
+    return min(1.0, 2.0 * tail / 2 ** n)
 
 
 def run_once(checkout: Path, args) -> dict:
@@ -131,6 +160,7 @@ def summarize(runs, metrics) -> dict:
                 wins += better
                 losses += not better
         entry["wins"], entry["losses"] = wins, losses
+        entry["sign_p"] = sign_test(wins, losses)
         if "parent" in entry and "change" in entry:
             p_med, c_med = entry["parent"]["median"], entry["change"]["median"]
             worse = (c_med - p_med) if lower else (p_med - c_med)
@@ -166,15 +196,17 @@ def main(argv=None) -> int:
         print("bench_pairs: run from the repository root", file=sys.stderr)
         return 2
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    commit, parent_dir = unpack(args.rev)
-    change = {"commit": git("rev-parse", "HEAD"),
-              "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
+    commit = git("rev-parse", "--verify", f"{args.rev}^{{commit}}")
+    tree = working_tree()
+    change = {"commit": git("rev-parse", "HEAD"), "tree": tree,
+              "dirty": tree != git("rev-parse", "HEAD^{tree}")}
+    dirs = {"parent": unpack(commit, "parent"), "change": unpack(tree, "change")}
     runs, machine = [], None
     try:
         for pair in range(args.pairs):
             order = ["parent", "change"] if pair % 2 == 0 else ["change", "parent"]
             for place, side in enumerate(order):
-                result = run_once(parent_dir if side == "parent" else ROOT, args)
+                result = run_once(dirs[side], args)
                 run = {"pair": pair, "side": side, "first": place == 0,
                        "ok": result["ok"]}
                 if result["ok"]:
@@ -193,9 +225,10 @@ def main(argv=None) -> int:
                          else f"FAILED {run['error']}")
                 print(f"pair {pair} {side:6s} {shown}", flush=True)
     finally:
-        shutil.rmtree(parent_dir, ignore_errors=True)
+        for where in dirs.values():
+            shutil.rmtree(where, ignore_errors=True)
         try:
-            parent_dir.parent.rmdir()
+            (ROOT / ".bench_build").rmdir()
         except OSError:
             pass
     summary = summarize(runs, metrics)
@@ -218,7 +251,7 @@ def main(argv=None) -> int:
                   f"(IQR {entry['parent']['iqr']:.3g})  change "
                   f"{entry['change']['median']:.6g}  "
                   f"{entry['rel_change']:+.1%}  wins {entry['wins']}"
-                  f"/{summary['pairs_complete']}")
+                  f"/{summary['pairs_complete']}  sign p {entry['sign_p']:.3g}")
     print(f"  digests equal: {summary['digests_equal']}; wrote {path.name}")
     bad = summary["runs_failed"] or len(summary["parent_digests"]) > 1 \
         or len(summary["change_digests"]) > 1
