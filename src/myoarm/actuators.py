@@ -32,16 +32,17 @@ Each controller also has an array form of `torques`, made by
 batch_torques(population), for control.rollout_plans: it advances a whole
 population in lockstep, with the state rows as the columns of a
 (len(state0), population) array that the step updates in place. Branches
-become np.maximum/np.minimum/np.where forms over the same operations, so
-every candidate's torques equal, bit for bit, what `torques` gives it. At
-a CMA-ES population's size a NumPy call's fixed cost is most of its cost,
-so the array kernels take their constants as 0-d float64 arrays
-(_arrays: module constants such as _ONE, and a controller's own), never
-as Python floats, and the muscle kernel tiles its per-muscle parameters to
-the full (4, population) shape once per batch_torques call and fills the
-joint angles and velocities into buffers of that shape, so that no
-operand is broadcast from a (4, 1) column. Values and operations stay the
-scalar kernel's.
+become np.maximum/np.minimum forms and masked copies over the same
+operations, so every candidate's torques equal, bit for bit, what
+`torques` gives it. At a CMA-ES population's size a NumPy call's fixed
+cost is most of its cost, so the array kernels take their constants as
+0-d float64 arrays (_arrays: module constants such as _ONE, and a
+controller's own), never as Python floats. The muscle kernel goes
+further: it tiles its per-muscle parameters to the full (4, population)
+shape once per batch_torques call, so that no operand is broadcast from
+a (4, 1) column, and every NumPy call of its step writes into a buffer
+made in that call, so the step allocates nothing. Values and operations
+stay the scalar kernel's.
 """
 
 import math
@@ -146,36 +147,6 @@ class AblationFlags:
                                  f"{tuple(cls.NAMES)}")
             setattr(flags, cls.NAMES[n], True)
         return flags
-
-
-def _fiber_force_array(l, v, a, f_max, no_fl, no_fv):
-    """The fiber force (FL * FV * a + FP) * f_max of MuscleController.torques
-    over arrays of fibers, branch by branch the same bits.
-
-    FL is max(y, 0)^2 and FP (max(l - 1, 0) / 0.6)^2 * 1.3, which equal the
-    scalar branches on every input, NaN included; FV evaluates both of its
-    curves and picks one with np.where. The unpicked curve may divide by
-    zero, so callers run this under np.errstate. Every constant is one of
-    the 0-d arrays of _arrays.
-    """
-    stretch = l - _ONE
-    if no_fl:
-        fl = _ONE
-    else:
-        x = stretch / _FL_HALF_WIDTH
-        y = np.maximum(_ONE - x * x, _ZERO)
-        fl = y * y
-    if no_fv:
-        fv = _ONE
-    else:
-        shortening = (_ONE + v) / (_ONE - v / _KNEE)
-        r = _KNEE_ECC / (_KNEE_ECC + v)
-        lengthening = _PLATEAU - _PLATEAU_SPAN * r * r
-        fv = np.where(v <= _MINUS_ONE, _ZERO,
-                      np.where(v <= _ZERO, shortening, lengthening))
-    x = np.maximum(stretch, _ZERO) / _FP_STRAIN
-    fp = _FP_GAIN * x * x
-    return (fl * fv * a + fp) * f_max
 
 
 def _unit_clip(x, lo):
@@ -323,12 +294,22 @@ class MuscleController:
 
         acts is the (4, population) array of state rows, advanced in place;
         u is the (4, population) excitation block, in [0, 1] as the scalar
-        form's is. The four muscles are stacked in control order and every
+        form's is. The four muscles are stacked in control order, and every
         parameter is read once, here, and tiled to a full (4, population)
         array, because NumPy broadcasts a (4, 1) column at about twice the
-        cost of an operand of the full shape; the decay factors are torques'
-        own. Each step fills the joint angles and velocities into two
-        (4, population) buffers of this call.
+        cost of an operand of the full shape; the decay factors are
+        torques' own. The step allocates nothing: the joint angles and
+        velocities, the fiber lengths, velocities and force factors and the
+        two torque rows live in buffers made here, once per call, and every
+        NumPy call writes into one of them. So the torque rows it returns
+        are overwritten by the next step. Each curve is computed where the
+        scalar kernel computes it, with its operations and operand order;
+        FV computes both of its curves and picks with two masked copies
+        (np.putmask, about half the fixed cost of a masked np.copyto), the
+        shortening curve where v <= 0 and then 0 where v <= -1, so a NaN
+        velocity keeps the lengthening curve's NaN, as the scalar branches
+        do. The unpicked curve may divide by zero, so callers run the step
+        under np.errstate.
         """
         sh, el = self.shoulder, self.elbow
 
@@ -343,20 +324,70 @@ class MuscleController:
         decay = rows(e_sh, e_sh, e_el, e_el)
         no_act = self.flags.disable_activation
         no_fl, no_fv = self.flags.disable_fl, self.flags.disable_fv
-        phi, dphi = np.empty((4, population)), np.empty((4, population))
+        phi, dphi, l, v, x, t, fl, fv, fp = np.empty((9, 4, population))
+        pick = np.empty((4, population), dtype=bool)
+        tau1, tau2 = np.empty((2, population))
+        fl = _ONE if no_fl else fl
+        fv = _ONE if no_fv else fv
+        # each joint's two muscles share its angle and velocity
+        phi_sh, phi_el = phi.reshape(2, 2, population)
+        dphi_sh, dphi_el = dphi.reshape(2, 2, population)
+        f1, f2, f3, f4 = l              # m*F per muscle, once l holds it
+        mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
+        maximum = np.maximum
 
         def step(acts, th1, th2, w1, w2, u):
             if no_act:
-                acts[:] = u
-            else:
-                acts[:] = _unit_clip(u + (acts - u) * decay, _ZERO)
-            phi[:2] = th1
-            phi[2:] = th2
-            dphi[:2] = w1
-            dphi[2:] = w2
-            mf = m * _fiber_force_array(m * phi + l_ref, v_scale * (m * dphi),
-                                        acts, f_max, no_fl, no_fv)
-            return -(mf[0] + mf[1]), -(mf[2] + mf[3])
+                np.copyto(acts, u)
+            else:               # u + (acts - u) * decay, clipped to [0, 1]
+                sub(acts, u, acts)
+                mul(acts, decay, acts)
+                add(u, acts, acts)
+                maximum(acts, _ZERO, out=acts)
+                np.minimum(acts, _ONE, out=acts)
+            phi_sh[...] = th1
+            phi_el[...] = th2
+            dphi_sh[...] = w1
+            dphi_el[...] = w2
+            mul(m, phi, l)                  # l = m*phi + l_ref
+            add(l, l_ref, l)
+            mul(m, dphi, v)                 # v = v_scale*(m*dphi)
+            mul(v_scale, v, v)
+            sub(l, _ONE, l)                 # the stretch l - 1
+            if not no_fl:                   # FL = max(1 - x*x, 0)^2, x = (l - 1)/0.5
+                div(l, _FL_HALF_WIDTH, x)
+                mul(x, x, x)
+                sub(_ONE, x, x)
+                maximum(x, _ZERO, out=x)
+                mul(x, x, fl)
+            if not no_fv:
+                add(_KNEE_ECC, v, t)        # lengthening: FV_MAX - span*r*r
+                div(_KNEE_ECC, t, t)        # with r = knee_ecc/(knee_ecc + v)
+                mul(_PLATEAU_SPAN, t, fv)
+                mul(fv, t, fv)
+                sub(_PLATEAU, fv, fv)
+                div(v, _KNEE, t)            # shortening: (1 + v)/(1 - v/knee)
+                sub(_ONE, t, t)
+                add(_ONE, v, x)
+                div(x, t, t)
+                np.less_equal(v, _ZERO, pick)
+                np.putmask(fv, pick, t)
+                np.less_equal(v, _MINUS_ONE, pick)
+                np.putmask(fv, pick, _ZERO)
+            maximum(l, _ZERO, out=t)        # FP = 1.3*x*x, x = max(l - 1, 0)/0.6
+            div(t, _FP_STRAIN, t)
+            mul(_FP_GAIN, t, fp)
+            mul(fp, t, fp)
+            mul(fl, fv, l)                  # m * (FL*FV*a + FP)*f_max
+            mul(l, acts, l)
+            add(l, fp, l)
+            mul(l, f_max, l)
+            mul(m, l, l)
+            add(f1, f2, tau1)               # tau = -(m1*F1 + m2*F2) per joint
+            np.negative(tau1, tau1)
+            add(f3, f4, tau2)
+            np.negative(tau2, tau2)
+            return tau1, tau2
 
         return step
 

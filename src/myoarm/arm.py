@@ -8,30 +8,34 @@ theta1 - theta2. Gravity acts along -z; hanging straight down at rest is
 (theta1, theta2) = (-pi/2, 0), and from a horizontal rest pose gravity gives
 both joints a negative initial acceleration.
 
-The hot-path kernels work on plain floats on purpose: per-step state is a
+The step has two forms, one for one arm and one for a population. The
+scalar kernels work on plain floats on purpose: per-step state is a
 handful of scalars and array round-trips would dominate the cost of the
-millions of steps an optimization run takes. For the same reason
-_symp_step inlines _mass_matrix and _bias and drops their negations
-through exact sign identities, so its results stay bit-identical to the
-composed form. The scalar rollout goes one further: its loop
-(control._simulate) writes _symp_step's body out inline, carries each new
-configuration's mass-matrix terms into the next step, and appends each
-step's scalars as one record to one flat list that becomes one array once
-per episode.
+millions of steps an optimization run takes. The scalar rollout's loop
+(control._simulate) writes the semi-implicit step out inline on floats,
+with _mass_matrix and _bias inlined and their negations dropped through
+exact sign identities, so its results stay bit-identical to the composed
+form; it carries each new configuration's mass-matrix terms into the next
+step, and appends each step's scalars as one record to one flat list that
+becomes one array once per episode.
 
-_symp_step itself is the step of control.rollout_plans, which advances
-whole CMA-ES populations in lockstep: given NumPy arrays and np.cos/np.sin
-for its cos/sin arguments, the same body computes every candidate's step
-with the same operations in the same order. It takes the pre-step
-configuration's mass-matrix terms (_mass_terms) and returns the new
-configuration's with the new state, so the batch loop, too, derives them
-once per step. So the step's arithmetic has exactly two copies, _symp_step
-and the scalar loop, and tests/test_kernels.py holds each to the step
-composed from _mass_matrix and _bias.
+_symp_step is the step of control.rollout_plans, which advances whole
+CMA-ES populations in lockstep, one column per candidate. It is an array
+kernel: the same operations in the same order as the scalar loop's, each
+one NumPy call on contiguous rows that writes into a buffer the caller
+made once (rollout_plans' sample record, the carried mass-matrix terms and
+_STEP_WORK_ROWS scratch rows), so a step allocates nothing. It reads sample
+k's state from the record and writes sample k's accelerations and sample
+k + 1's state back into it; _step_accel, its first half, gives the
+terminal sample's accelerations. So the step's arithmetic has exactly two
+copies, _symp_step and the scalar loop, and tests/test_kernels.py holds
+each to the step composed from _mass_matrix and _bias.
 """
 
 import math
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 
 @dataclass
@@ -289,19 +293,68 @@ def _pendulum_step(c: _Coeffs, th1, th2, w1, w2, tau1, tau2, pert: Perturbation,
 
 
 def _mass_terms(c: _Coeffs, th2, cos=math.cos):
-    """The mass-matrix terms (m11, s, det) of configuration th2, as
-    _symp_step takes and returns them: _mass_matrix's m11, s = -m12 and
-    det = m11*m22 - m12*m12 (m22 is qb), each bit for bit, since negation
-    and the sign of a product are exact. cos as in _symp_step."""
+    """The mass-matrix terms (m11, s, det) of configuration th2: _mass_matrix's
+    m11, s = -m12 and det = m11*m22 - m12*m12 (m22 is qb), each bit for
+    bit, since negation and the sign of a product are exact. The scalar
+    rollout's loop starts from these; rollout_plans computes its first
+    ones here too, on arrays with cos=np.cos, and _symp_step each later
+    configuration's in its buffers, with the same operations."""
     c2 = cos(th2)
     m11 = c.m11_0 + c.cross2 * c2
     s = c.qb + c.cross * c2
     return m11, s, m11 * c.qb - s * s
 
 
-def _symp_step(c: _Coeffs, th1, th2, w1, w2, tau1, tau2, dt, m11, s, det,
-               cos=math.cos, sin=math.sin):
-    """One semi-implicit Euler step in momentum form.
+_STEP_WORK_ROWS = 13         # the scratch rows _symp_step writes into
+
+
+def _step_accel(c: _Coeffs, x, tau1, tau2, terms, work, cos=np.cos,
+                sin=np.sin):
+    """The joint accelerations of N arms at one sample under torques
+    (tau1, tau2), written into the sample's rows: the first half of
+    _symp_step, and all that rollout_plans needs of the terminal sample.
+
+    x holds the sample's six rows th1, th2, w1, w2, a1, a2 (as _symp_step
+    takes them); a1 and a2 are written, the rest read. terms are the (m11,
+    s, det) rows of its configuration, work _symp_step's scratch rows; hs,
+    g1 and g2 are left in work's first three rows for the rest of the step.
+    """
+    th1, th2, w1, w2, a1, a2 = x
+    m11, s, det = terms
+    hs, g1, g2, t, r1, r2 = work[:6]
+    mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
+    sin(th2, hs)                        # hs = cross * sin(th2)
+    mul(c.cross, hs, hs)
+    cos(th1, g1)                        # g1 = kg1 * cos(th1)
+    mul(c.kg1, g1, g1)
+    sub(th1, th2, g2)                   # g2 = kg2 * cos(th1 - th2); dV/dth2 = -g2
+    cos(g2, g2)
+    mul(c.kg2, g2, g2)
+    mul(c.two, w1, r1)                  # r1 = tau1 - (g1 - hs*w2*(2*w1 - w2) + g2)
+    sub(r1, w2, r1)
+    mul(hs, w2, t)
+    mul(t, r1, r1)
+    sub(g1, r1, r1)
+    add(r1, g2, r1)
+    sub(tau1, r1, r1)
+    mul(hs, w1, r2)                     # r2 = tau2 - (hs*w1*w1 - g2)
+    mul(r2, w1, r2)
+    sub(r2, g2, r2)
+    sub(tau2, r2, r2)
+    mul(c.qb, r1, a1)                   # a1 = (qb*r1 + s*r2) / det
+    mul(s, r2, t)
+    add(a1, t, a1)
+    div(a1, det, a1)
+    mul(m11, r2, a2)                    # a2 = (m11*r2 + s*r1) / det
+    mul(s, r1, t)
+    add(a2, t, a2)
+    div(a2, det, a2)
+
+
+def _symp_step(c: _Coeffs, x, xn, tau1, tau2, dt, terms, work,
+               cos=np.cos, sin=np.sin):
+    """One semi-implicit Euler step in momentum form of N arms at once, as
+    NumPy calls that write into buffers the caller made.
 
     Momenta are updated first (implicitly, by a short fixed-point loop, since
     the mass matrix couples them to the velocities), then positions. Working
@@ -309,77 +362,115 @@ def _symp_step(c: _Coeffs, th1, th2, w1, w2, tau1, tau2, dt, m11, s, det,
     the configuration-dependent mass matrix, so the energy error of a passive
     swing stays a bounded oscillation instead of a secular drift.
 
-    m11, s and det are the mass-matrix terms of the pre-step configuration
-    th2, _mass_terms(c, th2, cos). Returns (th1', th2', w1', w2', a1, a2,
-    m11', s', det'): the new state, the instantaneous joint accelerations
-    at the pre-step state (what an accelerometer would read; used for jerk
-    measures), and the new configuration's mass-matrix terms, which the
-    next step takes. So a run of steps derives each configuration's terms
-    once, as the scalar rollout's loop does.
+    x and xn hold the six rows th1, th2, w1, w2, a1, a2 of samples k and
+    k + 1, one column per arm (rollout_plans hands in tuples of views of
+    its record's rows, made once per sample). The step reads x's state,
+    writes its instantaneous joint accelerations (_step_accel; what an
+    accelerometer would read, used for jerk measures) into x's a1, a2 rows
+    and the new state into xn's th1 .. w2 rows. terms holds the (m11, s, det) rows of x's configuration
+    (_mass_terms) and is overwritten with xn's, so a run of steps derives
+    each configuration's terms once, as the scalar rollout's loop does.
+    work is _STEP_WORK_ROWS scratch rows. tau1 and tau2 are rows of torques.
+    Every constant is a field of c, which with dt is a 0-d float64 array
+    (control._array_coeffs): NumPy converts a Python float operand anew on
+    every call, which costs about as much again as the operation on a
+    population-sized row. No operand is broadcast from a larger or smaller
+    row, and every output goes to its buffer as a positional out argument,
+    so the step allocates nothing: at a CMA-ES population's size a NumPy
+    call's fixed cost is most of its cost, and a new result array, a
+    keyword out or a broadcast adds to it.
 
-    _mass_matrix and _bias are inlined, each trigonometric term and each
-    product that recurs (the gravity terms, qb*q1 and s*q1 in the
-    fixed-point loop; m22 is qb) computed once, and the three fixed-point
-    passes are unrolled. The composed form's negations are gone, through identities
-    that IEEE arithmetic keeps exactly (negation and the sign of a product
-    are exact, and x - y is x + (-y)): with s = qb + cross*c2 the mass
-    matrix's m12 is -s, so x - m12*y becomes x + s*y and m12*m12 becomes
-    s*s; -hs*w2*x + g1 becomes g1 - hs*w2*x; and adding v2g = -g2 becomes
-    subtracting g2. Every other expression keeps its association (the
-    bias b1 is not regrouped to reuse g1 + g2, for instance), and m11's
-    first product 2.0*cross is c.cross2, so the result equals the composed
-    one bit for bit, up to the sign of a NaN.
+    The arithmetic is the composed step's (_mass_matrix and _bias),
+    operation for operation: each trigonometric term and each product that
+    recurs (the gravity terms, qb*q1 and s*q1 in the fixed-point loop; m22
+    is qb) is computed once, and the fixed-point loop runs its three passes.
+    The composed form's negations are gone, through identities that IEEE
+    arithmetic keeps exactly (negation and the sign of a product are
+    exact, and x - y is x + (-y)): with s = qb + cross*c2 the mass matrix's
+    m12 is -s, so x - m12*y becomes x + s*y and m12*m12 becomes s*s;
+    -hs*w2*x + g1 becomes g1 - hs*w2*x; and adding v2g = -g2 becomes
+    subtracting g2. Every other expression keeps its association and its
+    operand order (the bias b1 is not regrouped to reuse g1 + g2, for
+    instance), and m11's first product 2.0*cross is c.cross2 and the
+    Coriolis term's 2.0 is c.two, so each column's result equals the
+    composed step's on that column's floats bit for bit, up to the sign of
+    a NaN, wherever cos and sin (np.cos and np.sin; a test may pass any
+    function called as cos(x, out)) equal math.cos and math.sin. No
+    column's numbers depend on the columns beside it.
 
-    The body uses only + - * / and the cos/sin it is given, and it reads
-    every constant from c or dt, the literal 2.0 of the Coriolis term
-    included (c.two). So it runs unchanged on arrays of candidates (one
-    element each) with cos=np.cos, sin=np.sin; rollout_plans calls it that
-    way, with every field of c and dt a 0-d float64 array, because NumPy
-    converts a Python float operand anew on each call, which costs about
-    as much again as the operation on a population-sized array. Element
-    for element the array result equals the float one wherever np.cos and
-    np.sin equal math.cos and math.sin.
-
-    control._simulate, the scalar rollout's loop, carries a copy of this
-    body written out inline; a change here is a change there. In
-    tests/test_kernels.py, test_symp_step_equals_its_composed_reference
-    pins this function, test_array_step_matches_the_scalar_step_element_by_element
-    its array use, test_carried_mass_terms_are_the_new_configurations the
-    terms it returns, and the rollout_reference tests the loop's copy.
+    control._simulate, the scalar rollout's loop, carries the one other
+    copy of this arithmetic, written out inline on floats; a change here
+    is a change there. In tests/test_kernels.py,
+    test_symp_step_equals_its_composed_reference pins this function on
+    single columns with math's trigonometry,
+    test_array_step_matches_the_scalar_step_element_by_element its use on
+    many columns with NumPy's, test_carried_mass_terms_are_the_new_configurations
+    the terms it hands on, and the rollout_reference tests the loop's copy.
     """
-    cross, qb = c.cross, c.qb
-    hs = cross * sin(th2)
-    g1 = c.kg1 * cos(th1)
-    g2 = c.kg2 * cos(th1 - th2)                 # dV/dth2 = -g2
-    r1 = tau1 - (g1 - hs * w2 * (c.two * w1 - w2) + g2)
-    r2 = tau2 - (hs * w1 * w1 - g2)
-    a1 = (qb * r1 + s * r2) / det
-    a2 = (m11 * r2 + s * r1) / det
+    th1, th2, w1, w2, _, _ = x
+    th1n, th2n, w1n, w2n, _, _ = xn
+    m11, s, det = terms
+    qb = c.qb
+    hs, g1, g2, t, p2, q1, q2, qbq1, sq1, u1, u2 = (*work[:4], *work[6:])
+    mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
+    _step_accel(c, x, tau1, tau2, terms, work, cos, sin)
     # generalized momenta; p1 = m11*w1 - s*w2 is q1's first term
-    p2 = qb * w2 - s * w1
+    mul(qb, w2, p2)                     # p2 = qb*w2 - s*w1
+    mul(s, w1, t)
+    sub(p2, t, p2)
     # dH/dth1 has no velocity dependence (the mass matrix only sees th2),
     # so the first momentum update is explicit; the second converges in a
     # few fixed-point passes because dt times the coupling is tiny.
-    q1 = m11 * w1 - s * w2 + dt * (tau1 - (g1 + g2))
-    qbq1 = qb * q1
-    sq1 = s * q1
-    u1 = (qbq1 + s * p2) / det
-    u2 = (m11 * p2 + sq1) / det
-    q2 = p2 + dt * (tau2 - (hs * u1 * (u1 - u2) - g2))
-    u1 = (qbq1 + s * q2) / det
-    u2 = (m11 * q2 + sq1) / det
-    q2 = p2 + dt * (tau2 - (hs * u1 * (u1 - u2) - g2))
-    u1 = (qbq1 + s * q2) / det
-    u2 = (m11 * q2 + sq1) / det
-    q2 = p2 + dt * (tau2 - (hs * u1 * (u1 - u2) - g2))
-    u1 = (qbq1 + s * q2) / det
-    u2 = (m11 * q2 + sq1) / det
-    th1n = th1 + dt * u1
-    th2n = th2 + dt * u2
-    n11, sn, ndet = _mass_terms(c, th2n, cos)
-    w1n = (qbq1 + sn * q2) / ndet
-    w2n = (n11 * q2 + sn * q1) / ndet
-    return th1n, th2n, w1n, w2n, a1, a2, n11, sn, ndet
+    mul(m11, w1, q1)                    # q1 = m11*w1 - s*w2 + dt*(tau1 - (g1 + g2))
+    mul(s, w2, t)
+    sub(q1, t, q1)
+    add(g1, g2, t)
+    sub(tau1, t, t)
+    mul(dt, t, t)
+    add(q1, t, q1)
+    mul(qb, q1, qbq1)
+    mul(s, q1, sq1)
+    q = p2                              # the first pass starts from p2
+    for _ in range(3):
+        mul(s, q, u1)                   # u1 = (qbq1 + s*q) / det
+        add(qbq1, u1, u1)
+        div(u1, det, u1)
+        mul(m11, q, u2)                 # u2 = (m11*q + sq1) / det
+        add(u2, sq1, u2)
+        div(u2, det, u2)
+        sub(u1, u2, q2)                 # q2 = p2 + dt*(tau2 - (hs*u1*(u1 - u2) - g2))
+        mul(hs, u1, t)
+        mul(t, q2, q2)
+        sub(q2, g2, q2)
+        sub(tau2, q2, q2)
+        mul(dt, q2, q2)
+        add(p2, q2, q2)
+        q = q2
+    mul(s, q2, u1)                      # the velocities of the final q2
+    add(qbq1, u1, u1)
+    div(u1, det, u1)
+    mul(m11, q2, u2)
+    add(u2, sq1, u2)
+    div(u2, det, u2)
+    mul(dt, u1, t)                     # th1' = th1 + dt*u1
+    add(th1, t, th1n)
+    mul(dt, u2, t)                     # th2' = th2 + dt*u2
+    add(th2, t, th2n)
+    cos(th2n, t)                        # the new configuration's terms (_mass_terms)
+    mul(c.cross2, t, m11)
+    add(c.m11_0, m11, m11)
+    mul(c.cross, t, s)
+    add(qb, s, s)
+    mul(m11, qb, det)
+    mul(s, s, t)
+    sub(det, t, det)
+    mul(s, q2, w1n)                     # w1' = (qbq1 + s'*q2) / det'
+    add(qbq1, w1n, w1n)
+    div(w1n, det, w1n)
+    mul(m11, q2, w2n)                   # w2' = (m11'*q2 + s'*q1) / det'
+    mul(s, q1, t)
+    add(w2n, t, w2n)
+    div(w2n, det, w2n)
 
 
 def ball_step(ball: BallState, hand_pos, hand_vel, dt: float, g: float = 9.81,

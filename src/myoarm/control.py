@@ -31,37 +31,41 @@ row, next to the arm state.
 Two rollout paths share one step and one scoring rule, and both carry
 each new configuration's mass-matrix terms into the next step instead of
 deriving them again. `rollout` runs one episode on floats and is the
-reference; its loop (_simulate) writes arm._symp_step's arithmetic out
-inline, the same operations in the same order, because a call per step is
-a sizeable share of a short MPC window's time. `rollout_plans` scores
-several populations of decision vectors (plans that share the episode
-length, the arm and the start state) in lockstep, one call of
-arm._symp_step on NumPy arrays per physics step, which takes the terms of
-the configuration it starts from and returns the new one's, and gives
-every row the cost `rollout` gives it. At a CMA-ES population's size a
-NumPy call's fixed cost is most of its cost, so no operation of the batch
-step mixes a Python float with an array: the step's constants and dt are
-0-d float64 arrays (_array_coeffs), and so are the controllers' in their
-array kernels. So the step's arithmetic lives in exactly two places,
-_symp_step and _simulate's loop, and tests pin each: in
-tests/test_kernels.py, test_symp_step_equals_its_composed_reference holds
-_symp_step to the step composed from arm._mass_matrix and arm._bias,
-test_carried_mass_terms_are_the_new_configurations the terms it hands on
-to _mass_matrix, test_array_step_matches_the_scalar_step_element_by_element
-its array use, with rollout_plans' constants, to its float use, and the
-rollout_reference tests hold the loop, step by step, to the composed step;
-tests/test_batch.py holds rollout_plans' costs to rollout's. Each plan's
-population is scored with one call of its task's cost (or window cost) on
-the population's arrays, which gives every row the float `rollout`'s call
-gives it. CMA-ES hands out each generation as one such array
-(optimizers.CmaEs): the MPC warm start scores its generations with a
-one-plan rollout_plans call, and open-loop optimization advances one or
-more runs in lockstep (open_loop_lockstep), scoring a generation of all
-of them with one rollout_plans call. The pattern-search refinement, MPC's
-executed trajectory and the best-plan rollouts use `rollout`, and the MPC
-plant segments its unscored half. A refinement probe hands `rollout` the
-incumbent's cost as a bound, and stops once a running sum of its stages
-passes it (see mpc_run).
+reference; its loop (_simulate) writes the step's arithmetic out inline,
+because a call per step is a sizeable share of a short MPC window's time.
+`rollout_plans` scores several populations of decision vectors (plans
+that share the episode length, the arm and the start state) in lockstep,
+one call of arm._symp_step per physics step. That is the step's array
+kernel, the same operations in the same order as the loop's, which reads
+one sample of a (n_steps + 1, 6, N) record and writes the next into it,
+and gives every row the cost `rollout` gives it. At a CMA-ES population's
+size a NumPy call's fixed cost is most of its cost, so no operation of
+the population step mixes a Python float with an array: the step's
+constants and dt are 0-d float64 arrays (_array_coeffs), and so are the
+controllers' in their array kernels. The arm step and the muscle kernel
+allocate nothing either: every result goes into a buffer made once per
+rollout_plans call. So the step's
+arithmetic lives in exactly two places, _symp_step and _simulate's loop,
+and tests pin each: in tests/test_kernels.py,
+test_symp_step_equals_its_composed_reference holds _symp_step, on one
+column with math's trigonometry, to the step composed from
+arm._mass_matrix and arm._bias, test_carried_mass_terms_are_the_new_configurations
+the terms it hands on to _mass_matrix,
+test_array_step_matches_the_scalar_step_element_by_element its use on
+many columns, with rollout_plans' constants, to its use on each column
+alone, and the rollout_reference tests hold the loop, step by step, to
+the composed step; tests/test_batch.py holds rollout_plans' costs to
+rollout's. Each plan's population is scored with one call of its task's
+cost (or window cost) on the population's arrays, which gives every row
+the float `rollout`'s call gives it. CMA-ES hands out each generation as
+one such array (optimizers.CmaEs): the MPC warm start scores its
+generations with a one-plan rollout_plans call, and open-loop
+optimization advances one or more runs in lockstep (open_loop_lockstep),
+scoring a generation of all of them with one rollout_plans call. The
+pattern-search refinement, MPC's executed trajectory and the best-plan
+rollouts use `rollout`, and the MPC plant segments its unscored half. A
+refinement probe hands `rollout` the incumbent's cost as a bound, and
+stops once a running sum of its stages passes it (see mpc_run).
 """
 
 import math
@@ -70,9 +74,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .arm import (ArmState, BallState, Perturbation, _accel, _Coeffs, _hand,
-                  _mass_terms, _pendulum_forces, _pendulum_step, _symp_step,
-                  ball_step)
+from .arm import (_STEP_WORK_ROWS, ArmState, BallState, Perturbation,
+                  _accel, _Coeffs, _hand, _mass_terms, _pendulum_forces,
+                  _pendulum_step, _step_accel, _symp_step, ball_step)
 from .optimizers import CmaConfig, CmaEs, cma_es, local_refine
 
 DT_SIM = 0.005                 # physics timestep, seconds
@@ -401,8 +405,8 @@ def _simulate(task, controller, theta, parameterization, perturbation,
     # the mass-matrix terms of the configuration the next step starts from;
     # each step computes its new configuration's, so only the first are
     # computed here. An infinite th2 leaves them NaN: the first step's
-    # sin(th2) then raises, as _symp_step's does, after the controller's
-    # torques and before anything is recorded.
+    # sin(th2) then raises, after the controller's torques and before
+    # anything is recorded.
     m11, s, det = _mass_terms(coeffs, th2 if math.isfinite(th2) else math.nan)
 
     try:
@@ -583,26 +587,29 @@ def rollout_plans(controller, plans, perturbation: Perturbation | None = None):
     Every plan's rows are stacked into one population of N rows that
     advances together in structure-of-arrays form. Each plan is decoded
     once, and its per-step controls (table[:, segment_of_step]) are
-    stacked into one (na, N) block per physics step before the loop. Then
-    per step there is one call of the step that
-    controller.batch_torques(N) makes and one of arm._symp_step on arrays
-    with np.cos/np.sin (the step `rollout`'s loop writes out inline,
-    operation for operation). Each step takes the mass-matrix terms (m11,
-    s, det) the step before handed on, so they are derived once per
-    configuration, the first ones by arm._mass_terms; the step's constants
-    and dt are 0-d float64 arrays (_array_coeffs), which NumPy takes at a
-    lower fixed cost per call than Python floats, with the same values.
-    Every other operation is the scalar path's, in its order, and every
-    one is the same elementwise IEEE operation on the same operands as
-    there, so no row's numbers depend on the rows beside it, and the costs
-    agree bit for bit wherever np.cos/np.sin equal math.cos/math.sin
+    stacked into one (na, N) block per physics step before the loop.
+
+    The call makes one (n_steps + 1, 6, N) sample record: sample k's th1,
+    th2, w1, w2, a1 and a2 rows, the initial state filled in first. Per
+    step there is one call of the step that controller.batch_torques(N)
+    makes, on sample k's angle and velocity rows, and one of
+    arm._symp_step, which reads sample k, writes its accelerations and
+    sample k + 1 into the record, and updates the carried mass-matrix
+    terms (m11, s, det; the first ones by arm._mass_terms) in place. The
+    terminal sample's accelerations under the last torques, which rollout
+    records as its last ddth row, are arm._step_accel's, the step's first
+    half. The record, the terms and the scratch rows of the step and of
+    the muscle kernel are made once per call, so neither allocates. The
+    step's constants and dt are 0-d float64 arrays (_array_coeffs), which
+    NumPy takes at a lower fixed cost per call than Python floats, with
+    the same values. Every operation is the scalar path's, in its order,
+    and every one is the same elementwise IEEE operation on the same
+    operands as there, so no row's numbers depend on the rows beside it or
+    on what an earlier call left in memory, and the costs agree bit for
+    bit wherever np.cos/np.sin equal math.cos/math.sin
     (tests/test_batch.py probes that, and holds the paths to rtol 1e-9
     where they differ).
 
-    It records as _simulate does, into one flat list, here of
-    population-wide columns: the initial (th1, th2, w1, w2), then each
-    step's (a1, a2, th1, th2, w1, w2), then the terminal (a1, a2). One
-    array built from it after the loop holds sample j of row i at [i, j].
     A row with a non-finite angle or velocity sample is diverged and
     scores SENTINEL_COST. Each plan's other rows are scored together, by
     one call of that plan's task's own cost (or window cost, by _score's
@@ -642,25 +649,27 @@ def rollout_plans(controller, plans, perturbation: Perturbation | None = None):
     cstate = np.tile(np.reshape(controller.state0, (-1, 1)), lam)
     torques_of = controller.batch_torques(lam)
 
-    th1, th2 = np.full(lam, state.th1), np.full(lam, state.th2)
-    w1, w2 = np.full(lam, state.dth1), np.full(lam, state.dth2)
-    rec = [th1, th2, w1, w2]
-    cos, sin = np.cos, np.sin
+    # (n + 1, 6, N): sample k's th1, th2, w1, w2, a1, a2 rows
+    record = np.empty((n + 1, 6, lam))
+    record[0, :4] = np.reshape((state.th1, state.th2, state.dth1, state.dth2),
+                               (4, 1))
+    work = list(np.empty((_STEP_WORK_ROWS, lam)))
     with np.errstate(all="ignore"):          # diverging rows overflow
         # each step takes its configuration's mass-matrix terms and hands
         # on the next one's
-        m11, s, det = _mass_terms(coeffs, th2, cos)
-        for block in blocks:
-            tau1, tau2 = torques_of(cstate, th1, th2, w1, w2, block)
-            th1, th2, w1, w2, a1, a2, m11, s, det = _symp_step(
-                coeffs, th1, th2, w1, w2, tau1, tau2, dt, m11, s, det, cos, sin)
-            rec += (a1, a2, th1, th2, w1, w2)
+        terms = _mass_terms(coeffs, record[0, 1], np.cos)
+        # each sample's six rows, as views made once
+        x = tuple(record[0])
+        for block, xn in zip(blocks, record[1:]):
+            xn = tuple(xn)
+            tau1, tau2 = torques_of(cstate, *x[:4], block)
+            _symp_step(coeffs, x, xn, tau1, tau2, dt, terms, work)
+            x = xn
         # the terminal sample's acceleration under the last torques, as
-        # rollout records it (the step's a1, a2 are _accel's)
-        rec += _symp_step(coeffs, th1, th2, w1, w2, tau1, tau2, dt, m11, s,
-                          det, cos, sin)[4:6]
+        # rollout records it
+        _step_accel(coeffs, x, tau1, tau2, terms, work)
     # (N, n + 1, 6): sample j's th, dth and ddth, row by row
-    samples = np.array(rec).reshape(n + 1, 6, lam).transpose(2, 0, 1)
+    samples = record.transpose(2, 0, 1)
     finite = np.isfinite(samples[..., 0:4]).all(axis=(1, 2))
 
     costs = []

@@ -307,18 +307,21 @@ def _sweep(config: ExperimentConfig, jobs: int, write_point):
     that differ only in their load form a bundle that shares one MPC warm
     start. Every bundle gets the config itself, already validated. With
     jobs > 1 and more than one bundle in either phase, both phases run in
-    one process pool of `jobs` workers; otherwise every bundle runs here,
-    one after another, and no pool opens (a one-seed robustness sweep of
-    one morphology per phase is one bundle per phase). Every run gives what
-    it gives alone, so the files are the same whatever jobs is, for every
-    experiment kind.
+    one process pool of `jobs` workers, or as many as the larger phase has
+    bundles if that is fewer (under the fork start method a pool starts
+    all its workers at its first submit, so a larger one would only fork
+    idle processes); otherwise every bundle runs here, one after another,
+    and no pool opens (a one-seed robustness sweep of one morphology per
+    phase is one bundle per phase). Every run gives what it gives alone,
+    so the files are the same whatever jobs is, for every experiment
+    kind.
     """
     _prepare_out_dir(config.out_dir)
     points = _run_points(config)
     muscle = _bundles([p for p in points if p[0].startswith("muscle")], jobs)
     other = _bundles([p for p in points if not p[0].startswith("muscle")], jobs)
-    parallel = jobs > 1 and max(len(muscle), len(other)) > 1
-    with (ProcessPoolExecutor(max_workers=jobs) if parallel
+    workers = min(jobs, max(len(muscle), len(other)))
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else nullcontext()) as pool:
         run = pool.map if pool is not None else map
 

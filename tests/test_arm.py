@@ -1,8 +1,10 @@
 """Tests of the two-link arm dynamics, integrator, and ball physics.
 
-They call the kernels control.rollout runs: _accel for the joint
-accelerations, _symp_step for one integrator step, _pendulum_step for a
-swinging load and _hand for the hand's position and velocity.
+They call the kernels the rollouts run: _accel for the joint
+accelerations, _symp_step (rollout_plans' array step, here on one column
+with math's trigonometry, through test_kernels.symp_step_floats) for one
+integrator step, _pendulum_step for a swinging load and _hand for the
+hand's position and velocity.
 """
 
 import math
@@ -14,12 +16,13 @@ import pytest
 from myoarm.actuators import make_controller
 from myoarm.arm import (PENDULUM_MASS, ArmParams, ArmState, BallState,
                         Perturbation, _accel, _Coeffs, _hand, _mass_terms,
-                        _pendulum_step, _symp_step, ball_step)
+                        _pendulum_step, ball_step)
 from myoarm.control import parameterization_for, rollout
 from myoarm.objectives import make_task
 from oracles import (energy_drift_rate, fd_lagrangian_accel, gravity_torque,
                      kinetic_energy, lagrange_accel, mass_matrix,
                      potential_energy, rk4_reference, rk4_step, total_energy)
+from test_kernels import symp_step_floats
 
 DT = 0.005
 
@@ -30,10 +33,12 @@ def accel(s, tau, p):
 
 
 def advance(s, tau, dt, p):
-    """State s after one _symp_step under torques tau."""
+    """State s after one _symp_step under torques tau (on one column, with
+    math's trigonometry)."""
     c = _Coeffs(p)
-    th1, th2, w1, w2 = _symp_step(c, s.th1, s.th2, s.dth1, s.dth2, tau[0],
-                                  tau[1], dt, *_mass_terms(c, s.th2))[:4]
+    th1, th2, w1, w2 = symp_step_floats(c, s.th1, s.th2, s.dth1, s.dth2,
+                                        tau[0], tau[1], dt,
+                                        *_mass_terms(c, s.th2))[:4]
     return ArmState(th1, th2, w1, w2)
 
 
@@ -235,12 +240,14 @@ def test_pendulum_load_changes_motion_and_stays_finite():
     free = load = (0.0, 0.0, 0.0, 0.0)      # th1, th2, dth1, dth2
     phi = dphi = 0.0                         # the bob's cable angle and rate
     for _ in range(400):
-        free = _symp_step(c, *free, 0.0, 0.0, DT, *_mass_terms(c, free[1]))[:4]
+        free = symp_step_floats(c, *free, 0.0, 0.0, DT,
+                                *_mass_terms(c, free[1]))[:4]
         # the cable force at the hand joins the joint torques, and the bob
         # advances alongside the arm
         t1, t2, phi, dphi = _pendulum_step(c, *load, 0.0, 0.0, pert, phi,
                                            dphi, DT)
-        load = _symp_step(c, *load, t1, t2, DT, *_mass_terms(c, load[1]))[:4]
+        load = symp_step_floats(c, *load, t1, t2, DT,
+                                *_mass_terms(c, load[1]))[:4]
     assert all(math.isfinite(v) for v in (*load, phi, dphi))
     assert load[0] != free[0]
     # the bob actually swings

@@ -218,6 +218,42 @@ def test_a_diverging_row_scores_the_sentinel_and_leaves_the_others_alone(
     assert_costs_match(costs, scalar_costs(task, ctrl, thetas, par))
 
 
+@pytest.mark.parametrize("family", ["muscle", "torque"])
+def test_back_to_back_calls_give_every_row_its_cost_alone(family):
+    # rollout_plans makes its sample record and its step buffers anew in
+    # every call, and a row's numbers must not depend on what an earlier
+    # call or the rows beside it left in memory. The row counts put a row
+    # of the step (8 bytes a row: 576 bytes at 72, 1152 at 144) and a
+    # (4, rows) muscle buffer on both sides of NumPy's 1 KB small-allocation
+    # cache, so a buffer that a call read before writing it would show.
+    # Under 1e200 N m ceilings every torque row holds commands near 1e-199,
+    # and its middle row is calm for half the episode and then overflows.
+    task = SmoothReaching(duration=0.3)
+    torque = family == "torque"
+    ctrl = (make_controller(family, tau_max=(1e200, 1e200)) if torque
+            else make_controller(family))
+    par = parameterization_for(task, ctrl, 0.05)
+    wild = np.zeros(par.dim)
+    wild[par.dim // 2:] = 1.0
+    if torque:
+        res = rollout(task, ctrl, wild, par)
+        assert res.diverged and par.n_steps // 2 < res.steps < par.n_steps
+    rng = np.random.default_rng(25)
+    calls = []
+    for rows in (4, 36, 72, 144, 36, 4):
+        thetas = rng.uniform(par.lo, par.hi, (rows, par.dim))
+        if torque:
+            thetas *= 1e-199
+            thetas[rows // 2] = wild
+        calls.append((thetas, rollout_plans(ctrl, [(task, thetas, par)])[0]))
+    for thetas, costs in calls:
+        alone = [rollout_plans(ctrl, [(task, theta[None], par)])[0][0]
+                 for theta in thetas]
+        assert costs.tolist() == alone
+        assert (costs[len(thetas) // 2] == SENTINEL_COST) == torque
+        assert (costs < SENTINEL_COST).sum() == len(thetas) - torque
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_a_non_finite_decision_vector_is_rejected(bad):
     task = SmoothReaching(duration=0.3)

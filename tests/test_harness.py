@@ -47,16 +47,22 @@ def read_bytes(path):
 
 
 def counted_pools(monkeypatch):
-    """Count the sweep's process pools and the units they map: returns
-    (pools, maps), the max_workers of every pool opened and, per map call,
-    (worker name, [[point, ...] per unit])."""
+    """Count the sweep's process pools, the worker processes they start and
+    the units they map: returns (pools, maps, workers), the max_workers of
+    every pool opened, per map call (worker name, [[point, ...] per unit]),
+    and per pool the number of worker processes it started."""
     import myoarm.harness as harness
-    pools, maps = [], []
+    pools, maps, workers = [], [], []
 
     class Counted(harness.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(kwargs.get("max_workers"))
+            workers.append(0)
             super().__init__(*args, **kwargs)
+
+        def _spawn_process(self):
+            workers[-1] += 1
+            super()._spawn_process()
 
         def map(self, fn, *iterables, **kwargs):
             units = list(iterables[0])
@@ -64,7 +70,7 @@ def counted_pools(monkeypatch):
             return super().map(fn, units, **kwargs)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", Counted)
-    return pools, maps
+    return pools, maps, workers
 
 
 def assert_same_files(names, dir_a, dir_b):
@@ -273,7 +279,7 @@ class TestRunExperiment:
         # byte-identical output at every job count, the muscle phase and the
         # calibrated torque phase share one process pool, and each phase
         # maps its points dealt round-robin into `jobs` lockstep bundles
-        pools, maps = counted_pools(monkeypatch)
+        pools, maps, workers = counted_pools(monkeypatch)
         # two c (or sigma) values and two seeds: four points per phase
         for kind, grid in (("data_efficiency", [(0.3, 0.2), (0.15, 0.2)]),
                            ("sigma_sweep", [(0.3, 0.2), (0.3, 0.1)])):
@@ -283,6 +289,7 @@ class TestRunExperiment:
                                sigma_grid=[0.2, 0.1])
 
             pools.clear()
+            workers.clear()
             seq = run_experiment(config("seq"))
             assert pools == []
             names = sorted(map(os.path.basename, seq))
@@ -298,7 +305,7 @@ class TestRunExperiment:
                 assert names == sorted(map(os.path.basename, par))
                 assert_same_files(names, tmp_path / kind / "seq",
                                   tmp_path / kind / f"par{jobs}")
-            assert pools == [2, 3]
+            assert pools == [2, 3] and workers == [2, 3]
 
     def test_calibration_only_with_torque_family(self, tmp_path):
         paths = run_experiment(tiny_oc_config(tmp_path, ("muscle",), (0,)))
@@ -441,8 +448,10 @@ class TestRobustnessSweep:
 
     def test_parallel_matches_sequential(self, tmp_path, monkeypatch):
         # two seeds, muscle and torque: each phase holds one warm group per
-        # seed, and a pool of `jobs` workers maps both phases' groups
-        pools, maps = counted_pools(monkeypatch)
+        # seed, and one pool maps both phases' groups. It starts one worker
+        # per group of the larger phase at most, so two at jobs=3 as at
+        # jobs=2: a third would only be forked to sit idle
+        pools, maps, workers = counted_pools(monkeypatch)
 
         def sweep(out_dir, jobs):
             config = tiny_mpc_config(tmp_path / out_dir,
@@ -455,7 +464,7 @@ class TestRobustnessSweep:
         for jobs in (2, 3):
             maps.clear()
             par = sweep(f"par{jobs}", jobs)
-            assert pools[-1] == jobs
+            assert pools[-1] == 2 and workers[-1] == 2
             assert [(fn, [[(p[0], p[4], p[5]) for p in unit] for unit in units])
                     for fn, units in maps] == [
                 ("_bundle_worker", [[(m, seed, 0.0), (m, seed, 1.0)]
@@ -463,12 +472,12 @@ class TestRobustnessSweep:
                 for m in ("muscle", "torque")]
             assert names == sorted(map(os.path.basename, par))
             assert_same_files(names, tmp_path / "seq", tmp_path / f"par{jobs}")
-        assert pools == [2, 3]
+        assert pools == [2, 2] and workers == [2, 2]
 
     def test_one_seed_opens_no_pool(self, tmp_path, monkeypatch):
         # one seed per morphology is one warm group per phase, so a sweep of
         # this shape runs in one process at any job count
-        pools, _ = counted_pools(monkeypatch)
+        pools, _, _ = counted_pools(monkeypatch)
         runs = {}
         for jobs in (1, 2):
             config = tiny_mpc_config(tmp_path / f"j{jobs}",

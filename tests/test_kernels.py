@@ -10,10 +10,13 @@ floating-point operation, so not one bit may differ. The muscle kernel
 (MuscleController.torques, one straight-line function) is held to the
 oracle curves and activation step of tests/oracles.py, composed per joint
 by oracles.muscle_joint_torque; the torque kernel to oracles.torque_actuator;
-the smooth-reach cost to oracles.smooth_reach_stages. The array form of the
-step, rollout_plans', is held to the scalar one element by element. The
-scalar rollout's loop carries an inline copy of the step, which the
-rollout_reference tests hold, step by step, to the composed step.
+the smooth-reach cost to oracles.smooth_reach_stages. The step itself is
+one array kernel writing into buffers; run on one column with math's
+trigonometry (symp_step_floats) it is held to the composed step, and run
+on many columns with NumPy's, as rollout_plans runs it, to itself on each
+column alone. The scalar rollout's loop carries an inline copy of the
+step, which the rollout_reference tests hold, step by step, to the
+composed step.
 """
 
 import math
@@ -27,10 +30,10 @@ from hypothesis import strategies as st
 
 from myoarm.actuators import (AblationFlags, MuscleController, MuscleParams,
                               TorqueController, make_controller)
-from myoarm.arm import (ArmParams, ArmState, Perturbation, _accel,
-                        _bias, _Coeffs, _hand, _jacobian, _mass_matrix,
-                        _mass_terms, _pendulum_forces, _symp_step, ball_step,
-                        hand_position)
+from myoarm.arm import (_STEP_WORK_ROWS, ArmParams, ArmState,
+                        Perturbation, _accel, _bias, _Coeffs, _hand, _jacobian,
+                        _mass_matrix, _mass_terms, _pendulum_forces,
+                        _symp_step, ball_step, hand_position)
 from myoarm.control import (DT_SIM, SENTINEL_COST, _array_coeffs,
                             parameterization_for, rollout)
 from myoarm.config import ExperimentConfig
@@ -54,6 +57,44 @@ def finite(lo, hi):
 
 
 # -- the symplectic step ---------------------------------------------------
+
+def math_trig(f):
+    """math.cos or math.sin in the form _symp_step calls its trigonometry,
+    f(x, out), applied column by column: the scalar rollout's functions,
+    which raise "math domain error" on an infinite angle."""
+    def apply(x, out):
+        out[:] = [f(v) for v in x.tolist()]
+        return out
+    return apply
+
+
+MATH_COS, MATH_SIN = math_trig(math.cos), math_trig(math.sin)
+
+
+def run_step(c, th1, th2, w1, w2, tau1, tau2, dt, terms, cos=np.cos,
+             sin=np.sin):
+    """One _symp_step of the arms whose columns th1 .. tau2 hold, from the
+    mass-matrix terms `terms`, in buffers of its own: (th1', th2', w1',
+    w2', a1, a2, m11', s', det') as arrays."""
+    n = len(th1)
+    x = [th1, th2, w1, w2, np.empty(n), np.empty(n)]
+    xn = list(np.empty((6, n)))
+    terms = [np.full(n, t, dtype=float) for t in terms]   # overwritten
+    with np.errstate(all="ignore"):
+        _symp_step(c, x, xn, tau1, tau2, dt, terms,
+                   list(np.empty((_STEP_WORK_ROWS, n))), cos, sin)
+    return (*xn[:4], x[4], x[5], *terms)
+
+
+def symp_step_floats(c, th1, th2, w1, w2, tau1, tau2, dt, m11, s, det):
+    """_symp_step on one arm's floats, with math.cos and math.sin, the
+    trigonometry of the scalar rollout's loop. Returns (th1', th2', w1',
+    w2', a1, a2, m11', s', det') as floats."""
+    columns = [np.array([v], dtype=float)
+               for v in (th1, th2, w1, w2, tau1, tau2)]
+    return tuple(float(v[0]) for v in run_step(
+        c, *columns, dt, (m11, s, det), MATH_COS, MATH_SIN))
+
 
 def composed_mass_terms(c, th2):
     """The (m11, s, det) _symp_step carries, composed from _mass_matrix:
@@ -118,7 +159,7 @@ def test_symp_step_equals_its_composed_reference(p, th, w, tau, dt):
     # from _mass_matrix, and hands on the new configuration's
     c = _Coeffs(p)
     args = (c, th[0], th[1], w[0], w[1], tau[0], tau[1], dt)
-    assert (_symp_step(*args, *composed_mass_terms(c, th[1]))
+    assert (symp_step_floats(*args, *composed_mass_terms(c, th[1]))
             == symp_step_reference(*args))
 
 
@@ -134,23 +175,24 @@ wild_angles = st.one_of(finite(-1e300, 1e300),
                      min_size=1, max_size=20),
        dt=finite(1e-4, 0.02))
 def test_array_step_matches_the_scalar_step_element_by_element(p, rows, dt):
-    # rollout_plans' step: the same body on arrays with np.cos/np.sin,
+    # rollout_plans' step: the kernel on many columns with np.cos/np.sin,
     # its constants and dt 0-d arrays as rollout_plans builds them, and the
-    # mass-matrix terms it starts from computed the same way. Where
-    # math.cos or math.sin meets an infinite angle the scalar step (with
-    # its terms) raises (rollout's divergence) and np.cos gives NaN, so the
-    # row's state must not be finite; elsewhere each output, the carried
-    # terms included, is finite exactly where the scalar one is, and equal
-    # to it where the trig functions are
+    # mass-matrix terms it starts from computed the same way, against the
+    # kernel on each column alone with math.cos/math.sin. Where math.cos
+    # or math.sin meets an infinite angle the scalar step (with its terms)
+    # raises (rollout's divergence) and np.cos gives NaN, so the row's
+    # state must not be finite; elsewhere each output, the carried terms
+    # included, is finite exactly where the scalar one is, and equal to it
+    # where the trig functions are
     c, arrays = _Coeffs(p), _array_coeffs(p)
     columns = [np.array(col) for col in zip(*rows)]
     with np.errstate(all="ignore"):
-        got = _symp_step(arrays, *columns, np.array(dt),
-                         *_mass_terms(arrays, columns[1], np.cos), np.cos, np.sin)
+        got = run_step(arrays, *columns, np.array(dt),
+                       _mass_terms(arrays, columns[1], np.cos))
     for i, row in enumerate(rows):
         mine = [float(x[i]) for x in got]
         try:
-            want = _symp_step(c, *row, dt, *_mass_terms(c, row[1]))
+            want = symp_step_floats(c, *row, dt, *_mass_terms(c, row[1]))
         except ValueError as exc:
             assert str(exc) == "math domain error"
             assert not all(map(math.isfinite, mine[:4]))
@@ -174,11 +216,11 @@ def test_carried_mass_terms_are_the_new_configurations(p, rows, dt):
     # in rollout_plans' array use wherever np.cos equals math.cos
     c, arrays = _Coeffs(p), _array_coeffs(p)
     for row in rows:
-        got = _symp_step(c, *row, dt, *_mass_terms(c, row[1]))
+        got = symp_step_floats(c, *row, dt, *_mass_terms(c, row[1]))
         assert got[6:] == composed_mass_terms(c, got[1])
     columns = [np.array(col) for col in zip(*rows)]
-    got = _symp_step(arrays, *columns, np.array(dt),
-                     *_mass_terms(arrays, columns[1], np.cos), np.cos, np.sin)
+    got = run_step(arrays, *columns, np.array(dt),
+                   _mass_terms(arrays, columns[1], np.cos))
     for i in range(len(rows)):
         mine = tuple(float(x[i]) for x in got[6:])
         want = composed_mass_terms(c, float(got[1][i]))

@@ -8,7 +8,7 @@ import pytest
 
 from myoarm.actuators import MuscleController, TorqueController, make_controller
 from myoarm.arm import (ArmParams, ArmState, Perturbation, _Coeffs,
-                        _mass_terms, _pendulum_step, _symp_step)
+                        _mass_terms, _pendulum_step)
 from myoarm.control import (DT_SIM, SENTINEL_COST, WARM_SIGMA0,
                             ControlParameterization, MpcConfig,
                             calibrate_torque_limits, mpc_run,
@@ -17,6 +17,7 @@ from myoarm.control import (DT_SIM, SENTINEL_COST, WARM_SIGMA0,
 from myoarm.objectives import (ObjectiveWeights, PreciseReaching, ReachTarget,
                                SmoothReaching, make_task)
 from myoarm.optimizers import CmaConfig, cma_es
+from test_kernels import symp_step_floats
 
 PARAMS = ArmParams()
 
@@ -149,8 +150,8 @@ class TestRollout:
                 assert tau[1] == res.torques[k, 1]
                 t1, t2, phi, dphi = _pendulum_step(c, *arm, *tau, pert, phi,
                                                    dphi, DT_SIM)
-                arm = _symp_step(c, *arm, t1, t2, DT_SIM,
-                                 *_mass_terms(c, arm[1]))[:4]
+                arm = symp_step_floats(c, *arm, t1, t2, DT_SIM,
+                                       *_mass_terms(c, arm[1]))[:4]
                 assert arm[0] == res.th[k + 1, 0]
                 assert arm[1] == res.th[k + 1, 1]
                 assert arm[2] == res.dth[k + 1, 0]
@@ -170,7 +171,7 @@ class TestRollout:
 
     def test_overflow_inside_a_step_is_divergence(self):
         # `myoarm simulate --task precise-reach --morphology lowpass-fast
-        # --c 0.3 --seed 4`: the angle overflows inside _symp_step, whose
+        # --c 0.3 --seed 4`: the angle overflows inside the step, whose
         # math.cos(inf) used to raise "math domain error" out of rollout,
         # while rollout_plans (np.cos gives NaN) scored the same vector
         # SENTINEL_COST

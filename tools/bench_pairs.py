@@ -28,7 +28,10 @@ workload it holds:
 - per metric, the pairs the working tree won and lost (a tie counts for
   neither side), the exact two-sided sign-test p-value of that split
   (sign_p; it draws no random numbers: 9 wins of 10 give 0.021, 8 of 10
-  give 0.109), the relative change of the median, whether that change
+  give 0.109), the median over the pairs of log(change / parent)
+  (log_ratio_median; exp of it minus 1 is the paired relative change, and
+  unlike the change of the medians it compares each run only with the run
+  beside it), the relative change of the median, whether that change
   exceeds the parent's interquartile range, and whether the working
   tree's median is worse than the parent's by more than the bound in
   BENCHMARK.json;
@@ -153,14 +156,21 @@ def summarize(runs, metrics) -> dict:
                 entry[side] = {"median": q2, "q1": q1, "q3": q3,
                                "iqr": q3 - q1, "n": len(values)}
         wins = losses = 0
+        log_ratios = []
         for pair in whole:
             p, c = pair["parent"]["metrics"][name], pair["change"]["metrics"][name]
             if c != p:
                 better = c < p if lower else c > p
                 wins += better
                 losses += not better
+            if p > 0 and c > 0:
+                log_ratios.append(math.log(c / p))
         entry["wins"], entry["losses"] = wins, losses
         entry["sign_p"] = sign_test(wins, losses)
+        # None when a pair has a value a log ratio cannot take (0 or less)
+        complete = whole and len(log_ratios) == len(whole)
+        entry["log_ratio_median"] = (statistics.median(log_ratios)
+                                     if complete else None)
         if "parent" in entry and "change" in entry:
             p_med, c_med = entry["parent"]["median"], entry["change"]["median"]
             worse = (c_med - p_med) if lower else (p_med - c_med)
@@ -247,11 +257,14 @@ def main(argv=None) -> int:
     path.write_text(json.dumps(bench, indent=2) + "\n")
     for name, entry in summary["metrics"].items():
         if "parent" in entry and "change" in entry:
+            paired = entry["log_ratio_median"]
+            paired = "n/a" if paired is None else f"{math.expm1(paired):+.1%}"
             print(f"  {name:12s} parent {entry['parent']['median']:.6g} "
                   f"(IQR {entry['parent']['iqr']:.3g})  change "
                   f"{entry['change']['median']:.6g}  "
-                  f"{entry['rel_change']:+.1%}  wins {entry['wins']}"
-                  f"/{summary['pairs_complete']}  sign p {entry['sign_p']:.3g}")
+                  f"{entry['rel_change']:+.1%}  paired {paired}  wins "
+                  f"{entry['wins']}/{summary['pairs_complete']}  sign p "
+                  f"{entry['sign_p']:.3g}")
     print(f"  digests equal: {summary['digests_equal']}; wrote {path.name}")
     bad = summary["runs_failed"] or len(summary["parent_digests"]) > 1 \
         or len(summary["change_digests"]) > 1
