@@ -29,20 +29,41 @@ per curve, with the pair torque as muscle_joint_torque, lives in
 tests/oracles.py, which test_kernels holds the kernel to bit for bit.
 
 Each controller also has an array form of `torques`, made by
-batch_torques(population), for control.rollout_plans: it advances a whole
-population in lockstep, with the state rows as the columns of a
-(len(state0), population) array that the step updates in place. Branches
-become np.maximum/np.minimum forms and masked copies over the same
-operations, so every candidate's torques equal, bit for bit, what
-`torques` gives it. At a CMA-ES population's size a NumPy call's fixed
-cost is most of its cost, so the array kernels take their constants as
-0-d float64 arrays (_arrays: module constants such as _ONE, and a
-controller's own), never as Python floats. The muscle kernel goes
-further: it tiles its per-muscle parameters to the full (4, population)
-shape once per batch_torques call, so that no operand is broadcast from
-a (4, 1) column, and every NumPy call of its step writes into a buffer
-made in that call, so the step allocates nothing. Values and operations
-stay the scalar kernel's.
+batch_torques(q, tau), for control.rollout_plans: it advances a whole
+population of N columns in lockstep, with the state rows as the columns
+of a (len(state0), N) array that the step updates in place. q is the
+population's (4, N) angle and velocity block (rows th1, th2, w1, w2) and
+tau its (2, N) torque block, both the caller's, made once per call
+(arm._StepBlocks); step(state, u) reads q and the (n_controls, N) control
+block u and writes both joints' torques into tau. Branches become
+np.maximum/np.minimum forms and masked copies over the same operations,
+so every candidate's torques equal, bit for bit, what `torques` gives it.
+Where both joints do alike, one NumPy call does the work of both on a
+contiguous pair of rows: the torque, PD and low-pass kernels work on the
+(2, N) blocks of both joints' commands, filter states and torques, and
+the muscle kernel on its four muscles' rows at once, with one broadcast
+copy of q into an (8, N) block [phi; dphi] and one multiply for m*phi and
+m*dphi. At a CMA-ES population's size a NumPy call's fixed cost is most
+of its cost, so the array kernels take a constant shared by every row as
+a 0-d float64 array (_arrays: module constants such as _ONE, and a
+controller's own), never as a Python float, and a constant that differs
+by row (a ceiling per joint, a parameter per muscle) tiled to its
+block's full shape once per batch_torques call (arm._tile), so that no
+operand of an arithmetic call is broadcast from a column (the muscle
+kernel's copy of q is the one broadcast); every NumPy call of a step
+writes into tau or a block made in that call, so no step allocates or
+makes a view. Values and operations stay the scalar kernels'.
+
+In tests/test_kernels.py, test_muscle_kernel_equals_the_composed_step_functions
+and test_pair_torque_equals_the_composed_curves pin the scalar muscle
+kernel, test_torque_kernel_equals_the_torque_source_per_joint the scalar
+torque kernel, and test_pd_kernel_equals_pd_torques_per_element and
+test_lowpass_kernel_equals_lowpass_torques_per_element the PD and
+low-pass array kernels, element by element, against the scalar ones.
+tests/test_state_rows.py holds every array kernel, the muscle one under
+every ablation flag set, to `torques` column by column
+(test_batch_torques_for_a_population_is_torques_per_column), and
+tests/test_batch.py holds them to it through the costs.
 """
 
 import math
@@ -50,6 +71,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .arm import _tile
 from .control import DT_SIM
 
 FV_MAX = 1.35          # eccentric force plateau
@@ -149,12 +171,6 @@ class AblationFlags:
         return flags
 
 
-def _unit_clip(x, lo):
-    """x clamped to [lo, 1] as the scalar `lo if x < lo else 1 if x > 1 else x`;
-    lo is a 0-d array."""
-    return np.minimum(np.maximum(x, lo), _ONE)
-
-
 def pd_control(q: float, dq: float, q_des: float, kp: float, kd: float) -> float:
     """Position servo against a zero-velocity reference, clamped to [-1, 1]."""
     u = kp * (q_des - q) + kd * (0.0 - dq)
@@ -171,7 +187,8 @@ class MuscleController:
     Control order: (shoulder m1, shoulder m2, elbow m1, elbow m2). torques
     is the scalar kernel, one call per step of control.rollout;
     batch_torques is its array form for control.rollout_plans, which
-    tests/test_batch.py holds to it through the costs.
+    tests/test_state_rows.py holds to it column by column and
+    tests/test_batch.py through the costs.
     """
 
     n_controls = 4
@@ -288,55 +305,58 @@ class MuscleController:
         tau2 = -(m1 * f1 + m2 * f2)
         return tau1, tau2, state
 
-    def batch_torques(self, population):
-        """Array form of torques for `population` columns:
-        step(acts, th1, th2, w1, w2, u) -> (tau1, tau2).
+    def batch_torques(self, q, tau):
+        """Array form of torques for the population whose (4, N) angle and
+        velocity block q (rows th1, th2, w1, w2) and (2, N) torque block
+        tau the caller made: step(acts, u) writes the population's torques
+        into tau.
 
-        acts is the (4, population) array of state rows, advanced in place;
-        u is the (4, population) excitation block, in [0, 1] as the scalar
-        form's is. The four muscles are stacked in control order, and every
-        parameter is read once, here, and tiled to a full (4, population)
-        array, because NumPy broadcasts a (4, 1) column at about twice the
-        cost of an operand of the full shape; the decay factors are
-        torques' own. The step allocates nothing: the joint angles and
-        velocities, the fiber lengths, velocities and force factors and the
-        two torque rows live in buffers made here, once per call, and every
-        NumPy call writes into one of them. So the torque rows it returns
-        are overwritten by the next step. Each curve is computed where the
-        scalar kernel computes it, with its operations and operand order;
-        FV computes both of its curves and picks with two masked copies
-        (np.putmask, about half the fixed cost of a masked np.copyto), the
-        shortening curve where v <= 0 and then 0 where v <= -1, so a NaN
-        velocity keeps the lengthening curve's NaN, as the scalar branches
-        do. The unpicked curve may divide by zero, so callers run the step
-        under np.errstate.
+        acts is the (4, N) array of state rows, advanced in place; u is the
+        (4, N) excitation block, in [0, 1] as the scalar form's is. The
+        four muscles are stacked in control order, and every parameter is
+        read once, here, and tiled to a full (4, N) block (_tile); the
+        decay factors are torques' own. The step allocates nothing and
+        makes no view: the fiber lengths, velocities and force factors live
+        in blocks made here, once per call, and every NumPy call writes
+        into one of them or into tau. One broadcast copy fills the (8, N)
+        block [phi; dphi] = [th1, th1, th2, th2, w1, w1, w2, w2] from q, so
+        one multiply by the tiled moment arms [m; m] gives both m*phi and
+        m*dphi, and each joint's pair torque is the sum of its two
+        muscles' rows, negated on the (2, N) block at once. Each curve is
+        computed where the scalar kernel computes it, with its operations
+        and operand order; FV computes both of its curves and picks with
+        two masked copies (np.putmask, about half the fixed cost of a
+        masked np.copyto), the shortening curve where v <= 0 and then 0
+        where v <= -1, so a NaN velocity keeps the lengthening curve's NaN,
+        as the scalar branches do. The unpicked curve may divide by zero,
+        so callers run the step under np.errstate.
         """
         sh, el = self.shoulder, self.elbow
-
-        def rows(a, b, c, d):
-            return np.tile(np.array([[a], [b], [c], [d]]), population)
-
-        m = rows(sh.m1, sh.m2, el.m1, el.m2)
-        l_ref = rows(sh.l_ref1, sh.l_ref2, el.l_ref1, el.l_ref2)
-        v_scale = rows(sh.v_scale, sh.v_scale, el.v_scale, el.v_scale)
-        f_max = rows(sh.f_max, sh.f_max, el.f_max, el.f_max)
+        population = tau.shape[1]
+        arms = _tile((sh.m1, sh.m2, el.m1, el.m2) * 2, population)
+        l_ref = _tile((sh.l_ref1, sh.l_ref2, el.l_ref1, el.l_ref2), population)
+        v_scale = _tile((sh.v_scale, sh.v_scale, el.v_scale, el.v_scale),
+                        population)
+        f_max = _tile((sh.f_max, sh.f_max, el.f_max, el.f_max), population)
         e_sh, e_el = self._decay
-        decay = rows(e_sh, e_sh, e_el, e_el)
+        decay = _tile((e_sh, e_sh, e_el, e_el), population)
+        m = arms[:4]
         no_act = self.flags.disable_activation
         no_fl, no_fv = self.flags.disable_fl, self.flags.disable_fv
-        phi, dphi, l, v, x, t, fl, fv, fp = np.empty((9, 4, population))
+        angles = np.empty((8, population))          # [phi; dphi]
+        pairs, joints = angles.reshape(4, 2, population), q[:, None]
+        lengths = np.empty((8, population))         # [l; v]
+        l, v = lengths[:4], lengths[4:]
+        x, t, fl, fv, fp = np.empty((5, 4, population))
         pick = np.empty((4, population), dtype=bool)
-        tau1, tau2 = np.empty((2, population))
         fl = _ONE if no_fl else fl
         fv = _ONE if no_fv else fv
-        # each joint's two muscles share its angle and velocity
-        phi_sh, phi_el = phi.reshape(2, 2, population)
-        dphi_sh, dphi_el = dphi.reshape(2, 2, population)
         f1, f2, f3, f4 = l              # m*F per muscle, once l holds it
+        tau1, tau2 = tau
         mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
         maximum = np.maximum
 
-        def step(acts, th1, th2, w1, w2, u):
+        def step(acts, u):
             if no_act:
                 np.copyto(acts, u)
             else:               # u + (acts - u) * decay, clipped to [0, 1]
@@ -345,14 +365,10 @@ class MuscleController:
                 add(u, acts, acts)
                 maximum(acts, _ZERO, out=acts)
                 np.minimum(acts, _ONE, out=acts)
-            phi_sh[...] = th1
-            phi_el[...] = th2
-            dphi_sh[...] = w1
-            dphi_el[...] = w2
-            mul(m, phi, l)                  # l = m*phi + l_ref
-            add(l, l_ref, l)
-            mul(m, dphi, v)                 # v = v_scale*(m*dphi)
-            mul(v_scale, v, v)
+            np.copyto(pairs, joints)        # each joint's two muscles
+            mul(arms, angles, lengths)      # [l; v] = [m*phi; m*dphi], then
+            add(l, l_ref, l)                # l = m*phi + l_ref
+            mul(v_scale, v, v)              # v = v_scale*(m*dphi)
             sub(l, _ONE, l)                 # the stretch l - 1
             if not no_fl:                   # FL = max(1 - x*x, 0)^2, x = (l - 1)/0.5
                 div(l, _FL_HALF_WIDTH, x)
@@ -384,10 +400,8 @@ class MuscleController:
             mul(l, f_max, l)
             mul(m, l, l)
             add(f1, f2, tau1)               # tau = -(m1*F1 + m2*F2) per joint
-            np.negative(tau1, tau1)
             add(f3, f4, tau2)
-            np.negative(tau2, tau2)
-            return tau1, tau2
+            np.negative(tau, tau)
 
         return step
 
@@ -417,14 +431,16 @@ class TorqueController:
         t1, t2 = self.tau_max
         return t1 * u1, t2 * u2, state
 
-    def batch_torques(self, population):
-        """Array form of torques; u is the (2, population) block. The
-        ceilings are 0-d arrays (_arrays), and the population size does
-        not matter."""
-        t1, t2 = _arrays(*self.tau_max)
+    def batch_torques(self, q, tau):
+        """Array form of torques: step(state, u) writes tau = tau_max * u
+        for the (2, N) command block u into the caller's (2, N) torque
+        block tau, with one multiply by the ceilings tiled to the block's
+        shape (_tile). The kernel reads no angle or velocity of the
+        caller's block q."""
+        ceiling = _tile(self.tau_max, tau.shape[1])
 
-        def step(state, th1, th2, w1, w2, u):
-            return t1 * u[0], t2 * u[1]
+        def step(state, u):
+            np.multiply(ceiling, u, tau)
 
         return step
 
@@ -453,19 +469,30 @@ class PDController:
         u2 = pd_control(th2, w2, u[1] * self.target_scale, self.kp, self.kd)
         return self.tau_max[0] * u1, self.tau_max[1] * u2, state
 
-    def batch_torques(self, population):
-        """Array form of torques, pd_control's arithmetic and clamp per
-        joint, with every constant a 0-d array (_arrays); the population
-        size does not matter."""
-        kp, kd, scale, t1, t2 = _arrays(self.kp, self.kd, self.target_scale,
-                                        *self.tau_max)
+    def batch_torques(self, q, tau):
+        """Array form of torques for the population whose (4, N) angle and
+        velocity block q and (2, N) torque block tau the caller made:
+        step(state, u) writes tau for the (2, N) target block u.
+        pd_control's arithmetic and clamp run on both joints' rows at
+        once, on the pairs th = q[0:2] and w = q[2:4], in blocks made here
+        and with the gains and the target scale as 0-d arrays (_arrays)
+        and the ceilings tiled (_tile), so the step allocates nothing."""
+        kp, kd, scale = _arrays(self.kp, self.kd, self.target_scale)
+        ceiling = _tile(self.tau_max, tau.shape[1])
+        th, w = q[0:2], q[2:4]
+        e, d = np.empty((2,) + tau.shape)
+        mul = np.multiply
 
-        def servo(q, dq, target):
-            return _unit_clip(kp * (target * scale - q) + kd * (_ZERO - dq),
-                              _MINUS_ONE)
-
-        def step(state, th1, th2, w1, w2, u):
-            return t1 * servo(th1, w1, u[0]), t2 * servo(th2, w2, u[1])
+        def step(state, u):
+            mul(u, scale, e)                # kp*(u*scale - th) + kd*(0.0 - w)
+            np.subtract(e, th, e)
+            mul(kp, e, e)
+            np.subtract(_ZERO, w, d)
+            mul(kd, d, d)
+            np.add(e, d, e)
+            np.maximum(e, _MINUS_ONE, out=e)    # clamped to [-1, 1]
+            np.minimum(e, _ONE, out=e)
+            mul(ceiling, e, tau)
 
         return step
 
@@ -505,16 +532,23 @@ class LowPassController:
         t1, t2 = self.tau_max
         return t1 * f1, t2 * f2, (f1, f2)
 
-    def batch_torques(self, population):
-        """Array form of torques; filtered is the (2, population) array of
-        state rows, advanced in place by the same update. The gain and the
-        ceilings are 0-d arrays (_arrays), and the population size does
-        not matter."""
-        gain, t1, t2 = _arrays(self._gain, *self.tau_max)
+    def batch_torques(self, q, tau):
+        """Array form of torques: step(filtered, u) advances the (2, N)
+        array of state rows by the same update, in place, for the (2, N)
+        command block u, and writes tau = tau_max * filtered into the
+        caller's (2, N) torque block tau, each on both joints' rows at
+        once, with the gain a 0-d array (_arrays) and the ceilings tiled
+        (_tile). The kernel reads no angle or velocity of the caller's
+        block q."""
+        (gain,) = _arrays(self._gain)
+        ceiling = _tile(self.tau_max, tau.shape[1])
+        d = np.empty(tau.shape)
 
-        def step(filtered, th1, th2, w1, w2, u):
-            filtered += gain * (u - filtered)
-            return t1 * filtered[0], t2 * filtered[1]
+        def step(filtered, u):
+            np.subtract(u, filtered, d)     # filtered + gain*(u - filtered)
+            np.multiply(gain, d, d)
+            np.add(filtered, d, filtered)
+            np.multiply(ceiling, filtered, tau)
 
         return step
 

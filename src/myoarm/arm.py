@@ -21,15 +21,18 @@ becomes one array once per episode.
 
 _symp_step is the step of control.rollout_plans, which advances whole
 CMA-ES populations in lockstep, one column per candidate. It is an array
-kernel: the same operations in the same order as the scalar loop's, each
-one NumPy call on contiguous rows that writes into a buffer the caller
-made once (rollout_plans' sample record, the carried mass-matrix terms and
-_STEP_WORK_ROWS scratch rows), so a step allocates nothing. It reads sample
-k's state from the record and writes sample k's accelerations and sample
-k + 1's state back into it; _step_accel, its first half, gives the
-terminal sample's accelerations. So the step's arithmetic has exactly two
-copies, _symp_step and the scalar loop, and tests/test_kernels.py holds
-each to the step composed from _mass_matrix and _bias.
+kernel: the same operations as the scalar loop's, each one NumPy call on
+contiguous rows of blocks the caller made once (_StepBlocks: the state,
+the torques, the carried mass-matrix terms and scratch), so a step
+allocates nothing and makes no view. Where both joints do alike, one call
+does both joints' work on a contiguous (2, N) pair of rows, with only the
+operands of a sum or a product in the other order, which IEEE arithmetic
+keeps bit for bit. The step reads the state's angles and velocities and
+writes its accelerations and then the next state back into it;
+_step_accel, its first half, gives the terminal sample's accelerations.
+So the step's arithmetic has exactly two copies, _symp_step and the
+scalar loop, and tests/test_kernels.py holds each to the step composed
+from _mass_matrix and _bias.
 """
 
 import math
@@ -130,8 +133,8 @@ class BallState:
 class _Coeffs:
     """Configuration-independent aggregates of the equations of motion."""
 
-    __slots__ = ("a1", "mb", "sb", "qb", "m11_0", "cross", "cross2", "two",
-                 "kg1", "kg2", "g", "l1", "l2")
+    __slots__ = ("a1", "mb", "sb", "qb", "m11_0", "cross", "cross2", "kg1",
+                 "kg2", "g", "l1", "l2")
 
     def __init__(self, p: ArmParams):
         self.a1 = p.i1 + p.m1 * p.r1 * p.r1
@@ -142,7 +145,6 @@ class _Coeffs:
         self.m11_0 = self.a1 + self.qb + self.mb * p.l1 * p.l1
         self.cross = p.l1 * self.sb
         self.cross2 = 2.0 * self.cross          # m11's first product, 2.0 * cross
-        self.two = 2.0                          # the Coriolis term's 2.0 (_symp_step)
         self.kg1 = p.g * (p.m1 * p.r1 + self.mb * p.l1)
         self.kg2 = p.g * self.sb
         self.g = p.g
@@ -298,63 +300,128 @@ def _mass_terms(c: _Coeffs, th2, cos=math.cos):
     bit, since negation and the sign of a product are exact. The scalar
     rollout's loop starts from these; rollout_plans computes its first
     ones here too, on arrays with cos=np.cos, and _symp_step each later
-    configuration's in its buffers, with the same operations."""
+    configuration's in its blocks, with the same operations on row pairs."""
     c2 = cos(th2)
     m11 = c.m11_0 + c.cross2 * c2
     s = c.qb + c.cross * c2
     return m11, s, m11 * c.qb - s * s
 
 
-_STEP_WORK_ROWS = 13         # the scratch rows _symp_step writes into
+def _tile(values, n):
+    """values as a (len(values), n) float64 block, value i in every column
+    of row i: the form the population step and the actuators' array
+    kernels take a constant that differs by row in, since NumPy
+    broadcasts a (rows, 1) column at about twice the cost of an operand of
+    the full shape."""
+    return np.tile(np.reshape(np.array(values, dtype=float), (-1, 1)), n)
 
 
-def _step_accel(c: _Coeffs, x, tau1, tau2, terms, work, cos=np.cos,
-                sin=np.sin):
-    """The joint accelerations of N arms at one sample under torques
-    (tau1, tau2), written into the sample's rows: the first half of
-    _symp_step, and all that rollout_plans needs of the terminal sample.
+class _StepBlocks:
+    """The blocks the population step (_symp_step) works on, for N arms,
+    one column per arm: made once per rollout_plans call, so that a step
+    allocates nothing and makes no view.
 
-    x holds the sample's six rows th1, th2, w1, w2, a1, a2 (as _symp_step
-    takes them); a1 and a2 are written, the rest read. terms are the (m11,
-    s, det) rows of its configuration, work _symp_step's scratch rows; hs,
-    g1 and g2 are left in work's first three rows for the rest of the step.
+    state is (6, N): the rows th1, th2, w1, w2, a1, a2 of the sample the
+    next step starts from, so the angles th = [th1; th2], the velocities w
+    and the accelerations a are each one contiguous (2, N) pair, and rows
+    0:4 are the angle and velocity block a controller's array kernel reads
+    (actuators). tau is the (2, N) torque block the kernel writes. terms
+    is the (4, N) block [qb, s, m11, qb] of the state's mass-matrix terms
+    (_mass_terms; s = -m12, and m22 is qb), rows 0 and 3 constant, so
+    [qb; s], [s; m11] and [m11; qb] are each one contiguous slice, and det
+    is the (2, N) block [det; det]. set_terms fills in the first ones, and
+    each step hands on its new configuration's.
+
+    The rest are the step's scratch blocks and its constants, every one a
+    float64 array: dt, 2.0 and qb as 0-d arrays, since NumPy converts a
+    Python float operand anew on every call, which costs about as much
+    again as the operation on a population-sized row; and the constant
+    pairs as full (rows, N) tiles, since a NumPy call that broadcasts an
+    operand costs about twice a plain one. The trigonometric block trig is
+    [hs, hs, g1, Q, P, g2] and is scaled by one multiply with the tile
+    [cross, cross, kg1, 1, 1, kg2]; rows 3 and 4 take Q = hs*w1*w1 and P =
+    hs*w2*(2*w1 - w2) after it (the ones scale what they held before), so
+    [hs; hs], [Q; P], [g1; Q] and [P; g2] are contiguous pairs too. Every
+    view, its rows included, is made here and kept in two tuples, which
+    _step_accel and _symp_step unpack.
     """
-    th1, th2, w1, w2, a1, a2 = x
-    m11, s, det = terms
-    hs, g1, g2, t, r1, r2 = work[:6]
-    mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
-    sin(th2, hs)                        # hs = cross * sin(th2)
-    mul(c.cross, hs, hs)
-    cos(th1, g1)                        # g1 = kg1 * cos(th1)
-    mul(c.kg1, g1, g1)
-    sub(th1, th2, g2)                   # g2 = kg2 * cos(th1 - th2); dV/dth2 = -g2
+
+    __slots__ = ("state", "tau", "terms", "det", "accel_views", "step_views")
+
+    def __init__(self, c: _Coeffs, n: int, dt: float):
+        state = self.state = np.zeros((6, n))
+        tau = self.tau = np.zeros((2, n))
+        terms = self.terms = np.zeros((4, n))
+        terms[0] = terms[3] = c.qb
+        det = self.det = np.ones((2, n))
+        trig = np.zeros((6, n))
+        y, bias, pair, sw, qs, qq, u, cc = np.zeros((8, 2, n))
+        r = np.zeros((4, n))
+        m = np.zeros((3, n))
+        t, x = np.zeros((2, n))
+        th1, th2, w1, w2 = state[:4]
+        self.accel_views = (
+            th1, th2, w1, w2, state[2:4], state[4:6], tau, trig,
+            _tile((c.cross, c.cross, c.kg1, 1.0, 1.0, c.kg2), n),
+            trig[0], trig[1], trig[2], trig[5], trig[0:2], trig[3:5],
+            trig[2:4], trig[4:6], y, *y, np.array(2.0), bias, bias[0],
+            r[1:3], *r, r[0:2], r[2:4], terms[0:2], terms[1:3], pair, det)
+        self.step_views = (
+            state[0:2], th2, w1, w2, state[2:4], *tau, terms[2:4], *terms[1:3],
+            terms[1:3], np.array(c.qb), trig[0], trig[2], trig[5], m[0:2],
+            *m, m[1:3], sw, *sw, qs, *qs, qq, *qq, u, *u, t, x, cc, *cc,
+            _tile((c.cross, c.cross2), n), _tile((c.qb, c.m11_0), n), det,
+            *det, np.array(dt, dtype=float))
+
+    def set_terms(self, m11, s, det):
+        """Take (m11, s, det), _mass_terms' rows of the state's
+        configuration, as the terms the next step starts from."""
+        self.terms[1] = s
+        self.terms[2] = m11
+        self.det[:] = det
+
+
+def _step_accel(b: _StepBlocks, cos=np.cos, sin=np.sin):
+    """The joint accelerations of b's N arms at their state under the
+    torques in b.tau, written into the state's a rows: the first half of
+    _symp_step, and all that rollout_plans needs of the terminal sample.
+    It leaves hs, g1 and g2 in b's trigonometric block for the rest of
+    the step. The pairs, each one NumPy call on two rows:
+    [hs*w1; hs*w2], then [Q; P] = that times [w1; 2*w1 - w2];
+    [g1 - P; Q - g2], whose first row then gains g2; [r1; r2] = tau -
+    [b1; b2]; and a = ([qb; s]*[r1; r1] + [s; m11]*[r2; r2]) / [det;
+    det], so a2 is s*r1 + m11*r2.
+    """
+    (th1, th2, w1, w2, w, a, tau, trig, scale, hs, hs_copy, g1, g2, hh, qp,
+     g1_q, p_g2, y, y0, y1, two, bias, b1, r12, r0, r1, r2, r3, rr1, rr2,
+     qb_s, s_m11, pair, det) = b.accel_views
+    mul, add, sub, div, copy = (np.multiply, np.add, np.subtract, np.divide,
+                                np.copyto)
+    sin(th2, hs)                        # [hs, hs, g1, -, -, g2] =
+    copy(hs_copy, hs)                   # [cross, cross, kg1, -, -, kg2] *
+    cos(th1, g1)                        # [sin(th2), sin(th2), cos(th1),
+    sub(th1, th2, g2)                   #  -, -, cos(th1 - th2)]
     cos(g2, g2)
-    mul(c.kg2, g2, g2)
-    mul(c.two, w1, r1)                  # r1 = tau1 - (g1 - hs*w2*(2*w1 - w2) + g2)
-    sub(r1, w2, r1)
-    mul(hs, w2, t)
-    mul(t, r1, r1)
-    sub(g1, r1, r1)
-    add(r1, g2, r1)
-    sub(tau1, r1, r1)
-    mul(hs, w1, r2)                     # r2 = tau2 - (hs*w1*w1 - g2)
-    mul(r2, w1, r2)
-    sub(r2, g2, r2)
-    sub(tau2, r2, r2)
-    mul(c.qb, r1, a1)                   # a1 = (qb*r1 + s*r2) / det
-    mul(s, r2, t)
-    add(a1, t, a1)
-    div(a1, det, a1)
-    mul(m11, r2, a2)                    # a2 = (m11*r2 + s*r1) / det
-    mul(s, r1, t)
-    add(a2, t, a2)
-    div(a2, det, a2)
+    mul(scale, trig, trig)
+    mul(hh, w, qp)                      # [Q; P] = [hs*w1; hs*w2] * y
+    copy(y0, w1)                        # y = [w1; 2*w1 - w2]
+    mul(two, w1, y1)
+    sub(y1, w2, y1)
+    mul(qp, y, qp)
+    sub(g1_q, p_g2, bias)               # [b1; b2] = [g1 - P + g2; Q - g2]
+    add(b1, g2, b1)
+    sub(tau, bias, r12)                 # r = [r1, r1, r2, r2]
+    copy(r0, r1)
+    copy(r3, r2)
+    mul(qb_s, rr1, a)                   # a = ([qb; s]*[r1; r1]
+    mul(s_m11, rr2, pair)               #      + [s; m11]*[r2; r2])
+    add(a, pair, a)                     #     / [det; det]
+    div(a, det, a)
 
 
-def _symp_step(c: _Coeffs, x, xn, tau1, tau2, dt, terms, work,
-               cos=np.cos, sin=np.sin):
+def _symp_step(b: _StepBlocks, cos=np.cos, sin=np.sin):
     """One semi-implicit Euler step in momentum form of N arms at once, as
-    NumPy calls that write into buffers the caller made.
+    NumPy calls on the blocks b holds (_StepBlocks).
 
     Momenta are updated first (implicitly, by a short fixed-point loop, since
     the mass matrix couples them to the velocities), then positions. Working
@@ -362,23 +429,27 @@ def _symp_step(c: _Coeffs, x, xn, tau1, tau2, dt, terms, work,
     the configuration-dependent mass matrix, so the energy error of a passive
     swing stays a bounded oscillation instead of a secular drift.
 
-    x and xn hold the six rows th1, th2, w1, w2, a1, a2 of samples k and
-    k + 1, one column per arm (rollout_plans hands in tuples of views of
-    its record's rows, made once per sample). The step reads x's state,
-    writes its instantaneous joint accelerations (_step_accel; what an
-    accelerometer would read, used for jerk measures) into x's a1, a2 rows
-    and the new state into xn's th1 .. w2 rows. terms holds the (m11, s, det) rows of x's configuration
-    (_mass_terms) and is overwritten with xn's, so a run of steps derives
-    each configuration's terms once, as the scalar rollout's loop does.
-    work is _STEP_WORK_ROWS scratch rows. tau1 and tau2 are rows of torques.
-    Every constant is a field of c, which with dt is a 0-d float64 array
-    (control._array_coeffs): NumPy converts a Python float operand anew on
-    every call, which costs about as much again as the operation on a
-    population-sized row. No operand is broadcast from a larger or smaller
-    row, and every output goes to its buffer as a positional out argument,
-    so the step allocates nothing: at a CMA-ES population's size a NumPy
-    call's fixed cost is most of its cost, and a new result array, a
-    keyword out or a broadcast adds to it.
+    The step reads b.state's th and w rows and b.tau, writes the state's
+    instantaneous joint accelerations (_step_accel; what an accelerometer
+    would read, used for jerk measures) into its a rows, and then the new
+    state into its th and w rows, in place; it replaces b's carried terms
+    ([qb, s, m11, qb] and [det; det]) with the new configuration's, so a
+    run of steps derives each configuration's terms once, as the scalar
+    rollout's loop does. Every result goes into one of b's blocks, and
+    every operand is one of b's views or constants, so the step allocates
+    nothing and makes no view: at a CMA-ES population's size a NumPy
+    call's fixed cost is most of its cost.
+
+    Where both joints do alike, one call does the work of both on a
+    contiguous pair of rows, never a broadcast one and never a view with
+    a negative stride; a pair that needs one row twice, such as [q; q],
+    costs a row copy. The pairs after _step_accel's: the momenta [m11*w1;
+    qb*w2] - [s*w2; s*w1], whose rows are q1's first term and p2; [qb*q1;
+    s*q1]; each fixed-point pass's velocities u = ([s; m11]*[q; q] +
+    [qb*q1; s*q1]) / [det; det]; th' = th + dt*u; the new terms [s';
+    m11'] = [qb; m11_0] + [cross; cross2]*[c2; c2]; and w' = ([s';
+    m11']*[q2; q2] + [qb*q1; s'*q1]) / [det'; det']. q1's gravity term, the
+    update of q2 in each pass and det' = m11'*qb - s'*s' are single rows.
 
     The arithmetic is the composed step's (_mass_matrix and _bias),
     operation for operation: each trigonometric term and each product that
@@ -389,14 +460,16 @@ def _symp_step(c: _Coeffs, x, xn, tau1, tau2, dt, terms, work,
     exact, and x - y is x + (-y)): with s = qb + cross*c2 the mass matrix's
     m12 is -s, so x - m12*y becomes x + s*y and m12*m12 becomes s*s;
     -hs*w2*x + g1 becomes g1 - hs*w2*x; and adding v2g = -g2 becomes
-    subtracting g2. Every other expression keeps its association and its
-    operand order (the bias b1 is not regrouped to reuse g1 + g2, for
-    instance), and m11's first product 2.0*cross is c.cross2 and the
-    Coriolis term's 2.0 is c.two, so each column's result equals the
-    composed step's on that column's floats bit for bit, up to the sign of
-    a NaN, wherever cos and sin (np.cos and np.sin; a test may pass any
-    function called as cos(x, out)) equal math.cos and math.sin. No
-    column's numbers depend on the columns beside it.
+    subtracting g2. The pairs add one more: some sums and products take
+    their operands in the other order (s*q + qb*q1 for the scalar loop's
+    qb*q1 + s*q, for instance), and IEEE addition and multiplication are
+    commutative, bit for bit. Every other expression keeps its association
+    and its operand order (the bias b1 is not regrouped to reuse g1 + g2,
+    for instance), so each column's result equals the composed step's on
+    that column's floats bit for bit, up to the sign of a NaN, wherever
+    cos and sin (np.cos and np.sin; a test may pass any function called as
+    cos(x, out)) equal math.cos and math.sin. No column's numbers depend
+    on the columns beside it.
 
     control._simulate, the scalar rollout's loop, carries the one other
     copy of this arithmetic, written out inline on floats; a change here
@@ -407,70 +480,59 @@ def _symp_step(c: _Coeffs, x, xn, tau1, tau2, dt, terms, work,
     many columns with NumPy's, test_carried_mass_terms_are_the_new_configurations
     the terms it hands on, and the rollout_reference tests the loop's copy.
     """
-    th1, th2, w1, w2, _, _ = x
-    th1n, th2n, w1n, w2n, _, _ = xn
-    m11, s, det = terms
-    qb = c.qb
-    hs, g1, g2, t, p2, q1, q2, qbq1, sq1, u1, u2 = (*work[:4], *work[6:])
-    mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
-    _step_accel(c, x, tau1, tau2, terms, work, cos, sin)
-    # generalized momenta; p1 = m11*w1 - s*w2 is q1's first term
-    mul(qb, w2, p2)                     # p2 = qb*w2 - s*w1
-    mul(s, w1, t)
-    sub(p2, t, p2)
+    (th, th2, w1, w2, w, tau1, tau2, m11_qb, s, m11, s_m11, qb, hs, g1, g2,
+     m01, q1, p2, p2_copy, p2p2, sw, sw0, sw1, qs, qbq1, sq1, qq, q2, q2_copy,
+     u, u1, u2, t, x, cc, c2, c2_copy, cross_pair, base_pair, det, det0,
+     det1, dt) = b.step_views
+    mul, add, sub, div, copy = (np.multiply, np.add, np.subtract, np.divide,
+                                np.copyto)
+    _step_accel(b, cos, sin)
+    # generalized momenta: [q1; p2] = [m11*w1 - s*w2; qb*w2 - s*w1], and
     # dH/dth1 has no velocity dependence (the mass matrix only sees th2),
     # so the first momentum update is explicit; the second converges in a
     # few fixed-point passes because dt times the coupling is tiny.
-    mul(m11, w1, q1)                    # q1 = m11*w1 - s*w2 + dt*(tau1 - (g1 + g2))
-    mul(s, w2, t)
-    sub(q1, t, q1)
-    add(g1, g2, t)
+    mul(m11_qb, w, m01)
+    mul(s, w2, sw0)
+    mul(s, w1, sw1)
+    sub(m01, sw, m01)
+    add(g1, g2, t)                      # q1 += dt*(tau1 - (g1 + g2))
     sub(tau1, t, t)
     mul(dt, t, t)
     add(q1, t, q1)
+    copy(p2_copy, p2)
     mul(qb, q1, qbq1)
     mul(s, q1, sq1)
-    q = p2                              # the first pass starts from p2
+    q = p2p2                            # the first pass starts from p2
     for _ in range(3):
-        mul(s, q, u1)                   # u1 = (qbq1 + s*q) / det
-        add(qbq1, u1, u1)
-        div(u1, det, u1)
-        mul(m11, q, u2)                 # u2 = (m11*q + sq1) / det
-        add(u2, sq1, u2)
-        div(u2, det, u2)
-        sub(u1, u2, q2)                 # q2 = p2 + dt*(tau2 - (hs*u1*(u1 - u2) - g2))
+        mul(s_m11, q, u)                # u = ([s; m11]*[q; q] + [qbq1; sq1])
+        add(u, qs, u)                   #     / [det; det]
+        div(u, det, u)
+        sub(u1, u2, x)                  # q2 = p2 + dt*(tau2 - (hs*u1*(u1 - u2) - g2))
         mul(hs, u1, t)
-        mul(t, q2, q2)
-        sub(q2, g2, q2)
-        sub(tau2, q2, q2)
-        mul(dt, q2, q2)
-        add(p2, q2, q2)
-        q = q2
-    mul(s, q2, u1)                      # the velocities of the final q2
-    add(qbq1, u1, u1)
-    div(u1, det, u1)
-    mul(m11, q2, u2)
-    add(u2, sq1, u2)
-    div(u2, det, u2)
-    mul(dt, u1, t)                     # th1' = th1 + dt*u1
-    add(th1, t, th1n)
-    mul(dt, u2, t)                     # th2' = th2 + dt*u2
-    add(th2, t, th2n)
-    cos(th2n, t)                        # the new configuration's terms (_mass_terms)
-    mul(c.cross2, t, m11)
-    add(c.m11_0, m11, m11)
-    mul(c.cross, t, s)
-    add(qb, s, s)
-    mul(m11, qb, det)
+        mul(t, x, x)
+        sub(x, g2, x)
+        sub(tau2, x, x)
+        mul(dt, x, x)
+        add(p2, x, q2)
+        copy(q2_copy, q2)
+        q = qq
+    mul(s_m11, qq, u)                   # the velocities of the final q2
+    add(u, qs, u)
+    div(u, det, u)
+    mul(dt, u, u)                       # th' = th + dt*u
+    add(th, u, th)
+    cos(th2, c2)                        # the new configuration's terms
+    copy(c2_copy, c2)                   # [s; m11] = [qb; m11_0]
+    mul(cross_pair, cc, cc)             #     + [cross; cross2]*[c2; c2]
+    add(base_pair, cc, s_m11)
+    mul(m11, qb, det0)                  # det = m11*qb - s*s
     mul(s, s, t)
-    sub(det, t, det)
-    mul(s, q2, w1n)                     # w1' = (qbq1 + s'*q2) / det'
-    add(qbq1, w1n, w1n)
-    div(w1n, det, w1n)
-    mul(m11, q2, w2n)                   # w2' = (m11'*q2 + s'*q1) / det'
-    mul(s, q1, t)
-    add(w2n, t, w2n)
-    div(w2n, det, w2n)
+    sub(det0, t, det0)
+    copy(det1, det0)
+    mul(s_m11, qq, u)                   # w' = ([s'; m11']*[q2; q2]
+    mul(s, q1, sq1)                     #       + [qbq1; s'*q1]) / [det'; det']
+    add(u, qs, w)
+    div(w, det, w)
 
 
 def ball_step(ball: BallState, hand_pos, hand_vel, dt: float, g: float = 9.81,

@@ -36,30 +36,40 @@ because a call per step is a sizeable share of a short MPC window's time.
 `rollout_plans` scores several populations of decision vectors (plans
 that share the episode length, the arm and the start state) in lockstep,
 one call of arm._symp_step per physics step. That is the step's array
-kernel, the same operations in the same order as the loop's, which reads
-one sample of a (n_steps + 1, 6, N) record and writes the next into it,
-and gives every row the cost `rollout` gives it. At a CMA-ES population's
-size a NumPy call's fixed cost is most of its cost, so no operation of
-the population step mixes a Python float with an array: the step's
-constants and dt are 0-d float64 arrays (_array_coeffs), and so are the
-controllers' in their array kernels. The arm step and the muscle kernel
-allocate nothing either: every result goes into a buffer made once per
-rollout_plans call. So the step's
-arithmetic lives in exactly two places, _symp_step and _simulate's loop,
-and tests pin each: in tests/test_kernels.py,
+kernel, the same operations as the loop's, on one column per row of the
+population: it works in place on a (6, N) state block (th1, th2, w1, w2,
+a1, a2 rows) and the other blocks of one arm._StepBlocks, and each step's
+state is copied into a (n_steps + 2, 6, N) record. Where both joints do
+alike, one NumPy call does the work of both on a contiguous (2, N) pair
+of rows: the angles, velocities and accelerations are row pairs of the
+state, the torques one (2, N) block that the controller's array kernel
+writes, and the carried mass-matrix terms the (4, N) block [qb, s, m11,
+qb] with [det; det] beside it, so [qb; s], [s; m11] and [m11; qb] are
+each one slice. A pair takes some sums and products with their operands
+in the other order than the loop's, the one IEEE identity the pairing
+adds to the step's (commuted operands of + and *), so every row gets the
+cost `rollout` gives it. At a CMA-ES population's size a NumPy call's
+fixed cost is most of its cost, so no operation of the population step
+mixes a Python float with an array or broadcasts an operand: its
+constants are 0-d float64 arrays or tiles of the block's shape, and so
+are the controllers' in their array kernels. Neither the arm step nor an
+actuator kernel allocates or makes a view: every result goes into a block
+made once per rollout_plans call. So the step's arithmetic lives in
+exactly two places, _symp_step and _simulate's loop, and tests pin each:
+in tests/test_kernels.py,
 test_symp_step_equals_its_composed_reference holds _symp_step, on one
 column with math's trigonometry, to the step composed from
 arm._mass_matrix and arm._bias, test_carried_mass_terms_are_the_new_configurations
 the terms it hands on to _mass_matrix,
 test_array_step_matches_the_scalar_step_element_by_element its use on
-many columns, with rollout_plans' constants, to its use on each column
-alone, and the rollout_reference tests hold the loop, step by step, to
-the composed step; tests/test_batch.py holds rollout_plans' costs to
-rollout's. Each plan's population is scored with one call of its task's
-cost (or window cost) on the population's arrays, which gives every row
-the float `rollout`'s call gives it. CMA-ES hands out each generation as
-one such array (optimizers.CmaEs): the MPC warm start scores its
-generations with a one-plan rollout_plans call, and open-loop
+many columns, in blocks made as rollout_plans makes them, to its use on
+each column alone, and the rollout_reference tests hold the loop, step
+by step, to the composed step; tests/test_batch.py holds rollout_plans'
+costs to rollout's. Each plan's population is scored with one call of
+its task's cost (or window cost) on the population's arrays, which gives
+every row the float `rollout`'s call gives it. CMA-ES hands out each
+generation as one such array (optimizers.CmaEs): the MPC warm start
+scores its generations with a one-plan rollout_plans call, and open-loop
 optimization advances one or more runs in lockstep (open_loop_lockstep),
 scoring a generation of all of them with one rollout_plans call. The
 pattern-search refinement, MPC's executed trajectory and the best-plan
@@ -74,9 +84,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .arm import (_STEP_WORK_ROWS, ArmState, BallState, Perturbation,
-                  _accel, _Coeffs, _hand, _mass_terms, _pendulum_forces,
-                  _pendulum_step, _step_accel, _symp_step, ball_step)
+from .arm import (ArmState, BallState, Perturbation, _accel, _Coeffs, _hand,
+                  _mass_terms, _pendulum_forces, _pendulum_step, _StepBlocks,
+                  _step_accel, _symp_step, ball_step)
 from .optimizers import CmaConfig, CmaEs, cma_es, local_refine
 
 DT_SIM = 0.005                 # physics timestep, seconds
@@ -420,8 +430,10 @@ def _simulate(task, controller, theta, parameterization, perturbation,
                     coeffs, th1, th2, w1, w2, tau1, tau2, pend_pert, phi_p,
                     dphi_p, dt)
             # arm._symp_step under torques (t1, t2): its operations in its
-            # order, with this configuration's m11, s and det carried over
-            # from the step before and the new one's computed at its end
+            # order (some of its pairs take a sum's or a product's operands
+            # the other way round, which IEEE arithmetic keeps exactly),
+            # with this configuration's m11, s and det carried over from
+            # the step before and the new one's computed at its end
             hs = cross * sin(th2)
             g1 = kg1 * cos(th1)
             g2 = kg2 * cos(th1 - th2)
@@ -563,16 +575,6 @@ def _scalar_only(task, perturbation) -> bool:
             or (perturbation is not None and perturbation.kind == "chaotic_pendulum"))
 
 
-def _array_coeffs(params) -> _Coeffs:
-    """_Coeffs(params) with every field a 0-d float64 array: the constants
-    rollout_plans hands its array step, with dt as one more (see
-    arm._symp_step for why)."""
-    coeffs = _Coeffs(params)
-    for name in _Coeffs.__slots__:
-        setattr(coeffs, name, np.array(getattr(coeffs, name), dtype=float))
-    return coeffs
-
-
 def rollout_plans(controller, plans, perturbation: Perturbation | None = None):
     """Costs of several populations of decision vectors rolled out in
     lockstep under one controller: one array per (task, thetas,
@@ -583,32 +585,37 @@ def rollout_plans(controller, plans, perturbation: Perturbation | None = None):
 
     The plans rolled out together must share n_steps, the arm
     (task.params) and the start state, and may differ in anything else:
-    resolution, population and the task's goal (ValueError otherwise).
+    resolution, population and the task's goal (ValueError otherwise, and
+    for an empty list of plans).
     Every plan's rows are stacked into one population of N rows that
     advances together in structure-of-arrays form. Each plan is decoded
     once, and its per-step controls (table[:, segment_of_step]) are
     stacked into one (na, N) block per physics step before the loop.
 
-    The call makes one (n_steps + 1, 6, N) sample record: sample k's th1,
-    th2, w1, w2, a1 and a2 rows, the initial state filled in first. Per
-    step there is one call of the step that controller.batch_torques(N)
-    makes, on sample k's angle and velocity rows, and one of
-    arm._symp_step, which reads sample k, writes its accelerations and
-    sample k + 1 into the record, and updates the carried mass-matrix
-    terms (m11, s, det; the first ones by arm._mass_terms) in place. The
-    terminal sample's accelerations under the last torques, which rollout
-    records as its last ddth row, are arm._step_accel's, the step's first
-    half. The record, the terms and the scratch rows of the step and of
-    the muscle kernel are made once per call, so neither allocates. The
-    step's constants and dt are 0-d float64 arrays (_array_coeffs), which
-    NumPy takes at a lower fixed cost per call than Python floats, with
-    the same values. Every operation is the scalar path's, in its order,
+    The call makes the blocks of the population step once
+    (arm._StepBlocks): the (6, N) state block of th1, th2, w1, w2, a1 and
+    a2 rows, the initial state filled in first, the (2, N) torque block,
+    the carried mass-matrix terms (the first ones by arm._mass_terms) and
+    the step's scratch; and one (n_steps + 2, 6, N) record, whose row k
+    holds sample k's angle and velocity rows and sample k - 1's
+    accelerations, which is what the state block holds after step k - 1.
+    Per step there is one call of the step that
+    controller.batch_torques(q, tau) makes, which reads the state's (4, N)
+    angle and velocity block q and writes the torque block tau, one call
+    of arm._symp_step, which writes the state's accelerations and then the
+    next state into the state block and hands on the next configuration's
+    terms, and one copy of the state block into the record. The terminal
+    sample's accelerations under the last torques, which rollout records
+    as its last ddth row, are arm._step_accel's, the step's first half.
+    The step and the kernels take every view, scratch block and tiled
+    constant from blocks made once per call, so a step allocates nothing
+    and makes no view. Every operation is the scalar path's, in its order,
     and every one is the same elementwise IEEE operation on the same
-    operands as there, so no row's numbers depend on the rows beside it or
-    on what an earlier call left in memory, and the costs agree bit for
-    bit wherever np.cos/np.sin equal math.cos/math.sin
-    (tests/test_batch.py probes that, and holds the paths to rtol 1e-9
-    where they differ).
+    operands as there, up to the order of the two operands of a sum or a
+    product, so no row's numbers depend on the rows beside it or on what
+    an earlier call left in memory, and the costs agree bit for bit
+    wherever np.cos/np.sin equal math.cos/math.sin (tests/test_batch.py
+    probes that, and holds the paths to rtol 1e-9 where they differ).
 
     A row with a non-finite angle or velocity sample is diverged and
     scores SENTINEL_COST. Each plan's other rows are scored together, by
@@ -623,6 +630,9 @@ def rollout_plans(controller, plans, perturbation: Perturbation | None = None):
     of runs holds one task kind, so its plans are all one case or the
     other.
     """
+    if not plans:
+        raise ValueError("rollout_plans needs at least one plan; plans is "
+                         "an empty list")
     tables = [_zoh_table(thetas, par) for _, thetas, par in plans]
     task, _, par = plans[0]
     params, state, n = task.params, task.initial_state(), par.n_steps
@@ -638,8 +648,7 @@ def rollout_plans(controller, plans, perturbation: Perturbation | None = None):
                 for task, thetas, par in plans]
 
     p_eff = perturbation.apply_to(params) if perturbation is not None else params
-    coeffs = _array_coeffs(p_eff)
-    dt = np.array(DT_SIM)
+    coeffs = _Coeffs(p_eff)
     # (n, n_actuators, N): per step, a C-contiguous block of every row's
     # control, the plans' rows one after another
     blocks = np.ascontiguousarray(np.concatenate([
@@ -647,42 +656,43 @@ def rollout_plans(controller, plans, perturbation: Perturbation | None = None):
         for table, (_, _, par) in zip(tables, plans)]).transpose(1, 2, 0))
     lam = blocks.shape[2]
     cstate = np.tile(np.reshape(controller.state0, (-1, 1)), lam)
-    torques_of = controller.batch_torques(lam)
+    arm = _StepBlocks(coeffs, lam, DT_SIM)
+    x = arm.state
+    x[:4] = np.reshape((state.th1, state.th2, state.dth1, state.dth2), (4, 1))
+    torques_of = controller.batch_torques(x[:4], arm.tau)
 
-    # (n + 1, 6, N): sample k's th1, th2, w1, w2, a1, a2 rows
-    record = np.empty((n + 1, 6, lam))
-    record[0, :4] = np.reshape((state.th1, state.th2, state.dth1, state.dth2),
-                               (4, 1))
-    work = list(np.empty((_STEP_WORK_ROWS, lam)))
+    # (n + 2, 6, N): row j holds sample j's th1, th2, w1, w2 rows and
+    # sample j - 1's a1, a2 rows, which is what the arm's state holds
+    # after step j - 1
+    record = np.empty((n + 2, 6, lam))
+    record[0] = x
     with np.errstate(all="ignore"):          # diverging rows overflow
-        # each step takes its configuration's mass-matrix terms and hands
-        # on the next one's
-        terms = _mass_terms(coeffs, record[0, 1], np.cos)
-        # each sample's six rows, as views made once
-        x = tuple(record[0])
-        for block, xn in zip(blocks, record[1:]):
-            xn = tuple(xn)
-            tau1, tau2 = torques_of(cstate, *x[:4], block)
-            _symp_step(coeffs, x, xn, tau1, tau2, dt, terms, work)
-            x = xn
+        arm.set_terms(*_mass_terms(coeffs, x[1], np.cos))
+        for block, row in zip(blocks, record[1:]):
+            torques_of(cstate, block)
+            _symp_step(arm)
+            np.copyto(row, x)
         # the terminal sample's acceleration under the last torques, as
         # rollout records it
-        _step_accel(coeffs, x, tau1, tau2, terms, work)
-    # (N, n + 1, 6): sample j's th, dth and ddth, row by row
+        _step_accel(arm)
+        np.copyto(record[n + 1], x)
+    # (N, n + 2, 6), row by row; sample j's th, dth and ddth are
+    # [:, j, 0:2], [:, j, 2:4] and [:, j + 1, 4:6]
     samples = record.transpose(2, 0, 1)
-    finite = np.isfinite(samples[..., 0:4]).all(axis=(1, 2))
+    states, accels = samples[:, :-1], samples[:, 1:, 4:6]
+    finite = np.isfinite(states[..., 0:4]).all(axis=(1, 2))
 
     costs = []
     start = 0
     for table, (task, _, par) in zip(tables, plans):
         stop = start + table.shape[0]
-        part = samples[start:stop]
+        part = states[start:stop]
         plan_costs = np.full(stop - start, SENTINEL_COST)
         rows = np.flatnonzero(finite[start:stop])
         if rows.size:
             scored = RolloutResult(
                 th=part[..., 0:2][rows], dth=part[..., 2:4][rows],
-                ddth=part[..., 4:6][rows], controls=np.ascontiguousarray(
+                ddth=accels[start:stop][rows], controls=np.ascontiguousarray(
                     blocks[..., start + rows].transpose(2, 0, 1)),
                 torques=None, controller_state=None, ball=None, pend=None,
                 cost=SENTINEL_COST, diverged=False, termination="horizon",
@@ -711,7 +721,7 @@ def open_loop_lockstep(controller, runs):
     CMA-ES in lockstep, one run per (task, resolution, cma_config) in
     `runs`; returns one (best_theta, best_rollout, trace, parameterization)
     per run, in order. A single run (`myoarm optimize`) is a lockstep of
-    one.
+    one, and an empty list of runs is a ValueError.
 
     A run's plan is the controller's task-length parameterization at its
     resolution (parameterization_for), and its search starts from the
@@ -728,6 +738,9 @@ def open_loop_lockstep(controller, runs):
     gives the row alone, so every run returns, bit for bit, what it
     returns in a lockstep of one.
     """
+    if not runs:
+        raise ValueError("open_loop_lockstep needs at least one run; runs is "
+                         "an empty list")
     pars = [parameterization_for(task, controller, resolution)
             for task, resolution, _ in runs]
     (lead, _, lead_cma), others = runs[0], runs[1:]
@@ -848,7 +861,8 @@ def mpc_run(task, controller, mpc: MpcConfig,
     warm start's inputs are the same: the task, the controller, the
     budgets and the prediction model (no perturbation at all, or one the
     prediction model does not see). The plan is copied, never modified; a
-    plan that is not the window's dim long is a ValueError.
+    plan that is not the window's dim long is a ValueError, and so is an
+    evaluation count that is negative or not a whole number.
     """
     visible = perturbation is not None and perturbation.visible_to_prediction
     pred_pert = perturbation if visible else None
@@ -886,10 +900,14 @@ def mpc_run(task, controller, mpc: MpcConfig,
         plan, _, warm_trace = cma_es(warm_objective, _box_center(par), mpc.warm)
         evals = warm_trace.total_evals
     else:
-        plan, evals = np.array(warm_start[0], dtype=float), int(warm_start[1])
+        plan, evals = np.array(warm_start[0], dtype=float), warm_start[1]
         if plan.shape != (par.dim,):
             raise ValueError(f"warm plan has shape {plan.shape}, expected "
                              f"({par.dim},)")
+        if not (evals >= 0 and float(evals).is_integer()):
+            raise ValueError(f"warm start evaluations must be a whole number "
+                             f"of at least 0, not {evals!r}")
+        evals = int(evals)
 
     na = par.n_actuators
     plans = []

@@ -234,7 +234,9 @@ def local_refine(objective, x0, radius0: float, budget: int,
     spent: all of them, unless a whole sweep has no probe to make because
     every probe lands on x itself (lo == hi in every coordinate, or a radius
     too small to move x). The search then stops early, and evals says how
-    many it made.
+    many it made. x0 must be a non-empty 1-D vector of finite values,
+    radius0 positive and finite, and lo and hi finite with lo <= hi
+    (ValueError before the first evaluation otherwise).
 
     The objective's values are only ever compared with the smallest value
     it has returned so far: the first evaluation's, then each strict
@@ -242,9 +244,19 @@ def local_refine(objective, x0, radius0: float, budget: int,
     knows the value would exceed that one, and return any value above it
     (mpc_run's window objective does).
     """
-    x = np.minimum(np.maximum(np.asarray(x0, dtype=float), lo), hi)
+    x = np.asarray(x0, dtype=float)
+    if x.ndim != 1 or x.size == 0 or not np.isfinite(x).all():
+        raise ValueError(f"x0 must be a non-empty vector of finite values, "
+                         f"not {x0!r}")
+    if not 0.0 < radius0 < math.inf:
+        raise ValueError(f"radius0 must be positive and finite, not "
+                         f"{radius0!r}")
+    if not -math.inf < lo <= hi < math.inf:
+        raise ValueError(f"the box [{lo!r}, {hi!r}] needs finite bounds with "
+                         f"lo <= hi")
     if budget < 1:
         raise ValueError("budget must be at least 1")
+    x = np.minimum(np.maximum(x, lo), hi)
     f = float(objective(x))
     evals = 1
     radius = float(radius0)

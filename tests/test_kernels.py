@@ -28,13 +28,14 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from myoarm.actuators import (AblationFlags, MuscleController, MuscleParams,
+from myoarm.actuators import (AblationFlags, LowPassController,
+                              MuscleController, MuscleParams, PDController,
                               TorqueController, make_controller)
-from myoarm.arm import (_STEP_WORK_ROWS, ArmParams, ArmState,
-                        Perturbation, _accel, _bias, _Coeffs, _hand, _jacobian,
-                        _mass_matrix, _mass_terms, _pendulum_forces,
-                        _symp_step, ball_step, hand_position)
-from myoarm.control import (DT_SIM, SENTINEL_COST, _array_coeffs,
+from myoarm.arm import (ArmParams, ArmState, Perturbation, _accel, _bias,
+                        _Coeffs, _hand, _jacobian, _mass_matrix, _mass_terms,
+                        _pendulum_forces, _StepBlocks, _symp_step, ball_step,
+                        hand_position)
+from myoarm.control import (DT_SIM, SENTINEL_COST,
                             parameterization_for, rollout)
 from myoarm.config import ExperimentConfig
 from myoarm.harness import _task_for
@@ -74,16 +75,17 @@ MATH_COS, MATH_SIN = math_trig(math.cos), math_trig(math.sin)
 def run_step(c, th1, th2, w1, w2, tau1, tau2, dt, terms, cos=np.cos,
              sin=np.sin):
     """One _symp_step of the arms whose columns th1 .. tau2 hold, from the
-    mass-matrix terms `terms`, in buffers of its own: (th1', th2', w1',
-    w2', a1, a2, m11', s', det') as arrays."""
-    n = len(th1)
-    x = [th1, th2, w1, w2, np.empty(n), np.empty(n)]
-    xn = list(np.empty((6, n)))
-    terms = [np.full(n, t, dtype=float) for t in terms]   # overwritten
+    mass-matrix terms `terms` (m11, s, det), in blocks of its own made as
+    rollout_plans makes them (_StepBlocks): (th1', th2', w1', w2', a1, a2,
+    m11', s', det') as arrays."""
+    b = _StepBlocks(c, len(th1), dt)
+    b.state[:4] = th1, th2, w1, w2
+    b.tau[:] = tau1, tau2
+    b.set_terms(*terms)
     with np.errstate(all="ignore"):
-        _symp_step(c, x, xn, tau1, tau2, dt, terms,
-                   list(np.empty((_STEP_WORK_ROWS, n))), cos, sin)
-    return (*xn[:4], x[4], x[5], *terms)
+        _symp_step(b, cos, sin)
+    return (*b.state.copy(), b.terms[2].copy(), b.terms[1].copy(),
+            b.det[0].copy())
 
 
 def symp_step_floats(c, th1, th2, w1, w2, tau1, tau2, dt, m11, s, det):
@@ -176,19 +178,18 @@ wild_angles = st.one_of(finite(-1e300, 1e300),
        dt=finite(1e-4, 0.02))
 def test_array_step_matches_the_scalar_step_element_by_element(p, rows, dt):
     # rollout_plans' step: the kernel on many columns with np.cos/np.sin,
-    # its constants and dt 0-d arrays as rollout_plans builds them, and the
-    # mass-matrix terms it starts from computed the same way, against the
+    # in blocks made as rollout_plans makes them, and the mass-matrix
+    # terms it starts from computed the same way, against the
     # kernel on each column alone with math.cos/math.sin. Where math.cos
     # or math.sin meets an infinite angle the scalar step (with its terms)
     # raises (rollout's divergence) and np.cos gives NaN, so the row's
     # state must not be finite; elsewhere each output, the carried terms
     # included, is finite exactly where the scalar one is, and equal to it
     # where the trig functions are
-    c, arrays = _Coeffs(p), _array_coeffs(p)
+    c = _Coeffs(p)
     columns = [np.array(col) for col in zip(*rows)]
     with np.errstate(all="ignore"):
-        got = run_step(arrays, *columns, np.array(dt),
-                       _mass_terms(arrays, columns[1], np.cos))
+        got = run_step(c, *columns, dt, _mass_terms(c, columns[1], np.cos))
     for i, row in enumerate(rows):
         mine = [float(x[i]) for x in got]
         try:
@@ -214,13 +215,12 @@ def test_carried_mass_terms_are_the_new_configurations(p, rows, dt):
     # the m11, s and det a step hands on are _mass_matrix's at the state it
     # returns, bit for bit (s is -m12): on floats, and element by element
     # in rollout_plans' array use wherever np.cos equals math.cos
-    c, arrays = _Coeffs(p), _array_coeffs(p)
+    c = _Coeffs(p)
     for row in rows:
         got = symp_step_floats(c, *row, dt, *_mass_terms(c, row[1]))
         assert got[6:] == composed_mass_terms(c, got[1])
     columns = [np.array(col) for col in zip(*rows)]
-    got = run_step(arrays, *columns, np.array(dt),
-                   _mass_terms(arrays, columns[1], np.cos))
+    got = run_step(c, *columns, dt, _mass_terms(c, columns[1], np.cos))
     for i in range(len(rows)):
         mine = tuple(float(x[i]) for x in got[6:])
         want = composed_mass_terms(c, float(got[1][i]))
@@ -241,6 +241,77 @@ def test_torque_kernel_equals_the_torque_source_per_joint(tau_max, u):
     assert ctrl.torques(ctrl.state0, 0.0, 0.0, 0.0, 0.0, u) == (
         torque_actuator(u[0], tau_max[0]), torque_actuator(u[1], tau_max[1]),
         ())
+
+
+def kernel_columns(ctrl, q, u):
+    """The scalar torques of each column of the (4, N) angle and velocity
+    block q and the (2, N) control block u, from the state row state0:
+    one (tau1, tau2, row) per column."""
+    return [ctrl.torques(ctrl.state0, *q[:, i].tolist(),
+                         tuple(u[:, i].tolist()))
+            for i in range(q.shape[1])]
+
+
+# (th, w, target) of a PD joint whose servo output, before the clamp, is
+# exactly +1 or -1 (kp = 5, kd = 0.5: 5*0.2 and 0.5*2.0 are 1.0 exactly),
+# or just past it
+PD_EDGES = [(-0.2, 0.0, 0.0), (0.2, 0.0, 0.0), (0.0, -2.0, 0.0),
+            (0.0, 2.0, 0.0), (-0.2 - 1e-12, 0.0, 0.0), (0.2, 1e-12, 0.0)]
+pd_joint = st.tuples(finite(-4.0, 4.0), finite(-30.0, 30.0), finite(-1.0, 1.0))
+
+
+@EXACT
+@given(tau_max=st.tuples(finite(0.1, 100.0), finite(0.1, 100.0)),
+       cols=st.lists(st.tuples(pd_joint, pd_joint), min_size=1, max_size=20))
+def test_pd_kernel_equals_pd_torques_per_element(tau_max, cols):
+    # the PD array kernel writes, in the (2, N) torque block, each column's
+    # torques of PDController.torques bit for bit, the clamp included: the
+    # drawn columns run past both ends of [-1, 1], and the fixed ones end
+    # exactly on +1 or -1 (checked on the scalar servo here) or just past
+    ctrl = PDController(tau_max=tau_max)
+    servo = [abs(ctrl.kp * (u * ctrl.target_scale - th) + ctrl.kd * (0.0 - w))
+             for th, w, u in PD_EDGES]
+    assert servo[:4] == [1.0] * 4 and min(servo[4:]) > 1.0
+    edges = [(a, b) for a in PD_EDGES for b in PD_EDGES[::-1]]
+    joints = np.array(cols + edges)             # (N, joint, (th, w, target))
+    q = np.concatenate([joints[:, :, 0].T, joints[:, :, 1].T])
+    u = np.ascontiguousarray(joints[:, :, 2].T)
+    tau = np.full((2, q.shape[1]), np.nan)
+    ctrl.batch_torques(q, tau)(ctrl.state0, u)
+    want = kernel_columns(ctrl, q, u)
+    assert [(float(a), float(b)) for a, b in tau.T] == [w[:2] for w in want]
+
+
+@EXACT
+@given(dt_filter=finite(0.5 * DT_SIM, 2.0),
+       tau_max=st.tuples(finite(0.1, 100.0), finite(0.1, 100.0)),
+       start=st.lists(st.tuples(finite(-1.0, 1.0), finite(-1.0, 1.0)),
+                      min_size=1, max_size=12),
+       data=st.data())
+def test_lowpass_kernel_equals_lowpass_torques_per_element(dt_filter, tau_max,
+                                                           start, data):
+    # several steps of the low-pass array kernel advance the filter state
+    # it is handed in place, the caller's own array, and write each
+    # column's torques into the (2, N) torque block, both bit for bit what
+    # LowPassController.torques gives that column from its state row
+    ctrl = LowPassController(dt_filter=dt_filter, tau_max=tau_max)
+    n = len(start)
+    filtered = np.array(start).T.copy()
+    rows = [tuple(row) for row in start]
+    q, tau = np.zeros((4, n)), np.full((2, n), np.nan)
+    step = ctrl.batch_torques(q, tau)
+    for _ in range(data.draw(st.integers(1, 5))):
+        u = np.array(data.draw(st.lists(
+            st.tuples(finite(-1.0, 1.0), finite(-1.0, 1.0)),
+            min_size=n, max_size=n))).T.copy()
+        held = filtered
+        step(filtered, u)
+        assert filtered is held
+        for i in range(n):
+            t1, t2, rows[i] = ctrl.torques(rows[i], 0.0, 0.0, 0.0, 0.0,
+                                           tuple(u[:, i].tolist()))
+            assert (float(tau[0, i]), float(tau[1, i])) == (t1, t2)
+            assert tuple(filtered[:, i].tolist()) == rows[i]
 
 
 def torques_reference(ctrl, acts, th1, th2, w1, w2, u):

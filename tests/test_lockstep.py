@@ -154,3 +154,13 @@ def test_plans_must_share_length_arm_and_start():
         open_loop_lockstep(controller, [(short, 0.1, cma(0)),
                                         (short, 0.1, cma(1, generations=4))])
 
+
+
+def test_an_empty_plan_list_is_refused_by_name():
+    with pytest.raises(ValueError, match="plans is an empty list"):
+        rollout_plans(make_controller("torque"), [])
+
+
+def test_an_empty_run_list_is_refused_by_name():
+    with pytest.raises(ValueError, match="runs is an empty list"):
+        open_loop_lockstep(make_controller("muscle"), [])

@@ -622,6 +622,16 @@ class TestMpc:
             mpc_run(task, MuscleController(), cfg,
                     warm_start=(plan[:-1], baseline.step_evals[0]))
 
+    @pytest.mark.parametrize("evals", [-5, -1, 3.7, math.nan, math.inf])
+    def test_a_warm_start_with_a_bad_evaluation_count_is_refused(self, evals):
+        # a negative count once ran into the trace as step_evals -5, -4, ...
+        # and 3.7 was truncated to 3
+        task, cfg = SmoothReaching(), tiny_mpc(seed=4)
+        plan = np.full(MuscleController.n_controls
+                       * round(cfg.t_pred / cfg.resolution), 0.5)
+        with pytest.raises(ValueError, match="warm start evaluations"):
+            mpc_run(task, MuscleController(), cfg, warm_start=(plan, evals))
+
 
 class TestCalibration:
     def test_known_peak(self):

@@ -531,6 +531,29 @@ class TestLocalRefine:
         with pytest.raises(ValueError):
             local_refine(sphere, np.zeros(2), 0.1, 0, lo=-1.0, hi=1.0)
 
+    @pytest.mark.parametrize("x0, radius0, lo, hi, match", [
+        (np.array([0.0, math.nan]), 0.1, -1.0, 1.0, "x0"),
+        (np.array([math.inf, 0.0]), 0.1, -1.0, 1.0, "x0"),
+        (np.array([]), 0.1, -1.0, 1.0, "x0"),
+        (np.zeros((2, 2)), 0.1, -1.0, 1.0, "x0"),
+        (np.zeros(2), math.nan, -1.0, 1.0, "radius0"),
+        (np.zeros(2), 0.0, -1.0, 1.0, "radius0"),
+        (np.zeros(2), -0.1, -1.0, 1.0, "radius0"),
+        (np.zeros(2), math.inf, -1.0, 1.0, "radius0"),
+        (np.zeros(2), 0.1, 1.0, -1.0, "box"),
+        (np.zeros(2), 0.1, -math.inf, 1.0, "box"),
+        (np.zeros(2), 0.1, -1.0, math.nan, "box"),
+    ])
+    def test_bad_input_is_refused_before_the_first_evaluation(
+            self, x0, radius0, lo, hi, match):
+        # a NaN start or radius once spent the whole budget on NaN trials,
+        # and lo > hi returned a point outside the box after one evaluation
+        def never(x):
+            raise AssertionError("evaluated a point of a refused search")
+
+        with pytest.raises(ValueError, match=match):
+            local_refine(never, x0, radius0, 10, lo=lo, hi=hi)
+
     def test_exact_budget_spent(self):
         calls = [0]
 

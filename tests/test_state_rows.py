@@ -2,8 +2,10 @@
 
 A controller holds parameters only; its actuator state is a tuple of floats
 (the state row) that torques(state, ...) takes in and gives back, and that
-batch_torques advances as the columns of one array, one DT_SIM step at a
-time, for controls already in the box [lo, hi]. These properties pin that
+the step batch_torques(q, tau) makes advances as the columns of one array,
+one DT_SIM step at a time, for controls already in the box [lo, hi],
+reading the population's (4, N) angle and velocity block q and writing
+its (2, N) torque block tau. These properties pin that
 contract for every family, ablation flag set and activation model.
 """
 
@@ -79,16 +81,18 @@ def test_a_batch_step_equals_the_scalar_step_in_every_column(family, flags,
             else make_controller(family))
     rng = np.random.default_rng(seed)
     rows = rng.uniform(-0.5, 1.5, (len(ctrl.state0), cols))
-    q = [rng.uniform(-3.0, 3.0, cols), rng.uniform(-3.0, 3.0, cols),
-         rng.uniform(-30.0, 30.0, cols), rng.uniform(-30.0, 30.0, cols)]
+    q = np.array([rng.uniform(-3.0, 3.0, cols), rng.uniform(-3.0, 3.0, cols),
+                  rng.uniform(-30.0, 30.0, cols),
+                  rng.uniform(-30.0, 30.0, cols)])
     # the batch decode hands the step controls already clipped to the box
     u = rng.uniform(ctrl.lo, ctrl.hi, (ctrl.n_controls, cols))
     want = [ctrl.torques(tuple(rows[:, i].tolist()),
                          *(float(x[i]) for x in q),
                          tuple(u[:, i].tolist()))
             for i in range(cols)]
-    state = rows.copy()
-    tau1, tau2 = ctrl.batch_torques(cols)(state, *q, u)
+    state, tau = rows.copy(), np.empty((2, cols))
+    ctrl.batch_torques(q, tau)(state, u)
+    tau1, tau2 = tau
     for i, (w1, w2, w_row) in enumerate(want):
         assert (float(tau1[i]), float(tau2[i])) == (w1, w2)
         assert tuple(state[:, i].tolist()) == w_row
@@ -107,23 +111,26 @@ ELBOW = MuscleParams(phi_min=-0.4 * np.pi, phi_max=0.6 * np.pi, l_min=0.7,
     *(make_controller(family) for family in FAMILIES)],
     ids=[*(f"muscle-{i}" for i in range(len(EVERY_FLAG_SET))), *FAMILIES])
 def test_batch_torques_for_a_population_is_torques_per_column(ctrl):
-    # the step batch_torques(population) makes, run for several steps on
-    # one population (its buffers are reused from step to step), gives each
-    # column, bit for bit, the torques and the next state row that
-    # `torques` gives that column's row; the angles and speeds reach every
+    # the step batch_torques(q, tau) makes, run for several steps on one
+    # population (its buffers are reused from step to step, and q is
+    # refilled in place, as the arm step does), gives each column, bit for
+    # bit, the torques and the next state row that `torques` gives that
+    # column's row; the angles and speeds reach every
     # branch of the muscle curves (fiber lengths past both ends of the
     # force-length support, velocities at and below -1 and lengthening)
     cols, steps = 36, 5
     rng = np.random.default_rng(17)
     rows = rng.uniform(0.0, 1.0, (len(ctrl.state0), cols))
     want = [tuple(rows[:, i].tolist()) for i in range(cols)]
-    step = ctrl.batch_torques(cols)
+    q, tau = np.empty((4, cols)), np.empty((2, cols))
+    step = ctrl.batch_torques(q, tau)
+    tau1, tau2 = tau
     for _ in range(steps):
-        q = [rng.uniform(-8.0, 8.0, cols), rng.uniform(-8.0, 8.0, cols),
-             rng.uniform(-40.0, 40.0, cols), rng.uniform(-40.0, 40.0, cols)]
+        q[:] = [rng.uniform(-8.0, 8.0, cols), rng.uniform(-8.0, 8.0, cols),
+                rng.uniform(-40.0, 40.0, cols), rng.uniform(-40.0, 40.0, cols)]
         u = rng.uniform(ctrl.lo, ctrl.hi, (ctrl.n_controls, cols))
         with np.errstate(all="ignore"):
-            tau1, tau2 = step(rows, *q, u)
+            step(rows, u)
         for i in range(cols):
             w1, w2, want[i] = ctrl.torques(want[i], *(float(x[i]) for x in q),
                                            tuple(u[:, i].tolist()))
