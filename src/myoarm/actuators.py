@@ -125,7 +125,9 @@ class MuscleParams:
     """Antagonistic muscle pair acting on one joint.
 
     The linear fiber map is derived from the joint range and length range in
-    __post_init__; eps regularizes the moment-arm denominators.
+    __post_init__; eps regularizes the moment-arm denominators. Every
+    field must be finite, and f_max and tau_act positive (ValueError
+    naming the field otherwise).
     """
 
     phi_min: float = -0.5 * math.pi
@@ -142,8 +144,15 @@ class MuscleParams:
     l_ref2: float = field(init=False)
 
     def __post_init__(self):
-        if self.f_max <= 0.0 or self.tau_act <= 0.0:
-            raise ValueError("f_max and tau_act must be positive")
+        for name in ("phi_min", "phi_max", "l_min", "l_max", "f_max",
+                     "tau_act", "v_scale", "eps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"MuscleParams.{name} must be finite, got "
+                                 f"{getattr(self, name)!r}")
+        for name in ("f_max", "tau_act"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"MuscleParams.{name} must be positive, got "
+                                 f"{getattr(self, name)!r}")
         self.m1, self.l_ref1, self.m2, self.l_ref2 = derive_linear_map(
             self.phi_min, self.phi_max, self.l_min, self.l_max, self.eps)
 

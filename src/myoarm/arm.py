@@ -48,7 +48,10 @@ class ArmParams:
     Links are uniform rods of length l_i and mass m_i with center of mass at
     r_i from the proximal joint and inertia i_i about the COM. A point mass
     m_hand sits at the hand; m_extra is an optional point mass on the lower
-    arm at distance r2 from the elbow (used by perturbations).
+    arm at distance r2 from the elbow (used by perturbations). Every field
+    must be finite, the lengths, masses and inertias of the links positive
+    and the point masses non-negative (ValueError naming the field
+    otherwise).
     """
 
     l1: float = 0.3
@@ -65,10 +68,15 @@ class ArmParams:
 
     def __post_init__(self):
         for name in ("l1", "l2", "m1", "m2", "r1", "r2", "i1", "i2"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"ArmParams.{name} must be positive, got {getattr(self, name)!r}")
-        if self.m_hand < 0.0 or self.m_extra < 0.0:
-            raise ValueError("point masses must be non-negative")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"ArmParams.{name} must be positive and "
+                                 f"finite, got {getattr(self, name)!r}")
+        for name in ("m_hand", "m_extra"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"ArmParams.{name} must be a non-negative, "
+                                 f"finite point mass, got {getattr(self, name)!r}")
+        if not math.isfinite(self.g):
+            raise ValueError(f"ArmParams.g must be finite, got {self.g!r}")
 
 
 @dataclass
@@ -94,7 +102,8 @@ class Perturbation:
 
     kind: one of 'none', 'lower_arm_mass', 'hand_mass', 'chaotic_pendulum'.
     visible_to_prediction: whether a prediction model is allowed to know
-    about this perturbation (the plant itself always feels it).
+    about this perturbation (the plant itself always feels it). mass must
+    be finite and non-negative, and cable_length positive and finite.
     """
 
     kind: str = "none"
@@ -110,6 +119,9 @@ class Perturbation:
         if not 0.0 <= self.mass < math.inf:
             raise ValueError(f"perturbation mass must be finite and "
                              f"non-negative, not {self.mass!r}")
+        if not 0.0 < self.cable_length < math.inf:
+            raise ValueError(f"perturbation cable_length must be positive "
+                             f"and finite, not {self.cable_length!r}")
 
     def apply_to(self, params: ArmParams) -> ArmParams:
         """Return params with any added-mass effect folded in."""

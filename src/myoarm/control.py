@@ -76,6 +76,11 @@ pattern-search refinement, MPC's executed trajectory and the best-plan
 rollouts use `rollout`, and the MPC plant segments its unscored half. A
 refinement probe hands `rollout` the incumbent's cost as a bound, and
 stops once a running sum of its stages passes it (see mpc_run).
+
+An episode with no finite cost costs math.inf, in every path: a rollout
+that diverged, a population row that diverged, and a finite trajectory
+whose score overflows. So every finite cost ranks below it, whatever its
+size, and no other number stands for a failed run.
 """
 
 import math
@@ -87,10 +92,9 @@ import numpy as np
 from .arm import (ArmState, BallState, Perturbation, _accel, _Coeffs, _hand,
                   _mass_terms, _pendulum_forces, _pendulum_step, _StepBlocks,
                   _step_accel, _symp_step, ball_step)
-from .optimizers import CmaConfig, CmaEs, cma_es, local_refine
+from .optimizers import CmaConfig, CmaEs, _whole, cma_es, local_refine
 
 DT_SIM = 0.005                 # physics timestep, seconds
-SENTINEL_COST = 1e9            # diverged run, minimization convention
 WARM_SIGMA0 = 0.2              # MPC warm start: CMA-ES initial step size
 REFINE_RADIUS = 0.1            # MPC refinement: initial pattern-search radius
 REFINE_SLACK = 1e-9            # MPC refinement: relative margin of a probe's bound
@@ -111,8 +115,10 @@ class RolloutResult:
     rollout starts from. rollout records one row of eight floats per sample
     in one array, built once after the episode from one flat list, and th,
     dth, ddth and torques are column views of it; controls are rows of the
-    decoded control table. A cost of NaN marks an episode that was
-    simulated but not scored (MPC's plant segments). An episode that
+    decoded control table. A diverged episode (termination 'diverged',
+    which the read-only property diverged tests) costs math.inf. A cost of
+    NaN marks an episode that was simulated but not scored (MPC's plant
+    segments). An episode that
     stopped at its `bound` (termination 'bound', see rollout) is not
     scored either: its cost is a running partial sum of its stages above
     the bound, to be compared and not read, and its arrays end where the
@@ -133,9 +139,12 @@ class RolloutResult:
     ball: np.ndarray | None
     pend: np.ndarray | None
     cost: float
-    diverged: bool
     termination: str            # 'horizon', 'goal', 'diverged' or 'bound'
     steps: int
+
+    @property
+    def diverged(self) -> bool:
+        return self.termination == "diverged"
 
     @property
     def t(self) -> np.ndarray:
@@ -298,11 +307,13 @@ def rollout(task, controller, theta, parameterization: ControlParameterization,
     divergence ends it first. Mass-type perturbations are folded into the
     plant parameters; a pendulum perturbation is co-simulated and coupled
     through cable tension. A non-finite state marks the rollout diverged
-    with the sentinel cost, and so does a step whose math.cos or math.sin
+    with cost math.inf, and so does a step whose math.cos or math.sin
     meets an overflowed angle (the samples it did not record are NaN),
     which rollout_plans, where np.cos gives NaN, scores the same. Any other
     episode is scored by the task's cost, or its window_cost when the
-    plan's horizon is shorter than the task's.
+    plan's horizon is shorter than the task's; a score that overflows is
+    math.inf as well (NumPy warns of it here, where rollout_plans does
+    not).
 
     The actuator state starts as controller_state (a state row, the
     controller's state0 when None) and ends as the result's
@@ -330,7 +341,7 @@ def rollout(task, controller, theta, parameterization: ControlParameterization,
 def _simulate(task, controller, theta, parameterization, perturbation,
               initial_state, controller_state, ball0,
               bound=None) -> RolloutResult:
-    """rollout's episode without its score: the cost is SENTINEL_COST if it
+    """rollout's episode without its score: the cost is math.inf if it
     diverged, the running stage sum if it stopped at `bound` (see rollout),
     and NaN otherwise. MPC's plant segments, whose cost nothing reads, run
     this.
@@ -397,7 +408,6 @@ def _simulate(task, controller, theta, parameterization, perturbation,
     qb, kg1, kg2 = coeffs.qb, coeffs.kg1, coeffs.kg2
     is_done = (task.is_done if getattr(task, "terminal_threshold", None) is not None
                else None)
-    diverged = False
     termination = "horizon"
     steps = 0
     tau1 = tau2 = 0.0
@@ -475,7 +485,6 @@ def _simulate(task, controller, theta, parameterization, perturbation,
                 balls += (ball.x, ball.z, ball.dx, ball.dz)
             # x * 0.0 is 0.0 for a finite x and NaN for an infinite or NaN one
             if th1 * 0.0 + th2 * 0.0 + w1 * 0.0 + w2 * 0.0 != 0.0:
-                diverged = True
                 termination = "diverged"
                 break
             if is_done is not None and is_done(
@@ -511,7 +520,7 @@ def _simulate(task, controller, theta, parameterization, perturbation,
         # Any other ValueError is not divergence.
         if isinstance(exc, ValueError) and str(exc) != "math domain error":
             raise
-        diverged, termination, steps = True, "diverged", k + 1
+        termination, steps = "diverged", k + 1
         if len(rec) < 8 * steps + 4:            # raised before its record
             rec += [math.nan] * 8
             controls = controls[:steps].copy()
@@ -522,7 +531,7 @@ def _simulate(task, controller, theta, parameterization, perturbation,
 
     # the last row's torque pair is a pad; its ddth is the terminal
     # sample's acceleration, the last step's again when the run diverged
-    if diverged:
+    if termination == "diverged":
         a1, a2 = rec[-6], rec[-5]
     elif pend_pert is not None:
         _, _, _, a1, a2 = _pendulum_forces(
@@ -548,8 +557,8 @@ def _simulate(task, controller, theta, parameterization, perturbation,
         controller_state=cstate,
         ball=_rows(balls, steps + 1) if balls is not None else None,
         pend=_rows(pend, steps + 1) if pend is not None else None,
-        cost=(SENTINEL_COST if diverged else run if termination == "bound"
-              else math.nan), diverged=diverged,
+        cost=(math.inf if termination == "diverged" else run
+              if termination == "bound" else math.nan),
         termination=termination, steps=steps)
 
 
@@ -618,13 +627,15 @@ def rollout_plans(controller, plans, perturbation: Perturbation | None = None):
     probes that, and holds the paths to rtol 1e-9 where they differ).
 
     A row with a non-finite angle or velocity sample is diverged and
-    scores SENTINEL_COST. Each plan's other rows are scored together, by
+    scores math.inf. Each plan's other rows are scored together, by
     one call of that plan's task's own cost (or window cost, by _score's
     rule) on one RolloutResult whose th, dth, ddth and controls are
     C-contiguous copies of those rows, with a leading row axis, the layout
     in which the task sums each row as it sums that row's episode alone;
     its torques and controller_state are None. The task gives each row
-    the float it gives that row's episode alone. When any plan's task, or
+    the float it gives that row's episode alone; the scoring runs in the
+    steps' np.errstate block, so a score that overflows is math.inf with
+    no warning. When any plan's task, or
     the perturbation, is one of the cases in _scalar_only, every row of
     every plan runs through `rollout` instead, one after another; a bundle
     of runs holds one task kind, so its plans are all one case or the
@@ -676,30 +687,30 @@ def rollout_plans(controller, plans, perturbation: Perturbation | None = None):
         # rollout records it
         _step_accel(arm)
         np.copyto(record[n + 1], x)
-    # (N, n + 2, 6), row by row; sample j's th, dth and ddth are
-    # [:, j, 0:2], [:, j, 2:4] and [:, j + 1, 4:6]
-    samples = record.transpose(2, 0, 1)
-    states, accels = samples[:, :-1], samples[:, 1:, 4:6]
-    finite = np.isfinite(states[..., 0:4]).all(axis=(1, 2))
+        # (N, n + 2, 6), row by row; sample j's th, dth and ddth are
+        # [:, j, 0:2], [:, j, 2:4] and [:, j + 1, 4:6]
+        samples = record.transpose(2, 0, 1)
+        states, accels = samples[:, :-1], samples[:, 1:, 4:6]
+        finite = np.isfinite(states[..., 0:4]).all(axis=(1, 2))
 
-    costs = []
-    start = 0
-    for table, (task, _, par) in zip(tables, plans):
-        stop = start + table.shape[0]
-        part = states[start:stop]
-        plan_costs = np.full(stop - start, SENTINEL_COST)
-        rows = np.flatnonzero(finite[start:stop])
-        if rows.size:
-            scored = RolloutResult(
-                th=part[..., 0:2][rows], dth=part[..., 2:4][rows],
-                ddth=accels[start:stop][rows], controls=np.ascontiguousarray(
-                    blocks[..., start + rows].transpose(2, 0, 1)),
-                torques=None, controller_state=None, ball=None, pend=None,
-                cost=SENTINEL_COST, diverged=False, termination="horizon",
-                steps=n)
-            plan_costs[rows] = _score(task, scored, par)
-        costs.append(plan_costs)
-        start = stop
+        costs = []          # a finite row's score may overflow to inf
+        start = 0
+        for table, (task, _, par) in zip(tables, plans):
+            stop = start + table.shape[0]
+            part = states[start:stop]
+            plan_costs = np.full(stop - start, math.inf)
+            rows = np.flatnonzero(finite[start:stop])
+            if rows.size:
+                scored = RolloutResult(
+                    th=part[..., 0:2][rows], dth=part[..., 2:4][rows],
+                    ddth=accels[start:stop][rows],
+                    controls=np.ascontiguousarray(
+                        blocks[..., start + rows].transpose(2, 0, 1)),
+                    torques=None, controller_state=None, ball=None, pend=None,
+                    cost=math.nan, termination="horizon", steps=n)
+                plan_costs[rows] = _score(task, scored, par)
+            costs.append(plan_costs)
+            start = stop
     return costs
 
 
@@ -733,7 +744,9 @@ def open_loop_lockstep(controller, runs):
     lockstep: each of its objective calls asks every other run for its
     generation (optimizers.CmaEs), scores them all with its own, tells
     each its costs and returns the first run's. Every run's best plan is
-    then rolled out once more with the scalar rollout. A run's draws and
+    then rolled out once more with the scalar rollout; a run in which no
+    candidate had a finite cost returns its generation-0 best, which costs
+    math.inf (optimizers.CmaEs). A run's draws and
     arithmetic are its own, and rollout_plans gives each row the cost it
     gives the row alone, so every run returns, bit for bit, what it
     returns in a lockstep of one.
@@ -769,7 +782,8 @@ class MpcConfig:
     """Budgets and horizons of the receding-horizon controller.
 
     The budgets are checked when it is built: the warm start's by its
-    CmaConfig (`warm`), and refine_budget must be at least 1.
+    CmaConfig (`warm`), and refine_budget must be a whole number of at
+    least 1.
     """
 
     t_pred: float = 0.3            # prediction horizon, seconds
@@ -780,9 +794,7 @@ class MpcConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.refine_budget < 1:
-            raise ValueError(f"refine_budget must be at least 1, "
-                             f"not {self.refine_budget}")
+        _whole(self.refine_budget, "refine_budget", 1)
         self.warm                   # CmaConfig checks the warm-start budget
 
     @property
@@ -796,8 +808,9 @@ class MpcConfig:
 @dataclass
 class MpcResult:
     """One receding-horizon run. Its cost and divergence are the executed
-    trajectory's (executed.cost, the functional OC applies, and
-    executed.diverged), and the evaluations it spent are step_evals[-1]."""
+    trajectory's (executed.cost, the functional OC applies or math.inf,
+    and executed.diverged), and the evaluations it spent are
+    step_evals[-1]."""
 
     executed: RolloutResult
     step_costs: np.ndarray        # executed stage cost averaged per control step
@@ -843,13 +856,17 @@ def mpc_run(task, controller, mpc: MpcConfig,
     margin covers rounding: the running sum and window_cost's pairwise sum
     add the same at most about 10 n non-negative terms (n samples) in
     different orders, which differ by about 10 n eps relative, near 1e-13
-    for a 61-sample window. No bound is set while the incumbent is at
-    least SENTINEL_COST, where a probe that diverges later could still win.
+    for a 61-sample window. No bound is set while the incumbent costs
+    math.inf (it diverged), where every finite probe wins; so the start
+    plan runs unbounded.
 
     The executed trajectory is one rollout, from the task's initial state,
     of the first segments of the plans applied, on the plant; it walks the
     plant segments' states bit for bit, and its cost is the functional OC
-    applies (window_cost when a goal or divergence stopped the run early).
+    applies (window_cost when a goal stopped the run early), or math.inf
+    when it diverged. step_costs holds the executed stage cost averaged
+    over each control step, and math.inf for every step of a diverged
+    execution.
     MpcResult.step_evals is the running count of evaluations actually
     spent when each control step was executed; the run spends no
     evaluation after its last step, so step_evals[-1] is the run's total.
@@ -884,7 +901,7 @@ def mpc_run(task, controller, mpc: MpcConfig,
             nonlocal best
             # local_refine's incumbent is best, and a probe that cannot
             # get below it is only ever rejected, however far it runs
-            bound = best * (1.0 + REFINE_SLACK) if best < SENTINEL_COST else None
+            bound = best * (1.0 + REFINE_SLACK) if best < math.inf else None
             cost = rollout(task, controller, theta, par,
                            perturbation=pred_pert, initial_state=snap_state,
                            controller_state=snap_ctrl, ball0=snap_ball,
@@ -904,10 +921,7 @@ def mpc_run(task, controller, mpc: MpcConfig,
         if plan.shape != (par.dim,):
             raise ValueError(f"warm plan has shape {plan.shape}, expected "
                              f"({par.dim},)")
-        if not (evals >= 0 and float(evals).is_integer()):
-            raise ValueError(f"warm start evaluations must be a whole number "
-                             f"of at least 0, not {evals!r}")
-        evals = int(evals)
+        evals = _whole(evals, "warm start evaluations", 0)
 
     na = par.n_actuators
     plans = []
@@ -940,7 +954,7 @@ def mpc_run(task, controller, mpc: MpcConfig,
         per_step = [float(stage[i * spc:(i + 1) * spc + 1].mean())
                     for i in range(len(plans))]
     else:
-        per_step = [SENTINEL_COST] * len(plans)
+        per_step = [math.inf] * len(plans)
     return MpcResult(executed=executed, step_costs=np.asarray(per_step),
                      step_evals=np.asarray(step_evals), plans=np.asarray(plans))
 

@@ -4,10 +4,12 @@ Every run writes one trace CSV (a learning curve for trajectory optimization,
 a cost-over-time series for receding-horizon runs) plus a shared aggregate
 CSV with mean/std/min/max per configuration point. All output is plain UTF-8
 CSV with repr-formatted floats so files round-trip exactly and reruns are
-byte-identical.
+byte-identical. A run with no finite cost writes the cost `inf`, which
+float() reads back as math.inf, and its diverged flag 1.
 """
 
 import csv
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -17,8 +19,8 @@ import numpy as np
 from .actuators import make_controller
 from .arm import ArmParams, Perturbation
 from .config import ExperimentConfig
-from .control import (MpcConfig, SENTINEL_COST, calibrate_torque_limits,
-                      mpc_run, open_loop_lockstep)
+from .control import (MpcConfig, calibrate_torque_limits, mpc_run,
+                      open_loop_lockstep)
 from .objectives import ObjectiveWeights, make_task
 from .optimizers import CmaConfig
 
@@ -93,18 +95,23 @@ def _task_for(config: ExperimentConfig, seed: int):
 
 def oc_trace_rows(experiment, task, morphology, c, sigma, seed, trace):
     """Trace rows of one trajectory-optimization run: one per generation,
-    with the running best cost and the evaluations spent so far."""
+    with the running best cost and the evaluations spent so far. Every
+    finite cost ranks below math.inf, so a best cost is math.inf, and its
+    row flagged diverged, exactly when no candidate so far had a finite
+    cost."""
     return [[experiment, task, morphology, c, sigma, "", seed, g, cost,
-             trace.evals[g], int(cost >= SENTINEL_COST)]
+             trace.evals[g], int(not math.isfinite(cost))]
             for g, cost in enumerate(trace.best_so_far)]
 
 
 def mpc_trace_rows(experiment, task, morphology, resolution, tpred, seed, res):
     """Trace rows of one receding-horizon run: one per executed control
     step, with its stage cost and the evaluations spent before it
-    (MpcResult.step_evals)."""
+    (MpcResult.step_evals), each flagged diverged when the executed
+    trajectory diverged (every stage cost is then math.inf)."""
+    diverged = int(res.executed.diverged)
     return [[experiment, task, morphology, resolution, "", tpred, seed, k,
-             float(cost), int(res.step_evals[k]), int(cost >= SENTINEL_COST)]
+             float(cost), int(res.step_evals[k]), diverged]
             for k, cost in enumerate(res.step_costs)]
 
 
@@ -356,8 +363,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1):
     first; when the sweep also contains torque-family morphologies, their
     torque ceilings are calibrated to the highest torques the muscle runs
     actually produced (written to calibration.csv). The sweep never stops on
-    a diverged run; such rows carry the sentinel cost and a diverged flag,
-    and the aggregate excludes them while reporting their count. A
+    a diverged run: a trace row with no finite cost holds the cost `inf`
+    and the diverged flag 1 (oc_trace_rows, mpc_trace_rows), and the
+    aggregate leaves such rows out of its statistics and counts them. A
     robustness_weights config runs _robustness_sweep, which writes its own
     files in place of the trace files and aggregate.csv.
     """
@@ -379,8 +387,9 @@ def _robustness_sweep(config: ExperimentConfig, jobs: int):
     of the task under unknown forearm loads.
 
     Writes one trajectory CSV and one cost-over-time trace per run plus a
-    summary with the final cost and the elbow overshoot metric, whose cell
-    is empty for a task without a reach target (ball-serve). An
+    summary with the final cost (`inf` for a diverged run) and the elbow
+    overshoot metric, whose cell is empty for a task without a reach
+    target (ball-serve) and for a diverged run, which has no overshoot. An
     unperturbed baseline (mass 0) always runs alongside the configured
     loads so perturbed and clean costs can be compared. Muscle runs execute
     first and calibrate the torque ceilings of any torque-family
@@ -403,7 +412,7 @@ def _robustness_sweep(config: ExperimentConfig, jobs: int):
         target = getattr(_task_for(config, seed), "target", None)
         summary.append([config.kind, config.task, morph, mass, seed,
                         res.executed.cost,
-                        None if target is None
+                        None if target is None or res.executed.diverged
                         else overshoot_past_target(res.executed.th, target),
                         int(res.executed.diverged)])
         return [write_trajectory_csv(
@@ -428,8 +437,10 @@ def _group_key(row):
 
 def aggregate_rows(trace_rows):
     """Aggregate trace rows (as written to trace CSVs) per config point and
-    generation: mean, sample std, min, max over seeds; diverged rows are
-    excluded and counted."""
+    generation: mean, sample std, min, max over seeds; diverged rows, whose
+    cost is inf, are excluded and counted in n_diverged, and a group with
+    no other row has empty statistics. A finite cost counts in n, however
+    large."""
     groups = {}
     for row in trace_rows:
         key = _group_key(row) + (int(row[7]),)

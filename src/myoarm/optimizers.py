@@ -14,21 +14,36 @@ coordinate pattern search over a scalar objective that spends at most its
 evaluation budget and reports what it spent. Neither knows about
 controls: the zero-order-hold plan they search over is
 control.ControlParameterization's.
+
+A candidate with no finite cost (a diverged rollout, or NaN) costs
+math.inf: CMA-ES ranks every non-finite cost as +inf, last, and its update
+reads only the ranks, so no finite stand-in value is needed.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-NAN_SENTINEL = 1e32   # replaces non-finite objective values inside the optimizer
+
+def _whole(value, what: str, least: int) -> int:
+    """value as an int; a ValueError names `what` unless value is a whole
+    number (a float with no fraction is one, a bool is not) of at least
+    `least`."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer() or value < least):
+        raise ValueError(f"{what} must be a whole number of at least "
+                         f"{least}, not {value!r}")
+    return int(value)
 
 
 @dataclass
 class CmaConfig:
     """Budget, initial step size and seed of one CMA-ES run; a population
-    below 4, no generation or a sigma0 that is not positive and finite is
-    refused here."""
+    that is not a whole number of at least 4, a generation count that is
+    not a whole number of at least 1 or a sigma0 that is not positive and
+    finite is refused here."""
 
     population: int = 36
     generations: int = 100
@@ -36,10 +51,8 @@ class CmaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.population < 4:
-            raise ValueError("population must be at least 4")
-        if self.generations < 1:
-            raise ValueError("need at least one generation")
+        _whole(self.population, "population", 4)
+        _whole(self.generations, "generations", 1)
         if not 0.0 < self.sigma0 < math.inf:
             raise ValueError(f"sigma0 must be positive and finite, not "
                              f"{self.sigma0}")
@@ -67,10 +80,13 @@ class CmaEs:
     array of candidates whose rows are independent, and tell(f) takes one
     cost per row, in row order. A run lasts config.generations generations;
     done is set once the last one is told. best_x, best_f and trace hold
-    the run's result so far. Non-finite costs are replaced by a sentinel
-    so they rank worst without poisoning the distribution update. An
-    empty, non-1-D or non-finite x0 raises ValueError when the run is
-    built; the caller's x0 is never modified.
+    the run's result so far. tell ranks every non-finite cost as math.inf,
+    after every finite one (ties keep row order), so a failed candidate
+    never poisons the distribution update. Generation 0's best candidate
+    always becomes best_x, so a run in which every candidate failed
+    returns a candidate it evaluated, with best_f math.inf. An empty,
+    non-1-D or non-finite x0 raises ValueError when the run is built; the
+    caller's x0 is never modified.
 
     Generation 0 samples from C = I (Hansen, "The CMA Evolution Strategy:
     A Tutorial", arXiv:1604.00772), where B = D = I: it takes y = z and
@@ -158,12 +174,10 @@ class CmaEs:
         self._asked = None
         gen = self.gen
         self.gen += 1
-        bad = ~np.isfinite(f)
-        if bad.any():
-            f = np.where(bad, NAN_SENTINEL, f)
+        f = np.where(np.isfinite(f), f, math.inf)
         order = np.argsort(f, kind="stable")
         gen_min = float(f[order[0]])
-        if gen_min < self.best_f:
+        if gen == 0 or gen_min < self.best_f:
             self.best_f = gen_min
             self.best_x = x[order[0]].copy()
         self.trace.record(self.best_f, lam * self.gen)
@@ -235,8 +249,9 @@ def local_refine(objective, x0, radius0: float, budget: int,
     every probe lands on x itself (lo == hi in every coordinate, or a radius
     too small to move x). The search then stops early, and evals says how
     many it made. x0 must be a non-empty 1-D vector of finite values,
-    radius0 positive and finite, and lo and hi finite with lo <= hi
-    (ValueError before the first evaluation otherwise).
+    radius0 positive and finite, lo and hi finite with lo <= hi, and
+    budget a whole number of at least 1 (ValueError before the first
+    evaluation otherwise).
 
     The objective's values are only ever compared with the smallest value
     it has returned so far: the first evaluation's, then each strict
@@ -254,8 +269,7 @@ def local_refine(objective, x0, radius0: float, budget: int,
     if not -math.inf < lo <= hi < math.inf:
         raise ValueError(f"the box [{lo!r}, {hi!r}] needs finite bounds with "
                          f"lo <= hi")
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+    budget = _whole(budget, "budget", 1)
     x = np.minimum(np.maximum(x, lo), hi)
     f = float(objective(x))
     evals = 1

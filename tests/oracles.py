@@ -14,8 +14,9 @@ the low-pass family's filter update.
 
 cma_es_reference is the exception: not derived, but the CMA-ES loop as it
 stood before its cost was cut, kept so that the cut loop can be held to it
-bit for bit. It takes the NAN_SENTINEL constant and the OptimizationTrace
-record from myoarm.optimizers.
+bit for bit. It takes the OptimizationTrace record from myoarm.optimizers,
+and ranks costs as CmaEs does: every non-finite cost as +inf, and
+generation 0's best as the incumbent whatever its cost.
 """
 
 import math
@@ -23,7 +24,7 @@ import math
 import numpy as np
 
 from myoarm.arm import ArmParams, ArmState
-from myoarm.optimizers import NAN_SENTINEL, OptimizationTrace
+from myoarm.optimizers import OptimizationTrace
 
 
 def _body_sums(p: ArmParams):
@@ -340,8 +341,9 @@ def cma_es_reference(objective, x0, config):
     objective(x) gets one generation, x of shape (population, n), and
     returns one cost per row, in row order. Exactly population *
     generations evaluations are spent, in `generations` objective calls.
-    Non-finite objective values are replaced by a sentinel so they rank
-    worst without poisoning the distribution update. An empty, non-1-D or
+    Non-finite objective values rank as +inf, worst, without poisoning
+    the distribution update, and generation 0's best is the incumbent even
+    when it is +inf. An empty, non-1-D or
     non-finite x0 raises ValueError before the first objective call; the
     caller's x0 is never modified.
     """
@@ -384,12 +386,10 @@ def cma_es_reference(objective, x0, config):
             raise ValueError(f"objective returned shape {f.shape} for a "
                              f"population of {lam}, expected ({lam},)")
         evals += lam
-        bad = ~np.isfinite(f)
-        if bad.any():
-            f = np.where(bad, NAN_SENTINEL, f)
+        f = np.where(np.isfinite(f), f, math.inf)
         order = np.argsort(f, kind="stable")
         gen_min = float(f[order[0]])
-        if gen_min < best_f:
+        if gen == 0 or gen_min < best_f:
             best_f = gen_min
             best_x = x[order[0]].copy()
 

@@ -419,6 +419,17 @@ def test_ablation_flags_from_names():
         AblationFlags.from_names(["fp"])
 
 
+@pytest.mark.parametrize("name, value", [
+    ("f_max", math.nan), ("v_scale", math.nan), ("phi_min", math.nan),
+    ("tau_act", math.inf), ("phi_max", math.inf), ("l_min", math.nan),
+    ("l_max", math.inf), ("eps", math.nan)])
+def test_non_finite_muscle_parameters_are_refused(name, value):
+    # NaN passes `<= 0.0` and the range checks, so a NaN f_max, v_scale or
+    # phi_min, or an infinite tau_act, used to build a muscle
+    with pytest.raises(ValueError, match=f"MuscleParams.{name}"):
+        MuscleParams(**{name: value})
+
+
 def test_muscle_params_validation():
     with pytest.raises(ValueError):
         MuscleParams(f_max=0.0)

@@ -267,6 +267,25 @@ def test_parameter_validation():
             Perturbation(kind="hand_mass", mass=mass)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("l1", math.nan), ("r2", math.inf), ("m1", math.inf), ("i2", math.nan),
+    ("g", math.nan), ("g", -math.inf), ("m_hand", math.inf),
+    ("m_extra", math.nan)])
+def test_non_finite_arm_parameters_are_refused(name, value):
+    # NaN passes `<= 0.0`, so ArmParams(l1=nan) used to build, and every
+    # rollout of it then diverged
+    with pytest.raises(ValueError, match=f"ArmParams.{name}"):
+        ArmParams(**{name: value})
+
+
+@pytest.mark.parametrize("length", [0.0, -0.3, math.nan, math.inf])
+def test_a_pendulum_cable_must_have_a_positive_finite_length(length):
+    # a cable of length 0 used to build, and its rollout then died with a
+    # ZeroDivisionError
+    with pytest.raises(ValueError, match="cable_length"):
+        Perturbation(kind="chaotic_pendulum", cable_length=length)
+
+
 def test_ball_free_fall_matches_analytic_velocity():
     ball = BallState(x=2.0, z=3.0)
     far_hand = ((-5.0, -5.0), (0.0, 0.0))

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from myoarm import control
 from myoarm.actuators import AblationFlags, make_controller
 from myoarm.arm import Perturbation
-from myoarm.control import (DT_SIM, SENTINEL_COST, ControlParameterization,
+from myoarm.control import (DT_SIM, ControlParameterization,
                             open_loop_lockstep, parameterization_for, rollout,
                             rollout_plans)
 from myoarm.objectives import (BallServe, PreciseReaching, ReachTarget,
@@ -189,7 +189,7 @@ def test_a_population_costs_what_each_row_costs_alone(
     assert together.tolist() == alone
 
 
-def test_a_diverging_row_scores_the_sentinel_and_leaves_the_others_alone(
+def test_a_diverging_row_scores_inf_and_leaves_the_others_alone(
         monkeypatch):
     task = SmoothReaching(duration=0.3)
     ctrl = make_controller("torque", tau_max=(1e200, 1e200))
@@ -210,9 +210,9 @@ def test_a_diverging_row_scores_the_sentinel_and_leaves_the_others_alone(
     with warnings.catch_warnings():
         warnings.simplefilter("error")         # the overflow stays inside
         costs = batch_costs(task, ctrl, thetas, par)
-        assert batch_costs(task, ctrl, wild, par).tolist() == [SENTINEL_COST]
+        assert batch_costs(task, ctrl, wild, par).tolist() == [math.inf]
     assert scored == [(2, par.n_steps + 1, 2)]
-    assert costs[1] == SENTINEL_COST
+    assert costs[1] == math.inf
     kept = batch_costs(task, ctrl, thetas[[0, 2]], par)
     assert costs[[0, 2]].tolist() == kept.tolist()
     assert_costs_match(costs, scalar_costs(task, ctrl, thetas, par))
@@ -250,8 +250,8 @@ def test_back_to_back_calls_give_every_row_its_cost_alone(family):
         alone = [rollout_plans(ctrl, [(task, theta[None], par)])[0][0]
                  for theta in thetas]
         assert costs.tolist() == alone
-        assert (costs[len(thetas) // 2] == SENTINEL_COST) == torque
-        assert (costs < SENTINEL_COST).sum() == len(thetas) - torque
+        assert (costs[len(thetas) // 2] == math.inf) == torque
+        assert (costs < math.inf).sum() == len(thetas) - torque
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

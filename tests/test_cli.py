@@ -293,7 +293,7 @@ class TestSimulate:
             dth = np.zeros((2, 2))
             controls = np.zeros((1, 4))
             torques = np.zeros((1, 2))
-            cost = 1e32
+            cost = np.inf
             diverged = True
             termination = "diverged"
 

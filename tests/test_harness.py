@@ -4,6 +4,7 @@ torque-ceiling calibration, and the run invariants."""
 import math
 import os
 import tempfile
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from myoarm.config import ExperimentConfig
-from myoarm.control import SENTINEL_COST
 from myoarm.actuators import AblationFlags, make_controller
 from myoarm.harness import (AGG_HEADER, ROBUST_HEADER, TRACE_HEADER,
                             _check_invariants, _pool_aggregates, _run_points,
@@ -39,6 +39,10 @@ def tiny_mpc_config(out_dir, morphologies=("muscle",), masses=(1.0,)):
                             population=4, warm_generations=1,
                             refine_budget=1, tpred=0.02,
                             out_dir=str(out_dir))
+
+
+# an arm of almost no mass or inertia, on which every rollout diverges
+DIVERGING_ARM = {"i1": 1e-9, "m1": 1e-6, "m2": 1e-6, "i2": 1e-9, "m_hand": 0.0}
 
 
 def read_bytes(path):
@@ -143,7 +147,7 @@ class TestAggregation:
 
     def test_diverged_rows_excluded_but_counted(self):
         rows = [trace_row("muscle", 0, 0, 2.0, 36),
-                trace_row("muscle", 1, 0, SENTINEL_COST, 36, diverged=1)]
+                trace_row("muscle", 1, 0, math.inf, 36, diverged=1)]
         agg = aggregate_rows(rows)
         assert agg[0][7] == 2.0 and agg[0][11] == 1 and agg[0][12] == 1
 
@@ -333,7 +337,7 @@ class TestRunExperiment:
                     zip(runs, found)):
                 if type(controller).__name__ == "MuscleController" \
                         and cma.seed in diverge:
-                    found[k] = (x, replace(best, diverged=True, torques=np.full_like(
+                    found[k] = (x, replace(best, termination="diverged", torques=np.full_like(
                         best.torques, np.nan)), trace, par)
             return found
 
@@ -345,6 +349,57 @@ class TestRunExperiment:
         diverge.add(0)
         with pytest.raises(ValueError, match="no torque data"):
             run_experiment(tiny_oc_config(tmp_path / "none"))
+
+    def test_a_finite_best_above_1e9_is_not_a_divergence(self, tmp_path):
+        # a forearm of almost no mass: seed 0's generation 0 has five
+        # diverged torque candidates and three finite ones above 1e19. A
+        # best cost of at least 1e9 was once written as diverged and left
+        # out of the aggregate, and a diverged candidate outranked them all
+        config = ExperimentConfig(morphologies=["torque"], c_grid=[0.3],
+                                  seeds=[0, 1], population=8, generations=3,
+                                  out_dir=str(tmp_path), arm_overrides={
+                                      "m2": 1e-6, "i2": 1e-9, "m_hand": 0.0})
+        run_experiment(config)
+        for seed in (0, 1):
+            _, rows = read_csv(tmp_path / f"trace_torque_c0.3_s0.2_seed{seed}.csv")
+            assert len(rows) == 3
+            for row in rows:
+                assert 1e9 < float(row[8]) < math.inf and row[10] == "0"
+        _, agg = read_csv(tmp_path / "aggregate.csv")
+        assert [(r[11], r[12]) for r in agg] == [("2", "0")] * 3
+        assert all(math.isfinite(float(r[7])) for r in agg)
+
+    def test_an_all_diverged_run_writes_inf_and_an_empty_aggregate(
+            self, tmp_path):
+        out = tmp_path / "run"
+        config = replace(tiny_oc_config(out, ("muscle",)),
+                         arm_overrides=DIVERGING_ARM)
+        paths = run_experiment(config)
+        traces = [p for p in paths if os.path.basename(p).startswith("trace_")]
+        assert len(traces) == 2
+        for path in traces:
+            _, rows = read_csv(path)
+            assert [(r[8], r[10]) for r in rows] == [("inf", "1")] * 2
+        _, agg = read_csv(out / "aggregate.csv")
+        assert [r[7:] for r in agg] == [["", "", "", "", "0", "2"]] * 2
+        again = summarize(traces, tmp_path / "again.csv")
+        assert read_bytes(again) == read_bytes(out / "aggregate.csv")
+
+    def test_an_overflowing_population_cost_is_inf_without_a_warning(
+            self, tmp_path):
+        # a light forearm: some low-pass candidates stay finite while their
+        # cost overflows. The population was once scored outside the steps'
+        # np.errstate block, and the overflow warned ("overflow encountered
+        # in square"), which python -W error turns into a crash
+        config = ExperimentConfig(kind="lowpass_baseline", seeds=[0],
+                                  population=8, generations=3,
+                                  out_dir=str(tmp_path), arm_overrides={
+                                      "m2": 1e-4, "i2": 1e-7, "m_hand": 0.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_experiment(config)
+        _, agg = read_csv(tmp_path / "aggregate.csv")
+        assert len(agg) == 6 and all(r[11:] == ["1", "0"] for r in agg)
 
     def test_writes_stay_inside_out_dir(self, tmp_path):
         out = tmp_path / "inner"
@@ -519,6 +574,21 @@ class TestRobustnessSweep:
         assert all(math.isfinite(float(r[header.index("final_cost")]))
                    for r in rows)
 
+    def test_a_diverged_run_has_no_overshoot(self, tmp_path):
+        # every executed trajectory diverges on this arm; max(0.0, nan) is
+        # 0.0, so its overshoot cell once read "never past the target"
+        config = replace(tiny_mpc_config(tmp_path), arm_overrides=DIVERGING_ARM)
+        run_experiment(config)
+        header, rows = read_csv(tmp_path / "robustness.csv")
+        assert len(rows) == 2
+        for row in rows:
+            assert row[header.index("diverged")] == "1"
+            assert row[header.index("final_cost")] == "inf"
+            assert row[header.index("overshoot")] == ""
+        for mass in ("0.0", "1.0"):
+            _, trace = read_csv(tmp_path / f"robust_muscle_m{mass}_seed0_trace.csv")
+            assert trace and {(r[8], r[10]) for r in trace} == {("inf", "1")}
+
     def test_calibration_is_the_muscle_runs_peak_torque(self, tmp_path):
         config = tiny_mpc_config(tmp_path, morphologies=("muscle", "torque"))
         paths = run_experiment(config)
@@ -589,9 +659,9 @@ class TestSummarize:
             self, data, n_seeds, n_parts):
         # the pooling identity: summarize over the aggregate CSVs of any
         # split of the seeds equals summarize over all the traces
-        cost = st.one_of(st.floats(0.0, 1e6), st.just(SENTINEL_COST))
+        cost = st.one_of(st.floats(0.0, 1e6), st.just(math.inf))
         rows = [trace_row(morph, seed, gen, value, 36 * (gen + 1),
-                          diverged=int(value == SENTINEL_COST), c=c)
+                          diverged=int(value == math.inf), c=c)
                 for morph in ("muscle", "torque") for c in (0.1, 0.3)
                 for seed in range(n_seeds) for gen in range(2)
                 for value in [data.draw(cost)]]

@@ -35,8 +35,7 @@ from myoarm.arm import (ArmParams, ArmState, Perturbation, _accel, _bias,
                         _Coeffs, _hand, _jacobian, _mass_matrix, _mass_terms,
                         _pendulum_forces, _StepBlocks, _symp_step, ball_step,
                         hand_position)
-from myoarm.control import (DT_SIM, SENTINEL_COST,
-                            parameterization_for, rollout)
+from myoarm.control import DT_SIM, parameterization_for, rollout
 from myoarm.config import ExperimentConfig
 from myoarm.harness import _task_for
 from myoarm.objectives import (ObjectiveWeights, PreciseReaching, ReachTarget,
@@ -707,7 +706,7 @@ def test_rollout_records_a_step_that_overflows(seed):
     par = parameterization_for(task, ctrl, 0.3)
     theta = np.random.default_rng(seed).uniform(par.lo, par.hi, par.dim)
     res = rollout(task, ctrl, theta, par)
-    assert res.diverged and res.cost == SENTINEL_COST
+    assert res.diverged and res.cost == math.inf
     assert np.isnan(res.controls[-1]).all() and np.isnan(res.ddth[-2:]).all()
     assert_rollout_matches(res, rollout_reference(task, ctrl, theta, par))
 
@@ -722,7 +721,7 @@ def test_rollout_records_a_diverged_run(morph, speed):
     plan = np.full(ctrl.n_controls, 0.5), parameterization_for(
         task, ctrl, task.duration)
     res = rollout(task, ctrl, *plan, initial_state=wild)
-    assert res.diverged and res.cost == SENTINEL_COST
+    assert res.diverged and res.cost == math.inf
     assert_rollout_matches(res, rollout_reference(task, ctrl, *plan,
                                                   initial_state=wild))
 
@@ -741,7 +740,7 @@ def test_a_non_finite_start_state_diverges_in_the_first_step(morph, start):
     plan = np.full(ctrl.n_controls, 0.5), parameterization_for(
         task, ctrl, task.duration)
     res = rollout(task, ctrl, *plan, initial_state=bad)
-    assert res.diverged and res.cost == SENTINEL_COST and res.steps == 1
+    assert res.diverged and res.cost == math.inf and res.steps == 1
     assert np.isnan(res.th[1]).all() and np.isnan(res.dth[1]).all()
     assert_rollout_matches(res, rollout_reference(task, ctrl, *plan,
                                                   initial_state=bad))

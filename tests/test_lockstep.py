@@ -17,10 +17,10 @@ import pytest
 import myoarm.control as control
 from myoarm.actuators import make_controller
 from myoarm.arm import ArmParams
-from myoarm.control import (SENTINEL_COST, open_loop_lockstep,
-                            parameterization_for, rollout_plans)
+from myoarm.control import (open_loop_lockstep, parameterization_for,
+                            rollout_plans)
 from myoarm.objectives import (PreciseReaching, SmoothReaching,
-                               fast_reaching_task)
+                               fast_reaching_task, make_task)
 from myoarm.optimizers import CmaConfig
 
 
@@ -110,15 +110,34 @@ def test_a_scalar_only_bundle(monkeypatch):
 
 def test_a_bundle_in_which_rows_diverge(monkeypatch):
     # 1e3 N m ceilings: some candidates overflow the state within 0.3 s,
-    # and the others score finite costs beside them (some above the
-    # sentinel)
+    # and the others score finite costs beside them (some above 1e9)
     task = SmoothReaching(duration=0.3)
     controller = make_controller("torque", tau_max=(1e3, 1e3))
     calls = recorded_plans(monkeypatch)
     runs = [(task, 0.05, cma(0, population=8)), (task, 0.1, cma(2, population=8))]
     assert_each_run_as_alone(controller, runs)
     costs = np.concatenate([np.concatenate(c) for _, c in calls[:3]])
-    assert (costs == SENTINEL_COST).any() and (costs != SENTINEL_COST).any()
+    assert (costs == math.inf).any() and (costs > 1e9).any()
+    assert np.isfinite(costs).any()
+
+
+def test_a_diverged_candidate_loses_to_any_finite_one():
+    # a forearm of almost no mass: generation 0 of seed 0 has five diverged
+    # candidates and three finite ones, each above 1e19, and the trace's
+    # first best is the cheapest finite one
+    task = make_task("smooth-reach", seed=0,
+                     params=ArmParams(m2=1e-6, i2=1e-9, m_hand=0.0))
+    controller = make_controller("torque")
+    par = parameterization_for(task, controller, 0.3)
+    es = control.CmaEs(control._box_center(par), cma(0, population=8))
+    costs = rollout_plans(controller, [(task, es.ask(), par)])[0]
+    assert (costs == math.inf).sum() == 5
+    finite = costs[np.isfinite(costs)]
+    assert finite.size == 3 and (finite > 1e9).all()
+    [(_, best, trace, _)] = open_loop_lockstep(
+        controller, [(task, 0.3, cma(0, population=8))])
+    assert trace.best_so_far[0] == finite.min()
+    assert not best.diverged and best.cost == trace.best_so_far[-1]
 
 
 def test_each_plan_scores_as_it_does_alone():
@@ -134,7 +153,7 @@ def test_each_plan_scores_as_it_does_alone():
     quiet = np.full((3, fine.dim), 1e-201)
     plans = [(task, wild, coarse), (task, quiet, fine), (task, calm, coarse)]
     got = rollout_plans(controller, plans)
-    assert got[0][1] == SENTINEL_COST
+    assert got[0][1] == math.inf
     for (t, thetas, par), costs in zip(plans, got):
         assert costs.tolist() == rollout_plans(
             controller, [(t, thetas, par)])[0].tolist()

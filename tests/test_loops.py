@@ -9,7 +9,7 @@ import pytest
 from myoarm.actuators import MuscleController, TorqueController, make_controller
 from myoarm.arm import (ArmParams, ArmState, Perturbation, _Coeffs,
                         _mass_terms, _pendulum_step)
-from myoarm.control import (DT_SIM, SENTINEL_COST, WARM_SIGMA0,
+from myoarm.control import (DT_SIM, WARM_SIGMA0,
                             ControlParameterization, MpcConfig,
                             calibrate_torque_limits, mpc_run,
                             open_loop_lockstep, parameterization_for,
@@ -160,13 +160,13 @@ class TestRollout:
                 assert dphi == res.pend[k + 1, 1]
             assert row == res.controller_state
 
-    def test_divergence_marked_with_sentinel(self):
+    def test_divergence_costs_inf(self):
         task = SmoothReaching()
         wild = ArmState(th1=0.0, th2=0.5, dth1=1e200, dth2=-1e200)
         res = hold(task, TorqueController(), [0.0, 0.0], initial_state=wild)
         assert res.diverged
         assert res.termination == "diverged"
-        assert res.cost == SENTINEL_COST
+        assert res.cost == math.inf
         assert res.steps < round(task.duration / DT_SIM)
 
     def test_overflow_inside_a_step_is_divergence(self):
@@ -174,14 +174,14 @@ class TestRollout:
         # --c 0.3 --seed 4`: the angle overflows inside the step, whose
         # math.cos(inf) used to raise "math domain error" out of rollout,
         # while rollout_plans (np.cos gives NaN) scored the same vector
-        # SENTINEL_COST
+        # as diverged
         task = make_task("precise-reach", seed=4)
         ctrl = make_controller("lowpass-fast")
         par = parameterization_for(task, ctrl, 0.3)
         theta = np.random.default_rng(4).uniform(par.lo, par.hi, par.dim)
         res = rollout(task, ctrl, theta, par)
         assert res.diverged and res.termination == "diverged"
-        assert res.cost == SENTINEL_COST
+        assert res.cost == math.inf
         n = res.steps
         assert 0 < n < round(task.duration / DT_SIM)
         assert res.t.shape == (n + 1,)
@@ -338,6 +338,13 @@ def torque_window(cfg: MpcConfig):
 
 
 class TestMpc:
+    @pytest.mark.parametrize("budget", [2.5, True, 0, math.nan])
+    def test_a_refine_budget_must_be_a_whole_number(self, budget):
+        # refine_budget 2.5 used to be accepted
+        with pytest.raises(ValueError,
+                           match="refine_budget must be a whole number"):
+            MpcConfig(refine_budget=budget)
+
     def test_first_control_applied_bitwise(self):
         task = SmoothReaching()
         cfg = tiny_mpc()
@@ -508,6 +515,34 @@ class TestMpc:
             cfg.warm_population * cfg.warm_generations + k
             for k in range(n_ctrl)]
 
+    def test_a_finite_probe_beats_a_diverged_incumbent(self, monkeypatch):
+        # under 300 N m ceilings, the shifted plan of one window of this run
+        # diverges, and probes of finite cost above 1e9 beat it; a diverged
+        # incumbent once cost 1e9 and kept its place against them
+        import myoarm.control as control
+        real, windows = control.local_refine, []
+
+        def recorded(objective, x0, radius0, budget, lo, hi):
+            costs = []
+
+            def scored(x):
+                costs.append(objective(x))
+                return costs[-1]
+            found = real(scored, x0, radius0, budget, lo=lo, hi=hi)
+            windows.append((costs, found[1]))
+            return found
+
+        monkeypatch.setattr(control, "local_refine", recorded)
+        mpc_run(make_task("smooth-reach", seed=1),
+                make_controller("torque", tau_max=(300.0, 300.0)),
+                MpcConfig(t_pred=0.2, warm_population=4, warm_generations=1,
+                          refine_budget=4, seed=1))
+        rescued = [(costs, f) for costs, f in windows
+                   if costs[0] == math.inf and f < math.inf]
+        assert rescued
+        for costs, f in rescued:
+            assert f == min(costs) and f > 1e9
+
     def test_only_the_evaluations_are_scored(self, monkeypatch):
         # each window the run scores is one counted evaluation (a tiny
         # smooth-reach run diverges in no window): a refinement probe is
@@ -622,7 +657,7 @@ class TestMpc:
             mpc_run(task, MuscleController(), cfg,
                     warm_start=(plan[:-1], baseline.step_evals[0]))
 
-    @pytest.mark.parametrize("evals", [-5, -1, 3.7, math.nan, math.inf])
+    @pytest.mark.parametrize("evals", [-5, -1, 3.7, math.nan, math.inf, True])
     def test_a_warm_start_with_a_bad_evaluation_count_is_refused(self, evals):
         # a negative count once ran into the trace as step_evals -5, -4, ...
         # and 3.7 was truncated to 3

@@ -7,8 +7,7 @@ import pytest
 
 from myoarm.control import ControlParameterization, rollout
 from myoarm.objectives import SmoothReaching
-from myoarm.optimizers import (NAN_SENTINEL, CmaConfig, CmaEs, cma_es,
-                               local_refine)
+from myoarm.optimizers import CmaConfig, CmaEs, cma_es, local_refine
 
 from oracles import cma_es_reference
 
@@ -159,6 +158,20 @@ class TestCmaConfigValidation:
     def test_generations_positive(self):
         with pytest.raises(ValueError):
             CmaConfig(generations=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("population", 36.7), ("population", True), ("population", math.nan),
+        ("population", "36"), ("generations", 2.5), ("generations", True),
+        ("generations", math.inf)])
+    def test_budgets_are_whole_numbers(self, field, value):
+        # population 36.7 used to run 36 candidates, and generations 2.5
+        # two generations
+        with pytest.raises(ValueError, match=f"{field} must be a whole number"):
+            CmaConfig(**{field: value})
+
+    def test_a_whole_float_or_numpy_integer_is_a_budget(self):
+        assert CmaEs(np.zeros(2), CmaConfig(population=np.int64(6),
+                                            generations=2.0)).ask().shape == (6, 2)
 
 
 class TestCmaEs:
@@ -396,7 +409,7 @@ class TestAskTell:
     """The CmaEs object that cma_es loops over, driven by hand the way the
     lockstep driver drives it: runs asked and told interleaved, each
     against cma_es_reference bit for bit. The hsig-false arm of the pc
-    update and the non-finite-cost sentinel are forced by synthetic
+    update and non-finite costs are forced by synthetic
     objectives, since no golden run reaches either."""
 
     @staticmethod
@@ -440,29 +453,49 @@ class TestAskTell:
         self.assert_as_reference(a, slope, n, cfg_a)
         self.assert_as_reference(b, holed, n, cfg_b)
 
-    def test_the_sentinel_ranks_every_non_finite_cost_last(self):
-        # generation 0 is all non-finite, so the sentinel is its best cost;
-        # later generations have one finite row, the generation's best
-        def one_finite():
-            gens = []
-
+    def test_every_non_finite_cost_ranks_last_as_inf(self):
+        # generation 0 is all non-finite, so inf is its best cost and its
+        # first row the incumbent; later generations have one finite row,
+        # the generation's best, however large
+        def one_finite(gens):
             def objective(x):
                 f = np.full(x.shape[0], np.nan)
                 f[1::3] = np.inf
+                f[2] = -np.inf
                 if gens:
-                    f[-1] = sphere(x[-1])
+                    f[-1] = 1e40 + sphere(x[-1])
                 gens.append(x)
                 return f
             return objective
 
         n, cfg = 3, CmaConfig(population=6, generations=4, sigma0=0.3, seed=2)
-        es, objective = CmaEs(np.zeros(n), cfg), one_finite()
+        gens = []
+        es, objective = CmaEs(np.zeros(n), cfg), one_finite(gens)
+        es.tell(objective(es.ask()))
+        assert es.best_f == math.inf
+        assert es.best_x.tolist() == gens[0][0].tolist()
         while not es.done:
             es.tell(objective(es.ask()))
-            assert es.best_f <= NAN_SENTINEL
-        assert es.trace.best_so_far[0] == NAN_SENTINEL
-        assert es.trace.best_so_far[-1] < NAN_SENTINEL
-        self.assert_as_reference(es, one_finite(), n, cfg)
+            assert es.best_f == 1e40 + sphere(es.best_x)
+        assert es.trace.best_so_far[0] == math.inf
+        assert math.isfinite(es.trace.best_so_far[-1])
+        self.assert_as_reference(es, one_finite([]), n, cfg)
+
+    def test_a_run_in_which_every_candidate_fails_returns_one_it_evaluated(self):
+        # the start point was never evaluated, so it is not a result
+        seen = []
+
+        def failing(x):
+            seen.append(x.copy())
+            return np.full(x.shape[0], np.nan)
+
+        cfg = CmaConfig(population=4, generations=3, sigma0=0.2, seed=5)
+        best_x, best_f, trace = cma_es(failing, np.zeros(2), cfg)
+        assert best_f == math.inf and trace.best_so_far == [math.inf] * 3
+        assert best_x.tolist() == seen[0][0].tolist()
+        assert best_x.tolist() != [0.0, 0.0]
+        ref_x, ref_f, _ = cma_es_reference(failing, np.zeros(2), cfg)
+        assert (ref_x.tolist(), ref_f) == (best_x.tolist(), best_f)
 
     def test_ask_and_tell_take_turns(self):
         es = CmaEs(np.zeros(2), CmaConfig(population=4, generations=1))
@@ -530,6 +563,15 @@ class TestLocalRefine:
     def test_budget_validated(self):
         with pytest.raises(ValueError):
             local_refine(sphere, np.zeros(2), 0.1, 0, lo=-1.0, hi=1.0)
+
+    @pytest.mark.parametrize("budget", [2.5, True, math.nan, "3"])
+    def test_a_budget_that_is_not_a_whole_number_is_refused(self, budget):
+        # budget 2.5 used to spend three evaluations, above "at most budget"
+        def never(x):
+            raise AssertionError("evaluated a point of a refused search")
+
+        with pytest.raises(ValueError, match="budget must be a whole number"):
+            local_refine(never, np.zeros(2), 0.1, budget, lo=-1.0, hi=1.0)
 
     @pytest.mark.parametrize("x0, radius0, lo, hi, match", [
         (np.array([0.0, math.nan]), 0.1, -1.0, 1.0, "x0"),

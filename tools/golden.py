@@ -15,6 +15,12 @@ kind, every task, the torque calibration and each CLI run command:
 - a precise-reach data_efficiency sweep and a precise-reach robustness
   sweep on a longer upper arm and a heavier forearm, where the arm sets
   the goal, the dynamics and the score;
+- runs that diverge, on an arm of almost no mass or inertia: a muscle
+  sweep in which every candidate diverges (its trace rows cost `inf` and
+  its aggregate rows count only divergences), a muscle robustness sweep
+  whose executed trajectories diverge (no overshoot), and, on a forearm of
+  almost no mass, a torque sweep whose generations mix diverged candidates
+  with finite ones above 1e19;
 - CLI `simulate` (pendulum load, ball serve, a ball serve whose hand hits
   the ball, low-pass, fast-reach), `optimize` (plain, `--ablate fv`,
   fast-reach, three CMA-ES generations) and `mpc` (muscle; torque with a
@@ -26,7 +32,8 @@ kind, every task, the torque calibration and each CLI run command:
   --jobs 1` (data_efficiency at c 0.3, seeds 2 and 3), `summarize` over
   the trace CSVs of that run and of the data_efficiency sweep's c 0.3
   points, `summarize` pooling three aggregate CSVs (data_efficiency, the
-  CLI experiment's and precise_reach's one-seed rows), and
+  CLI experiment's and precise_reach's one-seed rows), `summarize` of the
+  all-diverged sweep's aggregate CSV alone, whose rows pool no run, and
   `calibrate-torque` over the best trajectory of `optimize`.
 
 Every file is written under OUT_DIR, which must be empty or absent. The
@@ -56,6 +63,9 @@ TINY_MPC = {"optimizer.population": 4, "mpc.warm_generations": 1,
             "mpc.refine_budget": 2, "mpc.tpred": 0.02,
             "experiment.seeds": [0]}
 ARM = {"arm.l1": 0.35, "arm.m2": 2.0}   # a longer upper arm, a heavier forearm
+# a forearm of almost no mass, and an arm of almost no mass or inertia
+LIGHT_FOREARM = {"arm.m2": 1e-6, "arm.i2": 1e-9, "arm.m_hand": 0}
+DIVERGING_ARM = {**LIGHT_FOREARM, "arm.i1": 1e-9, "arm.m1": 1e-6}
 
 SWEEPS = {
     "data_efficiency": {"experiment.kind": "data_efficiency",
@@ -91,6 +101,12 @@ SWEEPS = {
                       "experiment.morphologies": ["muscle", "torque"],
                       "grid.masses": [1.0, 2.0], **TINY_MPC,
                       "experiment.seeds": [0, 1]},
+    "all_diverged": {"experiment.morphologies": ["muscle"], **DIVERGING_ARM},
+    "robust_diverged": {"experiment.kind": "robustness_weights",
+                        "experiment.morphologies": ["muscle"],
+                        "grid.masses": [1.0], **TINY_MPC, **DIVERGING_ARM},
+    "mixed_torque": {"experiment.morphologies": ["torque"], **LIGHT_FOREARM,
+                     "optimizer.population": 8, "optimizer.generations": 3},
 }
 
 TINY_CLI_OC = ["--population", "4", "--generations", "2"]
@@ -153,6 +169,8 @@ def _reading_runs(out_dir: str, config_path: str) -> dict:
         "experiment": ["experiment", "--config", config_path, "--jobs", "1"],
         "summarize_traces.csv": ["summarize", *traces],
         "summarize_pooled.csv": ["summarize", *aggregates],
+        "summarize_diverged.csv": [
+            "summarize", os.path.join(out_dir, "all_diverged", "aggregate.csv")],
         "calibrate.csv": ["calibrate-torque",
                           os.path.join(cli_dir, "optimize", "best.csv")],
     }
