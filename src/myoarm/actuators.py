@@ -3,8 +3,11 @@
 Four interchangeable controller families share one interface: an
 antagonistic muscle pair per joint, an ideal torque source, a PD position
 controller in front of the torque source, and a low-pass filtered torque
-source. All internal actuator states advance at the one physics timestep,
-DT_SIM.
+source. The last two are torque sources in the class sense too:
+PDController and LowPassController derive from TorqueController, whose
+two controls, control box [-1, 1] and checked ceilings tau_max they share,
+and each replaces only the kernels (and the low-pass family its state0).
+All internal actuator states advance at the one physics timestep, DT_SIM.
 
 A controller is a plain parameter object: it declares n_controls, its
 control box [lo, hi] and state0, and holds no state of its own. Actuator
@@ -415,16 +418,13 @@ class MuscleController:
         return step
 
 
-def _valid_tau_max(tau_max):
-    pair = tuple(float(v) for v in tau_max)
-    if len(pair) != 2 or not all(0.0 < v < math.inf for v in pair):
-        raise ValueError(f"tau_max must be two positive finite torques, "
-                         f"not {tau_max!r}")
-    return pair
-
-
 class TorqueController:
-    """Direct torque commands in [-1, 1] per joint."""
+    """Direct torque commands in [-1, 1] per joint: the ideal torque source.
+
+    The torque family derives from it: PDController and LowPassController
+    put a PD servo or a low-pass filter in front of this source, and share
+    its control box, its two controls and its ceilings tau_max, which must
+    be two positive finite torques (ValueError otherwise)."""
 
     n_controls = 2
     state0 = ()
@@ -432,7 +432,11 @@ class TorqueController:
     hi = 1.0
 
     def __init__(self, tau_max=(30.0, 30.0)):
-        self.tau_max = _valid_tau_max(tau_max)
+        pair = tuple(float(v) for v in tau_max)
+        if len(pair) != 2 or not all(0.0 < v < math.inf for v in pair):
+            raise ValueError(f"tau_max must be two positive finite torques, "
+                             f"not {tau_max!r}")
+        self.tau_max = pair
 
     def torques(self, state, th1, th2, w1, w2, u):
         """The ideal torque source per joint: tau = tau_max * u."""
@@ -454,24 +458,18 @@ class TorqueController:
         return step
 
 
-class PDController:
-    """Joint-angle targets in [-1, 1] scaled by target_scale, servoed by PD.
+class PDController(TorqueController):
+    """Joint-angle targets in [-1, 1] scaled by target_scale, servoed by PD
+    in front of the torque source.
 
     The servo output is a normalized torque command for the ideal torque
     source, so the effective gains are tau_max * kp and tau_max * kd. The
     gains and the target scale are constants; only tau_max is set.
     """
 
-    n_controls = 2
-    state0 = ()
-    lo = -1.0
-    hi = 1.0
     kp = 5.0
     kd = 0.5
     target_scale = math.pi
-
-    def __init__(self, tau_max=(30.0, 30.0)):
-        self.tau_max = _valid_tau_max(tau_max)
 
     def torques(self, state, th1, th2, w1, w2, u):
         u1 = pd_control(th1, w1, u[0] * self.target_scale, self.kp, self.kd)
@@ -506,20 +504,18 @@ class PDController:
         return step
 
 
-class LowPassController:
+class LowPassController(TorqueController):
     """Torque commands passed through a first-order filter before the torque source.
 
     The filter is the forward Euler step f' = f + (DT_SIM/dt_filter)(u - f),
     which is stable for gains DT_SIM/dt_filter up to 2, so a dt_filter
     below half the step is refused when the controller is built. So is an
     infinite one, whose gain 0 would hold the filter at its start row and
-    apply no torque at all.
+    apply no torque at all. The ceilings are the torque source's, checked
+    by its constructor after dt_filter.
     """
 
-    n_controls = 2
     state0 = (0.0, 0.0)     # the filtered commands
-    lo = -1.0
-    hi = 1.0
 
     def __init__(self, dt_filter=0.01, tau_max=(30.0, 30.0)):
         if not dt_filter >= 0.5 * DT_SIM:
@@ -530,7 +526,7 @@ class LowPassController:
                              "constant never passes a command on")
         self.dt_filter = dt_filter
         self._gain = DT_SIM / dt_filter
-        self.tau_max = _valid_tau_max(tau_max)
+        super().__init__(tau_max)
 
     def torques(self, state, th1, th2, w1, w2, u):
         u1, u2 = u

@@ -26,6 +26,7 @@ from .harness import (TRACE_HEADER, _mpc_run, _oc_run, fmt, mpc_trace_rows,
                       oc_trace_rows, read_csv, run_experiment, summarize,
                       write_csv, write_trajectory_csv)
 from .objectives import make_task
+from .optimizers import _whole
 
 class _Parser(argparse.ArgumentParser):
     """argparse variant that treats every usage problem as exit code 1."""
@@ -72,6 +73,7 @@ def _perturbation(args):
 
 def cmd_simulate(args):
     """Roll out a seeded random piecewise-constant policy and dump the CSV."""
+    _whole(args.seed, "--seed", 0)
     task = make_task(args.task, seed=args.seed)
     ctrl = make_controller(_controller_setup(args))
     par = parameterization_for(task, ctrl, args.c)
@@ -127,8 +129,6 @@ def cmd_mpc(args):
 
 
 def cmd_experiment(args):
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, not {args.jobs}")
     config = ExperimentConfig.from_file(args.config)
     if args.out is not None:
         config.out_dir = args.out

@@ -6,8 +6,9 @@ string (names and paths stay strings, and so do words such as `yes`, which
 no numeric key takes); comma-separated values become lists.
 Keys are case-insensitive.
 ExperimentConfig.from_mapping rejects a key it does not know, an integer
-key whose value has a fractional part and a comma list in a single-valued
-text key (experiment.kind, .task, .out_dir), and the config rejects
+key whose value is not a whole number of at least 0 (a fractional part or
+a negative seed) and a comma list in a single-valued text key
+(experiment.kind, .task, .out_dir), and the config rejects
 unknown task, morphology and ablation names, a value repeated in a list
 that a sweep runs one point per value of (the grid.* keys,
 experiment.seeds, .morphologies and .ablations), `arm.`/`weights.` values
@@ -15,13 +16,14 @@ that are not finite numbers or that ArmParams or ObjectiveWeights
 refuses (the error names the key), a grid.* value or
 mpc.tpred that is not positive and finite, an optimizer or MPC budget
 that CmaConfig or MpcConfig refuses (a NaN or infinite optimizer.sigma
-among them), an OC resolution (every grid.c value and optimizer.c) that
-is not a whole multiple of the physics step or is longer than the task's
-horizon, an mpc.resolution that is not a whole multiple of the physics
-step (for tpred_sweep and robustness_weights, one that does not divide
-the task's horizon too), and a prediction horizon shorter than one
-mpc.resolution segment or off the physics step (mpc.tpred of
-robustness_weights, any grid.tpred value of tpred_sweep).
+among them), a seed that CmaConfig refuses, an OC resolution (every
+grid.c value and optimizer.c) that is not a whole multiple of the
+physics step or is longer than the task's horizon, an mpc.resolution
+that is not a whole multiple of the physics step (for tpred_sweep and
+robustness_weights, one that does not divide the task's horizon too),
+and a prediction horizon shorter than one mpc.resolution segment or off
+the physics step (mpc.tpred of robustness_weights, any grid.tpred value
+of tpred_sweep).
 So a typo or a bad value stops the run with a ValueError before it starts
 (and before the output directory is made), instead of being ignored or
 failing inside the first sweep point.
@@ -44,7 +46,7 @@ from .actuators import AblationFlags, parse_morphology
 from .arm import ArmParams
 from .control import ControlParameterization, MpcConfig, _whole_multiple
 from .objectives import TASKS, ObjectiveWeights, make_task
-from .optimizers import CmaConfig
+from .optimizers import CmaConfig, _whole
 
 EXPERIMENT_KINDS = ("data_efficiency", "sigma_sweep", "tpred_sweep",
                     "robustness_weights", "ablation", "ball_serve",
@@ -108,13 +110,11 @@ def _list_of(convert):
                           (value if isinstance(value, list) else [value])]
 
 
-def _integer(value):
-    """An int, or a float with no fractional part: 4.7 is an error, not 4."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return value
+def _count(value):
+    """A whole number of at least 0, as an int, by optimizers._whole's
+    rule: 4.7 is an error, not 4, and so is -1. The values' own checks
+    (CmaConfig, MpcConfig) then set each one's least value."""
+    return _whole(value, "the value", 0)
 
 
 def _finite_number(value) -> bool:
@@ -125,9 +125,9 @@ def _finite_number(value) -> bool:
 def _seed_list(value):
     """An int n means seeds 0..n-1; a list is taken verbatim."""
     if isinstance(value, list):
-        seeds = [_integer(v) for v in value]
+        seeds = [_count(v) for v in value]
     else:
-        seeds = list(range(_integer(value)))
+        seeds = list(range(_count(value)))
     if not seeds:
         raise ValueError("need at least one seed")
     return seeds
@@ -155,14 +155,14 @@ _KEYS = {
     "grid.sigma": ("sigma_grid", _list_of(float)),
     "grid.tpred": ("tpred_grid", _list_of(float)),
     "grid.masses": ("masses", _list_of(float)),
-    "optimizer.population": ("population", _integer),
-    "optimizer.generations": ("generations", _integer),
+    "optimizer.population": ("population", _count),
+    "optimizer.generations": ("generations", _count),
     "optimizer.sigma": ("sigma", float),
     "optimizer.c": ("c", float),
     "mpc.tpred": ("tpred", float),
     "mpc.resolution": ("mpc_resolution", float),
-    "mpc.warm_generations": ("warm_generations", _integer),
-    "mpc.refine_budget": ("refine_budget", _integer),
+    "mpc.warm_generations": ("warm_generations", _count),
+    "mpc.refine_budget": ("refine_budget", _count),
 }
 _TEXT_KEYS = {key for key, (_, convert) in _KEYS.items() if convert in (_text, _names)}
 _OVERRIDES = {"arm": ("arm_overrides", ArmParams),
@@ -269,9 +269,12 @@ class ExperimentConfig:
             except ValueError as exc:
                 raise ValueError(f"{what}: {exc}") from None
 
-        # the budgets' own rules: CMA-ES's and the MPC run's
+        # the budgets' own rules: CMA-ES's and the MPC run's; and every
+        # seed's, which each run's CmaConfig takes
         check("optimizer budget", CmaConfig, self.population,
               self.generations, self.sigma)
+        for seed in self.seeds:
+            check("experiment.seeds", CmaConfig, seed=seed)
         check("mpc budget", MpcConfig, warm_population=self.population,
               warm_generations=self.warm_generations,
               refine_budget=self.refine_budget)

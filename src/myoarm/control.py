@@ -284,12 +284,14 @@ def _rows(flat, n):
 
 def _score(task, result: RolloutResult, parameterization):
     """The cost of a finished, non-diverged episode, or the costs of a
-    population of them (a result with a leading row axis)."""
+    population of them (a result with a leading row axis). A finite
+    trajectory whose score overflows costs math.inf, with no warning."""
     # a plan shorter than the task is an MPC prediction window or an MPC
     # run that stopped early; score it with the task's length-agnostic
     # variant of the same functional
     windowed = parameterization.horizon < task.duration - 1e-9
-    return (task.window_cost if windowed else task.cost)(result)
+    with np.errstate(over="ignore"):
+        return (task.window_cost if windowed else task.cost)(result)
 
 
 def rollout(task, controller, theta, parameterization: ControlParameterization,
@@ -312,8 +314,7 @@ def rollout(task, controller, theta, parameterization: ControlParameterization,
     which rollout_plans, where np.cos gives NaN, scores the same. Any other
     episode is scored by the task's cost, or its window_cost when the
     plan's horizon is shorter than the task's; a score that overflows is
-    math.inf as well (NumPy warns of it here, where rollout_plans does
-    not).
+    math.inf as well, with no warning, as in rollout_plans (_score).
 
     The actuator state starts as controller_state (a state row, the
     controller's state0 when None) and ends as the result's
@@ -321,14 +322,16 @@ def rollout(task, controller, theta, parameterization: ControlParameterization,
     score.
 
     `bound` lets a caller that only asks whether the cost is below it stop
-    a losing episode early. It applies only to a task that declares its
-    stages (a stage_terms method, as SmoothReaching has), and is ignored
-    otherwise. Such an episode keeps a running sum of the stage terms it
-    has seen, and once that sum exceeds the bound after a step that did
-    not diverge, or at the end of the episode, the episode stops there
-    with termination 'bound', cost that sum and no score; its true cost is
-    at least the sum, up to rounding. An episode whose sum never passes
-    the bound gets its exact score, the float it gets without a bound.
+    a losing episode early. It applies only to a task whose stage_terms
+    declares its stages (SmoothReaching's); a task that leaves it at the
+    task protocol's None (objectives._Task) is never bounded, and the
+    bound is ignored. Such an episode keeps a running sum of the stage
+    terms it has seen, and once that sum exceeds the bound after a step
+    that did not diverge, or at the end of the episode, the episode stops
+    there with termination 'bound', cost that sum and no score; its true
+    cost is at least the sum, up to rounding. An episode whose sum never
+    passes the bound gets its exact score, the float it gets without a
+    bound.
     """
     result = _simulate(task, controller, theta, parameterization,
                        perturbation, initial_state, controller_state, ball0,
@@ -392,7 +395,7 @@ def _simulate(task, controller, theta, parameterization, perturbation,
     cstate = _state_row(controller, controller_state)
 
     ball = None
-    if getattr(task, "has_ball", False):
+    if task.has_ball:
         ball = ball0 if ball0 is not None else task.initial_ball()
         contact_radius = task.contact_radius
 
@@ -406,12 +409,11 @@ def _simulate(task, controller, theta, parameterization, perturbation,
     cos, sin = math.cos, math.sin
     m11_0, cross, cross2 = coeffs.m11_0, coeffs.cross, coeffs.cross2
     qb, kg1, kg2 = coeffs.qb, coeffs.kg1, coeffs.kg2
-    is_done = (task.is_done if getattr(task, "terminal_threshold", None) is not None
-               else None)
+    is_done = task.is_done if task.terminal_threshold is not None else None
     termination = "horizon"
     steps = 0
     tau1 = tau2 = 0.0
-    terms = getattr(task, "stage_terms", None) if bound is not None else None
+    terms = task.stage_terms if bound is not None else None
     if terms is not None:
         kt1, kt2, d1, d2, kv1, kv2, dd1, dd2, gain = terms()
         half = gain / 2.0
@@ -574,13 +576,13 @@ def _state_row(controller, controller_state) -> tuple:
 
 
 def _scalar_only(task, perturbation) -> bool:
-    """Cases rollout_plans hands to the scalar rollout, row by row.
-
-    The array kernel models no ball (contact per row), no goal that ends
-    rows at different steps and no pendulum load.
+    """Cases rollout_plans hands to the scalar rollout, row by row: a task
+    that has_ball (contact per row) or sets a terminal_threshold (a goal
+    that ends rows at different steps), in the task protocol's terms
+    (objectives._Task), and a pendulum load. The array kernel models none
+    of them.
     """
-    return (getattr(task, "has_ball", False)
-            or getattr(task, "terminal_threshold", None) is not None
+    return (task.has_ball or task.terminal_threshold is not None
             or (perturbation is not None and perturbation.kind == "chaotic_pendulum"))
 
 
@@ -781,9 +783,9 @@ def open_loop_lockstep(controller, runs):
 class MpcConfig:
     """Budgets and horizons of the receding-horizon controller.
 
-    The budgets are checked when it is built: the warm start's by its
-    CmaConfig (`warm`), and refine_budget must be a whole number of at
-    least 1.
+    The budgets and the seed are checked when it is built: the warm
+    start's budget and the seed by its CmaConfig (`warm`), and
+    refine_budget must be a whole number of at least 1.
     """
 
     t_pred: float = 0.3            # prediction horizon, seconds
@@ -892,7 +894,7 @@ def mpc_run(task, controller, mpc: MpcConfig,
 
     state = task.initial_state()
     ctrl_state = controller.state0
-    ball = task.initial_ball() if getattr(task, "has_ball", False) else None
+    ball = task.initial_ball() if task.has_ball else None
 
     def window_objective(snap_state, snap_ctrl, snap_ball):
         best = math.inf         # the smallest cost returned so far

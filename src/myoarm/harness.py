@@ -22,7 +22,7 @@ from .config import ExperimentConfig
 from .control import (MpcConfig, calibrate_torque_limits, mpc_run,
                       open_loop_lockstep)
 from .objectives import ObjectiveWeights, make_task
-from .optimizers import CmaConfig
+from .optimizers import CmaConfig, _whole
 
 TRACE_HEADER = ["experiment", "task", "morphology", "c", "sigma", "tpred",
                 "seed", "gen", "best_cost", "evals", "diverged"]
@@ -54,9 +54,13 @@ def write_csv(path, header, rows):
 
 
 def read_csv(path):
+    """(header, rows) of a CSV file; a file with no header line is a
+    ValueError that names it."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file, no CSV header")
         return header, [row for row in reader]
 
 
@@ -79,9 +83,10 @@ def write_trajectory_csv(path, result):
     return write_csv(path, trajectory_header(result.controls.shape[1]), rows)
 
 
-def overshoot_past_target(th, target) -> float:
-    """Peak elbow excursion beyond the desired elbow angle (0 if never past)."""
-    return max(0.0, float((np.asarray(th)[:, 1] - target.th_des[1]).max()))
+def overshoot_past_target(th, posture) -> float:
+    """Peak elbow excursion beyond the elbow angle of `posture`, a task's
+    desired (shoulder, elbow) angles (0 if never past)."""
+    return max(0.0, float((np.asarray(th)[:, 1] - posture[1]).max()))
 
 
 def _task_for(config: ExperimentConfig, seed: int):
@@ -367,8 +372,11 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1):
     and the diverged flag 1 (oc_trace_rows, mpc_trace_rows), and the
     aggregate leaves such rows out of its statistics and counts them. A
     robustness_weights config runs _robustness_sweep, which writes its own
-    files in place of the trace files and aggregate.csv.
+    files in place of the trace files and aggregate.csv. jobs must be a
+    whole number of at least 1 (ValueError before the output directory is
+    made otherwise).
     """
+    jobs = _whole(jobs, "jobs", 1)
     if config.kind == "robustness_weights":
         return _robustness_sweep(config, jobs)
 
@@ -388,12 +396,13 @@ def _robustness_sweep(config: ExperimentConfig, jobs: int):
 
     Writes one trajectory CSV and one cost-over-time trace per run plus a
     summary with the final cost (`inf` for a diverged run) and the elbow
-    overshoot metric, whose cell is empty for a task without a reach
-    target (ball-serve) and for a diverged run, which has no overshoot. An
-    unperturbed baseline (mass 0) always runs alongside the configured
-    loads so perturbed and clean costs can be compared. Muscle runs execute
-    first and calibrate the torque ceilings of any torque-family
-    morphologies in the sweep.
+    overshoot past the joint posture the task's cost scores, whose cell is
+    empty for a task that scores none (every task but smooth-reach: the
+    task protocol's posture None) and for a diverged run, which has no
+    overshoot. An unperturbed baseline (mass 0) always runs alongside the
+    configured loads so perturbed and clean costs can be compared. Muscle
+    runs execute first and calibrate the torque ceilings of any
+    torque-family morphologies in the sweep.
 
     Every load is unseen, so the prediction model of every load of one
     (morphology, seed) is the unloaded arm, and so is its CMA-ES warm
@@ -409,11 +418,11 @@ def _robustness_sweep(config: ExperimentConfig, jobs: int):
         morph, _, _, _, seed, mass = point
         rows, _, res = result
         tag = f"{morph}_m{fmt(mass)}_seed{seed}"
-        target = getattr(_task_for(config, seed), "target", None)
+        posture = _task_for(config, seed).posture
         summary.append([config.kind, config.task, morph, mass, seed,
                         res.executed.cost,
-                        None if target is None or res.executed.diverged
-                        else overshoot_past_target(res.executed.th, target),
+                        None if posture is None or res.executed.diverged
+                        else overshoot_past_target(res.executed.th, posture),
                         int(res.executed.diverged)])
         return [write_trajectory_csv(
                     os.path.join(config.out_dir, f"robust_{tag}.csv"),

@@ -6,6 +6,18 @@ A task owns its arm, `params`: rollouts simulate it, and the task's own
 cost, window_cost, stage_series and is_done read it, so none of them takes
 an arm of its own.
 
+Every task derives from _Task, which declares everything the control and
+harness layers may ask of a task, each default written once there: no
+ball (has_ball), no goal that ends an episode early (terminal_threshold
+None), no declared stages to bound a window by (stage_terms None), no
+joint posture the cost scores (posture None), the hanging rest as the
+initial state, and a window cost that is the cost itself. A task states
+only where it differs: SmoothReaching declares its stages and its
+posture and scores a window without the horizon check, the fast variant
+of PreciseReaching sets a terminal_threshold (and so needs is_done), and
+BallServe has a ball (and so initial_ball and contact_radius). The
+callers read these as plain attributes.
+
 The reaching tasks' cost and window_cost take one trajectory, whose th,
 dth, ddth and controls are (samples, ...) arrays, and return a float; they
 also take a population of equally long trajectories, the same arrays with
@@ -168,8 +180,25 @@ def ball_serve_cost(dz_series) -> float:
 # Task descriptions
 
 
+class _Task:
+    """The task protocol, with its defaults (see the module docstring)."""
+
+    has_ball = False
+    terminal_threshold = None
+    stage_terms = None
+    posture = None      # (shoulder, elbow) angles the cost scores the arm against
+
+    def initial_state(self) -> ArmState:
+        """Hanging rest: the upper arm straight down, the elbow straight."""
+        return ArmState(th1=-0.5 * math.pi, th2=0.0)
+
+    def window_cost(self, traj):
+        """The cost of a plan shorter than the task (an MPC window)."""
+        return self.cost(traj)
+
+
 @dataclass
-class SmoothReaching:
+class SmoothReaching(_Task):
     """Reach 90 degrees at each joint from hanging rest, smoothly, in 0.9 s.
 
     The one smooth-reaching stage formula lives here, shared by cost,
@@ -178,8 +207,8 @@ class SmoothReaching:
     arrays and the weight ratios w_th/s_th and w_dth/s_dth) are converted
     once, when the task is built, so `weights` and `target` are read only
     at construction: assigning a new value to either afterwards does not
-    change the costs (dataclasses.replace builds a task that reads them
-    again). `params` is the arm the task runs on; the cost reads joint
+    change the costs or the posture, target.th_des (dataclasses.replace
+    builds a task that reads them again). `params` is the arm the task runs on; the cost reads joint
     angles only.
     """
 
@@ -188,10 +217,10 @@ class SmoothReaching:
     weights: ObjectiveWeights = field(default_factory=ObjectiveWeights)
     target: ReachTarget = field(default_factory=ReachTarget)
     params: ArmParams = field(default_factory=ArmParams)
-    has_ball = False
 
     def __post_init__(self):
         w, target = self.weights, self.target
+        self.posture = target.th_des
         # per joint: w_th/s_th, th_des, w_dth/s_dth, dth_des
         self._rows = (np.asarray(w.w_th) / np.asarray(w.s_th),
                       np.asarray(target.th_des),
@@ -233,9 +262,6 @@ class SmoothReaching:
                 f"required {min_duration} s horizon")
         return _per_row(self._stage(th, dth, jerk_from_accel(ddth)).sum(axis=-1))
 
-    def initial_state(self) -> ArmState:
-        return ArmState(th1=-0.5 * math.pi, th2=0.0)
-
     def cost(self, traj):
         return self._cost(traj.th, traj.dth, traj.ddth, self.duration)
 
@@ -257,12 +283,13 @@ class SmoothReaching:
         velocity errors and squared weighted jerk, so a partial sum of
         them never exceeds the whole (ObjectiveWeights refuses a weight
         that would make a term negative). A task without it, such as ball
-        serve, whose cost falls as its window runs, is never bounded."""
+        serve, whose cost falls as its window runs, is never bounded (its
+        stage_terms is _Task's None)."""
         return self._terms
 
 
 @dataclass
-class PreciseReaching:
+class PreciseReaching(_Task):
     """Hold the hand on a sampled goal point; reward evaluated per control step.
 
     Without a goal in `target`, one is drawn from target.rect with the task
@@ -283,16 +310,12 @@ class PreciseReaching:
     seed: int = 0
     terminal_threshold: float | None = None   # set for the fast variant
     params: ArmParams = field(default_factory=ArmParams)
-    has_ball = False
 
     def __post_init__(self):
         if self.target.goal_xz is None:
             rng = np.random.Generator(np.random.PCG64(self.seed))
             self.target = replace(self.target, goal_xz=self.target.sample_goal(
                 rng, self.params))
-
-    def initial_state(self) -> ArmState:
-        return ArmState(th1=-0.5 * math.pi, th2=0.0)
 
     def _distances(self, traj):
         gx, gz = self.target.goal_xz
@@ -321,9 +344,6 @@ class PreciseReaching:
     def cost(self, traj):
         return _per_row(-np.mean(self._rewards(traj)[1], axis=-1))
 
-    def window_cost(self, traj):
-        return self.cost(traj)
-
     def is_done(self, state: ArmState) -> bool:
         """Whether the hand is within terminal_threshold of the goal; the
         rollout asks only when the threshold is set."""
@@ -342,7 +362,7 @@ def fast_reaching_task(seed: int = 0, **kw) -> PreciseReaching:
 
 
 @dataclass
-class BallServe:
+class BallServe(_Task):
     """Hit a dropped ball upward; score is the peak upward ball velocity."""
 
     name = "ball-serve"
@@ -352,17 +372,11 @@ class BallServe:
     params: ArmParams = field(default_factory=ArmParams)
     has_ball = True
 
-    def initial_state(self) -> ArmState:
-        return ArmState(th1=-0.5 * math.pi, th2=0.0)
-
     def initial_ball(self) -> BallState:
         return BallState(x=self.drop_xz[0], z=self.drop_xz[1])
 
     def cost(self, traj) -> float:
         return ball_serve_cost(traj.ball[:, 3])
-
-    def window_cost(self, traj) -> float:
-        return self.cost(traj)
 
     def stage_series(self, traj) -> np.ndarray:
         # running negative best upward speed; the final entry equals the cost

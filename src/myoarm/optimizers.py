@@ -42,8 +42,9 @@ def _whole(value, what: str, least: int) -> int:
 class CmaConfig:
     """Budget, initial step size and seed of one CMA-ES run; a population
     that is not a whole number of at least 4, a generation count that is
-    not a whole number of at least 1 or a sigma0 that is not positive and
-    finite is refused here."""
+    not a whole number of at least 1, a sigma0 that is not positive and
+    finite or a seed that is not a whole number of at least 0 is refused
+    here."""
 
     population: int = 36
     generations: int = 100
@@ -53,6 +54,7 @@ class CmaConfig:
     def __post_init__(self):
         _whole(self.population, "population", 4)
         _whole(self.generations, "generations", 1)
+        _whole(self.seed, "seed", 0)
         if not 0.0 < self.sigma0 < math.inf:
             raise ValueError(f"sigma0 must be positive and finite, not "
                              f"{self.sigma0}")
@@ -113,7 +115,7 @@ class CmaEs:
         self._mean = mean
         n = self._n = mean.size
         lam = self._lam = int(config.population)
-        self._rng = np.random.Generator(np.random.PCG64(config.seed))
+        self._rng = np.random.Generator(np.random.PCG64(int(config.seed)))
         self._sigma = float(config.sigma0)
 
         mu = self._mu = lam // 2

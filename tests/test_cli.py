@@ -240,8 +240,44 @@ class TestUsageErrors:
         cfg.write_text(TINY_CONFIG)
         assert run_cli("experiment", "--config", str(cfg), "--jobs", jobs,
                        "--out", str(tmp_path / "out")) == 1
-        assert "--jobs must be at least 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "jobs must be a whole number of at least 1" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate",), ("optimize", "--population", "4", "--generations", "1"),
+        ("mpc", "--tpred", "0.02", "--population", "4",
+         "--warm-generations", "1", "--refine-budget", "1")])
+    def test_a_seed_below_zero_is_a_usage_error(self, tmp_path, capsys, argv):
+        # --seed -3 used to reach NumPy's seeding and exit 1 with its
+        # "expected non-negative integer", which names no seed
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--seed", "-3", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "seed must be a whole number of at least 0, not -3" in err
+        assert not out.exists()
+
+    def test_a_seed_below_zero_in_a_config_makes_no_directory(self, tmp_path,
+                                                             capsys):
+        # experiment.seeds = -1, 2 used to make the output directory and
+        # then fail in the first run
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY_CONFIG + "experiment.seeds = -1, 2\n")
+        assert run_cli("experiment", "--config", str(cfg),
+                       "--out", str(tmp_path / "out")) == 1
+        assert "experiment.seeds" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["summarize", "calibrate-torque"])
+    def test_an_empty_csv_is_a_one_line_error(self, tmp_path, capsys, command):
+        # an empty file used to end in a StopIteration traceback
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        assert run_cli(command, str(empty),
+                       "--out", str(tmp_path / "o.csv")) == 1
+        err = capsys.readouterr().err
+        assert err == f"myoarm: error: {empty}: empty file, no CSV header\n"
+        assert not (tmp_path / "o.csv").exists()
 
     def test_help_exits_zero(self, capsys):
         assert run_cli("--help") == 0

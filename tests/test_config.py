@@ -194,6 +194,17 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig.from_mapping(parse_config_text(line))
 
+    @pytest.mark.parametrize("text", ["experiment.seeds = -1, 2",
+                                      "experiment.seeds = -1,",
+                                      "experiment.seeds = 2.5"])
+    def test_a_seed_below_zero_is_refused_by_key(self, text):
+        # seeds -1, 2 used to pass the checks and fail in the first run,
+        # after the output directory was made, with NumPy's message
+        with pytest.raises(ValueError, match="experiment.seeds"):
+            ExperimentConfig.from_mapping(parse_config_text(text))
+        with pytest.raises(ValueError, match="experiment.seeds"):
+            ExperimentConfig(seeds=[3, -1])
+
     @pytest.mark.parametrize("key, value", [
         ("grid.c", "0.3, 0.05, 0.30"),
         ("grid.sigma", "0.1, 0.1"),

@@ -116,12 +116,13 @@ class TestCsvPrimitives:
 class TestOvershoot:
     def test_zero_when_never_past(self):
         th = np.array([[0.0, 0.0], [0.5, 1.0]])
-        assert overshoot_past_target(th, ReachTarget()) == 0.0
+        assert overshoot_past_target(th, ReachTarget().th_des) == 0.0
 
     def test_peak_excursion_beyond_elbow_target(self):
         past = 0.5 * math.pi + 0.2
         th = np.array([[0.0, 0.0], [0.5, past], [0.5, 0.1]])
-        assert overshoot_past_target(th, ReachTarget()) == pytest.approx(0.2)
+        assert overshoot_past_target(th, ReachTarget().th_des) == \
+            pytest.approx(0.2)
 
 
 def trace_row(morph, seed, gen, cost, evals, diverged=0, c=0.3, sigma=0.2):
@@ -410,6 +411,15 @@ class TestRunExperiment:
         for p in paths:
             assert os.path.realpath(p).startswith(os.path.realpath(out))
 
+    @pytest.mark.parametrize("jobs", [0, -2, 1.5])
+    def test_jobs_below_one_refused_before_the_out_dir(self, tmp_path, jobs):
+        # jobs=0 used to make the output directory and then fail with a
+        # KeyError for the first point, which no bundle had run
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="jobs must be a whole number"):
+            run_experiment(tiny_oc_config(out), jobs=jobs)
+        assert not out.exists()
+
     def test_unwritable_out_dir_rejected(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("plain file")
@@ -447,7 +457,17 @@ class TestRobustnessSweep:
         _, rows = read_csv(tmp_path / "robust_muscle_m0.0_seed0.csv")
         th = np.array([[float(r[1]), float(r[2])] for r in rows])
         _, summary = read_csv(tmp_path / "robustness.csv")
-        assert float(summary[0][6]) == overshoot_past_target(th, ReachTarget())
+        assert float(summary[0][6]) == overshoot_past_target(
+            th, ReachTarget().th_des)
+
+    def test_no_overshoot_for_a_task_that_scores_no_posture(self, tmp_path):
+        # precise-reach scores a hand goal, not ReachTarget.th_des; its
+        # overshoot cells used to be measured against th_des all the same
+        config = replace(tiny_mpc_config(tmp_path), task="precise-reach")
+        run_experiment(config)
+        _, summary = read_csv(tmp_path / "robustness.csv")
+        assert [r[6] for r in summary] == ["", ""]
+        assert all(r[7] == "0" for r in summary)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         paths_a = run_experiment(tiny_mpc_config(tmp_path / "a"))

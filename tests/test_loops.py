@@ -1,11 +1,13 @@
 """Tests for rollouts, open-loop optimization, and the receding-horizon loop."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from myoarm import control
 from myoarm.actuators import MuscleController, TorqueController, make_controller
 from myoarm.arm import (ArmParams, ArmState, Perturbation, _Coeffs,
                         _mass_terms, _pendulum_step)
@@ -344,6 +346,36 @@ class TestMpc:
         with pytest.raises(ValueError,
                            match="refine_budget must be a whole number"):
             MpcConfig(refine_budget=budget)
+
+    def test_a_negative_seed_is_refused(self):
+        # MpcConfig(seed=-2) used to be accepted; its warm start's CmaConfig
+        # refuses it now
+        with pytest.raises(ValueError, match="seed must be a whole number"):
+            MpcConfig(seed=-2)
+
+    def test_a_window_whose_score_overflows_costs_inf_without_a_warning(
+            self, monkeypatch):
+        # on a forearm of almost no mass, seed 4's refinement meets windows
+        # that stay finite while their cost overflows; the scalar rollout
+        # used to score them outside any np.errstate block, so it warned
+        # ("overflow encountered in square"), which -W error made a crash
+        task = make_task("smooth-reach",
+                         params=ArmParams(m2=1e-4, i2=1e-7, m_hand=0.0))
+        scored = []
+
+        def recorded(*args, **kwargs):
+            scored.append(rollout(*args, **kwargs))
+            return scored[-1]
+
+        monkeypatch.setattr(control, "rollout", recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mpc_run(task, make_controller("torque"),
+                    tiny_mpc(seed=4, t_pred=0.2, resolution=0.01,
+                             warm_population=4, warm_generations=1,
+                             refine_budget=4))
+        assert any(r.termination == "horizon" and r.cost == math.inf
+                   for r in scored)
 
     def test_first_control_applied_bitwise(self):
         task = SmoothReaching()

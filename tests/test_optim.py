@@ -169,6 +169,13 @@ class TestCmaConfigValidation:
         with pytest.raises(ValueError, match=f"{field} must be a whole number"):
             CmaConfig(**{field: value})
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, math.nan])
+    def test_a_seed_must_be_a_whole_number_of_at_least_zero(self, seed):
+        # seed -1 used to be accepted and to fail only in NumPy's seeding,
+        # with a message that named no seed
+        with pytest.raises(ValueError, match="seed must be a whole number"):
+            CmaConfig(seed=seed)
+
     def test_a_whole_float_or_numpy_integer_is_a_budget(self):
         assert CmaEs(np.zeros(2), CmaConfig(population=np.int64(6),
                                             generations=2.0)).ask().shape == (6, 2)
