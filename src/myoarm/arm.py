@@ -12,12 +12,12 @@ The step has two forms, one for one arm and one for a population. The
 scalar kernels work on plain floats on purpose: per-step state is a
 handful of scalars and array round-trips would dominate the cost of the
 millions of steps an optimization run takes. The scalar rollout's loop
-(control._simulate) writes the semi-implicit step out inline on floats,
+(control._Window._run) writes the semi-implicit step out inline on floats,
 with _mass_matrix and _bias inlined and their negations dropped through
 exact sign identities, so its results stay bit-identical to the composed
 form; it carries each new configuration's mass-matrix terms into the next
 step, and appends each step's scalars as one record to one flat list that
-becomes one array once per episode.
+becomes one array once per finished episode.
 
 _symp_step is the step of control.rollout_plans, which advances whole
 CMA-ES populations in lockstep, one column per candidate. It is an array
@@ -483,7 +483,7 @@ def _symp_step(b: _StepBlocks, cos=np.cos, sin=np.sin):
     cos(x, out)) equal math.cos and math.sin. No column's numbers depend
     on the columns beside it.
 
-    control._simulate, the scalar rollout's loop, carries the one other
+    control._Window._run, the scalar rollout's loop, carries the one other
     copy of this arithmetic, written out inline on floats; a change here
     is a change there. In tests/test_kernels.py,
     test_symp_step_equals_its_composed_reference pins this function on

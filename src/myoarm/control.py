@@ -14,9 +14,9 @@ the episode length (n_steps). The task owns the arm: a rollout simulates
 task.params and the task's costs read the same arm, so the callers hand in
 only the plan, the controller and, for MPC, a start snapshot. MPC re-plans
 against a prediction model that only sees perturbations flagged as
-visible; each plant segment is an unscored rollout (_simulate) of the
-first segment of the plan in force, and the executed trajectory is one
-rollout of the first segments it applied.
+visible; each plant segment is an unscored episode (_Window.episode) of
+the first segment of the plan in force, and the executed trajectory is
+one rollout of the first segments it applied.
 
 Actuator state is the controller's state row (see actuators): a rollout
 starts from `controller_state` (the controller's state0 when None), passes
@@ -31,8 +31,12 @@ row, next to the arm state.
 Two rollout paths share one step and one scoring rule, and both carry
 each new configuration's mass-matrix terms into the next step instead of
 deriving them again. `rollout` runs one episode on floats and is the
-reference; its loop (_simulate) writes the step's arithmetic out inline,
-because a call per step is a sizeable share of a short MPC window's time.
+reference. It prepares one _Window, the episode's fixed inputs (the
+effective arm's coefficients, the start snapshot's floats and controller
+state row, its mass-matrix terms, the task's stage terms, the segment and
+episode lengths), and runs the window's one step loop (_Window._run)
+once. That loop writes the step's arithmetic out inline, because a call
+per step is a sizeable share of a short MPC window's time.
 `rollout_plans` scores several populations of decision vectors (plans
 that share the episode length, the arm and the start state) in lockstep,
 one call of arm._symp_step per physics step. That is the step's array
@@ -55,7 +59,7 @@ constants are 0-d float64 arrays or tiles of the block's shape, and so
 are the controllers' in their array kernels. Neither the arm step nor an
 actuator kernel allocates or makes a view: every result goes into a block
 made once per rollout_plans call. So the step's arithmetic lives in
-exactly two places, _symp_step and _simulate's loop, and tests pin each:
+exactly two places, _symp_step and _Window._run, and tests pin each:
 in tests/test_kernels.py,
 test_symp_step_equals_its_composed_reference holds _symp_step, on one
 column with math's trigonometry, to the step composed from
@@ -71,16 +75,21 @@ every row the float `rollout`'s call gives it. CMA-ES hands out each
 generation as one such array (optimizers.CmaEs): the MPC warm start
 scores its generations with a one-plan rollout_plans call, and open-loop
 optimization advances one or more runs in lockstep (open_loop_lockstep),
-scoring a generation of all of them with one rollout_plans call. The
-pattern-search refinement, MPC's executed trajectory and the best-plan
-rollouts use `rollout`, and the MPC plant segments its unscored half. A
-refinement probe hands `rollout` the incumbent's cost as a bound, and
-stops once a running sum of its stages passes it (see mpc_run).
+scoring a generation of all of them with one rollout_plans call. MPC's
+executed trajectory and the best-plan rollouts use `rollout`, and the
+MPC plant segments its unscored episode. MPC's pattern-search refinement
+prepares one window per control step and probes it once per evaluation
+(_Window.probe), so a probe pays only for its decode, its steps and its
+score. The probe holds the bound: it takes the incumbent's cost and
+stops once a running sum of its stages passes it, and when the plant is
+the prediction model a control step's first probe continues the window
+that chose the plan in force instead of repeating its steps (see
+mpc_run).
 
 An episode with no finite cost costs math.inf, in every path: a rollout
 that diverged, a population row that diverged, and a finite trajectory
-whose score overflows. So every finite cost ranks below it, whatever its
-size, and no other number stands for a failed run.
+whose score overflows or is NaN. So every finite cost ranks below it,
+whatever its size, and no other number stands for a failed run.
 """
 
 import math
@@ -118,16 +127,16 @@ class RolloutResult:
     decoded control table. A diverged episode (termination 'diverged',
     which the read-only property diverged tests) costs math.inf. A cost of
     NaN marks an episode that was simulated but not scored (MPC's plant
-    segments). An episode that
-    stopped at its `bound` (termination 'bound', see rollout) is not
-    scored either: its cost is a running partial sum of its stages above
-    the bound, to be compared and not read, and its arrays end where the
-    episode stopped, as a goal's do.
+    segments). Every episode runs to its horizon, its goal or its
+    divergence: an MPC refinement probe that stops at its bound returns
+    only a cost, and no result (see mpc_run).
 
     rollout_plans scores a population as one result whose th, dth, ddth and
     controls have a leading row axis, one row per episode; it leaves
     torques and controller_state None, since no task cost reads them, and
-    t and final_state describe one episode only.
+    t and final_state describe one episode only. A finished MPC
+    refinement window of a task that declares its stages is scored on a
+    result that holds only th, dth and ddth (_Window.probe).
     """
 
     th: np.ndarray
@@ -139,7 +148,7 @@ class RolloutResult:
     ball: np.ndarray | None
     pend: np.ndarray | None
     cost: float
-    termination: str            # 'horizon', 'goal', 'diverged' or 'bound'
+    termination: str            # 'horizon', 'goal' or 'diverged'
     steps: int
 
     @property
@@ -285,20 +294,25 @@ def _rows(flat, n):
 def _score(task, result: RolloutResult, parameterization):
     """The cost of a finished, non-diverged episode, or the costs of a
     population of them (a result with a leading row axis). A finite
-    trajectory whose score overflows costs math.inf, with no warning."""
+    trajectory whose score overflows costs math.inf, with no warning, and
+    so does one that scores NaN: its terminal acceleration, computed on
+    Python floats, can be inf - inf while its angles and velocities stay
+    finite."""
     # a plan shorter than the task is an MPC prediction window or an MPC
     # run that stopped early; score it with the task's length-agnostic
     # variant of the same functional
     windowed = parameterization.horizon < task.duration - 1e-9
-    with np.errstate(over="ignore"):
-        return (task.window_cost if windowed else task.cost)(result)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cost = (task.window_cost if windowed else task.cost)(result)
+    if isinstance(cost, np.ndarray):
+        return np.where(np.isnan(cost), math.inf, cost)
+    return math.inf if math.isnan(cost) else float(cost)
 
 
 def rollout(task, controller, theta, parameterization: ControlParameterization,
             perturbation: Perturbation | None = None,
             initial_state: ArmState | None = None, controller_state=None,
-            ball0: BallState | None = None,
-            bound: float | None = None) -> RolloutResult:
+            ball0: BallState | None = None) -> RolloutResult:
     """Simulate one episode of `task` under `controller` and decision vector
     `theta`, the input rollout_plans takes one row of, and score it.
 
@@ -313,255 +327,355 @@ def rollout(task, controller, theta, parameterization: ControlParameterization,
     meets an overflowed angle (the samples it did not record are NaN),
     which rollout_plans, where np.cos gives NaN, scores the same. Any other
     episode is scored by the task's cost, or its window_cost when the
-    plan's horizon is shorter than the task's; a score that overflows is
-    math.inf as well, with no warning, as in rollout_plans (_score).
+    plan's horizon is shorter than the task's; a score that overflows or
+    is NaN is math.inf as well, with no warning, as in rollout_plans
+    (_score).
 
     The actuator state starts as controller_state (a state row, the
     controller's state0 when None) and ends as the result's
-    controller_state. _simulate runs the episode; this function adds the
-    score.
-
-    `bound` lets a caller that only asks whether the cost is below it stop
-    a losing episode early. It applies only to a task whose stage_terms
-    declares its stages (SmoothReaching's); a task that leaves it at the
-    task protocol's None (objectives._Task) is never bounded, and the
-    bound is ignored. Such an episode keeps a running sum of the stage
-    terms it has seen, and once that sum exceeds the bound after a step
-    that did not diverge, or at the end of the episode, the episode stops
-    there with termination 'bound', cost that sum and no score; its true
-    cost is at least the sum, up to rounding. An episode whose sum never
-    passes the bound gets its exact score, the float it gets without a
-    bound.
+    controller_state. The episode is one _Window, prepared for it and run
+    once (_Window.episode); this function adds the score. A rollout always
+    runs to its horizon, its goal or its divergence: only MPC refinement
+    stops a losing window early, and it does so on its window's probes
+    (_Window.probe, see mpc_run), not through rollout.
     """
-    result = _simulate(task, controller, theta, parameterization,
-                       perturbation, initial_state, controller_state, ball0,
-                       bound)
-    if result.termination in ("horizon", "goal"):
-        result.cost = float(_score(task, result, parameterization))
+    table = zoh_control(theta, parameterization)
+    result = _Window(task, controller, parameterization, perturbation,
+                     initial_state, controller_state, ball0).episode(table)
+    if not result.diverged:
+        result.cost = _score(task, result, parameterization)
     return result
 
 
-def _simulate(task, controller, theta, parameterization, perturbation,
-              initial_state, controller_state, ball0,
-              bound=None) -> RolloutResult:
-    """rollout's episode without its score: the cost is math.inf if it
-    diverged, the running stage sum if it stopped at `bound` (see rollout),
-    and NaN otherwise. MPC's plant segments, whose cost nothing reads, run
-    this.
+class _Window:
+    """One scalar episode's inputs, prepared once: the task and the
+    controller's torques, the effective arm's _Coeffs (perturbation folded
+    in, a pendulum load co-simulated), the start snapshot's floats and
+    controller state row (_state_row), the carried mass-matrix terms (m11,
+    s, det) of its configuration, the task's stage terms, steps_per_segment
+    and n_steps. Plans then run on it any number of times, each through
+    the one step loop, _run.
 
-    One loop serves every case: per step one controller.torques call, then
-    arm._symp_step's arithmetic written out inline (the pendulum load, the
-    ball and the goal each behind a per-step check). Each step ends by
-    computing its new configuration's cos(th2), m11, s and det, and the
-    next step starts from them. A new state is tested for finiteness with
-    one expression.
-
-    The recorder: each step appends one record of eight floats, (tau1,
-    tau2, a1, a2, th1, th2, w1, w2), to one flat list that starts with the
-    initial (th1, th2, w1, w2) and ends with a pad pair and the terminal
-    acceleration. So row j of the (steps + 1, 8) array built from the list
-    once the episode ends is sample j's th, dth, the torques of step j and
-    ddth, and th, dth, ddth and torques are column views of it. The loop
-    reads each step's control row from zoh_control's per-segment table as
-    a list; controls, one row per step, is indexed out of that table. A
-    pendulum load and a ball each keep a list of their own.
-
-    The bound, in the same loop: the running sum starts with sample 0's
-    angle and velocity terms. Each step adds those of the sample it makes
-    and, from the second step on, the jerk term of the sample before the
-    one before it, the last whose neighbouring accelerations are known
-    (sample 0's one-sided jerk at the second step). A sum that leaves out
-    non-negative terms is still a lower bound. The check comes after the
-    divergence and goal checks, so a step that diverges is still a
-    divergence. A window that runs to its horizon adds the last two jerk
-    terms once the terminal acceleration is known; the sum then holds
-    every term of the cost, and a window whose sum passes the bound there
-    stops unscored as well, with all its steps.
+    rollout prepares one for its one episode (episode). MPC prepares one
+    per plant segment (episode) and one per control step for its
+    refinement, whose evaluations (probe) each pay only for their own
+    decode, steps and score.
     """
-    params = task.params
-    p_eff = perturbation.apply_to(params) if perturbation is not None else params
-    coeffs = _Coeffs(p_eff)
-    pend_pert = (perturbation if perturbation is not None
-                 and perturbation.kind == "chaotic_pendulum" else None)
 
-    table = zoh_control(theta, parameterization)
-    controls = table[parameterization.segment_of_step]
-    rows, sps = table.tolist(), parameterization.steps_per_segment
-    dt = DT_SIM
-    state = initial_state if initial_state is not None else task.initial_state()
-    th1, th2 = state.th1, state.th2
-    w1, w2 = state.dth1, state.dth2
-    phi_p, dphi_p = state.pend_angle, state.pend_vel
-    cstate = _state_row(controller, controller_state)
+    def __init__(self, task, controller, parameterization, perturbation=None,
+                 initial_state=None, controller_state=None, ball0=None):
+        self.task, self.par = task, parameterization
+        params = task.params
+        self.p_eff = (perturbation.apply_to(params)
+                      if perturbation is not None else params)
+        self.coeffs = _Coeffs(self.p_eff)
+        self.pend_pert = (perturbation if perturbation is not None
+                          and perturbation.kind == "chaotic_pendulum" else None)
+        state = (initial_state if initial_state is not None
+                 else task.initial_state())
+        self.start = (state.th1, state.th2, state.dth1, state.dth2)
+        self.pend0 = (state.pend_angle, state.pend_vel)
+        self.cstate = _state_row(controller, controller_state)
+        self.torques_of = controller.torques
+        self.ball0 = None
+        if task.has_ball:
+            self.ball0 = ball0 if ball0 is not None else task.initial_ball()
+        self.is_done = (task.is_done if task.terminal_threshold is not None
+                        else None)
+        self.terms = task.stage_terms() if task.stage_terms is not None else None
+        # the mass-matrix terms of the start configuration; each step
+        # computes its new configuration's, so only these are computed
+        # here. An infinite th2 leaves them NaN: the first step's sin(th2)
+        # then raises, after the controller's torques and before anything
+        # is recorded.
+        self.mass = _mass_terms(self.coeffs, state.th2 if math.isfinite(
+            state.th2) else math.nan)
+        self.sps = parameterization.steps_per_segment
+        self.n_steps = parameterization.n_steps
 
-    ball = None
-    if task.has_ball:
-        ball = ball0 if ball0 is not None else task.initial_ball()
-        contact_radius = task.contact_radius
+    def episode(self, table) -> RolloutResult:
+        """The episode of the decoded control table `table` (zoh_control's
+        or _zoh_table's), unscored: its cost is math.inf if it diverged and
+        NaN otherwise. The plant segments of MPC, whose cost nothing reads,
+        are episodes, and rollout scores one.
 
-    # numpy converts a flat list of floats about ten times faster than a
-    # list of row tuples
-    rec = [th1, th2, w1, w2]
-    pend = [phi_p, dphi_p] if pend_pert is not None else None
-    balls = [ball.x, ball.z, ball.dx, ball.dz] if ball is not None else None
+        A step that raised before its record (see _run) diverged, and its
+        samples, its control and any pendulum or ball sample it did not
+        record are NaN; the terminal ddth row of a diverged episode repeats
+        its last step's acceleration.
+        """
+        out = self._run(table.tolist())
+        termination, steps, rec, _, pend, balls, _ = out
+        controls = table[self.par.segment_of_step[:steps]]
+        if termination == "diverged":
+            if len(rec) < 8 * steps + 4:            # raised before its record
+                rec += [math.nan] * 8
+                controls[-1] = math.nan
+            for flat, size in ((pend, 2 * steps + 2), (balls, 4 * steps + 4)):
+                if flat is not None:
+                    flat += [math.nan] * (size - len(flat))
+            rec += (math.nan, math.nan, rec[-6], rec[-5])
+        return self._result(out, controls)
 
-    torques_of = controller.torques
-    cos, sin = math.cos, math.sin
-    m11_0, cross, cross2 = coeffs.m11_0, coeffs.cross, coeffs.cross2
-    qb, kg1, kg2 = coeffs.qb, coeffs.kg1, coeffs.kg2
-    is_done = task.is_done if task.terminal_threshold is not None else None
-    termination = "horizon"
-    steps = 0
-    tau1 = tau2 = 0.0
-    terms = task.stage_terms if bound is not None else None
-    if terms is not None:
-        kt1, kt2, d1, d2, kv1, kv2, dd1, dd2, gain = terms()
-        half = gain / 2.0
-        e1 = th1 - d1
-        e2 = th2 - d2
-        v1 = w1 - dd1
-        v2 = w2 - dd2
-        run = kt1 * e1 * e1 + kt2 * e2 * e2 + kv1 * v1 * v1 + kv2 * v2 * v2
-        # the accelerations of the last step (la) and the one before (pa)
-        la1 = la2 = pa1 = pa2 = 0.0
-    # the mass-matrix terms of the configuration the next step starts from;
-    # each step computes its new configuration's, so only the first are
-    # computed here. An infinite th2 leaves them NaN: the first step's
-    # sin(th2) then raises, after the controller's torques and before
-    # anything is recorded.
-    m11, s, det = _mass_terms(coeffs, th2 if math.isfinite(th2) else math.nan)
+    @staticmethod
+    def _result(out, controls) -> RolloutResult:
+        """The RolloutResult of a finished or diverged _run, with the
+        per-step controls `controls`; th, dth, ddth and torques are column
+        views of one array built from the record."""
+        termination, steps, rec, cstate, pend, balls, _ = out
+        samples = _rows(rec, steps + 1)
+        return RolloutResult(
+            th=samples[:, 0:2], dth=samples[:, 2:4], ddth=samples[:, 6:8],
+            controls=controls, torques=samples[:steps, 4:6],
+            controller_state=cstate,
+            ball=_rows(balls, steps + 1) if balls is not None else None,
+            pend=_rows(pend, steps + 1) if pend is not None else None,
+            cost=math.inf if termination == "diverged" else math.nan,
+            termination=termination, steps=steps)
 
-    try:
-        for k in range(parameterization.n_steps):
-            tau1, tau2, cstate = torques_of(cstate, th1, th2, w1, w2,
-                                            rows[k // sps])
-            if pend_pert is None:
-                t1, t2 = tau1, tau2
-            else:
-                t1, t2, phi_p, dphi_p = _pendulum_step(
-                    coeffs, th1, th2, w1, w2, tau1, tau2, pend_pert, phi_p,
-                    dphi_p, dt)
-            # arm._symp_step under torques (t1, t2): its operations in its
-            # order (some of its pairs take a sum's or a product's operands
-            # the other way round, which IEEE arithmetic keeps exactly),
-            # with this configuration's m11, s and det carried over from
-            # the step before and the new one's computed at its end
-            hs = cross * sin(th2)
-            g1 = kg1 * cos(th1)
-            g2 = kg2 * cos(th1 - th2)
-            r1 = t1 - (g1 - hs * w2 * (2.0 * w1 - w2) + g2)
-            r2 = t2 - (hs * w1 * w1 - g2)
-            a1 = (qb * r1 + s * r2) / det
-            a2 = (m11 * r2 + s * r1) / det
-            p2 = qb * w2 - s * w1
-            q1 = m11 * w1 - s * w2 + dt * (t1 - (g1 + g2))
-            qbq1 = qb * q1
-            sq1 = s * q1
-            u1 = (qbq1 + s * p2) / det
-            u2 = (m11 * p2 + sq1) / det
-            q2 = p2 + dt * (t2 - (hs * u1 * (u1 - u2) - g2))
-            u1 = (qbq1 + s * q2) / det
-            u2 = (m11 * q2 + sq1) / det
-            q2 = p2 + dt * (t2 - (hs * u1 * (u1 - u2) - g2))
-            u1 = (qbq1 + s * q2) / det
-            u2 = (m11 * q2 + sq1) / det
-            q2 = p2 + dt * (t2 - (hs * u1 * (u1 - u2) - g2))
-            u1 = (qbq1 + s * q2) / det
-            u2 = (m11 * q2 + sq1) / det
-            th1 = th1 + dt * u1
-            th2 = th2 + dt * u2
-            c2 = cos(th2)
-            m11 = m11_0 + cross2 * c2
-            s = qb + cross * c2
-            det = m11 * qb - s * s
-            w1 = (qbq1 + s * q2) / det
-            w2 = (m11 * q2 + s * q1) / det
-            if pend is not None:
-                pend += (phi_p, dphi_p)
-            rec += (tau1, tau2, a1, a2, th1, th2, w1, w2)
-            steps = k + 1
-            if ball is not None:
-                hx, hz, hvx, hvz = _hand(coeffs, th1, th2, w1, w2)
-                ball = ball_step(ball, (hx, hz), (hvx, hvz), dt, g=p_eff.g,
-                                 contact_radius=contact_radius)
-                balls += (ball.x, ball.z, ball.dx, ball.dz)
-            # x * 0.0 is 0.0 for a finite x and NaN for an infinite or NaN one
-            if th1 * 0.0 + th2 * 0.0 + w1 * 0.0 + w2 * 0.0 != 0.0:
-                termination = "diverged"
-                break
-            if is_done is not None and is_done(
-                    ArmState(th1=th1, th2=th2, dth1=w1, dth2=w2)):
-                termination = "goal"
-                break
-            if terms is not None:
-                e1 = th1 - d1
-                e2 = th2 - d2
-                v1 = w1 - dd1
-                v2 = w2 - dd2
-                run += (kt1 * e1 * e1 + kt2 * e2 * e2 + kv1 * v1 * v1
-                        + kv2 * v2 * v2)
-                if k > 1:       # sample k - 1's jerk
-                    j1 = half * (a1 - pa1)
-                    j2 = half * (a2 - pa2)
-                    run += j1 * j1 + j2 * j2
-                elif k:         # sample 0's
-                    j1 = gain * (a1 - la1)
-                    j2 = gain * (a2 - la2)
-                    run += j1 * j1 + j2 * j2
-                pa1 = la1
-                pa2 = la2
-                la1 = a1
-                la2 = a2
-                if run > bound:
-                    termination = "bound"
+    def probe(self, theta, bound=None, resume=None):
+        """(cost, record) of decision vector theta on this window: one MPC
+        refinement evaluation.
+
+        theta is checked and decoded once, by _zoh_table. With a `bound`,
+        a window of a task that declares its stages (SmoothReaching's
+        stage_terms) stops once the running sum of its stage terms passes
+        the bound (see _run), and its cost is that partial sum: a number
+        above the bound, to be compared and not read, for which nothing
+        else is built and no terminal acceleration is computed. A task
+        that leaves stage_terms at None (objectives._Task) is never
+        bounded. A diverged window costs math.inf. Any other window gets
+        rollout's score, the float rollout gives the same plan from the
+        same snapshot. A task with stage terms declares that its window
+        cost reads only th, dth and ddth, so its result has no controls
+        (their per-step index is the one array a result builds beyond the
+        record's).
+
+        record is (the flat sample record, the final controller state row)
+        of a window that ran to its horizon, else None. `resume` is such a
+        record of this window's plant model, from a snapshot its first
+        steps_per_segment steps led to this window's snapshot, with this
+        theta the receding-horizon shift of that window's plan: the
+        window's steps before its last steps_per_segment are then that
+        window's steps from its sample steps_per_segment on, bit for bit,
+        so they are read from the record and only the last
+        steps_per_segment steps run (see _run). A resumed window is never
+        bounded, and neither has a pendulum load or a ball.
+        """
+        table = _zoh_table(np.reshape(theta, (1, -1)), self.par)[0]
+        out = self._run(table.tolist(), bound, resume)
+        termination, steps, rec, cstate, _, _, partial = out
+        if termination == "bound":
+            return partial, None
+        if termination == "diverged":
+            return math.inf, None
+        # a task with stage terms scores th, dth and ddth only
+        result = self._result(out, None if self.terms is not None else
+                              table[self.par.segment_of_step[:steps]])
+        cost = _score(self.task, result, self.par)
+        return cost, (rec, cstate) if termination == "horizon" else None
+
+    def _run(self, rows, bound=None, resume=None):
+        """Step the window under the control rows `rows` (a decoded table
+        as lists); returns (termination, steps, rec, controller state row,
+        pend, balls, run).
+
+        One loop serves every case: per step one controller.torques call,
+        then arm._symp_step's arithmetic written out inline (the pendulum
+        load, the ball and the goal each behind a per-step check). Each
+        step ends by computing its new configuration's cos(th2), m11, s and
+        det, and the next step starts from them. A new state is tested for
+        finiteness with one expression.
+
+        The recorder: each step appends one record of eight floats, (tau1,
+        tau2, a1, a2, th1, th2, w1, w2), to one flat list, rec, that starts
+        with the initial (th1, th2, w1, w2); a window that ran to its
+        horizon or its goal ends it with a pad pair and the terminal
+        acceleration. So row j of the (steps + 1, 8) array built from the
+        list is sample j's th, dth, the torques of step j and ddth. The
+        loop reads each step's control row from the table as a list. A
+        pendulum load and a ball each keep a list of their own (pend,
+        balls). A diverged window's lists end where it stopped: a step
+        that raised ends them one record short, and episode pads them.
+
+        `resume`, a (rec, controller state row) record of a window of n
+        steps that ran to its horizon (see probe), starts the loop at step
+        n - steps_per_segment from that record's sample
+        steps_per_segment on, its last sample's state and the record's
+        controller state, with that sample's mass-matrix terms computed
+        again (_mass_terms, the loop's own operations).
+
+        The bound, in the same loop, only when `bound` is set and the task
+        declares its stages: the running sum, run, starts with sample 0's
+        angle and velocity terms. Each step adds those of the sample it
+        makes and, from the second step on, the jerk term of the sample
+        before the one before it, the last whose neighbouring
+        accelerations are known (sample 0's one-sided jerk at the second
+        step). A sum that leaves out non-negative terms is still a lower
+        bound. The check comes after the divergence and goal checks, so a
+        step that diverges is still a divergence. A window that passes the
+        bound stops with termination 'bound'. A window that runs to its
+        horizon adds the last two jerk terms once the terminal
+        acceleration is known; the sum then holds every term of the cost,
+        and a window whose sum passes the bound there stops with
+        termination 'bound' as well, with all its steps.
+        """
+        coeffs, sps, dt = self.coeffs, self.sps, DT_SIM
+        pend_pert, torques_of = self.pend_pert, self.torques_of
+        if resume is None:
+            th1, th2, w1, w2 = self.start
+            # numpy converts a flat list of floats about ten times faster
+            # than a list of row tuples
+            rec = [th1, th2, w1, w2]
+            cstate, k0 = self.cstate, 0
+            m11, s, det = self.mass
+        else:
+            record, cstate = resume
+            k0 = self.n_steps - sps
+            rec = record[8 * sps:8 * self.n_steps + 4]
+            th1, th2, w1, w2 = rec[-4:]
+            m11, s, det = _mass_terms(coeffs, th2)
+        phi_p, dphi_p = self.pend0
+        pend = [phi_p, dphi_p] if pend_pert is not None else None
+        ball = self.ball0
+        balls = None
+        if ball is not None:
+            balls = [ball.x, ball.z, ball.dx, ball.dz]
+            g, contact_radius = self.p_eff.g, self.task.contact_radius
+
+        cos, sin = math.cos, math.sin
+        m11_0, cross, cross2 = coeffs.m11_0, coeffs.cross, coeffs.cross2
+        qb, kg1, kg2 = coeffs.qb, coeffs.kg1, coeffs.kg2
+        is_done = self.is_done
+        termination = "horizon"
+        steps = k0
+        tau1 = tau2 = 0.0
+        run = None
+        terms = self.terms if bound is not None else None
+        if terms is not None:
+            kt1, kt2, d1, d2, kv1, kv2, dd1, dd2, gain = terms
+            half = gain / 2.0
+            e1 = th1 - d1
+            e2 = th2 - d2
+            v1 = w1 - dd1
+            v2 = w2 - dd2
+            run = kt1 * e1 * e1 + kt2 * e2 * e2 + kv1 * v1 * v1 + kv2 * v2 * v2
+            # the accelerations of the last step (la) and the one before (pa)
+            la1 = la2 = pa1 = pa2 = 0.0
+
+        try:
+            for k in range(k0, self.n_steps):
+                tau1, tau2, cstate = torques_of(cstate, th1, th2, w1, w2,
+                                                rows[k // sps])
+                if pend_pert is None:
+                    t1, t2 = tau1, tau2
+                else:
+                    t1, t2, phi_p, dphi_p = _pendulum_step(
+                        coeffs, th1, th2, w1, w2, tau1, tau2, pend_pert, phi_p,
+                        dphi_p, dt)
+                # arm._symp_step under torques (t1, t2): its operations in
+                # its order (some of its pairs take a sum's or a product's
+                # operands the other way round, which IEEE arithmetic keeps
+                # exactly), with this configuration's m11, s and det
+                # carried over from the step before and the new one's
+                # computed at its end
+                hs = cross * sin(th2)
+                g1 = kg1 * cos(th1)
+                g2 = kg2 * cos(th1 - th2)
+                r1 = t1 - (g1 - hs * w2 * (2.0 * w1 - w2) + g2)
+                r2 = t2 - (hs * w1 * w1 - g2)
+                a1 = (qb * r1 + s * r2) / det
+                a2 = (m11 * r2 + s * r1) / det
+                p2 = qb * w2 - s * w1
+                q1 = m11 * w1 - s * w2 + dt * (t1 - (g1 + g2))
+                qbq1 = qb * q1
+                sq1 = s * q1
+                u1 = (qbq1 + s * p2) / det
+                u2 = (m11 * p2 + sq1) / det
+                q2 = p2 + dt * (t2 - (hs * u1 * (u1 - u2) - g2))
+                u1 = (qbq1 + s * q2) / det
+                u2 = (m11 * q2 + sq1) / det
+                q2 = p2 + dt * (t2 - (hs * u1 * (u1 - u2) - g2))
+                u1 = (qbq1 + s * q2) / det
+                u2 = (m11 * q2 + sq1) / det
+                q2 = p2 + dt * (t2 - (hs * u1 * (u1 - u2) - g2))
+                u1 = (qbq1 + s * q2) / det
+                u2 = (m11 * q2 + sq1) / det
+                th1 = th1 + dt * u1
+                th2 = th2 + dt * u2
+                c2 = cos(th2)
+                m11 = m11_0 + cross2 * c2
+                s = qb + cross * c2
+                det = m11 * qb - s * s
+                w1 = (qbq1 + s * q2) / det
+                w2 = (m11 * q2 + s * q1) / det
+                if pend is not None:
+                    pend += (phi_p, dphi_p)
+                rec += (tau1, tau2, a1, a2, th1, th2, w1, w2)
+                steps = k + 1
+                if ball is not None:
+                    hx, hz, hvx, hvz = _hand(coeffs, th1, th2, w1, w2)
+                    ball = ball_step(ball, (hx, hz), (hvx, hvz), dt, g=g,
+                                     contact_radius=contact_radius)
+                    balls += (ball.x, ball.z, ball.dx, ball.dz)
+                # x * 0.0 is 0.0 for a finite x and NaN for an infinite or NaN one
+                if th1 * 0.0 + th2 * 0.0 + w1 * 0.0 + w2 * 0.0 != 0.0:
+                    termination = "diverged"
                     break
-    except (ValueError, OverflowError) as exc:
-        # math.cos of an overflowed angle raises "math domain error" inside
-        # the step, where rollout_plans' np.cos gives NaN: step k
-        # diverged, and what it did not record is NaN, its control included.
-        # Any other ValueError is not divergence.
-        if isinstance(exc, ValueError) and str(exc) != "math domain error":
-            raise
-        termination, steps = "diverged", k + 1
-        if len(rec) < 8 * steps + 4:            # raised before its record
-            rec += [math.nan] * 8
-            controls = controls[:steps].copy()
-            controls[-1] = math.nan
-        for flat, size in ((pend, 2 * steps + 2), (balls, 4 * steps + 4)):
-            if flat is not None:
-                flat += [math.nan] * (size - len(flat))
+                if is_done is not None and is_done(
+                        ArmState(th1=th1, th2=th2, dth1=w1, dth2=w2)):
+                    termination = "goal"
+                    break
+                if terms is not None:
+                    e1 = th1 - d1
+                    e2 = th2 - d2
+                    v1 = w1 - dd1
+                    v2 = w2 - dd2
+                    run += (kt1 * e1 * e1 + kt2 * e2 * e2 + kv1 * v1 * v1
+                            + kv2 * v2 * v2)
+                    if k > 1:       # sample k - 1's jerk
+                        j1 = half * (a1 - pa1)
+                        j2 = half * (a2 - pa2)
+                        run += j1 * j1 + j2 * j2
+                    elif k:         # sample 0's
+                        j1 = gain * (a1 - la1)
+                        j2 = gain * (a2 - la2)
+                        run += j1 * j1 + j2 * j2
+                    pa1 = la1
+                    pa2 = la2
+                    la1 = a1
+                    la2 = a2
+                    if run > bound:
+                        return "bound", steps, rec, cstate, pend, balls, run
+        except (ValueError, OverflowError) as exc:
+            # math.cos of an overflowed angle raises "math domain error"
+            # inside the step, where rollout_plans' np.cos gives NaN: step
+            # k diverged. Any other ValueError is not divergence.
+            if isinstance(exc, ValueError) and str(exc) != "math domain error":
+                raise
+            return "diverged", k + 1, rec, cstate, pend, balls, run
+        if termination == "diverged":
+            return termination, steps, rec, cstate, pend, balls, run
 
-    # the last row's torque pair is a pad; its ddth is the terminal
-    # sample's acceleration, the last step's again when the run diverged
-    if termination == "diverged":
-        a1, a2 = rec[-6], rec[-5]
-    elif pend_pert is not None:
-        _, _, _, a1, a2 = _pendulum_forces(
-            coeffs, th1, th2, w1, w2, tau1, tau2, pend_pert, phi_p, dphi_p)
-    else:
-        a1, a2 = _accel(coeffs, th1, th2, w1, w2, tau1, tau2)
-    if terms is not None and termination == "horizon" and steps > 1:
-        # the last two jerks: the sum is now the whole cost, up to rounding
-        j1 = half * (a1 - pa1)
-        j2 = half * (a2 - pa2)
-        run += j1 * j1 + j2 * j2
-        j1 = gain * (a1 - la1)
-        j2 = gain * (a2 - la2)
-        run += j1 * j1 + j2 * j2
-        if run > bound:
-            termination = "bound"
-    rec += (math.nan, math.nan, a1, a2)
-    samples = _rows(rec, steps + 1)
-
-    return RolloutResult(
-        th=samples[:, 0:2], dth=samples[:, 2:4], ddth=samples[:, 6:8],
-        controls=controls[:steps], torques=samples[:steps, 4:6],
-        controller_state=cstate,
-        ball=_rows(balls, steps + 1) if balls is not None else None,
-        pend=_rows(pend, steps + 1) if pend is not None else None,
-        cost=(math.inf if termination == "diverged" else run
-              if termination == "bound" else math.nan),
-        termination=termination, steps=steps)
+        # the terminal sample's acceleration under the last torques, which
+        # the last row's ddth holds next to a pad torque pair
+        if pend_pert is not None:
+            _, _, _, a1, a2 = _pendulum_forces(
+                coeffs, th1, th2, w1, w2, tau1, tau2, pend_pert, phi_p, dphi_p)
+        else:
+            a1, a2 = _accel(coeffs, th1, th2, w1, w2, tau1, tau2)
+        if terms is not None and termination == "horizon" and steps > 1:
+            # the last two jerks: the sum is now the whole cost, up to rounding
+            j1 = half * (a1 - pa1)
+            j2 = half * (a2 - pa2)
+            run += j1 * j1 + j2 * j2
+            j1 = gain * (a1 - la1)
+            j2 = gain * (a2 - la2)
+            run += j1 * j1 + j2 * j2
+            if run > bound:
+                return "bound", steps, rec, cstate, pend, balls, run
+        rec += (math.nan, math.nan, a1, a2)
+        return termination, steps, rec, cstate, pend, balls, run
 
 
 def _state_row(controller, controller_state) -> tuple:
@@ -829,38 +943,61 @@ def mpc_run(task, controller, mpc: MpcConfig,
     Plant and prediction model run on the task's arm, task.params. The
     plant feels the full perturbation; the prediction model only includes
     it when perturbation.visible_to_prediction is set. At each control step
-    the plant runs the plan's first segment (an unscored rollout,
-    _simulate, of a one-segment plan), the plan is shifted (last segment
+    the plant runs the plan's first segment (an unscored episode of a
+    one-segment plan, _Window.episode), the plan is shifted (last segment
     duplicated), and a pattern search with a fixed evaluation budget
     refines it against the prediction model from the latest plant
     snapshot: the arm state and the actuator state row the executed
     segment ended in. Plant and prediction share one controller, which
     holds parameters only. The window is the controller's OC
     parameterization (parameterization_for) with horizon mpc.t_pred, so a
-    window rollout lasts t_pred. The warm start is CMA-ES from the middle
-    of the control box with mpc.warm (step size WARM_SIGMA0), and it scores
-    each generation with a one-plan rollout_plans call from the task's
-    start; the refinement starts at radius REFINE_RADIUS and scores each
-    window with the scalar rollout. mpc.resolution must be a whole multiple of DT_SIM
-    and divide the task's horizon (ValueError before any work otherwise).
+    window lasts t_pred. The warm start is CMA-ES from the middle of the
+    control box with mpc.warm (step size WARM_SIGMA0), and it scores each
+    generation with a one-plan rollout_plans call from the task's start;
+    the refinement starts at radius REFINE_RADIUS. mpc.resolution must be
+    a whole multiple of DT_SIM and divide the task's horizon (ValueError
+    before any work otherwise).
 
-    A refinement probe that is losing stops early. local_refine only ever
+    Each control step's window is prepared once (_Window: the prediction
+    arm, the snapshot, its mass-matrix terms and the task's stage terms),
+    and every refinement evaluation is one probe of it (_Window.probe),
+    which decodes its plan once and runs the one step loop. Its finished
+    cost is the float `rollout` gives the same plan from the same
+    snapshot.
+
+    A refinement probe that is losing stops early; the bound lives in the
+    window's probe, and no rollout is ever bounded. local_refine only ever
     compares a cost with the smallest its objective has returned so far
-    (the start plan's, then each accepted probe's), so each window's
-    objective hands rollout that smallest cost times (1 + REFINE_SLACK) as
-    its `bound`. A window of a task that declares its stages (SmoothReaching)
-    then stops once its running stage sum exceeds the bound, with
-    termination 'bound' and a cost above the incumbent, which local_refine
-    rejects as it would the full window's. The start plan and every
-    accepted probe run in full and get their exact cost, so plans,
-    step_evals and the executed trajectory are what unbounded windows
-    give, and a stopped probe counts one evaluation like any other. The
-    margin covers rounding: the running sum and window_cost's pairwise sum
-    add the same at most about 10 n non-negative terms (n samples) in
-    different orders, which differ by about 10 n eps relative, near 1e-13
-    for a 61-sample window. No bound is set while the incumbent costs
-    math.inf (it diverged), where every finite probe wins; so the start
-    plan runs unbounded.
+    (the start plan's, then each accepted probe's), so each evaluation
+    hands the probe that smallest cost times (1 + REFINE_SLACK) as its
+    bound. A window of a task that declares its stages (SmoothReaching)
+    then stops once its running stage sum exceeds the bound and returns
+    that sum, a cost above the incumbent, which local_refine rejects as it
+    would the full window's. The start plan and every accepted probe run
+    in full and get their exact cost, so plans, step_evals and the
+    executed trajectory are what unbounded windows give, and a stopped
+    probe counts one evaluation like any other. The margin covers
+    rounding: the running sum and window_cost's pairwise sum add the same
+    at most about 10 n non-negative terms (n samples) in different orders,
+    which differ by about 10 n eps relative, near 1e-13 for a 61-sample
+    window. No bound is set while the incumbent costs math.inf (it
+    diverged), where every finite probe wins; so the start plan runs
+    unbounded.
+
+    The start plan continues the incumbent when the plant is the
+    prediction model: no perturbation, or one visible to prediction, and
+    no pendulum load and no ball. The plant segment then repeats the
+    first steps_per_segment steps of the window that chose the plan in
+    force, bit for bit, so the shifted plan's window repeats that
+    window's later steps: its first evaluation reads them from that
+    window's record and simulates only its last steps_per_segment steps,
+    under the duplicated last segment, before it is scored as usual. A
+    window's record is kept only when it ran to its horizon and
+    local_refine accepted it (the start plan, or a strict improvement), so
+    the record at hand is always the returned plan's or none. The
+    reference in tests/oracles.py (mpc_run_reference), which rolls out
+    every evaluation in full from its snapshot, holds the whole run to
+    these shortcuts bit for bit.
 
     The executed trajectory is one rollout, from the task's initial state,
     of the first segments of the plans applied, on the plant; it walks the
@@ -896,21 +1033,25 @@ def mpc_run(task, controller, mpc: MpcConfig,
     ctrl_state = controller.state0
     ball = task.initial_ball() if task.has_ball else None
 
-    def window_objective(snap_state, snap_ctrl, snap_ball):
-        best = math.inf         # the smallest cost returned so far
+    def refine(window, plan, incumbent):
+        """local_refine of the shifted plan on its prepared window; returns
+        (plan, evaluations, the record of the plan it returns or None)."""
+        best, kept, resume = math.inf, None, incumbent
 
         def objective(theta):
-            nonlocal best
+            nonlocal best, kept, resume
             # local_refine's incumbent is best, and a probe that cannot
             # get below it is only ever rejected, however far it runs
             bound = best * (1.0 + REFINE_SLACK) if best < math.inf else None
-            cost = rollout(task, controller, theta, par,
-                           perturbation=pred_pert, initial_state=snap_state,
-                           controller_state=snap_ctrl, ball0=snap_ball,
-                           bound=bound).cost
-            best = min(best, cost)
+            cost, record = window.probe(theta, bound, resume)
+            resume = None       # only the first evaluation is the shift
+            if cost < best:
+                best, kept = cost, record
             return cost
-        return objective
+
+        plan, _, n = local_refine(objective, plan, REFINE_RADIUS,
+                                  mpc.refine_budget, lo=par.lo, hi=par.hi)
+        return plan, n, kept
 
     def warm_objective(thetas):         # from the task's start
         return rollout_plans(controller, [(task, thetas, par)], pred_pert)[0]
@@ -925,14 +1066,22 @@ def mpc_run(task, controller, mpc: MpcConfig,
                              f"({par.dim},)")
         evals = _whole(evals, "warm start evaluations", 0)
 
+    # when the plant is the prediction model, a plant segment repeats the
+    # first steps of the window that chose its plan, bit for bit; a window
+    # record holds no pendulum or ball state to continue from
+    continues = (pred_pert is perturbation and ball is None
+                 and (perturbation is None
+                      or perturbation.kind != "chaotic_pendulum"))
     na = par.n_actuators
     plans = []
     step_evals = []
+    record = None           # the plan in force's window record, if kept
     for k in range(n_ctrl):
         plans.append(plan.copy())
         step_evals.append(evals)
-        seg = _simulate(task, controller, plan[:na], segment, perturbation,
-                        state, ctrl_state, ball)
+        seg = _Window(task, controller, segment, perturbation, state,
+                      ctrl_state, ball).episode(
+                          _zoh_table(plan[None, :na], segment)[0])
         state, ctrl_state = seg.final_state, seg.controller_state
         if ball is not None:
             bx, bz, bdx, bdz = seg.ball[-1]
@@ -940,10 +1089,10 @@ def mpc_run(task, controller, mpc: MpcConfig,
                              dz=float(bdz))
         if seg.termination != "horizon" or k == n_ctrl - 1:
             break
-        plan = par.shift(plan)
-        plan, _, refine_evals = local_refine(
-            window_objective(state, ctrl_state, ball), plan,
-            REFINE_RADIUS, mpc.refine_budget, lo=par.lo, hi=par.hi)
+        plan, refine_evals, record = refine(
+            _Window(task, controller, par, pred_pert, state, ctrl_state,
+                    ball),
+            par.shift(plan), record if continues else None)
         evals += refine_evals
 
     executed = rollout(task, controller,

@@ -35,6 +35,8 @@ ROBUST_HEADER = ["experiment", "task", "morphology", "mass", "seed",
 
 def fmt(value) -> str:
     """CSV cell formatting: shortest round-trip decimals for floats."""
+    if type(value) is float:        # the common cell, and the fastest test
+        return repr(value)
     if value is None or value == "":
         return ""
     if isinstance(value, (int, np.integer)):
@@ -70,16 +72,14 @@ def trajectory_header(n_controls: int):
 
 
 def write_trajectory_csv(path, result):
-    """One row per physics sample; the terminal row repeats the last controls."""
-    n = result.controls.shape[0]
-    t = result.t
-    rows = []
-    for k in range(result.th.shape[0]):
-        j = min(k, n - 1)
-        rows.append([t[k], result.th[k, 0], result.th[k, 1],
-                     result.dth[k, 0], result.dth[k, 1],
-                     *result.controls[j], result.torques[j, 0],
-                     result.torques[j, 1]])
+    """One row per physics sample; the terminal row repeats the last
+    controls. The cells are the arrays' values as Python floats (tolist),
+    which fmt formats faster than NumPy scalars, to the same text."""
+    t, th, dth = result.t.tolist(), result.th.tolist(), result.dth.tolist()
+    controls, torques = result.controls.tolist(), result.torques.tolist()
+    last = len(controls) - 1
+    rows = [[t[k], *th[k], *dth[k], *controls[min(k, last)],
+             *torques[min(k, last)]] for k in range(len(th))]
     return write_csv(path, trajectory_header(result.controls.shape[1]), rows)
 
 

@@ -274,17 +274,19 @@ class SmoothReaching(_Task):
 
     def stage_terms(self) -> tuple:
         """The stage's constants as floats, for a running lower bound on a
-        window's cost (control.rollout's `bound`): w_th/s_th of the
-        shoulder and the elbow, then th_des, w_dth/s_dth and dth_des the
-        same way, and last jerk_gain.
+        window's cost (the `bound` of an MPC refinement probe,
+        control._Window.probe): w_th/s_th of the shoulder and the elbow,
+        then th_des, w_dth/s_dth and dth_des the same way, and last
+        jerk_gain.
 
         A task with this method declares that its window cost is a sum of
         non-negative terms, each sample's weighted squared angle and
         velocity errors and squared weighted jerk, so a partial sum of
         them never exceeds the whole (ObjectiveWeights refuses a weight
-        that would make a term negative). A task without it, such as ball
-        serve, whose cost falls as its window runs, is never bounded (its
-        stage_terms is _Task's None)."""
+        that would make a term negative), and that the cost reads th, dth
+        and ddth only, so a probe builds no controls for it. A task without
+        it, such as ball serve, whose cost falls as its window runs, is
+        never bounded (its stage_terms is _Task's None)."""
         return self._terms
 
 

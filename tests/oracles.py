@@ -3,10 +3,10 @@
 Everything here is derived from first principles (the arm's Lagrangian and
 its finite differences, a Runge-Kutta reference integrator, closed-form
 curves) rather than from the code under test, so agreement is meaningful.
-From myoarm the oracles import only the ArmParams and ArmState records of
-myoarm.arm: the mass matrix, potential, generalized forces and
-accelerations below are written out from the link geometry, not taken from
-myoarm.arm's kernels. The muscle curves and the first-order activation
+From myoarm the first-principles oracles import only the ArmParams and
+ArmState records of myoarm.arm: the mass matrix, potential, generalized
+forces and accelerations below are written out from the link geometry, not
+taken from myoarm.arm's kernels. The muscle curves and the first-order activation
 step are written out here too, one function each, and import nothing;
 muscle_joint_torque composes the curves into an antagonistic pair's torque.
 torque_actuator is the ideal torque source of one joint, and lowpass_step
@@ -17,14 +17,22 @@ stood before its cost was cut, kept so that the cut loop can be held to it
 bit for bit. It takes the OptimizationTrace record from myoarm.optimizers,
 and ranks costs as CmaEs does: every non-finite cost as +inf, and
 generation 0's best as the incumbent whatever its cost.
+
+mpc_run_reference is the other: myoarm.control.mpc_run as it stood before
+its refinement prepared one window per control step, stopped losing
+probes at a bound and continued the incumbent's window, written with the
+public rollout only. mpc_run must return what it returns, bit for bit.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from myoarm.arm import ArmParams, ArmState
-from myoarm.optimizers import OptimizationTrace
+from myoarm.arm import ArmParams, ArmState, BallState
+from myoarm.control import (REFINE_RADIUS, MpcResult, parameterization_for,
+                            rollout, rollout_plans)
+from myoarm.optimizers import OptimizationTrace, cma_es, local_refine
 
 
 def _body_sums(p: ArmParams):
@@ -413,3 +421,68 @@ def cma_es_reference(objective, x0, config):
         trace.record(best_f, evals)
 
     return best_x, best_f, trace
+
+
+# --------------------------------------------------------------------------
+# The receding-horizon loop, one full rollout per evaluation
+#
+# A copy of myoarm.control.mpc_run taken before its refinement prepared
+# each control step's window once: every plant segment and every
+# refinement probe is one public rollout, scored, run to its horizon (no
+# bound) and from its snapshot (no continuation of the incumbent).
+
+def mpc_run_reference(task, controller, mpc, perturbation=None):
+    """mpc_run(task, controller, mpc, perturbation), computed the plain
+    way: the CMA-ES warm start from the middle of the control box, scored
+    with one-plan rollout_plans calls, then per control step one plant
+    rollout of the plan's first segment and a pattern search over the
+    shifted plan whose every evaluation is one rollout of the window."""
+    visible = perturbation is not None and perturbation.visible_to_prediction
+    pred_pert = perturbation if visible else None
+    par = replace(parameterization_for(task, controller, mpc.resolution),
+                  horizon=mpc.t_pred)
+    segment = replace(par, horizon=mpc.resolution)
+    n_ctrl = round(task.duration / mpc.resolution)
+
+    plan, _, warm = cma_es(
+        lambda thetas: rollout_plans(controller, [(task, thetas, par)],
+                                     pred_pert)[0],
+        np.full(par.dim, 0.5 * (par.lo + par.hi)), mpc.warm)
+    evals = warm.total_evals
+    state, row = task.initial_state(), controller.state0
+    ball = task.initial_ball() if task.has_ball else None
+    na = par.n_actuators
+    plans, step_evals = [], []
+    for k in range(n_ctrl):
+        plans.append(plan.copy())
+        step_evals.append(evals)
+        seg = rollout(task, controller, plan[:na], segment, perturbation,
+                      state, row, ball)
+        state, row = seg.final_state, seg.controller_state
+        if ball is not None:
+            ball = BallState(*(float(v) for v in seg.ball[-1]))
+        if seg.termination != "horizon" or k == n_ctrl - 1:
+            break
+        snapshot = (state, row, ball)
+
+        def window(theta, snapshot=snapshot):
+            return rollout(task, controller, theta, par, pred_pert,
+                           *snapshot).cost
+
+        plan, _, spent = local_refine(window, par.shift(plan), REFINE_RADIUS,
+                                      mpc.refine_budget, lo=par.lo, hi=par.hi)
+        evals += spent
+
+    executed = rollout(task, controller,
+                       np.concatenate([p[:na] for p in plans]),
+                       replace(par, horizon=len(plans) * mpc.resolution),
+                       perturbation)
+    if executed.diverged:
+        per_step = [math.inf] * len(plans)
+    else:
+        stage = task.stage_series(executed)
+        spc = par.steps_per_segment
+        per_step = [float(stage[i * spc:(i + 1) * spc + 1].mean())
+                    for i in range(len(plans))]
+    return MpcResult(executed=executed, step_costs=np.asarray(per_step),
+                     step_evals=np.asarray(step_evals), plans=np.asarray(plans))

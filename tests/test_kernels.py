@@ -35,7 +35,8 @@ from myoarm.arm import (ArmParams, ArmState, Perturbation, _accel, _bias,
                         _Coeffs, _hand, _jacobian, _mass_matrix, _mass_terms,
                         _pendulum_forces, _StepBlocks, _symp_step, ball_step,
                         hand_position)
-from myoarm.control import DT_SIM, parameterization_for, rollout
+from myoarm.control import (DT_SIM, _Window, parameterization_for, rollout,
+                            zoh_control)
 from myoarm.config import ExperimentConfig
 from myoarm.harness import _task_for
 from myoarm.objectives import (ObjectiveWeights, PreciseReaching, ReachTarget,
@@ -617,37 +618,47 @@ def test_rollout_stops_at_the_goal(morph, seed, goal_step):
     assert_rollout_matches(res, rollout_reference(task, ctrl, *plan))
 
 
-@settings(max_examples=100, deadline=None, database=None)
-@given(morph=st.sampled_from(["muscle", "torque"]), seed=seeds,
-       weights=weight_sets, target=targets,
-       # bounds just under the cost, too, which only a whole window passes
-       fraction=st.one_of(finite(0.0, 1.5), finite(0.999, 1.0)))
-def test_a_bounded_rollout_stops_only_above_its_bound(morph, seed, weights,
-                                                      target, fraction):
-    # an MPC window from a random snapshot (arm state and state row): a
-    # rollout bounded at a fraction of the window's cost either stops
-    # above the bound, at the partial sum of the stage terms it has seen,
-    # or is the unbounded rollout bit for bit. The sum and the cost add
-    # the same terms in different orders, so they agree to rounding only
-    task = SmoothReaching(weights=weights, target=target)
-    ctrl = make_controller(morph)
+def random_window(task, ctrl, seed, horizon=0.3):
+    """(theta, parameterization, snapshot) of an MPC window of `horizon`
+    at 10 ms segments from a random snapshot (arm state and state row)."""
     theta, par = random_plan(task, ctrl, seed, resolution=0.01)
-    par = replace(par, horizon=0.3)
-    theta = theta[:par.dim]
+    par = replace(par, horizon=horizon)
     rng = np.random.default_rng(seed)
     snap = dict(initial_state=ArmState(*rng.uniform(-3.0, 3.0, 2),
                                        *rng.uniform(-10.0, 10.0, 2)),
                 controller_state=tuple(rng.uniform(0.0, 1.0,
                                                    len(ctrl.state0))))
+    return theta[:par.dim], par, snap
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(morph=st.sampled_from(["muscle", "torque"]), seed=seeds,
+       weights=weight_sets, target=targets,
+       # bounds just under the cost, too, which only a whole window passes
+       fraction=st.one_of(finite(0.0, 1.5), finite(0.999, 1.0)))
+def test_a_bounded_window_stops_only_above_its_bound(morph, seed, weights,
+                                                     target, fraction):
+    # an MPC window from a random snapshot: a probe bounded at a fraction
+    # of the window's cost either stops above the bound, at the partial
+    # sum of the stage terms it has seen, or is the unbounded rollout bit
+    # for bit. The sum and the cost add the same terms in different
+    # orders, so they agree to rounding only
+    task = SmoothReaching(weights=weights, target=target)
+    ctrl = make_controller(morph)
+    theta, par, snap = random_window(task, ctrl, seed)
     full = rollout(task, ctrl, theta, par, **snap)
     assert full.termination == "horizon"
     bound = fraction * full.cost
-    res = rollout(task, ctrl, theta, par, **snap, bound=bound)
-    if res.termination == "bound":
-        n = res.steps
+    window = _Window(task, ctrl, par, **snap)
+    cost, record = window.probe(theta, bound)
+    rows = zoh_control(theta, par).tolist()
+    termination, n, rec, *_ = window._run(rows, bound)
+    samples = np.array(rec[:8 * n + 4] + [math.nan] * 4).reshape(n + 1, 8)
+    if termination == "bound":
+        assert record is None
         assert 1 <= n <= par.n_steps
-        assert np.array_equal(res.th, full.th[:n + 1])
-        assert np.array_equal(res.dth, full.dth[:n + 1])
+        assert np.array_equal(samples[:, 0:2], full.th[:n + 1])
+        assert np.array_equal(samples[:, 2:4], full.dth[:n + 1])
         # the stages of samples 0..n without their jerk terms, and the
         # jerk terms of samples 0..n-2, the last whose accelerations the
         # episode made; at the end of the window, once that sum has not
@@ -660,16 +671,57 @@ def test_a_bounded_rollout_stops_only_above_its_bound(morph, seed, weights,
         seen = states[:n + 1].sum() + jerks[:n - 1].sum()
         if n == par.n_steps and not seen > bound:
             seen = states.sum() + jerks.sum()
-        assert res.cost == pytest.approx(seen, rel=1e-12, abs=0.0)
-        assert res.cost > bound and full.cost >= bound * (1.0 - 1e-12)
-        assert res.cost <= full.cost * (1.0 + 1e-12)
+        assert cost == pytest.approx(seen, rel=1e-12, abs=0.0)
+        assert cost > bound and full.cost >= bound * (1.0 - 1e-12)
+        assert cost <= full.cost * (1.0 + 1e-12)
     else:
-        for name, want in vars(full).items():
-            got = getattr(res, name)
-            if isinstance(want, np.ndarray):
-                assert np.array_equal(got, want), name
-            else:
-                assert got == want, name
+        assert (termination, n) == (full.termination, full.steps)
+        assert cost == full.cost
+        assert record[1] == full.controller_state
+        recorded = np.array(record[0]).reshape(n + 1, 8)
+        for name, cols in (("th", slice(0, 2)), ("dth", slice(2, 4)),
+                           ("ddth", slice(6, 8))):
+            assert np.array_equal(recorded[:, cols], getattr(full, name)), name
+        assert np.array_equal(recorded[:n, 4:6], full.torques)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(morph=st.sampled_from(["muscle", "torque", "lowpass-fast"]),
+       seed=seeds, weights=weight_sets, target=targets,
+       load=st.sampled_from([0.0, 2.0]),
+       horizon=st.sampled_from([0.01, 0.07, 0.3]))
+def test_a_window_scores_as_rollout_and_a_continued_one_as_a_fresh_one(
+        morph, seed, weights, target, load, horizon):
+    # a prepared window's finished cost is rollout's, bit for bit; and
+    # once its first segment has run as a plant segment, the window of
+    # the shifted plan from there, continued from the first window's
+    # record, gives the cost, the record and the final state row that a
+    # fresh window from the plant segment's snapshot gives. 0.07 s ends
+    # in a partial segment, and 0.01 s is one segment
+    task = SmoothReaching(weights=weights, target=target)
+    ctrl = make_controller(morph)
+    theta, par, snap = random_window(task, ctrl, seed, horizon)
+    pert = Perturbation(kind="lower_arm_mass", mass=load) if load else None
+    cost, record = _Window(task, ctrl, par, pert, **snap).probe(theta)
+    want = rollout(task, ctrl, theta, par, perturbation=pert, **snap)
+    assert cost == want.cost
+    if record is None:                  # a window that diverged
+        assert want.diverged
+        return
+    segment = replace(par, horizon=par.resolution)
+    seg = rollout(task, ctrl, theta[:par.n_actuators], segment,
+                  perturbation=pert, **snap)
+    shifted = par.shift(theta)
+    here = dict(initial_state=seg.final_state,
+                controller_state=seg.controller_state)
+    fresh = _Window(task, ctrl, par, pert, **here).probe(shifted)
+    continued = _Window(task, ctrl, par, pert, **here).probe(shifted,
+                                                             resume=record)
+    assert continued[0] == fresh[0]
+    assert (continued[1] is None) == (fresh[1] is None)
+    if fresh[1] is not None:
+        assert continued[1][1] == fresh[1][1]
+        assert np.array_equal(continued[1][0], fresh[1][0], equal_nan=True)
 
 
 @pytest.mark.parametrize("morph", ["muscle", "torque"])

@@ -19,6 +19,7 @@ from myoarm.control import (DT_SIM, WARM_SIGMA0,
 from myoarm.objectives import (ObjectiveWeights, PreciseReaching, ReachTarget,
                                SmoothReaching, make_task)
 from myoarm.optimizers import CmaConfig, cma_es
+from oracles import mpc_run_reference
 from test_kernels import symp_step_floats
 
 PARAMS = ArmParams()
@@ -323,6 +324,42 @@ def tiny_mpc(seed=0, **kw):
     return MpcConfig(**defaults)
 
 
+def reference_cases():
+    """mpc_run's cases held to oracles.mpc_run_reference: {id: (task,
+    controller, MpcConfig, perturbation, a check that the executed run
+    covers what the id names)}. Smooth-reach with muscle and torque under
+    no load, an unseen load and a visible one (the incumbent is continued
+    under none and the visible one), a visible pendulum load, ball-serve,
+    and the golden set's torque fast-reach run, which stops at its goal."""
+    load = Perturbation(kind="lower_arm_mass", mass=2.0)
+    loads = {"none": None, "unseen": load,
+             "visible": replace(load, visible_to_prediction=True)}
+    smooth = tiny_mpc(seed=3, t_pred=0.1, resolution=0.01, warm_generations=2)
+    short = tiny_mpc(seed=0, t_pred=0.05, resolution=0.01, warm_population=4,
+                     warm_generations=1, refine_budget=4)
+    cases = {f"{family.__name__}-{name}": (
+        SmoothReaching(duration=0.3), family(), smooth, pert,
+        lambda run: run.termination == "horizon")
+        for family in (MuscleController, TorqueController)
+        for name, pert in loads.items()}
+    cases["pendulum"] = (
+        SmoothReaching(duration=0.2), MuscleController(), short,
+        Perturbation(kind="chaotic_pendulum", mass=1.0, cable_length=0.25,
+                     visible_to_prediction=True),
+        lambda run: run.pend is not None)
+    cases["ball-serve"] = (
+        make_task("ball-serve", duration=0.2), MuscleController(), short,
+        None, lambda run: run.ball is not None)
+    cases["fast-reach-goal"] = (
+        make_task("fast-reach", seed=3), make_controller("torque"),
+        replace(short, t_pred=0.02, refine_budget=2, seed=3), None,
+        lambda run: run.termination == "goal")
+    return cases
+
+
+REFERENCE_CASES = reference_cases()
+
+
 def torque_window(cfg: MpcConfig):
     """The torque prediction window's parameterization and objective.
 
@@ -363,19 +400,57 @@ class TestMpc:
                          params=ArmParams(m2=1e-4, i2=1e-7, m_hand=0.0))
         scored = []
 
-        def recorded(*args, **kwargs):
-            scored.append(rollout(*args, **kwargs))
-            return scored[-1]
+        def recorded(window, theta, bound=None, resume=None):
+            cost, record = real(window, theta, bound, resume)
+            scored.append((record is not None, cost))    # ran to its horizon
+            return cost, record
 
-        monkeypatch.setattr(control, "rollout", recorded)
+        real = control._Window.probe
+        monkeypatch.setattr(control._Window, "probe", recorded)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             mpc_run(task, make_controller("torque"),
                     tiny_mpc(seed=4, t_pred=0.2, resolution=0.01,
                              warm_population=4, warm_generations=1,
                              refine_budget=4))
-        assert any(r.termination == "horizon" and r.cost == math.inf
-                   for r in scored)
+        assert any(horizon and cost == math.inf for horizon, cost in scored)
+
+    def test_a_finite_window_that_scores_nan_costs_inf(self, monkeypatch):
+        # on a forearm of almost no mass, seed 0's refinement meets windows
+        # whose angles and velocities stay finite while the terminal
+        # acceleration, inf - inf on Python floats, is NaN. rollout, the
+        # refinement's probe and rollout_plans each scored such a window
+        # NaN, against the rule that a run with no finite cost costs inf
+        task = make_task("smooth-reach",
+                         params=ArmParams(m2=1e-4, i2=1e-7, m_hand=0.0))
+        ctrl = make_controller("torque")
+        probes = []
+
+        def recorded(window, theta, bound=None, resume=None):
+            cost, record = real(window, theta, bound, resume)
+            probes.append((window, np.array(theta), bound, cost))
+            return cost, record
+
+        real = control._Window.probe
+        monkeypatch.setattr(control._Window, "probe", recorded)
+        mpc_run(task, ctrl, MpcConfig(t_pred=0.2, warm_population=4,
+                                      warm_generations=1, refine_budget=4,
+                                      seed=0))
+        found = 0
+        for window, theta, bound, cost in probes:
+            state = ArmState(*window.start)
+            res = rollout(task, ctrl, theta, window.par, initial_state=state)
+            if res.termination != "horizon" or not np.isnan(res.ddth).any():
+                continue
+            found += 1
+            assert np.isfinite(res.th).all() and np.isfinite(res.dth).all()
+            assert res.cost == math.inf
+            assert cost == math.inf or cost > bound
+            start = replace(task)
+            start.initial_state = lambda: state
+            assert rollout_plans(ctrl, [(start, theta[None], window.par)]
+                                 )[0].tolist() == [math.inf]
+        assert found
 
     def test_first_control_applied_bitwise(self):
         task = SmoothReaching()
@@ -583,7 +658,7 @@ class TestMpc:
         # window; the plant segments used to be scored too, and nothing
         # read their costs. A stopped probe is an evaluation with no score
         import myoarm.control as control
-        real, real_rollout = SmoothReaching.window_cost, control.rollout
+        real, real_run = SmoothReaching.window_cost, control._Window._run
         scored, stopped = [], []
 
         def counted(task, traj):
@@ -591,14 +666,14 @@ class TestMpc:
             scored.extend([traj.steps] * rows)
             return real(task, traj)
 
-        def watched(*args, **kwargs):
-            result = real_rollout(*args, **kwargs)
-            if result.termination == "bound":
-                stopped.append(result.steps)
+        def watched(window, *args, **kwargs):
+            result = real_run(window, *args, **kwargs)
+            if result[0] == "bound":
+                stopped.append(result[1])
             return result
 
         monkeypatch.setattr(SmoothReaching, "window_cost", counted)
-        monkeypatch.setattr(control, "rollout", watched)
+        monkeypatch.setattr(control._Window, "_run", watched)
         cfg = tiny_mpc(seed=2)
         res = mpc_run(SmoothReaching(), TorqueController(), cfg)
         n = round(cfg.t_pred / DT_SIM)
@@ -617,14 +692,14 @@ class TestMpc:
         task = SmoothReaching(duration=0.3)
         cfg = tiny_mpc(seed=5, t_pred=0.1, resolution=0.01, warm_generations=2)
         load = Perturbation(kind="lower_arm_mass", mass=mass) if mass else None
-        real_rollout, stopped = control.rollout, []
+        real_run, stopped = control._Window._run, []
 
-        def watched(*args, **kwargs):
-            result = real_rollout(*args, **kwargs)
-            stopped.append(result.termination == "bound")
+        def watched(window, *args, **kwargs):
+            result = real_run(window, *args, **kwargs)
+            stopped.append(result[0] == "bound")
             return result
 
-        monkeypatch.setattr(control, "rollout", watched)
+        monkeypatch.setattr(control._Window, "_run", watched)
         bounded = mpc_run(task, family(), cfg, perturbation=load)
         assert any(stopped)
         monkeypatch.delattr(SmoothReaching, "stage_terms")
@@ -640,6 +715,26 @@ class TestMpc:
                 assert np.array_equal(got, want, equal_nan=True), name
             else:
                 assert got == want, name
+
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_mpc_run_is_its_reference(self, case):
+        # the prepared windows, the bound and the continued incumbent change
+        # no plan, no count and no executed sample: mpc_run equals the
+        # reference, whose every evaluation is one full rollout
+        task, controller, cfg, load, check = REFERENCE_CASES[case]
+        res = mpc_run(task, controller, cfg, perturbation=load)
+        ref = mpc_run_reference(task, controller, cfg, load)
+        for name in ("plans", "step_evals", "step_costs"):
+            got, want = getattr(res, name), getattr(ref, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        for name, want in vars(ref.executed).items():
+            got = getattr(res.executed, name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype, name
+                assert np.array_equal(got, want, equal_nan=True), name
+            else:
+                assert got == want, name
+        assert check(res.executed)
 
     def test_budget_parity(self):
         task = SmoothReaching()

@@ -27,7 +27,9 @@ kind, every task, the torque calibration and each CLI run command:
   hand mass; pendulum load; fast-reach; ball-serve; a torque fast-reach
   run that stops at the goal; a refinement budget above twice the plan's
   dimension, so the pattern search halves its radius; 0.1 s windows, long
-  enough for losing refinement probes to stop at their bound);
+  enough for losing refinement probes to stop at their bound; a forearm
+  load the prediction model sees, so that each control step's first
+  evaluation continues the incumbent's window under a load);
 - CLI runs over files the set has written: `experiment --config ...
   --jobs 1` (data_efficiency at c 0.3, seeds 2 and 3), `summarize` over
   the trace CSVs of that run and of the data_efficiency sweep's c 0.3
@@ -145,6 +147,10 @@ CLI_RUNS = {
     # 20-step windows, in which most rejected probes stop at their bound
     "mpc_probe_bound": ["mpc", "--tpred", "0.1", "--population", "4",
                         "--warm-generations", "1", "--refine-budget", "10"],
+    # a load the prediction model sees: the plant is the prediction model,
+    # so each control step's first evaluation continues the incumbent
+    "mpc_visible_load": ["mpc", "--perturb", "lower_arm_mass", "--mass", "2",
+                         "--visible", *TINY_CLI_MPC],
 }
 
 
